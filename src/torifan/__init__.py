@@ -5,13 +5,16 @@ the 16 smooth toric weak del Pezzo surfaces and 15 toric weakened Fano 3-folds.
 """
 
 from .fan import (
+    BundleSpec,
     Fan,
     ValidationReport,
+    build_bundle,
     cone_contains,
     fan_from_dict,
     fan_from_json,
     fan_from_rays_2d,
     hirzebruch_fan,
+    product_with_p1,
     projective_plane_fan,
     quotient_fan,
     star,
@@ -23,7 +26,6 @@ from .lattice import (
     is_primitive,
     make_primitive,
     smith_normal_form,
-    solve_nonneg_integer,
 )
 from .primitive import (
     PrimitiveRelation,
@@ -52,12 +54,9 @@ from .polytope import (
 from .isomorphism import FanIso, canonical_key, find_isomorphism
 from .catalog import NamedFan, all_named, named_fan, surfaces, threefolds
 from .classify import (
-    BundleSpec,
     ClassificationReport,
-    build_bundle,
     enumerate_weak_del_pezzo,
     enumerate_weakened_threefolds,
-    product_with_p1,
     verify_classification,
 )
 
@@ -107,7 +106,6 @@ __all__ = [
     "quotient_fan",
     "relation_lattice",
     "smith_normal_form",
-    "solve_nonneg_integer",
     "star",
     "surfaces",
     "threefolds",

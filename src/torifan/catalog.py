@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .classify import BundleSpec, build_bundle, product_with_p1
-from .fan import Fan, fan_from_rays_2d
+from .fan import BundleSpec, Fan, build_bundle, fan_from_rays_2d, product_with_p1
 
 # Generator lists of the 16 smooth toric weak del Pezzo surfaces.
 # S_n is the del Pezzo surface of degree n; W fans are weak but not Fano.

@@ -9,23 +9,15 @@ searches deduplicate by canonical key and report isomorphism classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
+from . import catalog
 from .contraction import is_weakened_fano
-from .fan import Fan, fan_from_rays_2d, validate
-from .isomorphism import canonical_key, find_isomorphism
+from .fan import BundleSpec, Fan, build_bundle, fan_from_rays_2d
+from .isomorphism import canonical_key
 from .lattice import vadd
 from .polytope import anticanonical_degree
-from .primitive import picard_rank, primitive_collections
-
-
-@dataclass(frozen=True)
-class BundleSpec:
-    """Surface bundle over P1: fiber fan plus the fiber parts of the two sections."""
-
-    fiber: Fan
-    twist_plus: tuple[int, int]
-    twist_minus: tuple[int, int]
+from .primitive import is_fano, is_weak_fano, picard_rank
 
 
 @dataclass(frozen=True)
@@ -62,49 +54,20 @@ class ClassificationReport:
         }
 
 
-def build_bundle(spec: BundleSpec) -> Optional[Fan]:
-    """Assemble the 3-fan of a toric surface bundle over P1, or None if invalid.
-
-    Rays are the fiber rays at base coordinate 0 plus the two sections
-    (twist_plus, 1) and (twist_minus, -1); each fiber cone joins both.
-    """
-    fiber = spec.fiber
-    if fiber.dim != 2:
-        raise ValueError("bundle fiber must be 2-dimensional")
-    n = len(fiber.rays)
-    rays = [r + (0,) for r in fiber.rays]
-    rays.append(tuple(spec.twist_plus) + (1,))
-    rays.append(tuple(spec.twist_minus) + (-1,))
-    cones = []
-    for cone in fiber.max_cones:
-        cones.append(tuple(sorted(cone + (n,))))
-        cones.append(tuple(sorted(cone + (n + 1,))))
-    fan = Fan(3, tuple(rays), tuple(cones))
-    report = validate(fan)
-    return fan if report.ok else None
-
-
-def product_with_p1(fiber: Fan) -> Fan:
-    """P1 x S as the zero-twist bundle."""
-    fan = build_bundle(BundleSpec(fiber, (0, 0), (0, 0)))
-    assert fan is not None, "a product bundle over a valid fiber is always valid"
-    return fan
-
-
-def projects_to_p1(fan: Fan, axis: int = -1) -> bool:
-    """Whether dropping one coordinate maps every maximal cone into a half-line.
+def projects_to_p1(fan: Fan) -> bool:
+    """Whether the last coordinate maps every maximal cone into a half-line.
 
     This is the fan map onto the complete 1-fan that exhibits the bundle
-    structure of the fans built by ``build_bundle`` (axis -1).
+    structure of the fans built by ``build_bundle``.
     """
     for cone in fan.max_cones:
-        coords = [fan.rays[i][axis] for i in cone]
+        coords = [fan.rays[i][-1] for i in cone]
         if any(c > 0 for c in coords) and any(c < 0 for c in coords):
             return False
-    fiber_rays = [r[:axis] if axis == -1 else r[:axis] + r[axis + 1:] for r in fan.rays if r[axis] == 0]
+    fiber_rays = [r[:-1] for r in fan.rays if r[-1] == 0]
     if len(fiber_rays) < 3:
         return False
-    return validate(fan_from_rays_2d(fiber_rays)).ok
+    return fan_from_rays_2d(fiber_rays).report.ok
 
 
 def surface_blowups(fan: Fan) -> Iterator[Fan]:
@@ -115,20 +78,22 @@ def surface_blowups(fan: Fan) -> Iterator[Fan]:
 
 
 def _surface_invariants(fan: Fan) -> dict:
-    rels = primitive_collections(fan, assume_valid=True)
     return {
         "rays": len(fan.rays),
         "picard": picard_rank(fan),
         "degree": anticanonical_degree(fan),
-        "fano": all(r.degree > 0 for r in rels),
-        "weak_fano": all(r.degree >= 0 for r in rels),
+        "fano": is_fano(fan),
+        "weak_fano": is_weak_fano(fan),
     }
+
+
+def _names_by_key(named: Sequence[catalog.NamedFan]) -> dict[bytes, str]:
+    """Catalog names by canonical key; a class is named by looking its key up."""
+    return {canonical_key(nf.fan): nf.name for nf in named}
 
 
 def enumerate_weak_del_pezzo() -> ClassificationReport:
     """Blow-up closure from {P2, P1 x P1, F2}, kept weak Fano, up to isomorphism."""
-    from . import catalog
-
     named = {nf.name: nf.fan for nf in catalog.surfaces()}
     seeds = [named["P2"], named["P1xP1"], named["F2"]]
     seen: dict[bytes, Fan] = {}
@@ -141,22 +106,17 @@ def enumerate_weak_del_pezzo() -> ClassificationReport:
     while queue:
         fan = queue.pop()
         for blown in surface_blowups(fan):
-            rels = primitive_collections(blown, assume_valid=True)
-            if any(r.degree < 0 for r in rels):
+            if not is_weak_fano(blown):
                 continue
             key = canonical_key(blown)
             if key not in seen:
                 seen[key] = blown
                 queue.append(blown)
-    entries = []
-    for key in sorted(seen):
-        fan = seen[key]
-        name = None
-        for nf in catalog.surfaces():
-            if find_isomorphism(fan, nf.fan) is not None:
-                name = nf.name
-                break
-        entries.append(ClassEntry(key, fan, _surface_invariants(fan), name))
+    names = _names_by_key(catalog.surfaces())
+    entries = [
+        ClassEntry(key, seen[key], _surface_invariants(seen[key]), names.get(key))
+        for key in sorted(seen)
+    ]
     return ClassificationReport(
         count=len(entries),
         classes=tuple(entries),
@@ -176,39 +136,30 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     """
     if twist_bound < 3:
         raise ValueError("twist bound below 3 misses known classes")
-    from . import catalog
-
-    surface_entries = catalog.surfaces()
-    catalog_threefolds = catalog.threefolds()
     b2 = 2 * twist_bound
     found: dict[bytes, tuple[Fan, str]] = {}
-    for nf in surface_entries:
+    for nf in catalog.surfaces():
         for sx in range(-b2, b2 + 1):
             for sy in range(-b2, b2 + 1):
                 fan = build_bundle(BundleSpec(nf.fan, (sx, sy), (0, 0)))
                 if fan is None:
                     continue
-                verdict = is_weakened_fano(fan, assume_valid=True)
-                if not verdict.is_weakened:
+                if not is_weakened_fano(fan).is_weakened:
                     continue
                 key = canonical_key(fan)
                 if key not in found:
                     found[key] = (fan, nf.name)
+    names = _names_by_key(catalog.threefolds())
     entries = []
     for key in sorted(found):
         fan, fiber_name = found[key]
-        name = None
-        for nf in catalog_threefolds:
-            if find_isomorphism(fan, nf.fan) is not None:
-                name = nf.name
-                break
         invariants = {
             "rays": len(fan.rays),
             "picard": picard_rank(fan),
             "degree": anticanonical_degree(fan),
             "fiber": fiber_name,
         }
-        entries.append(ClassEntry(key, fan, invariants, name))
+        entries.append(ClassEntry(key, fan, invariants, names.get(key)))
     return ClassificationReport(
         count=len(entries),
         classes=tuple(entries),
@@ -222,8 +173,6 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
 
 def verify_classification(twist_bound: int = 3) -> dict:
     """Cross-check both enumerations against the hard-coded catalog."""
-    from . import catalog
-
     assertions: list[dict] = []
 
     def check(name: str, passed: bool, detail: str = "") -> None:
@@ -261,28 +210,18 @@ def verify_classification(twist_bound: int = 3) -> dict:
         f"matched {sorted(n for n in threefold_names if n)}",
     )
 
-    catalog_len = len(catalog.threefolds())
+    catalog_threefolds = catalog.threefolds()
+    catalog_len = len(catalog_threefolds)
     check("catalog_threefold_count_15", catalog_len == 15, f"{catalog_len} entries")
-    all_weakened = True
-    degrees = {}
-    no_f2 = True
-    homogeneous = True
-    for nf in catalog.threefolds():
-        verdict = is_weakened_fano(nf.fan)
-        all_weakened = all_weakened and verdict.is_weakened
-        degrees[nf.name] = anticanonical_degree(nf.fan)
-        a_values = {kind.a for _, kind in verdict.crepant_contractions if kind.kind == "zero_two"}
-        if 2 in a_values:
-            no_f2 = False
-        if len(a_values) > 1:
-            homogeneous = False
-    for entry in threefold_report.classes:
-        verdict = is_weakened_fano(entry.fan)
-        a_values = {kind.a for _, kind in verdict.crepant_contractions if kind.kind == "zero_two"}
-        if 2 in a_values:
-            no_f2 = False
-        if len(a_values) > 1:
-            homogeneous = False
+    all_weakened = all(is_weakened_fano(nf.fan).is_weakened for nf in catalog_threefolds)
+    degrees = {nf.name: anticanonical_degree(nf.fan) for nf in catalog_threefolds}
+    # exceptional divisor types F_a of each fan, over the catalog and the search
+    a_values = [
+        {kind.a for _, kind in is_weakened_fano(fan).crepant_contractions if kind.kind == "zero_two"}
+        for fan in [nf.fan for nf in catalog_threefolds] + [e.fan for e in threefold_report.classes]
+    ]
+    no_f2 = all(2 not in a for a in a_values)
+    homogeneous = all(len(a) <= 1 for a in a_values)
     check("catalog_threefolds_all_weakened", all_weakened)
     expected_degrees = {"X3_0": 52, "X4_0": 38, "X4_1": 46, "X5_1": 36}
     check(
@@ -292,7 +231,7 @@ def verify_classification(twist_bound: int = 3) -> dict:
     )
     product_ok = all(
         degrees[nf.name] == 6 * (12 - nf.expected["fiber_rays"])
-        for nf in catalog.threefolds()
+        for nf in catalog_threefolds
         if nf.name.startswith("P1x")
     )
     check("product_degree_identity", product_ok)

@@ -18,10 +18,10 @@ from typing import Optional
 
 from . import catalog, classify
 from .contraction import is_weakened_fano
-from .fan import Fan, fan_from_json, validate
+from .fan import Fan, fan_from_json
 from .isomorphism import find_isomorphism
 from .polytope import anticanonical_degree
-from .primitive import extremality_flags, picard_rank, primitive_collections
+from .primitive import extremality_flags, is_fano, is_weak_fano, picard_rank, primitive_collections
 
 DEFAULT_TWIST_BOUND = 3
 
@@ -47,7 +47,7 @@ def _load_fan(path: str) -> Fan:
 
 def _load_valid_fan(path: str) -> Fan:
     fan = _load_fan(path)
-    report = validate(fan)
+    report = fan.report
     if not report.ok:
         reasons = sorted({reason for reason, _ in report.offending_cones})
         raise ValueError(f"fan is invalid: {', '.join(reasons) or 'unknown reason'}")
@@ -55,8 +55,7 @@ def _load_valid_fan(path: str) -> Fan:
 
 
 def _cmd_validate(args) -> CommandResult:
-    fan = _load_fan(args.fan)
-    report = validate(fan)
+    report = _load_fan(args.fan).report
     diagnostics = []
     if not report.is_simplicial:
         diagnostics.append("not simplicial")
@@ -70,12 +69,11 @@ def _cmd_validate(args) -> CommandResult:
 
 def _cmd_analyze(args) -> CommandResult:
     fan = _load_valid_fan(args.fan)
-    rels = primitive_collections(fan, assume_valid=True)
-    flags = extremality_flags(fan, rels)
     payload = {
         "picard_rank": picard_rank(fan),
         "relations": [
-            {**rel.to_dict(), "extremal": flag} for rel, flag in zip(rels, flags)
+            {**rel.to_dict(), "extremal": flag}
+            for rel, flag in zip(primitive_collections(fan), extremality_flags(fan))
         ],
     }
     return CommandResult("ok", payload, [])
@@ -87,20 +85,15 @@ def _cmd_degree(args) -> CommandResult:
 
 
 def _cmd_is_fano(args) -> CommandResult:
-    fan = _load_valid_fan(args.fan)
-    rels = primitive_collections(fan, assume_valid=True)
-    return CommandResult("ok", {"is_fano": all(r.degree > 0 for r in rels)}, [])
+    return CommandResult("ok", {"is_fano": is_fano(_load_valid_fan(args.fan))}, [])
 
 
 def _cmd_is_weak_fano(args) -> CommandResult:
-    fan = _load_valid_fan(args.fan)
-    rels = primitive_collections(fan, assume_valid=True)
-    return CommandResult("ok", {"is_weak_fano": all(r.degree >= 0 for r in rels)}, [])
+    return CommandResult("ok", {"is_weak_fano": is_weak_fano(_load_valid_fan(args.fan))}, [])
 
 
 def _cmd_is_weakened_fano(args) -> CommandResult:
-    fan = _load_valid_fan(args.fan)
-    verdict = is_weakened_fano(fan, assume_valid=True)
+    verdict = is_weakened_fano(_load_valid_fan(args.fan))
     return CommandResult("ok", verdict.to_dict(), [])
 
 

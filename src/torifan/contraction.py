@@ -18,12 +18,18 @@ cannot see it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .fan import Fan, cone_contains, quotient_fan, star, validate, hirzebruch_fan
+from .fan import Fan, cone_contains, hirzebruch_fan, memoised, quotient_fan, star
 from .lattice import Matrix, invert_unimodular, matmul, matvec
 from .isomorphism import find_isomorphism
-from .primitive import PrimitiveRelation, is_extremal, primitive_collections
+from .primitive import (
+    PrimitiveRelation,
+    is_extremal,
+    is_fano,
+    is_weak_fano,
+    primitive_collections,
+)
 
 _NORMAL_FORM_BASIS: Matrix = ((1, 1, 0), (0, 1, 0), (0, 0, 1))  # columns x0, x+, y+
 
@@ -63,15 +69,11 @@ class WeakenedVerdict:
         }
 
 
-def hirzebruch_type(fan2d: Fan, assume_valid: bool = False) -> Optional[int]:
+def hirzebruch_type(fan2d: Fan) -> Optional[int]:
     """Degree a >= 0 if the complete smooth 2-fan is a Hirzebruch surface, else None."""
-    if fan2d.dim != 2 or len(fan2d.rays) != 4:
+    if fan2d.dim != 2 or len(fan2d.rays) != 4 or not fan2d.report.ok:
         return None
-    if not assume_valid:
-        report = validate(fan2d)
-        if not (report.is_smooth and report.is_complete):
-            return None
-    rels = primitive_collections(fan2d, assume_valid=True)
+    rels = primitive_collections(fan2d)
     if len(rels) != 2 or any(len(r.collection) != 2 for r in rels):
         return None
     # the fiber pair sums to zero; the section pair sums to a times a fiber ray
@@ -149,18 +151,13 @@ def zero_two_normal_form_witness(
     return None
 
 
-def classify_contraction(
-    fan: Fan,
-    rel: PrimitiveRelation,
-    relations: Optional[Sequence[PrimitiveRelation]] = None,
-    assume_extremal: bool = False,
-) -> ContractionKind:
+def classify_contraction(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
     """Shape dispatch for a degree-0 extremal primitive relation on a 3-fold."""
     if fan.dim != 3:
         raise ValueError("contraction classification is specific to 3-folds")
     if rel.degree != 0:
         raise ValueError(f"relation has degree {rel.degree}; only crepant (degree 0) input is accepted")
-    if not assume_extremal and not is_extremal(fan, rel, relations):
+    if not is_extremal(fan, rel):
         raise ValueError("relation is not extremal; it does not define a primitive contraction")
 
     if len(rel.collection) == 2 and len(rel.coeffs) == 1:
@@ -191,24 +188,19 @@ def classify_contraction(
     return ContractionKind("other")
 
 
-def is_weakened_fano(fan: Fan, assume_valid: bool = False) -> WeakenedVerdict:
+@memoised
+def is_weakened_fano(fan: Fan) -> WeakenedVerdict:
     """Weak Fano, not Fano, and every crepant primitive contraction collapses
     a Hirzebruch divisor onto a curve of image anticanonical degree 2."""
     if fan.dim != 3:
         raise ValueError("the weakened Fano characterization is specific to 3-folds")
-    if not assume_valid:
-        report = validate(fan)
-        if not report.ok:
-            raise ValueError(f"fan does not validate: {report.offending_cones}")
-    rels = primitive_collections(fan, assume_valid=True)
-    weak = all(r.degree >= 0 for r in rels)
-    fano = all(r.degree > 0 for r in rels)
+    weak = is_weak_fano(fan)
+    fano = is_fano(fan)
     contractions: list[tuple[PrimitiveRelation, ContractionKind]] = []
     if weak:
-        for rel in rels:
-            if rel.degree == 0 and is_extremal(fan, rel, rels):
-                kind = classify_contraction(fan, rel, rels, assume_extremal=True)
-                contractions.append((rel, kind))
+        for rel in primitive_collections(fan):
+            if rel.degree == 0 and is_extremal(fan, rel):
+                contractions.append((rel, classify_contraction(fan, rel)))
     weakened = (
         weak
         and not fano

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key, wraps
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .lattice import (
     Matrix,
@@ -32,6 +32,7 @@ from .lattice import (
 )
 
 Cone = tuple[int, ...]
+T = TypeVar("T")
 
 
 def _normalize_cone(indices: Iterable[int]) -> Cone:
@@ -43,7 +44,12 @@ def _normalize_cone(indices: Iterable[int]) -> Cone:
 
 @dataclass(frozen=True)
 class Fan:
-    """G(fan) plus maximal cones; the sole model of a toric variety here."""
+    """G(fan) plus maximal cones; the sole model of a toric variety here.
+
+    Facts derived from a fan (validation report, primitive relations,
+    extremality, keys) are computed once and kept on the instance; see
+    ``report`` and ``memoised``.
+    """
 
     dim: int
     rays: tuple[Vector, ...]
@@ -52,6 +58,16 @@ class Fan:
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
         object.__setattr__(self, "max_cones", tuple(_normalize_cone(c) for c in self.max_cones))
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """``validate(self)``, computed on first use and kept with this fan."""
+        return validate(self)
+
+    @cached_property
+    def _memo(self) -> dict:
+        # values stored by ``memoised``, keyed by function name and arguments
+        return {}
 
     def cone_columns(self, cone: Sequence[int]) -> Matrix:
         return matrix_from_columns([self.rays[i] for i in cone])
@@ -67,12 +83,46 @@ class Fan:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
+def memoised(compute: Callable[..., T]) -> Callable[..., T]:
+    """Run ``compute(fan, *args)`` once per fan instance and argument tuple.
+
+    The value is kept in the instance ``__dict__``, which the frozen
+    dataclass leaves writable (as ``cached_property`` does), so it takes no
+    part in equality or hashing and is freed with the fan. There is no cache
+    keyed by fan value: an equal fan built elsewhere computes its facts anew.
+    The stored values must not refer back to the fan.
+    """
+    name = f"{compute.__module__}.{compute.__qualname__}"
+
+    @wraps(compute)
+    def cached(fan: Fan, *args):
+        memo = fan._memo
+        key = (name, *args)
+        if key not in memo:
+            memo[key] = compute(fan, *args)
+        return memo[key]
+
+    return cached
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    # bool is a subclass of int, and float or string entries must not be
+    # truncated or parsed into a different fan
+    out = tuple(values)
+    if not all(type(x) is int for x in out):
+        raise ValueError(f"{what} {list(out)!r} holds an entry that is not an integer")
+    return out
+
+
 def fan_from_dict(data: dict) -> Fan:
+    """Fan from JSON data; only integer entries and dimensions 1 to 3 are accepted."""
     try:
-        dim = int(data["dim"])
-        rays = tuple(tuple(int(x) for x in r) for r in data["rays"])
-        cones = tuple(_normalize_cone(c) for c in data["max_cones"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = data["dim"]
+        if type(dim) is not int or dim not in (1, 2, 3):
+            raise ValueError(f"dim {dim!r} is not 1, 2 or 3")
+        rays = tuple(_ints(r, "ray") for r in data["rays"])
+        cones = tuple(_normalize_cone(_ints(c, "cone")) for c in data["max_cones"])
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed fan data: {exc}") from exc
     for r in rays:
         if len(r) != dim:
@@ -364,3 +414,40 @@ def hirzebruch_fan(a: int) -> Fan:
 
 def projective_plane_fan() -> Fan:
     return fan_from_rays_2d([(1, 0), (0, 1), (-1, -1)])
+
+
+@dataclass(frozen=True)
+class BundleSpec:
+    """Surface bundle over P1: fiber fan plus the fiber parts of the two sections."""
+
+    fiber: Fan
+    twist_plus: tuple[int, int]
+    twist_minus: tuple[int, int]
+
+
+def build_bundle(spec: BundleSpec) -> Optional[Fan]:
+    """Assemble the 3-fan of a toric surface bundle over P1, or None if invalid.
+
+    Rays are the fiber rays at base coordinate 0 plus the two sections
+    (twist_plus, 1) and (twist_minus, -1); each fiber cone joins both.
+    """
+    fiber = spec.fiber
+    if fiber.dim != 2:
+        raise ValueError("bundle fiber must be 2-dimensional")
+    n = len(fiber.rays)
+    rays = [r + (0,) for r in fiber.rays]
+    rays.append(tuple(spec.twist_plus) + (1,))
+    rays.append(tuple(spec.twist_minus) + (-1,))
+    cones = []
+    for cone in fiber.max_cones:
+        cones.append(tuple(sorted(cone + (n,))))
+        cones.append(tuple(sorted(cone + (n + 1,))))
+    fan = Fan(3, tuple(rays), tuple(cones))
+    return fan if fan.report.ok else None
+
+
+def product_with_p1(fiber: Fan) -> Fan:
+    """P1 x S as the zero-twist bundle."""
+    fan = build_bundle(BundleSpec(fiber, (0, 0), (0, 0)))
+    assert fan is not None, "a product bundle over a valid fiber is always valid"
+    return fan

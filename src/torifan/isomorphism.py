@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Optional
 
-from .fan import Fan
+from .fan import Fan, memoised
 from .lattice import Matrix, invert_unimodular, matmul, matvec
 from .polytope import anticanonical_volume
 from .primitive import primitive_collections
@@ -28,6 +28,7 @@ class FanIso:
     ray_permutation: tuple[int, ...]  # image index in the target fan, per source ray
 
 
+@memoised
 def isomorphism_invariants(fan: Fan) -> tuple:
     """Cheap GL(d, Z) invariants used to prune non-isomorphic pairs."""
     degrees = tuple(sorted(r.degree for r in primitive_collections(fan)))
@@ -42,13 +43,13 @@ def _apply(matrix: Matrix, fan: Fan) -> tuple[tuple[int, ...], ...]:
     return tuple(matvec(matrix, r) for r in fan.rays)
 
 
-def find_isomorphism(f: Fan, g: Fan, skip_invariants: bool = False) -> Optional[FanIso]:
+def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:
     """A unimodular map sending f onto g (rays to rays, cones to cones), if any."""
     if f.dim != g.dim:
         return None
     if len(f.rays) != len(g.rays) or len(f.max_cones) != len(g.max_cones):
         return None
-    if not skip_invariants and isomorphism_invariants(f) != isomorphism_invariants(g):
+    if isomorphism_invariants(f) != isomorphism_invariants(g):
         return None
     anchor = _anchor_cone(f)
     anchor_sorted = sorted(anchor, key=lambda i: f.rays[i])
@@ -74,6 +75,7 @@ def find_isomorphism(f: Fan, g: Fan, skip_invariants: bool = False) -> Optional[
     return None
 
 
+@memoised
 def canonical_key(fan: Fan) -> bytes:
     """Serialized minimal form over the anchor enumeration; equal iff isomorphic."""
     best: Optional[bytes] = None
@@ -97,13 +99,3 @@ def canonical_key(fan: Fan) -> bytes:
         raise ValueError("fan has no maximal cones")
     return best
 
-
-def canonical_form(fan: Fan) -> Fan:
-    """The fan encoded by the canonical key."""
-    data = json.loads(canonical_key(fan).decode())
-    return Fan(data["dim"], tuple(map(tuple, data["rays"])), tuple(map(tuple, data["max_cones"])))
-
-
-def all_distinct_keys(fans: Sequence[Fan]) -> bool:
-    keys = [canonical_key(f) for f in fans]
-    return len(set(keys)) == len(keys)

@@ -8,7 +8,6 @@ Matrices are stored as tuples of rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
@@ -326,33 +325,6 @@ def kernel_directions(rows: Sequence[Sequence[int]], dim: int) -> list[Vector]:
         v = make_primitive(v)
         return [v, tuple(-x for x in v)]
     raise NotImplementedError("kernel directions implemented for d <= 3")
-
-
-def solve_nonneg_integer(basis_columns: Sequence[Vector], target: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Coefficients of ``target`` over independent columns, if all are nonnegative integers.
-
-    Returns None when the target is outside the span or the unique rational
-    solution has a negative or fractional entry. Raises on dependent columns.
-    """
-    a = matrix_from_columns(basis_columns)
-    k = len(basis_columns)
-    # column independence: some k x k minor is nonzero
-    if k > 0:
-        dim = len(basis_columns[0])
-        if k > dim or all(
-            determinant(tuple(tuple(a[i][j] for j in range(k)) for i in rows)) == 0
-            for rows in combinations(range(dim), k)
-        ):
-            raise ValueError("basis columns are linearly dependent")
-    x = solve_rational(a, target)
-    if x is None:
-        return None
-    coeffs = []
-    for f in x:
-        if f.denominator != 1 or f < 0:
-            return None
-        coeffs.append(int(f))
-    return tuple(coeffs)
 
 
 def has_nonneg_combination(columns: Sequence[Sequence[int]], target: Sequence) -> bool:

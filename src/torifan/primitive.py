@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .fan import Fan, validate
+from .fan import Fan, memoised
 from .lattice import (
     Vector,
     has_nonneg_combination,
@@ -91,17 +91,16 @@ def _locate_sigma(fan: Fan, inverses, total: Vector) -> tuple[tuple[int, ...], t
     return found
 
 
-def primitive_collections(fan: Fan, assume_valid: bool = False) -> tuple[PrimitiveRelation, ...]:
+@memoised
+def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     """All primitive relations, in lexicographic order of the collections.
 
     Minimal non-faces never exceed d+1 elements (every d+1 rays already fail
     to span a cone, cones having at most d generators), so the subset scan
     stops there.
     """
-    if not assume_valid:
-        report = validate(fan)
-        if not report.ok:
-            raise ValueError(f"fan does not validate: {report.offending_cones}")
+    if not fan.report.ok:
+        raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
     n = len(fan.rays)
     d = fan.dim
     faces = _face_set(fan)
@@ -144,16 +143,14 @@ def picard_rank(fan: Fan) -> int:
     return len(fan.rays) - fan.dim
 
 
-def is_fano(fan: Fan, relations: Optional[Sequence[PrimitiveRelation]] = None) -> bool:
+def is_fano(fan: Fan) -> bool:
     """True iff every primitive relation has strictly positive degree."""
-    rels = primitive_collections(fan) if relations is None else relations
-    return all(r.degree > 0 for r in rels)
+    return all(r.degree > 0 for r in primitive_collections(fan))
 
 
-def is_weak_fano(fan: Fan, relations: Optional[Sequence[PrimitiveRelation]] = None) -> bool:
+def is_weak_fano(fan: Fan) -> bool:
     """True iff every primitive relation has nonnegative degree."""
-    rels = primitive_collections(fan) if relations is None else relations
-    return all(r.degree >= 0 for r in rels)
+    return all(r.degree >= 0 for r in primitive_collections(fan))
 
 
 @dataclass(frozen=True)
@@ -199,20 +196,16 @@ def _positive_multiple(u: Sequence[int], v: Sequence[int]) -> bool:
     return all(Fraction(x) == q * y for x, y in zip(u, v))
 
 
-def is_extremal(
-    fan: Fan,
-    rel: PrimitiveRelation,
-    relations: Optional[Sequence[PrimitiveRelation]] = None,
-) -> bool:
+@memoised
+def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     """Whether the class spans an extremal ray of the cone of all relation classes.
 
     Decided exactly: the class must not be a nonnegative rational combination
     of the other classes that are not positive multiples of it.
     """
-    rels = primitive_collections(fan) if relations is None else relations
     others = [
         r.cls
-        for r in rels
+        for r in primitive_collections(fan)
         if r.collection != rel.collection and not _positive_multiple(r.cls, rel.cls)
     ]
     if not others:
@@ -220,23 +213,5 @@ def is_extremal(
     return not has_nonneg_combination(others, rel.cls)
 
 
-def extremality_flags(
-    fan: Fan, relations: Optional[Sequence[PrimitiveRelation]] = None
-) -> tuple[bool, ...]:
-    rels = primitive_collections(fan) if relations is None else relations
-    return tuple(is_extremal(fan, r, rels) for r in rels)
-
-
-def mori_cone_generated_by_extremal(
-    fan: Fan, relations: Optional[Sequence[PrimitiveRelation]] = None
-) -> bool:
-    """Every relation class is a nonnegative combination of the extremal ones."""
-    rels = primitive_collections(fan) if relations is None else relations
-    flags = extremality_flags(fan, rels)
-    extremal_classes = [r.cls for r, f in zip(rels, flags) if f]
-    for r, f in zip(rels, flags):
-        if f:
-            continue
-        if not has_nonneg_combination(extremal_classes, r.cls):
-            return False
-    return True
+def extremality_flags(fan: Fan) -> tuple[bool, ...]:
+    return tuple(is_extremal(fan, r) for r in primitive_collections(fan))

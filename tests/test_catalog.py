@@ -3,7 +3,7 @@ import pytest
 from torifan.catalog import all_named, extras, named_fan, surfaces, threefolds
 from torifan.fan import validate
 from torifan.polytope import anticanonical_degree
-from torifan.primitive import is_fano, is_weak_fano, picard_rank, primitive_collections
+from torifan.primitive import is_fano, is_weak_fano, picard_rank
 
 
 def test_counts():
@@ -23,9 +23,8 @@ def test_surface_expected_invariants():
         assert len(nf.fan.rays) == nf.expected["rays"]
         assert picard_rank(nf.fan) == nf.expected["picard"]
         assert anticanonical_degree(nf.fan) == nf.expected["degree"]
-        rels = primitive_collections(nf.fan)
-        assert is_weak_fano(nf.fan, rels)
-        assert is_fano(nf.fan, rels) == nf.expected["fano"]
+        assert is_weak_fano(nf.fan)
+        assert is_fano(nf.fan) == nf.expected["fano"]
 
 
 def test_exactly_five_fano_surfaces():

@@ -5,12 +5,11 @@ from torifan.classify import (
     BundleSpec,
     build_bundle,
     enumerate_weakened_threefolds,
-    product_with_p1,
     projects_to_p1,
     surface_blowups,
 )
 from torifan.contraction import is_weakened_fano
-from torifan.fan import validate
+from torifan.fan import product_with_p1, validate
 from torifan.isomorphism import canonical_key, find_isomorphism
 
 

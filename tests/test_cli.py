@@ -2,7 +2,13 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from torifan.cli import main, run
+
+from test_fan import DIM4_FAN
+
+FLOAT_RAY_P2 = '{"dim": 2, "rays": [[1.7,0],[0,1],[-1,-1]], "max_cones": [[0,1],[1,2],[0,2]]}'
 
 
 def invoke(capsys, *argv):
@@ -57,6 +63,15 @@ def test_malformed_json_file(tmp_path, capsys):
     path.write_text("{nope")
     code, out, _ = invoke(capsys, "analyze", str(path), "--json")
     assert code == 1
+
+
+@pytest.mark.parametrize("text", [DIM4_FAN, FLOAT_RAY_P2], ids=["dim4", "float"])
+def test_unsupported_input_exits_one_with_message(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = invoke(capsys, "validate", str(path))
+    assert code == 1
+    assert err.startswith("error: ")
 
 
 def test_isomorphic_command(tmp_path, capsys):

@@ -65,7 +65,7 @@ class TestClassifyContraction:
         total = vsum([fan.rays[i] for i in rel.collection], 3)
         assert total == (0, 0, 3)
         assert rel.coeffs == ((3, 3),) and fan.rays[3] == (0, 0, 1)
-        assert classify_contraction(fan, rel, rels).kind == "divisor_to_point"
+        assert classify_contraction(fan, rel).kind == "divisor_to_point"
 
     def test_small_contraction_shape(self):
         fan = build_bundle(BundleSpec(named_fan("P1xP1").fan, (1, 1), (0, 0)))
@@ -75,7 +75,7 @@ class TestClassifyContraction:
         # the section cone does not contain the target cone here
         targets = [i for i, _ in rel.coeffs]
         assert not all(cone_contains(fan, rel.collection, fan.rays[t]) for t in targets)
-        assert classify_contraction(fan, rel, rels).kind == "small"
+        assert classify_contraction(fan, rel).kind == "small"
 
     def test_crepancy_offset_must_vanish(self):
         # same F1 fiber rays in a different presentation: the double relation
@@ -101,9 +101,9 @@ class TestClassifyContraction:
         rels = primitive_collections(fan)
         rel = next(r for r in rels if r.collection == (3, 5))
         assert rel.degree == 0
-        assert not is_extremal(fan, rel, rels)
+        assert not is_extremal(fan, rel)
         with pytest.raises(ValueError):
-            classify_contraction(fan, rel, rels)
+            classify_contraction(fan, rel)
 
     def test_dimension_two_rejected(self):
         fan = named_fan("F2").fan

@@ -19,6 +19,13 @@ from torifan.isomorphism import find_isomorphism
 
 from _oracles import gauss_solve, random_unimodular, rebase_fan
 
+# the complete smooth fan of P4
+DIM4_FAN = json.dumps({
+    "dim": 4,
+    "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]],
+    "max_cones": [[j for j in range(5) if j != i] for i in range(5)],
+})
+
 P2 = projective_plane_fan()
 
 
@@ -158,6 +165,22 @@ class TestJsonFormat:
         text = fan.to_json()
         assert json.loads(text)["dim"] == 3
         assert fan_from_json(text).to_json() == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 2, "rays": [[1.7,0],[0,1],[-1,-1]], "max_cones": [[0,1],[1,2],[0,2]]}',
+            '{"dim": 2, "rays": [[true,0],[0,1],[-1,-1]], "max_cones": [[0,1],[1,2],[0,2]]}',
+            '{"dim": 2, "rays": [["1",0],[0,1],[-1,-1]], "max_cones": [[0,1],[1,2],[0,2]]}',
+            DIM4_FAN,
+        ],
+        ids=["float", "bool", "string", "dim4"],
+    )
+    def test_non_integer_entries_and_dim_4_rejected(self, text):
+        # each of these once parsed into a fan: coerced to P2, or a 4-fan no
+        # other function supports
+        with pytest.raises(ValueError):
+            fan_from_json(text)
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):

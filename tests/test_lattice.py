@@ -12,7 +12,6 @@ from torifan.lattice import (
     matmul,
     matrix_from_columns,
     smith_normal_form,
-    solve_nonneg_integer,
     solve_rational,
 )
 
@@ -131,25 +130,6 @@ class TestPrimitivity:
 
 
 class TestSolvers:
-    def test_standard_basis(self):
-        assert solve_nonneg_integer([(1, 0), (0, 1)], (2, 0)) == (2, 0)
-
-    def test_single_column_multiple(self):
-        assert solve_nonneg_integer([(1, 0, 0)], (2, 0, 0)) == (2,)
-
-    def test_outside_span(self):
-        assert solve_nonneg_integer([(1, 1)], (1, 0)) is None
-
-    def test_negative_coefficient_is_absent(self):
-        assert solve_nonneg_integer([(1, 0), (0, 1)], (-1, 2)) is None
-
-    def test_fractional_coefficient_is_absent(self):
-        assert solve_nonneg_integer([(2, 0)], (1, 0)) is None
-
-    def test_dependent_basis_rejected(self):
-        with pytest.raises(ValueError):
-            solve_nonneg_integer([(1, 0), (2, 0)], (1, 0))
-
     def test_solve_rational_consistency(self):
         sol = solve_rational(((1, 1), (0, 1)), (3, 1))
         assert sol == [2, 1]

@@ -2,14 +2,13 @@ import pytest
 
 from torifan.catalog import named_fan
 from torifan.fan import fan_from_rays_2d, projective_plane_fan
-from torifan.lattice import vsum
+from torifan.lattice import has_nonneg_combination, vsum
 from torifan.primitive import (
     IncompleteFanError,
     extremality_flags,
     is_extremal,
     is_fano,
     is_weak_fano,
-    mori_cone_generated_by_extremal,
     picard_rank,
     primitive_collections,
     relation_lattice,
@@ -133,9 +132,8 @@ class TestFanoPredicates:
         from torifan.catalog import surfaces
 
         for nf in surfaces():
-            rels = primitive_collections(nf.fan)
-            assert is_weak_fano(nf.fan, rels)
-            assert is_fano(nf.fan, rels) == nf.expected["fano"]
+            assert is_weak_fano(nf.fan)
+            assert is_fano(nf.fan) == nf.expected["fano"]
 
 
 class TestTrichotomy:
@@ -186,19 +184,18 @@ class TestExtremality:
     def test_p2_unique_class_extremal(self):
         fan = projective_plane_fan()
         rels = primitive_collections(fan)
-        assert is_extremal(fan, rels[0], rels)
+        assert is_extremal(fan, rels[0])
 
     def test_f2_both_classes_extremal(self):
         fan = named_fan("F2").fan
-        rels = primitive_collections(fan)
-        assert extremality_flags(fan, rels) == (True, True)
+        assert extremality_flags(fan) == (True, True)
 
     def test_x4_0_crepant_relation_extremal(self):
         fan = named_fan("X4_0").fan
         rels = primitive_collections(fan)
         rel = next(r for r in rels if r.degree == 0 and len(r.coeffs) == 1)
         assert rel.coeffs[0][1] == 2
-        assert is_extremal(fan, rel, rels)
+        assert is_extremal(fan, rel)
 
     def test_basis_pair_double_relations_extremal_on_catalog(self):
         # any relation x1 + x2 = 2y with {x1, y} a lattice basis is extremal
@@ -221,12 +218,17 @@ class TestExtremality:
                 for c in n:
                     g = gcd(g, c)
                 if g == 1:
-                    assert is_extremal(fan, rel, rels)
+                    assert is_extremal(fan, rel)
 
     def test_mori_cone_generated_by_extremal_classes(self):
+        # every relation class is a nonnegative combination of the extremal ones
         for name in ("W6_1", "X5_1", "P1xW6_3", "PP2_O_O3"):
             fan = named_fan(name).fan
-            assert mori_cone_generated_by_extremal(fan)
+            rels = primitive_collections(fan)
+            flags = extremality_flags(fan)
+            extremal = [r.cls for r, flag in zip(rels, flags) if flag]
+            for rel, flag in zip(rels, flags):
+                assert flag or has_nonneg_combination(extremal, rel.cls)
 
 
 class TestRelationLattice:
