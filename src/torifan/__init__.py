@@ -42,7 +42,6 @@ from .contraction import (
     ContractionKind,
     WeakenedVerdict,
     classify_contraction,
-    hirzebruch_type,
     is_weakened_fano,
 )
 from .polytope import (
@@ -90,7 +89,6 @@ __all__ = [
     "fan_from_rays_2d",
     "find_isomorphism",
     "hirzebruch_fan",
-    "hirzebruch_type",
     "invariant_factors",
     "is_extremal",
     "is_fano",

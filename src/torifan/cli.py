@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -126,10 +125,7 @@ def _cmd_classify_surfaces(args) -> CommandResult:
 
 
 def _cmd_classify_3folds(args) -> CommandResult:
-    bound = args.twist_bound
-    if bound is None:
-        bound = int(os.environ.get("TORIFAN_TWIST_BOUND", DEFAULT_TWIST_BOUND))
-    report = classify.enumerate_weakened_threefolds(bound)
+    report = classify.enumerate_weakened_threefolds(args.twist_bound)
     return CommandResult("ok", report.to_dict(), [])
 
 
@@ -225,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify_surfaces)
 
     p = sub.add_parser("classify-3folds", parents=[common], help="enumerate weakened Fano 3-folds")
-    p.add_argument("--twist-bound", type=int, default=None, help="section twist search bound (default 3)")
+    p.add_argument(
+        "--twist-bound", type=int, default=DEFAULT_TWIST_BOUND, help="section twist search bound (default %(default)s)"
+    )
     p.set_defaults(func=_cmd_classify_3folds)
 
     p = sub.add_parser("verify", parents=[common], help="full classification cross-check")

@@ -9,10 +9,9 @@ exactly four maximal cones pairing {x+, x-} against two further rays
 
 with 0 <= a <= 2, the contraction collapses the divisor at x0 (a Hirzebruch
 surface of degree a) onto a rational curve of anticanonical degree 2. The
-detector works intrinsically through the quotient fan at x0 and then
-reconstructs the witness basis change; the witness step is what pins the
-anticanonical degree of the image curve to exactly 2 (the quotient alone
-cannot see it).
+detector reconstructs the witness basis change directly: it pins the star
+of x0 to the four normal-form cones, whose quotient by x0 is the fan of
+F_a, and it pins the anticanonical degree of the image curve to exactly 2.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fan import Fan, cone_contains, hirzebruch_fan, memoised, quotient_fan, star
+from .fan import Fan, cone_contains, memoised, star
 from .lattice import Matrix, invert_unimodular, matmul, matvec
-from .isomorphism import find_isomorphism
 from .primitive import (
     PrimitiveRelation,
     is_extremal,
@@ -69,30 +67,6 @@ class WeakenedVerdict:
         }
 
 
-def hirzebruch_type(fan2d: Fan) -> Optional[int]:
-    """Degree a >= 0 if the complete smooth 2-fan is a Hirzebruch surface, else None."""
-    if fan2d.dim != 2 or len(fan2d.rays) != 4 or not fan2d.report.ok:
-        return None
-    rels = primitive_collections(fan2d)
-    if len(rels) != 2 or any(len(r.collection) != 2 for r in rels):
-        return None
-    # the fiber pair sums to zero; the section pair sums to a times a fiber ray
-    # (the degree may exceed 2 here: quotients of weak Fano fans need not be weak Fano)
-    zero = [r for r in rels if not r.coeffs]
-    if len(zero) == 2:
-        candidate = 0
-    elif len(zero) == 1:
-        other = next(r for r in rels if r.coeffs)
-        if len(other.coeffs) != 1:
-            return None
-        candidate = other.coeffs[0][1]
-    else:
-        return None
-    if find_isomorphism(fan2d, hirzebruch_fan(candidate)) is None:
-        return None
-    return candidate
-
-
 def zero_two_normal_form_witness(
     fan: Fan, rel: PrimitiveRelation
 ) -> Optional[tuple[Matrix, tuple[int, int, int, int, int], int]]:
@@ -115,11 +89,6 @@ def zero_two_normal_form_witness(
             return None
     side_rays = sorted({i for cone in star_cones for i in cone} - {x0} - set(pair))
     if len(side_rays) != 2 or len(star_cones) != 4:
-        return None
-    quotient = quotient_fan(fan, x0)
-    if len(quotient.rays) != 4:
-        return None
-    if hirzebruch_type(quotient) is None:
         return None
     cone_set = set(fan.max_cones)
     for xp, xm in (pair, pair[::-1]):

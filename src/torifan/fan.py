@@ -3,8 +3,9 @@
 A fan is stored as its primitive ray generators plus the maximal cones as
 index sets; every geometric question (smoothness, completeness, membership)
 is decided in exact integer/rational arithmetic. Completeness is certified
-by facet pairing plus pairwise proper intersection, which is sound for the
-dimensions this package targets (d <= 3).
+in linear time: facets pair up, the two cones at each wall lie on opposite
+sides of it, and one interior point is covered once, which together make
+the cones cover space exactly once (the argument is in ``validate``).
 """
 
 from __future__ import annotations
@@ -19,24 +20,32 @@ from .lattice import (
     Matrix,
     Vector,
     adjugate,
-    cross3,
     determinant,
     is_primitive,
-    kernel_directions,
     make_primitive,
     matrix_from_columns,
     matvec,
     smith_normal_form,
     solve_rational,
     vdot,
+    vsum,
 )
 
 Cone = tuple[int, ...]
 T = TypeVar("T")
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    # bool is a subclass of int, and float or string entries must not be
+    # truncated or parsed into a different fan
+    out = tuple(values)
+    if not all(type(x) is int for x in out):
+        raise ValueError(f"{what} {list(out)!r} holds an entry that is not an integer")
+    return out
+
+
 def _normalize_cone(indices: Iterable[int]) -> Cone:
-    out = tuple(sorted(int(i) for i in indices))
+    out = tuple(sorted(_ints(indices, "cone")))
     if len(set(out)) != len(out):
         raise ValueError(f"cone has repeated ray indices: {out}")
     return out
@@ -56,7 +65,7 @@ class Fan:
     max_cones: tuple[Cone, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in self.rays))
+        object.__setattr__(self, "rays", tuple(_ints(r, "ray") for r in self.rays))
         object.__setattr__(self, "max_cones", tuple(_normalize_cone(c) for c in self.max_cones))
 
     @cached_property
@@ -105,29 +114,19 @@ def memoised(compute: Callable[..., T]) -> Callable[..., T]:
     return cached
 
 
-def _ints(values, what: str) -> tuple[int, ...]:
-    # bool is a subclass of int, and float or string entries must not be
-    # truncated or parsed into a different fan
-    out = tuple(values)
-    if not all(type(x) is int for x in out):
-        raise ValueError(f"{what} {list(out)!r} holds an entry that is not an integer")
-    return out
-
-
 def fan_from_dict(data: dict) -> Fan:
     """Fan from JSON data; only integer entries and dimensions 1 to 3 are accepted."""
     try:
         dim = data["dim"]
         if type(dim) is not int or dim not in (1, 2, 3):
             raise ValueError(f"dim {dim!r} is not 1, 2 or 3")
-        rays = tuple(_ints(r, "ray") for r in data["rays"])
-        cones = tuple(_normalize_cone(_ints(c, "cone")) for c in data["max_cones"])
+        fan = Fan(dim, data["rays"], data["max_cones"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed fan data: {exc}") from exc
-    for r in rays:
+    for r in fan.rays:
         if len(r) != dim:
             raise ValueError(f"ray {r} does not have {dim} coordinates")
-    return Fan(dim, rays, cones)
+    return fan
 
 
 def fan_from_json(text: str) -> Fan:
@@ -157,7 +156,11 @@ class ValidationReport:
 
 
 def cone_inward_normals(fan: Fan, cone: Sequence[int]) -> Matrix:
-    """Integer rows n_k with  x in cone  <=>  n_k . x >= 0  (full-dim simplicial cone)."""
+    """Integer rows n_k with  x in cone  <=>  n_k . x >= 0  (full-dim simplicial cone).
+
+    n_k is positive on the k-th ray of the cone and zero on the others, so it
+    is the inward normal of the facet opposite that ray.
+    """
     m = fan.cone_columns(cone)
     det = determinant(m)
     if det == 0:
@@ -168,63 +171,28 @@ def cone_inward_normals(fan: Fan, cone: Sequence[int]) -> Matrix:
     return adj
 
 
-def _in_span_cone(gens: Sequence[Vector], v: Vector) -> bool:
-    """Exact membership of v in the cone on <= 2 independent integer generators.
-
-    Integer arithmetic only; used by the proper-intersection test where the
-    common face of two maximal cones has codimension >= 1.
-    """
-    if not gens:
-        return all(x == 0 for x in v)
-    d = len(v)
-    if len(gens) == 1:
-        s = gens[0]
-        if d == 1:
-            return v[0] * s[0] > 0 or v[0] == 0
-        if d == 2:
-            parallel = v[0] * s[1] - v[1] * s[0] == 0
-        else:
-            parallel = all(x == 0 for x in cross3(v, s))
-        return parallel and vdot(v, s) > 0
-    if len(gens) == 2 and d == 2:
-        s1, s2 = gens
-        det = s1[0] * s2[1] - s1[1] * s2[0]
-        if det != 0:
-            a = v[0] * s2[1] - v[1] * s2[0]
-            b = s1[0] * v[1] - s1[1] * v[0]
-            return a * det >= 0 and b * det >= 0
-    if len(gens) == 2 and d == 3:
-        s1, s2 = gens
-        n = cross3(s1, s2)
-        if any(x != 0 for x in n):
-            if vdot(n, v) != 0:
-                return False
-            return vdot(cross3(v, s2), n) >= 0 and vdot(cross3(s1, v), n) >= 0
-    coords = solve_rational(matrix_from_columns(gens), v)
-    return coords is not None and all(c >= 0 for c in coords)
-
-
-def _pair_intersects_properly(
-    fan: Fan, ca: Cone, cb: Cone, normals_a: Matrix, normals_b: Matrix
-) -> bool:
-    d = fan.dim
-    common = [fan.rays[i] for i in sorted(set(ca) & set(cb))]
-    rows = list(normals_a) + list(normals_b)
-    seen: set[Vector] = set()
-    for subset in combinations(range(len(rows)), d - 1):
-        for v in kernel_directions([rows[i] for i in subset], d):
-            if v in seen:
-                continue
-            seen.add(v)
-            if all(vdot(row, v) >= 0 for row in rows):
-                # v is an extreme-ray candidate of the intersection
-                if not _in_span_cone(common, v):
-                    return False
-    return True
-
-
 def validate(fan: Fan) -> ValidationReport:
-    """Exact structural, smoothness and completeness checks."""
+    """Exact structural, smoothness and completeness checks.
+
+    A simplicial fan is complete when three linear-time checks pass:
+
+    1. every facet lies in exactly two maximal cones;
+    2. at every such wall the two cones lie on opposite sides of it: the
+       ray of the second cone off the wall is strictly negative on the first
+       cone's inward normal of that facet;
+    3. the point p = sum of the rays of ``max_cones[0]``, interior to that
+       cone, lies in no other closed maximal cone.
+
+    Why this suffices: count the cones containing a point x off the union of
+    all facets. Along a path that avoids the codimension-2 faces this count
+    changes only where the path crosses a facet, and by 1 and 2 one cone of
+    that wall is left as the other is entered, so the count is one constant
+    on all such points. Check 3 makes it 1 at p. Hence the cones cover space
+    once: their union is everything and their interiors are disjoint, so
+    every pair meets in a common face. A wall failing check 2, and cone 0
+    together with a cone containing p, are reported as
+    ``improper_intersection``; each such pair overlaps in an open set.
+    """
     offending: list[tuple[str, tuple[int, ...]]] = []
     n = len(fan.rays)
     used = set()
@@ -270,23 +238,29 @@ def validate(fan: Fan) -> ValidationReport:
     is_complete = False
     if is_simplicial:
         is_complete = True
-        facet_count: dict[Cone, int] = {}
-        for cone in fan.max_cones:
-            for facet in combinations(cone, fan.dim - 1):
-                facet_count[facet] = facet_count.get(facet, 0) + 1
+        # facet -> [(cone index, position of the ray opposite the facet)]
+        walls: dict[Cone, list[tuple[int, int]]] = {}
+        for ci, cone in enumerate(fan.max_cones):
+            for k in range(fan.dim):
+                walls.setdefault(cone[:k] + cone[k + 1:], []).append((ci, k))
         for ci, cone in enumerate(fan.max_cones):
             for facet in combinations(cone, fan.dim - 1):
-                if facet_count[facet] != 2:
+                if len(walls[facet]) != 2:
                     is_complete = False
                     offending.append(("facet_unmatched", (ci,)))
         if is_complete:
             normals = [cone_inward_normals(fan, c) for c in fan.max_cones]
-            for ci, cj in combinations(range(len(fan.max_cones)), 2):
-                if not _pair_intersects_properly(
-                    fan, fan.max_cones[ci], fan.max_cones[cj], normals[ci], normals[cj]
-                ):
+            # the second cone at a wall must lie across it from the first
+            for (ci, k), (cj, l) in walls.values():
+                if vdot(normals[ci][k], fan.rays[fan.max_cones[cj][l]]) >= 0:
                     is_complete = False
                     offending.append(("improper_intersection", (ci, cj)))
+            # p is interior to cone 0; no other cone may contain it
+            p = vsum([fan.rays[i] for i in fan.max_cones[0]], fan.dim)
+            for cj in range(1, len(fan.max_cones)):
+                if all(vdot(row, p) >= 0 for row in normals[cj]):
+                    is_complete = False
+                    offending.append(("improper_intersection", (0, cj)))
     return ValidationReport(is_simplicial, is_smooth, is_complete, tuple(offending))
 
 
@@ -394,7 +368,7 @@ def ccw_sorted(points: Sequence[tuple], center: Optional[tuple] = None) -> list[
 
 def fan_from_rays_2d(rays: Sequence[Sequence[int]]) -> Fan:
     """Complete 2-fan on the given rays: maximal cones join angular neighbours."""
-    rays = [tuple(int(x) for x in r) for r in rays]
+    rays = [tuple(r) for r in rays]
     ordered = ccw_sorted(rays)
     index = {r: i for i, r in enumerate(rays)}
     cones = []

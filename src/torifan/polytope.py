@@ -2,8 +2,8 @@
 
 Vertices come from exact d-subset intersection of the bounding halfspaces;
 volume comes from a star triangulation at the origin (which is always
-strictly interior). No tolerances: everything is Fraction arithmetic, and
-the normalized volume of a weak Fano fan's polytope must come out integer.
+strictly interior). The degree is a sum over maximal cones (Brion's
+formula), which needs no convexity. No tolerances: everything is exact.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import prod
 from typing import Sequence
 
-from .fan import Fan, ccw_sorted
+from .fan import Fan, ccw_sorted, cone_inward_normals
 from .lattice import Vector, determinant, kernel_directions, solve_rational, vdot
 
 RationalPoint = tuple[Fraction, ...]
@@ -114,10 +114,23 @@ def anticanonical_volume(fan: Fan) -> Fraction:
 
 
 def anticanonical_degree(fan: Fan) -> int:
-    """d! times the polytope volume; an exact integer for weak Fano fans."""
-    scaled = factorial(fan.dim) * anticanonical_volume(fan)
-    if scaled.denominator != 1:
-        raise ValueError(
-            f"normalized anticanonical volume {scaled} is not an integer; fan is not weak Fano"
-        )
-    return int(scaled)
+    """(-K)^d of a smooth complete fan by Brion's formula.
+
+    Each maximal cone sigma contributes <m, xi>^d / prod_j (-<w_j, xi>), where
+    the w_j are its inward facet normals (the dual basis of its rays) and
+    m = -sum_j w_j is the point with <m, ray> = -1 on every ray of sigma.
+    With xi = (1, B, ..., B^(d-1)) and B above every |normal entry|, no
+    <w_j, xi> is zero. No convexity is assumed, so the sum is (-K)^d also
+    where -K is not nef; on weak Fano fans it is d! times the polytope volume.
+    """
+    if not fan.report.ok:
+        raise ValueError("the anticanonical degree needs a smooth complete fan")
+    normals = [cone_inward_normals(fan, cone) for cone in fan.max_cones]
+    base = 1 + max(abs(x) for rows in normals for row in rows for x in row)
+    xi = tuple(base**i for i in range(fan.dim))
+    total = Fraction(0)
+    for rows in normals:
+        weights = [vdot(row, xi) for row in rows]
+        total += Fraction((-sum(weights)) ** fan.dim, prod(-w for w in weights))
+    assert total.denominator == 1, "Brion's sum over a smooth complete fan is an integer"
+    return int(total)

@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's own code paths: determinants by
 cofactor expansion, invariant factors by minor gcds, linear solves by a
-separate Gaussian elimination, areas by the shoelace formula.
+separate Gaussian elimination, areas by the shoelace formula, and fan
+completeness by the pairwise proper-intersection search that ``validate``
+used before its linear-time checks.
 """
 
 from __future__ import annotations
@@ -148,3 +150,103 @@ def rebase_fan(fan, matrix):
     from torifan.lattice import matvec
 
     return Fan(fan.dim, tuple(matvec(matrix, r) for r in fan.rays), fan.max_cones)
+
+
+def _in_span_cone(gens, v) -> bool:
+    """Exact membership of v in the cone on <= 2 independent integer generators.
+
+    Integer arithmetic only; used by the proper-intersection test where the
+    common face of two maximal cones has codimension >= 1.
+    """
+    from torifan.lattice import cross3, matrix_from_columns, solve_rational, vdot
+
+    if not gens:
+        return all(x == 0 for x in v)
+    d = len(v)
+    if len(gens) == 1:
+        s = gens[0]
+        if d == 1:
+            return v[0] * s[0] > 0 or v[0] == 0
+        if d == 2:
+            parallel = v[0] * s[1] - v[1] * s[0] == 0
+        else:
+            parallel = all(x == 0 for x in cross3(v, s))
+        return parallel and vdot(v, s) > 0
+    if len(gens) == 2 and d == 2:
+        s1, s2 = gens
+        det = s1[0] * s2[1] - s1[1] * s2[0]
+        if det != 0:
+            a = v[0] * s2[1] - v[1] * s2[0]
+            b = s1[0] * v[1] - s1[1] * v[0]
+            return a * det >= 0 and b * det >= 0
+    if len(gens) == 2 and d == 3:
+        s1, s2 = gens
+        n = cross3(s1, s2)
+        if any(x != 0 for x in n):
+            if vdot(n, v) != 0:
+                return False
+            return vdot(cross3(v, s2), n) >= 0 and vdot(cross3(s1, v), n) >= 0
+    coords = solve_rational(matrix_from_columns(gens), v)
+    return coords is not None and all(c >= 0 for c in coords)
+
+
+def _pair_intersects_properly(fan, ca, cb, normals_a, normals_b) -> bool:
+    from torifan.lattice import kernel_directions, vdot
+
+    d = fan.dim
+    common = [fan.rays[i] for i in sorted(set(ca) & set(cb))]
+    rows = list(normals_a) + list(normals_b)
+    seen = set()
+    for subset in combinations(range(len(rows)), d - 1):
+        for v in kernel_directions([rows[i] for i in subset], d):
+            if v in seen:
+                continue
+            seen.add(v)
+            if all(vdot(row, v) >= 0 for row in rows):
+                # v is an extreme-ray candidate of the intersection
+                if not _in_span_cone(common, v):
+                    return False
+    return True
+
+
+def pair_is_proper(fan, ci: int, cj: int) -> bool:
+    """Whether maximal cones ci and cj of a simplicial fan meet in a common face."""
+    from torifan.fan import cone_inward_normals
+
+    ca, cb = fan.max_cones[ci], fan.max_cones[cj]
+    return _pair_intersects_properly(
+        fan, ca, cb, cone_inward_normals(fan, ca), cone_inward_normals(fan, cb)
+    )
+
+
+def pairwise_validate(fan) -> tuple[bool, bool, bool]:
+    """(is_simplicial, is_smooth, is_complete) by facet pairing plus pairwise
+    proper intersection of all maximal cones, an O(C^2) search."""
+    n = len(fan.rays)
+    structural_fault = (
+        any(len(r) != fan.dim or not any(r) or gcd(*r) != 1 for r in fan.rays)
+        or len(set(fan.rays)) != n
+        or any(i < 0 or i >= n for c in fan.max_cones for i in c)
+        or len(set(fan.max_cones)) != len(fan.max_cones)
+        or {i for c in fan.max_cones for i in c} != set(range(n))
+    )
+    if structural_fault:
+        return False, False, False
+    dets = [
+        cofactor_det([[fan.rays[i][r] for i in c] for r in range(fan.dim)])
+        if len(c) == fan.dim
+        else 0
+        for c in fan.max_cones
+    ]
+    is_simplicial = all(dets)
+    is_smooth = is_simplicial and all(d in (1, -1) for d in dets)
+    if not is_simplicial:
+        return False, False, False
+    facet_count = {}
+    for cone in fan.max_cones:
+        for facet in combinations(cone, fan.dim - 1):
+            facet_count[facet] = facet_count.get(facet, 0) + 1
+    is_complete = all(count == 2 for count in facet_count.values()) and all(
+        pair_is_proper(fan, ci, cj) for ci, cj in combinations(range(len(fan.max_cones)), 2)
+    )
+    return is_simplicial, is_smooth, is_complete

@@ -128,10 +128,9 @@ def test_human_output_contains_table(capsys):
     assert "is_smooth: True" in out
 
 
-def test_twist_bound_env_override(monkeypatch):
-    # parsing only: the env variable must feed the default without erroring
-    monkeypatch.setenv("TORIFAN_TWIST_BOUND", "2")
-    result = run(["classify-3folds", "--json"])
+def test_twist_bound_env_override():
+    # the bound is set only by --twist-bound; there is no environment override
+    result = run(["classify-3folds", "--twist-bound", "2", "--json"])
     assert result.status == "error"  # bound 2 is rejected by the enumerator
     assert "twist bound" in result.payload["error"]
 

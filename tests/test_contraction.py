@@ -4,11 +4,10 @@ from torifan.catalog import named_fan, threefolds
 from torifan.classify import BundleSpec, build_bundle
 from torifan.contraction import (
     classify_contraction,
-    hirzebruch_type,
     is_weakened_fano,
     zero_two_normal_form_witness,
 )
-from torifan.fan import fan_from_rays_2d, hirzebruch_fan, cone_contains
+from torifan.fan import fan_from_rays_2d, cone_contains
 from torifan.lattice import matvec, vsum
 from torifan.primitive import is_extremal, primitive_collections
 
@@ -20,24 +19,6 @@ def crepant_double_relation(fan):
         for r in primitive_collections(fan)
         if r.degree == 0 and len(r.coeffs) == 1 and r.coeffs[0][1] == 2
     )
-
-
-class TestHirzebruchType:
-    def test_p1xp1_is_type_0(self):
-        assert hirzebruch_type(named_fan("P1xP1").fan) == 0
-
-    def test_f2_is_type_2(self):
-        assert hirzebruch_type(named_fan("F2").fan) == 2
-
-    def test_p2_has_no_type(self):
-        assert hirzebruch_type(named_fan("P2").fan) is None
-
-    @pytest.mark.parametrize("a", [0, 1, 2, 3, 5])
-    def test_standard_fans_round_trip(self, a):
-        assert hirzebruch_type(hirzebruch_fan(a)) == a
-
-    def test_five_ray_surface_has_no_type(self):
-        assert hirzebruch_type(named_fan("S7").fan) is None
 
 
 class TestClassifyContraction:

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from torifan.fan import (
+    BundleSpec,
     Fan,
+    build_bundle,
     cone_contains,
     fan_from_json,
     fan_from_rays_2d,
@@ -14,10 +16,10 @@ from torifan.fan import (
     star,
     validate,
 )
-from torifan.catalog import named_fan
+from torifan.catalog import all_named, named_fan, surfaces
 from torifan.isomorphism import find_isomorphism
 
-from _oracles import gauss_solve, random_unimodular, rebase_fan
+from _oracles import gauss_solve, pair_is_proper, pairwise_validate, random_unimodular, rebase_fan
 
 # the complete smooth fan of P4
 DIM4_FAN = json.dumps({
@@ -27,6 +29,12 @@ DIM4_FAN = json.dumps({
 })
 
 P2 = projective_plane_fan()
+
+OVERLAPPING = Fan(
+    2,
+    ((1, 0), (0, 1), (-1, -1), (1, 1)),
+    ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3)),
+)
 
 
 def test_p2_is_smooth_and_complete():
@@ -65,13 +73,82 @@ def test_non_unimodular_cone_not_smooth():
 
 def test_overlapping_cones_detected():
     # two full planes' worth of cones overlapping improperly
-    fan = Fan(
-        2,
-        ((1, 0), (0, 1), (-1, -1), (1, 1)),
-        ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3)),
-    )
-    report = validate(fan)
+    report = validate(OVERLAPPING)
     assert not report.is_complete
+
+
+# five cones joining every second of five rays: each ray lies in exactly two
+# cones and every wall separates its cones, but the fan winds twice around 0
+PENTAGRAM = Fan(
+    2,
+    ((1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)),
+    ((0, 2), (2, 4), (1, 4), (1, 3), (0, 3)),
+)
+
+
+def test_fan_winding_twice_is_not_complete():
+    report = validate(PENTAGRAM)
+    assert report.is_simplicial and not report.is_complete
+    assert not any(reason == "facet_unmatched" for reason, _ in report.offending_cones)
+    improper = [idx for reason, idx in report.offending_cones if reason == "improper_intersection"]
+    assert improper and all(ci == 0 for ci, _ in improper)
+
+
+def _corruptions(fan: Fan, rng: random.Random) -> list[Fan]:
+    """One fan for each kind of damage, chosen by rng."""
+    rays = [list(r) for r in fan.rays]
+    cones = [list(c) for c in fan.max_cones]
+    n = len(rays)
+
+    def bump(rays):
+        out = [r[:] for r in rays]
+        out[rng.randrange(n)][rng.randrange(fan.dim)] += rng.choice([-2, -1, 1, 2])
+        return out
+
+    out = [Fan(fan.dim, bump(rays), cones)]
+    ci = rng.randrange(len(cones))
+    spare = [i for i in range(n) if i not in cones[ci]]
+    if spare:
+        changed = [c[:] for c in cones]
+        changed[ci][rng.randrange(fan.dim)] = rng.choice(spare)
+        out.append(Fan(fan.dim, rays, changed))
+    i, j = rng.sample(range(n), 2)
+    swapped = [r[:] for r in rays]
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    out.append(Fan(fan.dim, swapped, cones))
+    negated = [r[:] for r in rays]
+    k = rng.randrange(n)
+    negated[k] = [-x for x in negated[k]]
+    out.append(Fan(fan.dim, negated, cones))
+    rebased = rebase_fan(fan, random_unimodular(rng, fan.dim))
+    out.append(Fan(fan.dim, bump([list(r) for r in rebased.rays]), cones))
+    return out
+
+
+def test_linear_completeness_agrees_with_pairwise_oracle():
+    rng = random.Random(3)
+    bases = [nf.fan for nf in all_named().values()]
+    for nf in surfaces():
+        for _ in range(2):
+            plus = (rng.randint(-3, 3), rng.randint(-3, 3))
+            minus = (rng.randint(-3, 3), rng.randint(-3, 3))
+            bases.append(build_bundle(BundleSpec(nf.fan, plus, minus)))
+    fans = [OVERLAPPING, PENTAGRAM] + bases
+    for fan in bases * 2:
+        fans.extend(_corruptions(fan, rng))
+    verdicts = set()
+    improper_pairs = 0
+    for fan in fans:
+        report = validate(fan)
+        verdict = (report.is_simplicial, report.is_smooth, report.is_complete)
+        assert verdict == pairwise_validate(fan), fan.to_json()
+        verdicts.add(verdict)
+        for reason, pair in report.offending_cones:
+            if reason == "improper_intersection":
+                improper_pairs += 1
+                assert not pair_is_proper(fan, *pair), (fan.to_json(), pair)
+    assert {(True, True, True), (True, True, False), (False, False, False)} <= verdicts
+    assert improper_pairs > 0
 
 
 class TestContains:
@@ -181,6 +258,11 @@ class TestJsonFormat:
         # other function supports
         with pytest.raises(ValueError):
             fan_from_json(text)
+
+    def test_constructor_rejects_non_integer_entries(self):
+        # the constructor once truncated 1.7 to 1 and built P2
+        with pytest.raises(ValueError):
+            Fan(2, ((1.7, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from torifan.catalog import named_fan, surfaces, threefolds
-from torifan.fan import Fan, fan_from_rays_2d, projective_plane_fan
+from torifan.catalog import all_named, named_fan, surfaces, threefolds
+from torifan.fan import Fan, fan_from_rays_2d, hirzebruch_fan, product_with_p1, projective_plane_fan
 from torifan.polytope import (
     anticanonical_degree,
     anticanonical_polytope,
@@ -77,10 +78,22 @@ class TestDegree:
             fiber = named_fan(nf.expected["fiber"]).fan
             assert anticanonical_degree(nf.fan) == 6 * anticanonical_degree(fiber)
 
-    def test_non_nef_input_raises_on_fractional_volume(self):
-        f3 = fan_from_rays_2d([(1, 0), (-1, 0), (0, 1), (3, -1)])
+    @pytest.mark.parametrize("a", range(8))
+    def test_hirzebruch_degree_is_8(self, a):
+        # -K is not nef on F_a for a >= 3; the polytope volume is not (-K)^2 there
+        assert anticanonical_degree(hirzebruch_fan(a)) == 8
+        assert anticanonical_degree(product_with_p1(hirzebruch_fan(a))) == 48
+
+    def test_invalid_fan_rejected(self):
+        half = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
         with pytest.raises(ValueError):
-            anticanonical_degree(f3)
+            anticanonical_degree(half)
+
+    def test_degree_is_scaled_volume_on_weak_fano_fans(self, threefold_report_b3):
+        report, _ = threefold_report_b3
+        fans = [nf.fan for nf in all_named().values()] + [e.fan for e in report.classes]
+        for fan in fans:
+            assert anticanonical_degree(fan) == factorial(fan.dim) * anticanonical_volume(fan)
 
 
 class TestInvariance:
