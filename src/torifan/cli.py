@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from . import catalog, classify
@@ -185,7 +186,9 @@ def _human_lines(command: str, result: CommandResult) -> list[str]:
     return lines
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing reads the parser and never changes it
     parser = argparse.ArgumentParser(
         prog="torifan",
         description="Exact toric fan analysis: primitive relations, Fano predicates, "

@@ -130,7 +130,10 @@ def fan_from_dict(data: dict) -> Fan:
 
 
 def fan_from_json(text: str) -> Fan:
-    return fan_from_dict(json.loads(text))
+    try:
+        return fan_from_dict(json.loads(text))
+    except RecursionError as exc:
+        raise ValueError("fan JSON is nested too deeply") from exc
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,16 @@ def cone_inward_normals(fan: Fan, cone: Sequence[int]) -> Matrix:
     if det < 0:
         adj = tuple(tuple(-x for x in row) for row in adj)
     return adj
+
+
+@memoised
+def maximal_cone_normals(fan: Fan) -> tuple[Matrix, ...]:
+    """``cone_inward_normals`` of every maximal cone, in ``max_cones`` order.
+
+    On a unimodular cone these rows are exactly the inverse of its ray
+    matrix: row k gives the coordinate of a point along the k-th ray.
+    """
+    return tuple(cone_inward_normals(fan, cone) for cone in fan.max_cones)
 
 
 def validate(fan: Fan) -> ValidationReport:
@@ -236,7 +249,10 @@ def validate(fan: Fan) -> ValidationReport:
     is_smooth = is_simplicial and all(d in (1, -1) for d in dets.values())
 
     is_complete = False
-    if is_simplicial:
+    if not fan.max_cones:
+        # no rays and no cones: nothing covers space
+        offending.append(("no_cones", ()))
+    elif is_simplicial:
         is_complete = True
         # facet -> [(cone index, position of the ray opposite the facet)]
         walls: dict[Cone, list[tuple[int, int]]] = {}
@@ -249,7 +265,7 @@ def validate(fan: Fan) -> ValidationReport:
                     is_complete = False
                     offending.append(("facet_unmatched", (ci,)))
         if is_complete:
-            normals = [cone_inward_normals(fan, c) for c in fan.max_cones]
+            normals = maximal_cone_normals(fan)
             # the second cone at a wall must lie across it from the first
             for (ci, k), (cj, l) in walls.values():
                 if vdot(normals[ci][k], fan.rays[fan.max_cones[cj][l]]) >= 0:

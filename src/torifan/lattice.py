@@ -27,14 +27,6 @@ def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vneg(a: Vector) -> Vector:
-    return tuple(-x for x in a)
-
-
-def vscale(c: int, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def vdot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b, strict=True))
 
@@ -81,12 +73,6 @@ def matvec(a: Matrix, v: Sequence[int]) -> Vector:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return ()
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
 
 
 def determinant(m: Matrix) -> int:

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import prod
 from typing import Sequence
 
-from .fan import Fan, ccw_sorted, cone_inward_normals
+from .fan import Fan, ccw_sorted, maximal_cone_normals
 from .lattice import Vector, determinant, kernel_directions, solve_rational, vdot
 
 RationalPoint = tuple[Fraction, ...]
@@ -125,7 +125,7 @@ def anticanonical_degree(fan: Fan) -> int:
     """
     if not fan.report.ok:
         raise ValueError("the anticanonical degree needs a smooth complete fan")
-    normals = [cone_inward_normals(fan, cone) for cone in fan.max_cones]
+    normals = maximal_cone_normals(fan)
     base = 1 + max(abs(x) for rows in normals for row in rows for x in row)
     xi = tuple(base**i for i in range(fan.dim))
     total = Fraction(0)

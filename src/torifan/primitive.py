@@ -4,7 +4,8 @@ A primitive collection is a minimal set of rays not spanning a cone of the
 fan. Its element sum lies in the relative interior of a unique cone, which
 yields the primitive relation, its degree (the anticanonical intersection
 number of the corresponding 1-cycle class) and its class vector in the
-relation lattice. Extremality of a class is decided by exact rational LP.
+relation lattice. Extremality of a class is decided by exact rational LP;
+on a weak Fano fan a degree-0 class needs only the other degree-0 classes.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .fan import Fan, memoised
+from .fan import Fan, maximal_cone_normals, memoised
 from .lattice import (
     Vector,
     has_nonneg_combination,
-    invert_unimodular,
     matvec,
     smith_normal_form,
     vsum,
@@ -70,25 +70,19 @@ def _face_set(fan: Fan) -> set[frozenset[int]]:
     return faces
 
 
-def _locate_sigma(fan: Fan, inverses, total: Vector) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The unique cone with the sum in its relative interior, with coefficients."""
-    if all(x == 0 for x in total):
-        return (), ()
-    found: Optional[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = None
-    for cone, inv in zip(fan.max_cones, inverses):
+def _locate_sigma(fan: Fan, total: Vector) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The cone with the sum in its relative interior, with coefficients.
+
+    The first maximal cone containing the sum holds it in the relative
+    interior of the face spanned by its positive coordinates. On a valid fan
+    the cones meet in common faces, so no other cone gives another face.
+    """
+    for cone, inv in zip(fan.max_cones, maximal_cone_normals(fan)):
         coords = matvec(inv, total)
         if all(c >= 0 for c in coords):
-            support = tuple(i for i, c in zip(cone, coords) if c > 0)
             coeffs = tuple((i, c) for i, c in zip(cone, coords) if c > 0)
-            if found is None:
-                found = (support, coeffs)
-            elif found != (support, coeffs):
-                raise IncompleteFanError(
-                    f"sum {total} lies in two distinct faces; fan intersections are improper"
-                )
-    if found is None:
-        raise IncompleteFanError(f"no cone contains {total}; fan is not complete")
-    return found
+            return tuple(i for i, _ in coeffs), coeffs
+    raise IncompleteFanError(f"no cone contains {total}; fan is not complete")
 
 
 @memoised
@@ -104,7 +98,6 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     n = len(fan.rays)
     d = fan.dim
     faces = _face_set(fan)
-    inverses = [invert_unimodular(fan.cone_columns(c)) for c in fan.max_cones]
     relations = []
     for size in range(2, d + 2):
         for combo in combinations(range(n), size):
@@ -114,7 +107,7 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
             if any(s - {i} not in faces for i in combo):
                 continue
             total = vsum([fan.rays[i] for i in combo], d)
-            sigma, coeffs = _locate_sigma(fan, inverses, total)
+            sigma, coeffs = _locate_sigma(fan, total)
             degree = len(combo) - sum(a for _, a in coeffs)
             coeff_map = dict(coeffs)
             cls = tuple(
@@ -202,11 +195,23 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
 
     Decided exactly: the class must not be a nonnegative rational combination
     of the other classes that are not positive multiples of it.
+
+    The degree of a class is the sum of its entries, -K . class, a linear
+    function. On a weak Fano fan it is >= 0 on every class, hence on the
+    whole cone, so {degree = 0} cuts out a face: when a degree-0 class is a
+    nonnegative combination of others, every class with a positive
+    coefficient has degree 0. On such a fan a degree-0 relation is
+    therefore tested against the other degree-0 classes alone, and is
+    extremal without an LP when there are none. Other relations are tested
+    against all classes.
     """
+    on_face = rel.degree == 0 and is_weak_fano(fan)
     others = [
         r.cls
         for r in primitive_collections(fan)
-        if r.collection != rel.collection and not _positive_multiple(r.cls, rel.cls)
+        if r.collection != rel.collection
+        and (r.degree == 0 or not on_face)
+        and not _positive_multiple(r.cls, rel.cls)
     ]
     if not others:
         return True

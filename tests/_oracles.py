@@ -250,3 +250,27 @@ def pairwise_validate(fan) -> tuple[bool, bool, bool]:
         pair_is_proper(fan, ci, cj) for ci, cj in combinations(range(len(fan.max_cones)), 2)
     )
     return is_simplicial, is_smooth, is_complete
+
+
+def full_lp_is_extremal(fan, rel) -> bool:
+    """Extremality of a relation class against every other class, in one LP.
+
+    The reference for ``primitive.is_extremal``, which on weak Fano fans
+    tests a degree-0 class against the degree-0 classes only.
+    """
+    from torifan.lattice import has_nonneg_combination
+    from torifan.primitive import primitive_collections
+
+    def positive_multiple(u, v):
+        pivot = next((i for i, x in enumerate(v) if x != 0), None)
+        if pivot is None:
+            return not any(u)
+        q = Fraction(u[pivot], v[pivot])
+        return q > 0 and all(Fraction(x) == q * y for x, y in zip(u, v))
+
+    others = [
+        r.cls
+        for r in primitive_collections(fan)
+        if r.collection != rel.collection and not positive_multiple(r.cls, rel.cls)
+    ]
+    return not others or not has_nonneg_combination(others, rel.cls)

@@ -64,14 +64,27 @@ def test_bundle_is_validated_once_through_the_verdict(calls):
 
 def test_extremality_lps_only_for_degree_zero_relations(calls):
     lps = calls(lattice.has_nonneg_combination)
+    # X4_0 has one degree-0 relation and no other degree-0 class to test it against
     fan = fresh(named_fan("X4_0").fan)
-    verdict = is_weakened_fano(fan)
-    assert verdict.is_weakened
-    crepant = [r for r in primitive_collections(fan) if r.degree == 0]
-    assert 0 < len(lps) == len(crepant) < len(primitive_collections(fan))
+    assert is_weakened_fano(fan).is_weakened
+    assert [r.degree for r in primitive_collections(fan)].count(0) == 1
+    assert lps == []
+    # P1 x W7 has 9 degree-0 relations among 28: each LP has at most the other 8 as columns
+    fan = fresh(named_fan("P1xW7").fan)
+    assert is_weakened_fano(fan).is_weakened
+    assert len(primitive_collections(fan)) == 28
+    assert len(lps) == 9 and all(len(columns) <= 8 for columns in lps)
     # asking again reuses every stored fact
     is_weakened_fano(fan)
-    assert len(lps) == len(crepant)
+    assert len(lps) == 9
+
+
+def test_relations_reuse_the_cone_inverses_of_validation(calls):
+    inverted = calls(lattice.invert_unimodular)
+    fan = fresh(named_fan("P1xW7").fan)
+    assert fan.report.ok
+    primitive_collections(fan)
+    assert inverted == []
 
 
 def test_validate_makes_no_kernel_direction_search(calls):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from torifan.catalog import named_fan
@@ -14,6 +16,8 @@ from torifan.primitive import (
     relation_lattice,
     two_element_relation_kind,
 )
+
+from _oracles import full_lp_is_extremal
 
 
 def hirzebruch(a):
@@ -258,3 +262,62 @@ class TestRelationLattice:
             sol = solve_rational(cols, rel.cls)
             assert sol is not None
             assert all(c.denominator == 1 for c in sol)
+
+
+def _weak_fano_bundles(count: int, seed: int) -> list:
+    """Seeded sample of weak Fano surface bundles over P1."""
+    from torifan.catalog import surfaces
+    from torifan.fan import BundleSpec, build_bundle
+
+    rng = random.Random(seed)
+    fibers = [nf.fan for nf in surfaces()]
+    out = []
+    while len(out) < count:
+        plus = (rng.randint(-3, 3), rng.randint(-3, 3))
+        minus = (rng.randint(-3, 3), rng.randint(-3, 3))
+        fan = build_bundle(BundleSpec(rng.choice(fibers), plus, minus))
+        if fan is not None and is_weak_fano(fan):
+            out.append(fan)
+    return out
+
+
+def _blown_up_hirzebruch(count: int, seed: int) -> list:
+    """Seeded sample of surfaces that are not weak Fano: blow-ups of F_0 to F_4."""
+    from torifan.fan import ccw_sorted
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rays = [(1, 0), (-1, 0), (0, 1), (rng.randint(0, 4), -1)]
+        for _ in range(rng.randint(0, 3)):
+            ordered = ccw_sorted(rays)
+            k = rng.randrange(len(ordered))
+            u, v = ordered[k], ordered[(k + 1) % len(ordered)]
+            rays.append((u[0] + v[0], u[1] + v[1]))
+        fan = fan_from_rays_2d(rays)
+        if not is_weak_fano(fan) and any(r.degree == 0 for r in primitive_collections(fan)):
+            out.append(fan)
+    return out
+
+
+def test_extremality_on_degree_face_agrees_with_full_lp():
+    from torifan.catalog import all_named
+
+    fans = (
+        [nf.fan for nf in all_named().values()]
+        + _weak_fano_bundles(12, seed=4)
+        + _blown_up_hirzebruch(12, seed=7)
+    )
+    crepant = without_columns = not_extremal = 0
+    for fan in fans:
+        rels = primitive_collections(fan)
+        for rel in rels:
+            assert is_extremal(fan, rel) == full_lp_is_extremal(fan, rel), (fan.to_json(), rel)
+            if rel.degree == 0 and is_weak_fano(fan):
+                crepant += 1
+                face = [r for r in rels if r.degree == 0 and r.collection != rel.collection]
+                without_columns += not face
+                not_extremal += not is_extremal(fan, rel)
+    # the sample reaches the face LP, the no-LP answer and a non-extremal class;
+    # the surfaces that are not weak Fano keep the full LP for degree-0 relations
+    assert crepant > without_columns > 0 and not_extremal > 0
