@@ -41,7 +41,8 @@ from .primitive import (
 from .contraction import (
     ContractionKind,
     WeakenedVerdict,
-    classify_contraction,
+    contraction_shape,
+    crepant_contractions,
     is_weakened_fano,
 )
 from .polytope import (
@@ -79,8 +80,9 @@ __all__ = [
     "anticanonical_volume",
     "build_bundle",
     "canonical_key",
-    "classify_contraction",
     "cone_contains",
+    "contraction_shape",
+    "crepant_contractions",
     "determinant",
     "enumerate_weak_del_pezzo",
     "enumerate_weakened_threefolds",

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import catalog
-from .contraction import is_weakened_fano
+from .contraction import crepant_contractions, is_weakened_fano
 from .fan import BundleSpec, Fan, build_bundle, fan_from_rays_2d
 from .isomorphism import canonical_key
-from .lattice import vadd
+from .lattice import Vector, vadd
 from .polytope import anticanonical_degree
-from .primitive import is_fano, is_weak_fano, picard_rank
+from .primitive import is_fano, is_weak_fano, locate_sigma, picard_rank
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,14 @@ def enumerate_weak_del_pezzo() -> ClassificationReport:
     )
 
 
+def fiber_phi(fiber: Fan, w: Vector) -> int:
+    """phi(w) for the piecewise-linear function on a smooth complete 2-fan
+    that is 1 on every ray: the coordinates of w in the cone that holds it,
+    summed."""
+    _, coeffs = locate_sigma(fiber, w)
+    return sum(a for _, a in coeffs)
+
+
 def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     """Weakened Fano classes in the surface-bundle family over P1.
 
@@ -131,8 +139,22 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     twists in [-twist_bound, twist_bound]^2. Shearing the base coordinate
     into the fiber lattice is a fan isomorphism moving (w+, w-) to
     (w+ + u, w- - u), so only the sum w+ + w- matters; the sweep therefore
-    runs over sums in [-2b, 2b]^2 with the minus-twist pinned to zero.
+    runs over sums w in [-2b, 2b]^2 with the minus-twist pinned to zero.
     Products P1 x S appear as the zero-twist specs.
+
+    Only sums that can give a weak Fano bundle are built. The sections
+    x+ = (w, 1) and x- = (0, -1) share no cone, so {x+, x-} is a primitive
+    collection with sum (w, 0). If w = p*v_i + q*v_j with p, q >= 0 in a
+    fiber cone, its relation has degree 2 - (p + q) = 2 - phi(w), where
+    phi is the fiber's piecewise-linear function that is 1 on every ray
+    (``fiber_phi``). A weak Fano bundle therefore has phi(w) <= 2, and
+    every other sum is skipped before a fan is built.
+
+    The box holds every candidate: each coordinate of w is at most
+    (p + q) * M = phi(w) * M in absolute value, where M is the largest
+    |entry| of a fiber ray, so {phi <= 2} lies in [-2M, 2M]^2. M = 2 over
+    the 16 fibers, so every candidate lies in [-4, 4]^2, inside the box of
+    the smallest allowed bound 3, and a larger bound cannot add one.
     """
     if twist_bound < 3:
         raise ValueError("twist bound below 3 misses known classes")
@@ -141,6 +163,8 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     for nf in catalog.surfaces():
         for sx in range(-b2, b2 + 1):
             for sy in range(-b2, b2 + 1):
+                if fiber_phi(nf.fan, (sx, sy)) > 2:
+                    continue
                 fan = build_bundle(BundleSpec(nf.fan, (sx, sy), (0, 0)))
                 if fan is None:
                     continue
@@ -217,7 +241,7 @@ def verify_classification(twist_bound: int = 3) -> dict:
     degrees = {nf.name: anticanonical_degree(nf.fan) for nf in catalog_threefolds}
     # exceptional divisor types F_a of each fan, over the catalog and the search
     a_values = [
-        {kind.a for _, kind in is_weakened_fano(fan).crepant_contractions if kind.kind == "zero_two"}
+        {kind.a for _, kind in crepant_contractions(fan) if kind.kind == "zero_two"}
         for fan in [nf.fan for nf in catalog_threefolds] + [e.fan for e in threefold_report.classes]
     ]
     no_f2 = all(2 not in a for a in a_values)

@@ -17,7 +17,7 @@ from functools import cache
 from typing import Optional
 
 from . import catalog, classify
-from .contraction import is_weakened_fano
+from .contraction import crepant_contractions, is_weakened_fano
 from .fan import Fan, fan_from_json
 from .isomorphism import find_isomorphism
 from .polytope import anticanonical_degree
@@ -93,8 +93,13 @@ def _cmd_is_weak_fano(args) -> CommandResult:
 
 
 def _cmd_is_weakened_fano(args) -> CommandResult:
-    verdict = is_weakened_fano(_load_valid_fan(args.fan))
-    return CommandResult("ok", verdict.to_dict(), [])
+    fan = _load_valid_fan(args.fan)
+    payload = is_weakened_fano(fan).to_dict()
+    payload["crepant_contractions"] = [
+        {"relation": rel.to_dict(), "contraction": kind.to_dict()}
+        for rel, kind in crepant_contractions(fan)
+    ]
+    return CommandResult("ok", payload, [])
 
 
 def _cmd_isomorphic(args) -> CommandResult:

@@ -12,6 +12,9 @@ surface of degree a) onto a rational curve of anticanonical degree 2. The
 detector reconstructs the witness basis change directly: it pins the star
 of x0 to the four normal-form cones, whose quotient by x0 is the fan of
 F_a, and it pins the anticanonical degree of the image curve to exactly 2.
+
+The weakened verdict reads the shape of each degree-0 relation before its
+extremality, and the table of contractions is computed only when asked for.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ class ContractionKind:
 class WeakenedVerdict:
     is_weak_fano: bool
     is_fano: bool
-    crepant_contractions: tuple[tuple[PrimitiveRelation, ContractionKind], ...]
     is_weakened: bool
 
     def to_dict(self) -> dict:
@@ -60,10 +62,6 @@ class WeakenedVerdict:
             "is_weak_fano": self.is_weak_fano,
             "is_fano": self.is_fano,
             "is_weakened": self.is_weakened,
-            "crepant_contractions": [
-                {"relation": rel.to_dict(), "contraction": kind.to_dict()}
-                for rel, kind in self.crepant_contractions
-            ],
         }
 
 
@@ -120,14 +118,19 @@ def zero_two_normal_form_witness(
     return None
 
 
-def classify_contraction(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
-    """Shape dispatch for a degree-0 extremal primitive relation on a 3-fold."""
+@memoised
+def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
+    """Shape of the contraction a degree-0 relation on a 3-fold would define.
+
+    The shape depends only on the relation and the cones around it, not on
+    extremality, so the verdict can look at it before running any LP. Only
+    an extremal relation actually defines a contraction; see
+    ``crepant_contractions``.
+    """
     if fan.dim != 3:
         raise ValueError("contraction classification is specific to 3-folds")
     if rel.degree != 0:
         raise ValueError(f"relation has degree {rel.degree}; only crepant (degree 0) input is accepted")
-    if not is_extremal(fan, rel):
-        raise ValueError("relation is not extremal; it does not define a primitive contraction")
 
     if len(rel.collection) == 2 and len(rel.coeffs) == 1:
         if rel.coeffs[0][1] != 2:
@@ -157,22 +160,49 @@ def classify_contraction(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
     return ContractionKind("other")
 
 
+def _require_threefold(fan: Fan) -> None:
+    if fan.dim != 3:
+        raise ValueError("the weakened Fano characterization is specific to 3-folds")
+
+
+@memoised
+def crepant_contractions(fan: Fan) -> tuple[tuple[PrimitiveRelation, ContractionKind], ...]:
+    """The crepant primitive contractions of a weak Fano 3-fold with their shapes.
+
+    These are the extremal degree-0 relations, in relation order; a fan that
+    is not weak Fano has none listed. The verdict does not need this table.
+    """
+    _require_threefold(fan)
+    if not is_weak_fano(fan):
+        return ()
+    return tuple(
+        (rel, contraction_shape(fan, rel))
+        for rel in primitive_collections(fan)
+        if rel.degree == 0 and is_extremal(fan, rel)
+    )
+
+
 @memoised
 def is_weakened_fano(fan: Fan) -> WeakenedVerdict:
     """Weak Fano, not Fano, and every crepant primitive contraction collapses
-    a Hirzebruch divisor onto a curve of image anticanonical degree 2."""
-    if fan.dim != 3:
-        raise ValueError("the weakened Fano characterization is specific to 3-folds")
+    a Hirzebruch divisor onto a curve of image anticanonical degree 2.
+
+    Decided shape first: a degree-0 relation of shape ``zero_two`` cannot
+    falsify the verdict whether or not it is extremal, so extremality is
+    asked only of the other degree-0 relations, and the first extremal one
+    ends the search.
+    """
+    _require_threefold(fan)
     weak = is_weak_fano(fan)
     fano = is_fano(fan)
-    contractions: list[tuple[PrimitiveRelation, ContractionKind]] = []
-    if weak:
-        for rel in primitive_collections(fan):
-            if rel.degree == 0 and is_extremal(fan, rel):
-                contractions.append((rel, classify_contraction(fan, rel)))
     weakened = (
         weak
         and not fano
-        and all(kind.kind == "zero_two" for _, kind in contractions)
+        and not any(
+            rel.degree == 0
+            and contraction_shape(fan, rel).kind != "zero_two"
+            and is_extremal(fan, rel)
+            for rel in primitive_collections(fan)
+        )
     )
-    return WeakenedVerdict(weak, fano, tuple(contractions), weakened)
+    return WeakenedVerdict(weak, fano, weakened)

@@ -70,7 +70,7 @@ def _face_set(fan: Fan) -> set[frozenset[int]]:
     return faces
 
 
-def _locate_sigma(fan: Fan, total: Vector) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+def locate_sigma(fan: Fan, total: Vector) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The cone with the sum in its relative interior, with coefficients.
 
     The first maximal cone containing the sum holds it in the relative
@@ -107,7 +107,7 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
             if any(s - {i} not in faces for i in combo):
                 continue
             total = vsum([fan.rays[i] for i in combo], d)
-            sigma, coeffs = _locate_sigma(fan, total)
+            sigma, coeffs = locate_sigma(fan, total)
             degree = len(combo) - sum(a for _, a in coeffs)
             coeff_map = dict(coeffs)
             cls = tuple(

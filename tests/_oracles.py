@@ -246,8 +246,13 @@ def pairwise_validate(fan) -> tuple[bool, bool, bool]:
     for cone in fan.max_cones:
         for facet in combinations(cone, fan.dim - 1):
             facet_count[facet] = facet_count.get(facet, 0) + 1
-    is_complete = all(count == 2 for count in facet_count.values()) and all(
-        pair_is_proper(fan, ci, cj) for ci, cj in combinations(range(len(fan.max_cones)), 2)
+    # no cones cover nothing, so a fan without cones is not complete
+    is_complete = (
+        bool(fan.max_cones)
+        and all(count == 2 for count in facet_count.values())
+        and all(
+            pair_is_proper(fan, ci, cj) for ci, cj in combinations(range(len(fan.max_cones)), 2)
+        )
     )
     return is_simplicial, is_smooth, is_complete
 
@@ -274,3 +279,25 @@ def full_lp_is_extremal(fan, rel) -> bool:
         if r.collection != rel.collection and not positive_multiple(r.cls, rel.cls)
     ]
     return not others or not has_nonneg_combination(others, rel.cls)
+
+
+def eager_weakened_verdict(fan):
+    """(is_weakened, table) as the verdict was first computed: classify the
+    shape of every extremal degree-0 relation of a weak Fano fan, then
+    require weak Fano, not Fano, and every shape ``zero_two``.
+
+    The reference for ``contraction.is_weakened_fano``, which asks
+    extremality only of the relations whose shape is not ``zero_two``, and
+    for ``contraction.crepant_contractions``, which is the table.
+    """
+    from torifan.contraction import contraction_shape
+    from torifan.primitive import is_extremal, is_fano, is_weak_fano, primitive_collections
+
+    weak = is_weak_fano(fan)
+    table = []
+    if weak:
+        for rel in primitive_collections(fan):
+            if rel.degree == 0 and is_extremal(fan, rel):
+                table.append((rel, contraction_shape(fan, rel)))
+    weakened = weak and not is_fano(fan) and all(kind.kind == "zero_two" for _, kind in table)
+    return weakened, tuple(table)

@@ -9,7 +9,7 @@ import random
 import time
 
 from torifan.catalog import all_named, extras, named_fan, surfaces, threefolds
-from torifan.contraction import is_weakened_fano
+from torifan.contraction import crepant_contractions, is_weakened_fano
 from torifan.fan import cone_contains, fan_from_json
 from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import vsum
@@ -37,9 +37,10 @@ def test_criterion_1_catalog_verification():
         for name in ("P1xP1xP1", "P1xS6"):
             verdict = is_weakened_fano(named_fan(name).fan)
             assert verdict.is_fano and not verdict.is_weakened
-        verdict = is_weakened_fano(named_fan("PP2_O_O3").fan)
+        fan = named_fan("PP2_O_O3").fan
+        verdict = is_weakened_fano(fan)
         assert verdict.is_weak_fano and not verdict.is_fano and not verdict.is_weakened
-        kinds = [k.kind for _, k in verdict.crepant_contractions]
+        kinds = [k.kind for _, k in crepant_contractions(fan)]
         assert "divisor_to_point" in kinds
         elapsed = time.monotonic() - t0
         assert elapsed < 5.0, f"catalog verification took {elapsed:.2f}s"
@@ -85,7 +86,7 @@ def test_criterion_4_threefold_classification(threefold_report_b3, threefold_rep
         names = [e.name for e in report3.classes]
         assert None not in names and len(set(names)) == 15
         assert {e.key for e in report3.classes} == {e.key for e in report4.classes}
-        assert elapsed3 + elapsed4 < 60.0, (
+        assert elapsed3 + elapsed4 < 15.0, (
             f"enumeration took {elapsed3:.1f}s + {elapsed4:.1f}s"
         )
 
@@ -97,10 +98,9 @@ def test_criterion_5_no_f2_divisor_and_homogeneity(threefold_report_b3):
         report, _ = threefold_report_b3
         fans = [nf.fan for nf in threefolds()] + [e.fan for e in report.classes]
         for fan in fans:
-            verdict = is_weakened_fano(fan)
-            a_values = [k.a for _, k in verdict.crepant_contractions if k.kind == "zero_two"]
+            a_values = [k.a for _, k in crepant_contractions(fan) if k.kind == "zero_two"]
             assert 2 not in a_values
-            if verdict.is_weakened:
+            if is_weakened_fano(fan).is_weakened:
                 assert len(set(a_values)) == 1
 
     _report(5, "no F2 exceptional divisor; divisor type homogeneous", body)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from torifan.catalog import named_fan, surfaces, threefolds
@@ -5,12 +7,16 @@ from torifan.classify import (
     BundleSpec,
     build_bundle,
     enumerate_weakened_threefolds,
+    fiber_phi,
     projects_to_p1,
     surface_blowups,
 )
 from torifan.contraction import is_weakened_fano
 from torifan.fan import product_with_p1, validate
 from torifan.isomorphism import canonical_key, find_isomorphism
+from torifan.primitive import is_weak_fano
+
+from _oracles import brute_force_sigma
 
 
 class TestBuildBundle:
@@ -119,6 +125,42 @@ class TestThreefoldEnumeration:
         # and the Fano product P1 x P1 x P1 is (correctly) not among them
         keys = {e.key for e in report.classes}
         assert canonical_key(named_fan("P1xP1xP1").fan) not in keys
+
+
+class TestSectionPrefilter:
+    """The sweep builds a bundle only when phi(w) <= 2 (argument in the
+    docstring of ``enumerate_weakened_threefolds``)."""
+
+    def test_candidates_lie_in_the_box_of_bound_3(self):
+        fibers = [nf.fan for nf in surfaces()]
+        assert len(fibers) == 16
+        assert max(abs(x) for fan in fibers for ray in fan.rays for x in ray) == 2
+        for fan in fibers:
+            for ray in fan.rays:
+                assert fiber_phi(fan, ray) == 1
+            for sx in range(-8, 9):
+                for sy in range(-8, 9):
+                    phi = fiber_phi(fan, (sx, sy))
+                    if max(abs(sx), abs(sy)) <= 4:
+                        # phi by the oracle: coefficients of the one face holding w
+                        (_, coeffs), = brute_force_sigma(fan.rays, fan.max_cones, (sx, sy))
+                        assert phi == sum(coeffs)
+                    elif phi <= 2:
+                        pytest.fail(f"phi{(sx, sy)} = {phi} outside [-4, 4]^2")
+
+    def test_rejected_sums_give_bundles_that_are_not_weak_fano(self):
+        rejected = [
+            (nf.fan, (sx, sy))
+            for nf in surfaces()
+            for sx in range(-6, 7)
+            for sy in range(-6, 7)
+            if fiber_phi(nf.fan, (sx, sy)) > 2
+        ]
+        assert len(rejected) == 16 * 13 * 13 - 304
+        for fiber, w in random.Random(5).sample(rejected, 320):
+            fan = build_bundle(BundleSpec(fiber, w, (0, 0)))
+            assert fan is not None
+            assert not is_weak_fano(fan), (fiber.to_json(), w)
 
 
 class TestVerifyClassification:

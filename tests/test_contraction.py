@@ -1,15 +1,20 @@
+import random
+
 import pytest
 
-from torifan.catalog import named_fan, threefolds
-from torifan.classify import BundleSpec, build_bundle
+from torifan.catalog import all_named, named_fan, surfaces, threefolds
+from torifan.classify import BundleSpec, build_bundle, fiber_phi
 from torifan.contraction import (
-    classify_contraction,
+    contraction_shape,
+    crepant_contractions,
     is_weakened_fano,
     zero_two_normal_form_witness,
 )
 from torifan.fan import fan_from_rays_2d, cone_contains
 from torifan.lattice import matvec, vsum
-from torifan.primitive import is_extremal, primitive_collections
+from torifan.primitive import is_extremal, is_fano, is_weak_fano, primitive_collections
+
+from _oracles import eager_weakened_verdict
 
 
 def crepant_double_relation(fan):
@@ -24,18 +29,18 @@ def crepant_double_relation(fan):
 class TestClassifyContraction:
     def test_x3_0_collapses_p1xp1(self):
         fan = named_fan("X3_0").fan
-        kind = classify_contraction(fan, crepant_double_relation(fan))
+        kind = contraction_shape(fan, crepant_double_relation(fan))
         assert kind.kind == "zero_two" and kind.a == 0
 
     def test_x5_1_collapses_f1(self):
         fan = named_fan("X5_1").fan
-        kind = classify_contraction(fan, crepant_double_relation(fan))
+        kind = contraction_shape(fan, crepant_double_relation(fan))
         assert kind.kind == "zero_two" and kind.a == 1
 
     def test_exceptional_ray_is_the_relation_center(self):
         fan = named_fan("P1xF2").fan
         rel = crepant_double_relation(fan)
-        kind = classify_contraction(fan, rel)
+        kind = contraction_shape(fan, rel)
         assert kind.exceptional_ray == rel.coeffs[0][0]
 
     def test_divisor_to_point_on_p1_bundle_over_p2(self):
@@ -46,7 +51,7 @@ class TestClassifyContraction:
         total = vsum([fan.rays[i] for i in rel.collection], 3)
         assert total == (0, 0, 3)
         assert rel.coeffs == ((3, 3),) and fan.rays[3] == (0, 0, 1)
-        assert classify_contraction(fan, rel).kind == "divisor_to_point"
+        assert contraction_shape(fan, rel).kind == "divisor_to_point"
 
     def test_small_contraction_shape(self):
         fan = build_bundle(BundleSpec(named_fan("P1xP1").fan, (1, 1), (0, 0)))
@@ -56,7 +61,7 @@ class TestClassifyContraction:
         # the section cone does not contain the target cone here
         targets = [i for i, _ in rel.coeffs]
         assert not all(cone_contains(fan, rel.collection, fan.rays[t]) for t in targets)
-        assert classify_contraction(fan, rel).kind == "small"
+        assert contraction_shape(fan, rel).kind == "small"
 
     def test_crepancy_offset_must_vanish(self):
         # same F1 fiber rays in a different presentation: the double relation
@@ -65,7 +70,7 @@ class TestClassifyContraction:
         fan = build_bundle(BundleSpec(fiber, (1, 0), (1, 0)))
         verdict = is_weakened_fano(fan)
         assert verdict.is_weak_fano and not verdict.is_fano
-        kinds = [k.kind for _, k in verdict.crepant_contractions]
+        kinds = [k.kind for _, k in crepant_contractions(fan)]
         assert kinds == ["other"]
         assert not verdict.is_weakened
 
@@ -73,7 +78,7 @@ class TestClassifyContraction:
         fan = named_fan("X3_0").fan
         rel = next(r for r in primitive_collections(fan) if r.degree > 0)
         with pytest.raises(ValueError):
-            classify_contraction(fan, rel)
+            contraction_shape(fan, rel)
 
     def test_non_extremal_rejected(self):
         # this W4_3 bundle is weak Fano with a crepant class that decomposes
@@ -83,14 +88,14 @@ class TestClassifyContraction:
         rel = next(r for r in rels if r.collection == (3, 5))
         assert rel.degree == 0
         assert not is_extremal(fan, rel)
-        with pytest.raises(ValueError):
-            classify_contraction(fan, rel)
+        # it has a shape but defines no contraction: the table leaves it out
+        assert rel not in [r for r, _ in crepant_contractions(fan)]
 
     def test_dimension_two_rejected(self):
         fan = named_fan("F2").fan
         rel = next(r for r in primitive_collections(fan) if r.degree == 0)
         with pytest.raises(ValueError):
-            classify_contraction(fan, rel)
+            contraction_shape(fan, rel)
 
 
 class TestNormalFormWitness:
@@ -137,39 +142,65 @@ class TestWeakenedPredicate:
             assert not verdict.is_weakened
 
     def test_divisor_to_point_blocks_weakened(self):
-        verdict = is_weakened_fano(named_fan("PP2_O_O3").fan)
+        fan = named_fan("PP2_O_O3").fan
+        verdict = is_weakened_fano(fan)
         assert verdict.is_weak_fano and not verdict.is_fano
         assert not verdict.is_weakened
-        assert [k.kind for _, k in verdict.crepant_contractions] == ["divisor_to_point"]
+        assert [k.kind for _, k in crepant_contractions(fan)] == ["divisor_to_point"]
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             is_weakened_fano(named_fan("W3").fan)
+        with pytest.raises(ValueError):
+            crepant_contractions(named_fan("W3").fan)
 
     def test_verdict_consistency(self):
         for nf in threefolds():
             verdict = is_weakened_fano(nf.fan)
             if verdict.is_weakened:
                 assert verdict.is_weak_fano and not verdict.is_fano
-                assert all(k.kind == "zero_two" for _, k in verdict.crepant_contractions)
+                assert all(k.kind == "zero_two" for _, k in crepant_contractions(nf.fan))
+
+
+def test_shape_first_verdict_agrees_with_eager_verdict():
+    catalog_fans = [nf.fan for nf in all_named().values() if nf.fan.dim == 3]
+    sums = [
+        (nf.fan, (sx, sy), fiber_phi(nf.fan, (sx, sy)) <= 2)
+        for nf in surfaces()
+        for sx in range(-6, 7)
+        for sy in range(-6, 7)
+    ]
+    weak_bundles = [build_bundle(BundleSpec(f, w, (0, 0))) for f, w, kept in sums if kept]
+    rejected = [(f, w) for f, w, kept in sums if not kept]
+    other_bundles = [
+        build_bundle(BundleSpec(f, w, (0, 0))) for f, w in random.Random(8).sample(rejected, 40)
+    ]
+    assert len(weak_bundles) == 304 and all(is_weak_fano(f) for f in weak_bundles)
+    assert not any(is_weak_fano(f) for f in other_bundles)
+    blocked = 0
+    for fan in catalog_fans + weak_bundles + other_bundles:
+        weakened, table = eager_weakened_verdict(fan)
+        assert is_weakened_fano(fan).is_weakened == weakened, fan.to_json()
+        assert crepant_contractions(fan) == table, fan.to_json()
+        if is_weak_fano(fan) and not is_fano(fan) and not weakened:
+            blocked += 1
+    # enough fans where an extremal relation of another shape decides the verdict
+    assert blocked >= 100
 
 
 class TestStructuralCorollaries:
     def test_no_f2_divisor_on_catalog(self):
         for nf in threefolds():
-            verdict = is_weakened_fano(nf.fan)
-            assert all(k.a != 2 for _, k in verdict.crepant_contractions)
+            assert all(k.a != 2 for _, k in crepant_contractions(nf.fan))
 
     def test_divisor_type_homogeneous_per_fan(self):
         for nf in threefolds():
-            verdict = is_weakened_fano(nf.fan)
-            a_values = {k.a for _, k in verdict.crepant_contractions}
+            a_values = {k.a for _, k in crepant_contractions(nf.fan)}
             assert len(a_values) == 1
 
     def test_f1_type_only_on_the_two_special_fans(self):
         for nf in threefolds():
-            verdict = is_weakened_fano(nf.fan)
-            if any(k.a == 1 for _, k in verdict.crepant_contractions):
+            if any(k.a == 1 for _, k in crepant_contractions(nf.fan)):
                 assert nf.name in ("X4_1", "X5_1")
 
     def test_interior_witness_ray_on_nonopposite_pairs(self):

@@ -133,7 +133,8 @@ def test_linear_completeness_agrees_with_pairwise_oracle():
             plus = (rng.randint(-3, 3), rng.randint(-3, 3))
             minus = (rng.randint(-3, 3), rng.randint(-3, 3))
             bases.append(build_bundle(BundleSpec(nf.fan, plus, minus)))
-    fans = [OVERLAPPING, PENTAGRAM] + bases
+    # the fan without cones covers nothing: both sides call it not complete
+    fans = [OVERLAPPING, PENTAGRAM, Fan(2, (), ())] + bases
     for fan in bases * 2:
         fans.extend(_corruptions(fan, rng))
     verdicts = set()

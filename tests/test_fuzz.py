@@ -102,7 +102,7 @@ def _is_valid_fan(data) -> bool:
     dim, rays, cones = data["dim"], data["rays"], data["max_cones"]
     if type(dim) is not int or not 1 <= dim <= 3:
         return False
-    if not isinstance(rays, list) or not isinstance(cones, list) or not cones:
+    if not isinstance(rays, list) or not isinstance(cones, list):
         return False
     for ray in rays:
         if not isinstance(ray, list) or len(ray) != dim or any(type(x) is not int for x in ray):

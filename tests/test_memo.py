@@ -8,11 +8,12 @@ import sys
 
 import pytest
 
+from torifan import catalog, contraction, lattice
 from torifan import fan as fan_module
-from torifan import lattice
 from torifan.catalog import named_fan
+from torifan.classify import enumerate_weakened_threefolds
 from torifan.cli import run
-from torifan.contraction import is_weakened_fano
+from torifan.contraction import crepant_contractions, is_weakened_fano
 from torifan.fan import BundleSpec, Fan, build_bundle
 from torifan.primitive import primitive_collections
 
@@ -67,16 +68,36 @@ def test_extremality_lps_only_for_degree_zero_relations(calls):
     # X4_0 has one degree-0 relation and no other degree-0 class to test it against
     fan = fresh(named_fan("X4_0").fan)
     assert is_weakened_fano(fan).is_weakened
+    assert len(crepant_contractions(fan)) == 1
     assert [r.degree for r in primitive_collections(fan)].count(0) == 1
     assert lps == []
-    # P1 x W7 has 9 degree-0 relations among 28: each LP has at most the other 8 as columns
+    # P1 x W7 has 9 degree-0 relations among 28, 6 of them of the zero-two
+    # shape: the verdict tests only the other 3, the table the remaining 6,
+    # and each LP has at most the other 8 degree-0 classes as columns
     fan = fresh(named_fan("P1xW7").fan)
     assert is_weakened_fano(fan).is_weakened
     assert len(primitive_collections(fan)) == 28
+    assert len(lps) == 3
+    assert len(crepant_contractions(fan)) == 6
     assert len(lps) == 9 and all(len(columns) <= 8 for columns in lps)
     # asking again reuses every stored fact
     is_weakened_fano(fan)
+    crepant_contractions(fan)
     assert len(lps) == 9
+
+
+def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls):
+    # the catalog is built once per process; keep its bundles out of the count
+    catalog.surfaces(), catalog.threefolds()
+    built = calls(fan_module.build_bundle)
+    verdicts = calls(contraction.is_weakened_fano)
+    lps = calls(lattice.has_nonneg_combination)
+    report = enumerate_weakened_threefolds(3)
+    # 304 of the 16 * 13^2 = 2704 sums in the box have phi <= 2
+    assert len(built) == 304 and len(verdicts) == 304
+    assert len(lps) == 216
+    assert sum(is_weakened_fano(fan).is_weakened for fan in verdicts) == 22
+    assert report.count == 15
 
 
 def test_relations_reuse_the_cone_inverses_of_validation(calls):
