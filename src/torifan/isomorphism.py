@@ -16,7 +16,7 @@ from typing import Optional
 
 from .fan import Fan, memoised
 from .lattice import Matrix, invert_unimodular, matmul, matvec
-from .polytope import anticanonical_volume
+from .polytope import anticanonical_degree
 from .primitive import primitive_collections
 
 
@@ -30,9 +30,12 @@ class FanIso:
 
 @memoised
 def isomorphism_invariants(fan: Fan) -> tuple:
-    """Cheap GL(d, Z) invariants used to prune non-isomorphic pairs."""
+    """Cheap GL(d, Z) invariants used to prune non-isomorphic pairs.
+
+    The fan must be valid, as ``anticanonical_degree`` requires.
+    """
     degrees = tuple(sorted(r.degree for r in primitive_collections(fan)))
-    return (len(fan.rays), len(fan.max_cones), degrees, anticanonical_volume(fan))
+    return (len(fan.rays), len(fan.max_cones), degrees, anticanonical_degree(fan))
 
 
 def _anchor_cone(fan: Fan) -> tuple[int, ...]:

@@ -1,8 +1,11 @@
 """Exact integer and rational linear algebra over Z^d.
 
-Everything here works with plain Python ints (arbitrary precision) and
-``fractions.Fraction``; there is no floating point anywhere in the package.
-Matrices are stored as tuples of rows.
+Everything here works with plain Python ints (arbitrary precision); there is
+no floating point anywhere in the package. Matrices are stored as tuples of
+rows. Elimination is integer-preserving (Edmonds 1967; Bareiss 1968): one
+pivot step, ``_pivot``, serves the n > 3 determinant, ``solve_rational`` and
+the simplex of ``has_nonneg_combination``. Only the result of
+``solve_rational`` is a ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -93,24 +96,52 @@ def determinant(m: Matrix) -> int:
             - a1 * (b0 * c2 - b2 * c0)
             + a2 * (b0 * c1 - b1 * c0)
         )
-    a = [list(row) for row in m]
+    rows = [list(row) for row in m]
+    pivots, divisor, sign = _eliminate(rows, n)
+    return sign * divisor if len(pivots) == n else 0
+
+
+def _pivot(rows: list[list[int]], r: int, e: int, prev: int) -> int:
+    """Integer-preserving pivot on ``rows[r][e]``; returns the new divisor.
+
+    The rows hold a tableau scaled by ``prev``. With p = rows[r][e], every
+    other row i becomes (p * rows[i] - rows[i][e] * rows[r]) // prev, and the
+    tableau is then scaled by p. The division is exact: each entry is a minor
+    of the starting matrix (Sylvester's identity).
+    """
+    top = rows[r]
+    p = top[e]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[e]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+    return p
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination on the first ``ncols`` columns.
+
+    Works in place, pivoting on the first nonzero entry of each column in
+    turn. Returns the pivot columns (pivot i sits in row i), the divisor of
+    the final tableau and the sign of the row permutation. Every pivot row
+    then holds the divisor in its pivot column, and zeros in the others.
+    """
+    pivots: list[int] = []
+    divisor = 1
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        divisor = _pivot(rows, r, c, divisor)
+        pivots.append(c)
+    return pivots, divisor, sign
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -223,37 +254,20 @@ def invariant_factors(m: Matrix) -> tuple[int, ...]:
     return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
 
 
-def solve_rational(a: Matrix, b: Sequence) -> Optional[list[Fraction]]:
+def solve_rational(a: Matrix, b: Sequence[int]) -> Optional[list[Fraction]]:
     """One exact solution of a*x = b, or None if the system is inconsistent.
 
-    ``a`` is row-major (m rows, n cols); free variables are set to zero.
+    ``a`` is row-major (m rows, n cols) with ``b`` integral; free variables
+    are set to zero.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b, strict=True)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
+    n = len(a[0]) if a else 0
+    rows = [[*row, y] for row, y in zip(a, b, strict=True)]
+    pivots, divisor, _ = _eliminate(rows, n)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for pr, pc in pivots:
-        x[pc] = rows[pr][n]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[n], divisor)
     return x
 
 
@@ -313,56 +327,49 @@ def kernel_directions(rows: Sequence[Sequence[int]], dim: int) -> list[Vector]:
     raise NotImplementedError("kernel directions implemented for d <= 3")
 
 
-def has_nonneg_combination(columns: Sequence[Sequence[int]], target: Sequence) -> bool:
+def has_nonneg_combination(columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
     """Exact feasibility of  sum_j c_j * columns[j] = target  with  c_j >= 0.
 
-    Phase-one simplex over Fraction with Bland's rule; c need not be integral.
+    Phase-one simplex with Bland's rule; c need not be integral. The tableau
+    [A | I | b] over the reduced-cost row is kept integral by ``_pivot``:
+    the true tableau is it divided by the last pivot, which is positive
+    because the ratio test pivots only on positive entries, so every sign
+    test reads the integers directly and ratios compare by cross-multiplying.
     """
     m = len(target)
     k = len(columns)
-    rows = []
-    rhs = []
-    for i in range(m):
-        coeffs = [Fraction(col[i]) for col in columns]
-        b = Fraction(target[i])
-        if b < 0:
-            coeffs = [-x for x in coeffs]
-            b = -b
-        rows.append(coeffs)
-        rhs.append(b)
     if k == 0:
-        return all(b == 0 for b in rhs)
-    # tableau [A | I | b], artificial basis, minimize the artificial sum
-    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [k + i for i in range(m)]
+        return all(b == 0 for b in target)
     ncols = k + m
-    red = [Fraction(0)] * (ncols + 1)
-    for j in range(ncols):
-        cost = Fraction(1) if j >= k else Fraction(0)
-        red[j] = cost - sum(tab[i][j] for i in range(m))
-    red[ncols] = -sum(tab[i][ncols] for i in range(m))
+    # rows with a negative target entry are negated, so that b >= 0
+    tab = []
+    for i, b in enumerate(target):
+        sign = -1 if b < 0 else 1
+        tab.append([sign * col[i] for col in columns] + [int(j == i) for j in range(m)] + [sign * b])
+    # reduced costs of the artificial sum: 1 on artificial columns, minus the column sums
+    red = [(k <= j < ncols) - sum(row[j] for row in tab) for j in range(ncols + 1)]
+    tab.append(red)
+    basis = [k + i for i in range(m)]
+    divisor = 1
     while True:
+        red = tab[m]
         enter = next((j for j in range(ncols) if red[j] < 0), None)
         if enter is None:
-            break
+            return red[ncols] == 0
         leave = None
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][ncols] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # b_i / a  against  b_leave / a_leave, both denominators positive
+                lhs = tab[i][ncols] * tab[leave][enter]
+                rhs = tab[leave][ncols] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             # the artificial objective is bounded below by 0, so this cannot happen
             raise AssertionError("unbounded phase-one objective")
-        pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        f = red[enter]
-        red = [x - f * y for x, y in zip(red, tab[leave])]
+        divisor = _pivot(tab, leave, enter, divisor)
         basis[leave] = enter
-    return red[ncols] == 0

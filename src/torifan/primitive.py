@@ -4,14 +4,14 @@ A primitive collection is a minimal set of rays not spanning a cone of the
 fan. Its element sum lies in the relative interior of a unique cone, which
 yields the primitive relation, its degree (the anticanonical intersection
 number of the corresponding 1-cycle class) and its class vector in the
-relation lattice. Extremality of a class is decided by exact rational LP;
-on a weak Fano fan a degree-0 class needs only the other degree-0 classes.
+relation lattice. Extremality of a class is decided exactly, in integers,
+by the integer-preserving simplex of ``lattice.has_nonneg_combination``; on
+a weak Fano fan a degree-0 class needs only the other degree-0 classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -177,16 +177,15 @@ def two_element_relation_kind(rel: PrimitiveRelation) -> TwoElementShape:
 
 
 def _positive_multiple(u: Sequence[int], v: Sequence[int]) -> bool:
-    """True iff u = q*v for some rational q > 0."""
-    pivot = next((i for i, x in enumerate(v) if x != 0), None)
-    if pivot is None:
+    """True iff u = q*v for some rational q > 0; the zero vector only matches itself.
+
+    With p the first nonzero index of v, that is u[i]*v[p] == v[i]*u[p] for
+    every i, and u[p]*v[p] > 0.
+    """
+    p = next((i for i, x in enumerate(v) if x != 0), None)
+    if p is None:
         return all(x == 0 for x in u)
-    if u[pivot] == 0:
-        return False
-    q = Fraction(u[pivot], v[pivot])
-    if q <= 0:
-        return False
-    return all(Fraction(x) == q * y for x, y in zip(u, v))
+    return u[p] * v[p] > 0 and all(x * v[p] == y * u[p] for x, y in zip(u, v, strict=True))
 
 
 @memoised

@@ -2,9 +2,10 @@
 
 These deliberately avoid the package's own code paths: determinants by
 cofactor expansion, invariant factors by minor gcds, linear solves by a
-separate Gaussian elimination, areas by the shoelace formula, and fan
-completeness by the pairwise proper-intersection search that ``validate``
-used before its linear-time checks.
+separate Gaussian elimination over Fraction, nonnegative feasibility by the
+Fraction simplex that the integer-preserving one replaced, areas by the
+shoelace formula, and fan completeness by the pairwise proper-intersection
+search that ``validate`` used before its linear-time checks.
 """
 
 from __future__ import annotations
@@ -257,13 +258,65 @@ def pairwise_validate(fan) -> tuple[bool, bool, bool]:
     return is_simplicial, is_smooth, is_complete
 
 
-def full_lp_is_extremal(fan, rel) -> bool:
-    """Extremality of a relation class against every other class, in one LP.
+def fraction_lp_feasible(columns, target) -> bool:
+    """Exact feasibility of  sum_j c_j * columns[j] = target  with  c_j >= 0.
 
-    The reference for ``primitive.is_extremal``, which on weak Fano fans
-    tests a degree-0 class against the degree-0 classes only.
+    Phase-one simplex over Fraction with Bland's rule; c need not be integral.
+    The reference for ``lattice.has_nonneg_combination``.
     """
-    from torifan.lattice import has_nonneg_combination
+    m = len(target)
+    k = len(columns)
+    rows = []
+    rhs = []
+    for i in range(m):
+        coeffs = [Fraction(col[i]) for col in columns]
+        b = Fraction(target[i])
+        if b < 0:
+            coeffs = [-x for x in coeffs]
+            b = -b
+        rows.append(coeffs)
+        rhs.append(b)
+    if k == 0:
+        return all(b == 0 for b in rhs)
+    # tableau [A | I | b], artificial basis, minimize the artificial sum
+    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [k + i for i in range(m)]
+    ncols = k + m
+    red = [Fraction(0)] * (ncols + 1)
+    for j in range(ncols):
+        cost = Fraction(1) if j >= k else Fraction(0)
+        red[j] = cost - sum(tab[i][j] for i in range(m))
+    red[ncols] = -sum(tab[i][ncols] for i in range(m))
+    while True:
+        enter = next((j for j in range(ncols) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][ncols] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            # the artificial objective is bounded below by 0, so this cannot happen
+            raise AssertionError("unbounded phase-one objective")
+        pv = tab[leave][enter]
+        tab[leave] = [x / pv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = red[enter]
+        red = [x - f * y for x, y in zip(red, tab[leave])]
+        basis[leave] = enter
+    return red[ncols] == 0
+
+
+def full_lp(fan, rel):
+    """(columns, target) of the LP deciding extremality of a relation class
+    against every other class that is not a positive multiple of it."""
     from torifan.primitive import primitive_collections
 
     def positive_multiple(u, v):
@@ -278,7 +331,18 @@ def full_lp_is_extremal(fan, rel) -> bool:
         for r in primitive_collections(fan)
         if r.collection != rel.collection and not positive_multiple(r.cls, rel.cls)
     ]
-    return not others or not has_nonneg_combination(others, rel.cls)
+    return others, rel.cls
+
+
+def full_lp_is_extremal(fan, rel) -> bool:
+    """Extremality of a relation class against every other class, in one LP.
+
+    The reference for ``primitive.is_extremal``, which on weak Fano fans
+    tests a degree-0 class against the degree-0 classes only; the LP is
+    solved by ``fraction_lp_feasible``, not by the package's solver.
+    """
+    others, target = full_lp(fan, rel)
+    return not others or not fraction_lp_feasible(others, target)
 
 
 def eager_weakened_verdict(fan):

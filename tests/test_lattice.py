@@ -15,7 +15,13 @@ from torifan.lattice import (
     solve_rational,
 )
 
-from _oracles import cofactor_det, minor_gcd_invariant_factors
+from _oracles import (
+    cofactor_det,
+    fraction_lp_feasible,
+    full_lp,
+    gauss_solve,
+    minor_gcd_invariant_factors,
+)
 
 
 def columns(*cols):
@@ -34,16 +40,32 @@ class TestDeterminant:
     def test_dependent_columns(self):
         assert determinant(columns((1, 0), (-1, 0))) == 0
 
+    def test_row_swaps_on_zero_pivots(self):
+        # odd and even permutation matrices, and a zero leading entry of a 5 x 5
+        assert determinant(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))) == -1
+        assert determinant(((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))) == -1
+        assert determinant(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))) == 1
+        m = ((0, 2, 1, 0, 3), (4, 0, 0, 1, 0), (1, 1, 0, 2, 2), (0, 3, 5, 0, 1), (2, 0, 1, 1, 0))
+        assert determinant(m) == cofactor_det([list(r) for r in m])
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             determinant(((1, 0, 0), (0, 1, 0)))
 
     def test_matches_cofactor_expansion_on_random_matrices(self):
         rng = random.Random(7)
-        for _ in range(60):
-            n = rng.choice([1, 2, 3, 4])
-            m = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
-            assert determinant(m) == cofactor_det([list(r) for r in m])
+        singular = 0
+        for _ in range(120):
+            n = rng.choice([1, 2, 3, 4, 5])
+            m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if n > 2 and rng.random() < 0.25:
+                # a row that is a combination of two others
+                i, j, k = rng.sample(range(n), 3)
+                m[i] = [rng.randint(-2, 2) * x + y for x, y in zip(m[j], m[k])]
+            expected = cofactor_det(m)
+            singular += expected == 0
+            assert determinant(tuple(map(tuple, m))) == expected
+        assert singular > 0
 
 
 class TestSmithNormalForm:
@@ -136,12 +158,116 @@ class TestSolvers:
         assert solve_rational(((1, 1), (2, 2)), (1, 2)) is not None
         assert solve_rational(((1, 1), (2, 2)), (1, 3)) is None
 
+    def test_solve_rational_matches_fraction_gauss_jordan(self):
+        rng = random.Random(29)
+        deficient = inconsistent = zero_rhs = 0
+        for _ in range(3000):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+            if m > 1 and rng.random() < 0.4:
+                # rank deficiency: a row, then a column, made a multiple of another
+                i, j = rng.sample(range(m), 2)
+                a[i] = [rng.randint(-2, 2) * x for x in a[j]]
+            if n > 1 and rng.random() < 0.4:
+                i, j = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                for row in a:
+                    row[i] = c * row[j]
+            if rng.random() < 0.15:
+                b = [0] * m
+            elif rng.random() < 0.5:
+                x = [rng.randint(-3, 3) for _ in range(n)]
+                b = [sum(c * y for c, y in zip(row, x)) for row in a]
+            else:
+                b = [rng.randint(-6, 6) for _ in range(m)]
+            expected = gauss_solve(a, b)
+            got = solve_rational(tuple(map(tuple, a)), tuple(b))
+            assert got == expected, (a, b)
+            deficient += cofactor_rank(a) < min(m, n)
+            inconsistent += expected is None
+            zero_rhs += not any(b)
+        assert deficient > 300 and inconsistent > 300 and zero_rhs > 300
+
     def test_invert_unimodular(self):
         m = ((1, 2, 0), (0, 1, 0), (3, 5, 1))
         inv = invert_unimodular(m)
         assert matmul(m, inv) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         with pytest.raises(ValueError):
             invert_unimodular(((2, 0), (0, 1)))
+
+
+def cofactor_rank(a) -> int:
+    """Largest k with a nonzero k x k minor."""
+    from itertools import combinations
+
+    m, n = len(a), len(a[0])
+    for k in range(min(m, n), 0, -1):
+        for ri in combinations(range(m), k):
+            for ci in combinations(range(n), k):
+                if cofactor_det([[a[r][c] for c in ci] for r in ri]):
+                    return k
+    return 0
+
+
+def _random_lp(rng: random.Random):
+    """(columns, target, feasible by construction) with 1-7 rows and 0-9 columns.
+
+    Half the targets are nonnegative integer combinations of the columns,
+    with many zero coefficients (degenerate pivots and tied ratios); others
+    are zero or random. Columns may repeat or be scaled, and rows may be
+    combinations of other rows.
+    """
+    m, k = rng.randint(1, 7), rng.randint(0, 9)
+    cols = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+    if k > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(k), 2)
+        cols[i] = [rng.choice([1, 2]) * x for x in cols[j]]
+    feasible = rng.random() < 0.5
+    if feasible:
+        coeffs = [rng.choice([0, 0, 0, 1, 2]) for _ in range(k)]
+        target = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(m)]
+    elif rng.random() < 0.1:
+        target = [0] * m
+        feasible = True
+    else:
+        target = [rng.randint(-4, 4) for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        # a redundant row: the same combination of two rows in every column and the target
+        i, j = rng.sample(range(m), 2)
+        c = rng.randint(-2, 2)
+        for col in cols + [target]:
+            col.append(col[i] + c * col[j])
+    return [tuple(col) for col in cols], tuple(target), feasible
+
+
+def _catalog_lps():
+    from torifan.catalog import all_named
+    from torifan.primitive import primitive_collections
+
+    for nf in all_named().values():
+        for rel in primitive_collections(nf.fan):
+            yield full_lp(nf.fan, rel)
+
+
+def _bound_3_bundle_lps():
+    """Every full LP over the relations of the 304 weak Fano bundles at bound 3."""
+    from torifan.catalog import surfaces
+    from torifan.classify import fiber_phi
+    from torifan.fan import BundleSpec, build_bundle
+    from torifan.primitive import is_weak_fano, primitive_collections
+
+    bundles = 0
+    for nf in surfaces():
+        for sx in range(-6, 7):
+            for sy in range(-6, 7):
+                if fiber_phi(nf.fan, (sx, sy)) > 2:
+                    continue
+                fan = build_bundle(BundleSpec(nf.fan, (sx, sy), (0, 0)))
+                assert is_weak_fano(fan)
+                bundles += 1
+                for rel in primitive_collections(fan):
+                    yield full_lp(fan, rel)
+    assert bundles == 304
 
 
 class TestNonnegFeasibility:
@@ -180,3 +306,35 @@ class TestNonnegFeasibility:
                         break
                 if found:
                     assert has_nonneg_combination(cols, target)
+
+
+class TestIntegerSimplexAgainstFractionSimplex:
+    """``has_nonneg_combination`` against the Fraction simplex of the oracles."""
+
+    @staticmethod
+    def agree(lps) -> tuple[int, int]:
+        feasible = infeasible = 0
+        for columns, target in lps:
+            answer = has_nonneg_combination(columns, target)
+            assert answer == fraction_lp_feasible(columns, target), (columns, target)
+            feasible += answer
+            infeasible += not answer
+        return feasible, infeasible
+
+    def test_full_lps_of_the_catalog_fans(self):
+        feasible, infeasible = self.agree(_catalog_lps())
+        assert feasible > 100 and infeasible > 100
+
+    def test_full_lps_of_the_bound_3_weak_fano_bundles(self):
+        assert self.agree(_bound_3_bundle_lps()) == (2146, 1962)
+
+    def test_random_lps(self):
+        rng = random.Random(41)
+        lps = [_random_lp(rng) for _ in range(3000)]
+        for columns, target, feasible in lps:
+            assert not feasible or has_nonneg_combination(columns, target)
+        feasible, infeasible = self.agree((columns, target) for columns, target, _ in lps)
+        assert feasible > 1000 and infeasible > 500
+        assert sum(not columns for columns, _, _ in lps) > 100
+        assert sum(any(x < 0 for x in target) for _, target, _ in lps) > 1000
+        assert sum(not any(target) for _, target, _ in lps) > 100

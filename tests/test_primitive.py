@@ -12,6 +12,7 @@ from torifan.primitive import (
     is_fano,
     is_weak_fano,
     picard_rank,
+    _positive_multiple,
     primitive_collections,
     relation_lattice,
     two_element_relation_kind,
@@ -233,6 +234,23 @@ class TestExtremality:
             extremal = [r.cls for r, flag in zip(rels, flags) if flag]
             for rel, flag in zip(rels, flags):
                 assert flag or has_nonneg_combination(extremal, rel.cls)
+
+
+def test_positive_multiple():
+    assert _positive_multiple((2, -4, 0), (1, -2, 0))
+    assert _positive_multiple((1, -2, 0), (2, -4, 0))
+    assert _positive_multiple((0, 3, -1), (0, 3, -1))
+    # negative multiples
+    assert not _positive_multiple((-1, 2, 0), (1, -2, 0))
+    assert not _positive_multiple((0, -3, 1), (0, 6, -2))
+    # not parallel, including agreement on the first nonzero entry only
+    assert not _positive_multiple((1, 0, 1), (1, 0, 2))
+    assert not _positive_multiple((0, 1, 1), (1, 1, 1))
+    assert not _positive_multiple((1, 1, 1), (0, 1, 1))
+    # zero vectors: only zero is a multiple of zero, and zero of nothing else
+    assert _positive_multiple((0, 0), (0, 0))
+    assert not _positive_multiple((1, 0), (0, 0))
+    assert not _positive_multiple((0, 0), (1, 0))
 
 
 class TestRelationLattice:
