@@ -5,12 +5,14 @@ another directory (for example by ``git clone``):
 
     python3 scripts/bench_record.py --parent ../parent --label int_simplex
 
-Every workload runs ``--runs`` times per side at seeds ``--seed``,
-``--seed`` + 1, ..., for the ``run_seconds`` of BENCHMARK.json, alternating
-which side goes first. The file holds the Python version, nproc, both
-commits, every run's end-to-end metrics with their medians per side, and
-the per-layer metrics of one traced sweep-b3 run per side. Standard library
-only; perfbench itself is not changed.
+Every workload runs RUNS times per side at seeds ``--seed``, ``--seed`` + 1,
+..., for the ``run_seconds`` of BENCHMARK.json, alternating which side goes
+first; ten pairs are what a claimed gain is judged on. Both checkouts must
+be clean (untracked files aside), so each side is exactly its commit. The
+file holds the Python version, nproc, both commits, every run's end-to-end
+metrics with their medians per side, and the per-layer metrics of one traced
+sweep-b3 run per side. Standard library only; perfbench itself is not
+changed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep-b3", "query-mix", "reject-mix")
+RUNS = 10
 TRACE_SEED = 901  # the seed of the traced sweep-b3 runs quoted in ROADMAP.md
 
 
@@ -40,23 +43,24 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: b
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
-def commit(checkout: Path) -> dict:
+def commit(checkout: Path) -> str:
+    """The commit checked out in ``checkout``; refuses tracked changes on top of it."""
     def git(*args: str) -> str:
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
                               check=True).stdout.strip()
 
-    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+    if git("status", "--porcelain", "--untracked-files=no"):
+        raise SystemExit(f"{checkout}: uncommitted changes; commit them before recording")
+    return git("rev-parse", "HEAD")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=951)
+    parser.add_argument("--seed", type=int, default=951,
+                        help="first seed; use seeds no earlier run has seen")
     args = parser.parse_args(argv)
-    if args.runs < 3:
-        parser.error("take the median of at least 3 runs")
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     out = {
@@ -65,7 +69,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "commits": {side: commit(path) for side, path in sides.items()},
         "seconds": seconds,
-        "seeds": [args.seed + i for i in range(args.runs)],
+        "seeds": [args.seed + i for i in range(RUNS)],
         "workloads": {},
     }
     for workload in WORKLOADS:
