@@ -8,16 +8,23 @@ searches deduplicate by canonical key and report isomorphism classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from . import catalog
 from .contraction import crepant_contractions, is_weakened_fano
 from .fan import BundleSpec, Fan, build_bundle, fan_from_rays_2d
 from .isomorphism import canonical_key
-from .lattice import Vector, vadd
+from .lattice import vadd
 from .polytope import anticanonical_degree
-from .primitive import is_fano, is_weak_fano, locate_sigma, picard_rank
+from .primitive import (
+    bundle_relations,
+    is_fano,
+    is_weak_fano,
+    picard_rank,
+    section_relation,
+    seed_primitive_collections,
+)
 
 
 @dataclass(frozen=True)
@@ -36,11 +43,28 @@ class ClassEntry:
         }
 
 
+# stages of the 3-fold sweep, counted in ``ClassificationReport.stats``
+SWEEP_STAGES = (
+    "box_points",
+    "pruned_by_phi",
+    "built",
+    "fano",
+    "weak_not_weakened",
+    "weakened",
+    "duplicates",
+    "classes",
+)
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
+    """Classes found by a search; ``stats`` counts what the 3-fold sweep did
+    at each stage (``SWEEP_STAGES``) and stays out of ``to_dict``."""
+
     count: int
     classes: tuple[ClassEntry, ...]
     scope: str = ""
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def matched_names(self) -> dict[str, str]:
@@ -124,14 +148,6 @@ def enumerate_weak_del_pezzo() -> ClassificationReport:
     )
 
 
-def fiber_phi(fiber: Fan, w: Vector) -> int:
-    """phi(w) for the piecewise-linear function on a smooth complete 2-fan
-    that is 1 on every ray: the coordinates of w in the cone that holds it,
-    summed."""
-    _, coeffs = locate_sigma(fiber, w)
-    return sum(a for _, a in coeffs)
-
-
 def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     """Weakened Fano classes in the surface-bundle family over P1.
 
@@ -147,32 +163,56 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     collection with sum (w, 0). If w = p*v_i + q*v_j with p, q >= 0 in a
     fiber cone, its relation has degree 2 - (p + q) = 2 - phi(w), where
     phi is the fiber's piecewise-linear function that is 1 on every ray
-    (``fiber_phi``). A weak Fano bundle therefore has phi(w) <= 2, and
-    every other sum is skipped before a fan is built.
+    (``primitive.section_relation``). A weak Fano bundle therefore has
+    phi(w) <= 2, and every other sum is skipped before a fan is built.
+
+    The fiber set is complete within the family: the other primitive
+    relations of a bundle are those of its fiber, with the same degrees
+    (``primitive.bundle_relations``), so a weak Fano bundle has a weak del
+    Pezzo fiber, one of the 16.
 
     The box holds every candidate: each coordinate of w is at most
     (p + q) * M = phi(w) * M in absolute value, where M is the largest
     |entry| of a fiber ray, so {phi <= 2} lies in [-2M, 2M]^2. M = 2 over
     the 16 fibers, so every candidate lies in [-4, 4]^2, inside the box of
     the smallest allowed bound 3, and a larger bound cannot add one.
+
+    Each built bundle is validated, and its relations are lifted from the
+    fiber instead of scanned. ``stats`` counts each of ``SWEEP_STAGES``.
     """
     if twist_bound < 3:
         raise ValueError("twist bound below 3 misses known classes")
     b2 = 2 * twist_bound
+    stats = dict.fromkeys(SWEEP_STAGES, 0)
     found: dict[bytes, tuple[Fan, str]] = {}
     for nf in catalog.surfaces():
         for sx in range(-b2, b2 + 1):
             for sy in range(-b2, b2 + 1):
-                if fiber_phi(nf.fan, (sx, sy)) > 2:
+                stats["box_points"] += 1
+                spec = BundleSpec(nf.fan, (sx, sy), (0, 0))
+                section = section_relation(spec)
+                if section.degree < 0:
+                    stats["pruned_by_phi"] += 1
                     continue
-                fan = build_bundle(BundleSpec(nf.fan, (sx, sy), (0, 0)))
+                fan = build_bundle(spec)
                 if fan is None:
                     continue
-                if not is_weakened_fano(fan).is_weakened:
+                stats["built"] += 1
+                seed_primitive_collections(fan, bundle_relations(nf.fan, section))
+                verdict = is_weakened_fano(fan)
+                if verdict.is_fano:
+                    stats["fano"] += 1
+                elif verdict.is_weak_fano and not verdict.is_weakened:
+                    stats["weak_not_weakened"] += 1
+                if not verdict.is_weakened:
                     continue
+                stats["weakened"] += 1
                 key = canonical_key(fan)
-                if key not in found:
+                if key in found:
+                    stats["duplicates"] += 1
+                else:
                     found[key] = (fan, nf.name)
+    stats["classes"] = len(found)
     names = _names_by_key(catalog.threefolds())
     entries = []
     for key in sorted(found):
@@ -192,6 +232,7 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
             f"(twist bound {twist_bound}); by the structure theory every toric "
             "weakened Fano 3-fold lies in this family"
         ),
+        stats=stats,
     )
 
 

@@ -100,6 +100,9 @@ def memoised(compute: Callable[..., T]) -> Callable[..., T]:
     part in equality or hashing and is freed with the fan. There is no cache
     keyed by fan value: an equal fan built elsewhere computes its facts anew.
     The stored values must not refer back to the fan.
+
+    ``cached.seed(fan, value, *args)`` stores a value known by other means,
+    so that ``compute`` never runs for those arguments on that fan.
     """
     name = f"{compute.__module__}.{compute.__qualname__}"
 
@@ -111,6 +114,10 @@ def memoised(compute: Callable[..., T]) -> Callable[..., T]:
             memo[key] = compute(fan, *args)
         return memo[key]
 
+    def seed(fan: Fan, value: T, *args) -> None:
+        fan._memo[(name, *args)] = value
+
+    cached.seed = seed
     return cached
 
 

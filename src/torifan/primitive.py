@@ -7,6 +7,8 @@ number of the corresponding 1-cycle class) and its class vector in the
 relation lattice. Extremality of a class is decided exactly, in integers,
 by the integer-preserving simplex of ``lattice.has_nonneg_combination``; on
 a weak Fano fan a degree-0 class needs only the other degree-0 classes.
+The relations of a surface bundle over P1 are lifted from its fiber
+(``bundle_relations``) instead of scanned.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .fan import Fan, maximal_cone_normals, memoised
+from .fan import BundleSpec, Fan, maximal_cone_normals, memoised
 from .lattice import (
     Vector,
     has_nonneg_combination,
     matvec,
     smith_normal_form,
+    vadd,
     vsum,
 )
 
@@ -118,6 +121,50 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
             )
     relations.sort(key=lambda r: r.collection)
     return tuple(relations)
+
+
+# taken at import, so it still reaches the memo when a wrapper (a tracer, a
+# call counter) is later put in place of ``primitive_collections``
+seed_primitive_collections = primitive_collections.seed
+
+
+def section_relation(spec: BundleSpec) -> PrimitiveRelation:
+    """The primitive relation of the two sections of ``build_bundle(spec)``.
+
+    After the n fiber rays (v, 0) come x+ = (w+, 1) at index n and
+    x- = (w-, -1) at index n + 1. They share no cone, and their sum (w, 0),
+    w = w+ + w-, lies in the fiber cone that holds w, a face of the bundle.
+    So the relation is x+ + x- = sum of a_i * (v_i, 0) with the fiber
+    coordinates a_i of w, found once in the fiber, and its degree is
+    2 - phi(w), phi being the fiber's piecewise-linear function that is 1 on
+    every ray.
+    """
+    fiber = spec.fiber
+    if fiber.dim != 2 or not fiber.report.ok:
+        raise ValueError("bundle fiber must be a valid 2-dimensional fan")
+    n = len(fiber.rays)
+    sigma, coeffs = locate_sigma(fiber, vadd(spec.twist_plus, spec.twist_minus))
+    coeff_map = dict(coeffs)
+    cls = tuple(-coeff_map.get(i, 0) for i in range(n)) + (1, 1)
+    return PrimitiveRelation((n, n + 1), sigma, coeffs, 2 - sum(a for _, a in coeffs), cls)
+
+
+def bundle_relations(fiber: Fan, section: PrimitiveRelation) -> tuple[PrimitiveRelation, ...]:
+    """``primitive_collections`` of a bundle over ``fiber``, lifted from the fiber.
+
+    ``section`` is the bundle's ``section_relation``. The faces of the bundle
+    are the fiber faces, alone or joined to one section, so its minimal
+    non-faces are those of the fiber plus the section pair. A fiber
+    collection sums to a point of a fiber cone, which is a face of the
+    bundle, so its relation keeps the cone, coefficients and degree, and its
+    class gains a zero at each section. The section pair holds the two
+    largest indices and comes last in collection order.
+    """
+    lifted = tuple(
+        PrimitiveRelation(r.collection, r.sigma, r.coeffs, r.degree, r.cls + (0, 0))
+        for r in primitive_collections(fiber)
+    )
+    return lifted + (section,)
 
 
 def relation_lattice(fan: Fan) -> RelationLattice:

@@ -44,3 +44,22 @@ def threefold_report_b4():
     t0 = time.monotonic()
     report = classify.enumerate_weakened_threefolds(4)
     return report, time.monotonic() - t0
+
+
+@pytest.fixture(scope="session")
+def non_weak_fibers():
+    """Surfaces that are not weak Fano: F3 to F6, then four seeded one-point
+    blow-ups of the 16 weak del Pezzo surfaces, one per isomorphism class."""
+    import random
+
+    from torifan.fan import hirzebruch_fan
+    from torifan.isomorphism import canonical_key
+    from torifan.primitive import is_weak_fano
+
+    blown = {}
+    for nf in catalog.surfaces():
+        for fan in classify.surface_blowups(nf.fan):
+            if not is_weak_fano(fan):
+                blown.setdefault(canonical_key(fan), fan)
+    sample = random.Random(11).sample(sorted(blown), 4)
+    return [hirzebruch_fan(a) for a in range(3, 7)] + [blown[key] for key in sample]

@@ -86,7 +86,7 @@ def test_criterion_4_threefold_classification(threefold_report_b3, threefold_rep
         names = [e.name for e in report3.classes]
         assert None not in names and len(set(names)) == 15
         assert {e.key for e in report3.classes} == {e.key for e in report4.classes}
-        assert elapsed3 + elapsed4 < 15.0, (
+        assert elapsed3 + elapsed4 < 5.0, (
             f"enumeration took {elapsed3:.1f}s + {elapsed4:.1f}s"
         )
 

@@ -7,16 +7,20 @@ from torifan.classify import (
     BundleSpec,
     build_bundle,
     enumerate_weakened_threefolds,
-    fiber_phi,
     projects_to_p1,
     surface_blowups,
 )
 from torifan.contraction import is_weakened_fano
 from torifan.fan import product_with_p1, validate
 from torifan.isomorphism import canonical_key, find_isomorphism
-from torifan.primitive import is_weak_fano
+from torifan.primitive import is_weak_fano, section_relation
 
 from _oracles import brute_force_sigma
+
+
+def fiber_phi(fiber, w):
+    """phi(w), read from the degree 2 - phi(w) of the section relation."""
+    return 2 - section_relation(BundleSpec(fiber, w, (0, 0))).degree
 
 
 class TestBuildBundle:
@@ -116,6 +120,27 @@ class TestThreefoldEnumeration:
         fan = product_with_p1(named_fan("F2").fan)
         assert find_isomorphism(fan, named_fan("P1xF2").fan) is not None
 
+    def test_stage_counters(self, threefold_report_b3, threefold_report_b4):
+        report, _ = threefold_report_b3
+        assert report.stats == {
+            "box_points": 16 * 13 * 13,
+            "pruned_by_phi": 2400,
+            "built": 304,
+            "fano": 27,
+            "weak_not_weakened": 255,
+            "weakened": 22,
+            "duplicates": 7,
+            "classes": 15,
+        }
+        # every built bundle is weak Fano, and the counters stay out of the JSON
+        assert report.stats["built"] == 27 + 255 + 22
+        assert "stats" not in report.to_dict()
+        # the larger box adds only pruned sums
+        report4, _ = threefold_report_b4
+        assert report4.stats == {
+            **report.stats, "box_points": 16 * 17 * 17, "pruned_by_phi": 16 * 17 * 17 - 304,
+        }
+
     def test_fano_filter_would_exclude_the_fifteen(self, threefold_report_b3):
         # every enumerated class is weak Fano and none is Fano
         report, _ = threefold_report_b3
@@ -161,6 +186,18 @@ class TestSectionPrefilter:
             fan = build_bundle(BundleSpec(fiber, w, (0, 0)))
             assert fan is not None
             assert not is_weak_fano(fan), (fiber.to_json(), w)
+
+
+def test_no_weak_fano_bundle_over_a_fiber_that_is_not_weak(non_weak_fibers):
+    """A bundle keeps its fiber's relation degrees, so a weak Fano bundle
+    has a weak del Pezzo fiber: over these fibers no point of the bound-3
+    box gives one (relations found by the subset scan)."""
+    for fiber in non_weak_fibers:
+        for sx in range(-6, 7):
+            for sy in range(-6, 7):
+                fan = build_bundle(BundleSpec(fiber, (sx, sy), (0, 0)))
+                assert fan is not None
+                assert not is_weak_fano(fan), (fiber.to_json(), (sx, sy))
 
 
 class TestVerifyClassification:

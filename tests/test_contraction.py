@@ -3,7 +3,7 @@ import random
 import pytest
 
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
-from torifan.classify import BundleSpec, build_bundle, fiber_phi
+from torifan.classify import BundleSpec, build_bundle
 from torifan.contraction import (
     contraction_shape,
     crepant_contractions,
@@ -12,7 +12,13 @@ from torifan.contraction import (
 )
 from torifan.fan import fan_from_rays_2d, cone_contains
 from torifan.lattice import matvec, vsum
-from torifan.primitive import is_extremal, is_fano, is_weak_fano, primitive_collections
+from torifan.primitive import (
+    is_extremal,
+    is_fano,
+    is_weak_fano,
+    primitive_collections,
+    section_relation,
+)
 
 from _oracles import eager_weakened_verdict
 
@@ -165,7 +171,7 @@ class TestWeakenedPredicate:
 def test_shape_first_verdict_agrees_with_eager_verdict():
     catalog_fans = [nf.fan for nf in all_named().values() if nf.fan.dim == 3]
     sums = [
-        (nf.fan, (sx, sy), fiber_phi(nf.fan, (sx, sy)) <= 2)
+        (nf.fan, (sx, sy), section_relation(BundleSpec(nf.fan, (sx, sy), (0, 0))).degree >= 0)
         for nf in surfaces()
         for sx in range(-6, 7)
         for sy in range(-6, 7)

@@ -252,17 +252,17 @@ def _catalog_lps():
 def _bound_3_bundle_lps():
     """Every full LP over the relations of the 304 weak Fano bundles at bound 3."""
     from torifan.catalog import surfaces
-    from torifan.classify import fiber_phi
     from torifan.fan import BundleSpec, build_bundle
-    from torifan.primitive import is_weak_fano, primitive_collections
+    from torifan.primitive import is_weak_fano, primitive_collections, section_relation
 
     bundles = 0
     for nf in surfaces():
         for sx in range(-6, 7):
             for sy in range(-6, 7):
-                if fiber_phi(nf.fan, (sx, sy)) > 2:
+                spec = BundleSpec(nf.fan, (sx, sy), (0, 0))
+                if section_relation(spec).degree < 0:
                     continue
-                fan = build_bundle(BundleSpec(nf.fan, (sx, sy), (0, 0)))
+                fan = build_bundle(spec)
                 assert is_weak_fano(fan)
                 bundles += 1
                 for rel in primitive_collections(fan):

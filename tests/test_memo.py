@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from torifan import catalog, contraction, lattice
+from torifan import catalog, contraction, lattice, primitive
 from torifan import fan as fan_module
 from torifan.catalog import named_fan
 from torifan.classify import enumerate_weakened_threefolds
@@ -98,6 +98,18 @@ def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls):
     assert len(lps) == 216
     assert sum(is_weakened_fano(fan).is_weakened for fan in verdicts) == 22
     assert report.count == 15
+
+
+def test_sweep_lifts_bundle_relations_without_a_subset_scan(calls):
+    catalog.surfaces(), catalog.threefolds()
+    scanned = calls(primitive._face_set)
+    validated = calls(fan_module.validate)
+    report = enumerate_weakened_threefolds(3)
+    assert report.count == 15
+    assert not any(fan.dim == 3 for fan in scanned)
+    # the relations are seeded, but every built bundle is still validated once
+    bundles = [fan for fan in validated if fan.dim == 3]
+    assert len(bundles) == 304 and len({id(fan) for fan in bundles}) == 304
 
 
 def test_relations_reuse_the_cone_inverses_of_validation(calls):

@@ -7,6 +7,7 @@ from torifan.fan import fan_from_rays_2d, projective_plane_fan
 from torifan.lattice import has_nonneg_combination, vsum
 from torifan.primitive import (
     IncompleteFanError,
+    bundle_relations,
     extremality_flags,
     is_extremal,
     is_fano,
@@ -15,6 +16,7 @@ from torifan.primitive import (
     _positive_multiple,
     primitive_collections,
     relation_lattice,
+    section_relation,
     two_element_relation_kind,
 )
 
@@ -339,3 +341,83 @@ def test_extremality_on_degree_face_agrees_with_full_lp():
     # the sample reaches the face LP, the no-LP answer and a non-extremal class;
     # the surfaces that are not weak Fano keep the full LP for degree-0 relations
     assert crepant > without_columns > 0 and not_extremal > 0
+
+
+class TestBundleRelations:
+    """``bundle_relations`` lifts a bundle's relations from its fiber; each
+    case compares them with the subset scan on a fresh copy of the bundle."""
+
+    @staticmethod
+    def check(spec) -> None:
+        from torifan.fan import Fan, build_bundle
+
+        fan = build_bundle(spec)
+        scanned = primitive_collections(Fan(3, fan.rays, fan.max_cones))
+        lifted = bundle_relations(spec.fiber, section_relation(spec))
+        assert lifted == scanned, (spec.fiber.to_json(), spec.twist_plus, spec.twist_minus)
+
+    @staticmethod
+    def twisted(rng, fiber, count, keep):
+        """``count`` seeded specs over ``fiber`` with w- nonzero whose section
+        relation degree passes ``keep``."""
+        from torifan.fan import BundleSpec
+
+        out = []
+        while len(out) < count:
+            plus = (rng.randint(-4, 4), rng.randint(-4, 4))
+            minus = (rng.randint(-4, 4), rng.randint(-4, 4))
+            spec = BundleSpec(fiber, plus, minus)
+            if minus != (0, 0) and keep(section_relation(spec).degree):
+                out.append(spec)
+        return out
+
+    def test_the_304_bundles_of_the_sweep(self):
+        from torifan.catalog import surfaces
+        from torifan.fan import BundleSpec
+
+        checked = 0
+        for nf in surfaces():
+            for sx in range(-6, 7):
+                for sy in range(-6, 7):
+                    spec = BundleSpec(nf.fan, (sx, sy), (0, 0))
+                    if section_relation(spec).degree >= 0:
+                        self.check(spec)
+                        checked += 1
+        assert checked == 304
+
+    def test_seeded_twists_with_phi_above_2(self):
+        from torifan.catalog import surfaces
+
+        rng = random.Random(23)
+        specs = [s for nf in surfaces() for s in self.twisted(rng, nf.fan, 10, lambda d: d < 0)]
+        assert len(specs) == 160
+        for spec in specs:
+            self.check(spec)
+
+    def test_fibers_that_are_not_weak_fano(self, non_weak_fibers):
+        rng = random.Random(29)
+        for fiber in non_weak_fibers:
+            assert not is_weak_fano(fiber)
+            for spec in self.twisted(rng, fiber, 20, lambda d: True):
+                self.check(spec)
+
+    def test_catalog_bundles(self):
+        from torifan.fan import BundleSpec, build_bundle
+
+        for name in ("X3_0", "X4_0", "X4_1", "X5_1"):
+            fan = named_fan(name).fan
+            fiber = fan_from_rays_2d([r[:2] for r in fan.rays[:-2]])
+            spec = BundleSpec(fiber, fan.rays[-2][:2], fan.rays[-1][:2])
+            assert build_bundle(spec) == fan
+            self.check(spec)
+
+    def test_section_relation(self):
+        from torifan.fan import BundleSpec
+
+        # on F1 = {(1,0), (-1,0), (0,1), (1,-1)}, w = (2, 1) + (1, 0) = 3*(1,0) + (0,1)
+        rel = section_relation(BundleSpec(hirzebruch(1), (2, 1), (1, 0)))
+        assert rel.collection == (4, 5) and rel.sigma == (0, 2)
+        assert rel.coeffs == ((0, 3), (2, 1))
+        assert rel.degree == 2 - 4 and rel.cls == (-3, 0, -1, 0, 1, 1)
+        with pytest.raises(ValueError):
+            section_relation(BundleSpec(named_fan("X3_0").fan, (0, 0), (0, 0)))
