@@ -132,7 +132,10 @@ def _cmd_classify_surfaces(args) -> CommandResult:
 
 def _cmd_classify_3folds(args) -> CommandResult:
     report = classify.enumerate_weakened_threefolds(args.twist_bound)
-    return CommandResult("ok", report.to_dict(), [])
+    payload = report.to_dict()
+    if args.stats:
+        payload["stats"] = report.stats
+    return CommandResult("ok", payload, [])
 
 
 def _cmd_verify(args) -> CommandResult:
@@ -232,6 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--twist-bound", type=int, default=DEFAULT_TWIST_BOUND, help="section twist search bound (default %(default)s)"
     )
+    p.add_argument(
+        "--stats", action="store_true", help="report the sweep's stage counters (stderr, or a \"stats\" key under --json)"
+    )
     p.set_defaults(func=_cmd_classify_3folds)
 
     p = sub.add_parser("verify", parents=[common], help="full classification cross-check")
@@ -263,6 +269,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             for line in _human_lines(args.command, result):
                 print(line)
+            if getattr(args, "stats", False):
+                for name, count in result.payload["stats"].items():
+                    print(f"{name}: {count}", file=sys.stderr)
             if result.status == "error" and result.diagnostics:
                 print("error: " + "; ".join(result.diagnostics), file=sys.stderr)
     return result.exit_code

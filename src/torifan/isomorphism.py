@@ -5,17 +5,29 @@ lattice basis, so a candidate matrix is determined by where that basis goes.
 The canonical key transforms the fan by the inverse basis of every maximal
 cone in every ray order and keeps the lexicographically smallest serialized
 form; isomorphic fans produce identical candidate sets, hence equal keys.
+
+Both searches read ray coordinates instead of inverting matrices. On a
+smooth fan the memoised ``maximal_cone_normals`` of a cone are the inverse
+of its ray matrix, row k giving the coordinate along the cone's k-th ray.
+The inverse of the basis that lists the same rays in another order has the
+same rows in that order, so it sends each ray to the ray's coordinate
+vector in the cone's own order, permuted. Each ray's coordinates are
+therefore computed once per cone, and the d! orders of the cone only
+relabel them: the candidate set is exactly the one that inverting every
+ordered basis gives. On a cone that is not unimodular the rows are the
+adjugate, not the inverse, so ``canonical_key`` refuses a fan that is not
+smooth.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from operator import itemgetter
+from typing import Optional, Sequence
 
-from .fan import Fan, memoised
-from .lattice import Matrix, invert_unimodular, matmul, matvec
+from .fan import Fan, maximal_cone_normals, memoised
+from .lattice import Matrix, Vector, matmul, matvec
 from .polytope import anticanonical_degree
 from .primitive import primitive_collections
 
@@ -38,16 +50,26 @@ def isomorphism_invariants(fan: Fan) -> tuple:
     return (len(fan.rays), len(fan.max_cones), degrees, anticanonical_degree(fan))
 
 
+def _relabelled(coords: Sequence[Vector], order: tuple[int, ...]) -> Sequence[Vector]:
+    """Each vector with its entries taken in ``order``."""
+    if order == tuple(range(len(order))):
+        # also the only order in dimension 1, where itemgetter gives no tuple
+        return coords
+    return list(map(itemgetter(*order), coords))
+
+
 def _anchor_cone(fan: Fan) -> tuple[int, ...]:
     return min(fan.max_cones, key=lambda c: tuple(sorted(fan.rays[i] for i in c)))
 
 
-def _apply(matrix: Matrix, fan: Fan) -> tuple[tuple[int, ...], ...]:
-    return tuple(matvec(matrix, r) for r in fan.rays)
-
-
 def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:
-    """A unimodular map sending f onto g (rays to rays, cones to cones), if any."""
+    """A unimodular map sending f onto g (rays to rays, cones to cones), if any.
+
+    A candidate sends the anchor rays of f, in increasing order, to the rays
+    of a target cone of g in one order. A ray of f with anchor coordinates a
+    then lands on the point whose target coordinates are a relabelled, and
+    that point is a ray of g exactly when those coordinates are a ray's.
+    """
     if f.dim != g.dim:
         return None
     if len(f.rays) != len(g.rays) or len(f.max_cones) != len(g.max_cones):
@@ -55,50 +77,56 @@ def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:
     if isomorphism_invariants(f) != isomorphism_invariants(g):
         return None
     anchor = _anchor_cone(f)
+    anchor_inv = maximal_cone_normals(f)[f.max_cones.index(anchor)]
     anchor_sorted = sorted(anchor, key=lambda i: f.rays[i])
-    basis = tuple(
-        tuple(f.rays[i][r] for i in anchor_sorted) for r in range(f.dim)
-    )
-    basis_inv = invert_unimodular(basis)
-    g_ray_index = {r: i for i, r in enumerate(g.rays)}
+    basis_inv = tuple(anchor_inv[anchor.index(i)] for i in anchor_sorted)
+    f_coords = [matvec(basis_inv, r) for r in f.rays]
+    identity = tuple(range(g.dim))
     g_cone_set = set(g.max_cones)
-    for target in sorted(g.max_cones):
-        for perm in permutations(target):
-            image = tuple(tuple(g.rays[i][r] for i in perm) for r in range(g.dim))
-            candidate = matmul(image, basis_inv)
-            mapped = _apply(candidate, f)
-            if any(r not in g_ray_index for r in mapped):
-                continue
-            ray_perm = tuple(g_ray_index[r] for r in mapped)
-            if len(set(ray_perm)) != len(ray_perm):
+    for target, target_inv in sorted(zip(g.max_cones, maximal_cone_normals(g)), key=itemgetter(0)):
+        g_ray_index = {matvec(target_inv, r): j for j, r in enumerate(g.rays)}
+        for order in permutations(identity):
+            # anchor ray k goes to target ray order[k]: target coordinate
+            # order[k] of an image is anchor coordinate k
+            mapped = _relabelled(f_coords, tuple(sorted(identity, key=order.__getitem__)))
+            ray_perm = tuple(map(g_ray_index.get, mapped))
+            if None in ray_perm:
                 continue
             cones = {tuple(sorted(ray_perm[i] for i in c)) for c in f.max_cones}
             if cones == g_cone_set:
-                return FanIso(candidate, ray_perm)
+                image = tuple(tuple(g.rays[target[k]][r] for k in order) for r in range(g.dim))
+                return FanIso(matmul(image, basis_inv), ray_perm)
     return None
 
 
 @memoised
 def canonical_key(fan: Fan) -> bytes:
-    """Serialized minimal form over the anchor enumeration; equal iff isomorphic."""
-    best: Optional[bytes] = None
-    for cone in fan.max_cones:
-        for perm in permutations(cone):
-            basis = tuple(tuple(fan.rays[i][r] for i in perm) for r in range(fan.dim))
-            transform = invert_unimodular(basis)
-            transformed = _apply(transform, fan)
+    """Serialized minimal form over the anchor enumeration; equal iff isomorphic.
+
+    The form is the compact JSON of ``{"dim", "rays", "max_cones"}`` with the
+    rays sorted. Candidates compare by the text of their ray list first, and
+    the cone list is written only for one that ties or beats the best so far;
+    the bytes order the same way, because neither list's text is a proper
+    prefix of another of the same length.
+    """
+    if not fan.report.is_smooth:
+        raise ValueError("canonical key needs a smooth fan")
+    d = fan.dim
+    entry = "[" + ",".join(["%d"] * d) + "]"
+    best: Optional[tuple[str, str]] = None
+    for inv in maximal_cone_normals(fan):
+        coords = [matvec(inv, r) for r in fan.rays]
+        for order in permutations(range(d)):
+            transformed = _relabelled(coords, order)
             rays = sorted(transformed)
-            remap = {r: new_index for new_index, r in enumerate(rays)}
-            cones = sorted(
-                tuple(sorted(remap[transformed[i]] for i in c)) for c in fan.max_cones
-            )
-            data = json.dumps(
-                {"dim": fan.dim, "rays": [list(r) for r in rays], "max_cones": [list(c) for c in cones]},
-                separators=(",", ":"),
-            ).encode()
-            if best is None or data < best:
-                best = data
+            ray_text = ",".join(map(entry.__mod__, rays))
+            if best is not None and ray_text > best[0]:
+                continue
+            remap = {r: k for k, r in enumerate(rays)}
+            cones = sorted(tuple(sorted(remap[transformed[i]] for i in c)) for c in fan.max_cones)
+            candidate = (ray_text, ",".join(map(entry.__mod__, cones)))
+            if best is None or candidate < best:
+                best = candidate
     if best is None:
         raise ValueError("fan has no maximal cones")
-    return best
-
+    return ('{"dim":%d,"rays":[%s],"max_cones":[%s]}' % (d, *best)).encode()

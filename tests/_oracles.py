@@ -365,3 +365,81 @@ def eager_weakened_verdict(fan):
                 table.append((rel, contraction_shape(fan, rel)))
     weakened = weak and not is_fano(fan) and all(kind.kind == "zero_two" for _, kind in table)
     return weakened, tuple(table)
+
+
+def reference_find_isomorphism(f, g):
+    """``isomorphism.find_isomorphism`` as it was before it read coordinates
+    from the memoised cone inverses: invert the anchor basis, then map every
+    ray of f through each candidate matrix.
+
+    The reference for the witness search, which must return the same
+    ``FanIso`` (matrix and ray permutation) in the same search order.
+    """
+    from itertools import permutations
+
+    from torifan.isomorphism import FanIso, isomorphism_invariants
+    from torifan.lattice import invert_unimodular, matmul, matvec
+
+    if f.dim != g.dim:
+        return None
+    if len(f.rays) != len(g.rays) or len(f.max_cones) != len(g.max_cones):
+        return None
+    if isomorphism_invariants(f) != isomorphism_invariants(g):
+        return None
+    anchor = min(f.max_cones, key=lambda c: tuple(sorted(f.rays[i] for i in c)))
+    anchor_sorted = sorted(anchor, key=lambda i: f.rays[i])
+    basis = tuple(
+        tuple(f.rays[i][r] for i in anchor_sorted) for r in range(f.dim)
+    )
+    basis_inv = invert_unimodular(basis)
+    g_ray_index = {r: i for i, r in enumerate(g.rays)}
+    g_cone_set = set(g.max_cones)
+    for target in sorted(g.max_cones):
+        for perm in permutations(target):
+            image = tuple(tuple(g.rays[i][r] for i in perm) for r in range(g.dim))
+            candidate = matmul(image, basis_inv)
+            mapped = tuple(matvec(candidate, r) for r in f.rays)
+            if any(r not in g_ray_index for r in mapped):
+                continue
+            ray_perm = tuple(g_ray_index[r] for r in mapped)
+            if len(set(ray_perm)) != len(ray_perm):
+                continue
+            cones = {tuple(sorted(ray_perm[i] for i in c)) for c in f.max_cones}
+            if cones == g_cone_set:
+                return FanIso(candidate, ray_perm)
+    return None
+
+
+def reference_canonical_key(fan) -> bytes:
+    """``isomorphism.canonical_key`` as it was before it read coordinates from
+    the memoised cone inverses: for every maximal cone in every ray order,
+    invert the basis, map every ray, serialize the whole form with
+    ``json.dumps`` and keep the smallest bytes.
+
+    The reference for the key, whose bytes must be identical.
+    """
+    import json
+    from itertools import permutations
+
+    from torifan.lattice import invert_unimodular, matvec
+
+    best = None
+    for cone in fan.max_cones:
+        for perm in permutations(cone):
+            basis = tuple(tuple(fan.rays[i][r] for i in perm) for r in range(fan.dim))
+            transform = invert_unimodular(basis)
+            transformed = tuple(matvec(transform, r) for r in fan.rays)
+            rays = sorted(transformed)
+            remap = {r: new_index for new_index, r in enumerate(rays)}
+            cones = sorted(
+                tuple(sorted(remap[transformed[i]] for i in c)) for c in fan.max_cones
+            )
+            data = json.dumps(
+                {"dim": fan.dim, "rays": [list(r) for r in rays], "max_cones": [list(c) for c in cones]},
+                separators=(",", ":"),
+            ).encode()
+            if best is None or data < best:
+                best = data
+    if best is None:
+        raise ValueError("fan has no maximal cones")
+    return best

@@ -141,6 +141,21 @@ class TestThreefoldEnumeration:
             **report.stats, "box_points": 16 * 17 * 17, "pruned_by_phi": 16 * 17 * 17 - 304,
         }
 
+    def test_a_large_bound_sweeps_only_the_candidate_box(self, threefold_report_b3, monkeypatch):
+        # every candidate lies in [-4, 4]^2, so bound 10**6 looks at no more
+        # points than bound 3 and counts the rest of its box as pruned
+        from torifan import classify
+
+        report, _ = threefold_report_b3
+        calls = []
+        real = classify.section_relation
+        monkeypatch.setattr(classify, "section_relation", lambda spec: calls.append(spec) or real(spec))
+        big = enumerate_weakened_threefolds(10**6)
+        assert [e.to_dict() for e in big.classes] == [e.to_dict() for e in report.classes]
+        box = 16 * (4 * 10**6 + 1) ** 2
+        assert big.stats == {**report.stats, "box_points": box, "pruned_by_phi": box - 304}
+        assert len(calls) <= 16 * 9 * 9
+
     def test_fano_filter_would_exclude_the_fifteen(self, threefold_report_b3):
         # every enumerated class is weak Fano and none is Fano
         report, _ = threefold_report_b3

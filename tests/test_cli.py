@@ -143,3 +143,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"anticanonical_degree": 9}
+
+
+SWEEP_STATS_B3 = {
+    "box_points": 2704,
+    "pruned_by_phi": 2400,
+    "built": 304,
+    "fano": 27,
+    "weak_not_weakened": 255,
+    "weakened": 22,
+    "duplicates": 7,
+    "classes": 15,
+}
+
+
+def test_classify_3folds_stats(capsys):
+    # human mode: the counters go to stderr, one per line
+    code, out, err = invoke(capsys, "classify-3folds", "--stats")
+    assert code == 0
+    assert err.splitlines() == [f"{name}: {count}" for name, count in SWEEP_STATS_B3.items()]
+    assert "box_points" not in out
+    # --json: a "stats" key, only when asked for
+    code, out, err = invoke(capsys, "classify-3folds", "--stats", "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["stats"] == SWEEP_STATS_B3
+    code, out, err = invoke(capsys, "classify-3folds", "--json")
+    assert code == 0 and err == ""
+    assert "stats" not in json.loads(out)
+    assert {**json.loads(out), "stats": SWEEP_STATS_B3} == payload

@@ -1,7 +1,10 @@
 import random
+from collections import defaultdict
 
-from torifan.catalog import named_fan, surfaces, threefolds
-from torifan.fan import Fan, fan_from_json, hirzebruch_fan
+import pytest
+
+from torifan.catalog import all_named, named_fan, surfaces, threefolds
+from torifan.fan import BundleSpec, Fan, build_bundle, fan_from_json, hirzebruch_fan
 from torifan.isomorphism import (
     canonical_key,
     find_isomorphism,
@@ -9,9 +12,14 @@ from torifan.isomorphism import (
 )
 from torifan.lattice import matvec
 from torifan.polytope import anticanonical_degree
-from torifan.primitive import primitive_collections
+from torifan.primitive import primitive_collections, section_relation
 
-from _oracles import random_unimodular, rebase_fan
+from _oracles import (
+    random_unimodular,
+    rebase_fan,
+    reference_canonical_key,
+    reference_find_isomorphism,
+)
 
 
 def test_reordered_rays_are_isomorphic():
@@ -87,3 +95,90 @@ def test_key_decodes_to_an_isomorphic_fan():
     form = fan_from_json(canonical_key(fan).decode())
     assert find_isomorphism(fan, form) is not None
     assert canonical_key(form) == canonical_key(fan)
+
+
+def test_key_refuses_a_fan_that_is_not_smooth():
+    # complete and simplicial, but det((1,0), (1,2)) = 2: the memoised cone
+    # rows are an adjugate there, not an inverse
+    fan = Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+    assert fan.report.is_simplicial and not fan.report.is_smooth
+    with pytest.raises(ValueError):
+        canonical_key(fan)
+    with pytest.raises(ValueError):
+        canonical_key(Fan(2, (), ()))
+
+
+def _fresh(fan):
+    """A copy with an empty memo."""
+    return Fan(fan.dim, fan.rays, fan.max_cones)
+
+
+def _b3_bundles():
+    """The 304 weak Fano bundles that the sweep builds at twist bound 3."""
+    return [
+        build_bundle(spec)
+        for nf in surfaces()
+        for sx in range(-6, 7)
+        for sy in range(-6, 7)
+        for spec in [BundleSpec(nf.fan, (sx, sy), (0, 0))]
+        if section_relation(spec).degree >= 0
+    ]
+
+
+class TestAgainstReference:
+    """Both searches read coordinates from the memoised cone inverses; the
+    references in ``_oracles`` invert every candidate basis. Keys must agree
+    byte for byte and witnesses exactly, matrix and ray permutation."""
+
+    @staticmethod
+    def check_key(fan) -> None:
+        assert canonical_key(_fresh(fan)) == reference_canonical_key(_fresh(fan)), fan.to_json()
+
+    @staticmethod
+    def check_witness(f, g):
+        iso = find_isomorphism(_fresh(f), _fresh(g))
+        assert iso == reference_find_isomorphism(_fresh(f), _fresh(g)), (f.to_json(), g.to_json())
+        return iso
+
+    def test_keys_on_the_catalog_and_its_rebasings(self):
+        rng = random.Random(43)
+        fans = [nf.fan for nf in all_named().values()]
+        assert len(fans) == 34
+        for fan in fans:
+            self.check_key(fan)
+            for _ in range(3):
+                self.check_key(rebase_fan(fan, random_unimodular(rng, fan.dim)))
+        self.check_key(Fan(1, ((1,), (-1,)), ((0,), (1,))))
+
+    def test_keys_on_the_304_b3_bundles(self):
+        bundles = _b3_bundles()
+        assert len(bundles) == 304
+        for fan in bundles:
+            self.check_key(fan)
+
+    def test_witnesses_on_rebased_pairs(self):
+        rng = random.Random(47)
+        for nf in all_named().values():
+            for _ in range(3):
+                other = rebase_fan(nf.fan, random_unimodular(rng, nf.fan.dim))
+                assert self.check_witness(nf.fan, other) is not None
+                assert self.check_witness(other, nf.fan) is not None
+
+    def test_no_witness_on_equal_size_pairs(self):
+        fans = [nf.fan for nf in all_named().values()]
+        pairs = [
+            (f, g) for f in fans for g in fans
+            if f is not g and f.dim == g.dim and len(f.rays) == len(g.rays)
+        ]
+        assert len(pairs) == 68
+        # bundles that no invariant tells apart reach the search itself
+        by_invariants = defaultdict(list)
+        for fan in _b3_bundles():
+            by_invariants[isomorphism_invariants(fan)].append(fan)
+        same_invariants = [
+            (f, g) for group in by_invariants.values() for f in group for g in group
+            if canonical_key(f) != canonical_key(g)
+        ]
+        pairs += random.Random(53).sample(same_invariants, 120)
+        for f, g in pairs:
+            assert self.check_witness(f, g) is None
