@@ -13,30 +13,18 @@ from .fan import (
     fan_from_dict,
     fan_from_json,
     fan_from_rays_2d,
-    hirzebruch_fan,
     product_with_p1,
-    projective_plane_fan,
-    quotient_fan,
     star,
     validate,
 )
-from .lattice import (
-    determinant,
-    invariant_factors,
-    is_primitive,
-    make_primitive,
-    smith_normal_form,
-)
+from .lattice import determinant, is_primitive
 from .primitive import (
     PrimitiveRelation,
-    RelationLattice,
     is_extremal,
     is_fano,
     is_weak_fano,
     picard_rank,
     primitive_collections,
-    relation_lattice,
-    two_element_relation_kind,
 )
 from .contraction import (
     ContractionKind,
@@ -45,12 +33,7 @@ from .contraction import (
     crepant_contractions,
     is_weakened_fano,
 )
-from .polytope import (
-    AnticanPolytope,
-    anticanonical_degree,
-    anticanonical_polytope,
-    anticanonical_volume,
-)
+from .polytope import anticanonical_degree
 from .isomorphism import FanIso, canonical_key, find_isomorphism
 from .catalog import NamedFan, all_named, named_fan, surfaces, threefolds
 from .classify import (
@@ -63,7 +46,6 @@ from .classify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnticanPolytope",
     "BundleSpec",
     "ClassificationReport",
     "ContractionKind",
@@ -71,13 +53,10 @@ __all__ = [
     "FanIso",
     "NamedFan",
     "PrimitiveRelation",
-    "RelationLattice",
     "ValidationReport",
     "WeakenedVerdict",
     "all_named",
     "anticanonical_degree",
-    "anticanonical_polytope",
-    "anticanonical_volume",
     "build_bundle",
     "canonical_key",
     "cone_contains",
@@ -90,26 +69,18 @@ __all__ = [
     "fan_from_json",
     "fan_from_rays_2d",
     "find_isomorphism",
-    "hirzebruch_fan",
-    "invariant_factors",
     "is_extremal",
     "is_fano",
     "is_primitive",
     "is_weak_fano",
     "is_weakened_fano",
-    "make_primitive",
     "named_fan",
     "picard_rank",
     "primitive_collections",
     "product_with_p1",
-    "projective_plane_fan",
-    "quotient_fan",
-    "relation_lattice",
-    "smith_normal_form",
     "star",
     "surfaces",
     "threefolds",
-    "two_element_relation_kind",
     "validate",
     "verify_classification",
 ]

@@ -115,7 +115,9 @@ def _cmd_isomorphic(args) -> CommandResult:
 
 
 def _cmd_catalog(args) -> CommandResult:
-    if args.list or args.name is None:
+    if args.list and args.name is not None:
+        raise ValueError(f"catalog takes a name or --list, not both (got {args.name!r} and --list)")
+    if args.name is None:
         names = [
             {"name": nf.name, "expected": nf.expected}
             for nf in catalog.all_named().values()

@@ -22,10 +22,7 @@ from .lattice import (
     adjugate,
     determinant,
     is_primitive,
-    make_primitive,
     matrix_from_columns,
-    matvec,
-    smith_normal_form,
     solve_rational,
     vdot,
     vsum,
@@ -287,22 +284,16 @@ def validate(fan: Fan) -> ValidationReport:
     return ValidationReport(is_simplicial, is_smooth, is_complete, tuple(offending))
 
 
-def cone_contains(fan: Fan, cone: Sequence[int], v: Sequence[int], relative_interior: bool = False) -> bool:
+def cone_contains(fan: Fan, cone: Sequence[int], v: Sequence[int]) -> bool:
     """Membership of a point in a (sub)cone via exact generator coordinates.
 
-    With ``relative_interior`` every coordinate must be strictly positive;
-    points outside the linear span are never contained.
+    Points outside the linear span are never contained.
     """
     gens = list(cone)
     if not gens:
-        # the zero cone's relative interior is itself
         return all(x == 0 for x in v)
     coords = solve_rational(fan.cone_columns(gens), v)
-    if coords is None:
-        return False
-    if relative_interior:
-        return all(c > 0 for c in coords)
-    return all(c >= 0 for c in coords)
+    return coords is not None and all(c >= 0 for c in coords)
 
 
 def star(fan: Fan, ray_index: int) -> tuple[Cone, ...]:
@@ -312,48 +303,6 @@ def star(fan: Fan, ray_index: int) -> tuple[Cone, ...]:
     return tuple(c for c in fan.max_cones if ray_index in c)
 
 
-def quotient_fan(fan: Fan, ray_index: int) -> Fan:
-    """Complete (d-1)-fan of the toric divisor at a ray: star cones modulo the ray.
-
-    The projection basis comes from completing the ray to a basis of Z^d via
-    its Smith normal form, so the result is deterministic.
-    """
-    if fan.dim < 2:
-        raise ValueError("quotient requires dimension >= 2")
-    x0 = fan.rays[ray_index]
-    column = tuple((x,) for x in x0)
-    u, d, _ = smith_normal_form(column)
-    if d[0][0] != 1:
-        raise ValueError("quotient ray is not primitive")
-    star_cones = star(fan, ray_index)
-    if not star_cones:
-        raise ValueError(f"ray index {ray_index} not used by any cone")
-
-    def project(v: Vector) -> Vector:
-        return make_primitive(matvec(u, v)[1:])
-
-    images: list[Vector] = []
-    index_of: dict[Vector, int] = {}
-    new_cones: list[Cone] = []
-    for cone in star_cones:
-        img_cone = []
-        for i in cone:
-            if i == ray_index:
-                continue
-            w = project(fan.rays[i])
-            if w not in index_of:
-                index_of[w] = len(images)
-                images.append(w)
-            img_cone.append(index_of[w])
-        new_cones.append(tuple(sorted(img_cone)))
-    # reindex rays lexicographically for a stable result
-    order = sorted(range(len(images)), key=lambda i: images[i])
-    remap = {old: new for new, old in enumerate(order)}
-    rays = tuple(images[i] for i in order)
-    cones = tuple(tuple(sorted(remap[i] for i in c)) for c in new_cones)
-    return Fan(fan.dim - 1, rays, cones)
-
-
 def _half_plane(v: Sequence) -> int:
     # 0 for the closed upper half starting at the positive x-axis, 1 below
     if v[1] > 0 or (v[1] == 0 and v[0] > 0):
@@ -361,21 +310,13 @@ def _half_plane(v: Sequence) -> int:
     return 1
 
 
-def ccw_sorted(points: Sequence[tuple], center: Optional[tuple] = None) -> list[tuple]:
-    """Sort 2D points counterclockwise around ``center`` (exact arithmetic).
+def ccw_sorted(points: Sequence[tuple]) -> list[tuple]:
+    """Sort nonzero 2D points counterclockwise around the origin (exact arithmetic).
 
-    All points must be distinct from the center and pairwise non-parallel
-    directions may repeat only at distinct radii; used for rays (primitive,
-    pairwise distinct) and convex polygon vertices (strictly convex).
+    Used for the rays of a 2-fan, which are primitive and pairwise distinct.
     """
-    if center is None:
-        center = (0, 0)
 
-    def direction(p):
-        return (p[0] - center[0], p[1] - center[1])
-
-    def compare(p, q):
-        a, b = direction(p), direction(q)
+    def compare(a, b):
         ha, hb = _half_plane(a), _half_plane(b)
         if ha != hb:
             return -1 if ha < hb else 1
@@ -400,17 +341,6 @@ def fan_from_rays_2d(rays: Sequence[Sequence[int]]) -> Fan:
         b = index[ordered[(k + 1) % len(ordered)]]
         cones.append(tuple(sorted((a, b))))
     return Fan(2, tuple(rays), tuple(cones))
-
-
-def hirzebruch_fan(a: int) -> Fan:
-    """Standard fan of the Hirzebruch surface of degree a >= 0 (a = 0 gives P1 x P1)."""
-    if a < 0:
-        raise ValueError("Hirzebruch degree must be nonnegative")
-    return fan_from_rays_2d([(1, 0), (-1, 0), (0, 1), (a, -1)])
-
-
-def projective_plane_fan() -> Fan:
-    return fan_from_rays_2d([(1, 0), (0, 1), (-1, -1)])
 
 
 @dataclass(frozen=True)

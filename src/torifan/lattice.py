@@ -18,16 +18,8 @@ Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
 
-def vec(coords: Sequence[int]) -> Vector:
-    return tuple(int(c) for c in coords)
-
-
 def vadd(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vdot(a: Sequence, b: Sequence):
@@ -40,15 +32,6 @@ def vsum(vectors: Sequence[Vector], dim: int) -> Vector:
         for i, x in enumerate(v):
             out[i] += x
     return tuple(out)
-
-
-def cross3(a: Sequence, b: Sequence) -> tuple:
-    """Cross product in 3 coordinates (works for ints and Fractions)."""
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 def matrix_from_columns(columns: Sequence[Sequence[int]]) -> Matrix:
@@ -72,10 +55,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def matvec(a: Matrix, v: Sequence[int]) -> Vector:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def determinant(m: Matrix) -> int:
@@ -154,106 +133,6 @@ def is_primitive(v: Sequence[int]) -> bool:
     return g == 1
 
 
-def make_primitive(v: Sequence[int]) -> Vector:
-    """Divide a nonzero integer vector by the gcd of its coordinates."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g == 0:
-        raise ValueError("zero vector has no primitive direction")
-    return tuple(x // g for x in v)
-
-
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (U, D, V) with U*m*V = D diagonal, d1 | d2 | ..., U, V unimodular."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(r) for r in m]
-    u = [list(r) for r in identity(rows)]
-    v = [list(r) for r in identity(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row_dst += c * row_src
-        for j in range(cols):
-            a[dst][j] += c * a[src][j]
-        for j in range(rows):
-            u[dst][j] += c * u[src][j]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        for j in range(cols):
-            a[i][j] = -a[i][j]
-        for j in range(rows):
-            u[i][j] = -u[i][j]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate smallest nonzero entry in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # clear row and column t, restarting whenever a remainder shrinks the pivot
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                # enforce divisibility of the trailing block by the pivot
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if a[i][j] % a[t][t] != 0:
-                            add_row(i, t, 1)
-                            dirty = True
-                            break
-                    if dirty:
-                        break
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    d = tuple(tuple(a[i][j] for j in range(cols)) for i in range(rows))
-    return (tuple(map(tuple, u)), d, tuple(map(tuple, v)))
-
-
-def invariant_factors(m: Matrix) -> tuple[int, ...]:
-    _, d, _ = smith_normal_form(m)
-    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
-
-
 def solve_rational(a: Matrix, b: Sequence[int]) -> Optional[list[Fraction]]:
     """One exact solution of a*x = b, or None if the system is inconsistent.
 
@@ -305,26 +184,6 @@ def invert_unimodular(m: Matrix) -> Matrix:
     if det == -1:
         return tuple(tuple(-x for x in row) for row in adjugate(m))
     raise ValueError("matrix is not unimodular")
-
-
-def kernel_directions(rows: Sequence[Sequence[int]], dim: int) -> list[Vector]:
-    """Primitive +-direction pair spanning the kernel of (dim-1) stacked rows, d <= 3."""
-    if dim == 1:
-        return [(1,), (-1,)]
-    if dim == 2:
-        (a,) = rows
-        if a[0] == 0 and a[1] == 0:
-            return []
-        v = make_primitive((a[1], -a[0]))
-        return [v, tuple(-x for x in v)]
-    if dim == 3:
-        a, b = rows
-        v = cross3(a, b)
-        if all(x == 0 for x in v):
-            return []
-        v = make_primitive(v)
-        return [v, tuple(-x for x in v)]
-    raise NotImplementedError("kernel directions implemented for d <= 3")
 
 
 def has_nonneg_combination(columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:

@@ -3,26 +3,26 @@
 A primitive collection is a minimal set of rays not spanning a cone of the
 fan. Its element sum lies in the relative interior of a unique cone, which
 yields the primitive relation, its degree (the anticanonical intersection
-number of the corresponding 1-cycle class) and its class vector in the
-relation lattice. Extremality of a class is decided exactly, in integers,
-by the integer-preserving simplex of ``lattice.has_nonneg_combination``; on
-a weak Fano fan a degree-0 class needs only the other degree-0 classes.
-The relations of a surface bundle over P1 are lifted from its fiber
-(``bundle_relations``) instead of scanned.
+number of the corresponding 1-cycle class) and its class vector, an
+integer relation among the rays. Extremality of a class is decided
+exactly, in integers, by the integer-preserving simplex of
+``lattice.has_nonneg_combination``; on a weak Fano fan a degree-0 class
+needs only the other degree-0 classes. The relations of a surface bundle
+over P1 are lifted from its fiber (``bundle_relations``) instead of
+scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .fan import BundleSpec, Fan, maximal_cone_normals, memoised
 from .lattice import (
     Vector,
     has_nonneg_combination,
     matvec,
-    smith_normal_form,
     vadd,
     vsum,
 )
@@ -50,14 +50,6 @@ class PrimitiveRelation:
             "degree": self.degree,
             "class": list(self.cls),
         }
-
-
-@dataclass(frozen=True)
-class RelationLattice:
-    """Kernel of the ray matrix: the lattice of integer relations among rays."""
-
-    rank: int
-    basis: tuple[Vector, ...]
 
 
 class IncompleteFanError(ValueError):
@@ -167,18 +159,6 @@ def bundle_relations(fiber: Fan, section: PrimitiveRelation) -> tuple[PrimitiveR
     return lifted + (section,)
 
 
-def relation_lattice(fan: Fan) -> RelationLattice:
-    """Integer kernel basis of the d x n ray matrix; rank is the Picard number."""
-    n = len(fan.rays)
-    matrix = tuple(tuple(fan.rays[j][i] for j in range(n)) for i in range(fan.dim))
-    _, diag, v = smith_normal_form(matrix)
-    kernel = []
-    for j in range(n):
-        if j >= fan.dim or diag[j][j] == 0:
-            kernel.append(tuple(v[i][j] for i in range(n)))
-    return RelationLattice(rank=len(kernel), basis=tuple(kernel))
-
-
 def picard_rank(fan: Fan) -> int:
     return len(fan.rays) - fan.dim
 
@@ -191,36 +171,6 @@ def is_fano(fan: Fan) -> bool:
 def is_weak_fano(fan: Fan) -> bool:
     """True iff every primitive relation has nonnegative degree."""
     return all(r.degree >= 0 for r in primitive_collections(fan))
-
-
-@dataclass(frozen=True)
-class TwoElementShape:
-    """Shape of a two-element primitive relation on a weak Fano fan."""
-
-    kind: str  # "zero" | "single_ray" | "two_rays"
-    a: Optional[int] = None  # coefficient for single_ray
-    center: Optional[int] = None  # target ray index for single_ray
-
-
-def two_element_relation_kind(rel: PrimitiveRelation) -> TwoElementShape:
-    """Classify x1 + x2 = 0 / a*y (a in {1,2}) / y1 + y2; anything else errors.
-
-    A two-element relation outside these three shapes cannot occur on a weak
-    Fano fan, so hitting the error means the parent fan is not weak Fano.
-    """
-    if len(rel.collection) != 2:
-        raise ValueError("relation does not come from a two-element collection")
-    if not rel.coeffs:
-        return TwoElementShape("zero")
-    if len(rel.coeffs) == 1:
-        (ray, a), = rel.coeffs
-        if a in (1, 2):
-            return TwoElementShape("single_ray", a=a, center=ray)
-    if len(rel.coeffs) == 2 and all(a == 1 for _, a in rel.coeffs):
-        return TwoElementShape("two_rays")
-    raise ValueError(
-        f"two-element relation with coefficients {rel.coeffs} violates the weak Fano trichotomy"
-    )
 
 
 def _positive_multiple(u: Sequence[int], v: Sequence[int]) -> bool:

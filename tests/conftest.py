@@ -52,9 +52,10 @@ def non_weak_fibers():
     blow-ups of the 16 weak del Pezzo surfaces, one per isomorphism class."""
     import random
 
-    from torifan.fan import hirzebruch_fan
     from torifan.isomorphism import canonical_key
     from torifan.primitive import is_weak_fano
+
+    from _oracles import hirzebruch_fan
 
     blown = {}
     for nf in catalog.surfaces():

@@ -10,13 +10,19 @@ import time
 
 from torifan.catalog import all_named, extras, named_fan, surfaces, threefolds
 from torifan.contraction import crepant_contractions, is_weakened_fano
-from torifan.fan import cone_contains, fan_from_json
+from torifan.fan import fan_from_json
 from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import vsum
-from torifan.polytope import anticanonical_degree, anticanonical_volume
-from torifan.primitive import primitive_collections, two_element_relation_kind
+from torifan.polytope import anticanonical_degree
+from torifan.primitive import primitive_collections
 
-from _oracles import random_unimodular, rebase_fan
+from _oracles import (
+    anticanonical_volume,
+    in_relative_interior,
+    random_unimodular,
+    rebase_fan,
+    two_element_relation_kind,
+)
 
 
 def _report(number, name, body):
@@ -132,7 +138,7 @@ def test_criterion_6b_interior_witness():
                 if len(rel.collection) != 2 or not rel.coeffs:
                     continue
                 assert any(
-                    cone_contains(fan, rel.collection, ray, relative_interior=True)
+                    in_relative_interior(fan, rel.collection, ray)
                     for ray in fan.rays
                 ), (nf.name, rel.collection)
 

@@ -100,6 +100,16 @@ def test_catalog_dump_round_trips(capsys):
     assert fan_from_json(out) == named_fan("X5_1").fan
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+def test_catalog_name_with_list_is_an_error(capsys, json_flag):
+    code, out, err = invoke(capsys, "catalog", "--list", "X3_0", *json_flag)
+    assert code == 1
+    message = json.loads(out)["error"] if json_flag else err
+    assert "X3_0" in message and "--list" in message
+    if not json_flag:
+        assert out == ""
+
+
 def test_analyze_payload_shape(capsys):
     code, out, _ = invoke(capsys, "analyze", "catalog:F2", "--json")
     payload = json.loads(out)

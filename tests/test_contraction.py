@@ -10,7 +10,7 @@ from torifan.contraction import (
     is_weakened_fano,
     zero_two_normal_form_witness,
 )
-from torifan.fan import fan_from_rays_2d, cone_contains
+from torifan.fan import cone_contains, fan_from_rays_2d
 from torifan.lattice import matvec, vsum
 from torifan.primitive import (
     is_extremal,
@@ -20,7 +20,7 @@ from torifan.primitive import (
     section_relation,
 )
 
-from _oracles import eager_weakened_verdict
+from _oracles import eager_weakened_verdict, in_relative_interior
 
 
 def crepant_double_relation(fan):
@@ -218,6 +218,6 @@ class TestStructuralCorollaries:
                 if len(rel.collection) != 2 or not rel.coeffs:
                     continue
                 assert any(
-                    cone_contains(fan, rel.collection, ray, relative_interior=True)
+                    in_relative_interior(fan, rel.collection, ray)
                     for ray in fan.rays
                 ), (nf.name, rel.collection)

@@ -4,7 +4,7 @@ from collections import defaultdict
 import pytest
 
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
-from torifan.fan import BundleSpec, Fan, build_bundle, fan_from_json, hirzebruch_fan
+from torifan.fan import BundleSpec, Fan, build_bundle, fan_from_json
 from torifan.isomorphism import (
     canonical_key,
     find_isomorphism,
@@ -15,6 +15,7 @@ from torifan.polytope import anticanonical_degree
 from torifan.primitive import primitive_collections, section_relation
 
 from _oracles import (
+    hirzebruch_fan,
     random_unimodular,
     rebase_fan,
     reference_canonical_key,

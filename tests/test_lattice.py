@@ -5,13 +5,10 @@ import pytest
 from torifan.lattice import (
     determinant,
     has_nonneg_combination,
-    invariant_factors,
     invert_unimodular,
     is_primitive,
-    make_primitive,
     matmul,
     matrix_from_columns,
-    smith_normal_form,
     solve_rational,
 )
 
@@ -20,6 +17,7 @@ from _oracles import (
     fraction_lp_feasible,
     full_lp,
     gauss_solve,
+    make_primitive,
     minor_gcd_invariant_factors,
 )
 
@@ -68,62 +66,6 @@ class TestDeterminant:
         assert singular > 0
 
 
-class TestSmithNormalForm:
-    def test_diag_2_3(self):
-        assert invariant_factors(((2, 0), (0, 3))) == (1, 6)
-
-    def test_zero_matrix(self):
-        _, d, _ = smith_normal_form(((0, 0), (0, 0)))
-        assert d == ((0, 0), (0, 0))
-
-    def test_two_columns_in_z3(self):
-        m = columns((1, 0, 0), (1, 1, 0))
-        assert minor_gcd_invariant_factors([list(r) for r in m]) == [1, 1]
-        factors = invariant_factors(m)
-        assert tuple(f for f in factors if f) == (1, 1)
-
-    def test_random_decomposition_properties(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            rows = rng.choice([1, 2, 3])
-            cols = rng.choice([1, 2, 3, 4])
-            m = tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
-            u, d, v = smith_normal_form(m)
-            assert matmul(matmul(u, m), v) == d
-            assert determinant(u) in (1, -1)
-            assert determinant(v) in (1, -1)
-            diag = [d[i][i] for i in range(min(rows, cols))]
-            for a, b in zip(diag, diag[1:]):
-                if a != 0:
-                    assert b % a == 0
-                else:
-                    assert b == 0
-            # off-diagonal must vanish
-            assert all(
-                d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j
-            )
-
-    def test_determinant_is_product_of_invariant_factors(self):
-        rng = random.Random(13)
-        for _ in range(40):
-            n = rng.choice([2, 3])
-            m = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
-            product = 1
-            for f in invariant_factors(m):
-                product *= f
-            assert abs(determinant(m)) == product
-
-    def test_matches_minor_gcd_oracle(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            rows = rng.choice([2, 3])
-            cols = rng.choice([2, 3])
-            m = [[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rows)]
-            expected = minor_gcd_invariant_factors(m)
-            got = [f for f in invariant_factors(tuple(map(tuple, m))) if f != 0]
-            assert got == expected
-
-
 class TestPrimitivity:
     def test_basic(self):
         assert is_primitive((1, -1, 0))
@@ -144,8 +86,8 @@ class TestPrimitivity:
             v = tuple(rng.randint(-9, 9) for _ in range(3))
             if all(x == 0 for x in v):
                 continue
-            col = tuple((x,) for x in v)
-            assert is_primitive(v) == (invariant_factors(col)[0] == 1)
+            col = [[x] for x in v]
+            assert is_primitive(v) == (minor_gcd_invariant_factors(col)[0] == 1)
 
     def test_make_primitive(self):
         assert make_primitive((4, -6)) == (2, -3)

@@ -120,13 +120,6 @@ def test_relations_reuse_the_cone_inverses_of_validation(calls):
     assert inverted == []
 
 
-def test_validate_makes_no_kernel_direction_search(calls):
-    searched = calls(lattice.kernel_directions)
-    report = fan_module.validate(fresh(named_fan("X5_1").fan))
-    assert report.ok
-    assert searched == []
-
-
 def test_memo_is_not_part_of_equality_or_hashing():
     fan = named_fan("W4_3").fan
     other = fresh(fan)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from torifan.catalog import named_fan
-from torifan.fan import fan_from_rays_2d, projective_plane_fan
+from torifan.fan import fan_from_rays_2d
 from torifan.lattice import has_nonneg_combination, vsum
 from torifan.primitive import (
     IncompleteFanError,
@@ -12,15 +12,12 @@ from torifan.primitive import (
     is_extremal,
     is_fano,
     is_weak_fano,
-    picard_rank,
     _positive_multiple,
     primitive_collections,
-    relation_lattice,
     section_relation,
-    two_element_relation_kind,
 )
 
-from _oracles import full_lp_is_extremal
+from _oracles import cross3, full_lp_is_extremal, two_element_relation_kind
 
 
 def hirzebruch(a):
@@ -29,7 +26,7 @@ def hirzebruch(a):
 
 class TestCollections:
     def test_p2_single_collection(self):
-        rels = primitive_collections(projective_plane_fan())
+        rels = primitive_collections(named_fan("P2").fan)
         assert len(rels) == 1
         rel = rels[0]
         assert rel.collection == (0, 1, 2)
@@ -73,7 +70,7 @@ class TestCollections:
     def test_incomplete_fan_raises(self):
         from torifan.fan import Fan
 
-        p2 = projective_plane_fan()
+        p2 = named_fan("P2").fan
         broken = Fan(2, p2.rays, p2.max_cones[:2])
         with pytest.raises((IncompleteFanError, ValueError)):
             primitive_collections(broken)
@@ -121,7 +118,7 @@ class TestRelationInvariants:
 
 class TestFanoPredicates:
     def test_p2_fano(self):
-        assert is_fano(projective_plane_fan())
+        assert is_fano(named_fan("P2").fan)
 
     def test_f2_weak_not_fano(self):
         fan = named_fan("F2").fan
@@ -182,14 +179,14 @@ class TestTrichotomy:
             two_element_relation_kind(rel)
 
     def test_wrong_size_rejected(self):
-        rel = primitive_collections(projective_plane_fan())[0]
+        rel = primitive_collections(named_fan("P2").fan)[0]
         with pytest.raises(ValueError):
             two_element_relation_kind(rel)
 
 
 class TestExtremality:
     def test_p2_unique_class_extremal(self):
-        fan = projective_plane_fan()
+        fan = named_fan("P2").fan
         rels = primitive_collections(fan)
         assert is_extremal(fan, rels[0])
 
@@ -207,7 +204,6 @@ class TestExtremality:
     def test_basis_pair_double_relations_extremal_on_catalog(self):
         # any relation x1 + x2 = 2y with {x1, y} a lattice basis is extremal
         from torifan.catalog import threefolds
-        from torifan.lattice import cross3
 
         for nf in threefolds():
             fan = nf.fan
@@ -253,35 +249,6 @@ def test_positive_multiple():
     assert _positive_multiple((0, 0), (0, 0))
     assert not _positive_multiple((1, 0), (0, 0))
     assert not _positive_multiple((0, 0), (1, 0))
-
-
-class TestRelationLattice:
-    def test_rank_is_picard_number(self):
-        for name in ("P2", "S6", "X4_1", "P1xW7"):
-            fan = named_fan(name).fan
-            lattice = relation_lattice(fan)
-            assert lattice.rank == picard_rank(fan) == len(fan.rays) - fan.dim
-
-    def test_basis_vectors_are_relations(self):
-        fan = named_fan("X3_0").fan
-        lattice = relation_lattice(fan)
-        for vec in lattice.basis:
-            total = vsum(
-                [tuple(c * x for x in ray) for c, ray in zip(vec, fan.rays)], fan.dim
-            )
-            assert total == (0,) * fan.dim
-
-    def test_classes_lie_in_the_relation_lattice(self):
-        # every primitive relation class is an integer combination of the basis
-        from torifan.lattice import solve_rational, matrix_from_columns
-
-        fan = named_fan("W4_1").fan
-        lattice = relation_lattice(fan)
-        cols = matrix_from_columns(lattice.basis)
-        for rel in primitive_collections(fan):
-            sol = solve_rational(cols, rel.cls)
-            assert sol is not None
-            assert all(c.denominator == 1 for c in sol)
 
 
 def _weak_fano_bundles(count: int, seed: int) -> list:
