@@ -14,13 +14,13 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key, wraps
 from itertools import combinations
+from operator import neg
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .lattice import (
     Matrix,
     Vector,
     adjugate,
-    determinant,
     is_primitive,
     matrix_from_columns,
     solve_rational,
@@ -162,30 +162,44 @@ class ValidationReport:
         }
 
 
-def cone_inward_normals(fan: Fan, cone: Sequence[int]) -> Matrix:
-    """Integer rows n_k with  x in cone  <=>  n_k . x >= 0  (full-dim simplicial cone).
+def cone_det_and_normals(fan: Fan, cone: Sequence[int]) -> tuple[int, Matrix]:
+    """Determinant of a full-size cone's ray matrix, and its inward normals.
 
-    n_k is positive on the k-th ray of the cone and zero on the others, so it
-    is the inward normal of the facet opposite that ray.
+    Both come from one adjugate: adj * M = det * I, so det is row 0 of the
+    adjugate against the first ray, and the rows are negated when det < 0.
+    Row k is then positive on the k-th ray of the cone and zero on the
+    others, so for det != 0 it is the inward normal of the facet opposite
+    that ray, and  x in cone  <=>  every row . x >= 0.
     """
-    m = fan.cone_columns(cone)
-    det = determinant(m)
-    if det == 0:
-        raise ValueError("cone generators are linearly dependent")
-    adj = adjugate(m)
+    adj = adjugate(fan.cone_columns(cone))
+    det = vdot(adj[0], fan.rays[cone[0]])
     if det < 0:
-        adj = tuple(tuple(-x for x in row) for row in adj)
-    return adj
+        adj = tuple(tuple(map(neg, row)) for row in adj)
+    return det, adj
 
 
 @memoised
 def maximal_cone_normals(fan: Fan) -> tuple[Matrix, ...]:
-    """``cone_inward_normals`` of every maximal cone, in ``max_cones`` order.
+    """Inward normals of every maximal cone, in ``max_cones`` order.
 
-    On a unimodular cone these rows are exactly the inverse of its ray
-    matrix: row k gives the coordinate of a point along the k-th ray.
+    ``validate`` stores them as it reads the determinants, so this is a
+    lookup once the fan's report exists; on a fan that is not simplicial it
+    raises ``ValueError``. On a unimodular cone these rows are exactly the
+    inverse of its ray matrix: row k gives the coordinate of a point along
+    the k-th ray.
     """
-    return tuple(cone_inward_normals(fan, cone) for cone in fan.max_cones)
+    if not fan.report.is_simplicial:
+        raise ValueError(f"fan is not simplicial: {fan.report.offending_cones}")
+    # computing the report stored the normals, so this call finds them
+    return maximal_cone_normals(fan)
+
+
+def _equal_pairs(items: Sequence) -> list[tuple[int, int]]:
+    """Index pairs i < j with ``items[i] == items[j]``, in lexicographic order."""
+    groups: dict = {}
+    for i, item in enumerate(items):
+        groups.setdefault(item, []).append(i)
+    return sorted(pair for group in groups.values() for pair in combinations(group, 2))
 
 
 def validate(fan: Fan) -> ValidationReport:
@@ -209,6 +223,10 @@ def validate(fan: Fan) -> ValidationReport:
     every pair meets in a common face. A wall failing check 2, and cone 0
     together with a cone containing p, are reported as
     ``improper_intersection``; each such pair overlaps in an open set.
+
+    Each maximal cone's adjugate is computed once (``cone_det_and_normals``);
+    it gives the determinant and the inward normals, which are stored as
+    ``maximal_cone_normals`` of a simplicial fan.
     """
     offending: list[tuple[str, tuple[int, ...]]] = []
     n = len(fan.rays)
@@ -216,20 +234,16 @@ def validate(fan: Fan) -> ValidationReport:
     for i, r in enumerate(fan.rays):
         if len(r) != fan.dim:
             offending.append(("ray_wrong_dimension", (i,)))
-        elif all(x == 0 for x in r):
+        elif not any(r):
             offending.append(("zero_ray", (i,)))
         elif not is_primitive(r):
             offending.append(("non_primitive_ray", (i,)))
-    for i, j in combinations(range(n), 2):
-        if fan.rays[i] == fan.rays[j]:
-            offending.append(("duplicate_ray", (i, j)))
+    offending.extend(("duplicate_ray", pair) for pair in _equal_pairs(fan.rays))
     for ci, cone in enumerate(fan.max_cones):
         if any(i < 0 or i >= n for i in cone):
             offending.append(("bad_ray_index", (ci,)))
         used.update(cone)
-    for ci, cj in combinations(range(len(fan.max_cones)), 2):
-        if fan.max_cones[ci] == fan.max_cones[cj]:
-            offending.append(("duplicate_cone", (ci, cj)))
+    offending.extend(("duplicate_cone", pair) for pair in _equal_pairs(fan.max_cones))
     for i in range(n):
         if i not in used:
             offending.append(("unused_ray", (i,)))
@@ -237,20 +251,24 @@ def validate(fan: Fan) -> ValidationReport:
         return ValidationReport(False, False, False, tuple(offending))
 
     is_simplicial = True
-    dets = {}
+    is_smooth = True
+    normals: list[Matrix] = []
     for ci, cone in enumerate(fan.max_cones):
         if len(cone) != fan.dim:
             is_simplicial = False
             offending.append(("cone_wrong_size", (ci,)))
             continue
-        det = determinant(fan.cone_columns(cone))
-        dets[ci] = det
+        det, rows = cone_det_and_normals(fan, cone)
+        normals.append(rows)
         if det == 0:
             is_simplicial = False
             offending.append(("cone_degenerate", (ci,)))
         elif det not in (1, -1):
+            is_smooth = False
             offending.append(("cone_not_unimodular", (ci,)))
-    is_smooth = is_simplicial and all(d in (1, -1) for d in dets.values())
+    is_smooth = is_smooth and is_simplicial
+    if is_simplicial:
+        maximal_cone_normals.seed(fan, tuple(normals))
 
     is_complete = False
     if not fan.max_cones:
@@ -263,13 +281,13 @@ def validate(fan: Fan) -> ValidationReport:
         for ci, cone in enumerate(fan.max_cones):
             for k in range(fan.dim):
                 walls.setdefault(cone[:k] + cone[k + 1:], []).append((ci, k))
-        for ci, cone in enumerate(fan.max_cones):
-            for facet in combinations(cone, fan.dim - 1):
-                if len(walls[facet]) != 2:
-                    is_complete = False
-                    offending.append(("facet_unmatched", (ci,)))
-        if is_complete:
-            normals = maximal_cone_normals(fan)
+        if any(len(pair) != 2 for pair in walls.values()):
+            is_complete = False
+            for ci, cone in enumerate(fan.max_cones):
+                for facet in combinations(cone, fan.dim - 1):
+                    if len(walls[facet]) != 2:
+                        offending.append(("facet_unmatched", (ci,)))
+        else:
             # the second cone at a wall must lie across it from the first
             for (ci, k), (cj, l) in walls.values():
                 if vdot(normals[ci][k], fan.rays[fan.max_cones[cj][l]]) >= 0:

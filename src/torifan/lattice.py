@@ -2,16 +2,21 @@
 
 Everything here works with plain Python ints (arbitrary precision); there is
 no floating point anywhere in the package. Matrices are stored as tuples of
-rows. Elimination is integer-preserving (Edmonds 1967; Bareiss 1968): one
-pivot step, ``_pivot``, serves the n > 3 determinant, ``solve_rational`` and
-the simplex of ``has_nonneg_combination``. Only the result of
-``solve_rational`` is a ``fractions.Fraction``.
+rows. The vector kernels (``vadd``, ``vdot``, ``vsum``, ``matvec``,
+``matrix_from_columns``) run on ``map`` with ``operator`` functions, ``sum``
+and ``zip(*...)``, so no Python-level loop runs per entry; each raises
+``ValueError`` on vectors of mismatched lengths instead of truncating.
+Elimination is integer-preserving (Edmonds 1967; Bareiss 1968): one pivot
+step, ``_pivot``, serves the n > 3 determinant, ``solve_rational`` and the
+simplex of ``has_nonneg_combination``. Only the result of ``solve_rational``
+is a ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add, mul
 from typing import Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -19,30 +24,31 @@ Matrix = tuple[Vector, ...]
 
 
 def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vectors of lengths {len(a)} and {len(b)} do not match")
+    return tuple(map(add, a, b))
 
 
 def vdot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vectors of lengths {len(a)} and {len(b)} do not match")
+    return sum(map(mul, a, b))
 
 
 def vsum(vectors: Sequence[Vector], dim: int) -> Vector:
-    out = [0] * dim
-    for v in vectors:
-        for i, x in enumerate(v):
-            out[i] += x
-    return tuple(out)
+    """Sum of vectors of length ``dim``; the zero vector if there are none."""
+    if not vectors:
+        return (0,) * dim
+    out = tuple(map(sum, zip(*vectors, strict=True)))
+    if len(out) != dim:
+        raise ValueError(f"vectors of length {len(out)} do not have {dim} entries")
+    return out
 
 
 def matrix_from_columns(columns: Sequence[Sequence[int]]) -> Matrix:
-    """Pack column vectors into a row-major matrix."""
-    if not columns:
-        return ()
-    dim = len(columns[0])
-    for c in columns:
-        if len(c) != dim:
-            raise ValueError("columns must share one dimension")
-    return tuple(tuple(int(c[i]) for c in columns) for i in range(dim))
+    """Pack column vectors into a row-major matrix; ``ValueError`` unless they
+    share one length."""
+    return tuple(zip(*columns, strict=True))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -54,7 +60,11 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def matvec(a: Matrix, v: Sequence[int]) -> Vector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    n = len(v)
+    for row in a:
+        if len(row) != n:
+            raise ValueError(f"matrix row of length {len(row)} against a vector of length {n}")
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def determinant(m: Matrix) -> int:

@@ -363,13 +363,111 @@ def _pair_intersects_properly(fan, ca, cb, normals_a, normals_b) -> bool:
     return True
 
 
+def reference_inward_normals(fan, cone):
+    """Integer rows n_k with  x in cone  <=>  n_k . x >= 0  (full-dim simplicial cone).
+
+    n_k is positive on the k-th ray of the cone and zero on the others, so it
+    is the inward normal of the facet opposite that ray. The determinant is
+    taken apart from the adjugate, as the library did before it read one
+    from the other.
+    """
+    from torifan.lattice import adjugate, determinant
+
+    m = fan.cone_columns(cone)
+    det = determinant(m)
+    if det == 0:
+        raise ValueError("cone generators are linearly dependent")
+    adj = adjugate(m)
+    if det < 0:
+        adj = tuple(tuple(-x for x in row) for row in adj)
+    return adj
+
+
+def reference_validate(fan):
+    """``fan.validate`` as it was before it computed one adjugate per cone.
+
+    It takes each cone's determinant and its inward normals separately and
+    finds equal rays and cones by scanning all pairs; the report, the order
+    of ``offending_cones`` included, must be the same.
+    """
+    from torifan.fan import ValidationReport
+    from torifan.lattice import determinant, is_primitive, vdot, vsum
+
+    offending: list[tuple[str, tuple[int, ...]]] = []
+    n = len(fan.rays)
+    used = set()
+    for i, r in enumerate(fan.rays):
+        if len(r) != fan.dim:
+            offending.append(("ray_wrong_dimension", (i,)))
+        elif all(x == 0 for x in r):
+            offending.append(("zero_ray", (i,)))
+        elif not is_primitive(r):
+            offending.append(("non_primitive_ray", (i,)))
+    for i, j in combinations(range(n), 2):
+        if fan.rays[i] == fan.rays[j]:
+            offending.append(("duplicate_ray", (i, j)))
+    for ci, cone in enumerate(fan.max_cones):
+        if any(i < 0 or i >= n for i in cone):
+            offending.append(("bad_ray_index", (ci,)))
+        used.update(cone)
+    for ci, cj in combinations(range(len(fan.max_cones)), 2):
+        if fan.max_cones[ci] == fan.max_cones[cj]:
+            offending.append(("duplicate_cone", (ci, cj)))
+    for i in range(n):
+        if i not in used:
+            offending.append(("unused_ray", (i,)))
+    if offending:
+        return ValidationReport(False, False, False, tuple(offending))
+
+    is_simplicial = True
+    dets = {}
+    for ci, cone in enumerate(fan.max_cones):
+        if len(cone) != fan.dim:
+            is_simplicial = False
+            offending.append(("cone_wrong_size", (ci,)))
+            continue
+        det = determinant(fan.cone_columns(cone))
+        dets[ci] = det
+        if det == 0:
+            is_simplicial = False
+            offending.append(("cone_degenerate", (ci,)))
+        elif det not in (1, -1):
+            offending.append(("cone_not_unimodular", (ci,)))
+    is_smooth = is_simplicial and all(d in (1, -1) for d in dets.values())
+
+    is_complete = False
+    if not fan.max_cones:
+        offending.append(("no_cones", ()))
+    elif is_simplicial:
+        is_complete = True
+        walls = {}
+        for ci, cone in enumerate(fan.max_cones):
+            for k in range(fan.dim):
+                walls.setdefault(cone[:k] + cone[k + 1:], []).append((ci, k))
+        for ci, cone in enumerate(fan.max_cones):
+            for facet in combinations(cone, fan.dim - 1):
+                if len(walls[facet]) != 2:
+                    is_complete = False
+                    offending.append(("facet_unmatched", (ci,)))
+        if is_complete:
+            normals = tuple(reference_inward_normals(fan, cone) for cone in fan.max_cones)
+            for (ci, k), (cj, l) in walls.values():
+                if vdot(normals[ci][k], fan.rays[fan.max_cones[cj][l]]) >= 0:
+                    is_complete = False
+                    offending.append(("improper_intersection", (ci, cj)))
+            p = vsum([fan.rays[i] for i in fan.max_cones[0]], fan.dim)
+            for cj in range(1, len(fan.max_cones)):
+                if all(vdot(row, p) >= 0 for row in normals[cj]):
+                    is_complete = False
+                    offending.append(("improper_intersection", (0, cj)))
+    return ValidationReport(is_simplicial, is_smooth, is_complete, tuple(offending))
+
+
 def pair_is_proper(fan, ci: int, cj: int) -> bool:
     """Whether maximal cones ci and cj of a simplicial fan meet in a common face."""
-    from torifan.fan import cone_inward_normals
-
     ca, cb = fan.max_cones[ci], fan.max_cones[cj]
     return _pair_intersects_properly(
-        fan, ca, cb, cone_inward_normals(fan, ca), cone_inward_normals(fan, cb)
+        fan, ca, cb, reference_inward_normals(fan, ca), reference_inward_normals(fan, cb)
     )
 
 

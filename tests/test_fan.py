@@ -14,8 +14,16 @@ from torifan.fan import (
     validate,
 )
 from torifan.catalog import all_named, named_fan, surfaces
+from torifan.primitive import section_relation
 
-from _oracles import gauss_solve, pair_is_proper, pairwise_validate, random_unimodular, rebase_fan
+from _oracles import (
+    gauss_solve,
+    pair_is_proper,
+    pairwise_validate,
+    random_unimodular,
+    rebase_fan,
+    reference_validate,
+)
 
 # the complete smooth fan of P4
 DIM4_FAN = json.dumps({
@@ -146,6 +154,86 @@ def test_linear_completeness_agrees_with_pairwise_oracle():
                 assert not pair_is_proper(fan, *pair), (fan.to_json(), pair)
     assert {(True, True, True), (True, True, False), (False, False, False)} <= verdicts
     assert improper_pairs > 0
+
+
+def _with_p1(fan: Fan) -> Fan:
+    """The product of a 2-fan with P1, built without validating it."""
+    rays = tuple(r + (0,) for r in fan.rays) + ((0, 0, 1), (0, 0, -1))
+    n = len(fan.rays)
+    cones = tuple(c + (pole,) for c in fan.max_cones for pole in (n, n + 1))
+    return Fan(3, rays, cones)
+
+
+def _kinds_of_damage(fan: Fan, rng: random.Random) -> list[Fan]:
+    """A rebasing of the fan damaged in each way the benchmark's reject mix uses:
+    a zero, multiplied or repeated ray, a ray moved off unimodularity, and a
+    missing cone."""
+    base = rebase_fan(fan, random_unimodular(rng, fan.dim))
+    out = []
+    for how in ("zero", "multiple", "duplicate", "det"):
+        rays = list(base.rays)
+        i = rng.randrange(len(rays))
+        if how == "zero":
+            rays[i] = (0,) * fan.dim
+        elif how == "multiple":
+            rays[i] = tuple(2 * x for x in rays[i])
+        elif how == "duplicate":
+            rays[i] = rays[(i + 1) % len(rays)]
+        else:
+            i, j = rng.sample(rng.choice(base.max_cones), 2)
+            rays[i] = tuple(2 * x + y for x, y in zip(rays[i], rays[j]))
+        out.append(Fan(fan.dim, tuple(rays), base.max_cones))
+    cones = list(base.max_cones)
+    del cones[rng.randrange(len(cones))]
+    out.append(Fan(fan.dim, base.rays, tuple(cones)))
+    return out
+
+
+# three equal copies of one ray, two of another, and cones repeated three and
+# two times, interleaved so that the equal pairs of different values alternate
+REPEATED = [
+    Fan(2, ((1, 0), (0, 1), (1, 0), (0, 1), (1, 0), (-1, -1)),
+        ((0, 1), (1, 5), (0, 5), (0, 1), (1, 5), (0, 1))),
+    Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0), (1, 0, 0), (0, 0, 1), (-1, -1, -1)),
+        ((0, 1, 2), (0, 1, 6), (0, 1, 2), (0, 2, 6), (1, 2, 6), (0, 1, 6), (0, 1, 2))),
+    Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 1), (0, 2), (1, 2), (0, 1))),
+]
+
+
+def test_validate_agrees_with_the_reference_report():
+    """The whole report, ``offending_cones`` order included, against
+    ``reference_validate``, which scans all pairs for equal rays and cones
+    and takes determinants apart from the normals."""
+    rng = random.Random(1301)
+    named = [nf.fan for nf in all_named().values()]
+    assert len(named) == 34
+    fans = list(named)
+    fans += [rebase_fan(fan, random_unimodular(rng, fan.dim)) for fan in named for _ in range(3)]
+    bundles = [
+        build_bundle(BundleSpec(nf.fan, (sx, sy), (0, 0)))
+        for nf in surfaces()
+        for sx in range(-6, 7)
+        for sy in range(-6, 7)
+        if section_relation(BundleSpec(nf.fan, (sx, sy), (0, 0))).degree >= 0
+    ]
+    assert len(bundles) == 304 and None not in bundles
+    fans += bundles
+    for fan in named:
+        fans += _kinds_of_damage(fan, rng)
+    overlaps = [OVERLAPPING, PENTAGRAM, _with_p1(OVERLAPPING), _with_p1(PENTAGRAM)]
+    fans += overlaps + [rebase_fan(fan, random_unimodular(rng, fan.dim)) for fan in overlaps]
+    fans += REPEATED + [Fan(2, (), ())]
+    reasons = set()
+    for fan in fans:
+        report = validate(fan)
+        assert report == reference_validate(fan), fan.to_json()
+        reasons.update(reason for reason, _ in report.offending_cones)
+    assert {
+        "zero_ray", "non_primitive_ray", "duplicate_ray", "duplicate_cone", "unused_ray",
+        "cone_degenerate", "cone_not_unimodular", "facet_unmatched", "improper_intersection",
+        "no_cones",
+    } <= reasons
+    assert sum(not validate(fan).ok for fan in fans) > 150
 
 
 class TestContains:

@@ -9,7 +9,11 @@ from torifan.lattice import (
     is_primitive,
     matmul,
     matrix_from_columns,
+    matvec,
     solve_rational,
+    vadd,
+    vdot,
+    vsum,
 )
 
 from _oracles import (
@@ -64,6 +68,55 @@ class TestDeterminant:
             singular += expected == 0
             assert determinant(tuple(map(tuple, m))) == expected
         assert singular > 0
+
+
+class TestVectorKernels:
+    """The map/zip kernels against entrywise loops, and their length checks."""
+
+    def test_match_entrywise_loops_on_random_vectors(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            a = tuple(rng.randint(-9, 9) for _ in range(n))
+            b = tuple(rng.randint(-9, 9) for _ in range(n))
+            rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+            assert vadd(a, b) == tuple(a[i] + b[i] for i in range(n))
+            assert vdot(a, b) == sum(a[i] * b[i] for i in range(n))
+            assert vsum(rows, n) == tuple(sum(r[i] for r in rows) for i in range(n))
+            assert matvec(tuple(rows), a) == tuple(sum(r[i] * a[i] for i in range(n)) for r in rows)
+            if rows:
+                assert matrix_from_columns(rows) == tuple(
+                    tuple(r[i] for r in rows) for i in range(n)
+                )
+
+    def test_vadd_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            vadd((1, 2), (1, 2, 3))
+
+    def test_vdot_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            vdot((1, 2, 3), (1, 2))
+
+    def test_vsum_rejects_mismatched_lengths(self):
+        assert vsum([], 3) == (0, 0, 0)
+        with pytest.raises(ValueError):
+            vsum([(1, 2), (1, 2, 3)], 2)
+        with pytest.raises(ValueError):
+            vsum([(1, 2), (3, 4)], 3)
+
+    def test_matvec_rejects_extra_row_entries(self):
+        assert matvec((), (1, 2)) == ()
+        with pytest.raises(ValueError):
+            matvec(((1, 0, 5), (0, 1, 7)), (1, 2))
+        with pytest.raises(ValueError):
+            matvec(((1, 0), (0,)), (1, 2))
+
+    def test_matrix_from_columns_checks_dimension_without_coercion(self):
+        assert matrix_from_columns([]) == ()
+        with pytest.raises(ValueError):
+            matrix_from_columns([(1, 0), (0, 1, 0)])
+        # entries are packed as given; ``Fan`` is what rejects non-integers
+        assert matrix_from_columns([(1.5, 2), (3, 4)]) == ((1.5, 3), (2, 4))
 
 
 class TestPrimitivity:

@@ -8,25 +8,27 @@ import sys
 
 import pytest
 
-from torifan import catalog, contraction, lattice, primitive
+from torifan import catalog, contraction, lattice, polytope, primitive
 from torifan import fan as fan_module
 from torifan.catalog import named_fan
 from torifan.classify import enumerate_weakened_threefolds
 from torifan.cli import run
 from torifan.contraction import crepant_contractions, is_weakened_fano
 from torifan.fan import BundleSpec, Fan, build_bundle
+from torifan.isomorphism import canonical_key
 from torifan.primitive import primitive_collections
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """calls(fn) -> list that receives the first argument of every call to fn."""
+    """calls(fn) -> list that receives the first argument of every call to fn,
+    or with ``whole=True`` the tuple of all its positional arguments."""
 
-    def install(original):
+    def install(original, whole=False):
         seen = []
 
         def counted(*args, **kwargs):
-            seen.append(args[0])
+            seen.append(args if whole else args[0])
             return original(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
@@ -118,6 +120,30 @@ def test_relations_reuse_the_cone_inverses_of_validation(calls):
     assert fan.report.ok
     primitive_collections(fan)
     assert inverted == []
+
+
+def test_sweep_computes_each_cone_once_in_validate(calls):
+    catalog.surfaces(), catalog.threefolds()
+    validated = calls(fan_module.validate)
+    cones = calls(fan_module.cone_det_and_normals, whole=True)
+    report = enumerate_weakened_threefolds(3)
+    assert report.count == 15
+    computed = [(id(fan), cone) for fan, cone in cones]
+    assert len(computed) == len(set(computed))
+    # every computed cone belongs to a fan that validation saw, and no call
+    # came from anywhere else
+    assert len(computed) == sum(len(fan.max_cones) for fan in validated)
+    assert {id(fan) for fan, _ in cones} <= {id(fan) for fan in validated}
+
+
+def test_one_adjugate_per_maximal_cone(calls):
+    adjugates = calls(lattice.adjugate)
+    fan = fresh(named_fan("P1xW7").fan)
+    assert fan.report.ok
+    primitive_collections(fan)
+    canonical_key(fan)
+    polytope.anticanonical_degree(fan)
+    assert len(adjugates) == len(fan.max_cones)
 
 
 def test_memo_is_not_part_of_equality_or_hashing():
