@@ -7,15 +7,22 @@ number of the corresponding 1-cycle class) and its class vector, an
 integer relation among the rays. Extremality of a class is decided
 exactly, in integers, by the integer-preserving simplex of
 ``lattice.has_nonneg_combination``; on a weak Fano fan a degree-0 class
-needs only the other degree-0 classes. The relations of a surface bundle
-over P1 are lifted from its fiber (``bundle_relations``) instead of
-scanned.
+needs only the other degree-0 classes. Two exact steps shrink that work.
+A class that is the sum of two of the columns is not extremal, since 1 on
+those two columns is a feasible point of the LP, and it is found by a set
+lookup. The LPs that remain keep only the n - d entries off the first
+maximal cone: the rays of a cone are linearly independent, so a
+relation's entries on them follow from the others, and dropping them
+loses nothing on the relations, where every class and every combination
+of classes lies. The relations of a surface bundle over P1 are lifted
+from its fiber (``bundle_relations``) instead of scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import sub
 from typing import Sequence
 
 from .fan import BundleSpec, Fan, maximal_cone_normals, memoised
@@ -186,6 +193,13 @@ def _positive_multiple(u: Sequence[int], v: Sequence[int]) -> bool:
 
 
 @memoised
+def _rows_off_first_cone(fan: Fan) -> tuple[int, ...]:
+    """Indices of the n - d rays outside ``fan.max_cones[0]``, in order."""
+    cone = set(fan.max_cones[0])
+    return tuple(i for i in range(len(fan.rays)) if i not in cone)
+
+
+@memoised
 def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     """Whether the class spans an extremal ray of the cone of all relation classes.
 
@@ -200,6 +214,15 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     therefore tested against the other degree-0 classes alone, and is
     extremal without an LP when there are none. Other relations are tested
     against all classes.
+
+    Most classes that are not extremal are the sum of two of those columns.
+    That is a feasible point of the LP (1 on both columns), so such a class
+    is answered by a set lookup. The LP that remains is solved on the
+    n - d entries off the first maximal cone only. Every class and every
+    combination of classes is a relation, sum x_i v_i = 0, and the rays of
+    a maximal cone are linearly independent, so a relation's entries on
+    them follow from its other entries: dropping them is injective on the
+    relations, and the smaller LP is feasible exactly when the full one is.
     """
     on_face = rel.degree == 0 and is_weak_fano(fan)
     others = [
@@ -211,7 +234,13 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     ]
     if not others:
         return True
-    return not has_nonneg_combination(others, rel.cls)
+    columns = set(others)
+    if any(tuple(map(sub, rel.cls, c)) in columns for c in others):
+        return False
+    rows = _rows_off_first_cone(fan)
+    return not has_nonneg_combination(
+        [tuple(c[i] for i in rows) for c in others], tuple(rel.cls[i] for i in rows)
+    )
 
 
 def extremality_flags(fan: Fan) -> tuple[bool, ...]:

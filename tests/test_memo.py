@@ -66,7 +66,7 @@ def test_bundle_is_validated_once_through_the_verdict(calls):
 
 
 def test_extremality_lps_only_for_degree_zero_relations(calls):
-    lps = calls(lattice.has_nonneg_combination)
+    lps = calls(lattice.has_nonneg_combination, whole=True)
     # X4_0 has one degree-0 relation and no other degree-0 class to test it against
     fan = fresh(named_fan("X4_0").fan)
     assert is_weakened_fano(fan).is_weakened
@@ -74,18 +74,21 @@ def test_extremality_lps_only_for_degree_zero_relations(calls):
     assert [r.degree for r in primitive_collections(fan)].count(0) == 1
     assert lps == []
     # P1 x W7 has 9 degree-0 relations among 28, 6 of them of the zero-two
-    # shape: the verdict tests only the other 3, the table the remaining 6,
-    # and each LP has at most the other 8 degree-0 classes as columns
+    # shape. The verdict tests only the other 3, and each is the sum of two
+    # other degree-0 classes, so it runs no LP. The table runs one LP for
+    # each of the remaining 6, with at most the other 8 degree-0 classes as
+    # columns, on the rho = 11 - 3 = 8 entries off the first maximal cone
     fan = fresh(named_fan("P1xW7").fan)
     assert is_weakened_fano(fan).is_weakened
     assert len(primitive_collections(fan)) == 28
-    assert len(lps) == 3
+    assert lps == []
     assert len(crepant_contractions(fan)) == 6
-    assert len(lps) == 9 and all(len(columns) <= 8 for columns in lps)
+    assert len(lps) == 6 and all(len(columns) <= 8 for columns, _ in lps)
+    assert all(len(target) == 8 and {len(c) for c in columns} == {8} for columns, target in lps)
     # asking again reuses every stored fact
     is_weakened_fano(fan)
     crepant_contractions(fan)
-    assert len(lps) == 9
+    assert len(lps) == 6
 
 
 def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls):
@@ -97,7 +100,9 @@ def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls):
     report = enumerate_weakened_threefolds(3)
     # 304 of the 16 * 13^2 = 2704 sums in the box have phi <= 2
     assert len(built) == 304 and len(verdicts) == 304
-    assert len(lps) == 216
+    # 9 of the 216 extremality questions that reach an LP column set are the
+    # sum of two of the columns, and are answered without an LP
+    assert len(lps) == 207
     assert sum(is_weakened_fano(fan).is_weakened for fan in verdicts) == 22
     assert report.count == 15
 

@@ -310,6 +310,60 @@ def test_extremality_on_degree_face_agrees_with_full_lp():
     assert crepant > without_columns > 0 and not_extremal > 0
 
 
+def _non_weak_blowups(sizes, per_size: int, seed: int) -> list:
+    """Seeded surfaces that are not weak Fano with each number of rays in
+    ``sizes``: repeated one-point blow-ups of the first 12 catalog surfaces,
+    as in the query mix of ``perfbench``."""
+    from torifan.catalog import surfaces
+    from torifan.classify import surface_blowups
+
+    rng = random.Random(seed)
+    starts = [nf.fan for nf in surfaces()[:12]]
+    out = []
+    for size in sizes:
+        for _ in range(per_size):
+            fan = None
+            while fan is None or len(fan.rays) != size or is_weak_fano(fan):
+                fan = rng.choice(starts)
+                while len(fan.rays) < size:
+                    fan = rng.choice(list(surface_blowups(fan)))
+            out.append(fan)
+    return out
+
+
+def test_extremality_shortcuts_agree_with_full_lp_off_the_degree_face(monkeypatch):
+    """On fans that are not weak Fano every class is tested against all the
+    others: the sum-of-two lookup and the LP on the rows off the first cone
+    must agree with the Fraction simplex on all rows and columns."""
+    from torifan import primitive
+    from torifan.fan import BundleSpec, build_bundle
+
+    solved = []
+
+    def recorded(columns, target):
+        feasible = has_nonneg_combination(columns, target)
+        solved.append((len(target), feasible))
+        return feasible
+
+    monkeypatch.setattr(primitive, "has_nonneg_combination", recorded)
+    surfaces = _non_weak_blowups((7, 8, 9), 3, seed=13)
+    fans = surfaces + [build_bundle(BundleSpec(s, (0, 0), (0, 0))) for s in surfaces]
+    by_sum_of_two = by_infeasible_lp = 0
+    for fan in fans:
+        assert not is_weak_fano(fan)
+        for rel in primitive_collections(fan):
+            before = len(solved)
+            flag = is_extremal(fan, rel)
+            assert flag == full_lp_is_extremal(fan, rel), (fan.to_json(), rel)
+            if len(solved) == before:
+                by_sum_of_two += not flag
+            else:
+                rows, feasible = solved[-1]
+                assert rows == len(fan.rays) - fan.dim and feasible != flag
+                by_infeasible_lp += not feasible
+    assert by_sum_of_two > 0 and by_infeasible_lp > 0
+
+
 class TestBundleRelations:
     """``bundle_relations`` lifts a bundle's relations from its fiber; each
     case compares them with the subset scan on a fresh copy of the bundle."""
