@@ -43,7 +43,9 @@ class ClassEntry:
         }
 
 
-# stages of the 3-fold sweep, counted in ``ClassificationReport.stats``
+# stages of the surface search and of the 3-fold sweep, counted in
+# ``ClassificationReport.stats``
+SURFACE_STAGES = ("seeds", "blowups", "weak_fano", "duplicates", "classes")
 SWEEP_STAGES = (
     "box_points",
     "pruned_by_phi",
@@ -58,8 +60,9 @@ SWEEP_STAGES = (
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Classes found by a search; ``stats`` counts what the 3-fold sweep did
-    at each stage (``SWEEP_STAGES``) and stays out of ``to_dict``."""
+    """Classes found by a search; ``stats`` counts what the search did at
+    each stage (``SURFACE_STAGES`` or ``SWEEP_STAGES``) and stays out of
+    ``to_dict``."""
 
     count: int
     classes: tuple[ClassEntry, ...]
@@ -117,25 +120,39 @@ def _names_by_key(named: Sequence[catalog.NamedFan]) -> dict[bytes, str]:
 
 
 def enumerate_weak_del_pezzo() -> ClassificationReport:
-    """Blow-up closure from {P2, P1 x P1, F2}, kept weak Fano, up to isomorphism."""
+    """Blow-up closure from {P2, P1 x P1, F2}, kept weak Fano, up to isomorphism.
+
+    ``stats`` counts each of ``SURFACE_STAGES``: the seeds, the blow-ups
+    tried, those kept as weak Fano, the kept ones whose class was already
+    found, and the classes.
+    """
     named = {nf.name: nf.fan for nf in catalog.surfaces()}
     seeds = [named["P2"], named["P1xP1"], named["F2"]]
+    stats = dict.fromkeys(SURFACE_STAGES, 0)
     seen: dict[bytes, Fan] = {}
     queue: list[Fan] = []
     for fan in seeds:
+        stats["seeds"] += 1
         key = canonical_key(fan)
-        if key not in seen:
+        if key in seen:
+            stats["duplicates"] += 1
+        else:
             seen[key] = fan
             queue.append(fan)
     while queue:
         fan = queue.pop()
         for blown in surface_blowups(fan):
+            stats["blowups"] += 1
             if not is_weak_fano(blown):
                 continue
+            stats["weak_fano"] += 1
             key = canonical_key(blown)
-            if key not in seen:
+            if key in seen:
+                stats["duplicates"] += 1
+            else:
                 seen[key] = blown
                 queue.append(blown)
+    stats["classes"] = len(seen)
     names = _names_by_key(catalog.surfaces())
     entries = [
         ClassEntry(key, seen[key], _surface_invariants(seen[key]), names.get(key))
@@ -145,6 +162,7 @@ def enumerate_weak_del_pezzo() -> ClassificationReport:
         count=len(entries),
         classes=tuple(entries),
         scope="smooth toric weak del Pezzo surfaces (blow-up closure over minimal models)",
+        stats=stats,
     )
 
 

@@ -127,17 +127,19 @@ def _cmd_catalog(args) -> CommandResult:
     return CommandResult("ok", nf.fan.to_dict(), [])
 
 
-def _cmd_classify_surfaces(args) -> CommandResult:
-    report = classify.enumerate_weak_del_pezzo()
-    return CommandResult("ok", report.to_dict(), [])
-
-
-def _cmd_classify_3folds(args) -> CommandResult:
-    report = classify.enumerate_weakened_threefolds(args.twist_bound)
+def _classification(report: classify.ClassificationReport, args) -> CommandResult:
     payload = report.to_dict()
     if args.stats:
         payload["stats"] = report.stats
     return CommandResult("ok", payload, [])
+
+
+def _cmd_classify_surfaces(args) -> CommandResult:
+    return _classification(classify.enumerate_weak_del_pezzo(), args)
+
+
+def _cmd_classify_3folds(args) -> CommandResult:
+    return _classification(classify.enumerate_weakened_threefolds(args.twist_bound), args)
 
 
 def _cmd_verify(args) -> CommandResult:
@@ -230,15 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list all names with expected invariants")
     p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("classify-surfaces", parents=[common], help="enumerate weak del Pezzo surfaces")
+    stats = argparse.ArgumentParser(add_help=False)
+    stats.add_argument(
+        "--stats", action="store_true", help="report the search's stage counters (stderr, or a \"stats\" key under --json)"
+    )
+
+    p = sub.add_parser("classify-surfaces", parents=[common, stats], help="enumerate weak del Pezzo surfaces")
     p.set_defaults(func=_cmd_classify_surfaces)
 
-    p = sub.add_parser("classify-3folds", parents=[common], help="enumerate weakened Fano 3-folds")
+    p = sub.add_parser("classify-3folds", parents=[common, stats], help="enumerate weakened Fano 3-folds")
     p.add_argument(
         "--twist-bound", type=int, default=DEFAULT_TWIST_BOUND, help="section twist search bound (default %(default)s)"
-    )
-    p.add_argument(
-        "--stats", action="store_true", help="report the sweep's stage counters (stderr, or a \"stats\" key under --json)"
     )
     p.set_defaults(func=_cmd_classify_3folds)
 

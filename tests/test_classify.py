@@ -82,6 +82,21 @@ class TestSurfaceEnumeration:
         for blown in surface_blowups(fan):
             assert validate(blown).ok
 
+    def test_stage_counters(self, surface_report):
+        report, _ = surface_report
+        assert report.stats == {
+            "seeds": 3,
+            "blowups": 96,
+            "weak_fano": 40,
+            "duplicates": 27,
+            "classes": 16,
+        }
+        # each class is a seed or a kept blow-up seen for the first time, and
+        # each class is blown up once, at each of its cones (as many as rays)
+        assert report.stats["seeds"] + report.stats["weak_fano"] - report.stats["duplicates"] == 16
+        assert report.stats["blowups"] == sum(e.invariants["rays"] for e in report.classes)
+        assert "stats" not in report.to_dict()
+
     def test_closure_is_order_independent(self, surface_report):
         # rerunning yields the same class keys (set-closure semantics)
         from torifan.classify import enumerate_weak_del_pezzo

@@ -182,3 +182,17 @@ def test_classify_3folds_stats(capsys):
     assert code == 0 and err == ""
     assert "stats" not in json.loads(out)
     assert {**json.loads(out), "stats": SWEEP_STATS_B3} == payload
+
+
+def test_classify_surfaces_stats(capsys):
+    stats = {"seeds": 3, "blowups": 96, "weak_fano": 40, "duplicates": 27, "classes": 16}
+    code, out, err = invoke(capsys, "classify-surfaces", "--stats")
+    assert code == 0
+    assert err.splitlines() == [f"{name}: {count}" for name, count in stats.items()]
+    assert "blowups" not in out
+    code, out, err = invoke(capsys, "classify-surfaces", "--stats", "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    code, out, err = invoke(capsys, "classify-surfaces", "--json")
+    assert code == 0 and err == ""
+    assert {**json.loads(out), "stats": stats} == payload
