@@ -215,9 +215,9 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     extremal without an LP when there are none. Other relations are tested
     against all classes.
 
-    Most classes that are not extremal are the sum of two of those columns.
-    That is a feasible point of the LP (1 on both columns), so such a class
-    is answered by a set lookup. The LP that remains is solved on the
+    A class that is not extremal is most often the sum of two of the
+    classes it is tested against. That is a feasible point of the LP (1 on
+    both columns), so such a class is answered by a set lookup. The LP that remains is solved on the
     n - d entries off the first maximal cone only. Every class and every
     combination of classes is a relation, sum x_i v_i = 0, and the rays of
     a maximal cone are linearly independent, so a relation's entries on
