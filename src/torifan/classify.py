@@ -129,14 +129,12 @@ def enumerate_weak_del_pezzo() -> ClassificationReport:
     named = {nf.name: nf.fan for nf in catalog.surfaces()}
     seeds = [named["P2"], named["P1xP1"], named["F2"]]
     stats = dict.fromkeys(SURFACE_STAGES, 0)
+    stats["seeds"] = len(seeds)
     seen: dict[bytes, Fan] = {}
     queue: list[Fan] = []
     for fan in seeds:
-        stats["seeds"] += 1
         key = canonical_key(fan)
-        if key in seen:
-            stats["duplicates"] += 1
-        else:
+        if key not in seen:
             seen[key] = fan
             queue.append(fan)
     while queue:

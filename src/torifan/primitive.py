@@ -67,8 +67,8 @@ def _face_set(fan: Fan) -> set[frozenset[int]]:
     faces: set[frozenset[int]] = set()
     for cone in fan.max_cones:
         for k in range(len(cone) + 1):
-            for sub in combinations(cone, k):
-                faces.add(frozenset(sub))
+            for face in combinations(cone, k):
+                faces.add(frozenset(face))
     return faces
 
 
@@ -217,12 +217,13 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
 
     A class that is not extremal is most often the sum of two of the
     classes it is tested against. That is a feasible point of the LP (1 on
-    both columns), so such a class is answered by a set lookup. The LP that remains is solved on the
-    n - d entries off the first maximal cone only. Every class and every
-    combination of classes is a relation, sum x_i v_i = 0, and the rays of
-    a maximal cone are linearly independent, so a relation's entries on
-    them follow from its other entries: dropping them is injective on the
-    relations, and the smaller LP is feasible exactly when the full one is.
+    both columns), so such a class is answered by a set lookup. The LP
+    that remains is solved on the n - d entries off the first maximal cone
+    only. Every class and every combination of classes is a relation,
+    sum x_i v_i = 0, and the rays of a maximal cone are linearly
+    independent, so a relation's entries on them follow from its other
+    entries: dropping them is injective on the relations, and the smaller
+    LP is feasible exactly when the full one is.
     """
     on_face = rel.degree == 0 and is_weak_fano(fan)
     others = [
