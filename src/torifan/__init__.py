@@ -17,7 +17,7 @@ from .fan import (
     star,
     validate,
 )
-from .lattice import determinant, is_primitive
+from .lattice import is_primitive
 from .primitive import (
     PrimitiveRelation,
     is_extremal,
@@ -62,7 +62,6 @@ __all__ = [
     "cone_contains",
     "contraction_shape",
     "crepant_contractions",
-    "determinant",
     "enumerate_weak_del_pezzo",
     "enumerate_weakened_threefolds",
     "fan_from_dict",

@@ -69,10 +69,6 @@ class ClassificationReport:
     scope: str = ""
     stats: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def matched_names(self) -> dict[str, str]:
-        return {e.key.decode(): e.name for e in self.classes if e.name is not None}
-
     def to_dict(self) -> dict:
         return {
             "count": self.count,

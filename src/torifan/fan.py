@@ -52,6 +52,10 @@ def _normalize_cone(indices: Iterable[int]) -> Cone:
 class Fan:
     """G(fan) plus maximal cones; the sole model of a toric variety here.
 
+    The constructor is the one check of shape. It raises ``ValueError`` on a
+    ``dim`` that is not an int in {1, 2, 3}, an entry that is not an int, a
+    repeated index in a cone and a ray without ``dim`` entries.
+
     Facts derived from a fan (validation report, primitive relations,
     extremality, keys) are computed once and kept on the instance; see
     ``report`` and ``memoised``.
@@ -62,8 +66,14 @@ class Fan:
     max_cones: tuple[Cone, ...]
 
     def __post_init__(self):
+        if type(self.dim) is not int or self.dim not in (1, 2, 3):
+            raise ValueError(f"dim {self.dim!r} is not 1, 2 or 3")
         object.__setattr__(self, "rays", tuple(_ints(r, "ray") for r in self.rays))
         object.__setattr__(self, "max_cones", tuple(_normalize_cone(c) for c in self.max_cones))
+        # lengths last, so that an entry that is not an int is reported first
+        for r in self.rays:
+            if len(r) != self.dim:
+                raise ValueError(f"ray {r} does not have {self.dim} coordinates")
 
     @cached_property
     def report(self) -> ValidationReport:
@@ -84,9 +94,6 @@ class Fan:
             "rays": [list(r) for r in self.rays],
             "max_cones": [list(c) for c in self.max_cones],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
 def memoised(compute: Callable[..., T]) -> Callable[..., T]:
@@ -119,18 +126,11 @@ def memoised(compute: Callable[..., T]) -> Callable[..., T]:
 
 
 def fan_from_dict(data: dict) -> Fan:
-    """Fan from JSON data; only integer entries and dimensions 1 to 3 are accepted."""
+    """Fan from JSON data; a missing key or a value of the wrong type is a ``ValueError`` too."""
     try:
-        dim = data["dim"]
-        if type(dim) is not int or dim not in (1, 2, 3):
-            raise ValueError(f"dim {dim!r} is not 1, 2 or 3")
-        fan = Fan(dim, data["rays"], data["max_cones"])
+        return Fan(data["dim"], data["rays"], data["max_cones"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed fan data: {exc}") from exc
-    for r in fan.rays:
-        if len(r) != dim:
-            raise ValueError(f"ray {r} does not have {dim} coordinates")
-    return fan
 
 
 def fan_from_json(text: str) -> Fan:
@@ -232,9 +232,7 @@ def validate(fan: Fan) -> ValidationReport:
     n = len(fan.rays)
     used = set()
     for i, r in enumerate(fan.rays):
-        if len(r) != fan.dim:
-            offending.append(("ray_wrong_dimension", (i,)))
-        elif not any(r):
+        if not any(r):
             offending.append(("zero_ray", (i,)))
         elif not is_primitive(r):
             offending.append(("non_primitive_ray", (i,)))

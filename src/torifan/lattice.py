@@ -7,9 +7,10 @@ rows. The vector kernels (``vadd``, ``vdot``, ``vsum``, ``matvec``,
 and ``zip(*...)``, so no Python-level loop runs per entry; each raises
 ``ValueError`` on vectors of mismatched lengths instead of truncating.
 Elimination is integer-preserving (Edmonds 1967; Bareiss 1968): one pivot
-step, ``_pivot``, serves the n > 3 determinant, ``solve_rational`` and the
-simplex of ``has_nonneg_combination``. Only the result of ``solve_rational``
-is a ``fractions.Fraction``.
+step, ``_pivot``, serves ``solve_rational`` and the simplex of
+``has_nonneg_combination``. A ``Fan`` has at most 3 coordinates, so there is
+no determinant above 3 x 3, and none apart from ``adjugate``. Only the
+result of ``solve_rational`` is a ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -67,29 +68,6 @@ def matvec(a: Matrix, v: Sequence[int]) -> Vector:
     return tuple([sum(map(mul, row, v)) for row in a])
 
 
-def determinant(m: Matrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
-        return (
-            a0 * (b1 * c2 - b2 * c1)
-            - a1 * (b0 * c2 - b2 * c0)
-            + a2 * (b0 * c1 - b1 * c0)
-        )
-    rows = [list(row) for row in m]
-    pivots, divisor, sign = _eliminate(rows, n)
-    return sign * divisor if len(pivots) == n else 0
-
-
 def _pivot(rows: list[list[int]], r: int, e: int, prev: int) -> int:
     """Integer-preserving pivot on ``rows[r][e]``; returns the new divisor.
 
@@ -107,17 +85,16 @@ def _pivot(rows: list[list[int]], r: int, e: int, prev: int) -> int:
     return p
 
 
-def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination on the first ``ncols`` columns.
 
     Works in place, pivoting on the first nonzero entry of each column in
-    turn. Returns the pivot columns (pivot i sits in row i), the divisor of
-    the final tableau and the sign of the row permutation. Every pivot row
-    then holds the divisor in its pivot column, and zeros in the others.
+    turn. Returns the pivot columns (pivot i sits in row i) and the divisor
+    of the final tableau. Every pivot row then holds the divisor in its
+    pivot column, and zeros in the others.
     """
     pivots: list[int] = []
     divisor = 1
-    sign = 1
     for c in range(ncols):
         r = len(pivots)
         if r == len(rows):
@@ -125,12 +102,10 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
         pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pr is None:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            sign = -sign
+        rows[r], rows[pr] = rows[pr], rows[r]
         divisor = _pivot(rows, r, c, divisor)
         pivots.append(c)
-    return pivots, divisor, sign
+    return pivots, divisor
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -151,7 +126,7 @@ def solve_rational(a: Matrix, b: Sequence[int]) -> Optional[list[Fraction]]:
     """
     n = len(a[0]) if a else 0
     rows = [[*row, y] for row, y in zip(a, b, strict=True)]
-    pivots, divisor, _ = _eliminate(rows, n)
+    pivots, divisor = _eliminate(rows, n)
     if any(row[n] != 0 for row in rows[len(pivots):]):
         return None
     x = [Fraction(0)] * n
@@ -161,12 +136,9 @@ def solve_rational(a: Matrix, b: Sequence[int]) -> Optional[list[Fraction]]:
 
 
 def adjugate(m: Matrix) -> Matrix:
-    """Classical adjugate; adj(m) * m = det(m) * I, all integer."""
+    """Classical adjugate for n <= 3; adj(m) * m = det(m) * I, all integer."""
+    # unpacking checks the row lengths, so every other shape raises ValueError
     n = len(m)
-    if n == 1:
-        return ((1,),)
-    if n == 2:
-        return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
     if n == 3:
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
         return (
@@ -174,25 +146,23 @@ def adjugate(m: Matrix) -> Matrix:
             (b2 * c0 - b0 * c2, a0 * c2 - a2 * c0, a2 * b0 - a0 * b2),
             (b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0),
         )
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                tuple(m[r][c] for c in range(n) if c != i) for r in range(n) if r != j
-            )
-            row.append((-1) ** (i + j) * determinant(minor))
-        adj.append(tuple(row))
-    return tuple(adj)
+    if n == 2:
+        (a, b), (c, d) = m
+        return ((d, -b), (-c, a))
+    if n == 1 and len(m[0]) == 1:
+        return ((1,),)
+    raise ValueError("adjugate takes a square matrix of size 1 to 3")
 
 
 def invert_unimodular(m: Matrix) -> Matrix:
     """Exact integer inverse of a matrix with determinant +-1."""
-    det = determinant(m)
+    adj = adjugate(m)
+    # entry (0, 0) of adj(m) * m = det(m) * I
+    det = sum(a * row[0] for a, row in zip(adj[0], m))
     if det == 1:
-        return adjugate(m)
+        return adj
     if det == -1:
-        return tuple(tuple(-x for x in row) for row in adjugate(m))
+        return tuple(tuple(-x for x in row) for row in adj)
     raise ValueError("matrix is not unimodular")
 
 

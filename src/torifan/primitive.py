@@ -4,8 +4,9 @@ A primitive collection is a minimal set of rays not spanning a cone of the
 fan. Its element sum lies in the relative interior of a unique cone, which
 yields the primitive relation, its degree (the anticanonical intersection
 number of the corresponding 1-cycle class) and its class vector, an
-integer relation among the rays. Extremality of a class is decided
-exactly, in integers, by the integer-preserving simplex of
+integer relation among the rays and a primitive vector (see
+``is_extremal``). Extremality of a class is decided exactly, against one
+table of distinct classes per fan, by the integer-preserving simplex of
 ``lattice.has_nonneg_combination``; on a weak Fano fan a degree-0 class
 needs only the other degree-0 classes. Two exact steps shrink that work.
 A class that is the sum of two of the columns is not extremal, since 1 on
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import sub
-from typing import Sequence
 
 from .fan import BundleSpec, Fan, maximal_cone_normals, memoised
 from .lattice import (
@@ -44,10 +44,6 @@ class PrimitiveRelation:
     coeffs: tuple[tuple[int, int], ...]  # (ray index, positive coefficient), sorted
     degree: int
     cls: tuple[int, ...]
-
-    @property
-    def coeff_map(self) -> dict[int, int]:
-        return dict(self.coeffs)
 
     def to_dict(self) -> dict:
         return {
@@ -180,23 +176,17 @@ def is_weak_fano(fan: Fan) -> bool:
     return all(r.degree >= 0 for r in primitive_collections(fan))
 
 
-def _positive_multiple(u: Sequence[int], v: Sequence[int]) -> bool:
-    """True iff u = q*v for some rational q > 0; the zero vector only matches itself.
-
-    With p the first nonzero index of v, that is u[i]*v[p] == v[i]*u[p] for
-    every i, and u[p]*v[p] > 0.
-    """
-    p = next((i for i, x in enumerate(v) if x != 0), None)
-    if p is None:
-        return all(x == 0 for x in u)
-    return u[p] * v[p] > 0 and all(x * v[p] == y * u[p] for x, y in zip(u, v, strict=True))
-
-
 @memoised
-def _rows_off_first_cone(fan: Fan) -> tuple[int, ...]:
-    """Indices of the n - d rays outside ``fan.max_cones[0]``, in order."""
+def _columns(fan: Fan, face: bool) -> dict[Vector, Vector]:
+    """The distinct classes of the fan, each mapped to its entries on the n - d
+    rays outside ``fan.max_cones[0]``; with ``face``, the degree-0 classes only."""
     cone = set(fan.max_cones[0])
-    return tuple(i for i in range(len(fan.rays)) if i not in cone)
+    rows = [i for i in range(len(fan.rays)) if i not in cone]
+    return {
+        r.cls: tuple(r.cls[i] for i in rows)
+        for r in primitive_collections(fan)
+        if r.degree == 0 or not face
+    }
 
 
 @memoised
@@ -204,7 +194,10 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     """Whether the class spans an extremal ray of the cone of all relation classes.
 
     Decided exactly: the class must not be a nonnegative rational combination
-    of the other classes that are not positive multiples of it.
+    of the other classes. Every class is a primitive vector: the collection
+    is not a face, so some ray of it lies outside sigma, where the class is
+    1. So the only positive multiple of a class is the class itself, and the
+    others are the other keys of the per-fan table ``_columns``.
 
     The degree of a class is the sum of its entries, -K . class, a linear
     function. On a weak Fano fan it is >= 0 on every class, hence on the
@@ -225,23 +218,13 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     entries: dropping them is injective on the relations, and the smaller
     LP is feasible exactly when the full one is.
     """
-    on_face = rel.degree == 0 and is_weak_fano(fan)
-    others = [
-        r.cls
-        for r in primitive_collections(fan)
-        if r.collection != rel.collection
-        and (r.degree == 0 or not on_face)
-        and not _positive_multiple(r.cls, rel.cls)
-    ]
+    table = _columns(fan, rel.degree == 0 and is_weak_fano(fan))
+    others = [c for c in table if c != rel.cls]
     if not others:
         return True
-    columns = set(others)
-    if any(tuple(map(sub, rel.cls, c)) in columns for c in others):
+    if any(tuple(map(sub, rel.cls, c)) in table for c in others):
         return False
-    rows = _rows_off_first_cone(fan)
-    return not has_nonneg_combination(
-        [tuple(c[i] for i in rows) for c in others], tuple(rel.cls[i] for i in rows)
-    )
+    return not has_nonneg_combination([table[c] for c in others], table[rel.cls])
 
 
 def extremality_flags(fan: Fan) -> tuple[bool, ...]:

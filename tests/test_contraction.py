@@ -186,8 +186,8 @@ def test_shape_first_verdict_agrees_with_eager_verdict():
     blocked = 0
     for fan in catalog_fans + weak_bundles + other_bundles:
         weakened, table = eager_weakened_verdict(fan)
-        assert is_weakened_fano(fan).is_weakened == weakened, fan.to_json()
-        assert crepant_contractions(fan) == table, fan.to_json()
+        assert is_weakened_fano(fan).is_weakened == weakened, fan.to_dict()
+        assert crepant_contractions(fan) == table, fan.to_dict()
         if is_weak_fano(fan) and not is_fano(fan) and not weakened:
             blocked += 1
     # enough fans where an extremal relation of another shape decides the verdict

@@ -146,12 +146,12 @@ def test_linear_completeness_agrees_with_pairwise_oracle():
     for fan in fans:
         report = validate(fan)
         verdict = (report.is_simplicial, report.is_smooth, report.is_complete)
-        assert verdict == pairwise_validate(fan), fan.to_json()
+        assert verdict == pairwise_validate(fan), fan.to_dict()
         verdicts.add(verdict)
         for reason, pair in report.offending_cones:
             if reason == "improper_intersection":
                 improper_pairs += 1
-                assert not pair_is_proper(fan, *pair), (fan.to_json(), pair)
+                assert not pair_is_proper(fan, *pair), (fan.to_dict(), pair)
     assert {(True, True, True), (True, True, False), (False, False, False)} <= verdicts
     assert improper_pairs > 0
 
@@ -226,7 +226,7 @@ def test_validate_agrees_with_the_reference_report():
     reasons = set()
     for fan in fans:
         report = validate(fan)
-        assert report == reference_validate(fan), fan.to_json()
+        assert report == reference_validate(fan), fan.to_dict()
         reasons.update(reason for reason, _ in report.offending_cones)
     assert {
         "zero_ray", "non_primitive_ray", "duplicate_ray", "duplicate_cone", "unused_ray",
@@ -290,15 +290,16 @@ class TestJsonFormat:
     def test_round_trip_is_identity(self):
         for name in ("P2", "F2", "X3_0", "P1xW7", "PP2_O_O3"):
             fan = named_fan(name).fan
-            again = fan_from_json(fan.to_json())
+            text = json.dumps(fan.to_dict())
+            again = fan_from_json(text)
             assert again == fan
-            assert again.to_json() == fan.to_json()
+            assert json.dumps(again.to_dict()) == text
 
     def test_canonical_serialization_is_stable(self):
         fan = named_fan("X5_1").fan
-        text = fan.to_json()
+        text = json.dumps(fan.to_dict())
         assert json.loads(text)["dim"] == 3
-        assert fan_from_json(text).to_json() == text
+        assert json.dumps(fan_from_json(text).to_dict()) == text
 
     @pytest.mark.parametrize(
         "text",
@@ -326,3 +327,34 @@ class TestJsonFormat:
             fan_from_json('{"dim": 2, "rays": [[1,0,0]], "max_cones": []}')
         with pytest.raises(ValueError):
             fan_from_json('{"rays": [[1,0]]}')
+
+
+class TestConstructorGate:
+    """``Fan`` itself refuses a dim outside 1 to 3 and rays of the wrong
+    length, so no fan with more than 3 coordinates reaches the package."""
+
+    @pytest.mark.parametrize(
+        "dim, rays, cones",
+        [
+            (4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)), ((0, 1, 2, 3),)),
+            (0, (), ()),
+            (True, ((1,), (-1,)), ((0,), (1,))),
+            ("3", P2.rays, P2.max_cones),
+            (2, ((1, 0, 0), (0, 1), (-1, -1)), P2.max_cones),
+        ],
+        ids=["dim4", "dim0", "dim_true", "dim_string", "ray_too_long"],
+    )
+    def test_constructor_refuses_shape(self, dim, rays, cones):
+        with pytest.raises(ValueError):
+            Fan(dim, rays, cones)
+
+    def test_json_messages(self):
+        with pytest.raises(ValueError, match=r"^dim 4 is not 1, 2 or 3$"):
+            fan_from_json(DIM4_FAN)
+        with pytest.raises(ValueError, match=r"^ray \(1, 0, 0\) does not have 2 coordinates$"):
+            fan_from_json('{"dim": 2, "rays": [[1,0,0]], "max_cones": []}')
+        # an entry that is not an int is reported before a wrong length
+        with pytest.raises(ValueError, match=r"^ray \[1\.5, 0, 0\] holds an entry that is not an integer$"):
+            fan_from_json('{"dim": 2, "rays": [[1.5,0,0]], "max_cones": []}')
+        with pytest.raises(ValueError, match=r"^malformed fan data: 'rays'$"):
+            fan_from_json('{"dim": 2, "max_cones": []}')

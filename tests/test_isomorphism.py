@@ -133,12 +133,12 @@ class TestAgainstReference:
 
     @staticmethod
     def check_key(fan) -> None:
-        assert canonical_key(_fresh(fan)) == reference_canonical_key(_fresh(fan)), fan.to_json()
+        assert canonical_key(_fresh(fan)) == reference_canonical_key(_fresh(fan)), fan.to_dict()
 
     @staticmethod
     def check_witness(f, g):
         iso = find_isomorphism(_fresh(f), _fresh(g))
-        assert iso == reference_find_isomorphism(_fresh(f), _fresh(g)), (f.to_json(), g.to_json())
+        assert iso == reference_find_isomorphism(_fresh(f), _fresh(g)), (f.to_dict(), g.to_dict())
         return iso
 
     def test_keys_on_the_catalog_and_its_rebasings(self):

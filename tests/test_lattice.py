@@ -3,7 +3,7 @@ import random
 import pytest
 
 from torifan.lattice import (
-    determinant,
+    adjugate,
     has_nonneg_combination,
     invert_unimodular,
     is_primitive,
@@ -30,44 +30,69 @@ def columns(*cols):
     return matrix_from_columns(cols)
 
 
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def scaled_identity(det, n):
+    return tuple(tuple(det * x for x in row) for row in identity(n))
+
+
 class TestDeterminant:
+    """The package reads a determinant as entry (0, 0) of adj(m) * m = det(m) * I
+    (``fan.cone_det_and_normals``, ``invert_unimodular``); a fan has at most 3
+    coordinates, so ``adjugate`` takes sizes 1 to 3 only."""
+
     def test_identity(self):
-        assert determinant(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == 1
+        m = identity(3)
+        assert adjugate(m) == m
+        assert invert_unimodular(m) == m
 
     def test_cofactor_oracle_case(self):
         m = columns((1, 0, 0), (1, 1, 0), (0, 0, 1))
         assert cofactor_det([list(r) for r in m]) == 1
-        assert determinant(m) == 1
+        assert matmul(adjugate(m), m) == identity(3)
 
     def test_dependent_columns(self):
-        assert determinant(columns((1, 0), (-1, 0))) == 0
-
-    def test_row_swaps_on_zero_pivots(self):
-        # odd and even permutation matrices, and a zero leading entry of a 5 x 5
-        assert determinant(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))) == -1
-        assert determinant(((0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))) == -1
-        assert determinant(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))) == 1
-        m = ((0, 2, 1, 0, 3), (4, 0, 0, 1, 0), (1, 1, 0, 2, 2), (0, 3, 5, 0, 1), (2, 0, 1, 1, 0))
-        assert determinant(m) == cofactor_det([list(r) for r in m])
+        m = columns((1, 0), (-1, 0))
+        assert matmul(adjugate(m), m) == scaled_identity(0, 2)
+        with pytest.raises(ValueError):
+            invert_unimodular(m)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            determinant(((1, 0, 0), (0, 1, 0)))
+        for m in (
+            ((1, 0, 0), (0, 1, 0)),
+            ((1, 0), (0, 1), (1, 1)),
+            ((1, 0, 0), (0, 1)),
+            (),
+            identity(4),
+        ):
+            with pytest.raises(ValueError):
+                adjugate(m)
+            with pytest.raises(ValueError):
+                invert_unimodular(m)
 
     def test_matches_cofactor_expansion_on_random_matrices(self):
         rng = random.Random(7)
-        singular = 0
-        for _ in range(120):
-            n = rng.choice([1, 2, 3, 4, 5])
-            m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            if n > 2 and rng.random() < 0.25:
+        singular = unimodular = 0
+        for _ in range(300):
+            n = rng.choice([1, 2, 3])
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if n == 3 and rng.random() < 0.25:
                 # a row that is a combination of two others
                 i, j, k = rng.sample(range(n), 3)
                 m[i] = [rng.randint(-2, 2) * x + y for x, y in zip(m[j], m[k])]
-            expected = cofactor_det(m)
-            singular += expected == 0
-            assert determinant(tuple(map(tuple, m))) == expected
-        assert singular > 0
+            det = cofactor_det(m)
+            m = tuple(map(tuple, m))
+            assert matmul(adjugate(m), m) == scaled_identity(det, n), m
+            singular += det == 0
+            if det in (1, -1):
+                unimodular += 1
+                assert matmul(m, invert_unimodular(m)) == identity(n), m
+            else:
+                with pytest.raises(ValueError):
+                    invert_unimodular(m)
+        assert singular > 20 and unimodular > 20
 
 
 class TestVectorKernels:

@@ -4,6 +4,7 @@ The counters replace a function by identity in every loaded torifan module,
 so a call through a name imported with ``from .x import f`` is counted too.
 """
 
+import json
 import sys
 
 import pytest
@@ -48,7 +49,7 @@ def fresh(fan: Fan) -> Fan:
 
 def test_isomorphic_validates_each_fan_at_most_once(tmp_path, calls):
     path = tmp_path / "x3_0.json"
-    path.write_text(named_fan("X3_0").fan.to_json())
+    path.write_text(json.dumps(named_fan("X3_0").fan.to_dict()))
     validated = calls(fan_module.validate)
     result = run(["isomorphic", str(path), "catalog:X3_0", "--json"])
     assert result.status == "ok" and result.payload["isomorphic"]
@@ -156,4 +157,4 @@ def test_memo_is_not_part_of_equality_or_hashing():
     other = fresh(fan)
     primitive_collections(fan)
     assert fan == other and hash(fan) == hash(other)
-    assert fan.to_json() == other.to_json()
+    assert fan.to_dict() == other.to_dict()

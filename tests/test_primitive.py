@@ -12,7 +12,6 @@ from torifan.primitive import (
     is_extremal,
     is_fano,
     is_weak_fano,
-    _positive_multiple,
     primitive_collections,
     section_relation,
 )
@@ -234,23 +233,6 @@ class TestExtremality:
                 assert flag or has_nonneg_combination(extremal, rel.cls)
 
 
-def test_positive_multiple():
-    assert _positive_multiple((2, -4, 0), (1, -2, 0))
-    assert _positive_multiple((1, -2, 0), (2, -4, 0))
-    assert _positive_multiple((0, 3, -1), (0, 3, -1))
-    # negative multiples
-    assert not _positive_multiple((-1, 2, 0), (1, -2, 0))
-    assert not _positive_multiple((0, -3, 1), (0, 6, -2))
-    # not parallel, including agreement on the first nonzero entry only
-    assert not _positive_multiple((1, 0, 1), (1, 0, 2))
-    assert not _positive_multiple((0, 1, 1), (1, 1, 1))
-    assert not _positive_multiple((1, 1, 1), (0, 1, 1))
-    # zero vectors: only zero is a multiple of zero, and zero of nothing else
-    assert _positive_multiple((0, 0), (0, 0))
-    assert not _positive_multiple((1, 0), (0, 0))
-    assert not _positive_multiple((0, 0), (1, 0))
-
-
 def _weak_fano_bundles(count: int, seed: int) -> list:
     """Seeded sample of weak Fano surface bundles over P1."""
     from torifan.catalog import surfaces
@@ -299,7 +281,7 @@ def test_extremality_on_degree_face_agrees_with_full_lp():
     for fan in fans:
         rels = primitive_collections(fan)
         for rel in rels:
-            assert is_extremal(fan, rel) == full_lp_is_extremal(fan, rel), (fan.to_json(), rel)
+            assert is_extremal(fan, rel) == full_lp_is_extremal(fan, rel), (fan.to_dict(), rel)
             if rel.degree == 0 and is_weak_fano(fan):
                 crepant += 1
                 face = [r for r in rels if r.degree == 0 and r.collection != rel.collection]
@@ -354,7 +336,7 @@ def test_extremality_shortcuts_agree_with_full_lp_off_the_degree_face(monkeypatc
         for rel in primitive_collections(fan):
             before = len(solved)
             flag = is_extremal(fan, rel)
-            assert flag == full_lp_is_extremal(fan, rel), (fan.to_json(), rel)
+            assert flag == full_lp_is_extremal(fan, rel), (fan.to_dict(), rel)
             if len(solved) == before:
                 by_sum_of_two += not flag
             else:
@@ -362,6 +344,45 @@ def test_extremality_shortcuts_agree_with_full_lp_off_the_degree_face(monkeypatc
                 assert rows == len(fan.rays) - fan.dim and feasible != flag
                 by_infeasible_lp += not feasible
     assert by_sum_of_two > 0 and by_infeasible_lp > 0
+
+
+def _sweep_bundles_b3() -> list:
+    """The 304 bundles of the twist-bound-3 sweep: w- = 0 and section degree >= 0."""
+    from torifan.catalog import surfaces
+    from torifan.fan import BundleSpec, build_bundle
+
+    specs = [
+        BundleSpec(nf.fan, (sx, sy), (0, 0))
+        for nf in surfaces()
+        for sx in range(-6, 7)
+        for sy in range(-6, 7)
+    ]
+    return [build_bundle(spec) for spec in specs if section_relation(spec).degree >= 0]
+
+
+def test_every_class_is_primitive_with_a_one_off_sigma():
+    """The argument that lets ``is_extremal`` compare classes by equality: a
+    primitive collection is not a face, so some ray of it lies outside sigma,
+    where the class is 1; hence the class has gcd 1 and its only positive
+    multiple is itself."""
+    from math import gcd
+
+    from torifan.catalog import all_named
+    from torifan.fan import BundleSpec, build_bundle
+
+    catalog = [nf.fan for nf in all_named().values()]
+    bundles = _sweep_bundles_b3()
+    non_weak = _blown_up_hirzebruch(12, seed=7) + _non_weak_blowups((7, 8, 9), 3, seed=13)
+    non_weak += [build_bundle(BundleSpec(s, (0, 0), (0, 0))) for s in non_weak]
+    assert len(catalog) == 34 and len(bundles) == 304 and len(non_weak) == 42
+    checked = 0
+    for fan in catalog + bundles + non_weak:
+        for rel in primitive_collections(fan):
+            outside = [i for i in rel.collection if i not in rel.sigma]
+            assert outside and all(rel.cls[i] == 1 for i in outside), rel
+            assert gcd(*rel.cls) == 1, rel
+            checked += 1
+    assert checked > 5000
 
 
 class TestBundleRelations:
@@ -375,7 +396,7 @@ class TestBundleRelations:
         fan = build_bundle(spec)
         scanned = primitive_collections(Fan(3, fan.rays, fan.max_cones))
         lifted = bundle_relations(spec.fiber, section_relation(spec))
-        assert lifted == scanned, (spec.fiber.to_json(), spec.twist_plus, spec.twist_minus)
+        assert lifted == scanned, (spec.fiber.to_dict(), spec.twist_plus, spec.twist_minus)
 
     @staticmethod
     def twisted(rng, fiber, count, keep):
