@@ -193,7 +193,8 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     by phi without looking at it, so any bound costs what bound 3 costs.
 
     Each built bundle is validated, and its relations are lifted from the
-    fiber instead of scanned. ``stats`` counts each of ``SWEEP_STAGES``.
+    fiber instead of computed from its faces. ``stats`` counts each of
+    ``SWEEP_STAGES``.
     """
     if twist_bound < 3:
         raise ValueError("twist bound below 3 misses known classes")

@@ -12,6 +12,10 @@ surface of degree a) onto a rational curve of anticanonical degree 2. The
 detector reconstructs the witness basis change directly: it pins the star
 of x0 to the four normal-form cones, whose quotient by x0 is the fan of
 F_a, and it pins the anticanonical degree of the image curve to exactly 2.
+Each candidate is tested on the coordinates of y- in the cone (x0, x+, y+),
+read from the cone inverse that validation memoised; x- needs no test,
+because the relation fixes its coordinates. The basis change U is built
+once, for the witness returned.
 
 The weakened verdict reads the shape of each degree-0 relation before its
 extremality, and the table of contractions is computed only when asked for.
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fan import Fan, cone_contains, memoised, star
+from .fan import Fan, cone_contains, maximal_cone_normals, memoised, star
 from .lattice import Matrix, invert_unimodular, matmul, matvec
 from .primitive import (
     PrimitiveRelation,
@@ -73,6 +77,14 @@ def zero_two_normal_form_witness(
     Returns None unless the relation is x+ + x- = 2*x0 and the fan around x0
     matches the four-cone shape exactly, including the crepancy constraint
     U*y- = (0, a, -1).
+
+    U = N * B^-1, with B the columns x0, x+, y+ and N the same columns in
+    normal form, so U*y- = (alpha + beta, beta, gamma) for the coordinates
+    (alpha, beta, gamma) of y- along x0, x+, y+. The fan is smooth, so those
+    coordinates are rows of the memoised cone inverse
+    (``maximal_cone_normals``) applied to y-. The relation fixes the
+    coordinates of x- at (2, -1, 0), which U maps to (1, -1, 0), so x- needs
+    no test. U itself is built once, for the witness returned.
     """
     if fan.dim != 3:
         return None
@@ -88,33 +100,28 @@ def zero_two_normal_form_witness(
     side_rays = sorted({i for cone in star_cones for i in cone} - {x0} - set(pair))
     if len(side_rays) != 2 or len(star_cones) != 4:
         return None
-    cone_set = set(fan.max_cones)
+    cone_index = {cone: ci for ci, cone in enumerate(fan.max_cones)}
+    inverses = maximal_cone_normals(fan)
     for xp, xm in (pair, pair[::-1]):
         for yp, ym in (tuple(side_rays), tuple(side_rays[::-1])):
-            if tuple(sorted((x0, xp, yp))) not in cone_set:
+            cone = tuple(sorted((x0, xp, yp)))
+            ci = cone_index.get(cone)
+            if ci is None:
                 continue
-            basis = tuple(
-                tuple(fan.rays[i][r] for i in (x0, xp, yp)) for r in range(3)
-            )
-            try:
-                u = matmul(_NORMAL_FORM_BASIS, invert_unimodular(basis))
-            except ValueError:
+            coords = dict(zip(cone, matvec(inverses[ci], fan.rays[ym])))
+            beta = coords[xp]
+            if coords[x0] + beta != 0 or coords[yp] != -1 or beta < 0:
                 continue
-            if matvec(u, fan.rays[xm]) != (1, -1, 0):
-                continue
-            image_ym = matvec(u, fan.rays[ym])
-            if image_ym[0] != 0 or image_ym[2] != -1 or image_ym[1] < 0:
-                continue
-            a = image_ym[1]
             expected_cones = {
-                tuple(sorted((x0, xp, yp))),
+                cone,
                 tuple(sorted((x0, xp, ym))),
                 tuple(sorted((x0, xm, yp))),
                 tuple(sorted((x0, xm, ym))),
             }
             if set(star_cones) != expected_cones:
                 continue
-            return u, (x0, xp, xm, yp, ym), a
+            u = matmul(_NORMAL_FORM_BASIS, invert_unimodular(fan.cone_columns((x0, xp, yp))))
+            return u, (x0, xp, xm, yp, ym), beta
     return None
 
 

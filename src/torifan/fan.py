@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key, wraps
 from itertools import combinations
-from operator import neg
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .lattice import (
@@ -174,7 +173,11 @@ def cone_det_and_normals(fan: Fan, cone: Sequence[int]) -> tuple[int, Matrix]:
     adj = adjugate(fan.cone_columns(cone))
     det = vdot(adj[0], fan.rays[cone[0]])
     if det < 0:
-        adj = tuple(tuple(map(neg, row)) for row in adj)
+        if len(adj) == 3:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = adj
+            adj = ((-a0, -a1, -a2), (-b0, -b1, -b2), (-c0, -c1, -c2))
+        else:
+            adj = tuple([tuple([-x for x in row]) for row in adj])
     return det, adj
 
 

@@ -2,14 +2,17 @@
 
 Everything here works with plain Python ints (arbitrary precision); there is
 no floating point anywhere in the package. Matrices are stored as tuples of
-rows. The vector kernels (``vadd``, ``vdot``, ``vsum``, ``matvec``,
-``matrix_from_columns``) run on ``map`` with ``operator`` functions, ``sum``
-and ``zip(*...)``, so no Python-level loop runs per entry; each raises
-``ValueError`` on vectors of mismatched lengths instead of truncating.
-Elimination is integer-preserving (Edmonds 1967; Bareiss 1968): one pivot
-step, ``_pivot``, serves ``solve_rational`` and the simplex of
-``has_nonneg_combination``. A ``Fan`` has at most 3 coordinates, so there is
-no determinant above 3 x 3, and none apart from ``adjugate``. Only the
+rows. A ``Fan`` has 1 to 3 coordinates, so ``vdot`` of 2- and 3-entry
+vectors and ``matvec`` of 2 x 2 and 3 x 3 matrices are written out in
+closed form (tuple unpacking and one arithmetic expression per entry, no
+generator or per-row loop), and no determinant is taken above 3 x 3, nor
+anywhere but in ``adjugate``. Other shapes, and the other vector kernels
+(``vadd``, ``vsum``, ``matrix_from_columns``), run on ``map`` with
+``operator`` functions, ``sum`` and ``zip(*...)``. Every kernel raises
+``ValueError`` on vectors of mismatched lengths instead of truncating; in
+the closed forms the unpacking does that. Elimination is integer-preserving
+(Edmonds 1967; Bareiss 1968): one pivot step, ``_pivot``, serves
+``solve_rational`` and the simplex of ``has_nonneg_combination``. Only the
 result of ``solve_rational`` is a ``fractions.Fraction``.
 """
 
@@ -31,8 +34,17 @@ def vadd(a: Vector, b: Vector) -> Vector:
 
 
 def vdot(a: Sequence, b: Sequence):
-    if len(a) != len(b):
-        raise ValueError(f"vectors of lengths {len(a)} and {len(b)} do not match")
+    n = len(a)
+    if n == 3:
+        a0, a1, a2 = a
+        x, y, z = b
+        return a0 * x + a1 * y + a2 * z
+    if n == 2:
+        a0, a1 = a
+        x, y = b
+        return a0 * x + a1 * y
+    if n != len(b):
+        raise ValueError(f"vectors of lengths {n} and {len(b)} do not match")
     return sum(map(mul, a, b))
 
 
@@ -62,6 +74,14 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def matvec(a: Matrix, v: Sequence[int]) -> Vector:
     n = len(v)
+    if n == 3 and len(a) == 3:
+        x, y, z = v
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        return (a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z)
+    if n == 2 and len(a) == 2:
+        x, y = v
+        (a0, a1), (b0, b1) = a
+        return (a0 * x + a1 * y, b0 * x + b1 * y)
     for row in a:
         if len(row) != n:
             raise ValueError(f"matrix row of length {len(row)} against a vector of length {n}")
@@ -110,9 +130,7 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
 
 def is_primitive(v: Sequence[int]) -> bool:
     """True iff the gcd of the coordinates is 1. Rejects the zero vector."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive direction")
     return g == 1

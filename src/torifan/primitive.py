@@ -15,8 +15,9 @@ lookup. The LPs that remain keep only the n - d entries off the first
 maximal cone: the rays of a cone are linearly independent, so a
 relation's entries on them follow from the others, and dropping them
 loses nothing on the relations, where every class and every combination
-of classes lies. The relations of a surface bundle over P1 are lifted
-from its fiber (``bundle_relations``) instead of scanned.
+of classes lies. The collections are grown from the faces of the fan
+(``primitive_collections``); those of a surface bundle over P1 are lifted
+from its fiber instead (``bundle_relations``).
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ def locate_sigma(fan: Fan, total: Vector) -> tuple[tuple[int, ...], tuple[tuple[
 def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     """All primitive relations, in lexicographic order of the collections.
 
-    Minimal non-faces never exceed d+1 elements (every d+1 rays already fail
-    to span a cone, cones having at most d generators), so the subset scan
-    stops there.
+    Every proper subset of a minimal non-face is a face, so dropping its
+    largest index leaves a face: the candidates of size k are the faces of
+    size k - 1 extended by a larger index, each met once. Faces have at most
+    d elements, so minimal non-faces have at most d + 1.
     """
     if not fan.report.ok:
         raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
@@ -97,13 +99,13 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     d = fan.dim
     faces = _face_set(fan)
     relations = []
-    for size in range(2, d + 2):
-        for combo in combinations(range(n), size):
-            s = frozenset(combo)
-            if s in faces:
+    for face in faces:
+        # the empty face extends to single rays, which are faces, so its range is empty
+        for j in range(max(face, default=n) + 1, n):
+            s = face | {j}
+            if s in faces or any(s - {i} not in faces for i in face):
                 continue
-            if any(s - {i} not in faces for i in combo):
-                continue
+            combo = tuple(sorted(s))
             total = vsum([fan.rays[i] for i in combo], d)
             sigma, coeffs = locate_sigma(fan, total)
             degree = len(combo) - sum(a for _, a in coeffs)
@@ -112,7 +114,7 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
                 (1 if i in s else 0) - coeff_map.get(i, 0) for i in range(n)
             )
             relations.append(
-                PrimitiveRelation(tuple(combo), sigma, coeffs, degree, cls)
+                PrimitiveRelation(combo, sigma, coeffs, degree, cls)
             )
     relations.sort(key=lambda r: r.collection)
     return tuple(relations)

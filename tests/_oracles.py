@@ -13,7 +13,8 @@ anticanonical polytope {m : <m, ray> >= -1} by exact vertex enumeration
 with its volume by a star triangulation at the origin (``degree = d! *
 volume`` checks Brion's formula in ``polytope.anticanonical_degree``), the
 kernel directions of the pairwise search, the two-element relation
-trichotomy, and the Hirzebruch fans.
+trichotomy, the Hirzebruch fans, the zero-two witness that inverted each
+candidate basis, and the subset scan for primitive collections.
 """
 
 from __future__ import annotations
@@ -722,3 +723,97 @@ def reference_canonical_key(fan) -> bytes:
     if best is None:
         raise ValueError("fan has no maximal cones")
     return best
+
+
+def reference_zero_two_witness(fan, rel):
+    """``contraction.zero_two_normal_form_witness`` as it was before it read the
+    memoised cone inverses: for each candidate (x+, y+) invert the basis
+    (x0, x+, y+), build U and test U*x- and U*y- against the normal form.
+
+    The reference for the witness, which must return the same (U, names, a)
+    or None, in the same candidate order.
+    """
+    from torifan.contraction import _NORMAL_FORM_BASIS
+    from torifan.fan import star
+    from torifan.lattice import invert_unimodular, matmul, matvec
+
+    if fan.dim != 3:
+        return None
+    if len(rel.collection) != 2 or len(rel.coeffs) != 1 or rel.coeffs[0][1] != 2:
+        return None
+    x0 = rel.coeffs[0][0]
+    pair = rel.collection
+    star_cones = star(fan, x0)
+    # every maximal cone at x0 must use exactly one of the two collapsing rays
+    for cone in star_cones:
+        if len(set(cone) & set(pair)) != 1:
+            return None
+    side_rays = sorted({i for cone in star_cones for i in cone} - {x0} - set(pair))
+    if len(side_rays) != 2 or len(star_cones) != 4:
+        return None
+    cone_set = set(fan.max_cones)
+    for xp, xm in (pair, pair[::-1]):
+        for yp, ym in (tuple(side_rays), tuple(side_rays[::-1])):
+            if tuple(sorted((x0, xp, yp))) not in cone_set:
+                continue
+            basis = tuple(
+                tuple(fan.rays[i][r] for i in (x0, xp, yp)) for r in range(3)
+            )
+            try:
+                u = matmul(_NORMAL_FORM_BASIS, invert_unimodular(basis))
+            except ValueError:
+                continue
+            if matvec(u, fan.rays[xm]) != (1, -1, 0):
+                continue
+            image_ym = matvec(u, fan.rays[ym])
+            if image_ym[0] != 0 or image_ym[2] != -1 or image_ym[1] < 0:
+                continue
+            a = image_ym[1]
+            expected_cones = {
+                tuple(sorted((x0, xp, yp))),
+                tuple(sorted((x0, xp, ym))),
+                tuple(sorted((x0, xm, yp))),
+                tuple(sorted((x0, xm, ym))),
+            }
+            if set(star_cones) != expected_cones:
+                continue
+            return u, (x0, xp, xm, yp, ym), a
+    return None
+
+
+def reference_primitive_collections(fan):
+    """``primitive.primitive_collections`` as it was before it grew candidates
+    from faces: scan every subset of 2 to d + 1 rays, keep the minimal
+    non-faces, and locate each sum in the fan.
+
+    The reference for the relations, which must be equal and in the same
+    order.
+    """
+    from torifan.lattice import vsum
+    from torifan.primitive import PrimitiveRelation, _face_set, locate_sigma
+
+    if not fan.report.ok:
+        raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
+    n = len(fan.rays)
+    d = fan.dim
+    faces = _face_set(fan)
+    relations = []
+    for size in range(2, d + 2):
+        for combo in combinations(range(n), size):
+            s = frozenset(combo)
+            if s in faces:
+                continue
+            if any(s - {i} not in faces for i in combo):
+                continue
+            total = vsum([fan.rays[i] for i in combo], d)
+            sigma, coeffs = locate_sigma(fan, total)
+            degree = len(combo) - sum(a for _, a in coeffs)
+            coeff_map = dict(coeffs)
+            cls = tuple(
+                (1 if i in s else 0) - coeff_map.get(i, 0) for i in range(n)
+            )
+            relations.append(
+                PrimitiveRelation(tuple(combo), sigma, coeffs, degree, cls)
+            )
+    relations.sort(key=lambda r: r.collection)
+    return tuple(relations)

@@ -13,6 +13,7 @@ from torifan.contraction import (
 from torifan.fan import cone_contains, fan_from_rays_2d
 from torifan.lattice import matvec, vsum
 from torifan.primitive import (
+    bundle_relations,
     is_extremal,
     is_fano,
     is_weak_fano,
@@ -20,7 +21,13 @@ from torifan.primitive import (
     section_relation,
 )
 
-from _oracles import eager_weakened_verdict, in_relative_interior
+from _oracles import (
+    eager_weakened_verdict,
+    in_relative_interior,
+    random_unimodular,
+    rebase_fan,
+    reference_zero_two_witness,
+)
 
 
 def crepant_double_relation(fan):
@@ -126,6 +133,41 @@ class TestNormalFormWitness:
                 for section in ((0, 0, 1), (0, a, -1)):
                     key = tuple(sorted([(1, 0, 0), pair, section]))
                     assert key in transformed
+
+    def test_witness_agrees_with_the_reference_on_every_degree_zero_relation(self):
+        """The witness reads the memoised cone inverses and builds U once; the
+        version that inverted every candidate basis must return the same
+        (U, names, a) or None. The fans: the catalog 3-folds, every bundle
+        over the 16 fibers with w+ in [-6, 6]^2 and w- in {(0, 0), (1, -1)},
+        and 400 seeded rebasings of those with an x+ + x- = 2*x0 relation of
+        degree 0, the only shape the witness searches."""
+        fans = [
+            (nf.fan, primitive_collections(nf.fan)) for nf in all_named().values() if nf.fan.dim == 3
+        ]
+        for nf in surfaces():
+            for plus in ((sx, sy) for sx in range(-6, 7) for sy in range(-6, 7)):
+                for minus in ((0, 0), (1, -1)):
+                    spec = BundleSpec(nf.fan, plus, minus)
+                    fan = build_bundle(spec)
+                    assert fan is not None
+                    fans.append((fan, bundle_relations(nf.fan, section_relation(spec))))
+        doubled = [
+            fan for fan, rels in fans
+            if any(r.degree == 0 and len(r.coeffs) == 1 and r.coeffs[0][1] == 2 for r in rels)
+        ]
+        rng = random.Random(41)
+        for _ in range(400):
+            fan = rebase_fan(rng.choice(doubled), random_unimodular(rng, 3))
+            fans.append((fan, primitive_collections(fan)))
+        found = absent = 0
+        for fan, rels in fans:
+            for rel in rels:
+                if rel.degree == 0:
+                    witness = zero_two_normal_form_witness(fan, rel)
+                    assert witness == reference_zero_two_witness(fan, rel), (fan.to_dict(), rel)
+                    found += witness is not None
+                    absent += witness is None
+        assert len(fans) == 5826 and found == 999 and absent == 14765
 
     def test_witness_absent_for_offset_configuration(self):
         fiber = fan_from_rays_2d([(1, 0), (0, 1), (-1, 0), (1, -1)])

@@ -39,9 +39,11 @@ def scaled_identity(det, n):
 
 
 class TestDeterminant:
-    """The package reads a determinant as entry (0, 0) of adj(m) * m = det(m) * I
-    (``fan.cone_det_and_normals``, ``invert_unimodular``); a fan has at most 3
-    coordinates, so ``adjugate`` takes sizes 1 to 3 only."""
+    """``adjugate`` and ``invert_unimodular`` against cofactor expansion:
+    adj(m) * m = det(m) * I with det from ``_oracles.cofactor_det``. The
+    package has no determinant function; it reads det as entry (0, 0) of that
+    product (``fan.cone_det_and_normals``, ``invert_unimodular``). A fan has
+    at most 3 coordinates, so ``adjugate`` takes sizes 1 to 3 only."""
 
     def test_identity(self):
         m = identity(3)
@@ -96,7 +98,9 @@ class TestDeterminant:
 
 
 class TestVectorKernels:
-    """The map/zip kernels against entrywise loops, and their length checks."""
+    """The kernels against entrywise loops, and their length checks. ``vdot``
+    of 2 and 3 entries and ``matvec`` of 2 x 2 and 3 x 3 matrices have closed
+    forms; other shapes take the generic map/zip path."""
 
     def test_match_entrywise_loops_on_random_vectors(self):
         rng = random.Random(5)
@@ -114,13 +118,33 @@ class TestVectorKernels:
                     tuple(r[i] for r in rows) for i in range(n)
                 )
 
+    def test_closed_forms_match_entrywise_loops(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            n = rng.choice([2, 3])
+            a = tuple(rng.randint(-10**12, 10**12) for _ in range(n))
+            b = tuple(rng.randint(-9, 9) for _ in range(n))
+            # square matrices take the closed form, other row counts the
+            # generic path
+            count = rng.choice([0, 1, n, n, 4])
+            rows = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(count))
+            assert vdot(a, b) == sum(a[i] * b[i] for i in range(n))
+            assert vdot(list(a), b) == vdot(a, b)
+            assert matvec(rows, a) == tuple(sum(r[i] * a[i] for i in range(n)) for r in rows)
+
     def test_vadd_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             vadd((1, 2), (1, 2, 3))
 
     def test_vdot_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            vdot((1, 2, 3), (1, 2))
+        for a, b in (
+            ((1, 2, 3), (1, 2)),
+            ((1, 2), (1, 2, 3)),
+            ((1, 2, 3), (1, 2, 3, 4)),
+            ((1,), (1, 2)),
+        ):
+            with pytest.raises(ValueError):
+                vdot(a, b)
 
     def test_vsum_rejects_mismatched_lengths(self):
         assert vsum([], 3) == (0, 0, 0)
@@ -133,8 +157,17 @@ class TestVectorKernels:
         assert matvec((), (1, 2)) == ()
         with pytest.raises(ValueError):
             matvec(((1, 0, 5), (0, 1, 7)), (1, 2))
-        with pytest.raises(ValueError):
-            matvec(((1, 0), (0,)), (1, 2))
+        for m, v in (
+            (((1, 0), (0,)), (1, 2)),
+            (((1, 2),) * 3, (1, 2, 3)),
+            (((1, 2, 3, 4),) * 3, (1, 2, 3)),
+            (((1, 2, 3),) * 2, (1, 2)),
+            (((1, 2, 3), (1, 2)), (1, 2, 3)),
+            (((1, 2, 3), (4, 5, 6), (7, 8)), (1, 2, 3)),
+            (((1,), (2,), (3,)), (1, 2, 3, 4)),
+        ):
+            with pytest.raises(ValueError):
+                matvec(m, v)
 
     def test_matrix_from_columns_checks_dimension_without_coercion(self):
         assert matrix_from_columns([]) == ()

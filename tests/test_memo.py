@@ -19,6 +19,8 @@ from torifan.fan import BundleSpec, Fan, build_bundle
 from torifan.isomorphism import canonical_key
 from torifan.primitive import primitive_collections
 
+from _oracles import reference_zero_two_witness
+
 
 @pytest.fixture
 def calls(monkeypatch):
@@ -126,6 +128,19 @@ def test_relations_reuse_the_cone_inverses_of_validation(calls):
     assert fan.report.ok
     primitive_collections(fan)
     assert inverted == []
+
+
+def test_sweep_inverts_one_basis_per_zero_two_witness(calls):
+    # the witness reads each candidate's coordinates from the memoised cone
+    # inverses, and inverts a basis only to build the U that it returns
+    catalog.surfaces(), catalog.threefolds()
+    inverted = calls(lattice.invert_unimodular)
+    searched = calls(contraction.zero_two_normal_form_witness, whole=True)
+    report = enumerate_weakened_threefolds(3)
+    assert report.count == 15
+    sweep_inversions = len(inverted)
+    witnesses = sum(reference_zero_two_witness(fan, rel) is not None for fan, rel in searched)
+    assert len(searched) == 314 and sweep_inversions == witnesses == 83
 
 
 def test_sweep_computes_each_cone_once_in_validate(calls):

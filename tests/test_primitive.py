@@ -16,7 +16,14 @@ from torifan.primitive import (
     section_relation,
 )
 
-from _oracles import cross3, full_lp_is_extremal, two_element_relation_kind
+from _oracles import (
+    cross3,
+    full_lp_is_extremal,
+    random_unimodular,
+    rebase_fan,
+    reference_primitive_collections,
+    two_element_relation_kind,
+)
 
 
 def hirzebruch(a):
@@ -385,9 +392,30 @@ def test_every_class_is_primitive_with_a_one_off_sigma():
     assert checked > 5000
 
 
+def test_relations_grown_from_faces_agree_with_the_subset_scan():
+    """``primitive_collections`` extends each face by a larger index; the scan
+    of every subset of 2 to d + 1 rays that it replaced must give the same
+    relations in the same order. Each fan is a fresh copy, so nothing is
+    seeded or memoised."""
+    from torifan.catalog import all_named, surfaces
+    from torifan.classify import surface_blowups
+    from torifan.fan import Fan
+
+    rng = random.Random(37)
+    catalog = [nf.fan for nf in all_named().values()]
+    rebased = [rebase_fan(f, random_unimodular(rng, f.dim)) for f in catalog for _ in range(3)]
+    blowups = [fan for nf in surfaces() for fan in surface_blowups(nf.fan)]
+    bundles = _sweep_bundles_b3()
+    assert len(catalog) == 34 and len(bundles) == 304 and len(blowups) == 96
+    for fan in catalog + rebased + blowups + bundles:
+        fresh = Fan(fan.dim, fan.rays, fan.max_cones)
+        assert primitive_collections(fresh) == reference_primitive_collections(fan), fan.to_dict()
+
+
 class TestBundleRelations:
     """``bundle_relations`` lifts a bundle's relations from its fiber; each
-    case compares them with the subset scan on a fresh copy of the bundle."""
+    case compares them with ``primitive_collections`` of a fresh copy of the
+    bundle, which grows them from its faces."""
 
     @staticmethod
     def check(spec) -> None:
