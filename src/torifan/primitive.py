@@ -100,7 +100,7 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     faces = _face_set(fan)
     relations = []
     for face in faces:
-        # the empty face extends to single rays, which are faces, so its range is empty
+        # the empty face gets an empty range: its extensions, single rays, are faces
         for j in range(max(face, default=n) + 1, n):
             s = face | {j}
             if s in faces or any(s - {i} not in faces for i in face):
