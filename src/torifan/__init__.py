@@ -9,7 +9,6 @@ from .fan import (
     Fan,
     ValidationReport,
     build_bundle,
-    cone_contains,
     fan_from_dict,
     fan_from_json,
     fan_from_rays_2d,
@@ -59,7 +58,6 @@ __all__ = [
     "anticanonical_degree",
     "build_bundle",
     "canonical_key",
-    "cone_contains",
     "contraction_shape",
     "crepant_contractions",
     "enumerate_weak_del_pezzo",

@@ -38,18 +38,16 @@ _SURFACE_RAYS: dict[str, list[tuple[int, int]]] = {
 
 _FANO_SURFACES = {"P2", "P1xP1", "F1", "S7", "S6"}
 
-# Fiber presentations and section twists of the four non-product weakened
-# 3-folds, in fiber (+) base coordinates. Rebased from the generator lists
-# in which they are usually written: the fiber plane is spanned by the
-# exceptional ray and the two rays completing its star.
-_BUNDLE_DATA: dict[str, tuple[list[tuple[int, int]], tuple[int, int], tuple[int, int], str]] = {
-    "X3_0": ([(1, 0), (0, 1), (0, -1), (-1, 1)], (1, 0), (1, 0), "F1"),
-    "X4_0": ([(1, 0), (0, 1), (0, -1), (-1, 1), (-1, 0)], (1, 0), (1, 0), "S7"),
-    "X4_1": ([(1, 0), (1, 1), (1, -1), (0, 1), (-1, 0)], (0, 0), (0, 1), "W3"),
-    "X5_1": ([(1, 0), (1, 1), (1, -1), (0, 1), (-1, 0), (0, -1)], (0, 0), (0, 1), "W4_1"),
+# Fiber presentations, section twists, fiber names and degrees of the four
+# non-product weakened 3-folds, in fiber (+) base coordinates. Rebased from
+# the generator lists in which they are usually written: the fiber plane is
+# spanned by the exceptional ray and the two rays completing its star.
+_BUNDLE_DATA: dict[str, tuple[list[tuple[int, int]], tuple[int, int], tuple[int, int], str, int]] = {
+    "X3_0": ([(1, 0), (0, 1), (0, -1), (-1, 1)], (1, 0), (1, 0), "F1", 52),
+    "X4_0": ([(1, 0), (0, 1), (0, -1), (-1, 1), (-1, 0)], (1, 0), (1, 0), "S7", 38),
+    "X4_1": ([(1, 0), (1, 1), (1, -1), (0, 1), (-1, 0)], (0, 0), (0, 1), "W3", 46),
+    "X5_1": ([(1, 0), (1, 1), (1, -1), (0, 1), (-1, 0), (0, -1)], (0, 0), (0, 1), "W4_1", 36),
 }
-
-_SPECIAL_DEGREES = {"X3_0": 52, "X4_0": 38, "X4_1": 46, "X5_1": 36}
 
 _PRODUCT_FIBERS = [
     "F2", "W3", "W4_1", "W4_2", "W4_3", "W5_1", "W5_2", "W6_1", "W6_2", "W6_3", "W7",
@@ -85,54 +83,26 @@ def surfaces() -> tuple[NamedFan, ...]:
     return tuple(out)
 
 
-def surface(name: str) -> NamedFan:
-    for nf in surfaces():
-        if nf.name == name:
-            return nf
-    raise KeyError(f"unknown surface {name!r}")
-
-
 @lru_cache(maxsize=None)
 def threefolds() -> tuple[NamedFan, ...]:
-    """The 15 toric weakened Fano 3-folds: 11 products P1 x W, then the four bundles."""
+    """The 15 toric weakened Fano 3-folds, all bundles over P1: 11 products P1 x W,
+    the zero-twist bundles over the catalog surfaces W, then the four twisted ones."""
+    fibers = {nf.name: nf.fan for nf in surfaces()}
+    table = [
+        (f"P1x{name}", fibers[name], (0, 0), (0, 0), name, 6 * (12 - len(fibers[name].rays)))
+        for name in _PRODUCT_FIBERS
+    ] + [
+        (name, fan_from_rays_2d(rays), plus, minus, fiber_name, degree)
+        for name, (rays, plus, minus, fiber_name, degree) in _BUNDLE_DATA.items()
+    ]
     out = []
-    for fiber_name in _PRODUCT_FIBERS:
-        fiber = surface(fiber_name)
-        fan = product_with_p1(fiber.fan)
-        n = fiber.expected["rays"]
-        out.append(
-            NamedFan(
-                f"P1x{fiber_name}",
-                fan,
-                {
-                    "rays": n + 2,
-                    "picard": n - 1,
-                    "degree": 6 * (12 - n),
-                    "fiber": fiber_name,
-                    "fiber_rays": n,
-                    "weakened": True,
-                },
-            )
-        )
-    for name, (fiber_rays, twist_plus, twist_minus, fiber_name) in _BUNDLE_DATA.items():
-        fiber = fan_from_rays_2d(fiber_rays)
-        fan = build_bundle(BundleSpec(fiber, twist_plus, twist_minus))
-        if fan is None:
-            raise AssertionError(f"catalog bundle {name} failed to validate")
-        out.append(
-            NamedFan(
-                name,
-                fan,
-                {
-                    "rays": len(fiber_rays) + 2,
-                    "picard": len(fiber_rays) - 1,
-                    "degree": _SPECIAL_DEGREES[name],
-                    "fiber": fiber_name,
-                    "fiber_rays": len(fiber_rays),
-                    "weakened": True,
-                },
-            )
-        )
+    for name, fiber, plus, minus, fiber_name, degree in table:
+        n = len(fiber.rays)
+        expected = {
+            "rays": n + 2, "picard": n - 1, "degree": degree,
+            "fiber": fiber_name, "fiber_rays": n, "weakened": True,
+        }
+        out.append(NamedFan(name, build_bundle(BundleSpec(fiber, plus, minus)), expected))
     return tuple(out)
 
 
@@ -140,8 +110,9 @@ def threefolds() -> tuple[NamedFan, ...]:
 def extras() -> tuple[NamedFan, ...]:
     """Auxiliary 3-folds: two Fano products and the weak-Fano-but-not-weakened
     P1-bundle over P2 whose crepant contraction collapses a divisor to a point."""
-    p1p1p1 = product_with_p1(surface("P1xP1").fan)
-    p1s6 = product_with_p1(surface("S6").fan)
+    fibers = {nf.name: nf.fan for nf in surfaces()}
+    p1p1p1 = product_with_p1(fibers["P1xP1"])
+    p1s6 = product_with_p1(fibers["S6"])
     pp2 = Fan(
         3,
         ((1, 0, 0), (0, 1, 0), (-1, -1, 3), (0, 0, 1), (0, 0, -1)),

@@ -214,8 +214,6 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
                     stats["pruned_by_phi"] += 1
                     continue
                 fan = build_bundle(spec)
-                if fan is None:
-                    continue
                 stats["built"] += 1
                 seed_primitive_collections(fan, bundle_relations(nf.fan, section))
                 verdict = is_weakened_fano(fan)

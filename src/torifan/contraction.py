@@ -10,12 +10,12 @@ exactly four maximal cones pairing {x+, x-} against two further rays
 with 0 <= a <= 2, the contraction collapses the divisor at x0 (a Hirzebruch
 surface of degree a) onto a rational curve of anticanonical degree 2. The
 detector reconstructs the witness basis change directly: it pins the star
-of x0 to the four normal-form cones, whose quotient by x0 is the fan of
-F_a, and it pins the anticanonical degree of the image curve to exactly 2.
-Each candidate is tested on the coordinates of y- in the cone (x0, x+, y+),
-read from the cone inverse that validation memoised; x- needs no test,
-because the relation fixes its coordinates. The basis change U is built
-once, for the witness returned.
+of x0 to the four normal-form cones by counting its cones and rays (their
+quotient by x0 is the fan of F_a), and it pins the anticanonical degree
+of the image curve to exactly 2. Each candidate is tested on the
+coordinates of y- in the cone (x0, x+, y+), read from the cone inverse
+that validation memoised; x- needs no test, because the relation fixes its
+coordinates. The basis change U is built once, for the witness returned.
 
 The weakened verdict reads the shape of each degree-0 relation before its
 extremality, and the table of contractions is computed only when asked for.
@@ -76,16 +76,25 @@ def zero_two_normal_form_witness(
 
     Returns None unless the relation is x+ + x- = 2*x0 and the fan around x0
     matches the four-cone shape exactly, including the crepancy constraint
-    U*y- = (0, a, -1).
+    U*y- = (0, a, -1). Raises ``ValueError`` on a fan that does not validate.
+
+    The star of x0 is the normal-form star once it has four cones, each
+    holding exactly one of {x+, x-}, and two side rays: each cone is then x0
+    plus one of the pair plus one side ray, and the four distinct cones take
+    all 2 x 2 choices.
 
     U = N * B^-1, with B the columns x0, x+, y+ and N the same columns in
     normal form, so U*y- = (alpha + beta, beta, gamma) for the coordinates
     (alpha, beta, gamma) of y- along x0, x+, y+. The fan is smooth, so those
     coordinates are rows of the memoised cone inverse
-    (``maximal_cone_normals``) applied to y-. The relation fixes the
+    (``maximal_cone_normals``) applied to y-. On a valid fan gamma = -1:
+    |gamma| = 1 because the cone (x0, x+, y-) is unimodular, and gamma < 0
+    because y- lies across the wall (x0, x+) from y+. The relation fixes the
     coordinates of x- at (2, -1, 0), which U maps to (1, -1, 0), so x- needs
-    no test. U itself is built once, for the witness returned.
+    no test either. U itself is built once, for the witness returned.
     """
+    if not fan.report.ok:
+        raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
     if fan.dim != 3:
         return None
     if len(rel.collection) != 2 or len(rel.coeffs) != 1 or rel.coeffs[0][1] != 2:
@@ -105,20 +114,9 @@ def zero_two_normal_form_witness(
     for xp, xm in (pair, pair[::-1]):
         for yp, ym in (tuple(side_rays), tuple(side_rays[::-1])):
             cone = tuple(sorted((x0, xp, yp)))
-            ci = cone_index.get(cone)
-            if ci is None:
-                continue
-            coords = dict(zip(cone, matvec(inverses[ci], fan.rays[ym])))
+            coords = dict(zip(cone, matvec(inverses[cone_index[cone]], fan.rays[ym])))
             beta = coords[xp]
-            if coords[x0] + beta != 0 or coords[yp] != -1 or beta < 0:
-                continue
-            expected_cones = {
-                cone,
-                tuple(sorted((x0, xp, ym))),
-                tuple(sorted((x0, xm, yp))),
-                tuple(sorted((x0, xm, ym))),
-            }
-            if set(star_cones) != expected_cones:
+            if coords[x0] + beta != 0 or beta < 0:
                 continue
             u = matmul(_NORMAL_FORM_BASIS, invert_unimodular(fan.cone_columns((x0, xp, yp))))
             return u, (x0, xp, xm, yp, ym), beta

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key, wraps
+from fractions import Fraction
+from functools import cached_property, wraps
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .lattice import (
     Matrix,
@@ -241,7 +242,9 @@ def validate(fan: Fan) -> ValidationReport:
             offending.append(("non_primitive_ray", (i,)))
     offending.extend(("duplicate_ray", pair) for pair in _equal_pairs(fan.rays))
     for ci, cone in enumerate(fan.max_cones):
-        if any(i < 0 or i >= n for i in cone):
+        # the constructor sorts each cone, so its ends decide; an empty cone
+        # is left to the size check below
+        if cone and (cone[0] < 0 or cone[-1] >= n):
             offending.append(("bad_ray_index", (ci,)))
         used.update(cone)
     offending.extend(("duplicate_cone", pair) for pair in _equal_pairs(fan.max_cones))
@@ -322,11 +325,14 @@ def star(fan: Fan, ray_index: int) -> tuple[Cone, ...]:
     return tuple(c for c in fan.max_cones if ray_index in c)
 
 
-def _half_plane(v: Sequence) -> int:
-    # 0 for the closed upper half starting at the positive x-axis, 1 below
-    if v[1] > 0 or (v[1] == 0 and v[0] > 0):
-        return 0
-    return 1
+def _ccw_key(v: Sequence) -> tuple:
+    # (lower half-plane, off the x-axis, -x/y): the upper half starts at the
+    # positive x-axis and the lower one at the negative x-axis, and within
+    # either half the angle grows as x/y falls
+    x, y = v
+    if y == 0:
+        return (x < 0, False, 0)
+    return (y < 0, True, Fraction(-x, y))
 
 
 def ccw_sorted(points: Sequence[tuple]) -> list[tuple]:
@@ -334,19 +340,7 @@ def ccw_sorted(points: Sequence[tuple]) -> list[tuple]:
 
     Used for the rays of a 2-fan, which are primitive and pairwise distinct.
     """
-
-    def compare(a, b):
-        ha, hb = _half_plane(a), _half_plane(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=cmp_to_key(compare))
+    return sorted(points, key=_ccw_key)
 
 
 def fan_from_rays_2d(rays: Sequence[Sequence[int]]) -> Fan:
@@ -371,11 +365,19 @@ class BundleSpec:
     twist_minus: tuple[int, int]
 
 
-def build_bundle(spec: BundleSpec) -> Optional[Fan]:
-    """Assemble the 3-fan of a toric surface bundle over P1, or None if invalid.
+def build_bundle(spec: BundleSpec) -> Fan:
+    """Assemble the 3-fan of a toric surface bundle over P1.
 
     Rays are the fiber rays at base coordinate 0 plus the two sections
     (twist_plus, 1) and (twist_minus, -1); each fiber cone joins both.
+
+    Over a smooth complete 2-fan every bundle is smooth and complete,
+    whatever the twists (the bundle lemma): a cone (r1, r2, (w, +-1)) has
+    determinant +-det(r1, r2), and a point (q, t) with t >= 0 is
+    t * (w+, 1) plus the point q - t * w+ of the fiber plane, which some
+    fiber cone holds (likewise for t < 0). The bundle is still validated;
+    one that does not validate has an invalid fiber, and raises
+    ``ValueError`` naming the offending cones.
     """
     fiber = spec.fiber
     if fiber.dim != 2:
@@ -389,11 +391,11 @@ def build_bundle(spec: BundleSpec) -> Optional[Fan]:
         cones.append(tuple(sorted(cone + (n,))))
         cones.append(tuple(sorted(cone + (n + 1,))))
     fan = Fan(3, tuple(rays), tuple(cones))
-    return fan if fan.report.ok else None
+    if not fan.report.ok:
+        raise ValueError(f"bundle does not validate, so its fiber is invalid: {fan.report.offending_cones}")
+    return fan
 
 
 def product_with_p1(fiber: Fan) -> Fan:
     """P1 x S as the zero-twist bundle."""
-    fan = build_bundle(BundleSpec(fiber, (0, 0), (0, 0)))
-    assert fan is not None, "a product bundle over a valid fiber is always valid"
-    return fan
+    return build_bundle(BundleSpec(fiber, (0, 0), (0, 0)))

@@ -14,7 +14,8 @@ with its volume by a star triangulation at the origin (``degree = d! *
 volume`` checks Brion's formula in ``polytope.anticanonical_degree``), the
 kernel directions of the pairwise search, the two-element relation
 trichotomy, the Hirzebruch fans, the zero-two witness that inverted each
-candidate basis, and the subset scan for primitive collections.
+candidate basis, the subset scan for primitive collections, and the
+counterclockwise comparator that ``fan.ccw_sorted`` sorted by.
 """
 
 from __future__ import annotations
@@ -100,6 +101,31 @@ def _ccw_around_centroid(points) -> list:
             return -1 if ha < hb else 1
         cross = ax * by - ay * bx
         return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+    return sorted(points, key=cmp_to_key(compare))
+
+
+def _half_plane(v) -> int:
+    # 0 for the closed upper half starting at the positive x-axis, 1 below
+    if v[1] > 0 or (v[1] == 0 and v[0] > 0):
+        return 0
+    return 1
+
+
+def reference_ccw_sorted(points) -> list:
+    """``fan.ccw_sorted`` as it was before it sorted on a key: a comparator by
+    half-plane, then by the sign of the cross product."""
+
+    def compare(a, b):
+        ha, hb = _half_plane(a), _half_plane(b)
+        if ha != hb:
+            return -1 if ha < hb else 1
+        cross = a[0] * b[1] - a[1] * b[0]
+        if cross > 0:
+            return -1
+        if cross < 0:
+            return 1
+        return 0
 
     return sorted(points, key=cmp_to_key(compare))
 
@@ -731,7 +757,9 @@ def reference_zero_two_witness(fan, rel):
     (x0, x+, y+), build U and test U*x- and U*y- against the normal form.
 
     The reference for the witness, which must return the same (U, names, a)
-    or None, in the same candidate order.
+    or None, in the same candidate order. It keeps every check that the
+    witness leaves to the fan's validity: the x- test, gamma = -1, a
+    missing candidate cone and the comparison with the expected star.
     """
     from torifan.contraction import _NORMAL_FORM_BASIS
     from torifan.fan import star

@@ -11,7 +11,7 @@ from torifan.classify import (
     surface_blowups,
 )
 from torifan.contraction import is_weakened_fano
-from torifan.fan import product_with_p1, validate
+from torifan.fan import Fan, fan_from_rays_2d, product_with_p1, validate
 from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.primitive import is_weak_fano, section_relation
 
@@ -30,8 +30,6 @@ class TestBuildBundle:
         assert find_isomorphism(fan, named_fan("P1xP1xP1").fan) is not None
 
     def test_x3_0_spec(self):
-        from torifan.fan import fan_from_rays_2d
-
         fiber = fan_from_rays_2d([(1, 0), (0, 1), (0, -1), (-1, 1)])
         fan = build_bundle(BundleSpec(fiber, (1, 0), (1, 0)))
         assert fan is not None
@@ -55,6 +53,15 @@ class TestBuildBundle:
     def test_non_surface_fiber_rejected(self):
         with pytest.raises(ValueError):
             build_bundle(BundleSpec(named_fan("X3_0").fan, (0, 0), (0, 0)))
+
+    def test_invalid_fiber_raises_naming_the_offending_cones(self):
+        p2 = named_fan("P2").fan
+        missing_cone = Fan(2, p2.rays, p2.max_cones[1:])
+        not_unimodular = fan_from_rays_2d([(1, 0), (-1, 0), (1, 2), (1, -2)])
+        for fiber, reason in ((missing_cone, "facet_unmatched"), (not_unimodular, "cone_not_unimodular")):
+            assert not fiber.report.ok
+            with pytest.raises(ValueError, match=reason):
+                build_bundle(BundleSpec(fiber, (1, 0), (0, 0)))
 
 
 class TestSurfaceEnumeration:

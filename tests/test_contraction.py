@@ -10,7 +10,7 @@ from torifan.contraction import (
     is_weakened_fano,
     zero_two_normal_form_witness,
 )
-from torifan.fan import cone_contains, fan_from_rays_2d
+from torifan.fan import Fan, cone_contains, fan_from_rays_2d
 from torifan.lattice import matvec, vsum
 from torifan.primitive import (
     bundle_relations,
@@ -168,6 +168,13 @@ class TestNormalFormWitness:
                     found += witness is not None
                     absent += witness is None
         assert len(fans) == 5826 and found == 999 and absent == 14765
+
+    def test_witness_refuses_a_fan_that_does_not_validate(self):
+        fan = named_fan("X3_0").fan
+        rel = crepant_double_relation(fan)
+        broken = Fan(3, fan.rays, fan.max_cones[1:])
+        with pytest.raises(ValueError, match="does not validate"):
+            zero_two_normal_form_witness(broken, rel)
 
     def test_witness_absent_for_offset_configuration(self):
         fiber = fan_from_rays_2d([(1, 0), (0, 1), (-1, 0), (1, -1)])

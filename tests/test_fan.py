@@ -7,6 +7,7 @@ from torifan.fan import (
     BundleSpec,
     Fan,
     build_bundle,
+    ccw_sorted,
     cone_contains,
     fan_from_json,
     fan_from_rays_2d,
@@ -14,6 +15,7 @@ from torifan.fan import (
     validate,
 )
 from torifan.catalog import all_named, named_fan, surfaces
+from torifan.lattice import is_primitive, vadd
 from torifan.primitive import section_relation
 
 from _oracles import (
@@ -22,6 +24,7 @@ from _oracles import (
     pairwise_validate,
     random_unimodular,
     rebase_fan,
+    reference_ccw_sorted,
     reference_validate,
 )
 
@@ -199,6 +202,18 @@ REPEATED = [
     Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 1), (0, 2), (1, 2), (0, 1))),
 ]
 
+# a ray index -1 at the front of a sorted cone, an index n at its back, both
+# in one cone, and an empty cone, which must reach the size check
+_TRIANGLE = ((1, 0), (0, 1), (-1, -1))
+BAD_INDICES = [
+    Fan(2, _TRIANGLE, ((-1, 0), (0, 1), (1, 2), (0, 2))),
+    Fan(2, _TRIANGLE, ((0, 1), (1, 2), (2, 3))),
+    Fan(2, _TRIANGLE, ((-1, 3), (0, 1), (1, 2), (0, 2))),
+    Fan(2, _TRIANGLE, ((0, 1), (1, 2), (0, 2), ())),
+    Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+        ((0, 1, 2), (0, 1, 3), (-1, 0, 2), (1, 2, 4), ())),
+]
+
 
 def test_validate_agrees_with_the_reference_report():
     """The whole report, ``offending_cones`` order included, against
@@ -222,7 +237,7 @@ def test_validate_agrees_with_the_reference_report():
         fans += _kinds_of_damage(fan, rng)
     overlaps = [OVERLAPPING, PENTAGRAM, _with_p1(OVERLAPPING), _with_p1(PENTAGRAM)]
     fans += overlaps + [rebase_fan(fan, random_unimodular(rng, fan.dim)) for fan in overlaps]
-    fans += REPEATED + [Fan(2, (), ())]
+    fans += REPEATED + BAD_INDICES + [Fan(2, (), ())]
     reasons = set()
     for fan in fans:
         report = validate(fan)
@@ -231,9 +246,30 @@ def test_validate_agrees_with_the_reference_report():
     assert {
         "zero_ray", "non_primitive_ray", "duplicate_ray", "duplicate_cone", "unused_ray",
         "cone_degenerate", "cone_not_unimodular", "facet_unmatched", "improper_intersection",
-        "no_cones",
+        "no_cones", "bad_ray_index", "cone_wrong_size",
     } <= reasons
     assert sum(not validate(fan).ok for fan in fans) > 150
+
+
+def test_ccw_sorted_agrees_with_the_reference_comparator():
+    """The sort key orders points as the comparator it replaced did: every
+    primitive vector with entries in [-5, 5], shuffled under a few seeds, and
+    the rays of the 96 one-point blow-ups of the 16 catalog surfaces."""
+    vectors = [
+        (x, y) for x in range(-5, 6) for y in range(-5, 6) if (x, y) != (0, 0) and is_primitive((x, y))
+    ]
+    for seed in range(4):
+        points = list(vectors)
+        random.Random(seed).shuffle(points)
+        assert ccw_sorted(points) == reference_ccw_sorted(points)
+    blowups = [
+        list(nf.fan.rays) + [vadd(nf.fan.rays[i], nf.fan.rays[j])]
+        for nf in surfaces()
+        for i, j in nf.fan.max_cones
+    ]
+    assert len(blowups) == 96
+    for rays in blowups:
+        assert ccw_sorted(rays) == reference_ccw_sorted(rays)
 
 
 class TestContains:
