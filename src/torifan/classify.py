@@ -1,19 +1,20 @@
 """Enumeration drivers: weak del Pezzo surfaces and weakened Fano 3-folds.
 
 Surfaces come from a blow-up closure over the three minimal weak Fano
-surfaces. 3-folds come from the surface-bundle family over P1: fiber rays
-in the base hyperplane plus two section rays at base coordinate +-1. Both
-searches deduplicate by canonical key and report isomorphism classes.
+surfaces, walked on self-intersection sequences. 3-folds come from the
+surface-bundle family over P1: fiber rays in the base hyperplane plus two
+section rays at base coordinate +-1. Both searches report isomorphism
+classes, keyed and named by canonical key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import catalog
 from .contraction import crepant_contractions, is_weakened_fano
-from .fan import BundleSpec, Fan, build_bundle, fan_from_rays_2d
+from .fan import BundleSpec, Fan, build_bundle, ccw_sorted, fan_from_rays_2d
 from .isomorphism import canonical_key
 from .lattice import vadd
 from .polytope import anticanonical_degree
@@ -93,11 +94,50 @@ def projects_to_p1(fan: Fan) -> bool:
     return fan_from_rays_2d(fiber_rays).report.ok
 
 
-def surface_blowups(fan: Fan) -> Iterator[Fan]:
-    """All one-point toric blow-ups: insert the ray sum of an adjacent pair."""
-    for i, j in fan.max_cones:
-        new_ray = vadd(fan.rays[i], fan.rays[j])
-        yield fan_from_rays_2d(list(fan.rays) + [new_ray])
+def blow_up(fan: Fan, cone: Sequence[int]) -> Fan:
+    """The toric blow-up of a 2-fan at the fixed point of ``cone``: the sum of
+    its two rays is added as a new last ray."""
+    i, j = cone
+    return fan_from_rays_2d(list(fan.rays) + [vadd(fan.rays[i], fan.rays[j])])
+
+
+def self_intersection_sequence(fan: Fan) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Ray indices of a smooth complete 2-fan in counterclockwise order, and
+    the b_i with v_{i-1} + v_{i+1} = b_i v_i, one for each ray in that order.
+
+    b_i = det(v_{i-1}, v_{i+1}), because det(v_{i-1}, v_i) = 1, and
+    D_i^2 = -b_i (Oda 1988; Fulton 1993, 2.5).
+    """
+    index = {ray: i for i, ray in enumerate(fan.rays)}
+    order = tuple(index[ray] for ray in ccw_sorted(fan.rays))
+    n = len(order)
+    seq = []
+    for k in range(n):
+        (x0, y0), (x1, y1) = fan.rays[order[k - 1]], fan.rays[order[(k + 1) % n]]
+        seq.append(x0 * y1 - y0 * x1)
+    return order, tuple(seq)
+
+
+def _sequence_key(seq: Sequence[int]) -> tuple[int, ...]:
+    # the least of the rotations of the sequence and of its reverse
+    n = len(seq)
+    doubled = tuple(seq) * 2
+    return min(s[k:k + n] for s in (doubled, doubled[::-1]) for k in range(n))
+
+
+def _weak_fano_blow_up(seq: Sequence[int], k: int) -> Optional[tuple[int, ...]]:
+    """The sequence of the blow-up of a weak Fano surface at the cone of
+    positions k and k + 1 (mod n) of ``seq``, or None when the blow-up is
+    not weak Fano: a 1 goes in between and both neighbours rise by 1, so
+    every b stays <= 2 exactly when both neighbours were <= 1."""
+    after = (k + 1) % len(seq)
+    if seq[k] > 1 or seq[after] > 1:
+        return None
+    out = list(seq)
+    out[k] += 1
+    out[after] += 1
+    out.insert(k + 1, 1)
+    return tuple(out)
 
 
 def _surface_invariants(fan: Fan) -> dict:
@@ -118,6 +158,26 @@ def _names_by_key(named: Sequence[catalog.NamedFan]) -> dict[bytes, str]:
 def enumerate_weak_del_pezzo() -> ClassificationReport:
     """Blow-up closure from {P2, P1 x P1, F2}, kept weak Fano, up to isomorphism.
 
+    The closure runs on self-intersection sequences
+    (``self_intersection_sequence``), and builds a fan only for a blow-up
+    whose class is new. With rays v_0 ... v_{n-1} in counterclockwise order
+    and v_{i-1} + v_{i+1} = b_i v_i, two facts decide what the search asks:
+
+    - Weak Fano: -K.D_i = 2 - b_i, and the D_i generate the Mori cone, so the
+      surface is weak Fano exactly when every b_i <= 2. Blowing up the cone
+      (v_i, v_j) inserts a 1 between them and raises b_i and b_j by 1, so
+      the blow-up of a weak Fano surface is weak Fano exactly when b_i <= 1
+      and b_j <= 1.
+    - Isomorphism: v_0 and v_1 are a basis and v_{k+1} = b_k v_k - v_{k-1}
+      gives every other ray, so two such fans are GL(2, Z)-isomorphic
+      exactly when their sequences agree up to rotation and reversal. The
+      key of a class is the least of those 2n sequences.
+
+    The queue is last in, first out, and each class is blown up at its
+    ``max_cones`` in order, so the first fan found in a class is its
+    representative. Each representative is a ``Fan``; its canonical key,
+    name and invariants come from the fan.
+
     ``stats`` counts each of ``SURFACE_STAGES``: the seeds, the blow-ups
     tried, those kept as weak Fano, the kept ones whose class was already
     found, and the classes.
@@ -126,31 +186,36 @@ def enumerate_weak_del_pezzo() -> ClassificationReport:
     seeds = [named["P2"], named["P1xP1"], named["F2"]]
     stats = dict.fromkeys(SURFACE_STAGES, 0)
     stats["seeds"] = len(seeds)
-    seen: dict[bytes, Fan] = {}
+    seen: dict[tuple[int, ...], Fan] = {}
     queue: list[Fan] = []
     for fan in seeds:
-        key = canonical_key(fan)
+        key = _sequence_key(self_intersection_sequence(fan)[1])
         if key not in seen:
             seen[key] = fan
             queue.append(fan)
     while queue:
         fan = queue.pop()
-        for blown in surface_blowups(fan):
+        order, seq = self_intersection_sequence(fan)
+        position = {ray: k for k, ray in enumerate(order)}
+        for cone in fan.max_cones:
             stats["blowups"] += 1
-            if not is_weak_fano(blown):
+            p, q = (position[i] for i in cone)
+            blown = _weak_fano_blow_up(seq, p if (p + 1) % len(seq) == q else q)
+            if blown is None:
                 continue
             stats["weak_fano"] += 1
-            key = canonical_key(blown)
+            key = _sequence_key(blown)
             if key in seen:
                 stats["duplicates"] += 1
             else:
-                seen[key] = blown
-                queue.append(blown)
+                seen[key] = blow_up(fan, cone)
+                queue.append(seen[key])
     stats["classes"] = len(seen)
     names = _names_by_key(catalog.surfaces())
+    found = {canonical_key(fan): fan for fan in seen.values()}
     entries = [
-        ClassEntry(key, seen[key], _surface_invariants(seen[key]), names.get(key))
-        for key in sorted(seen)
+        ClassEntry(key, found[key], _surface_invariants(found[key]), names.get(key))
+        for key in sorted(found)
     ]
     return ClassificationReport(
         count=len(entries),
@@ -272,6 +337,12 @@ def verify_classification(twist_bound: int = 3) -> dict:
         e.invariants["degree"] == 12 - e.invariants["rays"] for e in surfaces_report.classes
     )
     check("surface_degree_12_minus_rays", noether)
+    # sum of the D_i^2 is 12 - 3n, read from each class's rays
+    sequence_sums = all(
+        sum(self_intersection_sequence(e.fan)[1]) == 3 * len(e.fan.rays) - 12
+        for e in surfaces_report.classes
+    )
+    check("surface_self_intersections_sum_3n_minus_12", sequence_sums)
     surface_names = [e.name for e in surfaces_report.classes]
     check(
         "surface_bijection_with_catalog",

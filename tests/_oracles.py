@@ -14,8 +14,9 @@ with its volume by a star triangulation at the origin (``degree = d! *
 volume`` checks Brion's formula in ``polytope.anticanonical_degree``), the
 kernel directions of the pairwise search, the two-element relation
 trichotomy, the Hirzebruch fans, the zero-two witness that inverted each
-candidate basis, the subset scan for primitive collections, and the
-counterclockwise comparator that ``fan.ccw_sorted`` sorted by.
+candidate basis, the subset scan for primitive collections, the
+counterclockwise comparator that ``fan.ccw_sorted`` sorted by, and the
+surface search that built, judged and keyed every blow-up.
 """
 
 from __future__ import annotations
@@ -845,3 +846,70 @@ def reference_primitive_collections(fan):
             )
     relations.sort(key=lambda r: r.collection)
     return tuple(relations)
+
+
+def surface_blowups(fan):
+    """All one-point toric blow-ups: insert the ray sum of an adjacent pair."""
+    from torifan.fan import fan_from_rays_2d
+    from torifan.lattice import vadd
+
+    for i, j in fan.max_cones:
+        new_ray = vadd(fan.rays[i], fan.rays[j])
+        yield fan_from_rays_2d(list(fan.rays) + [new_ray])
+
+
+def reference_weak_del_pezzo():
+    """``classify.enumerate_weak_del_pezzo`` as it was before it ran on
+    self-intersection sequences: build every blow-up, judge it with
+    ``is_weak_fano`` and deduplicate the kept ones by ``canonical_key``.
+
+    The reference for the search, whose ``to_dict()`` and ``stats`` must be
+    equal.
+    """
+    from torifan import catalog
+    from torifan.classify import (
+        SURFACE_STAGES,
+        ClassEntry,
+        ClassificationReport,
+        _names_by_key,
+        _surface_invariants,
+    )
+    from torifan.isomorphism import canonical_key
+    from torifan.primitive import is_weak_fano
+
+    named = {nf.name: nf.fan for nf in catalog.surfaces()}
+    seeds = [named["P2"], named["P1xP1"], named["F2"]]
+    stats = dict.fromkeys(SURFACE_STAGES, 0)
+    stats["seeds"] = len(seeds)
+    seen = {}
+    queue = []
+    for fan in seeds:
+        key = canonical_key(fan)
+        if key not in seen:
+            seen[key] = fan
+            queue.append(fan)
+    while queue:
+        fan = queue.pop()
+        for blown in surface_blowups(fan):
+            stats["blowups"] += 1
+            if not is_weak_fano(blown):
+                continue
+            stats["weak_fano"] += 1
+            key = canonical_key(blown)
+            if key in seen:
+                stats["duplicates"] += 1
+            else:
+                seen[key] = blown
+                queue.append(blown)
+    stats["classes"] = len(seen)
+    names = _names_by_key(catalog.surfaces())
+    entries = [
+        ClassEntry(key, seen[key], _surface_invariants(seen[key]), names.get(key))
+        for key in sorted(seen)
+    ]
+    return ClassificationReport(
+        count=len(entries),
+        classes=tuple(entries),
+        scope="smooth toric weak del Pezzo surfaces (blow-up closure over minimal models)",
+        stats=stats,
+    )

@@ -59,7 +59,8 @@ def non_weak_fibers():
 
     blown = {}
     for nf in catalog.surfaces():
-        for fan in classify.surface_blowups(nf.fan):
+        for cone in nf.fan.max_cones:
+            fan = classify.blow_up(nf.fan, cone)
             if not is_weak_fano(fan):
                 blown.setdefault(canonical_key(fan), fan)
     sample = random.Random(11).sample(sorted(blown), 4)

@@ -5,17 +5,21 @@ import pytest
 from torifan.catalog import named_fan, surfaces, threefolds
 from torifan.classify import (
     BundleSpec,
+    _sequence_key,
+    _weak_fano_blow_up,
+    blow_up,
     build_bundle,
     enumerate_weakened_threefolds,
     projects_to_p1,
-    surface_blowups,
+    self_intersection_sequence,
 )
 from torifan.contraction import is_weakened_fano
 from torifan.fan import Fan, fan_from_rays_2d, product_with_p1, validate
 from torifan.isomorphism import canonical_key, find_isomorphism
+from torifan.lattice import vadd
 from torifan.primitive import is_weak_fano, section_relation
 
-from _oracles import brute_force_sigma
+from _oracles import brute_force_sigma, reference_weak_del_pezzo, surface_blowups
 
 
 def fiber_phi(fiber, w):
@@ -25,20 +29,21 @@ def fiber_phi(fiber, w):
 
 class TestBuildBundle:
     def test_trivial_bundle_is_the_product(self):
-        fan = build_bundle(BundleSpec(named_fan("P1xP1").fan, (0, 0), (0, 0)))
-        assert fan is not None
+        fiber = named_fan("P1xP1").fan
+        fan = build_bundle(BundleSpec(fiber, (0, 0), (0, 0)))
+        assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
         assert find_isomorphism(fan, named_fan("P1xP1xP1").fan) is not None
 
     def test_x3_0_spec(self):
         fiber = fan_from_rays_2d([(1, 0), (0, 1), (0, -1), (-1, 1)])
         fan = build_bundle(BundleSpec(fiber, (1, 0), (1, 0)))
-        assert fan is not None
+        assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
         assert find_isomorphism(fan, named_fan("X3_0").fan) is not None
 
     def test_p2_fiber_with_large_twist_valid_but_not_weakened(self):
-        fan = build_bundle(BundleSpec(named_fan("P2").fan, (0, 0), (3, 0)))
-        assert fan is not None
-        assert validate(fan).ok
+        fiber = named_fan("P2").fan
+        fan = build_bundle(BundleSpec(fiber, (0, 0), (3, 0)))
+        assert validate(fan).ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
         verdict = is_weakened_fano(fan)
         assert not verdict.is_weakened
         assert not verdict.is_weak_fano  # the double section relation has degree -1
@@ -48,7 +53,7 @@ class TestBuildBundle:
             fiber = named_fan(name).fan
             for twist in ((0, 0), (2, -1), (-3, 3)):
                 fan = build_bundle(BundleSpec(fiber, twist, (1, 1)))
-                assert fan is not None
+                assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
 
     def test_non_surface_fiber_rejected(self):
         with pytest.raises(ValueError):
@@ -81,13 +86,13 @@ class TestSurfaceEnumeration:
 
     def test_blow_up_of_p2_is_f1(self):
         p2 = named_fan("P2").fan
-        for blown in surface_blowups(p2):
-            assert find_isomorphism(blown, named_fan("F1").fan) is not None
+        for cone in p2.max_cones:
+            assert find_isomorphism(blow_up(p2, cone), named_fan("F1").fan) is not None
 
     def test_blowups_preserve_validity(self):
         fan = named_fan("W5_1").fan
-        for blown in surface_blowups(fan):
-            assert validate(blown).ok
+        for cone in fan.max_cones:
+            assert validate(blow_up(fan, cone)).ok
 
     def test_stage_counters(self, surface_report):
         report, _ = surface_report
@@ -111,6 +116,83 @@ class TestSurfaceEnumeration:
         report, _ = surface_report
         again = enumerate_weak_del_pezzo()
         assert [e.key for e in again.classes] == [e.key for e in report.classes]
+
+
+def _catalog_blowups():
+    """The 96 one-point blow-ups of the 16 catalog surfaces, with their parents."""
+    return [(nf.fan, cone, blow_up(nf.fan, cone)) for nf in surfaces() for cone in nf.fan.max_cones]
+
+
+def _blow_up_chains(chains: int, seed: int, most_rays: int = 11) -> list:
+    """Every fan along seeded chains of one-point blow-ups, each from a
+    catalog surface up to ``most_rays`` rays; many are not weak Fano."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(chains):
+        fan = rng.choice(surfaces()).fan
+        while len(fan.rays) < most_rays:
+            fan = blow_up(fan, rng.choice(fan.max_cones))
+            out.append(fan)
+    return out
+
+
+class TestSelfIntersectionSequences:
+    """The surface search judges and keys blow-ups on their sequences
+    (argument in the docstring of ``enumerate_weak_del_pezzo``); each fact
+    is checked against the fans themselves."""
+
+    def test_search_agrees_with_the_reference(self, surface_report):
+        report, _ = surface_report
+        reference = reference_weak_del_pezzo()
+        assert report.to_dict() == reference.to_dict()
+        assert report.stats == reference.stats
+
+    def test_blow_up_is_the_reference_blowup(self):
+        for nf in surfaces():
+            ours = [blow_up(nf.fan, cone) for cone in nf.fan.max_cones]
+            assert ours == list(surface_blowups(nf.fan))
+
+    def test_sequence_is_read_from_the_rays(self):
+        fans = [nf.fan for nf in surfaces()] + _blow_up_chains(30, 17)
+        assert {len(fan.rays) for fan in fans} == set(range(3, 12))
+        for fan in fans:
+            order, seq = self_intersection_sequence(fan)
+            n = len(order)
+            assert sorted(order) == list(range(n))
+            for k in range(n):
+                before, ray, after = (fan.rays[order[(k + s) % n]] for s in (-1, 0, 1))
+                assert vadd(before, after) == tuple(seq[k] * x for x in ray)
+            # sum of the D_i^2 is 12 - 3n
+            assert sum(seq) == 3 * n - 12
+
+    def test_verdict_and_key_agree_with_the_fans(self):
+        blowups = _catalog_blowups()
+        chains = _blow_up_chains(30, 23)
+        fans = [blown for _, _, blown in blowups] + chains
+        assert len(blowups) == 96
+        weak = [is_weak_fano(fan) for fan in fans]
+        assert 0 < sum(weak) < len(fans) and not all(weak[96:])
+        keys = set()
+        for fan, is_weak in zip(fans, weak):
+            seq = self_intersection_sequence(fan)[1]
+            assert (max(seq) <= 2) == is_weak, fan.to_dict()
+            keys.add((_sequence_key(seq), canonical_key(fan)))
+        # each sequence key goes with one canonical key, and each canonical key with one sequence key
+        assert len({sk for sk, _ in keys}) == len({ck for _, ck in keys}) == len(keys)
+        # the step of the search, from every weak Fano parent at every cone
+        parents = [nf.fan for nf in surfaces()] + [fan for fan, w in zip(chains, weak[96:]) if w]
+        kept = 0
+        for parent in parents:
+            order, seq = self_intersection_sequence(parent)
+            for cone in parent.max_cones:
+                p, q = (order.index(i) for i in cone)
+                step = _weak_fano_blow_up(seq, p if (p + 1) % len(seq) == q else q)
+                blown = blow_up(parent, cone)
+                assert (step is not None) == is_weak_fano(blown), (parent.to_dict(), cone)
+                if step is not None:
+                    kept += 1
+                    assert _sequence_key(step) == _sequence_key(self_intersection_sequence(blown)[1])
+        assert kept > 40
 
 
 class TestThreefoldEnumeration:
@@ -221,7 +303,7 @@ class TestSectionPrefilter:
         assert len(rejected) == 16 * 13 * 13 - 304
         for fiber, w in random.Random(5).sample(rejected, 320):
             fan = build_bundle(BundleSpec(fiber, w, (0, 0)))
-            assert fan is not None
+            assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
             assert not is_weak_fano(fan), (fiber.to_dict(), w)
 
 
@@ -233,11 +315,20 @@ def test_no_weak_fano_bundle_over_a_fiber_that_is_not_weak(non_weak_fibers):
         for sx in range(-6, 7):
             for sy in range(-6, 7):
                 fan = build_bundle(BundleSpec(fiber, (sx, sy), (0, 0)))
-                assert fan is not None
+                assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
                 assert not is_weak_fano(fan), (fiber.to_dict(), (sx, sy))
 
 
 class TestVerifyClassification:
+    def test_all_assertions_pass(self):
+        from torifan import classify
+
+        summary = classify.verify_classification()
+        failed = [a["name"] for a in summary["assertions"] if not a["passed"]]
+        assert summary["passed"] and failed == []
+        names = [a["name"] for a in summary["assertions"]]
+        assert len(names) == 14 and "surface_self_intersections_sum_3n_minus_12" in names
+
     def test_fault_injection_is_reported(self, monkeypatch):
         # removing a catalog entry must surface as a failed bijection assertion
         from torifan import catalog, classify

@@ -149,7 +149,7 @@ class TestNormalFormWitness:
                 for minus in ((0, 0), (1, -1)):
                     spec = BundleSpec(nf.fan, plus, minus)
                     fan = build_bundle(spec)
-                    assert fan is not None
+                    assert fan.report.ok and len(fan.max_cones) == 2 * len(nf.fan.max_cones)
                     fans.append((fan, bundle_relations(nf.fan, section_relation(spec))))
         doubled = [
             fan for fan, rels in fans

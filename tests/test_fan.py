@@ -231,7 +231,9 @@ def test_validate_agrees_with_the_reference_report():
         for sy in range(-6, 7)
         if section_relation(BundleSpec(nf.fan, (sx, sy), (0, 0))).degree >= 0
     ]
-    assert len(bundles) == 304 and None not in bundles
+    # n fiber rays give n fiber cones, and the bundle has n + 2 rays and 2n cones
+    assert len(bundles) == 304
+    assert all(fan.report.ok and len(fan.max_cones) == 2 * (len(fan.rays) - 2) for fan in bundles)
     fans += bundles
     for fan in named:
         fans += _kinds_of_damage(fan, rng)

@@ -12,7 +12,7 @@ import pytest
 from torifan import catalog, contraction, lattice, polytope, primitive
 from torifan import fan as fan_module
 from torifan.catalog import named_fan
-from torifan.classify import enumerate_weakened_threefolds
+from torifan.classify import enumerate_weak_del_pezzo, enumerate_weakened_threefolds
 from torifan.cli import run
 from torifan.contraction import crepant_contractions, is_weakened_fano
 from torifan.fan import BundleSpec, Fan, build_bundle
@@ -63,9 +63,29 @@ def test_bundle_is_validated_once_through_the_verdict(calls):
     fiber = named_fan("F1").fan
     validated = calls(fan_module.validate)
     fan = build_bundle(BundleSpec(fiber, (1, 0), (1, 0)))
-    assert fan is not None
+    assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
     is_weakened_fano(fan)
     assert sum(1 for f in validated if f is fan) == 1
+
+
+def test_surface_search_builds_a_fan_only_for_a_new_class(calls, monkeypatch):
+    # the catalog is built once per process; its surfaces are the 3 seeds and
+    # the names of the classes
+    catalog_fans = {id(nf.fan) for nf in catalog.surfaces()}
+    validated = calls(fan_module.validate)
+    made = []
+    post_init = Fan.__post_init__
+    monkeypatch.setattr(Fan, "__post_init__", lambda fan: made.append(fan) or post_init(fan))
+    report = enumerate_weak_del_pezzo()
+    assert report.stats == {"seeds": 3, "blowups": 96, "weak_fano": 40, "duplicates": 27, "classes": 16}
+    # the 56 rejected and 27 duplicate blow-ups never become a Fan: the only
+    # fans made are the 13 class representatives that are not seeds
+    new = [e.fan for e in report.classes if id(e.fan) not in catalog_fans]
+    assert len(new) == len(made) == 13
+    assert {id(fan) for fan in made} == {id(fan) for fan in new}
+    # and no fan is validated but those and the catalog surfaces
+    assert {id(fan) for fan in validated} <= catalog_fans | {id(fan) for fan in new}
+    assert {id(fan) for fan in new} <= {id(fan) for fan in validated}
 
 
 def test_extremality_lps_only_for_degree_zero_relations(calls):

@@ -251,8 +251,10 @@ def _weak_fano_bundles(count: int, seed: int) -> list:
     while len(out) < count:
         plus = (rng.randint(-3, 3), rng.randint(-3, 3))
         minus = (rng.randint(-3, 3), rng.randint(-3, 3))
-        fan = build_bundle(BundleSpec(rng.choice(fibers), plus, minus))
-        if fan is not None and is_weak_fano(fan):
+        fiber = rng.choice(fibers)
+        fan = build_bundle(BundleSpec(fiber, plus, minus))
+        assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
+        if is_weak_fano(fan):
             out.append(fan)
     return out
 
@@ -304,7 +306,7 @@ def _non_weak_blowups(sizes, per_size: int, seed: int) -> list:
     ``sizes``: repeated one-point blow-ups of the first 12 catalog surfaces,
     as in the query mix of ``perfbench``."""
     from torifan.catalog import surfaces
-    from torifan.classify import surface_blowups
+    from torifan.classify import blow_up
 
     rng = random.Random(seed)
     starts = [nf.fan for nf in surfaces()[:12]]
@@ -315,7 +317,7 @@ def _non_weak_blowups(sizes, per_size: int, seed: int) -> list:
             while fan is None or len(fan.rays) != size or is_weak_fano(fan):
                 fan = rng.choice(starts)
                 while len(fan.rays) < size:
-                    fan = rng.choice(list(surface_blowups(fan)))
+                    fan = blow_up(fan, rng.choice(fan.max_cones))
             out.append(fan)
     return out
 
@@ -398,13 +400,13 @@ def test_relations_grown_from_faces_agree_with_the_subset_scan():
     relations in the same order. Each fan is a fresh copy, so nothing is
     seeded or memoised."""
     from torifan.catalog import all_named, surfaces
-    from torifan.classify import surface_blowups
+    from torifan.classify import blow_up
     from torifan.fan import Fan
 
     rng = random.Random(37)
     catalog = [nf.fan for nf in all_named().values()]
     rebased = [rebase_fan(f, random_unimodular(rng, f.dim)) for f in catalog for _ in range(3)]
-    blowups = [fan for nf in surfaces() for fan in surface_blowups(nf.fan)]
+    blowups = [blow_up(nf.fan, cone) for nf in surfaces() for cone in nf.fan.max_cones]
     bundles = _sweep_bundles_b3()
     assert len(catalog) == 34 and len(bundles) == 304 and len(blowups) == 96
     for fan in catalog + rebased + blowups + bundles:
