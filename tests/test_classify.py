@@ -118,11 +118,6 @@ class TestSurfaceEnumeration:
         assert [e.key for e in again.classes] == [e.key for e in report.classes]
 
 
-def _catalog_blowups():
-    """The 96 one-point blow-ups of the 16 catalog surfaces, with their parents."""
-    return [(nf.fan, cone, blow_up(nf.fan, cone)) for nf in surfaces() for cone in nf.fan.max_cones]
-
-
 def _blow_up_chains(chains: int, seed: int, most_rays: int = 11) -> list:
     """Every fan along seeded chains of one-point blow-ups, each from a
     catalog surface up to ``most_rays`` rays; many are not weak Fano."""
@@ -166,12 +161,13 @@ class TestSelfIntersectionSequences:
             assert sum(seq) == 3 * n - 12
 
     def test_verdict_and_key_agree_with_the_fans(self):
-        blowups = _catalog_blowups()
+        blowups = [blow_up(nf.fan, cone) for nf in surfaces() for cone in nf.fan.max_cones]
         chains = _blow_up_chains(30, 23)
-        fans = [blown for _, _, blown in blowups] + chains
+        fans = blowups + chains
         assert len(blowups) == 96
         weak = [is_weak_fano(fan) for fan in fans]
-        assert 0 < sum(weak) < len(fans) and not all(weak[96:])
+        # 40 of the 96 blow-ups and 32 of the 147 chain fans are weak Fano
+        assert len(fans) == 243 and sum(weak[:96]) == 40 and sum(weak) == 72
         keys = set()
         for fan, is_weak in zip(fans, weak):
             seq = self_intersection_sequence(fan)[1]
@@ -192,7 +188,8 @@ class TestSelfIntersectionSequences:
                 if step is not None:
                     kept += 1
                     assert _sequence_key(step) == _sequence_key(self_intersection_sequence(blown)[1])
-        assert kept > 40
+        # 40 from the catalog surfaces, as in the search, and 87 from the chains
+        assert kept == 127
 
 
 class TestThreefoldEnumeration:
