@@ -163,8 +163,10 @@ def enumerate_weak_del_pezzo() -> ClassificationReport:
     whose class is new. With rays v_0 ... v_{n-1} in counterclockwise order
     and v_{i-1} + v_{i+1} = b_i v_i, two facts decide what the search asks:
 
-    - Weak Fano: -K.D_i = 2 - b_i, and the D_i generate the Mori cone, so the
-      surface is weak Fano exactly when every b_i <= 2. Blowing up the cone
+    - Weak Fano: -K.D_i = 2 - b_i, and the D_i generate the Mori cone, so
+      -K is nef exactly when every b_i <= 2, and then big exactly when
+      K^2 = 12 - n > 0. So n <= 11, and a kept sequence with more entries
+      raises ``RuntimeError`` instead of growing forever. Blowing up the cone
       (v_i, v_j) inserts a 1 between them and raises b_i and b_j by 1, so
       the blow-up of a weak Fano surface is weak Fano exactly when b_i <= 1
       and b_j <= 1.
@@ -203,6 +205,8 @@ def enumerate_weak_del_pezzo() -> ClassificationReport:
             blown = _weak_fano_blow_up(seq, p if (p + 1) % len(seq) == q else q)
             if blown is None:
                 continue
+            if len(blown) > 11:
+                raise RuntimeError(f"a kept blow-up has more than 11 rays: {blown}")
             stats["weak_fano"] += 1
             key = _sequence_key(blown)
             if key in seen:

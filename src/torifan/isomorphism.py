@@ -15,8 +15,9 @@ vector in the cone's own order, permuted. Each ray's coordinates are
 therefore computed once per cone, and the d! orders of the cone only
 relabel them: the candidate set is exactly the one that inverting every
 ordered basis gives. On a cone that is not unimodular the rows are the
-adjugate, not the inverse, so ``canonical_key`` refuses a fan that is not
-smooth.
+adjugate, not the inverse, so both searches refuse a fan that does not
+validate. A valid fan with n rays has 2, n or 2n - 4 maximal cones in
+dimension 1, 2 or 3 (Euler), so the witness search checks ray counts only.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from typing import Optional, Sequence
 
 from .fan import Fan, maximal_cone_normals, memoised
 from .lattice import Matrix, Vector, matmul, matvec
-from .polytope import anticanonical_degree
-from .primitive import primitive_collections
 
 
 @dataclass(frozen=True)
@@ -38,16 +37,6 @@ class FanIso:
 
     matrix: Matrix
     ray_permutation: tuple[int, ...]  # image index in the target fan, per source ray
-
-
-@memoised
-def isomorphism_invariants(fan: Fan) -> tuple:
-    """Cheap GL(d, Z) invariants used to prune non-isomorphic pairs.
-
-    The fan must be valid, as ``anticanonical_degree`` requires.
-    """
-    degrees = tuple(sorted(r.degree for r in primitive_collections(fan)))
-    return (len(fan.rays), len(fan.max_cones), degrees, anticanonical_degree(fan))
 
 
 def _relabelled(coords: Sequence[Vector], order: tuple[int, ...]) -> Sequence[Vector]:
@@ -70,11 +59,10 @@ def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:
     then lands on the point whose target coordinates are a relabelled, and
     that point is a ray of g exactly when those coordinates are a ray's.
     """
-    if f.dim != g.dim:
-        return None
-    if len(f.rays) != len(g.rays) or len(f.max_cones) != len(g.max_cones):
-        return None
-    if isomorphism_invariants(f) != isomorphism_invariants(g):
+    for fan in (f, g):
+        if not fan.report.ok:
+            raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
+    if f.dim != g.dim or len(f.rays) != len(g.rays):
         return None
     anchor = _anchor_cone(f)
     anchor_inv = maximal_cone_normals(f)[f.max_cones.index(anchor)]
@@ -109,8 +97,8 @@ def canonical_key(fan: Fan) -> bytes:
     the bytes order the same way, because neither list's text is a proper
     prefix of another of the same length.
     """
-    if not fan.report.is_smooth:
-        raise ValueError("canonical key needs a smooth fan")
+    if not fan.report.ok:
+        raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
     d = fan.dim
     entry = "[" + ",".join(["%d"] * d) + "]"
     best: Optional[tuple[str, str]] = None
@@ -127,6 +115,4 @@ def canonical_key(fan: Fan) -> bytes:
             candidate = (ray_text, ",".join(map(entry.__mod__, cones)))
             if best is None or candidate < best:
                 best = candidate
-    if best is None:
-        raise ValueError("fan has no maximal cones")
     return ('{"dim":%d,"rays":[%s],"max_cones":[%s]}' % (d, *best)).encode()

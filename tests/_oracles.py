@@ -15,8 +15,10 @@ volume`` checks Brion's formula in ``polytope.anticanonical_degree``), the
 kernel directions of the pairwise search, the two-element relation
 trichotomy, the Hirzebruch fans, the zero-two witness that inverted each
 candidate basis, the subset scan for primitive collections, the
-counterclockwise comparator that ``fan.ccw_sorted`` sorted by, and the
-surface search that built, judged and keyed every blow-up.
+counterclockwise comparator that ``fan.ccw_sorted`` sorted by, the
+surface search that built, judged and keyed every blow-up, and the
+isomorphism invariants (ray and cone counts, relation degrees, the
+anticanonical degree) that pruned the witness search.
 """
 
 from __future__ import annotations
@@ -674,6 +676,18 @@ def eager_weakened_verdict(fan):
     return weakened, tuple(table)
 
 
+def isomorphism_invariants(fan) -> tuple:
+    """Cheap GL(d, Z) invariants used to prune non-isomorphic pairs.
+
+    The fan must be valid, as ``anticanonical_degree`` requires.
+    """
+    from torifan.polytope import anticanonical_degree
+    from torifan.primitive import primitive_collections
+
+    degrees = tuple(sorted(r.degree for r in primitive_collections(fan)))
+    return (len(fan.rays), len(fan.max_cones), degrees, anticanonical_degree(fan))
+
+
 def reference_find_isomorphism(f, g):
     """``isomorphism.find_isomorphism`` as it was before it read coordinates
     from the memoised cone inverses: invert the anchor basis, then map every
@@ -684,7 +698,7 @@ def reference_find_isomorphism(f, g):
     """
     from itertools import permutations
 
-    from torifan.isomorphism import FanIso, isomorphism_invariants
+    from torifan.isomorphism import FanIso
     from torifan.lattice import invert_unimodular, matmul, matvec
 
     if f.dim != g.dim:

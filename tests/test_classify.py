@@ -142,6 +142,25 @@ class TestSelfIntersectionSequences:
         assert report.to_dict() == reference.to_dict()
         assert report.stats == reference.stats
 
+    def test_a_wrong_verdict_stops_at_eleven_rays(self, monkeypatch):
+        from torifan import classify
+
+        def loose(seq, k):
+            # _weak_fano_blow_up with > 2 in place of > 1: it keeps blow-ups
+            # that are not weak Fano, and the closure would never end
+            after = (k + 1) % len(seq)
+            if seq[k] > 2 or seq[after] > 2:
+                return None
+            out = list(seq)
+            out[k] += 1
+            out[after] += 1
+            out.insert(k + 1, 1)
+            return tuple(out)
+
+        monkeypatch.setattr(classify, "_weak_fano_blow_up", loose)
+        with pytest.raises(RuntimeError, match="more than 11 rays"):
+            classify.enumerate_weak_del_pezzo()
+
     def test_blow_up_is_the_reference_blowup(self):
         for nf in surfaces():
             ours = [blow_up(nf.fan, cone) for cone in nf.fan.max_cones]

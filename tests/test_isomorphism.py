@@ -5,17 +5,14 @@ import pytest
 
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
 from torifan.fan import BundleSpec, Fan, build_bundle, fan_from_json
-from torifan.isomorphism import (
-    canonical_key,
-    find_isomorphism,
-    isomorphism_invariants,
-)
+from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import matvec
 from torifan.polytope import anticanonical_degree
 from torifan.primitive import primitive_collections, section_relation
 
 from _oracles import (
     hirzebruch_fan,
+    isomorphism_invariants,
     random_unimodular,
     rebase_fan,
     reference_canonical_key,
@@ -107,6 +104,41 @@ def test_key_refuses_a_fan_that_is_not_smooth():
         canonical_key(fan)
     with pytest.raises(ValueError):
         canonical_key(Fan(2, (), ()))
+
+
+# smooth and complete fans are the only ones either search accepts
+NOT_SMOOTH = Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
+NOT_COMPLETE = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
+NO_CONES = Fan(2, (), ())
+
+
+def test_key_refuses_a_fan_that_is_not_complete():
+    assert NOT_COMPLETE.report.is_smooth and not NOT_COMPLETE.report.is_complete
+    with pytest.raises(ValueError, match="does not validate"):
+        canonical_key(NOT_COMPLETE)
+
+
+def test_search_refuses_a_fan_that_does_not_validate():
+    # in either position, whatever the size and dimension of the other fan
+    others = [named_fan(name).fan for name in ("P2", "P1xP1", "X3_0")]
+    for bad in (NOT_SMOOTH, NOT_COMPLETE, NO_CONES):
+        assert not bad.report.ok
+        for other in others + [NOT_SMOOTH, NOT_COMPLETE, NO_CONES]:
+            with pytest.raises(ValueError, match="does not validate"):
+                find_isomorphism(bad, other)
+            with pytest.raises(ValueError, match="does not validate"):
+                find_isomorphism(other, bad)
+
+
+def test_valid_fans_of_another_size_are_not_isomorphic():
+    p1 = Fan(1, ((1,), (-1,)), ((0,), (1,)))
+    p3 = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+             ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+    p2, p1xp1, x3_0 = (named_fan(name).fan for name in ("P2", "P1xP1", "X3_0"))
+    # another ray count in one dimension; another dimension at one ray count
+    pairs = [(p2, p1xp1), (p1xp1, x3_0), (p1, p2), (p1xp1, p3)]
+    for f, g in pairs:
+        assert find_isomorphism(f, g) is None and find_isomorphism(g, f) is None
 
 
 def _fresh(fan):

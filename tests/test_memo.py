@@ -59,6 +59,17 @@ def test_isomorphic_validates_each_fan_at_most_once(tmp_path, calls):
     assert len({id(f) for f in validated}) == len(validated)
 
 
+def test_isomorphic_computes_no_relations_and_no_degree(tmp_path, calls):
+    path = tmp_path / "x3_0.json"
+    path.write_text(json.dumps(named_fan("X3_0").fan.to_dict()))
+    relations = calls(primitive.primitive_collections)
+    degrees = calls(polytope.anticanonical_degree)
+    for other, isomorphic in (("catalog:X3_0", True), ("catalog:X4_0", False), ("catalog:P1xW3", False)):
+        result = run(["isomorphic", str(path), other, "--json"])
+        assert result.status == "ok" and result.payload["isomorphic"] is isomorphic
+    assert relations == [] and degrees == []
+
+
 def test_bundle_is_validated_once_through_the_verdict(calls):
     fiber = named_fan("F1").fan
     validated = calls(fan_module.validate)
