@@ -109,12 +109,11 @@ def zero_two_normal_form_witness(
     side_rays = sorted({i for cone in star_cones for i in cone} - {x0} - set(pair))
     if len(side_rays) != 2 or len(star_cones) != 4:
         return None
-    cone_index = {cone: ci for ci, cone in enumerate(fan.max_cones)}
     inverses = maximal_cone_normals(fan)
     for xp, xm in (pair, pair[::-1]):
         for yp, ym in (tuple(side_rays), tuple(side_rays[::-1])):
             cone = tuple(sorted((x0, xp, yp)))
-            coords = dict(zip(cone, matvec(inverses[cone_index[cone]], fan.rays[ym])))
+            coords = dict(zip(cone, matvec(inverses[fan.max_cones.index(cone)], fan.rays[ym])))
             beta = coords[xp]
             if coords[x0] + beta != 0 or beta < 0:
                 continue

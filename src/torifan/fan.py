@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .lattice import (
@@ -41,8 +41,13 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return out
 
 
+def _all_ints(vectors: tuple) -> bool:
+    # one set of types over all entries; an iterator is left to the per-vector check
+    return {tuple, list}.issuperset(map(type, vectors)) and set(map(type, chain(*vectors))) <= {int}
+
+
 def _normalize_cone(indices: Iterable[int]) -> Cone:
-    out = tuple(sorted(_ints(indices, "cone")))
+    out = tuple(sorted(indices))
     if len(set(out)) != len(out):
         raise ValueError(f"cone has repeated ray indices: {out}")
     return out
@@ -68,8 +73,16 @@ class Fan:
     def __post_init__(self):
         if type(self.dim) is not int or self.dim not in (1, 2, 3):
             raise ValueError(f"dim {self.dim!r} is not 1, 2 or 3")
-        object.__setattr__(self, "rays", tuple(_ints(r, "ray") for r in self.rays))
-        object.__setattr__(self, "max_cones", tuple(_normalize_cone(c) for c in self.max_cones))
+        # the per-vector checks, which name the first offender, run only when
+        # an entry is not an int; lazily, so cones are reported in order
+        rays = tuple(self.rays)
+        if not _all_ints(rays):
+            rays = [_ints(r, "ray") for r in rays]
+        object.__setattr__(self, "rays", tuple(map(tuple, rays)))
+        cones = tuple(self.max_cones)
+        if not _all_ints(cones):
+            cones = (_ints(c, "cone") for c in cones)
+        object.__setattr__(self, "max_cones", tuple(map(_normalize_cone, cones)))
         # lengths last, so that an entry that is not an int is reported first
         for r in self.rays:
             if len(r) != self.dim:
@@ -165,20 +178,27 @@ class ValidationReport:
 def cone_det_and_normals(fan: Fan, cone: Sequence[int]) -> tuple[int, Matrix]:
     """Determinant of a full-size cone's ray matrix, and its inward normals.
 
-    Both come from one adjugate: adj * M = det * I, so det is row 0 of the
+    Both come from the adjugate: adj * M = det * I, so det is row 0 of the
     adjugate against the first ray, and the rows are negated when det < 0.
     Row k is then positive on the k-th ray of the cone and zero on the
     others, so for det != 0 it is the inward normal of the facet opposite
-    that ray, and  x in cone  <=>  every row . x >= 0.
+    that ray, and  x in cone  <=>  every row . x >= 0. For rays a, b, c in
+    dimension 3 the adjugate rows are the cross products b x c, c x a and
+    a x b, read straight from the rays; dimensions 1 and 2 use ``adjugate``.
     """
+    if len(cone) == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = map(fan.rays.__getitem__, cone)
+        x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+        y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+        z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        det = a0 * x0 + a1 * x1 + a2 * x2
+        if det < 0:
+            return det, ((-x0, -x1, -x2), (-y0, -y1, -y2), (-z0, -z1, -z2))
+        return det, ((x0, x1, x2), (y0, y1, y2), (z0, z1, z2))
     adj = adjugate(fan.cone_columns(cone))
     det = vdot(adj[0], fan.rays[cone[0]])
     if det < 0:
-        if len(adj) == 3:
-            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = adj
-            adj = ((-a0, -a1, -a2), (-b0, -b1, -b2), (-c0, -c1, -c2))
-        else:
-            adj = tuple([tuple([-x for x in row]) for row in adj])
+        adj = tuple([tuple([-x for x in row]) for row in adj])
     return det, adj
 
 
@@ -240,17 +260,19 @@ def validate(fan: Fan) -> ValidationReport:
             offending.append(("zero_ray", (i,)))
         elif not is_primitive(r):
             offending.append(("non_primitive_ray", (i,)))
-    offending.extend(("duplicate_ray", pair) for pair in _equal_pairs(fan.rays))
+    if len(set(fan.rays)) != n:
+        offending.extend(("duplicate_ray", pair) for pair in _equal_pairs(fan.rays))
     for ci, cone in enumerate(fan.max_cones):
         # the constructor sorts each cone, so its ends decide; an empty cone
         # is left to the size check below
         if cone and (cone[0] < 0 or cone[-1] >= n):
             offending.append(("bad_ray_index", (ci,)))
         used.update(cone)
-    offending.extend(("duplicate_cone", pair) for pair in _equal_pairs(fan.max_cones))
-    for i in range(n):
-        if i not in used:
-            offending.append(("unused_ray", (i,)))
+    if len(set(fan.max_cones)) != len(fan.max_cones):
+        offending.extend(("duplicate_cone", pair) for pair in _equal_pairs(fan.max_cones))
+    # a bad index can make up the size of used, so its indices are compared
+    if not used.issuperset(range(n)):
+        offending.extend(("unused_ray", (i,)) for i in range(n) if i not in used)
     if offending:
         return ValidationReport(False, False, False, tuple(offending))
 

@@ -96,16 +96,24 @@ def canonical_key(fan: Fan) -> bytes:
     the cone list is written only for one that ties or beats the best so far;
     the bytes order the same way, because neither list's text is a proper
     prefix of another of the same length.
+
+    A ray list's text joins its ray texts, least ray first, and no ray text
+    is a proper prefix of another (each ends at its one ``]``), so such texts
+    compare as the tuples of their ray texts: a candidate whose least ray has
+    a text above the best's first one loses before it is sorted or written.
     """
     if not fan.report.ok:
         raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
     d = fan.dim
     entry = "[" + ",".join(["%d"] * d) + "]"
     best: Optional[tuple[str, str]] = None
+    best_first = ""
     for inv in maximal_cone_normals(fan):
         coords = [matvec(inv, r) for r in fan.rays]
         for order in permutations(range(d)):
             transformed = _relabelled(coords, order)
+            if best is not None and entry % min(transformed) > best_first:
+                continue
             rays = sorted(transformed)
             ray_text = ",".join(map(entry.__mod__, rays))
             if best is not None and ray_text > best[0]:
@@ -115,4 +123,5 @@ def canonical_key(fan: Fan) -> bytes:
             candidate = (ray_text, ",".join(map(entry.__mod__, cones)))
             if best is None or candidate < best:
                 best = candidate
+                best_first = entry % rays[0]
     return ('{"dim":%d,"rays":[%s],"max_cones":[%s]}' % (d, *best)).encode()

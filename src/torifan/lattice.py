@@ -3,17 +3,17 @@
 Everything here works with plain Python ints (arbitrary precision); there is
 no floating point anywhere in the package. Matrices are stored as tuples of
 rows. A ``Fan`` has 1 to 3 coordinates, so ``vdot`` of 2- and 3-entry
-vectors and ``matvec`` of 2 x 2 and 3 x 3 matrices are written out in
-closed form (tuple unpacking and one arithmetic expression per entry, no
-generator or per-row loop), and no determinant is taken above 3 x 3, nor
-anywhere but in ``adjugate``. Other shapes, and the other vector kernels
-(``vadd``, ``vsum``, ``matrix_from_columns``), run on ``map`` with
-``operator`` functions, ``sum`` and ``zip(*...)``. Every kernel raises
-``ValueError`` on vectors of mismatched lengths instead of truncating; in
-the closed forms the unpacking does that. Elimination is integer-preserving
-(Edmonds 1967; Bareiss 1968): one pivot step, ``_pivot``, serves
-``solve_rational`` and the simplex of ``has_nonneg_combination``. Only the
-result of ``solve_rational`` is a ``fractions.Fraction``.
+vectors and ``matvec`` of 2 x 2 and 3 x 3 matrices are written out in closed
+form (tuple unpacking and one arithmetic expression per entry, no generator
+or per-row loop), and no determinant is taken above 3 x 3; a cone's is read
+from its adjugate (``fan.cone_det_and_normals``). Other shapes, and the
+other vector kernels (``vadd``, ``vsum``, ``matrix_from_columns``), run on
+``map`` with ``operator`` functions, ``sum`` and ``zip(*...)``. Every kernel
+raises ``ValueError`` on vectors of mismatched lengths instead of
+truncating; in the closed forms the unpacking does that. Elimination is
+integer-preserving (Edmonds 1967; Bareiss 1968): one pivot step, ``_pivot``,
+serves ``solve_rational`` and the simplex of ``has_nonneg_combination``.
+Only the result of ``solve_rational`` is a ``fractions.Fraction``.
 """
 
 from __future__ import annotations

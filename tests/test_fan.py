@@ -9,6 +9,7 @@ from torifan.fan import (
     build_bundle,
     ccw_sorted,
     cone_contains,
+    cone_det_and_normals,
     fan_from_json,
     fan_from_rays_2d,
     star,
@@ -19,12 +20,14 @@ from torifan.lattice import is_primitive, vadd
 from torifan.primitive import section_relation
 
 from _oracles import (
+    cofactor_det,
     gauss_solve,
     pair_is_proper,
     pairwise_validate,
     random_unimodular,
     rebase_fan,
     reference_ccw_sorted,
+    reference_inward_normals,
     reference_validate,
 )
 
@@ -253,6 +256,58 @@ def test_validate_agrees_with_the_reference_report():
     assert sum(not validate(fan).ok for fan in fans) > 150
 
 
+# duplicate rays, duplicate cones and unused rays in one fan, and a bad index
+# that makes the set of used indices as large as the ray count while ray 2
+# is unused
+MIXED_DAMAGE = [
+    Fan(2, ((1, 0), (0, 1), (1, 0), (-1, -1), (2, 3), (-1, -1)),
+        ((0, 1), (1, 3), (0, 1), (0, 3), (1, 3))),
+    Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 0), (-1, -1, -1), (5, 5, 1)),
+        ((0, 1, 2), (0, 1, 4), (0, 2, 4), (0, 1, 2), (1, 2, 4), (0, 1, 4))),
+    Fan(2, _TRIANGLE, ((0, 1), (1, 3), (0, 3))),
+]
+
+
+def test_validate_agrees_with_the_reference_on_mixed_damage():
+    # each check before the determinants runs only when its set size shows
+    # a defect; all of them fire together here
+    for fan in MIXED_DAMAGE:
+        assert validate(fan) == reference_validate(fan), fan.to_dict()
+    reasons = {reason for fan in MIXED_DAMAGE for reason, _ in validate(fan).offending_cones}
+    assert {"duplicate_ray", "duplicate_cone", "unused_ray", "bad_ray_index"} <= reasons
+    assert ("unused_ray", (2,)) in validate(MIXED_DAMAGE[2]).offending_cones
+
+
+def test_cone_kernel_agrees_with_the_cofactor_references():
+    """``cone_det_and_normals`` against ``cofactor_det`` and
+    ``reference_inward_normals`` on every cone of the 2704 bundles of the
+    bound-3 box, of the catalog fans and three rebasings of each, and of
+    their damaged rebasings, whose cones include degenerate and
+    non-unimodular ones; on a degenerate cone only the determinants are
+    compared."""
+    rng = random.Random(1307)
+    named = [nf.fan for nf in all_named().values()]
+    fans = [
+        build_bundle(BundleSpec(nf.fan, (sx, sy), (0, 0)))
+        for nf in surfaces()
+        for sx in range(-6, 7)
+        for sy in range(-6, 7)
+    ]
+    assert len(fans) == 2704
+    fans += named + [rebase_fan(fan, random_unimodular(rng, fan.dim)) for fan in named for _ in range(3)]
+    fans += [damaged for fan in named for damaged in _kinds_of_damage(fan, rng)]
+    fans.append(Fan(1, ((1,), (-1,)), ((0,), (1,))))
+    dets = set()
+    for fan in fans:
+        for cone in fan.max_cones:
+            det, rows = cone_det_and_normals(fan, cone)
+            assert det == cofactor_det(fan.cone_columns(cone)), (fan.to_dict(), cone)
+            if det != 0:
+                assert rows == reference_inward_normals(fan, cone), (fan.to_dict(), cone)
+            dets.add((fan.dim, min(abs(det), 2)))
+    assert dets == {(d, k) for d in (2, 3) for k in (0, 1, 2)} | {(1, 1)}
+
+
 def test_ccw_sorted_agrees_with_the_reference_comparator():
     """The sort key orders points as the comparator it replaced did: every
     primitive vector with entries in [-5, 5], shuffled under a few seeds, and
@@ -385,6 +440,43 @@ class TestConstructorGate:
     def test_constructor_refuses_shape(self, dim, rays, cones):
         with pytest.raises(ValueError):
             Fan(dim, rays, cones)
+
+    @pytest.mark.parametrize(
+        "rays, cones, message",
+        [
+            ([[1, 0], [True, 1], [-1, -1]], P2.max_cones, "ray [True, 1] holds an entry that is not an integer"),
+            ([[1, 0], [0, 1.0], [-1, -1]], P2.max_cones, "ray [0, 1.0] holds an entry that is not an integer"),
+            ([[1, 0], [0, 1], ["-1", -1]], P2.max_cones, "ray ['-1', -1] holds an entry that is not an integer"),
+            (P2.rays, [[0, 1], [1, 2], [0, True]], "cone [0, True] holds an entry that is not an integer"),
+            (P2.rays, [[0, 1.0], [1, 2], [0, 2]], "cone [0, 1.0] holds an entry that is not an integer"),
+            (P2.rays, [[0, 1], ["1", 2], [0, 2]], "cone ['1', 2] holds an entry that is not an integer"),
+            ([[1, 0], [0, 1], [-1, -1.5]], [[0, 1], [1, 2.0], [0, 2]],
+             "ray [-1, -1.5] holds an entry that is not an integer"),
+            ([[1.5, 0], 5], P2.max_cones, "ray [1.5, 0] holds an entry that is not an integer"),
+            ([[1.5, 0]], 5, "ray [1.5, 0] holds an entry that is not an integer"),
+            ([[1, 0], [0, 1, 0.5], [-1, -1]], P2.max_cones,
+             "ray [0, 1, 0.5] holds an entry that is not an integer"),
+            (P2.rays, [[0, 1], [2, 1, 2], [0, 2]], "cone has repeated ray indices: (1, 2, 2)"),
+            (P2.rays, [[1, 1], [0, 2.5]], "cone has repeated ray indices: (1, 1)"),
+            (P2.rays, [[0, 2.5], [1, 1]], "cone [0, 2.5] holds an entry that is not an integer"),
+        ],
+        ids=["bool_ray", "float_ray", "string_ray", "bool_cone", "float_cone", "string_cone",
+             "ray_before_cone", "entry_before_iteration", "ray_before_cone_list", "entry_before_length",
+             "repeat", "repeat_in_earlier_cone", "entry_in_earlier_cone"],
+    )
+    def test_constructor_messages(self, rays, cones, message):
+        # the first offender is named, rays before cones and cones in order
+        with pytest.raises(ValueError) as caught:
+            Fan(2, rays, cones)
+        assert str(caught.value) == message
+
+    def test_constructor_normalises_lists_and_iterators(self):
+        fan = Fan(2, [[0, 1], [1, 0], [-1, -1]], [[1, 0], [2, 1], [2, 0]])
+        assert fan.rays == ((0, 1), (1, 0), (-1, -1)) and fan.max_cones == ((0, 1), (1, 2), (0, 2))
+        again = Fan(2, (iter(r) for r in fan.rays), (iter(c[::-1]) for c in fan.max_cones))
+        assert again == fan and type(again.rays[0]) is tuple
+        with pytest.raises(TypeError):
+            Fan(2, [[1, 0], 5], P2.max_cones)
 
     def test_json_messages(self):
         with pytest.raises(ValueError, match=r"^dim 4 is not 1, 2 or 3$"):

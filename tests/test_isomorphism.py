@@ -6,7 +6,7 @@ import pytest
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
 from torifan.fan import BundleSpec, Fan, build_bundle, fan_from_json
 from torifan.isomorphism import canonical_key, find_isomorphism
-from torifan.lattice import matvec
+from torifan.lattice import matmul, matvec
 from torifan.polytope import anticanonical_degree
 from torifan.primitive import primitive_collections, section_relation
 
@@ -158,6 +158,22 @@ def _b3_bundles():
     ]
 
 
+def _rebased_to_digits(fan, digits: int, rng: random.Random):
+    """A seeded rebasing of the fan whose largest |ray entry| has ``digits``
+    digits, or the fan itself if its largest entry has that many or more."""
+    low, high = 10 ** (digits - 1), 10 ** digits
+    if max(abs(x) for r in fan.rays for x in r) >= low:
+        return fan
+    for _ in range(1000):
+        u = random_unimodular(rng, fan.dim)
+        if digits == 3:
+            u = matmul(u, random_unimodular(rng, fan.dim))
+        other = rebase_fan(fan, u)
+        if low <= max(abs(x) for r in other.rays for x in r) < high:
+            return other
+    raise AssertionError(f"no rebasing with {digits}-digit entries found")
+
+
 class TestAgainstReference:
     """Both searches read coordinates from the memoised cone inverses; the
     references in ``_oracles`` invert every candidate basis. Keys must agree
@@ -182,6 +198,29 @@ class TestAgainstReference:
             for _ in range(3):
                 self.check_key(rebase_fan(fan, random_unimodular(rng, fan.dim)))
         self.check_key(Fan(1, ((1,), (-1,)), ((0,), (1,))))
+
+    def test_keys_where_text_and_numeric_order_differ(self):
+        """Keys on fans whose ray coordinates have two and three digits.
+
+        Texts order "[-1" < "[10" < "[2", so here the text order of rays is
+        not their numeric order, which the first-ray cut of the key must
+        respect. A key's candidates are ray coordinates in the bases of the
+        cones, which a rebasing does not change, so the large entries come
+        from the fans themselves: F_a and bundles over it with large twists.
+        Each fan, and each catalog fan, is also checked under seeded
+        rebasings whose largest entry has two and three digits.
+        """
+        rng = random.Random(59)
+        fans = [nf.fan for nf in all_named().values()]
+        for a in (10, 99, 100, 999):
+            fiber = hirzebruch_fan(a)
+            fans.append(fiber)
+            for plus, minus in (((a // 2, -3), (0, 0)), ((-1, a), (1, 1)), ((a, a - 1), (-a, 2))):
+                fans.append(build_bundle(BundleSpec(fiber, plus, minus)))
+        for fan in fans:
+            self.check_key(fan)
+            for digits in (2, 3):
+                self.check_key(_rebased_to_digits(fan, digits, rng))
 
     def test_keys_on_the_304_b3_bundles(self):
         bundles = _b3_bundles()
