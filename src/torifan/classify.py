@@ -19,11 +19,10 @@ from .isomorphism import canonical_key
 from .lattice import vadd
 from .polytope import anticanonical_degree
 from .primitive import (
-    bundle_relations,
+    bundle_candidates,
     is_fano,
     is_weak_fano,
     picard_rank,
-    section_relation,
     seed_primitive_collections,
 )
 
@@ -240,64 +239,54 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     Products P1 x S appear as the zero-twist specs.
 
     Only sums that can give a weak Fano bundle are built. The sections
-    x+ = (w, 1) and x- = (0, -1) share no cone, so {x+, x-} is a primitive
-    collection with sum (w, 0). If w = p*v_i + q*v_j with p, q >= 0 in a
-    fiber cone, its relation has degree 2 - (p + q) = 2 - phi(w), where
-    phi is the fiber's piecewise-linear function that is 1 on every ray
-    (``primitive.section_relation``). A weak Fano bundle therefore has
-    phi(w) <= 2, and every other sum is skipped before a fan is built.
-
-    The fiber set is complete within the family: the other primitive
-    relations of a bundle are those of its fiber, with the same degrees
-    (``primitive.bundle_relations``), so a weak Fano bundle has a weak del
-    Pezzo fiber, one of the 16.
+    share no cone, so {x+, x-} is a primitive collection, and its relation
+    has degree 2 - phi(w), phi being the fiber's piecewise-linear function
+    that is 1 on every ray. A weak Fano bundle therefore has phi(w) <= 2,
+    that is w = p*v_i + q*v_j over a fiber cone with p, q >= 0 and
+    p + q <= 2: 3n + 1 sums over a fiber with n rays, 304 over the 16
+    fibers. ``primitive.bundle_candidates`` lists them in increasing order,
+    each with its bundle's relations: the fiber's, lifted with the same
+    degrees, plus the section relation. So a weak Fano bundle has a weak
+    del Pezzo fiber, one of the 16, and the fiber set is complete within
+    the family.
 
     The box holds every candidate: each coordinate of w is at most
-    (p + q) * M = phi(w) * M in absolute value, where M is the largest
-    |entry| of a fiber ray, so {phi <= 2} lies in [-2M, 2M]^2. M = 2 over
-    the 16 fibers, so every candidate lies in [-4, 4]^2, inside the box of
-    the smallest allowed bound 3, and a larger bound cannot add one. The
-    sweep therefore visits only the part of the box inside each fiber's own
-    [-2M, 2M]^2, in the same order, and counts the rest of the box as pruned
-    by phi without looking at it, so any bound costs what bound 3 costs.
+    (p + q) * M in absolute value, where M is the largest |entry| of a
+    fiber ray. M = 2 over the 16 fibers, so every candidate lies in
+    [-4, 4]^2, inside the box of the smallest allowed bound 3, and a larger
+    bound cannot add one. The sweep builds the candidates alone, so any
+    bound costs what bound 3 costs, and counts the rest of the box as
+    pruned by phi.
 
-    Each built bundle is validated, and its relations are lifted from the
-    fiber instead of computed from its faces. ``stats`` counts each of
+    Each built bundle is validated, and its relations are seeded from the
+    table instead of computed from its faces. ``stats`` counts each of
     ``SWEEP_STAGES``.
     """
     if twist_bound < 3:
         raise ValueError("twist bound below 3 misses known classes")
-    b2 = 2 * twist_bound
-    box = (2 * b2 + 1) ** 2
+    box = (4 * twist_bound + 1) ** 2
     stats = dict.fromkeys(SWEEP_STAGES, 0)
     found: dict[bytes, tuple[Fan, str]] = {}
     for nf in catalog.surfaces():
-        reach = min(b2, 2 * max(abs(x) for ray in nf.fan.rays for x in ray))
         stats["box_points"] += box
-        stats["pruned_by_phi"] += box - (2 * reach + 1) ** 2
-        for sx in range(-reach, reach + 1):
-            for sy in range(-reach, reach + 1):
-                spec = BundleSpec(nf.fan, (sx, sy), (0, 0))
-                section = section_relation(spec)
-                if section.degree < 0:
-                    stats["pruned_by_phi"] += 1
-                    continue
-                fan = build_bundle(spec)
-                stats["built"] += 1
-                seed_primitive_collections(fan, bundle_relations(nf.fan, section))
-                verdict = is_weakened_fano(fan)
-                if verdict.is_fano:
-                    stats["fano"] += 1
-                elif verdict.is_weak_fano and not verdict.is_weakened:
-                    stats["weak_not_weakened"] += 1
-                if not verdict.is_weakened:
-                    continue
-                stats["weakened"] += 1
-                key = canonical_key(fan)
-                if key in found:
-                    stats["duplicates"] += 1
-                else:
-                    found[key] = (fan, nf.name)
+        for w, relations in bundle_candidates(nf.fan):
+            fan = build_bundle(BundleSpec(nf.fan, w, (0, 0)))
+            stats["built"] += 1
+            seed_primitive_collections(fan, relations)
+            verdict = is_weakened_fano(fan)
+            if verdict.is_fano:
+                stats["fano"] += 1
+            elif verdict.is_weak_fano and not verdict.is_weakened:
+                stats["weak_not_weakened"] += 1
+            if not verdict.is_weakened:
+                continue
+            stats["weakened"] += 1
+            key = canonical_key(fan)
+            if key in found:
+                stats["duplicates"] += 1
+            else:
+                found[key] = (fan, nf.name)
+    stats["pruned_by_phi"] = stats["box_points"] - stats["built"]
     stats["classes"] = len(found)
     names = _names_by_key(catalog.threefolds())
     entries = []

@@ -21,7 +21,7 @@ from .contraction import crepant_contractions, is_weakened_fano
 from .fan import Fan, fan_from_json
 from .isomorphism import find_isomorphism
 from .polytope import anticanonical_degree
-from .primitive import extremality_flags, is_fano, is_weak_fano, picard_rank, primitive_collections
+from .primitive import is_extremal, is_fano, is_weak_fano, picard_rank, primitive_collections
 
 DEFAULT_TWIST_BOUND = 3
 
@@ -72,8 +72,8 @@ def _cmd_analyze(args) -> CommandResult:
     payload = {
         "picard_rank": picard_rank(fan),
         "relations": [
-            {**rel.to_dict(), "extremal": flag}
-            for rel, flag in zip(primitive_collections(fan), extremality_flags(fan))
+            {**rel.to_dict(), "extremal": is_extremal(fan, rel)}
+            for rel in primitive_collections(fan)
         ],
     }
     return CommandResult("ok", payload, [])

@@ -136,9 +136,9 @@ def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
     if rel.degree != 0:
         raise ValueError(f"relation has degree {rel.degree}; only crepant (degree 0) input is accepted")
 
+    # degree = |collection| - sum of coefficients, so at degree 0 a single
+    # coefficient of a pair is 2 and two coefficients of a pair are both 1
     if len(rel.collection) == 2 and len(rel.coeffs) == 1:
-        if rel.coeffs[0][1] != 2:
-            return ContractionKind("other")
         witness = zero_two_normal_form_witness(fan, rel)
         if witness is None:
             return ContractionKind("other")
@@ -150,11 +150,7 @@ def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
     if len(rel.collection) == 3 and len(rel.coeffs) == 1:
         return ContractionKind("divisor_to_point")
 
-    if (
-        len(rel.collection) == 2
-        and len(rel.coeffs) == 2
-        and all(a == 1 for _, a in rel.coeffs)
-    ):
+    if len(rel.collection) == 2 and len(rel.coeffs) == 2:
         targets = [i for i, _ in rel.coeffs]
         contained = all(
             cone_contains(fan, rel.collection, fan.rays[t]) for t in targets

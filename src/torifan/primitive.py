@@ -16,8 +16,9 @@ maximal cone: the rays of a cone are linearly independent, so a
 relation's entries on them follow from the others, and dropping them
 loses nothing on the relations, where every class and every combination
 of classes lies. The collections are grown from the faces of the fan
-(``primitive_collections``); those of a surface bundle over P1 are lifted
-from its fiber instead (``bundle_relations``).
+(``primitive_collections``); those of the surface bundles over P1 that the
+3-fold sweep builds are lifted from the fiber, each beside the relation of
+its two sections, read off the fiber's cones (``bundle_candidates``).
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import sub
 
-from .fan import BundleSpec, Fan, maximal_cone_normals, memoised
+from .fan import Fan, maximal_cone_normals, memoised
 from .lattice import (
     Vector,
     has_nonneg_combination,
     matvec,
-    vadd,
     vsum,
 )
 
@@ -125,43 +125,47 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
 seed_primitive_collections = primitive_collections.seed
 
 
-def section_relation(spec: BundleSpec) -> PrimitiveRelation:
-    """The primitive relation of the two sections of ``build_bundle(spec)``.
+def bundle_candidates(fiber: Fan) -> tuple[tuple[Vector, tuple[PrimitiveRelation, ...]], ...]:
+    """Each section sum w with phi(w) <= 2 over ``fiber``, in increasing
+    order, with the primitive relations of its bundle.
 
-    After the n fiber rays (v, 0) come x+ = (w+, 1) at index n and
-    x- = (w-, -1) at index n + 1. They share no cone, and their sum (w, 0),
-    w = w+ + w-, lies in the fiber cone that holds w, a face of the bundle.
-    So the relation is x+ + x- = sum of a_i * (v_i, 0) with the fiber
-    coordinates a_i of w, found once in the fiber, and its degree is
-    2 - phi(w), phi being the fiber's piecewise-linear function that is 1 on
-    every ray.
+    The bundle of w has the n fiber rays (v, 0), x+ = (w, 1) at index n and
+    x- = (0, -1) at index n + 1. Its faces are the fiber faces, alone or
+    joined to one section, so its minimal non-faces are those of the fiber
+    plus the section pair. A fiber collection sums to a point of a fiber
+    cone, a face of the bundle, so its relation keeps the cone,
+    coefficients and degree, and its class gains a zero at each section;
+    these are lifted once per fiber. The pair {x+, x-} sums to (w, 0), so
+    with w = p*v_i + q*v_j (p, q >= 0) in the fiber cone (v_i, v_j) its
+    relation is x+ + x- = p*(v_i, 0) + q*(v_j, 0), of degree 2 - (p + q) =
+    2 - phi(w), phi being the fiber's piecewise-linear function that is 1
+    on every ray. It holds the two largest indices and comes last in
+    collection order.
+
+    So the sums with phi(w) <= 2 are the p*v_i + q*v_j with p + q <= 2 over
+    the fiber's cones: 0, each v_i, each 2*v_i and the sum of each cone's
+    two rays. On a smooth complete 2-fan every point has one such form, so
+    n rays give 3n + 1 sums.
     """
-    fiber = spec.fiber
     if fiber.dim != 2 or not fiber.report.ok:
         raise ValueError("bundle fiber must be a valid 2-dimensional fan")
     n = len(fiber.rays)
-    sigma, coeffs = locate_sigma(fiber, vadd(spec.twist_plus, spec.twist_minus))
-    coeff_map = dict(coeffs)
-    cls = tuple(-coeff_map.get(i, 0) for i in range(n)) + (1, 1)
-    return PrimitiveRelation((n, n + 1), sigma, coeffs, 2 - sum(a for _, a in coeffs), cls)
-
-
-def bundle_relations(fiber: Fan, section: PrimitiveRelation) -> tuple[PrimitiveRelation, ...]:
-    """``primitive_collections`` of a bundle over ``fiber``, lifted from the fiber.
-
-    ``section`` is the bundle's ``section_relation``. The faces of the bundle
-    are the fiber faces, alone or joined to one section, so its minimal
-    non-faces are those of the fiber plus the section pair. A fiber
-    collection sums to a point of a fiber cone, which is a face of the
-    bundle, so its relation keeps the cone, coefficients and degree, and its
-    class gains a zero at each section. The section pair holds the two
-    largest indices and comes last in collection order.
-    """
     lifted = tuple(
         PrimitiveRelation(r.collection, r.sigma, r.coeffs, r.degree, r.cls + (0, 0))
         for r in primitive_collections(fiber)
     )
-    return lifted + (section,)
+    sections: dict[Vector, PrimitiveRelation] = {}
+    for i, j in fiber.max_cones:
+        (xi, yi), (xj, yj) = fiber.rays[i], fiber.rays[j]
+        for p in range(3):
+            for q in range(3 - p):
+                coeffs = tuple((k, a) for k, a in ((i, p), (j, q)) if a > 0)
+                cls = [0] * n + [1, 1]
+                cls[i], cls[j] = -p, -q
+                sections[(p * xi + q * xj, p * yi + q * yj)] = PrimitiveRelation(
+                    (n, n + 1), tuple(k for k, _ in coeffs), coeffs, 2 - p - q, tuple(cls)
+                )
+    return tuple((w, lifted + (sections[w],)) for w in sorted(sections))
 
 
 def picard_rank(fan: Fan) -> int:
@@ -227,7 +231,3 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     if any(tuple(map(sub, rel.cls, c)) in table for c in others):
         return False
     return not has_nonneg_combination([table[c] for c in others], table[rel.cls])
-
-
-def extremality_flags(fan: Fan) -> tuple[bool, ...]:
-    return tuple(is_extremal(fan, r) for r in primitive_collections(fan))

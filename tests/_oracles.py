@@ -14,9 +14,11 @@ with its volume by a star triangulation at the origin (``degree = d! *
 volume`` checks Brion's formula in ``polytope.anticanonical_degree``), the
 kernel directions of the pairwise search, the two-element relation
 trichotomy, the Hirzebruch fans, the zero-two witness that inverted each
-candidate basis, the subset scan for primitive collections, the
-counterclockwise comparator that ``fan.ccw_sorted`` sorted by, the
-surface search that built, judged and keyed every blow-up, and the
+candidate basis, the subset scan for primitive collections, the section
+relation that the 3-fold sweep located at each point of its box and the
+bundle relations it lifted from it, the counterclockwise comparator that
+``fan.ccw_sorted`` sorted by, the surface search that built, judged and
+keyed every blow-up, and the
 isomorphism invariants (ray and cone counts, relation degrees, the
 anticanonical degree) that pruned the witness search.
 """
@@ -860,6 +862,54 @@ def reference_primitive_collections(fan):
             )
     relations.sort(key=lambda r: r.collection)
     return tuple(relations)
+
+
+def reference_section_relation(spec):
+    """``primitive.section_relation`` as it was before the sweep listed its
+    candidates: the relation of the two sections of ``build_bundle(spec)``,
+    found by locating w = w+ + w- in the fiber. Its degree is 2 - phi(w).
+
+    After the n fiber rays (v, 0) come x+ = (w+, 1) at index n and
+    x- = (w-, -1) at index n + 1. They share no cone, and their sum (w, 0),
+    w = w+ + w-, lies in the fiber cone that holds w, a face of the bundle.
+    So the relation is x+ + x- = sum of a_i * (v_i, 0) with the fiber
+    coordinates a_i of w, found once in the fiber, and its degree is
+    2 - phi(w), phi being the fiber's piecewise-linear function that is 1 on
+    every ray.
+    """
+    from torifan.lattice import vadd
+    from torifan.primitive import PrimitiveRelation, locate_sigma
+
+    fiber = spec.fiber
+    if fiber.dim != 2 or not fiber.report.ok:
+        raise ValueError("bundle fiber must be a valid 2-dimensional fan")
+    n = len(fiber.rays)
+    sigma, coeffs = locate_sigma(fiber, vadd(spec.twist_plus, spec.twist_minus))
+    coeff_map = dict(coeffs)
+    cls = tuple(-coeff_map.get(i, 0) for i in range(n)) + (1, 1)
+    return PrimitiveRelation((n, n + 1), sigma, coeffs, 2 - sum(a for _, a in coeffs), cls)
+
+
+def reference_bundle_relations(fiber, section):
+    """``primitive.bundle_relations`` as it was before the sweep listed its
+    candidates: the relations of a bundle over ``fiber``, lifted from the
+    fiber, for any twists.
+
+    ``section`` is the bundle's ``reference_section_relation``. The faces of
+    the bundle are the fiber faces, alone or joined to one section, so its
+    minimal non-faces are those of the fiber plus the section pair. A fiber
+    collection sums to a point of a fiber cone, which is a face of the
+    bundle, so its relation keeps the cone, coefficients and degree, and its
+    class gains a zero at each section. The section pair holds the two
+    largest indices and comes last in collection order.
+    """
+    from torifan.primitive import PrimitiveRelation, primitive_collections
+
+    lifted = tuple(
+        PrimitiveRelation(r.collection, r.sigma, r.coeffs, r.degree, r.cls + (0, 0))
+        for r in primitive_collections(fiber)
+    )
+    return lifted + (section,)
 
 
 def surface_blowups(fan):

@@ -17,14 +17,19 @@ from torifan.contraction import is_weakened_fano
 from torifan.fan import Fan, fan_from_rays_2d, product_with_p1, validate
 from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import vadd
-from torifan.primitive import is_weak_fano, section_relation
+from torifan.primitive import is_weak_fano
 
-from _oracles import brute_force_sigma, reference_weak_del_pezzo, surface_blowups
+from _oracles import (
+    brute_force_sigma,
+    reference_section_relation,
+    reference_weak_del_pezzo,
+    surface_blowups,
+)
 
 
 def fiber_phi(fiber, w):
     """phi(w), read from the degree 2 - phi(w) of the section relation."""
-    return 2 - section_relation(BundleSpec(fiber, w, (0, 0))).degree
+    return 2 - reference_section_relation(BundleSpec(fiber, w, (0, 0))).degree
 
 
 class TestBuildBundle:
@@ -262,19 +267,20 @@ class TestThreefoldEnumeration:
         }
 
     def test_a_large_bound_sweeps_only_the_candidate_box(self, threefold_report_b3, monkeypatch):
-        # every candidate lies in [-4, 4]^2, so bound 10**6 looks at no more
-        # points than bound 3 and counts the rest of its box as pruned
+        # every candidate lies in [-4, 4]^2, so bound 10**6 builds the same
+        # 304 bundles as bound 3 and counts the rest of its box as pruned
         from torifan import classify
 
         report, _ = threefold_report_b3
         calls = []
-        real = classify.section_relation
-        monkeypatch.setattr(classify, "section_relation", lambda spec: calls.append(spec) or real(spec))
+        real = classify.build_bundle
+        monkeypatch.setattr(classify, "build_bundle", lambda spec: calls.append(spec) or real(spec))
         big = enumerate_weakened_threefolds(10**6)
         assert [e.to_dict() for e in big.classes] == [e.to_dict() for e in report.classes]
         box = 16 * (4 * 10**6 + 1) ** 2
         assert big.stats == {**report.stats, "box_points": box, "pruned_by_phi": box - 304}
-        assert len(calls) <= 16 * 9 * 9
+        assert len(calls) == 304
+        assert all(max(map(abs, spec.twist_plus)) <= 4 for spec in calls)
 
     def test_fano_filter_would_exclude_the_fifteen(self, threefold_report_b3):
         # every enumerated class is weak Fano and none is Fano

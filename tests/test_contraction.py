@@ -12,20 +12,15 @@ from torifan.contraction import (
 )
 from torifan.fan import Fan, cone_contains, fan_from_rays_2d
 from torifan.lattice import matvec, vsum
-from torifan.primitive import (
-    bundle_relations,
-    is_extremal,
-    is_fano,
-    is_weak_fano,
-    primitive_collections,
-    section_relation,
-)
+from torifan.primitive import is_extremal, is_fano, is_weak_fano, primitive_collections
 
 from _oracles import (
     eager_weakened_verdict,
     in_relative_interior,
     random_unimodular,
     rebase_fan,
+    reference_bundle_relations,
+    reference_section_relation,
     reference_zero_two_witness,
 )
 
@@ -150,7 +145,8 @@ class TestNormalFormWitness:
                     spec = BundleSpec(nf.fan, plus, minus)
                     fan = build_bundle(spec)
                     assert fan.report.ok and len(fan.max_cones) == 2 * len(nf.fan.max_cones)
-                    fans.append((fan, bundle_relations(nf.fan, section_relation(spec))))
+                    section = reference_section_relation(spec)
+                    fans.append((fan, reference_bundle_relations(nf.fan, section)))
         doubled = [
             fan for fan, rels in fans
             if any(r.degree == 0 and len(r.coeffs) == 1 and r.coeffs[0][1] == 2 for r in rels)
@@ -220,10 +216,11 @@ class TestWeakenedPredicate:
 def test_shape_first_verdict_agrees_with_eager_verdict():
     catalog_fans = [nf.fan for nf in all_named().values() if nf.fan.dim == 3]
     sums = [
-        (nf.fan, (sx, sy), section_relation(BundleSpec(nf.fan, (sx, sy), (0, 0))).degree >= 0)
+        (spec.fiber, spec.twist_plus, reference_section_relation(spec).degree >= 0)
         for nf in surfaces()
         for sx in range(-6, 7)
         for sy in range(-6, 7)
+        for spec in [BundleSpec(nf.fan, (sx, sy), (0, 0))]
     ]
     weak_bundles = [build_bundle(BundleSpec(f, w, (0, 0))) for f, w, kept in sums if kept]
     rejected = [(f, w) for f, w, kept in sums if not kept]

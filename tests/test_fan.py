@@ -17,8 +17,6 @@ from torifan.fan import (
 )
 from torifan.catalog import all_named, named_fan, surfaces
 from torifan.lattice import is_primitive, vadd
-from torifan.primitive import section_relation
-
 from _oracles import (
     cofactor_det,
     gauss_solve,
@@ -28,6 +26,7 @@ from _oracles import (
     rebase_fan,
     reference_ccw_sorted,
     reference_inward_normals,
+    reference_section_relation,
     reference_validate,
 )
 
@@ -228,11 +227,12 @@ def test_validate_agrees_with_the_reference_report():
     fans = list(named)
     fans += [rebase_fan(fan, random_unimodular(rng, fan.dim)) for fan in named for _ in range(3)]
     bundles = [
-        build_bundle(BundleSpec(nf.fan, (sx, sy), (0, 0)))
+        build_bundle(spec)
         for nf in surfaces()
         for sx in range(-6, 7)
         for sy in range(-6, 7)
-        if section_relation(BundleSpec(nf.fan, (sx, sy), (0, 0))).degree >= 0
+        for spec in [BundleSpec(nf.fan, (sx, sy), (0, 0))]
+        if reference_section_relation(spec).degree >= 0
     ]
     # n fiber rays give n fiber cones, and the bundle has n + 2 rays and 2n cones
     assert len(bundles) == 304

@@ -8,7 +8,7 @@ from torifan.fan import BundleSpec, Fan, build_bundle, fan_from_json
 from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import matmul, matvec
 from torifan.polytope import anticanonical_degree
-from torifan.primitive import primitive_collections, section_relation
+from torifan.primitive import primitive_collections
 
 from _oracles import (
     hirzebruch_fan,
@@ -17,6 +17,7 @@ from _oracles import (
     rebase_fan,
     reference_canonical_key,
     reference_find_isomorphism,
+    reference_section_relation,
 )
 
 
@@ -154,7 +155,7 @@ def _b3_bundles():
         for sx in range(-6, 7)
         for sy in range(-6, 7)
         for spec in [BundleSpec(nf.fan, (sx, sy), (0, 0))]
-        if section_relation(spec).degree >= 0
+        if reference_section_relation(spec).degree >= 0
     ]
 
 

@@ -7,13 +7,11 @@ from torifan.fan import fan_from_rays_2d
 from torifan.lattice import has_nonneg_combination, vsum
 from torifan.primitive import (
     IncompleteFanError,
-    bundle_relations,
-    extremality_flags,
+    bundle_candidates,
     is_extremal,
     is_fano,
     is_weak_fano,
     primitive_collections,
-    section_relation,
 )
 
 from _oracles import (
@@ -21,7 +19,9 @@ from _oracles import (
     full_lp_is_extremal,
     random_unimodular,
     rebase_fan,
+    reference_bundle_relations,
     reference_primitive_collections,
+    reference_section_relation,
     two_element_relation_kind,
 )
 
@@ -198,7 +198,7 @@ class TestExtremality:
 
     def test_f2_both_classes_extremal(self):
         fan = named_fan("F2").fan
-        assert extremality_flags(fan) == (True, True)
+        assert [is_extremal(fan, r) for r in primitive_collections(fan)] == [True, True]
 
     def test_x4_0_crepant_relation_extremal(self):
         fan = named_fan("X4_0").fan
@@ -234,7 +234,7 @@ class TestExtremality:
         for name in ("W6_1", "X5_1", "P1xW6_3", "PP2_O_O3"):
             fan = named_fan(name).fan
             rels = primitive_collections(fan)
-            flags = extremality_flags(fan)
+            flags = [is_extremal(fan, r) for r in rels]
             extremal = [r.cls for r, flag in zip(rels, flags) if flag]
             for rel, flag in zip(rels, flags):
                 assert flag or has_nonneg_combination(extremal, rel.cls)
@@ -366,7 +366,7 @@ def _sweep_bundles_b3() -> list:
         for sx in range(-6, 7)
         for sy in range(-6, 7)
     ]
-    return [build_bundle(spec) for spec in specs if section_relation(spec).degree >= 0]
+    return [build_bundle(spec) for spec in specs if reference_section_relation(spec).degree >= 0]
 
 
 def test_every_class_is_primitive_with_a_one_off_sigma():
@@ -414,19 +414,26 @@ def test_relations_grown_from_faces_agree_with_the_subset_scan():
         assert primitive_collections(fresh) == reference_primitive_collections(fan), fan.to_dict()
 
 
+def _fresh_bundle_relations(spec):
+    """``primitive_collections`` of a fresh copy of the bundle, grown from its faces."""
+    from torifan.fan import Fan, build_bundle
+
+    fan = build_bundle(spec)
+    return primitive_collections(Fan(3, fan.rays, fan.max_cones))
+
+
 class TestBundleRelations:
-    """``bundle_relations`` lifts a bundle's relations from its fiber; each
-    case compares them with ``primitive_collections`` of a fresh copy of the
-    bundle, which grows them from its faces."""
+    """``bundle_candidates`` lists the sweep's sums with their bundles'
+    relations, and the reference lifts a bundle's relations from its fiber
+    for any twists; each case compares them with ``primitive_collections``
+    of a fresh copy of the bundle, which grows them from its faces."""
 
     @staticmethod
     def check(spec) -> None:
-        from torifan.fan import Fan, build_bundle
-
-        fan = build_bundle(spec)
-        scanned = primitive_collections(Fan(3, fan.rays, fan.max_cones))
-        lifted = bundle_relations(spec.fiber, section_relation(spec))
-        assert lifted == scanned, (spec.fiber.to_dict(), spec.twist_plus, spec.twist_minus)
+        lifted = reference_bundle_relations(spec.fiber, reference_section_relation(spec))
+        assert lifted == _fresh_bundle_relations(spec), (
+            spec.fiber.to_dict(), spec.twist_plus, spec.twist_minus,
+        )
 
     @staticmethod
     def twisted(rng, fiber, count, keep):
@@ -439,7 +446,7 @@ class TestBundleRelations:
             plus = (rng.randint(-4, 4), rng.randint(-4, 4))
             minus = (rng.randint(-4, 4), rng.randint(-4, 4))
             spec = BundleSpec(fiber, plus, minus)
-            if minus != (0, 0) and keep(section_relation(spec).degree):
+            if minus != (0, 0) and keep(reference_section_relation(spec).degree):
                 out.append(spec)
         return out
 
@@ -449,13 +456,47 @@ class TestBundleRelations:
 
         checked = 0
         for nf in surfaces():
-            for sx in range(-6, 7):
-                for sy in range(-6, 7):
-                    spec = BundleSpec(nf.fan, (sx, sy), (0, 0))
-                    if section_relation(spec).degree >= 0:
-                        self.check(spec)
-                        checked += 1
+            for w, relations in bundle_candidates(nf.fan):
+                spec = BundleSpec(nf.fan, w, (0, 0))
+                assert relations == _fresh_bundle_relations(spec), (nf.name, w)
+                checked += 1
         assert checked == 304
+
+    def test_candidates_agree_with_the_reference(self, non_weak_fibers):
+        """The sums of the table are the points w of [-2M, 2M]^2 whose section
+        relation, located in the fiber, has degree >= 0, in increasing order
+        (M the largest |entry| of a fiber ray, 2 on the 16 catalog fibers);
+        each with the reference's relations of that bundle."""
+        from torifan.catalog import surfaces
+        from torifan.fan import BundleSpec
+
+        fibers = [nf.fan for nf in surfaces()] + non_weak_fibers
+        assert len(fibers) == 24
+        for fiber in fibers:
+            reach = 2 * max(abs(x) for ray in fiber.rays for x in ray)
+            expected = []
+            for sx in range(-reach, reach + 1):
+                for sy in range(-reach, reach + 1):
+                    section = reference_section_relation(BundleSpec(fiber, (sx, sy), (0, 0)))
+                    if section.degree >= 0:
+                        expected.append(((sx, sy), reference_bundle_relations(fiber, section)))
+            table = bundle_candidates(fiber)
+            assert list(table) == expected, fiber.to_dict()
+            assert len(table) == 3 * len(fiber.rays) + 1
+
+    def test_candidates_of_p2(self):
+        table = bundle_candidates(named_fan("P2").fan)
+        # 0, the three rays, their doubles and the three cone sums
+        assert [w for w, _ in table] == [
+            (-2, -2), (-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
+        ]
+        section = dict(table)[(-1, 0)][-1]
+        # (-1, 0) = (0, 1) + (-1, -1), rays 1 and 2 of P2
+        assert section.collection == (3, 4) and section.sigma == (1, 2)
+        assert section.coeffs == ((1, 1), (2, 1))
+        assert section.degree == 0 and section.cls == (0, -1, -1, 1, 1)
+        with pytest.raises(ValueError):
+            bundle_candidates(named_fan("X3_0").fan)
 
     def test_seeded_twists_with_phi_above_2(self):
         from torifan.catalog import surfaces
@@ -487,9 +528,9 @@ class TestBundleRelations:
         from torifan.fan import BundleSpec
 
         # on F1 = {(1,0), (-1,0), (0,1), (1,-1)}, w = (2, 1) + (1, 0) = 3*(1,0) + (0,1)
-        rel = section_relation(BundleSpec(hirzebruch(1), (2, 1), (1, 0)))
+        rel = reference_section_relation(BundleSpec(hirzebruch(1), (2, 1), (1, 0)))
         assert rel.collection == (4, 5) and rel.sigma == (0, 2)
         assert rel.coeffs == ((0, 3), (2, 1))
         assert rel.degree == 2 - 4 and rel.cls == (-3, 0, -1, 0, 1, 1)
         with pytest.raises(ValueError):
-            section_relation(BundleSpec(named_fan("X3_0").fan, (0, 0), (0, 0)))
+            reference_section_relation(BundleSpec(named_fan("X3_0").fan, (0, 0), (0, 0)))
