@@ -5,14 +5,12 @@ the 16 smooth toric weak del Pezzo surfaces and 15 toric weakened Fano 3-folds.
 """
 
 from .fan import (
-    BundleSpec,
     Fan,
     ValidationReport,
     build_bundle,
     fan_from_dict,
     fan_from_json,
     fan_from_rays_2d,
-    product_with_p1,
     star,
     validate,
 )
@@ -45,7 +43,6 @@ from .classify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BundleSpec",
     "ClassificationReport",
     "ContractionKind",
     "Fan",
@@ -74,7 +71,6 @@ __all__ = [
     "named_fan",
     "picard_rank",
     "primitive_collections",
-    "product_with_p1",
     "star",
     "surfaces",
     "threefolds",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fan import BundleSpec, Fan, build_bundle, fan_from_rays_2d, product_with_p1
+from .fan import Fan, build_bundle, fan_from_rays_2d
 
 # Generator lists of the 16 smooth toric weak del Pezzo surfaces.
 # S_n is the del Pezzo surface of degree n; W fans are weak but not Fano.
@@ -102,7 +102,7 @@ def threefolds() -> tuple[NamedFan, ...]:
             "rays": n + 2, "picard": n - 1, "degree": degree,
             "fiber": fiber_name, "fiber_rays": n, "weakened": True,
         }
-        out.append(NamedFan(name, build_bundle(BundleSpec(fiber, plus, minus)), expected))
+        out.append(NamedFan(name, build_bundle(fiber, plus, minus), expected))
     return tuple(out)
 
 
@@ -111,8 +111,8 @@ def extras() -> tuple[NamedFan, ...]:
     """Auxiliary 3-folds: two Fano products and the weak-Fano-but-not-weakened
     P1-bundle over P2 whose crepant contraction collapses a divisor to a point."""
     fibers = {nf.name: nf.fan for nf in surfaces()}
-    p1p1p1 = product_with_p1(fibers["P1xP1"])
-    p1s6 = product_with_p1(fibers["S6"])
+    p1p1p1 = build_bundle(fibers["P1xP1"], (0, 0), (0, 0))
+    p1s6 = build_bundle(fibers["S6"], (0, 0), (0, 0))
     pp2 = Fan(
         3,
         ((1, 0, 0), (0, 1, 0), (-1, -1, 3), (0, 0, 1), (0, 0, -1)),

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import catalog
 from .contraction import crepant_contractions, is_weakened_fano
-from .fan import BundleSpec, Fan, build_bundle, ccw_sorted, fan_from_rays_2d
+from .fan import Fan, build_bundle, ccw_sorted, fan_from_rays_2d
 from .isomorphism import canonical_key
 from .lattice import vadd
 from .polytope import anticanonical_degree
@@ -149,9 +149,17 @@ def _surface_invariants(fan: Fan) -> dict:
     }
 
 
-def _names_by_key(named: Sequence[catalog.NamedFan]) -> dict[bytes, str]:
-    """Catalog names by canonical key; a class is named by looking its key up."""
-    return {canonical_key(nf.fan): nf.name for nf in named}
+def _report(
+    found: dict[bytes, tuple[Fan, dict]], named: Sequence[catalog.NamedFan], scope: str, stats: dict
+) -> ClassificationReport:
+    """The classes ``found`` (key -> representative and invariants) in key
+    order, each named by the catalog entry of ``named`` with the same key."""
+    names = {canonical_key(nf.fan): nf.name for nf in named}
+    entries = tuple(
+        ClassEntry(key, fan, invariants, names.get(key))
+        for key, (fan, invariants) in sorted(found.items())
+    )
+    return ClassificationReport(len(entries), entries, scope, stats)
 
 
 def enumerate_weak_del_pezzo() -> ClassificationReport:
@@ -187,13 +195,9 @@ def enumerate_weak_del_pezzo() -> ClassificationReport:
     seeds = [named["P2"], named["P1xP1"], named["F2"]]
     stats = dict.fromkeys(SURFACE_STAGES, 0)
     stats["seeds"] = len(seeds)
-    seen: dict[tuple[int, ...], Fan] = {}
-    queue: list[Fan] = []
-    for fan in seeds:
-        key = _sequence_key(self_intersection_sequence(fan)[1])
-        if key not in seen:
-            seen[key] = fan
-            queue.append(fan)
+    # P2, P1 x P1 and F2 are three different classes, so no seed is a duplicate
+    seen = {_sequence_key(self_intersection_sequence(fan)[1]): fan for fan in seeds}
+    queue = list(seeds)
     while queue:
         fan = queue.pop()
         order, seq = self_intersection_sequence(fan)
@@ -214,17 +218,11 @@ def enumerate_weak_del_pezzo() -> ClassificationReport:
                 seen[key] = blow_up(fan, cone)
                 queue.append(seen[key])
     stats["classes"] = len(seen)
-    names = _names_by_key(catalog.surfaces())
-    found = {canonical_key(fan): fan for fan in seen.values()}
-    entries = [
-        ClassEntry(key, found[key], _surface_invariants(found[key]), names.get(key))
-        for key in sorted(found)
-    ]
-    return ClassificationReport(
-        count=len(entries),
-        classes=tuple(entries),
-        scope="smooth toric weak del Pezzo surfaces (blow-up closure over minimal models)",
-        stats=stats,
+    return _report(
+        {canonical_key(fan): (fan, _surface_invariants(fan)) for fan in seen.values()},
+        catalog.surfaces(),
+        "smooth toric weak del Pezzo surfaces (blow-up closure over minimal models)",
+        stats,
     )
 
 
@@ -236,7 +234,7 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     into the fiber lattice is a fan isomorphism moving (w+, w-) to
     (w+ + u, w- - u), so only the sum w+ + w- matters; the sweep therefore
     runs over sums w in [-2b, 2b]^2 with the minus-twist pinned to zero.
-    Products P1 x S appear as the zero-twist specs.
+    Products P1 x S appear as the zero-twist bundles.
 
     Only sums that can give a weak Fano bundle are built. The sections
     share no cone, so {x+, x-} is a primitive collection, and its relation
@@ -250,27 +248,32 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     del Pezzo fiber, one of the 16, and the fiber set is complete within
     the family.
 
-    The box holds every candidate: each coordinate of w is at most
-    (p + q) * M in absolute value, where M is the largest |entry| of a
-    fiber ray. M = 2 over the 16 fibers, so every candidate lies in
-    [-4, 4]^2, inside the box of the smallest allowed bound 3, and a larger
-    bound cannot add one. The sweep builds the candidates alone, so any
-    bound costs what bound 3 costs, and counts the rest of the box as
-    pruned by phi.
+    The box holds every candidate once b >= M, the largest |entry| of a
+    fiber ray: each coordinate of w is at most (p + q) * M <= 2M in absolute
+    value. M = 2 over the 16 fibers, so the box of bound 2, [-4, 4]^2,
+    already holds all 304; a bound below M is refused, since its box misses
+    some, and a larger bound cannot add one. The sweep builds the
+    candidates alone, so every allowed bound costs the same, and counts the
+    rest of the box as pruned by phi.
 
     Each built bundle is validated, and its relations are seeded from the
     table instead of computed from its faces. ``stats`` counts each of
     ``SWEEP_STAGES``.
     """
-    if twist_bound < 3:
-        raise ValueError("twist bound below 3 misses known classes")
+    fibers = catalog.surfaces()
+    reach = max(abs(x) for nf in fibers for ray in nf.fan.rays for x in ray)
+    if twist_bound < reach:
+        raise ValueError(
+            f"twist bound {twist_bound} is below {reach}, the largest fiber ray entry, "
+            "so its box misses candidate twists"
+        )
     box = (4 * twist_bound + 1) ** 2
     stats = dict.fromkeys(SWEEP_STAGES, 0)
-    found: dict[bytes, tuple[Fan, str]] = {}
-    for nf in catalog.surfaces():
+    found: dict[bytes, tuple[Fan, dict]] = {}
+    for nf in fibers:
         stats["box_points"] += box
         for w, relations in bundle_candidates(nf.fan):
-            fan = build_bundle(BundleSpec(nf.fan, w, (0, 0)))
+            fan = build_bundle(nf.fan, w, (0, 0))
             stats["built"] += 1
             seed_primitive_collections(fan, relations)
             verdict = is_weakened_fano(fan)
@@ -285,33 +288,25 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
             if key in found:
                 stats["duplicates"] += 1
             else:
-                found[key] = (fan, nf.name)
+                found[key] = (fan, {
+                    "rays": len(fan.rays),
+                    "picard": picard_rank(fan),
+                    "degree": anticanonical_degree(fan),
+                    "fiber": nf.name,
+                })
     stats["pruned_by_phi"] = stats["box_points"] - stats["built"]
     stats["classes"] = len(found)
-    names = _names_by_key(catalog.threefolds())
-    entries = []
-    for key in sorted(found):
-        fan, fiber_name = found[key]
-        invariants = {
-            "rays": len(fan.rays),
-            "picard": picard_rank(fan),
-            "degree": anticanonical_degree(fan),
-            "fiber": fiber_name,
-        }
-        entries.append(ClassEntry(key, fan, invariants, names.get(key)))
-    return ClassificationReport(
-        count=len(entries),
-        classes=tuple(entries),
-        scope=(
-            "toric weakened Fano 3-folds in the surface-bundle family over P1 "
-            f"(twist bound {twist_bound}); by the structure theory every toric "
-            "weakened Fano 3-fold lies in this family"
-        ),
-        stats=stats,
+    return _report(
+        found,
+        catalog.threefolds(),
+        "toric weakened Fano 3-folds in the surface-bundle family over P1 "
+        f"(twist bound {twist_bound}); by the structure theory every toric "
+        "weakened Fano 3-fold lies in this family",
+        stats,
     )
 
 
-def verify_classification(twist_bound: int = 3) -> dict:
+def verify_classification() -> dict:
     """Cross-check both enumerations against the hard-coded catalog."""
     assertions: list[dict] = []
 
@@ -343,7 +338,7 @@ def verify_classification(twist_bound: int = 3) -> dict:
         f"matched {sorted(n for n in surface_names if n)}",
     )
 
-    threefold_report = enumerate_weakened_threefolds(twist_bound)
+    threefold_report = enumerate_weakened_threefolds()
     check(
         "threefold_count_15",
         threefold_report.count == 15,

@@ -378,20 +378,12 @@ def fan_from_rays_2d(rays: Sequence[Sequence[int]]) -> Fan:
     return Fan(2, tuple(rays), tuple(cones))
 
 
-@dataclass(frozen=True)
-class BundleSpec:
-    """Surface bundle over P1: fiber fan plus the fiber parts of the two sections."""
-
-    fiber: Fan
-    twist_plus: tuple[int, int]
-    twist_minus: tuple[int, int]
-
-
-def build_bundle(spec: BundleSpec) -> Fan:
-    """Assemble the 3-fan of a toric surface bundle over P1.
+def build_bundle(fiber: Fan, twist_plus: Sequence[int], twist_minus: Sequence[int]) -> Fan:
+    """The 3-fan of the toric surface bundle over P1 with fiber ``fiber``.
 
     Rays are the fiber rays at base coordinate 0 plus the two sections
-    (twist_plus, 1) and (twist_minus, -1); each fiber cone joins both.
+    (twist_plus, 1) and (twist_minus, -1); each fiber cone joins both. Zero
+    twists give the product P1 x S.
 
     Over a smooth complete 2-fan every bundle is smooth and complete,
     whatever the twists (the bundle lemma): a cone (r1, r2, (w, +-1)) has
@@ -401,13 +393,12 @@ def build_bundle(spec: BundleSpec) -> Fan:
     one that does not validate has an invalid fiber, and raises
     ``ValueError`` naming the offending cones.
     """
-    fiber = spec.fiber
     if fiber.dim != 2:
         raise ValueError("bundle fiber must be 2-dimensional")
     n = len(fiber.rays)
     rays = [r + (0,) for r in fiber.rays]
-    rays.append(tuple(spec.twist_plus) + (1,))
-    rays.append(tuple(spec.twist_minus) + (-1,))
+    rays.append(tuple(twist_plus) + (1,))
+    rays.append(tuple(twist_minus) + (-1,))
     cones = []
     for cone in fiber.max_cones:
         cones.append(tuple(sorted(cone + (n,))))
@@ -416,8 +407,3 @@ def build_bundle(spec: BundleSpec) -> Fan:
     if not fan.report.ok:
         raise ValueError(f"bundle does not validate, so its fiber is invalid: {fan.report.offending_cones}")
     return fan
-
-
-def product_with_p1(fiber: Fan) -> Fan:
-    """P1 x S as the zero-twist bundle."""
-    return build_bundle(BundleSpec(fiber, (0, 0), (0, 0)))

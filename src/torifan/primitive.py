@@ -56,10 +56,6 @@ class PrimitiveRelation:
         }
 
 
-class IncompleteFanError(ValueError):
-    """Raised when no cone's relative interior contains a collection sum."""
-
-
 def _face_set(fan: Fan) -> set[frozenset[int]]:
     faces: set[frozenset[int]] = set()
     for cone in fan.max_cones:
@@ -81,7 +77,7 @@ def locate_sigma(fan: Fan, total: Vector) -> tuple[tuple[int, ...], tuple[tuple[
         if all(c >= 0 for c in coords):
             coeffs = tuple((i, c) for i, c in zip(cone, coords) if c > 0)
             return tuple(i for i, _ in coeffs), coeffs
-    raise IncompleteFanError(f"no cone contains {total}; fan is not complete")
+    raise ValueError(f"no cone contains {total}; fan is not complete")
 
 
 @memoised

@@ -864,10 +864,11 @@ def reference_primitive_collections(fan):
     return tuple(relations)
 
 
-def reference_section_relation(spec):
+def reference_section_relation(fiber, twist_plus, twist_minus):
     """``primitive.section_relation`` as it was before the sweep listed its
-    candidates: the relation of the two sections of ``build_bundle(spec)``,
-    found by locating w = w+ + w- in the fiber. Its degree is 2 - phi(w).
+    candidates: the relation of the two sections of
+    ``build_bundle(fiber, twist_plus, twist_minus)``, found by locating
+    w = w+ + w- in the fiber. Its degree is 2 - phi(w).
 
     After the n fiber rays (v, 0) come x+ = (w+, 1) at index n and
     x- = (w-, -1) at index n + 1. They share no cone, and their sum (w, 0),
@@ -880,11 +881,10 @@ def reference_section_relation(spec):
     from torifan.lattice import vadd
     from torifan.primitive import PrimitiveRelation, locate_sigma
 
-    fiber = spec.fiber
     if fiber.dim != 2 or not fiber.report.ok:
         raise ValueError("bundle fiber must be a valid 2-dimensional fan")
     n = len(fiber.rays)
-    sigma, coeffs = locate_sigma(fiber, vadd(spec.twist_plus, spec.twist_minus))
+    sigma, coeffs = locate_sigma(fiber, vadd(twist_plus, twist_minus))
     coeff_map = dict(coeffs)
     cls = tuple(-coeff_map.get(i, 0) for i in range(n)) + (1, 1)
     return PrimitiveRelation((n, n + 1), sigma, coeffs, 2 - sum(a for _, a in coeffs), cls)
@@ -935,7 +935,6 @@ def reference_weak_del_pezzo():
         SURFACE_STAGES,
         ClassEntry,
         ClassificationReport,
-        _names_by_key,
         _surface_invariants,
     )
     from torifan.isomorphism import canonical_key
@@ -966,7 +965,7 @@ def reference_weak_del_pezzo():
                 seen[key] = blown
                 queue.append(blown)
     stats["classes"] = len(seen)
-    names = _names_by_key(catalog.surfaces())
+    names = {canonical_key(nf.fan): nf.name for nf in catalog.surfaces()}
     entries = [
         ClassEntry(key, seen[key], _surface_invariants(seen[key]), names.get(key))
         for key in sorted(seen)

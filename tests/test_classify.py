@@ -4,7 +4,6 @@ import pytest
 
 from torifan.catalog import named_fan, surfaces, threefolds
 from torifan.classify import (
-    BundleSpec,
     _sequence_key,
     _weak_fano_blow_up,
     blow_up,
@@ -14,7 +13,7 @@ from torifan.classify import (
     self_intersection_sequence,
 )
 from torifan.contraction import is_weakened_fano
-from torifan.fan import Fan, fan_from_rays_2d, product_with_p1, validate
+from torifan.fan import Fan, fan_from_rays_2d, validate
 from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import vadd
 from torifan.primitive import is_weak_fano
@@ -29,25 +28,25 @@ from _oracles import (
 
 def fiber_phi(fiber, w):
     """phi(w), read from the degree 2 - phi(w) of the section relation."""
-    return 2 - reference_section_relation(BundleSpec(fiber, w, (0, 0))).degree
+    return 2 - reference_section_relation(fiber, w, (0, 0)).degree
 
 
 class TestBuildBundle:
     def test_trivial_bundle_is_the_product(self):
         fiber = named_fan("P1xP1").fan
-        fan = build_bundle(BundleSpec(fiber, (0, 0), (0, 0)))
+        fan = build_bundle(fiber, (0, 0), (0, 0))
         assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
         assert find_isomorphism(fan, named_fan("P1xP1xP1").fan) is not None
 
     def test_x3_0_spec(self):
         fiber = fan_from_rays_2d([(1, 0), (0, 1), (0, -1), (-1, 1)])
-        fan = build_bundle(BundleSpec(fiber, (1, 0), (1, 0)))
+        fan = build_bundle(fiber, (1, 0), (1, 0))
         assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
         assert find_isomorphism(fan, named_fan("X3_0").fan) is not None
 
     def test_p2_fiber_with_large_twist_valid_but_not_weakened(self):
         fiber = named_fan("P2").fan
-        fan = build_bundle(BundleSpec(fiber, (0, 0), (3, 0)))
+        fan = build_bundle(fiber, (0, 0), (3, 0))
         assert validate(fan).ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
         verdict = is_weakened_fano(fan)
         assert not verdict.is_weakened
@@ -57,12 +56,12 @@ class TestBuildBundle:
         for name in ("P2", "F2", "W4_3"):
             fiber = named_fan(name).fan
             for twist in ((0, 0), (2, -1), (-3, 3)):
-                fan = build_bundle(BundleSpec(fiber, twist, (1, 1)))
+                fan = build_bundle(fiber, twist, (1, 1))
                 assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
 
     def test_non_surface_fiber_rejected(self):
         with pytest.raises(ValueError):
-            build_bundle(BundleSpec(named_fan("X3_0").fan, (0, 0), (0, 0)))
+            build_bundle(named_fan("X3_0").fan, (0, 0), (0, 0))
 
     def test_invalid_fiber_raises_naming_the_offending_cones(self):
         p2 = named_fan("P2").fan
@@ -71,7 +70,7 @@ class TestBuildBundle:
         for fiber, reason in ((missing_cone, "facet_unmatched"), (not_unimodular, "cone_not_unimodular")):
             assert not fiber.report.ok
             with pytest.raises(ValueError, match=reason):
-                build_bundle(BundleSpec(fiber, (1, 0), (0, 0)))
+                build_bundle(fiber, (1, 0), (0, 0))
 
 
 class TestSurfaceEnumeration:
@@ -238,11 +237,21 @@ class TestThreefoldEnumeration:
             assert projects_to_p1(entry.fan)
 
     def test_small_bound_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_weakened_threefolds(2)
+        # the largest fiber ray entry is 2, so the box of bound 1, [-2, 2]^2,
+        # misses candidates such as 2 * (-1, -1) over P2
+        with pytest.raises(ValueError, match="twist bound 1 is below 2, .* so its box misses candidate twists"):
+            enumerate_weakened_threefolds(1)
+
+    def test_bound_two_holds_every_candidate(self, threefold_report_b3):
+        # every candidate lies in [-4, 4]^2, the box of bound 2
+        report, _ = threefold_report_b3
+        small = enumerate_weakened_threefolds(2)
+        assert [e.to_dict() for e in small.classes] == [e.to_dict() for e in report.classes]
+        # 16 fibers times the 9 x 9 points of the box, less the 304 built
+        assert small.stats == {**report.stats, "box_points": 1296, "pruned_by_phi": 992}
 
     def test_products_arise_from_zero_twists(self):
-        fan = product_with_p1(named_fan("F2").fan)
+        fan = build_bundle(named_fan("F2").fan, (0, 0), (0, 0))
         assert find_isomorphism(fan, named_fan("P1xF2").fan) is not None
 
     def test_stage_counters(self, threefold_report_b3, threefold_report_b4):
@@ -274,13 +283,15 @@ class TestThreefoldEnumeration:
         report, _ = threefold_report_b3
         calls = []
         real = classify.build_bundle
-        monkeypatch.setattr(classify, "build_bundle", lambda spec: calls.append(spec) or real(spec))
+        monkeypatch.setattr(
+            classify, "build_bundle", lambda fiber, plus, minus: calls.append(plus) or real(fiber, plus, minus)
+        )
         big = enumerate_weakened_threefolds(10**6)
         assert [e.to_dict() for e in big.classes] == [e.to_dict() for e in report.classes]
         box = 16 * (4 * 10**6 + 1) ** 2
         assert big.stats == {**report.stats, "box_points": box, "pruned_by_phi": box - 304}
         assert len(calls) == 304
-        assert all(max(map(abs, spec.twist_plus)) <= 4 for spec in calls)
+        assert all(max(map(abs, plus)) <= 4 for plus in calls)
 
     def test_fano_filter_would_exclude_the_fifteen(self, threefold_report_b3):
         # every enumerated class is weak Fano and none is Fano
@@ -324,7 +335,7 @@ class TestSectionPrefilter:
         ]
         assert len(rejected) == 16 * 13 * 13 - 304
         for fiber, w in random.Random(5).sample(rejected, 320):
-            fan = build_bundle(BundleSpec(fiber, w, (0, 0)))
+            fan = build_bundle(fiber, w, (0, 0))
             assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
             assert not is_weak_fano(fan), (fiber.to_dict(), w)
 
@@ -336,7 +347,7 @@ def test_no_weak_fano_bundle_over_a_fiber_that_is_not_weak(non_weak_fibers):
     for fiber in non_weak_fibers:
         for sx in range(-6, 7):
             for sy in range(-6, 7):
-                fan = build_bundle(BundleSpec(fiber, (sx, sy), (0, 0)))
+                fan = build_bundle(fiber, (sx, sy), (0, 0))
                 assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
                 assert not is_weak_fano(fan), (fiber.to_dict(), (sx, sy))
 

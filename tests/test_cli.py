@@ -140,9 +140,9 @@ def test_human_output_contains_table(capsys):
 
 def test_twist_bound_env_override():
     # the bound is set only by --twist-bound; there is no environment override
-    result = run(["classify-3folds", "--twist-bound", "2", "--json"])
-    assert result.status == "error"  # bound 2 is rejected by the enumerator
-    assert "twist bound" in result.payload["error"]
+    result = run(["classify-3folds", "--twist-bound", "1", "--json"])
+    assert result.status == "error"  # bound 1 is rejected by the enumerator
+    assert "box misses candidate twists" in result.payload["error"]
 
 
 def test_module_entry_point():

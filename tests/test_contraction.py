@@ -3,7 +3,7 @@ import random
 import pytest
 
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
-from torifan.classify import BundleSpec, build_bundle
+from torifan.classify import build_bundle
 from torifan.contraction import (
     contraction_shape,
     crepant_contractions,
@@ -62,7 +62,7 @@ class TestClassifyContraction:
         assert contraction_shape(fan, rel).kind == "divisor_to_point"
 
     def test_small_contraction_shape(self):
-        fan = build_bundle(BundleSpec(named_fan("P1xP1").fan, (1, 1), (0, 0)))
+        fan = build_bundle(named_fan("P1xP1").fan, (1, 1), (0, 0))
         rels = primitive_collections(fan)
         rel = next(r for r in rels if r.degree == 0)
         assert len(rel.coeffs) == 2
@@ -75,7 +75,7 @@ class TestClassifyContraction:
         # same F1 fiber rays in a different presentation: the double relation
         # survives but the image curve degree is off, so the kind is "other"
         fiber = fan_from_rays_2d([(1, 0), (0, 1), (-1, 0), (1, -1)])
-        fan = build_bundle(BundleSpec(fiber, (1, 0), (1, 0)))
+        fan = build_bundle(fiber, (1, 0), (1, 0))
         verdict = is_weakened_fano(fan)
         assert verdict.is_weak_fano and not verdict.is_fano
         kinds = [k.kind for _, k in crepant_contractions(fan)]
@@ -91,7 +91,7 @@ class TestClassifyContraction:
     def test_non_extremal_rejected(self):
         # this W4_3 bundle is weak Fano with a crepant class that decomposes
         # into two extremal crepant classes, hence is not extremal itself
-        fan = build_bundle(BundleSpec(named_fan("W4_3").fan, (-2, 0), (0, 0)))
+        fan = build_bundle(named_fan("W4_3").fan, (-2, 0), (0, 0))
         rels = primitive_collections(fan)
         rel = next(r for r in rels if r.collection == (3, 5))
         assert rel.degree == 0
@@ -142,10 +142,9 @@ class TestNormalFormWitness:
         for nf in surfaces():
             for plus in ((sx, sy) for sx in range(-6, 7) for sy in range(-6, 7)):
                 for minus in ((0, 0), (1, -1)):
-                    spec = BundleSpec(nf.fan, plus, minus)
-                    fan = build_bundle(spec)
+                    fan = build_bundle(nf.fan, plus, minus)
                     assert fan.report.ok and len(fan.max_cones) == 2 * len(nf.fan.max_cones)
-                    section = reference_section_relation(spec)
+                    section = reference_section_relation(nf.fan, plus, minus)
                     fans.append((fan, reference_bundle_relations(nf.fan, section)))
         doubled = [
             fan for fan, rels in fans
@@ -174,7 +173,7 @@ class TestNormalFormWitness:
 
     def test_witness_absent_for_offset_configuration(self):
         fiber = fan_from_rays_2d([(1, 0), (0, 1), (-1, 0), (1, -1)])
-        fan = build_bundle(BundleSpec(fiber, (1, 0), (1, 0)))
+        fan = build_bundle(fiber, (1, 0), (1, 0))
         rel = crepant_double_relation(fan)
         assert zero_two_normal_form_witness(fan, rel) is None
 
@@ -216,16 +215,15 @@ class TestWeakenedPredicate:
 def test_shape_first_verdict_agrees_with_eager_verdict():
     catalog_fans = [nf.fan for nf in all_named().values() if nf.fan.dim == 3]
     sums = [
-        (spec.fiber, spec.twist_plus, reference_section_relation(spec).degree >= 0)
+        (nf.fan, (sx, sy), reference_section_relation(nf.fan, (sx, sy), (0, 0)).degree >= 0)
         for nf in surfaces()
         for sx in range(-6, 7)
         for sy in range(-6, 7)
-        for spec in [BundleSpec(nf.fan, (sx, sy), (0, 0))]
     ]
-    weak_bundles = [build_bundle(BundleSpec(f, w, (0, 0))) for f, w, kept in sums if kept]
+    weak_bundles = [build_bundle(f, w, (0, 0)) for f, w, kept in sums if kept]
     rejected = [(f, w) for f, w, kept in sums if not kept]
     other_bundles = [
-        build_bundle(BundleSpec(f, w, (0, 0))) for f, w in random.Random(8).sample(rejected, 40)
+        build_bundle(f, w, (0, 0)) for f, w in random.Random(8).sample(rejected, 40)
     ]
     assert len(weak_bundles) == 304 and all(is_weak_fano(f) for f in weak_bundles)
     assert not any(is_weak_fano(f) for f in other_bundles)

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from torifan.fan import (
-    BundleSpec,
     Fan,
     build_bundle,
     ccw_sorted,
@@ -141,7 +140,7 @@ def test_linear_completeness_agrees_with_pairwise_oracle():
         for _ in range(2):
             plus = (rng.randint(-3, 3), rng.randint(-3, 3))
             minus = (rng.randint(-3, 3), rng.randint(-3, 3))
-            bases.append(build_bundle(BundleSpec(nf.fan, plus, minus)))
+            bases.append(build_bundle(nf.fan, plus, minus))
     # the fan without cones covers nothing: both sides call it not complete
     fans = [OVERLAPPING, PENTAGRAM, Fan(2, (), ())] + bases
     for fan in bases * 2:
@@ -227,12 +226,11 @@ def test_validate_agrees_with_the_reference_report():
     fans = list(named)
     fans += [rebase_fan(fan, random_unimodular(rng, fan.dim)) for fan in named for _ in range(3)]
     bundles = [
-        build_bundle(spec)
+        build_bundle(nf.fan, (sx, sy), (0, 0))
         for nf in surfaces()
         for sx in range(-6, 7)
         for sy in range(-6, 7)
-        for spec in [BundleSpec(nf.fan, (sx, sy), (0, 0))]
-        if reference_section_relation(spec).degree >= 0
+        if reference_section_relation(nf.fan, (sx, sy), (0, 0)).degree >= 0
     ]
     # n fiber rays give n fiber cones, and the bundle has n + 2 rays and 2n cones
     assert len(bundles) == 304
@@ -288,7 +286,7 @@ def test_cone_kernel_agrees_with_the_cofactor_references():
     rng = random.Random(1307)
     named = [nf.fan for nf in all_named().values()]
     fans = [
-        build_bundle(BundleSpec(nf.fan, (sx, sy), (0, 0)))
+        build_bundle(nf.fan, (sx, sy), (0, 0))
         for nf in surfaces()
         for sx in range(-6, 7)
         for sy in range(-6, 7)

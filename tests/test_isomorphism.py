@@ -4,7 +4,7 @@ from collections import defaultdict
 import pytest
 
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
-from torifan.fan import BundleSpec, Fan, build_bundle, fan_from_json
+from torifan.fan import Fan, build_bundle, fan_from_json
 from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import matmul, matvec
 from torifan.polytope import anticanonical_degree
@@ -150,12 +150,11 @@ def _fresh(fan):
 def _b3_bundles():
     """The 304 weak Fano bundles that the sweep builds at twist bound 3."""
     return [
-        build_bundle(spec)
+        build_bundle(nf.fan, (sx, sy), (0, 0))
         for nf in surfaces()
         for sx in range(-6, 7)
         for sy in range(-6, 7)
-        for spec in [BundleSpec(nf.fan, (sx, sy), (0, 0))]
-        if reference_section_relation(spec).degree >= 0
+        if reference_section_relation(nf.fan, (sx, sy), (0, 0)).degree >= 0
     ]
 
 
@@ -217,7 +216,7 @@ class TestAgainstReference:
             fiber = hirzebruch_fan(a)
             fans.append(fiber)
             for plus, minus in (((a // 2, -3), (0, 0)), ((-1, a), (1, 1)), ((a, a - 1), (-a, 2))):
-                fans.append(build_bundle(BundleSpec(fiber, plus, minus)))
+                fans.append(build_bundle(fiber, plus, minus))
         for fan in fans:
             self.check_key(fan)
             for digits in (2, 3):

@@ -305,7 +305,7 @@ def _catalog_lps():
 def _bound_3_bundle_lps():
     """Every full LP over the relations of the 304 weak Fano bundles at bound 3."""
     from torifan.catalog import surfaces
-    from torifan.fan import BundleSpec, build_bundle
+    from torifan.fan import build_bundle
     from torifan.primitive import is_weak_fano, primitive_collections
 
     from _oracles import reference_section_relation
@@ -314,10 +314,9 @@ def _bound_3_bundle_lps():
     for nf in surfaces():
         for sx in range(-6, 7):
             for sy in range(-6, 7):
-                spec = BundleSpec(nf.fan, (sx, sy), (0, 0))
-                if reference_section_relation(spec).degree < 0:
+                if reference_section_relation(nf.fan, (sx, sy), (0, 0)).degree < 0:
                     continue
-                fan = build_bundle(spec)
+                fan = build_bundle(nf.fan, (sx, sy), (0, 0))
                 assert is_weak_fano(fan)
                 bundles += 1
                 for rel in primitive_collections(fan):

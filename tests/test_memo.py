@@ -15,7 +15,7 @@ from torifan.catalog import named_fan
 from torifan.classify import enumerate_weak_del_pezzo, enumerate_weakened_threefolds
 from torifan.cli import run
 from torifan.contraction import crepant_contractions, is_weakened_fano
-from torifan.fan import BundleSpec, Fan, build_bundle
+from torifan.fan import Fan, build_bundle
 from torifan.isomorphism import canonical_key
 from torifan.primitive import primitive_collections
 
@@ -73,7 +73,7 @@ def test_isomorphic_computes_no_relations_and_no_degree(tmp_path, calls):
 def test_bundle_is_validated_once_through_the_verdict(calls):
     fiber = named_fan("F1").fan
     validated = calls(fan_module.validate)
-    fan = build_bundle(BundleSpec(fiber, (1, 0), (1, 0)))
+    fan = build_bundle(fiber, (1, 0), (1, 0))
     assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
     is_weakened_fano(fan)
     assert sum(1 for f in validated if f is fan) == 1

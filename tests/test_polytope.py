@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
-from torifan.fan import Fan, fan_from_rays_2d, product_with_p1
+from torifan.fan import Fan, build_bundle, fan_from_rays_2d
 from torifan.polytope import anticanonical_degree
 
 from _oracles import (
@@ -80,7 +80,7 @@ class TestDegree:
     def test_hirzebruch_degree_is_8(self, a):
         # -K is not nef on F_a for a >= 3; the polytope volume is not (-K)^2 there
         assert anticanonical_degree(hirzebruch_fan(a)) == 8
-        assert anticanonical_degree(product_with_p1(hirzebruch_fan(a))) == 48
+        assert anticanonical_degree(build_bundle(hirzebruch_fan(a), (0, 0), (0, 0))) == 48
 
     def test_invalid_fan_rejected(self):
         half = Fan(2, ((1, 0), (0, 1)), ((0, 1),))

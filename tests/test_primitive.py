@@ -6,7 +6,6 @@ from torifan.catalog import named_fan
 from torifan.fan import fan_from_rays_2d
 from torifan.lattice import has_nonneg_combination, vsum
 from torifan.primitive import (
-    IncompleteFanError,
     bundle_candidates,
     is_extremal,
     is_fano,
@@ -78,7 +77,7 @@ class TestCollections:
 
         p2 = named_fan("P2").fan
         broken = Fan(2, p2.rays, p2.max_cones[:2])
-        with pytest.raises((IncompleteFanError, ValueError)):
+        with pytest.raises(ValueError):
             primitive_collections(broken)
 
 
@@ -172,9 +171,9 @@ class TestTrichotomy:
         assert shape.center == rel.coeffs[0][0]
 
     def test_two_rays_shape(self):
-        from torifan.classify import BundleSpec, build_bundle
+        from torifan.classify import build_bundle
 
-        fan = build_bundle(BundleSpec(named_fan("P1xP1").fan, (1, 1), (0, 0)))
+        fan = build_bundle(named_fan("P1xP1").fan, (1, 1), (0, 0))
         rel = next(r for r in primitive_collections(fan) if len(r.coeffs) == 2)
         assert two_element_relation_kind(rel).kind == "two_rays"
 
@@ -243,7 +242,7 @@ class TestExtremality:
 def _weak_fano_bundles(count: int, seed: int) -> list:
     """Seeded sample of weak Fano surface bundles over P1."""
     from torifan.catalog import surfaces
-    from torifan.fan import BundleSpec, build_bundle
+    from torifan.fan import build_bundle
 
     rng = random.Random(seed)
     fibers = [nf.fan for nf in surfaces()]
@@ -252,7 +251,7 @@ def _weak_fano_bundles(count: int, seed: int) -> list:
         plus = (rng.randint(-3, 3), rng.randint(-3, 3))
         minus = (rng.randint(-3, 3), rng.randint(-3, 3))
         fiber = rng.choice(fibers)
-        fan = build_bundle(BundleSpec(fiber, plus, minus))
+        fan = build_bundle(fiber, plus, minus)
         assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
         if is_weak_fano(fan):
             out.append(fan)
@@ -327,7 +326,7 @@ def test_extremality_shortcuts_agree_with_full_lp_off_the_degree_face(monkeypatc
     others: the sum-of-two lookup and the LP on the rows off the first cone
     must agree with the Fraction simplex on all rows and columns."""
     from torifan import primitive
-    from torifan.fan import BundleSpec, build_bundle
+    from torifan.fan import build_bundle
 
     solved = []
 
@@ -338,7 +337,7 @@ def test_extremality_shortcuts_agree_with_full_lp_off_the_degree_face(monkeypatc
 
     monkeypatch.setattr(primitive, "has_nonneg_combination", recorded)
     surfaces = _non_weak_blowups((7, 8, 9), 3, seed=13)
-    fans = surfaces + [build_bundle(BundleSpec(s, (0, 0), (0, 0))) for s in surfaces]
+    fans = surfaces + [build_bundle(s, (0, 0), (0, 0)) for s in surfaces]
     by_sum_of_two = by_infeasible_lp = 0
     for fan in fans:
         assert not is_weak_fano(fan)
@@ -358,15 +357,15 @@ def test_extremality_shortcuts_agree_with_full_lp_off_the_degree_face(monkeypatc
 def _sweep_bundles_b3() -> list:
     """The 304 bundles of the twist-bound-3 sweep: w- = 0 and section degree >= 0."""
     from torifan.catalog import surfaces
-    from torifan.fan import BundleSpec, build_bundle
+    from torifan.fan import build_bundle
 
-    specs = [
-        BundleSpec(nf.fan, (sx, sy), (0, 0))
+    return [
+        build_bundle(nf.fan, (sx, sy), (0, 0))
         for nf in surfaces()
         for sx in range(-6, 7)
         for sy in range(-6, 7)
+        if reference_section_relation(nf.fan, (sx, sy), (0, 0)).degree >= 0
     ]
-    return [build_bundle(spec) for spec in specs if reference_section_relation(spec).degree >= 0]
 
 
 def test_every_class_is_primitive_with_a_one_off_sigma():
@@ -377,12 +376,12 @@ def test_every_class_is_primitive_with_a_one_off_sigma():
     from math import gcd
 
     from torifan.catalog import all_named
-    from torifan.fan import BundleSpec, build_bundle
+    from torifan.fan import build_bundle
 
     catalog = [nf.fan for nf in all_named().values()]
     bundles = _sweep_bundles_b3()
     non_weak = _blown_up_hirzebruch(12, seed=7) + _non_weak_blowups((7, 8, 9), 3, seed=13)
-    non_weak += [build_bundle(BundleSpec(s, (0, 0), (0, 0))) for s in non_weak]
+    non_weak += [build_bundle(s, (0, 0), (0, 0)) for s in non_weak]
     assert len(catalog) == 34 and len(bundles) == 304 and len(non_weak) == 42
     checked = 0
     for fan in catalog + bundles + non_weak:
@@ -414,11 +413,11 @@ def test_relations_grown_from_faces_agree_with_the_subset_scan():
         assert primitive_collections(fresh) == reference_primitive_collections(fan), fan.to_dict()
 
 
-def _fresh_bundle_relations(spec):
+def _fresh_bundle_relations(fiber, twist_plus, twist_minus):
     """``primitive_collections`` of a fresh copy of the bundle, grown from its faces."""
     from torifan.fan import Fan, build_bundle
 
-    fan = build_bundle(spec)
+    fan = build_bundle(fiber, twist_plus, twist_minus)
     return primitive_collections(Fan(3, fan.rays, fan.max_cones))
 
 
@@ -429,36 +428,31 @@ class TestBundleRelations:
     of a fresh copy of the bundle, which grows them from its faces."""
 
     @staticmethod
-    def check(spec) -> None:
-        lifted = reference_bundle_relations(spec.fiber, reference_section_relation(spec))
-        assert lifted == _fresh_bundle_relations(spec), (
-            spec.fiber.to_dict(), spec.twist_plus, spec.twist_minus,
+    def check(fiber, twist_plus, twist_minus) -> None:
+        lifted = reference_bundle_relations(fiber, reference_section_relation(fiber, twist_plus, twist_minus))
+        assert lifted == _fresh_bundle_relations(fiber, twist_plus, twist_minus), (
+            fiber.to_dict(), twist_plus, twist_minus,
         )
 
     @staticmethod
     def twisted(rng, fiber, count, keep):
-        """``count`` seeded specs over ``fiber`` with w- nonzero whose section
-        relation degree passes ``keep``."""
-        from torifan.fan import BundleSpec
-
+        """``count`` seeded (fiber, w+, w-) over ``fiber`` with w- nonzero whose
+        section relation degree passes ``keep``."""
         out = []
         while len(out) < count:
             plus = (rng.randint(-4, 4), rng.randint(-4, 4))
             minus = (rng.randint(-4, 4), rng.randint(-4, 4))
-            spec = BundleSpec(fiber, plus, minus)
-            if minus != (0, 0) and keep(reference_section_relation(spec).degree):
-                out.append(spec)
+            if minus != (0, 0) and keep(reference_section_relation(fiber, plus, minus).degree):
+                out.append((fiber, plus, minus))
         return out
 
     def test_the_304_bundles_of_the_sweep(self):
         from torifan.catalog import surfaces
-        from torifan.fan import BundleSpec
 
         checked = 0
         for nf in surfaces():
             for w, relations in bundle_candidates(nf.fan):
-                spec = BundleSpec(nf.fan, w, (0, 0))
-                assert relations == _fresh_bundle_relations(spec), (nf.name, w)
+                assert relations == _fresh_bundle_relations(nf.fan, w, (0, 0)), (nf.name, w)
                 checked += 1
         assert checked == 304
 
@@ -468,7 +462,6 @@ class TestBundleRelations:
         (M the largest |entry| of a fiber ray, 2 on the 16 catalog fibers);
         each with the reference's relations of that bundle."""
         from torifan.catalog import surfaces
-        from torifan.fan import BundleSpec
 
         fibers = [nf.fan for nf in surfaces()] + non_weak_fibers
         assert len(fibers) == 24
@@ -477,7 +470,7 @@ class TestBundleRelations:
             expected = []
             for sx in range(-reach, reach + 1):
                 for sy in range(-reach, reach + 1):
-                    section = reference_section_relation(BundleSpec(fiber, (sx, sy), (0, 0)))
+                    section = reference_section_relation(fiber, (sx, sy), (0, 0))
                     if section.degree >= 0:
                         expected.append(((sx, sy), reference_bundle_relations(fiber, section)))
             table = bundle_candidates(fiber)
@@ -505,32 +498,30 @@ class TestBundleRelations:
         specs = [s for nf in surfaces() for s in self.twisted(rng, nf.fan, 10, lambda d: d < 0)]
         assert len(specs) == 160
         for spec in specs:
-            self.check(spec)
+            self.check(*spec)
 
     def test_fibers_that_are_not_weak_fano(self, non_weak_fibers):
         rng = random.Random(29)
         for fiber in non_weak_fibers:
             assert not is_weak_fano(fiber)
             for spec in self.twisted(rng, fiber, 20, lambda d: True):
-                self.check(spec)
+                self.check(*spec)
 
     def test_catalog_bundles(self):
-        from torifan.fan import BundleSpec, build_bundle
+        from torifan.fan import build_bundle
 
         for name in ("X3_0", "X4_0", "X4_1", "X5_1"):
             fan = named_fan(name).fan
             fiber = fan_from_rays_2d([r[:2] for r in fan.rays[:-2]])
-            spec = BundleSpec(fiber, fan.rays[-2][:2], fan.rays[-1][:2])
-            assert build_bundle(spec) == fan
-            self.check(spec)
+            spec = (fiber, fan.rays[-2][:2], fan.rays[-1][:2])
+            assert build_bundle(*spec) == fan
+            self.check(*spec)
 
     def test_section_relation(self):
-        from torifan.fan import BundleSpec
-
         # on F1 = {(1,0), (-1,0), (0,1), (1,-1)}, w = (2, 1) + (1, 0) = 3*(1,0) + (0,1)
-        rel = reference_section_relation(BundleSpec(hirzebruch(1), (2, 1), (1, 0)))
+        rel = reference_section_relation(hirzebruch(1), (2, 1), (1, 0))
         assert rel.collection == (4, 5) and rel.sigma == (0, 2)
         assert rel.coeffs == ((0, 3), (2, 1))
         assert rel.degree == 2 - 4 and rel.cls == (-3, 0, -1, 0, 1, 1)
         with pytest.raises(ValueError):
-            reference_section_relation(BundleSpec(named_fan("X3_0").fan, (0, 0), (0, 0)))
+            reference_section_relation(named_fan("X3_0").fan, (0, 0), (0, 0))
