@@ -41,8 +41,14 @@ def _load_fan(path: str) -> Fan:
     if path.startswith("catalog:"):
         name = path[len("catalog:"):]
         return catalog.named_fan(name).fan
-    with open(path, "r", encoding="utf-8") as handle:
-        return fan_from_json(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text") from exc
+    return fan_from_json(text)
 
 
 def _load_valid_fan(path: str) -> Fan:
@@ -145,9 +151,7 @@ def _cmd_classify_3folds(args) -> CommandResult:
 def _cmd_verify(args) -> CommandResult:
     summary = classify.verify_classification()
     status = "ok" if summary["passed"] else "error"
-    diagnostics = [
-        f"{a['name']}: {'PASS' if a['passed'] else 'FAIL'}" for a in summary["assertions"]
-    ]
+    diagnostics = [f"{a['name']}: FAIL" for a in summary["assertions"] if not a["passed"]]
     return CommandResult(status, summary, diagnostics)
 
 
@@ -254,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace) -> CommandResult:
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         message = str(exc.args[0]) if exc.args else str(exc)
         return CommandResult("error", {"error": message}, [message])
 

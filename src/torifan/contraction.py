@@ -14,7 +14,7 @@ of x0 to the four normal-form cones by counting its cones and rays (their
 quotient by x0 is the fan of F_a), and it pins the anticanonical degree
 of the image curve to exactly 2. Each candidate is tested on the
 coordinates of y- in the cone (x0, x+, y+), read from the cone inverse
-that validation memoised; x- needs no test, because the relation fixes its
+(``maximal_cone_normals``); x- needs no test, because the relation fixes its
 coordinates. The basis change U is built once, for the witness returned.
 
 The weakened verdict reads the shape of each degree-0 relation before its
@@ -85,16 +85,14 @@ def zero_two_normal_form_witness(
 
     U = N * B^-1, with B the columns x0, x+, y+ and N the same columns in
     normal form, so U*y- = (alpha + beta, beta, gamma) for the coordinates
-    (alpha, beta, gamma) of y- along x0, x+, y+. The fan is smooth, so those
-    coordinates are rows of the memoised cone inverse
+    (alpha, beta, gamma) of y- along x0, x+, y+: the rows of the cone inverse
     (``maximal_cone_normals``) applied to y-. On a valid fan gamma = -1:
     |gamma| = 1 because the cone (x0, x+, y-) is unimodular, and gamma < 0
     because y- lies across the wall (x0, x+) from y+. The relation fixes the
     coordinates of x- at (2, -1, 0), which U maps to (1, -1, 0), so x- needs
     no test either. U itself is built once, for the witness returned.
     """
-    if not fan.report.ok:
-        raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
+    inverses = maximal_cone_normals(fan)
     if fan.dim != 3:
         return None
     if len(rel.collection) != 2 or len(rel.coeffs) != 1 or rel.coeffs[0][1] != 2:
@@ -109,7 +107,6 @@ def zero_two_normal_form_witness(
     side_rays = sorted({i for cone in star_cones for i in cone} - {x0} - set(pair))
     if len(side_rays) != 2 or len(star_cones) != 4:
         return None
-    inverses = maximal_cone_normals(fan)
     for xp, xm in (pair, pair[::-1]):
         for yp, ym in (tuple(side_rays), tuple(side_rays[::-1])):
             cone = tuple(sorted((x0, xp, yp)))

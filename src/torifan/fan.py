@@ -159,6 +159,8 @@ class ValidationReport:
     is_smooth: bool
     is_complete: bool
     offending_cones: tuple[tuple[str, tuple[int, ...]], ...] = field(default_factory=tuple)
+    # read through ``maximal_cone_normals``; empty unless the report is ok
+    cone_normals: tuple[Matrix, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -202,20 +204,18 @@ def cone_det_and_normals(fan: Fan, cone: Sequence[int]) -> tuple[int, Matrix]:
     return det, adj
 
 
-@memoised
 def maximal_cone_normals(fan: Fan) -> tuple[Matrix, ...]:
-    """Inward normals of every maximal cone, in ``max_cones`` order.
+    """Inward normals of every maximal cone, in ``max_cones`` order, as ``validate`` keeps them.
 
-    ``validate`` stores them as it reads the determinants, so this is a
-    lookup once the fan's report exists; on a fan that is not simplicial it
-    raises ``ValueError``. On a unimodular cone these rows are exactly the
-    inverse of its ray matrix: row k gives the coordinate of a point along
-    the k-th ray.
+    On a unimodular cone the rows are exactly the inverse of its ray matrix:
+    row k gives the coordinate of a point along the k-th ray. They are an
+    inverse only then, so this raises ``ValueError`` on a fan that does not
+    validate, and every reader of the table comes through here.
     """
-    if not fan.report.is_simplicial:
-        raise ValueError(f"fan is not simplicial: {fan.report.offending_cones}")
-    # computing the report stored the normals, so this call finds them
-    return maximal_cone_normals(fan)
+    report = fan.report
+    if not report.ok:
+        raise ValueError(f"fan does not validate: {report.offending_cones}")
+    return report.cone_normals
 
 
 def _equal_pairs(items: Sequence) -> list[tuple[int, int]]:
@@ -249,8 +249,8 @@ def validate(fan: Fan) -> ValidationReport:
     ``improper_intersection``; each such pair overlaps in an open set.
 
     Each maximal cone's adjugate is computed once (``cone_det_and_normals``);
-    it gives the determinant and the inward normals, which are stored as
-    ``maximal_cone_normals`` of a simplicial fan.
+    it gives the determinant and the inward normals, which a report that is
+    ok keeps for ``maximal_cone_normals``.
     """
     offending: list[tuple[str, tuple[int, ...]]] = []
     n = len(fan.rays)
@@ -293,8 +293,6 @@ def validate(fan: Fan) -> ValidationReport:
             is_smooth = False
             offending.append(("cone_not_unimodular", (ci,)))
     is_smooth = is_smooth and is_simplicial
-    if is_simplicial:
-        maximal_cone_normals.seed(fan, tuple(normals))
 
     is_complete = False
     if not fan.max_cones:
@@ -325,7 +323,8 @@ def validate(fan: Fan) -> ValidationReport:
                 if all(vdot(row, p) >= 0 for row in normals[cj]):
                     is_complete = False
                     offending.append(("improper_intersection", (0, cj)))
-    return ValidationReport(is_simplicial, is_smooth, is_complete, tuple(offending))
+    kept = tuple(normals) if is_smooth and is_complete else ()
+    return ValidationReport(is_simplicial, is_smooth, is_complete, tuple(offending), kept)
 
 
 def cone_contains(fan: Fan, cone: Sequence[int], v: Sequence[int]) -> bool:

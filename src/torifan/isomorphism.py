@@ -6,18 +6,16 @@ The canonical key transforms the fan by the inverse basis of every maximal
 cone in every ray order and keeps the lexicographically smallest serialized
 form; isomorphic fans produce identical candidate sets, hence equal keys.
 
-Both searches read ray coordinates instead of inverting matrices. On a
-smooth fan the memoised ``maximal_cone_normals`` of a cone are the inverse
-of its ray matrix, row k giving the coordinate along the cone's k-th ray.
-The inverse of the basis that lists the same rays in another order has the
-same rows in that order, so it sends each ray to the ray's coordinate
-vector in the cone's own order, permuted. Each ray's coordinates are
-therefore computed once per cone, and the d! orders of the cone only
-relabel them: the candidate set is exactly the one that inverting every
-ordered basis gives. On a cone that is not unimodular the rows are the
-adjugate, not the inverse, so both searches refuse a fan that does not
-validate. A valid fan with n rays has 2, n or 2n - 4 maximal cones in
-dimension 1, 2 or 3 (Euler), so the witness search checks ray counts only.
+Both searches read ray coordinates from the cone inverses
+(``maximal_cone_normals``) instead of inverting matrices, row k giving the
+coordinate along the cone's k-th ray. The inverse of the basis that lists
+the same rays in another order has the same rows in that order, so it
+sends each ray to the ray's coordinate vector in the cone's own order,
+permuted. Each ray's coordinates are therefore computed once per cone, and
+the d! orders of the cone only relabel them: the candidate set is exactly
+the one that inverting every ordered basis gives. A valid fan with n rays
+has 2, n or 2n - 4 maximal cones in dimension 1, 2 or 3 (Euler), so the
+witness search checks ray counts only.
 """
 
 from __future__ import annotations
@@ -59,19 +57,17 @@ def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:
     then lands on the point whose target coordinates are a relabelled, and
     that point is a ray of g exactly when those coordinates are a ray's.
     """
-    for fan in (f, g):
-        if not fan.report.ok:
-            raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
+    f_inv, g_inv = maximal_cone_normals(f), maximal_cone_normals(g)
     if f.dim != g.dim or len(f.rays) != len(g.rays):
         return None
     anchor = _anchor_cone(f)
-    anchor_inv = maximal_cone_normals(f)[f.max_cones.index(anchor)]
+    anchor_inv = f_inv[f.max_cones.index(anchor)]
     anchor_sorted = sorted(anchor, key=lambda i: f.rays[i])
     basis_inv = tuple(anchor_inv[anchor.index(i)] for i in anchor_sorted)
     f_coords = [matvec(basis_inv, r) for r in f.rays]
     identity = tuple(range(g.dim))
     g_cone_set = set(g.max_cones)
-    for target, target_inv in sorted(zip(g.max_cones, maximal_cone_normals(g)), key=itemgetter(0)):
+    for target, target_inv in sorted(zip(g.max_cones, g_inv), key=itemgetter(0)):
         g_ray_index = {matvec(target_inv, r): j for j, r in enumerate(g.rays)}
         for order in permutations(identity):
             # anchor ray k goes to target ray order[k]: target coordinate
@@ -102,13 +98,12 @@ def canonical_key(fan: Fan) -> bytes:
     compare as the tuples of their ray texts: a candidate whose least ray has
     a text above the best's first one loses before it is sorted or written.
     """
-    if not fan.report.ok:
-        raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
+    inverses = maximal_cone_normals(fan)
     d = fan.dim
     entry = "[" + ",".join(["%d"] * d) + "]"
     best: Optional[tuple[str, str]] = None
     best_first = ""
-    for inv in maximal_cone_normals(fan):
+    for inv in inverses:
         coords = [matvec(inv, r) for r in fan.rays]
         for order in permutations(range(d)):
             transformed = _relabelled(coords, order)

@@ -25,8 +25,6 @@ def anticanonical_degree(fan: Fan) -> int:
     where -K is not nef; on weak Fano fans it is d! times the volume of the
     polytope {m : <m, ray> >= -1}.
     """
-    if not fan.report.ok:
-        raise ValueError("the anticanonical degree needs a smooth complete fan")
     normals = maximal_cone_normals(fan)
     base = 1 + max(abs(x) for rows in normals for row in rows for x in row)
     xi = tuple(base**i for i in range(fan.dim))

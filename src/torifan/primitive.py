@@ -89,8 +89,7 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     size k - 1 extended by a larger index, each met once. Faces have at most
     d elements, so minimal non-faces have at most d + 1.
     """
-    if not fan.report.ok:
-        raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
+    maximal_cone_normals(fan)  # refuses a fan that does not validate
     n = len(fan.rays)
     d = fan.dim
     faces = _face_set(fan)
@@ -143,8 +142,8 @@ def bundle_candidates(fiber: Fan) -> tuple[tuple[Vector, tuple[PrimitiveRelation
     two rays. On a smooth complete 2-fan every point has one such form, so
     n rays give 3n + 1 sums.
     """
-    if fiber.dim != 2 or not fiber.report.ok:
-        raise ValueError("bundle fiber must be a valid 2-dimensional fan")
+    if fiber.dim != 2:
+        raise ValueError("bundle fiber must be 2-dimensional")
     n = len(fiber.rays)
     lifted = tuple(
         PrimitiveRelation(r.collection, r.sigma, r.coeffs, r.degree, r.cls + (0, 0))

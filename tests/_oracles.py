@@ -692,7 +692,7 @@ def isomorphism_invariants(fan) -> tuple:
 
 def reference_find_isomorphism(f, g):
     """``isomorphism.find_isomorphism`` as it was before it read coordinates
-    from the memoised cone inverses: invert the anchor basis, then map every
+    from the cone inverses: invert the anchor basis, then map every
     ray of f through each candidate matrix.
 
     The reference for the witness search, which must return the same
@@ -735,7 +735,7 @@ def reference_find_isomorphism(f, g):
 
 def reference_canonical_key(fan) -> bytes:
     """``isomorphism.canonical_key`` as it was before it read coordinates from
-    the memoised cone inverses: for every maximal cone in every ray order,
+    the cone inverses: for every maximal cone in every ray order,
     invert the basis, map every ray, serialize the whole form with
     ``json.dumps`` and keep the smallest bytes.
 
@@ -770,7 +770,7 @@ def reference_canonical_key(fan) -> bytes:
 
 def reference_zero_two_witness(fan, rel):
     """``contraction.zero_two_normal_form_witness`` as it was before it read the
-    memoised cone inverses: for each candidate (x+, y+) invert the basis
+    cone inverses: for each candidate (x+, y+) invert the basis
     (x0, x+, y+), build U and test U*x- and U*y- against the normal form.
 
     The reference for the witness, which must return the same (U, names, a)

@@ -65,6 +65,47 @@ def test_malformed_json_file(tmp_path, capsys):
     assert code == 1
 
 
+def _unreadable(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "missing.json", "cannot read {}: No such file or directory"
+    if kind == "directory":
+        return tmp_path, "cannot read {}: Is a directory"
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"dim": 2, "rays": "\xe9"}'.encode("latin-1"))
+    return path, "{} is not UTF-8 text"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_file_reports_the_reason_with_the_path(tmp_path, capsys, kind, json_flag):
+    path, template = _unreadable(tmp_path, kind)
+    code, out, err = invoke(capsys, "validate", str(path), *json_flag)
+    assert code == 1
+    message = template.format(path)
+    if json_flag:
+        assert json.loads(out) == {"error": message} and err == ""
+    else:
+        assert err == f"error: {message}\n" and out == ""
+
+
+def test_failed_verify_lists_only_the_failed_assertions(capsys, monkeypatch):
+    from torifan import classify
+
+    summary = {
+        "passed": False,
+        "assertions": [
+            {"name": "first", "passed": True, "detail": ""},
+            {"name": "second", "passed": False, "detail": "2 != 3"},
+            {"name": "third", "passed": True, "detail": ""},
+        ],
+    }
+    monkeypatch.setattr(classify, "verify_classification", lambda: summary)
+    code, out, err = invoke(capsys, "verify")
+    assert code == 1
+    assert out.splitlines() == ["PASS first", "FAIL second 2 != 3", "PASS third", "overall: FAIL"]
+    assert err == "error: second: FAIL\n"
+
+
 @pytest.mark.parametrize("text", [DIM4_FAN, FLOAT_RAY_P2], ids=["dim4", "float"])
 def test_unsupported_input_exits_one_with_message(tmp_path, capsys, text):
     path = tmp_path / "bad.json"

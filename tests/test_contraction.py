@@ -130,7 +130,7 @@ class TestNormalFormWitness:
                     assert key in transformed
 
     def test_witness_agrees_with_the_reference_on_every_degree_zero_relation(self):
-        """The witness reads the memoised cone inverses and builds U once; the
+        """The witness reads the cone inverses and builds U once; the
         version that inverted every candidate basis must return the same
         (U, names, a) or None. The fans: the catalog 3-folds, every bundle
         over the 16 fibers with w+ in [-6, 6]^2 and w- in {(0, 0), (1, -1)},

@@ -11,11 +11,16 @@ from torifan.fan import (
     cone_det_and_normals,
     fan_from_json,
     fan_from_rays_2d,
+    maximal_cone_normals,
     star,
     validate,
 )
 from torifan.catalog import all_named, named_fan, surfaces
+from torifan.contraction import zero_two_normal_form_witness
+from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import is_primitive, vadd
+from torifan.polytope import anticanonical_degree
+from torifan.primitive import bundle_candidates, is_fano, is_weak_fano, primitive_collections
 from _oracles import (
     cofactor_det,
     gauss_solve,
@@ -304,6 +309,51 @@ def test_cone_kernel_agrees_with_the_cofactor_references():
                 assert rows == reference_inward_normals(fan, cone), (fan.to_dict(), cone)
             dets.add((fan.dim, min(abs(det), 2)))
     assert dets == {(d, k) for d in (2, 3) for k in (0, 1, 2)} | {(1, 1)}
+
+
+# one fan per way of failing validation; each is 2-dimensional, so that
+# ``bundle_candidates`` passes its dimension check and reaches the table
+INVALID_FANS = {
+    "not_smooth": Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2))),
+    "not_complete": Fan(2, P2.rays, P2.max_cones[1:]),
+    "no_cones": Fan(2, (), ()),
+    "cone_wrong_size": Fan(2, P2.rays, ((0,),) + P2.max_cones[1:]),
+}
+
+# every reader of the cone-inverse table; the witness is given a relation of
+# X3_0, which it never reaches on an invalid fan
+TABLE_READERS = {
+    "maximal_cone_normals": maximal_cone_normals,
+    "primitive_collections": primitive_collections,
+    "is_fano": is_fano,
+    "is_weak_fano": is_weak_fano,
+    "zero_two_normal_form_witness": lambda fan: zero_two_normal_form_witness(
+        fan, primitive_collections(named_fan("X3_0").fan)[0]
+    ),
+    "find_isomorphism(invalid, P2)": lambda fan: find_isomorphism(fan, P2),
+    "find_isomorphism(P2, invalid)": lambda fan: find_isomorphism(P2, fan),
+    "canonical_key": canonical_key,
+    "anticanonical_degree": anticanonical_degree,
+    "bundle_candidates": bundle_candidates,
+}
+
+
+@pytest.mark.parametrize("fan", INVALID_FANS.values(), ids=INVALID_FANS.keys())
+@pytest.mark.parametrize("reader", TABLE_READERS.values(), ids=TABLE_READERS.keys())
+def test_every_reader_of_the_cone_inverses_refuses_an_invalid_fan(reader, fan):
+    """The cone rows are an inverse only on a fan that validates, and an
+    invalid fan's report keeps no table, not even a misaligned one."""
+    assert not fan.report.ok and fan.report.cone_normals == ()
+    with pytest.raises(ValueError, match="does not validate"):
+        reader(fan)
+
+
+def test_a_valid_report_keeps_one_inverse_per_maximal_cone():
+    for nf in all_named().values():
+        table = nf.fan.report.cone_normals
+        assert maximal_cone_normals(nf.fan) is table and len(table) == len(nf.fan.max_cones)
+        for cone, rows in zip(nf.fan.max_cones, table):
+            assert rows == cone_det_and_normals(nf.fan, cone)[1]
 
 
 def test_ccw_sorted_agrees_with_the_reference_comparator():

@@ -97,7 +97,7 @@ def test_key_decodes_to_an_isomorphic_fan():
 
 
 def test_key_refuses_a_fan_that_is_not_smooth():
-    # complete and simplicial, but det((1,0), (1,2)) = 2: the memoised cone
+    # complete and simplicial, but det((1,0), (1,2)) = 2: the cone
     # rows are an adjugate there, not an inverse
     fan = Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
     assert fan.report.is_simplicial and not fan.report.is_smooth
@@ -175,7 +175,7 @@ def _rebased_to_digits(fan, digits: int, rng: random.Random):
 
 
 class TestAgainstReference:
-    """Both searches read coordinates from the memoised cone inverses; the
+    """Both searches read coordinates from the cone inverses; the
     references in ``_oracles`` invert every candidate basis. Keys must agree
     byte for byte and witnesses exactly, matrix and ray permutation."""
 

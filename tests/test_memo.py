@@ -162,7 +162,7 @@ def test_relations_reuse_the_cone_inverses_of_validation(calls):
 
 
 def test_sweep_inverts_one_basis_per_zero_two_witness(calls):
-    # the witness reads each candidate's coordinates from the memoised cone
+    # the witness reads each candidate's coordinates from the cone
     # inverses, and inverts a basis only to build the U that it returns
     catalog.surfaces(), catalog.threefolds()
     inverted = calls(lattice.invert_unimodular)
