@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -62,15 +63,9 @@ def _load_valid_fan(path: str) -> Fan:
 
 def _cmd_validate(args) -> CommandResult:
     report = _load_fan(args.fan).report
-    diagnostics = []
-    if not report.is_simplicial:
-        diagnostics.append("not simplicial")
-    if not report.is_smooth:
-        diagnostics.append("not smooth")
-    if not report.is_complete:
-        diagnostics.append("not complete")
-    status = "ok" if report.ok else "error"
-    return CommandResult(status, report.to_dict(), diagnostics)
+    payload = report.to_dict()
+    diagnostics = [f"not {word}" for word in ("simplicial", "smooth", "complete") if not payload[f"is_{word}"]]
+    return CommandResult("ok" if report.ok else "error", payload, diagnostics)
 
 
 def _cmd_analyze(args) -> CommandResult:
@@ -218,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", _cmd_validate, "validate a fan (smooth, complete)"),
         ("analyze", _cmd_analyze, "primitive relations with degrees and extremality"),
         ("degree", _cmd_degree, "anticanonical degree (-K)^d"),
-        ("is-fano", _cmd_is_fano, "all primitive degrees positive"),
-        ("is-weak-fano", _cmd_is_weak_fano, "all primitive degrees nonnegative"),
+        ("is-fano", _cmd_is_fano, "every wall curve has positive degree"),
+        ("is-weak-fano", _cmd_is_weak_fano, "every wall curve has nonnegative degree"),
         ("is-weakened-fano", _cmd_is_weakened_fano, "weakened Fano verdict with contraction table"),
     ):
         p = sub.add_parser(name, parents=[common], help=help_text)
@@ -271,10 +266,10 @@ def run(argv: Optional[list[str]] = None) -> CommandResult:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     result = _dispatch(args)
-    if getattr(args, "json", False):
-        print(json.dumps(result.payload, separators=(",", ":")))
-    else:
-        if result.status == "error" and isinstance(result.payload, dict) and "error" in result.payload:
+    try:
+        if getattr(args, "json", False):
+            print(json.dumps(result.payload, separators=(",", ":")))
+        elif result.status == "error" and isinstance(result.payload, dict) and "error" in result.payload:
             print(f"error: {result.payload['error']}", file=sys.stderr)
         else:
             for line in _human_lines(args.command, result):
@@ -284,6 +279,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                     print(f"{name}: {count}", file=sys.stderr)
             if result.status == "error" and result.diagnostics:
                 print("error: " + "; ".join(result.diagnostics), file=sys.stderr)
+        sys.stdout.flush()  # a reader that has gone away raises here, not at shutdown
+    except BrokenPipeError:
+        # stdout to devnull, so that the flush at shutdown stays quiet (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return result.exit_code
 
 

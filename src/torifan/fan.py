@@ -23,6 +23,7 @@ from .lattice import (
     adjugate,
     is_primitive,
     matrix_from_columns,
+    matvec,
     solve_rational,
     vdot,
     vsum,
@@ -159,8 +160,9 @@ class ValidationReport:
     is_smooth: bool
     is_complete: bool
     offending_cones: tuple[tuple[str, tuple[int, ...]], ...] = field(default_factory=tuple)
-    # read through ``maximal_cone_normals``; empty unless the report is ok
+    # read through ``maximal_cone_normals`` and ``wall_degrees``; empty unless the report is ok
     cone_normals: tuple[Matrix, ...] = field(default=(), compare=False, repr=False)
+    wall_degrees: dict[Cone, int] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -218,6 +220,17 @@ def maximal_cone_normals(fan: Fan) -> tuple[Matrix, ...]:
     return report.cone_normals
 
 
+def wall_degrees(fan: Fan) -> dict[Cone, int]:
+    """-K.C for the curve C of every wall (facet -> degree), as ``validate`` keeps it.
+
+    With c + d = sum alpha_t a_t across the wall, -K.C = 2 - sum alpha_t.
+    The wall curves span NE(X) (Reid 1983), so -K is nef (ample) exactly
+    when every degree is >= 0 (> 0). Refuses an invalid fan as above.
+    """
+    maximal_cone_normals(fan)  # refuses a fan that does not validate
+    return fan.report.wall_degrees
+
+
 def _equal_pairs(items: Sequence) -> list[tuple[int, int]]:
     """Index pairs i < j with ``items[i] == items[j]``, in lexicographic order."""
     groups: dict = {}
@@ -250,7 +263,9 @@ def validate(fan: Fan) -> ValidationReport:
 
     Each maximal cone's adjugate is computed once (``cone_det_and_normals``);
     it gives the determinant and the inward normals, which a report that is
-    ok keeps for ``maximal_cone_normals``.
+    ok keeps for ``maximal_cone_normals``. On such a report the far ray d of
+    check 2 is -c + sum alpha_t a_t in the first cone's basis, so 1 - the
+    sum of its coordinates is the wall curve's degree (``wall_degrees``).
     """
     offending: list[tuple[str, tuple[int, ...]]] = []
     n = len(fan.rays)
@@ -295,6 +310,7 @@ def validate(fan: Fan) -> ValidationReport:
     is_smooth = is_smooth and is_simplicial
 
     is_complete = False
+    degrees: dict[Cone, int] = {}
     if not fan.max_cones:
         # no rays and no cones: nothing covers space
         offending.append(("no_cones", ()))
@@ -313,18 +329,20 @@ def validate(fan: Fan) -> ValidationReport:
                         offending.append(("facet_unmatched", (ci,)))
         else:
             # the second cone at a wall must lie across it from the first
-            for (ci, k), (cj, l) in walls.values():
-                if vdot(normals[ci][k], fan.rays[fan.max_cones[cj][l]]) >= 0:
+            for facet, ((ci, k), (cj, l)) in walls.items():
+                coords = matvec(normals[ci], fan.rays[fan.max_cones[cj][l]])
+                if coords[k] >= 0:
                     is_complete = False
                     offending.append(("improper_intersection", (ci, cj)))
+                degrees[facet] = 1 - sum(coords)
             # p is interior to cone 0; no other cone may contain it
             p = vsum([fan.rays[i] for i in fan.max_cones[0]], fan.dim)
             for cj in range(1, len(fan.max_cones)):
                 if all(vdot(row, p) >= 0 for row in normals[cj]):
                     is_complete = False
                     offending.append(("improper_intersection", (0, cj)))
-    kept = tuple(normals) if is_smooth and is_complete else ()
-    return ValidationReport(is_simplicial, is_smooth, is_complete, tuple(offending), kept)
+    kept = (tuple(normals), degrees) if is_smooth and is_complete else ((), {})
+    return ValidationReport(is_simplicial, is_smooth, is_complete, tuple(offending), *kept)
 
 
 def cone_contains(fan: Fan, cone: Sequence[int], v: Sequence[int]) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import sub
 
-from .fan import Fan, maximal_cone_normals, memoised
+from .fan import Fan, maximal_cone_normals, memoised, wall_degrees
 from .lattice import (
     Vector,
     has_nonneg_combination,
@@ -168,13 +168,13 @@ def picard_rank(fan: Fan) -> int:
 
 
 def is_fano(fan: Fan) -> bool:
-    """True iff every primitive relation has strictly positive degree."""
-    return all(r.degree > 0 for r in primitive_collections(fan))
+    """True iff every wall curve has positive degree (``wall_degrees``): -K is ample."""
+    return min(wall_degrees(fan).values()) > 0
 
 
 def is_weak_fano(fan: Fan) -> bool:
-    """True iff every primitive relation has nonnegative degree."""
-    return all(r.degree >= 0 for r in primitive_collections(fan))
+    """True iff every wall curve has nonnegative degree (``wall_degrees``): -K is nef."""
+    return min(wall_degrees(fan).values()) >= 0
 
 
 @memoised

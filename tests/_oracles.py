@@ -539,11 +539,55 @@ def pairwise_validate(fan) -> tuple[bool, bool, bool]:
     return is_simplicial, is_smooth, is_complete
 
 
+def reference_wall_degrees(fan) -> dict:
+    """-K.C of the curve of every wall of a smooth complete fan, facet -> degree.
+
+    The facet's rays a_t and the rays c, d of its two cones off it satisfy
+    c + d = sum alpha_t a_t. The alpha_t solve the normal equations
+    G alpha = (a_t . (c + d)) of the Gram matrix G of the a_t, by Cramer's
+    rule with ``cofactor_det``, and the degree of the wall relation
+    c + d - sum alpha_t a_t = 0 is 2 - sum alpha_t.
+    """
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    off: dict = {}
+    for cone in fan.max_cones:
+        for ray in cone:
+            off.setdefault(tuple(i for i in cone if i != ray), []).append(ray)
+    out = {}
+    for wall, (c, d) in off.items():
+        total = [x + y for x, y in zip(fan.rays[c], fan.rays[d])]
+        a = [fan.rays[i] for i in wall]
+        gram = [[dot(u, v) for v in a] for u in a]
+        rhs = [dot(u, total) for u in a]
+        # alpha_t = numerators[t] / det; c + d must lie in the span of the a_t
+        det = cofactor_det(gram) if a else 1
+        numerators = [
+            cofactor_det([row[:t] + [b] + row[t + 1:] for row, b in zip(gram, rhs)]) for t in range(len(a))
+        ]
+        combination = [dot(numerators, column) for column in zip(*a)] if a else [0] * fan.dim
+        assert combination == [det * x for x in total], (fan.to_dict(), wall)
+        degree = 2 - Fraction(sum(numerators), det)
+        assert degree.denominator == 1, (fan.to_dict(), wall)
+        out[wall] = int(degree)
+    return out
+
+
+DANTZIG_PIVOTS = 50
+
+
 def fraction_lp_feasible(columns, target) -> bool:
     """Exact feasibility of  sum_j c_j * columns[j] = target  with  c_j >= 0.
 
-    Phase-one simplex over Fraction with Bland's rule; c need not be integral.
-    The reference for ``lattice.has_nonneg_combination``.
+    Phase-one simplex over Fraction; c need not be integral. The entering
+    column is the most negative reduced cost (Dantzig's rule) for the first
+    ``DANTZIG_PIVOTS`` pivots and the first negative one (Bland's rule) after
+    that, so the method cannot cycle and terminates; ties in the ratio test
+    go to the least basic index. The artificial sum is >= 0, so the system is
+    feasible as soon as it reaches 0, and the search stops there. The
+    reference for ``lattice.has_nonneg_combination``, whose integer simplex
+    uses Bland's rule throughout, so the two take different pivot paths.
     """
     m = len(target)
     k = len(columns)
@@ -568,10 +612,13 @@ def fraction_lp_feasible(columns, target) -> bool:
         cost = Fraction(1) if j >= k else Fraction(0)
         red[j] = cost - sum(tab[i][j] for i in range(m))
     red[ncols] = -sum(tab[i][ncols] for i in range(m))
-    while True:
-        enter = next((j for j in range(ncols) if red[j] < 0), None)
-        if enter is None:
+    pivots = 0
+    while red[ncols] != 0:
+        negative = [j for j in range(ncols) if red[j] < 0]
+        if not negative:
             break
+        enter = min(negative, key=red.__getitem__) if pivots < DANTZIG_PIVOTS else negative[0]
+        pivots += 1
         leave = None
         best = None
         for i in range(m):

@@ -8,6 +8,7 @@ from torifan.classify import (
     _weak_fano_blow_up,
     blow_up,
     build_bundle,
+    enumerate_weak_del_pezzo,
     enumerate_weakened_threefolds,
     projects_to_p1,
     self_intersection_sequence,
@@ -171,7 +172,15 @@ class TestSelfIntersectionSequences:
             assert ours == list(surface_blowups(nf.fan))
 
     def test_sequence_is_read_from_the_rays(self):
-        fans = [nf.fan for nf in surfaces()] + _blow_up_chains(30, 17)
+        """Each b_i, read from the wall table as 2 - the degree of the wall
+        (v_i), satisfies v_{i-1} + v_{i+1} = b_i v_i and equals
+        det(v_{i-1}, v_{i+1}), since det(v_{i-1}, v_i) = 1: on the 16
+        surfaces, the 96 blow-ups the closure tries at its representatives,
+        and blow-up chains."""
+        representatives = [e.fan for e in enumerate_weak_del_pezzo().classes]
+        blowups = [blow_up(fan, cone) for fan in representatives for cone in fan.max_cones]
+        assert len(blowups) == 96
+        fans = [nf.fan for nf in surfaces()] + blowups + _blow_up_chains(30, 17)
         assert {len(fan.rays) for fan in fans} == set(range(3, 12))
         for fan in fans:
             order, seq = self_intersection_sequence(fan)
@@ -180,6 +189,7 @@ class TestSelfIntersectionSequences:
             for k in range(n):
                 before, ray, after = (fan.rays[order[(k + s) % n]] for s in (-1, 0, 1))
                 assert vadd(before, after) == tuple(seq[k] * x for x in ray)
+                assert seq[k] == before[0] * after[1] - before[1] * after[0], (fan.to_dict(), k)
             # sum of the D_i^2 is 12 - 3n
             assert sum(seq) == 3 * n - 12
 

@@ -196,6 +196,17 @@ def test_module_entry_point():
     assert json.loads(proc.stdout) == {"anticanonical_degree": 9}
 
 
+def test_a_reader_that_goes_away_gets_no_traceback():
+    # the pipe is closed before verify prints, so its first write fails
+    with subprocess.Popen(
+        [sys.executable, "-m", "torifan", "verify"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 SWEEP_STATS_B3 = {
     "box_points": 2704,
     "pruned_by_phi": 2400,

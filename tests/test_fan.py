@@ -14,8 +14,10 @@ from torifan.fan import (
     maximal_cone_normals,
     star,
     validate,
+    wall_degrees,
 )
 from torifan.catalog import all_named, named_fan, surfaces
+from torifan.classify import self_intersection_sequence
 from torifan.contraction import zero_two_normal_form_witness
 from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import is_primitive, vadd
@@ -320,10 +322,12 @@ INVALID_FANS = {
     "cone_wrong_size": Fan(2, P2.rays, ((0,),) + P2.max_cones[1:]),
 }
 
-# every reader of the cone-inverse table; the witness is given a relation of
-# X3_0, which it never reaches on an invalid fan
+# every reader of the cone-inverse and wall tables; the witness is given a
+# relation of X3_0, which it never reaches on an invalid fan
 TABLE_READERS = {
     "maximal_cone_normals": maximal_cone_normals,
+    "wall_degrees": wall_degrees,
+    "self_intersection_sequence": self_intersection_sequence,
     "primitive_collections": primitive_collections,
     "is_fano": is_fano,
     "is_weak_fano": is_weak_fano,
@@ -342,8 +346,9 @@ TABLE_READERS = {
 @pytest.mark.parametrize("reader", TABLE_READERS.values(), ids=TABLE_READERS.keys())
 def test_every_reader_of_the_cone_inverses_refuses_an_invalid_fan(reader, fan):
     """The cone rows are an inverse only on a fan that validates, and an
-    invalid fan's report keeps no table, not even a misaligned one."""
-    assert not fan.report.ok and fan.report.cone_normals == ()
+    invalid fan's report keeps no table, not even a misaligned one: the
+    complete fan that is not smooth has walls, but no wall degrees."""
+    assert not fan.report.ok and fan.report.cone_normals == () and fan.report.wall_degrees == {}
     with pytest.raises(ValueError, match="does not validate"):
         reader(fan)
 
@@ -354,6 +359,10 @@ def test_a_valid_report_keeps_one_inverse_per_maximal_cone():
         assert maximal_cone_normals(nf.fan) is table and len(table) == len(nf.fan.max_cones)
         for cone, rows in zip(nf.fan.max_cones, table):
             assert rows == cone_det_and_normals(nf.fan, cone)[1]
+        # and one degree per wall: each maximal cone has d facets, each shared by two cones
+        degrees = wall_degrees(nf.fan)
+        assert degrees is nf.fan.report.wall_degrees
+        assert len(degrees) == len(nf.fan.max_cones) * nf.fan.dim // 2
 
 
 def test_ccw_sorted_agrees_with_the_reference_comparator():

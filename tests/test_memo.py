@@ -14,10 +14,10 @@ from torifan import fan as fan_module
 from torifan.catalog import named_fan
 from torifan.classify import enumerate_weak_del_pezzo, enumerate_weakened_threefolds
 from torifan.cli import run
-from torifan.contraction import crepant_contractions, is_weakened_fano
+from torifan.contraction import WeakenedVerdict, crepant_contractions, is_weakened_fano
 from torifan.fan import Fan, build_bundle
 from torifan.isomorphism import canonical_key
-from torifan.primitive import primitive_collections
+from torifan.primitive import is_fano, is_weak_fano, primitive_collections
 
 from _oracles import reference_zero_two_witness
 
@@ -97,6 +97,23 @@ def test_surface_search_builds_a_fan_only_for_a_new_class(calls, monkeypatch):
     # and no fan is validated but those and the catalog surfaces
     assert {id(fan) for fan in validated} <= catalog_fans | {id(fan) for fan in new}
     assert {id(fan) for fan in new} <= {id(fan) for fan in validated}
+
+
+def test_predicates_compute_no_relations_on_a_fan_that_is_not_weak_fano(tmp_path, calls):
+    # the bundle over P2 of twist (2, 1) = 2 * (1, 0) + (0, 1) has a wall of
+    # degree 2 - 3 = -1: the predicates read it from the wall table, and the
+    # verdict and the contraction table stop there
+    relations = calls(primitive.primitive_collections)
+    fan = build_bundle(named_fan("P2").fan, (2, 1), (0, 0))
+    assert min(fan_module.wall_degrees(fan).values()) == -1
+    assert not is_weak_fano(fan) and not is_fano(fan)
+    assert is_weakened_fano(fan) == WeakenedVerdict(False, False, False)
+    assert crepant_contractions(fan) == ()
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(fan.to_dict()))
+    for command in ("is-fano", "is-weak-fano", "is-weakened-fano"):
+        assert run([command, str(path), "--json"]).status == "ok"
+    assert relations == []
 
 
 def test_extremality_lps_only_for_degree_zero_relations(calls):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from torifan.catalog import named_fan
-from torifan.fan import fan_from_rays_2d
+from torifan.fan import Fan, fan_from_rays_2d, wall_degrees
 from torifan.lattice import has_nonneg_combination, vsum
 from torifan.primitive import (
     bundle_candidates,
@@ -21,6 +21,7 @@ from _oracles import (
     reference_bundle_relations,
     reference_primitive_collections,
     reference_section_relation,
+    reference_wall_degrees,
     two_element_relation_kind,
 )
 
@@ -391,6 +392,36 @@ def test_every_class_is_primitive_with_a_one_off_sigma():
             assert gcd(*rel.cls) == 1, rel
             checked += 1
     assert checked > 5000
+
+
+def test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do():
+    """``is_fano`` and ``is_weak_fano`` read the wall table. Each wall degree
+    is the reference's, and both predicates agree with the degrees of the
+    primitive relations: on P1, the 34 catalog fans, all 1296 bundles of the
+    [-4, 4]^2 box (304 of them weak Fano) and 42 fans that are not weak Fano."""
+    from torifan.catalog import all_named, surfaces
+    from torifan.fan import build_bundle
+
+    catalog = [nf.fan for nf in all_named().values()]
+    box = [
+        build_bundle(nf.fan, (sx, sy), (0, 0))
+        for nf in surfaces()
+        for sx in range(-4, 5)
+        for sy in range(-4, 5)
+    ]
+    non_weak = _blown_up_hirzebruch(12, seed=7) + _non_weak_blowups((7, 8, 9), 3, seed=13)
+    non_weak += [build_bundle(s, (0, 0), (0, 0)) for s in non_weak]
+    assert len(catalog) == 34 and len(box) == 1296 and len(non_weak) == 42
+    flags = []
+    for fan in [Fan(1, ((1,), (-1,)), ((0,), (1,)))] + catalog + box + non_weak:
+        assert wall_degrees(fan) == reference_wall_degrees(fan), fan.to_dict()
+        degrees = [r.degree for r in primitive_collections(fan)]
+        assert is_weak_fano(fan) == all(d >= 0 for d in degrees), fan.to_dict()
+        assert is_fano(fan) == all(d > 0 for d in degrees), fan.to_dict()
+        flags.append((is_weak_fano(fan), is_fano(fan)))
+    box_flags = flags[35:35 + 1296]
+    assert sum(weak for weak, _ in box_flags) == 304 and sum(fano for _, fano in box_flags) == 27
+    assert not any(weak for weak, _ in flags[35 + 1296:])
 
 
 def test_relations_grown_from_faces_agree_with_the_subset_scan():
