@@ -11,8 +11,12 @@ first; ten pairs are what a claimed gain is judged on. Both checkouts must
 be clean (untracked files aside), so each side is exactly its commit. The
 file holds the Python version, nproc, both commits, every run's end-to-end
 metrics with their medians per side, and the per-layer metrics of one traced
-sweep-b3 run per side. Standard library only; perfbench itself is not
-changed.
+sweep-b3 run per side. It also judges the record (``judge``): for every
+workload and end-to-end metric of BENCHMARK.json, both medians and
+quartiles, the relative change, the pairs the change won, and whether its
+median is worse than the parent's by more than the metric's bound; the
+judgement goes into the file and is printed. Standard library only;
+perfbench itself is not changed.
 """
 
 from __future__ import annotations
@@ -54,6 +58,57 @@ def commit(checkout: Path) -> str:
     return git("rev-parse", "HEAD")
 
 
+def judge(record: dict, end_to_end: list[dict]) -> dict:
+    """workload -> metric -> the two sides of a record compared, run pair by run pair.
+
+    ``end_to_end`` is the list of that name in BENCHMARK.json (name, better,
+    bound). For each side: the median and the quartiles (``statistics.quantiles``,
+    exclusive method) of its runs. ``relative`` is (change - parent) / parent
+    of the medians, None when the parent's is 0. Run i of each side shares a
+    seed, and ``won`` counts the pairs in which the change is strictly better;
+    ties count for neither side. ``worse`` is true when the change's median is
+    worse than the parent's by more than ``bound``, relative to the parent's.
+    Metrics that a workload does not report are left out.
+    """
+    out = {}
+    for workload, sides in record["workloads"].items():
+        rows = {}
+        for metric in end_to_end:
+            name, lower = metric["name"], metric["better"] == "lower"
+            runs = {side: [r[name] for r in sides[side]["runs"]] for side in ("parent", "change")
+                    if all(name in r for r in sides[side]["runs"])}
+            if len(runs) < 2:
+                continue
+            row = {}
+            for side, values in runs.items():
+                q1, median, q3 = statistics.quantiles(values, n=4)
+                row[side] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+            p, c = row["parent"]["median"], row["change"]["median"]
+            row["relative"] = (c - p) / abs(p) if p else None
+            row["won"] = sum(b < a if lower else b > a for a, b in zip(runs["parent"], runs["change"]))
+            row["pairs"] = min(map(len, runs.values()))
+            limit = abs(p) * metric["bound"]
+            row["worse"] = c - p > limit if lower else p - c > limit
+            rows[name] = row
+        out[workload] = rows
+    return out
+
+
+def judgement_lines(judgement: dict) -> list[str]:
+    """One line per workload and metric: medians [q1, q3], change, pairs won, WORSE flag."""
+    lines = []
+    for workload, rows in judgement.items():
+        for name, row in rows.items():
+            parent, change = row["parent"], row["change"]
+            relative = "n/a" if row["relative"] is None else f"{100 * row['relative']:+.1f}%"
+            lines.append(
+                f"{workload:10s} {name:21s} parent {parent['median']:.4g} [{parent['q1']:.4g}, {parent['q3']:.4g}]"
+                f"  change {change['median']:.4g} [{change['q1']:.4g}, {change['q3']:.4g}]"
+                f"  {relative}  won {row['won']}/{row['pairs']}" + ("  WORSE" if row["worse"] else "")
+            )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -61,7 +116,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=951,
                         help="first seed; use seeds no earlier run has seen")
     args = parser.parse_args(argv)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     out = {
         "label": args.label,
@@ -93,6 +149,8 @@ def main(argv=None) -> int:
         **{side: perfbench(path, "sweep-b3", TRACE_SEED, seconds, True)
            for side, path in sides.items()},
     }
+    out["judgement"] = judge(out, benchmark["end_to_end"])
+    print("\n".join(judgement_lines(out["judgement"])), file=sys.stderr)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}", file=sys.stderr)

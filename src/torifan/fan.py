@@ -11,6 +11,7 @@ the cones cover space exactly once (the argument is in ``validate``).
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -191,7 +192,8 @@ def cone_det_and_normals(fan: Fan, cone: Sequence[int]) -> tuple[int, Matrix]:
     a x b, read straight from the rays; dimensions 1 and 2 use ``adjugate``.
     """
     if len(cone) == 3:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = map(fan.rays.__getitem__, cone)
+        i, j, k = cone
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = fan.rays[i], fan.rays[j], fan.rays[k]
         x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
         y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
         z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
@@ -266,6 +268,8 @@ def validate(fan: Fan) -> ValidationReport:
     ok keeps for ``maximal_cone_normals``. On such a report the far ray d of
     check 2 is -c + sum alpha_t a_t in the first cone's basis, so 1 - the
     sum of its coordinates is the wall curve's degree (``wall_degrees``).
+    For a 3-fan, as every bundle of the sweep is, checks 2 and 3 write these
+    products out in closed form; the report is the same in every dimension.
     """
     offending: list[tuple[str, tuple[int, ...]]] = []
     n = len(fan.rays)
@@ -316,28 +320,51 @@ def validate(fan: Fan) -> ValidationReport:
         offending.append(("no_cones", ()))
     elif is_simplicial:
         is_complete = True
+        rays, cones = fan.rays, fan.max_cones
         # facet -> [(cone index, position of the ray opposite the facet)]
-        walls: dict[Cone, list[tuple[int, int]]] = {}
-        for ci, cone in enumerate(fan.max_cones):
-            for k in range(fan.dim):
-                walls.setdefault(cone[:k] + cone[k + 1:], []).append((ci, k))
-        if any(len(pair) != 2 for pair in walls.values()):
+        walls: dict[Cone, list[tuple[int, int]]] = defaultdict(list)
+        if fan.dim == 3:
+            for ci, (a, b, c) in enumerate(cones):
+                walls[b, c].append((ci, 0))
+                walls[a, c].append((ci, 1))
+                walls[a, b].append((ci, 2))
+        else:
+            for ci, cone in enumerate(cones):
+                for k in range(fan.dim):
+                    walls[cone[:k] + cone[k + 1:]].append((ci, k))
+        if set(map(len, walls.values())) != {2}:
             is_complete = False
-            for ci, cone in enumerate(fan.max_cones):
+            for ci, cone in enumerate(cones):
                 for facet in combinations(cone, fan.dim - 1):
                     if len(walls[facet]) != 2:
                         offending.append(("facet_unmatched", (ci,)))
+        elif fan.dim == 3:
+            # checks 2 and 3 as below, with the products written out
+            for facet, ((ci, k), (cj, l)) in walls.items():
+                x, y, z = rays[cones[cj][l]]
+                (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = normals[ci]
+                coords = (a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z)
+                if coords[k] >= 0:
+                    is_complete = False
+                    offending.append(("improper_intersection", (ci, cj)))
+                degrees[facet] = 1 - coords[0] - coords[1] - coords[2]
+            x, y, z = vsum([rays[i] for i in cones[0]], 3)
+            for cj in range(1, len(cones)):
+                (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = normals[cj]
+                if a0 * x + a1 * y + a2 * z >= 0 and b0 * x + b1 * y + b2 * z >= 0 and c0 * x + c1 * y + c2 * z >= 0:
+                    is_complete = False
+                    offending.append(("improper_intersection", (0, cj)))
         else:
             # the second cone at a wall must lie across it from the first
             for facet, ((ci, k), (cj, l)) in walls.items():
-                coords = matvec(normals[ci], fan.rays[fan.max_cones[cj][l]])
+                coords = matvec(normals[ci], rays[cones[cj][l]])
                 if coords[k] >= 0:
                     is_complete = False
                     offending.append(("improper_intersection", (ci, cj)))
                 degrees[facet] = 1 - sum(coords)
             # p is interior to cone 0; no other cone may contain it
-            p = vsum([fan.rays[i] for i in fan.max_cones[0]], fan.dim)
-            for cj in range(1, len(fan.max_cones)):
+            p = vsum([rays[i] for i in cones[0]], fan.dim)
+            for cj in range(1, len(cones)):
                 if all(vdot(row, p) >= 0 for row in normals[cj]):
                     is_complete = False
                     offending.append(("improper_intersection", (0, cj)))

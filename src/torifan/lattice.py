@@ -204,7 +204,7 @@ def has_nonneg_combination(columns: Sequence[Sequence[int]], target: Sequence[in
         sign = -1 if b < 0 else 1
         tab.append([sign * col[i] for col in columns] + [int(j == i) for j in range(m)] + [sign * b])
     # reduced costs of the artificial sum: 1 on artificial columns, minus the column sums
-    red = [(k <= j < ncols) - sum(row[j] for row in tab) for j in range(ncols + 1)]
+    red = [(k <= j < ncols) - total for j, total in enumerate(map(sum, zip(*tab)))]
     tab.append(red)
     basis = [k + i for i in range(m)]
     divisor = 1

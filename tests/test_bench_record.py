@@ -1,0 +1,70 @@
+"""The judgement that ``scripts/bench_record.py`` adds to a BENCH record."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_record = _load_bench_record()
+
+END_TO_END = [
+    {"name": "solve_s", "better": "lower", "bound": 0.2},
+    {"name": "ok_rate", "better": "higher", "bound": 0.02},
+    {"name": "queries_per_s", "better": "higher", "bound": 0.25},
+    {"name": "failures", "better": "lower", "bound": 0.1},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+]
+
+
+def _runs(**columns):
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
+def test_judge_a_synthetic_record():
+    parent = _runs(solve_s=[1.0] * 5, ok_rate=[1.0] * 5, queries_per_s=[100] * 5, failures=[0] * 5)
+    change = _runs(solve_s=[1.3, 0.9, 1.0, 1.3, 1.3], ok_rate=[1.0, 1.0, 1.0, 0.9, 1.0],
+                   queries_per_s=[70] * 5, failures=[0] * 5)
+    record = {"workloads": {"w": {"parent": {"runs": parent}, "change": {"runs": change}}}}
+    rows = bench_record.judge(record, END_TO_END)["w"]
+    # a metric that no run reports is left out
+    assert set(rows) == {"solve_s", "ok_rate", "queries_per_s", "failures"}
+    solve = rows["solve_s"]
+    assert solve["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    assert solve["change"] == {"median": 1.3, "q1": pytest.approx(0.95), "q3": 1.3}
+    assert solve["relative"] == pytest.approx(0.3)
+    # one pair won (0.9 < 1.0), one tie counted for neither side, +30% past a 20% bound
+    assert (solve["won"], solve["pairs"], solve["worse"]) == (1, 5, True)
+    assert (rows["ok_rate"]["won"], rows["ok_rate"]["worse"]) == (0, False)
+    assert rows["queries_per_s"]["relative"] == pytest.approx(-0.3)
+    assert rows["queries_per_s"]["worse"]
+    assert rows["failures"]["relative"] is None and not rows["failures"]["worse"]
+    lines = bench_record.judgement_lines({"w": rows})
+    assert len(lines) == 4
+    assert "won 1/5" in lines[0] and lines[0].endswith("WORSE") and "+30.0%" in lines[0]
+    assert not lines[1].endswith("WORSE") and "n/a" in lines[3]
+
+
+def test_judge_the_wall_table_record():
+    record = json.loads((ROOT / "BENCH_wall_table.json").read_text())
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    judgement = bench_record.judge(record, end_to_end)
+    assert set(judgement) == {"sweep-b3", "query-mix", "reject-mix"}
+    assert all(len(rows) == len(end_to_end) for rows in judgement.values())
+    # that change claimed no gain, and no end-to-end metric passed its bound
+    assert not any(row["worse"] for rows in judgement.values() for row in rows.values())
+    sweep = judgement["sweep-b3"]["solve_s"]
+    assert (sweep["won"], sweep["pairs"]) == (6, 10)
+    assert sweep["parent"]["q3"] - sweep["parent"]["q1"] == pytest.approx(0.00245, abs=5e-5)
+    query = judgement["query-mix"]["solve_s"]
+    assert query["won"] == 10 and query["relative"] == pytest.approx(-0.124, abs=1e-3)

@@ -34,6 +34,7 @@ from _oracles import (
     reference_inward_normals,
     reference_section_relation,
     reference_validate,
+    reference_wall_degrees,
 )
 
 # the complete smooth fan of P4
@@ -140,7 +141,11 @@ def _corruptions(fan: Fan, rng: random.Random) -> list[Fan]:
     return out
 
 
-def test_linear_completeness_agrees_with_pairwise_oracle():
+def _corrupted_fans() -> list[Fan]:
+    """The catalog fans and two random bundles over each surface, each
+    damaged in every way of ``_corruptions`` twice, besides the fans
+    themselves, the two overlapping 2-fans and the fan without cones: 729
+    fans, many of which reach the wall checks and fail them."""
     rng = random.Random(3)
     bases = [nf.fan for nf in all_named().values()]
     for nf in surfaces():
@@ -152,6 +157,11 @@ def test_linear_completeness_agrees_with_pairwise_oracle():
     fans = [OVERLAPPING, PENTAGRAM, Fan(2, (), ())] + bases
     for fan in bases * 2:
         fans.extend(_corruptions(fan, rng))
+    return fans
+
+
+def test_linear_completeness_agrees_with_pairwise_oracle():
+    fans = _corrupted_fans()
     verdicts = set()
     improper_pairs = 0
     for fan in fans:
@@ -248,11 +258,31 @@ def test_validate_agrees_with_the_reference_report():
     overlaps = [OVERLAPPING, PENTAGRAM, _with_p1(OVERLAPPING), _with_p1(PENTAGRAM)]
     fans += overlaps + [rebase_fan(fan, random_unimodular(rng, fan.dim)) for fan in overlaps]
     fans += REPEATED + BAD_INDICES + [Fan(2, (), ())]
+    corrupted = _corrupted_fans()
+    assert len(corrupted) == 729
+    fans += corrupted
     reasons = set()
+    # an improper pair (ci, cj) with ci != 0 can only come from check 2,
+    # the wall test, since check 3 pairs cone 0 with each cone holding p
+    walls_not_separated = {2: 0, 3: 0}
+    valid = 0
     for fan in fans:
         report = validate(fan)
         assert report == reference_validate(fan), fan.to_dict()
         reasons.update(reason for reason, _ in report.offending_cones)
+        walls_not_separated[fan.dim] += sum(
+            reason == "improper_intersection" and pair[0] != 0 for reason, pair in report.offending_cones
+        )
+        # the tables that equality leaves out, on every report that keeps them
+        if report.ok:
+            valid += 1
+            assert len(report.cone_normals) == len(fan.max_cones)
+            for rows, cone in zip(report.cone_normals, fan.max_cones):
+                assert rows == reference_inward_normals(fan, cone), (fan.to_dict(), cone)
+            assert report.wall_degrees == reference_wall_degrees(fan), fan.to_dict()
+    assert walls_not_separated[3] >= 557 and walls_not_separated[2] >= 52
+    # the catalog fans and their rebasings, the bundles, and 113 of the corrupted set
+    assert valid == 4 * 34 + 304 + 113
     assert {
         "zero_ray", "non_primitive_ray", "duplicate_ray", "duplicate_cone", "unused_ray",
         "cone_degenerate", "cone_not_unimodular", "facet_unmatched", "improper_intersection",
