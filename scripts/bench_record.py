@@ -10,8 +10,10 @@ Every workload runs RUNS times per side at seeds ``--seed``, ``--seed`` + 1,
 first; ten pairs are what a claimed gain is judged on. Both checkouts must
 be clean (untracked files aside), so each side is exactly its commit. The
 file holds the Python version, nproc, both commits, every run's end-to-end
-metrics with their medians per side, and the per-layer metrics of one traced
-sweep-b3 run per side. It also judges the record (``judge``): for every
+metrics with their medians per side, and the per-layer metrics of TRACE_RUNS
+traced sweep-b3 runs per side (seeds TRACE_SEED, TRACE_SEED + 1, ...,
+alternating in the same way) with the median of each metric, since one
+traced run swings too widely to carry a per-layer claim. It also judges the record (``judge``): for every
 workload and end-to-end metric of BENCHMARK.json, both medians and
 quartiles, the relative change, the pairs the change won, and whether its
 median is worse than the parent's by more than the metric's bound; the
@@ -33,7 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep-b3", "query-mix", "reject-mix")
 RUNS = 10
-TRACE_SEED = 901  # the seed of the traced sweep-b3 runs quoted in ROADMAP.md
+TRACE_SEED = 901  # the first seed of the traced sweep-b3 runs quoted in ROADMAP.md
+TRACE_RUNS = 3
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -45,6 +48,28 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: b
     if not result["correct"]:
         raise SystemExit(f"{checkout}: {workload} seed {seed} gave wrong answers")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def medians(runs: list[dict]) -> dict:
+    """metric -> the median over ``runs`` of each metric that every run reports."""
+    names = set(runs[0]).intersection(*runs[1:])
+    return {name: statistics.median(r[name] for r in runs) for name in sorted(names)}
+
+
+def alternating_runs(sides: dict, workload: str, seeds: list[int], seconds: float,
+                     trace: bool) -> dict:
+    """side -> {"median", "runs"}: one run per side and seed, the parent first
+    at even positions of ``seeds`` and the change first at odd ones."""
+    # a traced run reports per-layer metrics only
+    shown = "fan.validate.self_s" if trace else "solve_s"
+    runs = {side: [] for side in sides}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(perfbench(sides[side], workload, seed, seconds, trace))
+            print(f"{workload}{' traced' if trace else ''} seed {seed} {side}: "
+                  f"{shown} {runs[side][-1][shown]:.4f}", file=sys.stderr)
+    return {side: {"median": medians(side_runs), "runs": side_runs} for side, side_runs in runs.items()}
 
 
 def commit(checkout: Path) -> str:
@@ -129,25 +154,11 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in WORKLOADS:
-        runs = {side: [] for side in sides}
-        for i, seed in enumerate(out["seeds"]):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(perfbench(sides[side], workload, seed, seconds, False))
-                print(f"{workload} seed {seed} {side}: solve_s {runs[side][-1]['solve_s']:.3f}",
-                      file=sys.stderr)
-        out["workloads"][workload] = {
-            side: {
-                "median": {name: statistics.median(r[name] for r in side_runs)
-                           for name in side_runs[0]},
-                "runs": side_runs,
-            }
-            for side, side_runs in runs.items()
-        }
+        out["workloads"][workload] = alternating_runs(sides, workload, out["seeds"], seconds, False)
+    trace_seeds = [TRACE_SEED + i for i in range(TRACE_RUNS)]
     out["traced_sweep_b3"] = {
-        "seed": TRACE_SEED,
-        **{side: perfbench(path, "sweep-b3", TRACE_SEED, seconds, True)
-           for side, path in sides.items()},
+        "seeds": trace_seeds,
+        **alternating_runs(sides, "sweep-b3", trace_seeds, seconds, True),
     }
     out["judgement"] = judge(out, benchmark["end_to_end"])
     print("\n".join(judgement_lines(out["judgement"])), file=sys.stderr)

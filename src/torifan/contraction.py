@@ -15,7 +15,9 @@ quotient by x0 is the fan of F_a), and it pins the anticanonical degree
 of the image curve to exactly 2. Each candidate is tested on the
 coordinates of y- in the cone (x0, x+, y+), read from the cone inverse
 (``maximal_cone_normals``); x- needs no test, because the relation fixes its
-coordinates. The basis change U is built once, for the witness returned.
+coordinates. The rows of that inverse also give the basis change U, built
+once, for the witness returned. The ``small`` shape is told from ``other``
+by cross products of the rays, so nothing here solves or inverts.
 
 The weakened verdict reads the shape of each degree-0 relation before its
 extremality, and the table of contractions is computed only when asked for.
@@ -26,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fan import Fan, cone_contains, maximal_cone_normals, memoised, star
-from .lattice import Matrix, invert_unimodular, matmul, matvec
+from .fan import Fan, maximal_cone_normals, memoised, star
+from .lattice import Matrix, cross, matmul, matvec, vdot
 from .primitive import (
     PrimitiveRelation,
     is_extremal,
@@ -84,13 +86,16 @@ def zero_two_normal_form_witness(
     all 2 x 2 choices.
 
     U = N * B^-1, with B the columns x0, x+, y+ and N the same columns in
-    normal form, so U*y- = (alpha + beta, beta, gamma) for the coordinates
-    (alpha, beta, gamma) of y- along x0, x+, y+: the rows of the cone inverse
-    (``maximal_cone_normals``) applied to y-. On a valid fan gamma = -1:
-    |gamma| = 1 because the cone (x0, x+, y-) is unimodular, and gamma < 0
-    because y- lies across the wall (x0, x+) from y+. The relation fixes the
+    normal form. The cone inverse (``maximal_cone_normals``) of the sorted
+    cone {x0, x+, y+} is B^-1 with its rows reordered (row k gives the
+    coordinate along the k-th ray), so B^-1 is its rows for x0, x+ and y+,
+    and U costs one product, for the witness returned, and no inversion.
+    U*y- = (alpha + beta, beta, gamma) for the coordinates (alpha, beta,
+    gamma) of y- along x0, x+, y+. On a valid fan gamma = -1: |gamma| = 1
+    because the cone (x0, x+, y-) is unimodular, and gamma < 0 because y-
+    lies across the wall (x0, x+) from y+. The relation fixes the
     coordinates of x- at (2, -1, 0), which U maps to (1, -1, 0), so x- needs
-    no test either. U itself is built once, for the witness returned.
+    no test either.
     """
     inverses = maximal_cone_normals(fan)
     if fan.dim != 3:
@@ -110,12 +115,12 @@ def zero_two_normal_form_witness(
     for xp, xm in (pair, pair[::-1]):
         for yp, ym in (tuple(side_rays), tuple(side_rays[::-1])):
             cone = tuple(sorted((x0, xp, yp)))
-            coords = dict(zip(cone, matvec(inverses[fan.max_cones.index(cone)], fan.rays[ym])))
-            beta = coords[xp]
-            if coords[x0] + beta != 0 or beta < 0:
+            rows = dict(zip(cone, inverses[fan.max_cones.index(cone)]))
+            basis_inverse = (rows[x0], rows[xp], rows[yp])
+            alpha, beta, _ = matvec(basis_inverse, fan.rays[ym])
+            if alpha + beta != 0 or beta < 0:
                 continue
-            u = matmul(_NORMAL_FORM_BASIS, invert_unimodular(fan.cone_columns((x0, xp, yp))))
-            return u, (x0, xp, xm, yp, ym), beta
+            return matmul(_NORMAL_FORM_BASIS, basis_inverse), (x0, xp, xm, yp, ym), beta
     return None
 
 
@@ -127,6 +132,14 @@ def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
     extremality, so the verdict can look at it before running any LP. Only
     an extremal relation actually defines a contraction; see
     ``crepant_contractions``.
+
+    A relation x1 + x2 = y1 + y2 is ``other`` when both y lie in the cone
+    on x1 and x2, and ``small`` otherwise. With a = x1, b = x2 and n = a x b,
+    t lies in cone(a, b) exactly when n.t = 0, (a x t).n >= 0 and
+    (t x b).n >= 0: for t = lambda*a + mu*b, a x t = mu*n and
+    t x b = lambda*n. Here n != 0, since the rays are distinct and
+    primitive, and b = -a would make the pair sum to 0, a relation with no
+    coefficients.
     """
     if fan.dim != 3:
         raise ValueError("contraction classification is specific to 3-folds")
@@ -148,9 +161,11 @@ def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
         return ContractionKind("divisor_to_point")
 
     if len(rel.collection) == 2 and len(rel.coeffs) == 2:
-        targets = [i for i, _ in rel.coeffs]
+        a, b = (fan.rays[i] for i in rel.collection)
+        n = cross(a, b)
         contained = all(
-            cone_contains(fan, rel.collection, fan.rays[t]) for t in targets
+            vdot(n, t) == 0 and vdot(cross(a, t), n) >= 0 and vdot(cross(t, b), n) >= 0
+            for t in (fan.rays[i] for i, _ in rel.coeffs)
         )
         return ContractionKind("other") if contained else ContractionKind("small")
 

@@ -25,7 +25,6 @@ from .lattice import (
     is_primitive,
     matrix_from_columns,
     matvec,
-    solve_rational,
     vdot,
     vsum,
 )
@@ -370,18 +369,6 @@ def validate(fan: Fan) -> ValidationReport:
                     offending.append(("improper_intersection", (0, cj)))
     kept = (tuple(normals), degrees) if is_smooth and is_complete else ((), {})
     return ValidationReport(is_simplicial, is_smooth, is_complete, tuple(offending), *kept)
-
-
-def cone_contains(fan: Fan, cone: Sequence[int], v: Sequence[int]) -> bool:
-    """Membership of a point in a (sub)cone via exact generator coordinates.
-
-    Points outside the linear span are never contained.
-    """
-    gens = list(cone)
-    if not gens:
-        return all(x == 0 for x in v)
-    coords = solve_rational(fan.cone_columns(gens), v)
-    return coords is not None and all(c >= 0 for c in coords)
 
 
 def star(fan: Fan, ray_index: int) -> tuple[Cone, ...]:

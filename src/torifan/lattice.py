@@ -1,27 +1,26 @@
-"""Exact integer and rational linear algebra over Z^d.
+"""Exact integer linear algebra over Z^d.
 
 Everything here works with plain Python ints (arbitrary precision); there is
 no floating point anywhere in the package. Matrices are stored as tuples of
 rows. A ``Fan`` has 1 to 3 coordinates, so ``vdot`` of 2- and 3-entry
-vectors and ``matvec`` of 2 x 2 and 3 x 3 matrices are written out in closed
-form (tuple unpacking and one arithmetic expression per entry, no generator
-or per-row loop), and no determinant is taken above 3 x 3; a cone's is read
-from its adjugate (``fan.cone_det_and_normals``). Other shapes, and the
-other vector kernels (``vadd``, ``vsum``, ``matrix_from_columns``), run on
-``map`` with ``operator`` functions, ``sum`` and ``zip(*...)``. Every kernel
-raises ``ValueError`` on vectors of mismatched lengths instead of
-truncating; in the closed forms the unpacking does that. Elimination is
-integer-preserving (Edmonds 1967; Bareiss 1968): one pivot step, ``_pivot``,
-serves ``solve_rational`` and the simplex of ``has_nonneg_combination``.
-Only the result of ``solve_rational`` is a ``fractions.Fraction``.
+vectors, ``cross`` and ``matvec`` of 2 x 2 and 3 x 3 matrices are written
+out in closed form (tuple unpacking and one arithmetic expression per entry,
+no generator or per-row loop), and no determinant is taken above 3 x 3; a
+cone's is read from its adjugate (``fan.cone_det_and_normals``), whose rows
+on a unimodular cone are its inverse, so nothing here inverts or solves a
+square system. Other shapes, and the other vector kernels (``vadd``,
+``vsum``, ``matrix_from_columns``), run on ``map`` with ``operator``
+functions, ``sum`` and ``zip(*...)``. Every kernel raises ``ValueError`` on
+vectors of mismatched lengths instead of truncating; in the closed forms
+the unpacking does that. The one elimination is the simplex of
+``has_nonneg_combination``, kept integral by the pivot step ``_pivot``
+(Edmonds 1967; Bareiss 1968).
 """
-
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -46,6 +45,13 @@ def vdot(a: Sequence, b: Sequence):
     if n != len(b):
         raise ValueError(f"vectors of lengths {n} and {len(b)} do not match")
     return sum(map(mul, a, b))
+
+
+def cross(a: Sequence[int], b: Sequence[int]) -> Vector:
+    """Cross product of two 3-vectors."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 def vsum(vectors: Sequence[Vector], dim: int) -> Vector:
@@ -105,52 +111,12 @@ def _pivot(rows: list[list[int]], r: int, e: int, prev: int) -> int:
     return p
 
 
-def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination on the first ``ncols`` columns.
-
-    Works in place, pivoting on the first nonzero entry of each column in
-    turn. Returns the pivot columns (pivot i sits in row i) and the divisor
-    of the final tableau. Every pivot row then holds the divisor in its
-    pivot column, and zeros in the others.
-    """
-    pivots: list[int] = []
-    divisor = 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        divisor = _pivot(rows, r, c, divisor)
-        pivots.append(c)
-    return pivots, divisor
-
-
 def is_primitive(v: Sequence[int]) -> bool:
     """True iff the gcd of the coordinates is 1. Rejects the zero vector."""
     g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive direction")
     return g == 1
-
-
-def solve_rational(a: Matrix, b: Sequence[int]) -> Optional[list[Fraction]]:
-    """One exact solution of a*x = b, or None if the system is inconsistent.
-
-    ``a`` is row-major (m rows, n cols) with ``b`` integral; free variables
-    are set to zero.
-    """
-    n = len(a[0]) if a else 0
-    rows = [[*row, y] for row, y in zip(a, b, strict=True)]
-    pivots, divisor = _eliminate(rows, n)
-    if any(row[n] != 0 for row in rows[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(rows, pivots):
-        x[c] = Fraction(row[n], divisor)
-    return x
 
 
 def adjugate(m: Matrix) -> Matrix:
@@ -170,18 +136,6 @@ def adjugate(m: Matrix) -> Matrix:
     if n == 1 and len(m[0]) == 1:
         return ((1,),)
     raise ValueError("adjugate takes a square matrix of size 1 to 3")
-
-
-def invert_unimodular(m: Matrix) -> Matrix:
-    """Exact integer inverse of a matrix with determinant +-1."""
-    adj = adjugate(m)
-    # entry (0, 0) of adj(m) * m = det(m) * I
-    det = sum(a * row[0] for a, row in zip(adj[0], m))
-    if det == 1:
-        return adj
-    if det == -1:
-        return tuple(tuple(-x for x in row) for row in adj)
-    raise ValueError("matrix is not unimodular")
 
 
 def has_nonneg_combination(columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:

@@ -23,7 +23,8 @@ def anticanonical_degree(fan: Fan) -> int:
     With xi = (1, B, ..., B^(d-1)) and B above every |normal entry|, no
     <w_j, xi> is zero. No convexity is assumed, so the sum is (-K)^d also
     where -K is not nef; on weak Fano fans it is d! times the volume of the
-    polytope {m : <m, ray> >= -1}.
+    polytope {m : <m, ray> >= -1}. A sum that is not an integer is a fault
+    of the package, and raises ``ArithmeticError`` even under ``python -O``.
     """
     normals = maximal_cone_normals(fan)
     base = 1 + max(abs(x) for rows in normals for row in rows for x in row)
@@ -32,5 +33,6 @@ def anticanonical_degree(fan: Fan) -> int:
     for rows in normals:
         weights = [vdot(row, xi) for row in rows]
         total += Fraction((-sum(weights)) ** fan.dim, prod(-w for w in weights))
-    assert total.denominator == 1, "Brion's sum over a smooth complete fan is an integer"
+    if total.denominator != 1:
+        raise ArithmeticError(f"Brion's sum over a smooth complete fan must be an integer, not {total}")
     return int(total)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own code paths: determinants by
 cofactor expansion, invariant factors by minor gcds, linear solves by a
-separate Gaussian elimination over Fraction, nonnegative feasibility by the
+separate division-free Gauss-Jordan elimination (and with it unimodular
+inverses and cone membership), nonnegative feasibility by the
 Fraction simplex that the integer-preserving one replaced, areas by the
 shoelace formula, and fan completeness by the pairwise proper-intersection
 search that ``validate`` used before its linear-time checks.
@@ -14,7 +15,8 @@ with its volume by a star triangulation at the origin (``degree = d! *
 volume`` checks Brion's formula in ``polytope.anticanonical_degree``), the
 kernel directions of the pairwise search, the two-element relation
 trichotomy, the Hirzebruch fans, the zero-two witness that inverted each
-candidate basis, the subset scan for primitive collections, the section
+candidate basis, the contraction shapes that solved for cone coordinates,
+the subset scan for primitive collections, the section
 relation that the 3-fold sweep located at each point of its box and the
 bundle relations it lifted from it, the counterclockwise comparator that
 ``fan.ccw_sorted`` sorted by, the surface search that built, judged and
@@ -28,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Optional
@@ -65,10 +67,17 @@ def minor_gcd_invariant_factors(m) -> list[int]:
 
 
 def gauss_solve(a, b):
-    """Solve a*x = b over Fraction, or None; a is a list of rows."""
+    """Solve a*x = b exactly, or None; a is a list of rows, x a list of Fractions.
+
+    Gauss-Jordan elimination without division: clearing column c of row i
+    replaces it by p * row_i - f * pivot_row, for the pivot p and f =
+    row_i[c], so integer input stays integral until x is read off as
+    Fractions. The systems here have at most a few rows, so the entries
+    stay small.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    aug = [[*row, y] for row, y in zip(a, b)]
     where = [-1] * n
     row = 0
     for col in range(n):
@@ -76,20 +85,55 @@ def gauss_solve(a, b):
         if sel is None:
             continue
         aug[row], aug[sel] = aug[sel], aug[row]
+        top = aug[row]
+        p = top[col]
         for i in range(m):
-            if i != row:
-                factor = aug[i][col] / aug[row][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row])]
+            f = aug[i][col]
+            if i != row and f != 0:
+                aug[i] = [p * x - f * y for x, y in zip(aug[i], top)]
         where[col] = row
         row += 1
+    # rows past the pivots are zero on the left, so they hold exactly when
+    # their right-hand side is 0; the pivot rows hold with free variables 0
+    if any(aug[i][n] != 0 for i in range(row, m)):
+        return None
     x = [Fraction(0)] * n
     for col in range(n):
         if where[col] != -1:
-            x[col] = aug[where[col]][n] / aug[where[col]][col]
-    for i in range(m):
-        if sum(aug_x * xx for aug_x, xx in zip(aug[i][:n], x)) != aug[i][n]:
-            return None
+            x[col] = Fraction(aug[where[col]][n]) / aug[where[col]][col]
     return x
+
+
+@lru_cache(maxsize=None)
+def reference_unimodular_inverse(m):
+    """Integer inverse of a square matrix of determinant +-1, one column per
+    ``gauss_solve`` of m*x = e_j; ``ValueError`` for any other matrix.
+
+    m is singular exactly when some e_j is outside its column span, and an
+    invertible integer matrix has an integer inverse exactly when its
+    determinant is +-1. m is a tuple of rows; the inverses are cached, as
+    the witness and isomorphism references invert the same bases over and
+    over across the bundles of one fiber.
+    """
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise ValueError("not a square matrix")
+    rows = [list(row) for row in m]
+    columns = [gauss_solve(rows, [int(i == j) for i in range(n)]) for j in range(n)]
+    if any(col is None or any(x.denominator != 1 for x in col) for col in columns):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(int(col[i]) for col in columns) for i in range(n))
+
+
+def reference_cone_contains(fan, cone, v) -> bool:
+    """``fan.cone_contains`` as the library had it: v is in the cone when
+    ``gauss_solve`` finds coordinates along its rays and all are >= 0.
+    Points outside the linear span are never contained."""
+    if not cone:
+        return all(x == 0 for x in v)
+    columns = [[fan.rays[i][r] for i in cone] for r in range(fan.dim)]
+    coords = gauss_solve(columns, v)
+    return coords is not None and all(c >= 0 for c in coords)
 
 
 def _ccw_around_centroid(points) -> list:
@@ -748,7 +792,7 @@ def reference_find_isomorphism(f, g):
     from itertools import permutations
 
     from torifan.isomorphism import FanIso
-    from torifan.lattice import invert_unimodular, matmul, matvec
+    from torifan.lattice import matmul, matvec
 
     if f.dim != g.dim:
         return None
@@ -761,7 +805,7 @@ def reference_find_isomorphism(f, g):
     basis = tuple(
         tuple(f.rays[i][r] for i in anchor_sorted) for r in range(f.dim)
     )
-    basis_inv = invert_unimodular(basis)
+    basis_inv = reference_unimodular_inverse(basis)
     g_ray_index = {r: i for i, r in enumerate(g.rays)}
     g_cone_set = set(g.max_cones)
     for target in sorted(g.max_cones):
@@ -791,13 +835,13 @@ def reference_canonical_key(fan) -> bytes:
     import json
     from itertools import permutations
 
-    from torifan.lattice import invert_unimodular, matvec
+    from torifan.lattice import matvec
 
     best = None
     for cone in fan.max_cones:
         for perm in permutations(cone):
             basis = tuple(tuple(fan.rays[i][r] for i in perm) for r in range(fan.dim))
-            transform = invert_unimodular(basis)
+            transform = reference_unimodular_inverse(basis)
             transformed = tuple(matvec(transform, r) for r in fan.rays)
             rays = sorted(transformed)
             remap = {r: new_index for new_index, r in enumerate(rays)}
@@ -827,7 +871,7 @@ def reference_zero_two_witness(fan, rel):
     """
     from torifan.contraction import _NORMAL_FORM_BASIS
     from torifan.fan import star
-    from torifan.lattice import invert_unimodular, matmul, matvec
+    from torifan.lattice import matmul, matvec
 
     if fan.dim != 3:
         return None
@@ -852,7 +896,7 @@ def reference_zero_two_witness(fan, rel):
                 tuple(fan.rays[i][r] for i in (x0, xp, yp)) for r in range(3)
             )
             try:
-                u = matmul(_NORMAL_FORM_BASIS, invert_unimodular(basis))
+                u = matmul(_NORMAL_FORM_BASIS, reference_unimodular_inverse(basis))
             except ValueError:
                 continue
             if matvec(u, fan.rays[xm]) != (1, -1, 0):
@@ -871,6 +915,28 @@ def reference_zero_two_witness(fan, rel):
                 continue
             return u, (x0, xp, xm, yp, ym), a
     return None
+
+
+def reference_contraction_shape(fan, rel):
+    """``contraction.contraction_shape`` as it was before it read the cone
+    inverses and cross products: the zero-two shape from
+    ``reference_zero_two_witness``, and for x1 + x2 = y1 + y2 the
+    coordinates of each y in the cone on x1 and x2 from
+    ``reference_cone_contains``. Takes a degree-0 relation on a 3-fold."""
+    from torifan.contraction import ContractionKind
+
+    if len(rel.collection) == 2 and len(rel.coeffs) == 1:
+        witness = reference_zero_two_witness(fan, rel)
+        if witness is None or witness[2] > 2:
+            return ContractionKind("other")
+        return ContractionKind("zero_two", a=witness[2], exceptional_ray=witness[1][0])
+    if len(rel.collection) == 3 and len(rel.coeffs) == 1:
+        return ContractionKind("divisor_to_point")
+    if len(rel.collection) == 2 and len(rel.coeffs) == 2:
+        if all(reference_cone_contains(fan, rel.collection, fan.rays[t]) for t, _ in rel.coeffs):
+            return ContractionKind("other")
+        return ContractionKind("small")
+    return ContractionKind("other")
 
 
 def reference_primitive_collections(fan):

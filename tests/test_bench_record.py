@@ -68,3 +68,31 @@ def test_judge_the_wall_table_record():
     assert sweep["parent"]["q3"] - sweep["parent"]["q1"] == pytest.approx(0.00245, abs=5e-5)
     query = judgement["query-mix"]["solve_s"]
     assert query["won"] == 10 and query["relative"] == pytest.approx(-0.124, abs=1e-3)
+
+
+def test_per_layer_medians_of_three_traced_runs(monkeypatch):
+    # perfbench itself is replaced: each run reports its side, seed and a
+    # per-layer time, and the calls are logged in order
+    order = []
+
+    def fake_perfbench(checkout, workload, seed, seconds, trace):
+        order.append((checkout, seed))
+        self_s = {"parent": [0.050, 0.026, 0.040], "change": [0.033, 0.031, 0.090]}[checkout]
+        # like perfbench's traced runs, no end-to-end metric such as solve_s
+        run = {"fan.validate.self_s": self_s[seed - bench_record.TRACE_SEED], "fan.validate.calls": 317}
+        if seed != bench_record.TRACE_SEED:
+            run["only_in_some_runs"] = 1.0
+        return run
+
+    monkeypatch.setattr(bench_record, "perfbench", fake_perfbench)
+    seeds = [bench_record.TRACE_SEED + i for i in range(bench_record.TRACE_RUNS)]
+    sides = {"parent": "parent", "change": "change"}
+    traced = bench_record.alternating_runs(sides, "sweep-b3", seeds, 1, True)
+    first, second, third = seeds
+    assert order == [("parent", first), ("change", first), ("change", second), ("parent", second),
+                     ("parent", third), ("change", third)]
+    assert [r["fan.validate.self_s"] for r in traced["parent"]["runs"]] == [0.050, 0.026, 0.040]
+    # the median of each metric that every run reports, next to the runs
+    assert traced["parent"]["median"] == {"fan.validate.calls": 317, "fan.validate.self_s": 0.040}
+    assert traced["change"]["median"]["fan.validate.self_s"] == 0.033
+    assert bench_record.medians([{"a": 1, "b": 5}, {"a": 3}, {"a": 2, "b": 7}]) == {"a": 2}

@@ -10,16 +10,19 @@ from torifan.contraction import (
     is_weakened_fano,
     zero_two_normal_form_witness,
 )
-from torifan.fan import Fan, cone_contains, fan_from_rays_2d
+from torifan.fan import Fan, fan_from_rays_2d
 from torifan.lattice import matvec, vsum
 from torifan.primitive import is_extremal, is_fano, is_weak_fano, primitive_collections
 
 from _oracles import (
     eager_weakened_verdict,
+    gauss_solve,
     in_relative_interior,
     random_unimodular,
     rebase_fan,
     reference_bundle_relations,
+    reference_cone_contains,
+    reference_contraction_shape,
     reference_section_relation,
     reference_zero_two_witness,
 )
@@ -68,7 +71,7 @@ class TestClassifyContraction:
         assert len(rel.coeffs) == 2
         # the section cone does not contain the target cone here
         targets = [i for i, _ in rel.coeffs]
-        assert not all(cone_contains(fan, rel.collection, fan.rays[t]) for t in targets)
+        assert not all(reference_cone_contains(fan, rel.collection, fan.rays[t]) for t in targets)
         assert contraction_shape(fan, rel).kind == "small"
 
     def test_crepancy_offset_must_vanish(self):
@@ -129,15 +132,20 @@ class TestNormalFormWitness:
                     key = tuple(sorted([(1, 0, 0), pair, section]))
                     assert key in transformed
 
-    def test_witness_agrees_with_the_reference_on_every_degree_zero_relation(self):
-        """The witness reads the cone inverses and builds U once; the
-        version that inverted every candidate basis must return the same
-        (U, names, a) or None. The fans: the catalog 3-folds, every bundle
-        over the 16 fibers with w+ in [-6, 6]^2 and w- in {(0, 0), (1, -1)},
-        and 400 seeded rebasings of those with an x+ + x- = 2*x0 relation of
-        degree 0, the only shape the witness searches."""
+    def test_shapes_and_witnesses_agree_with_the_references(self):
+        """``contraction_shape`` decides the small shape by cross products,
+        and the witness reads its candidates and its U from the cone
+        inverses. The routes that solved for cone coordinates and inverted
+        every candidate basis must give the same shape, and the same
+        (U, names, a) or None, on every degree-0 relation. The fans: the 18
+        catalog 3-folds, every bundle over the 16 fibers with w+ in
+        [-6, 6]^2 and w- in {(0, 0), (1, -1)}, which holds the 1296 bundles
+        of the [-4, 4]^2 box with w- = (0, 0), and 400 seeded rebasings of
+        those with an x+ + x- = 2*x0 relation of degree 0, the only shape
+        the witness searches."""
         fans = [
-            (nf.fan, primitive_collections(nf.fan)) for nf in all_named().values() if nf.fan.dim == 3
+            ("catalog", nf.fan, primitive_collections(nf.fan))
+            for nf in all_named().values() if nf.fan.dim == 3
         ]
         for nf in surfaces():
             for plus in ((sx, sy) for sx in range(-6, 7) for sy in range(-6, 7)):
@@ -145,24 +153,37 @@ class TestNormalFormWitness:
                     fan = build_bundle(nf.fan, plus, minus)
                     assert fan.report.ok and len(fan.max_cones) == 2 * len(nf.fan.max_cones)
                     section = reference_section_relation(nf.fan, plus, minus)
-                    fans.append((fan, reference_bundle_relations(nf.fan, section)))
+                    group = "box" if max(map(abs, plus)) <= 4 and minus == (0, 0) else "bundle"
+                    fans.append((group, fan, reference_bundle_relations(nf.fan, section)))
         doubled = [
-            fan for fan, rels in fans
+            fan for _, fan, rels in fans
             if any(r.degree == 0 and len(r.coeffs) == 1 and r.coeffs[0][1] == 2 for r in rels)
         ]
         rng = random.Random(41)
         for _ in range(400):
             fan = rebase_fan(rng.choice(doubled), random_unimodular(rng, 3))
-            fans.append((fan, primitive_collections(fan)))
-        found = absent = 0
-        for fan, rels in fans:
+            fans.append(("rebased", fan, primitive_collections(fan)))
+        # group -> [fans, degree-0 relations, x1 + x2 = y1 + y2, small, witnesses]
+        counts = {group: [0] * 5 for group in ("catalog", "box", "bundle", "rebased")}
+        for group, fan, rels in fans:
+            tally = counts[group]
+            tally[0] += 1
             for rel in rels:
-                if rel.degree == 0:
-                    witness = zero_two_normal_form_witness(fan, rel)
-                    assert witness == reference_zero_two_witness(fan, rel), (fan.to_dict(), rel)
-                    found += witness is not None
-                    absent += witness is None
-        assert len(fans) == 5826 and found == 999 and absent == 14765
+                if rel.degree != 0:
+                    continue
+                shape = contraction_shape(fan, rel)
+                assert shape == reference_contraction_shape(fan, rel), (fan.to_dict(), rel)
+                witness = zero_two_normal_form_witness(fan, rel)
+                assert witness == reference_zero_two_witness(fan, rel), (fan.to_dict(), rel)
+                tally[1] += 1
+                tally[2] += len(rel.collection) == 2 and len(rel.coeffs) == 2
+                tally[3] += shape.kind == "small"
+                tally[4] += witness is not None
+        assert counts["catalog"][0] == 18 and counts["catalog"][4] == 36
+        assert counts["box"] == [1296, 3513, 744, 96, 305]
+        assert len(fans) == 5826
+        assert sum(tally[1] for tally in counts.values()) == 999 + 14765
+        assert sum(tally[4] for tally in counts.values()) == 999
 
     def test_witness_refuses_a_fan_that_does_not_validate(self):
         fan = named_fan("X3_0").fan
@@ -176,6 +197,33 @@ class TestNormalFormWitness:
         fan = build_bundle(fiber, (1, 0), (1, 0))
         rel = crepant_double_relation(fan)
         assert zero_two_normal_form_witness(fan, rel) is None
+
+
+class TestReferenceConeContains:
+    """``reference_cone_contains``, the route that ``contraction_shape`` took
+    for the small shape before it used cross products."""
+
+    def test_interior_point(self):
+        fan = fan_from_rays_2d([(1, 0), (0, 1), (-1, -1)])
+        assert reference_cone_contains(fan, (0, 1), (1, 1))
+
+    def test_face_point_not_interior(self):
+        # membership is closed: a point on a proper face, not interior, is contained
+        fan = fan_from_rays_2d([(1, 0), (0, 1), (-1, -1)])
+        assert reference_cone_contains(fan, (0, 1), (1, 0))
+        assert not reference_cone_contains(fan, (0, 1), (-1, 0))
+
+    def test_exact_coordinates_in_3d(self):
+        # (2,1,1) = 1*(1,0,0) + 1*(1,1,0) + 1*(0,0,1)
+        cols = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+        assert gauss_solve(cols, [2, 1, 1]) == [1, 1, 1]
+        fan = Fan(3, ((1, 0, 0), (1, 1, 0), (0, 0, 1)), ((0, 1, 2),))
+        assert reference_cone_contains(fan, (0, 1, 2), (2, 1, 1))
+
+    def test_outside_span(self):
+        fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),))
+        assert not reference_cone_contains(fan, (0, 1), (0, 0, 1))
+        assert reference_cone_contains(fan, (0, 1), (1, 1, 0))
 
 
 class TestWeakenedPredicate:

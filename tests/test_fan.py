@@ -7,7 +7,6 @@ from torifan.fan import (
     Fan,
     build_bundle,
     ccw_sorted,
-    cone_contains,
     cone_det_and_normals,
     fan_from_json,
     fan_from_rays_2d,
@@ -25,7 +24,6 @@ from torifan.polytope import anticanonical_degree
 from torifan.primitive import bundle_candidates, is_fano, is_weak_fano, primitive_collections
 from _oracles import (
     cofactor_det,
-    gauss_solve,
     pair_is_proper,
     pairwise_validate,
     random_unimodular,
@@ -414,28 +412,6 @@ def test_ccw_sorted_agrees_with_the_reference_comparator():
     assert len(blowups) == 96
     for rays in blowups:
         assert ccw_sorted(rays) == reference_ccw_sorted(rays)
-
-
-class TestContains:
-    def test_interior_point(self):
-        fan = fan_from_rays_2d([(1, 0), (0, 1), (-1, -1)])
-        assert cone_contains(fan, (0, 1), (1, 1))
-
-    def test_face_point_not_interior(self):
-        # membership is closed: a point on a proper face, not interior, is contained
-        fan = fan_from_rays_2d([(1, 0), (0, 1), (-1, -1)])
-        assert cone_contains(fan, (0, 1), (1, 0))
-
-    def test_exact_coordinates_in_3d(self):
-        # oracle: (2,1,1) = 1*(1,0,0) + 1*(1,1,0) + 1*(0,0,1)
-        cols = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
-        assert gauss_solve(cols, [2, 1, 1]) == [1, 1, 1]
-        fan = Fan(3, ((1, 0, 0), (1, 1, 0), (0, 0, 1)), ((0, 1, 2),))
-        assert cone_contains(fan, (0, 1, 2), (2, 1, 1))
-
-    def test_outside_span(self):
-        fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),))
-        assert not cone_contains(fan, (0, 1), (0, 0, 1))
 
 
 class TestStar:

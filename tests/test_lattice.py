@@ -4,13 +4,12 @@ import pytest
 
 from torifan.lattice import (
     adjugate,
+    cross,
     has_nonneg_combination,
-    invert_unimodular,
     is_primitive,
     matmul,
     matrix_from_columns,
     matvec,
-    solve_rational,
     vadd,
     vdot,
     vsum,
@@ -23,6 +22,7 @@ from _oracles import (
     gauss_solve,
     make_primitive,
     minor_gcd_invariant_factors,
+    reference_unimodular_inverse,
 )
 
 
@@ -39,16 +39,18 @@ def scaled_identity(det, n):
 
 
 class TestDeterminant:
-    """``adjugate`` and ``invert_unimodular`` against cofactor expansion:
-    adj(m) * m = det(m) * I with det from ``_oracles.cofactor_det``. The
-    package has no determinant function; it reads det as entry (0, 0) of that
-    product (``fan.cone_det_and_normals``, ``invert_unimodular``). A fan has
-    at most 3 coordinates, so ``adjugate`` takes sizes 1 to 3 only."""
+    """``adjugate`` against cofactor expansion: adj(m) * m = det(m) * I with
+    det from ``_oracles.cofactor_det``. The package has no determinant or
+    inverse function; it reads det as entry (0, 0) of that product
+    (``fan.cone_det_and_normals``), and on a unimodular cone the signed
+    adjugate is the inverse. A fan has at most 3 coordinates, so
+    ``adjugate`` takes sizes 1 to 3 only. The oracles' own inverse,
+    ``reference_unimodular_inverse``, is checked against it here."""
 
     def test_identity(self):
         m = identity(3)
         assert adjugate(m) == m
-        assert invert_unimodular(m) == m
+        assert reference_unimodular_inverse(m) == m
 
     def test_cofactor_oracle_case(self):
         m = columns((1, 0, 0), (1, 1, 0), (0, 0, 1))
@@ -59,7 +61,7 @@ class TestDeterminant:
         m = columns((1, 0), (-1, 0))
         assert matmul(adjugate(m), m) == scaled_identity(0, 2)
         with pytest.raises(ValueError):
-            invert_unimodular(m)
+            reference_unimodular_inverse(m)
 
     def test_non_square_rejected(self):
         for m in (
@@ -71,8 +73,11 @@ class TestDeterminant:
         ):
             with pytest.raises(ValueError):
                 adjugate(m)
-            with pytest.raises(ValueError):
-                invert_unimodular(m)
+            if len(m) != 4:
+                with pytest.raises(ValueError):
+                    reference_unimodular_inverse(m)
+        # the oracle takes any size
+        assert reference_unimodular_inverse(identity(4)) == identity(4)
 
     def test_matches_cofactor_expansion_on_random_matrices(self):
         rng = random.Random(7)
@@ -90,17 +95,20 @@ class TestDeterminant:
             singular += det == 0
             if det in (1, -1):
                 unimodular += 1
-                assert matmul(m, invert_unimodular(m)) == identity(n), m
+                inverse = reference_unimodular_inverse(m)
+                assert matmul(m, inverse) == identity(n), m
+                # the inverse is adj(m) / det(m)
+                assert inverse == tuple(tuple(det * x for x in row) for row in adjugate(m)), m
             else:
                 with pytest.raises(ValueError):
-                    invert_unimodular(m)
+                    reference_unimodular_inverse(m)
         assert singular > 20 and unimodular > 20
 
 
 class TestVectorKernels:
     """The kernels against entrywise loops, and their length checks. ``vdot``
-    of 2 and 3 entries and ``matvec`` of 2 x 2 and 3 x 3 matrices have closed
-    forms; other shapes take the generic map/zip path."""
+    of 2 and 3 entries, ``cross`` and ``matvec`` of 2 x 2 and 3 x 3 matrices
+    have closed forms; other shapes take the generic map/zip path."""
 
     def test_match_entrywise_loops_on_random_vectors(self):
         rng = random.Random(5)
@@ -131,6 +139,18 @@ class TestVectorKernels:
             assert vdot(a, b) == sum(a[i] * b[i] for i in range(n))
             assert vdot(list(a), b) == vdot(a, b)
             assert matvec(rows, a) == tuple(sum(r[i] * a[i] for i in range(n)) for r in rows)
+
+    def test_cross_against_cofactor_expansion(self):
+        # (a x b) . c = det(a, b, c) for every c determines a x b
+        rng = random.Random(11)
+        basis = identity(3)
+        for _ in range(200):
+            a = tuple(rng.randint(-10**6, 10**6) for _ in range(3))
+            b = tuple(rng.randint(-9, 9) for _ in range(3))
+            assert cross(a, b) == tuple(cofactor_det([list(a), list(b), list(e)]) for e in basis)
+        for a, b in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2, 3, 4))):
+            with pytest.raises(ValueError):
+                cross(a, b)
 
     def test_vadd_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -204,14 +224,19 @@ class TestPrimitivity:
         assert make_primitive((4, -6)) == (2, -3)
 
 
-class TestSolvers:
-    def test_solve_rational_consistency(self):
-        sol = solve_rational(((1, 1), (0, 1)), (3, 1))
-        assert sol == [2, 1]
-        assert solve_rational(((1, 1), (2, 2)), (1, 2)) is not None
-        assert solve_rational(((1, 1), (2, 2)), (1, 3)) is None
+class TestGaussSolveOracle:
+    """``_oracles.gauss_solve``, on which the oracles' unimodular inverse and
+    cone membership rest, against ranks by minors: a system is consistent
+    exactly when appending b keeps the rank (Rouche-Capelli), and a returned
+    x must satisfy it exactly, with 0 on the free columns, so at most
+    rank(a) of its entries are nonzero."""
 
-    def test_solve_rational_matches_fraction_gauss_jordan(self):
+    def test_small_cases(self):
+        assert gauss_solve([[1, 1], [0, 1]], [3, 1]) == [2, 1]
+        assert gauss_solve([[1, 1], [2, 2]], [1, 2]) == [1, 0]
+        assert gauss_solve([[1, 1], [2, 2]], [1, 3]) is None
+
+    def test_random_systems(self):
         rng = random.Random(29)
         deficient = inconsistent = zero_rhs = 0
         for _ in range(3000):
@@ -233,20 +258,17 @@ class TestSolvers:
                 b = [sum(c * y for c, y in zip(row, x)) for row in a]
             else:
                 b = [rng.randint(-6, 6) for _ in range(m)]
-            expected = gauss_solve(a, b)
-            got = solve_rational(tuple(map(tuple, a)), tuple(b))
-            assert got == expected, (a, b)
-            deficient += cofactor_rank(a) < min(m, n)
-            inconsistent += expected is None
+            got = gauss_solve(a, b)
+            rank = cofactor_rank(a)
+            consistent = rank == cofactor_rank([row + [y] for row, y in zip(a, b)])
+            assert (got is not None) == consistent, (a, b)
+            if got is not None:
+                assert [sum(c * y for c, y in zip(row, got)) for row in a] == b, (a, b)
+                assert sum(x != 0 for x in got) <= rank, (a, b)
+            deficient += rank < min(m, n)
+            inconsistent += not consistent
             zero_rhs += not any(b)
         assert deficient > 300 and inconsistent > 300 and zero_rhs > 300
-
-    def test_invert_unimodular(self):
-        m = ((1, 2, 0), (0, 1, 0), (3, 5, 1))
-        inv = invert_unimodular(m)
-        assert matmul(m, inv) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        with pytest.raises(ValueError):
-            invert_unimodular(((2, 0), (0, 1)))
 
 
 def cofactor_rank(a) -> int:

@@ -170,25 +170,18 @@ def test_sweep_lifts_bundle_relations_without_a_subset_scan(calls):
     assert len(bundles) == 304 and len({id(fan) for fan in bundles}) == 304
 
 
-def test_relations_reuse_the_cone_inverses_of_validation(calls):
-    inverted = calls(lattice.invert_unimodular)
-    fan = fresh(named_fan("P1xW7").fan)
-    assert fan.report.ok
-    primitive_collections(fan)
-    assert inverted == []
-
-
-def test_sweep_inverts_one_basis_per_zero_two_witness(calls):
-    # the witness reads each candidate's coordinates from the cone
-    # inverses, and inverts a basis only to build the U that it returns
+def test_sweep_builds_one_basis_change_per_zero_two_witness(calls):
+    # the witness reads each candidate's coordinates and its U from the
+    # cone inverses, and takes the one product N * B^-1 only for the
+    # witness that it returns; nothing else in the sweep multiplies matrices
     catalog.surfaces(), catalog.threefolds()
-    inverted = calls(lattice.invert_unimodular)
+    products = calls(lattice.matmul)
     searched = calls(contraction.zero_two_normal_form_witness, whole=True)
     report = enumerate_weakened_threefolds(3)
     assert report.count == 15
-    sweep_inversions = len(inverted)
+    sweep_products = len(products)
     witnesses = sum(reference_zero_two_witness(fan, rel) is not None for fan, rel in searched)
-    assert len(searched) == 314 and sweep_inversions == witnesses == 83
+    assert len(searched) == 314 and sweep_products == witnesses == 83
 
 
 def test_sweep_computes_each_cone_once_in_validate(calls):

@@ -87,6 +87,17 @@ class TestDegree:
         with pytest.raises(ValueError):
             anticanonical_degree(half)
 
+    def test_a_sum_that_is_not_an_integer_raises(self, monkeypatch):
+        # Brion's sum over one cone of P2 alone is not an integer; the check
+        # is an explicit raise, so ``python -O`` cannot strip it and let
+        # ``int`` truncate the sum to a wrong degree
+        from torifan import polytope
+
+        fan = named_fan("P2").fan
+        monkeypatch.setattr(polytope, "maximal_cone_normals", lambda f: fan.report.cone_normals[:1])
+        with pytest.raises(ArithmeticError, match="must be an integer"):
+            anticanonical_degree(fan)
+
     def test_degree_is_scaled_volume_on_weak_fano_fans(self, threefold_report_b3):
         report, _ = threefold_report_b3
         fans = [nf.fan for nf in all_named().values()] + [e.fan for e in report.classes]
@@ -107,3 +118,17 @@ class TestInvariance:
     def test_volume_is_exact_rational(self):
         f3 = fan_from_rays_2d([(1, 0), (-1, 0), (0, 1), (3, -1)])
         assert anticanonical_volume(f3) == Fraction(25, 6)
+
+
+def test_the_package_has_no_assert_statement():
+    """``python -O`` strips ``assert``, so no check in the package may be one."""
+    import ast
+    from pathlib import Path
+
+    import torifan
+
+    sources = sorted(Path(torifan.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
