@@ -16,6 +16,7 @@ the unpacking does that. The one elimination is the simplex of
 ``has_nonneg_combination``, kept integral by the pivot step ``_pivot``
 (Edmonds 1967; Bareiss 1968).
 """
+
 from __future__ import annotations
 
 from math import gcd
