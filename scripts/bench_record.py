@@ -37,14 +37,31 @@ WORKLOADS = ("sweep-b3", "query-mix", "reject-mix")
 RUNS = 10
 TRACE_SEED = 901  # the first seed of the traced sweep-b3 runs quoted in ROADMAP.md
 TRACE_RUNS = 3
+STDERR_TAIL = 20  # lines of a failed run's stderr quoted when it stops the record
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """One perfbench run; its last stdout line is the JSON result."""
+    """One perfbench run; its last stdout line is the JSON result.
+
+    A run that exits non-zero, or whose last stdout line is not JSON, stops
+    the record with ``SystemExit`` naming the checkout, workload, seed, exit
+    code and the last ``STDERR_TAIL`` lines of the run's stderr.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(int(trace))]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+
+    def failed(why: str) -> SystemExit:
+        tail = done.stderr.strip().splitlines()[-STDERR_TAIL:]
+        return SystemExit("\n".join([f"{checkout}: {workload} seed {seed} {why} "
+                                      f"(exit code {done.returncode}); its stderr ends:", *tail]))
+
+    if done.returncode != 0:
+        raise failed("failed")
+    try:
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise failed("printed no JSON result as its last stdout line") from None
     if not result["correct"]:
         raise SystemExit(f"{checkout}: {workload} seed {seed} gave wrong answers")
     return {name: metric["value"] for name, metric in result["metrics"].items()}

@@ -16,7 +16,7 @@ from . import catalog
 from .contraction import crepant_contractions, is_weakened_fano
 from .fan import Fan, build_bundle, ccw_sorted, fan_from_rays_2d, wall_degrees
 from .isomorphism import canonical_key
-from .lattice import vadd
+from .lattice import vsum
 from .polytope import anticanonical_degree
 from .primitive import (
     bundle_candidates,
@@ -97,7 +97,7 @@ def blow_up(fan: Fan, cone: Sequence[int]) -> Fan:
     """The toric blow-up of a 2-fan at the fixed point of ``cone``: the sum of
     its two rays is added as a new last ray."""
     i, j = cone
-    return fan_from_rays_2d(list(fan.rays) + [vadd(fan.rays[i], fan.rays[j])])
+    return fan_from_rays_2d(list(fan.rays) + [vsum([fan.rays[i], fan.rays[j]], 2)])
 
 
 def self_intersection_sequence(fan: Fan) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -18,16 +18,7 @@ from functools import cached_property, wraps
 from itertools import chain, combinations
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .lattice import (
-    Matrix,
-    Vector,
-    adjugate,
-    is_primitive,
-    matrix_from_columns,
-    matvec,
-    vdot,
-    vsum,
-)
+from .lattice import Matrix, Vector, is_primitive, matvec, vdot, vsum
 
 Cone = tuple[int, ...]
 T = TypeVar("T")
@@ -98,9 +89,6 @@ class Fan:
     def _memo(self) -> dict:
         # values stored by ``memoised``, keyed by function name and arguments
         return {}
-
-    def cone_columns(self, cone: Sequence[int]) -> Matrix:
-        return matrix_from_columns([self.rays[i] for i in cone])
 
     def to_dict(self) -> dict:
         return {
@@ -186,9 +174,12 @@ def cone_det_and_normals(fan: Fan, cone: Sequence[int]) -> tuple[int, Matrix]:
     adjugate against the first ray, and the rows are negated when det < 0.
     Row k is then positive on the k-th ray of the cone and zero on the
     others, so for det != 0 it is the inward normal of the facet opposite
-    that ray, and  x in cone  <=>  every row . x >= 0. For rays a, b, c in
-    dimension 3 the adjugate rows are the cross products b x c, c x a and
-    a x b, read straight from the rays; dimensions 1 and 2 use ``adjugate``.
+    that ray, and  x in cone  <=>  every row . x >= 0. Each size is written
+    out from the rays: for a, b, c in dimension 3 the rows are the cross
+    products b x c, c x a and a x b; for a, b in dimension 2 they are
+    (b1, -b0) and (-a1, a0), with det = a0 b1 - a1 b0; for a in dimension 1
+    the row is (1,) and det = a0. Any other cone fails to unpack and raises
+    ``ValueError``.
     """
     if len(cone) == 3:
         i, j, k = cone
@@ -200,11 +191,18 @@ def cone_det_and_normals(fan: Fan, cone: Sequence[int]) -> tuple[int, Matrix]:
         if det < 0:
             return det, ((-x0, -x1, -x2), (-y0, -y1, -y2), (-z0, -z1, -z2))
         return det, ((x0, x1, x2), (y0, y1, y2), (z0, z1, z2))
-    adj = adjugate(fan.cone_columns(cone))
-    det = vdot(adj[0], fan.rays[cone[0]])
+    if len(cone) == 2:
+        i, j = cone
+        (a0, a1), (b0, b1) = fan.rays[i], fan.rays[j]
+        det = a0 * b1 - a1 * b0
+        if det < 0:
+            return det, ((-b1, b0), (a1, -a0))
+        return det, ((b1, -b0), (-a1, a0))
+    (i,) = cone
+    (det,) = fan.rays[i]
     if det < 0:
-        adj = tuple([tuple([-x for x in row]) for row in adj])
-    return det, adj
+        return det, ((-1,),)
+    return det, ((1,),)
 
 
 def maximal_cone_normals(fan: Fan) -> tuple[Matrix, ...]:
@@ -262,11 +260,12 @@ def validate(fan: Fan) -> ValidationReport:
     together with a cone containing p, are reported as
     ``improper_intersection``; each such pair overlaps in an open set.
 
-    Each maximal cone's adjugate is computed once (``cone_det_and_normals``);
-    it gives the determinant and the inward normals, which a report that is
-    ok keeps for ``maximal_cone_normals``. On such a report the far ray d of
-    check 2 is -c + sum alpha_t a_t in the first cone's basis, so 1 - the
-    sum of its coordinates is the wall curve's degree (``wall_degrees``).
+    Each maximal cone's adjugate is computed once, in closed form for its
+    size (``cone_det_and_normals``); it gives the determinant and the
+    inward normals, which a report that is ok keeps for
+    ``maximal_cone_normals``. On such a report the far ray d of check 2 is
+    -c + sum alpha_t a_t in the first cone's basis, so 1 - the sum of its
+    coordinates is the wall curve's degree (``wall_degrees``).
     For a 3-fan, as every bundle of the sweep is, checks 2 and 3 write these
     products out in closed form; the report is the same in every dimension.
     """

@@ -5,32 +5,25 @@ no floating point anywhere in the package. Matrices are stored as tuples of
 rows. A ``Fan`` has 1 to 3 coordinates, so ``vdot`` of 2- and 3-entry
 vectors, ``cross`` and ``matvec`` of 2 x 2 and 3 x 3 matrices are written
 out in closed form (tuple unpacking and one arithmetic expression per entry,
-no generator or per-row loop), and no determinant is taken above 3 x 3; a
-cone's is read from its adjugate (``fan.cone_det_and_normals``), whose rows
-on a unimodular cone are its inverse, so nothing here inverts or solves a
-square system. Other shapes, and the other vector kernels (``vadd``,
-``vsum``, ``matrix_from_columns``), run on ``map`` with ``operator``
-functions, ``sum`` and ``zip(*...)``. Every kernel raises ``ValueError`` on
-vectors of mismatched lengths instead of truncating; in the closed forms
-the unpacking does that. The one elimination is the simplex of
-``has_nonneg_combination``, kept integral by the pivot step ``_pivot``
-(Edmonds 1967; Bareiss 1968).
+no generator or per-row loop). Nothing here takes a determinant, inverts
+or solves a square system: a cone's determinant and adjugate, whose rows on
+a unimodular cone are its inverse, are written out from its rays for each
+size by ``fan.cone_det_and_normals``. Other shapes, and ``vsum``, run on
+``map`` with ``operator.mul``, ``sum`` and ``zip(*...)``. Every kernel
+raises ``ValueError`` on vectors of mismatched lengths instead of
+truncating; in the closed forms the unpacking does that. The one
+elimination is the simplex of ``has_nonneg_combination``, kept integral by
+the pivot step ``_pivot`` (Edmonds 1967; Bareiss 1968).
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
-
-
-def vadd(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise ValueError(f"vectors of lengths {len(a)} and {len(b)} do not match")
-    return tuple(map(add, a, b))
 
 
 def vdot(a: Sequence, b: Sequence):
@@ -63,12 +56,6 @@ def vsum(vectors: Sequence[Vector], dim: int) -> Vector:
     if len(out) != dim:
         raise ValueError(f"vectors of length {len(out)} do not have {dim} entries")
     return out
-
-
-def matrix_from_columns(columns: Sequence[Sequence[int]]) -> Matrix:
-    """Pack column vectors into a row-major matrix; ``ValueError`` unless they
-    share one length."""
-    return tuple(zip(*columns, strict=True))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -118,25 +105,6 @@ def is_primitive(v: Sequence[int]) -> bool:
     if g == 0:
         raise ValueError("zero vector has no primitive direction")
     return g == 1
-
-
-def adjugate(m: Matrix) -> Matrix:
-    """Classical adjugate for n <= 3; adj(m) * m = det(m) * I, all integer."""
-    # unpacking checks the row lengths, so every other shape raises ValueError
-    n = len(m)
-    if n == 3:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
-        return (
-            (b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, a1 * b2 - a2 * b1),
-            (b2 * c0 - b0 * c2, a0 * c2 - a2 * c0, a2 * b0 - a0 * b2),
-            (b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0),
-        )
-    if n == 2:
-        (a, b), (c, d) = m
-        return ((d, -b), (-c, a))
-    if n == 1 and len(m[0]) == 1:
-        return ((1,),)
-    raise ValueError("adjugate takes a square matrix of size 1 to 3")
 
 
 def has_nonneg_combination(columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:

@@ -1,12 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the package's own code paths: determinants by
-cofactor expansion, invariant factors by minor gcds, linear solves by a
-separate division-free Gauss-Jordan elimination (and with it unimodular
-inverses and cone membership), nonnegative feasibility by the
-Fraction simplex that the integer-preserving one replaced, areas by the
-shoelace formula, and fan completeness by the pairwise proper-intersection
-search that ``validate`` used before its linear-time checks.
+cofactor expansion, adjugates by signed minors, invariant factors by minor
+gcds, linear solves by a separate division-free Gauss-Jordan elimination
+(and with it unimodular inverses and cone membership), nonnegative
+feasibility by the Fraction simplex that the integer-preserving one
+replaced, areas by the shoelace formula, and fan completeness by the
+pairwise proper-intersection search that ``validate`` used before its
+linear-time checks.
 
 Some helpers are former library code that only tests use, kept here as it
 was so that the assertions built on them keep their meaning: the
@@ -45,6 +46,28 @@ def cofactor_det(m) -> int:
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
         total += (-1) ** j * m[0][j] * cofactor_det(minor)
     return total
+
+
+def reference_adjugate(m) -> tuple:
+    """adj(m)[i][j] = (-1)^(i + j) times the minor of m without row j and
+    column i, so that adj(m) * m = det(m) * I; any square size >= 1,
+    ``ValueError`` otherwise."""
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise ValueError("not a square matrix")
+    if n == 1:
+        return ((1,),)
+    rows = [list(row) for row in m]
+
+    def minor(r, c):
+        return cofactor_det([row[:c] + row[c + 1:] for k, row in enumerate(rows) if k != r])
+
+    return tuple(tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n))
+
+
+def cone_columns(fan, cone) -> tuple:
+    """The ray matrix of a cone: one column per ray, as a tuple of rows."""
+    return tuple(zip(*(fan.rays[i] for i in cone), strict=True))
 
 
 def minor_gcd_invariant_factors(m) -> list[int]:
@@ -388,7 +411,7 @@ def _in_span_cone(gens, v) -> bool:
     Integer arithmetic only; used by the proper-intersection test where the
     common face of two maximal cones has codimension >= 1.
     """
-    from torifan.lattice import matrix_from_columns, vdot
+    from torifan.lattice import vdot
 
     if not gens:
         return all(x == 0 for x in v)
@@ -416,7 +439,7 @@ def _in_span_cone(gens, v) -> bool:
             if vdot(n, v) != 0:
                 return False
             return vdot(cross3(v, s2), n) >= 0 and vdot(cross3(s1, v), n) >= 0
-    coords = gauss_solve(matrix_from_columns(gens), v)
+    coords = gauss_solve(list(zip(*gens, strict=True)), v)
     return coords is not None and all(c >= 0 for c in coords)
 
 
@@ -445,15 +468,13 @@ def reference_inward_normals(fan, cone):
     n_k is positive on the k-th ray of the cone and zero on the others, so it
     is the inward normal of the facet opposite that ray. The determinant is
     taken apart from the adjugate, as the library did before it read one
-    from the other.
+    from the other, and both by minors (``reference_adjugate``).
     """
-    from torifan.lattice import adjugate
-
-    m = fan.cone_columns(cone)
+    m = cone_columns(fan, cone)
     det = cofactor_det(m)
     if det == 0:
         raise ValueError("cone generators are linearly dependent")
-    adj = adjugate(m)
+    adj = reference_adjugate(m)
     if det < 0:
         adj = tuple(tuple(-x for x in row) for row in adj)
     return adj
@@ -500,7 +521,7 @@ def reference_validate(fan):
             is_simplicial = False
             offending.append(("cone_wrong_size", (ci,)))
             continue
-        det = cofactor_det(fan.cone_columns(cone))
+        det = cofactor_det(cone_columns(fan, cone))
         dets[ci] = det
         if det == 0:
             is_simplicial = False
@@ -991,13 +1012,13 @@ def reference_section_relation(fiber, twist_plus, twist_minus):
     2 - phi(w), phi being the fiber's piecewise-linear function that is 1 on
     every ray.
     """
-    from torifan.lattice import vadd
     from torifan.primitive import PrimitiveRelation, locate_sigma
 
     if fiber.dim != 2 or not fiber.report.ok:
         raise ValueError("bundle fiber must be a valid 2-dimensional fan")
     n = len(fiber.rays)
-    sigma, coeffs = locate_sigma(fiber, vadd(twist_plus, twist_minus))
+    w = tuple(p + m for p, m in zip(twist_plus, twist_minus, strict=True))
+    sigma, coeffs = locate_sigma(fiber, w)
     coeff_map = dict(coeffs)
     cls = tuple(-coeff_map.get(i, 0) for i in range(n)) + (1, 1)
     return PrimitiveRelation((n, n + 1), sigma, coeffs, 2 - sum(a for _, a in coeffs), cls)
@@ -1028,10 +1049,9 @@ def reference_bundle_relations(fiber, section):
 def surface_blowups(fan):
     """All one-point toric blow-ups: insert the ray sum of an adjacent pair."""
     from torifan.fan import fan_from_rays_2d
-    from torifan.lattice import vadd
 
     for i, j in fan.max_cones:
-        new_ray = vadd(fan.rays[i], fan.rays[j])
+        new_ray = tuple(a + b for a, b in zip(fan.rays[i], fan.rays[j], strict=True))
         yield fan_from_rays_2d(list(fan.rays) + [new_ray])
 
 

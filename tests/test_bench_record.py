@@ -96,3 +96,38 @@ def test_per_layer_medians_of_three_traced_runs(monkeypatch):
     assert traced["parent"]["median"] == {"fan.validate.calls": 317, "fan.validate.self_s": 0.040}
     assert traced["change"]["median"]["fan.validate.self_s"] == 0.033
     assert bench_record.medians([{"a": 1, "b": 5}, {"a": 3}, {"a": 2, "b": 7}]) == {"a": 2}
+
+
+def _checkout_whose_run(tmp_path, body: str) -> Path:
+    """A checkout whose ``perfbench/run.py`` is ``body``."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(body)
+    return tmp_path
+
+
+def test_a_failed_run_names_its_reason(tmp_path):
+    checkout = _checkout_whose_run(tmp_path, (
+        "import sys\n"
+        "print('partial output')\n"
+        "print('\\n'.join(f'noise {i}' for i in range(30)), file=sys.stderr)\n"
+        "print('fan 7 does not parse', file=sys.stderr)\n"
+        "sys.exit(3)\n"
+    ))
+    with pytest.raises(SystemExit) as stop:
+        bench_record.perfbench(checkout, "query-mix", 4, 1, False)
+    lines = str(stop.value.code).splitlines()
+    assert lines[0].startswith(f"{checkout}: query-mix seed 4 failed (exit code 3)")
+    # the reason is the last line of stderr; the oldest lines are cut
+    assert lines[-1] == "fan 7 does not parse"
+    assert len(lines) == 1 + bench_record.STDERR_TAIL
+    assert "noise 29" in lines and "noise 0" not in lines
+
+
+def test_a_run_without_a_json_result_is_reported(tmp_path):
+    checkout = _checkout_whose_run(tmp_path, "")
+    # an empty stdout, and a last line that is not JSON
+    for body in ("", "print('{\"correct\": true}')\nprint('done')\n"):
+        (checkout / "perfbench" / "run.py").write_text(body + "import sys\nsys.stderr.write('a warning')\n")
+        with pytest.raises(SystemExit, match=r"(?s)reject-mix seed 1 printed no JSON result .*"
+                                             r"\(exit code 0\).*a warning"):
+            bench_record.perfbench(checkout, "reject-mix", 1, 1, False)

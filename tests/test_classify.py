@@ -16,7 +16,6 @@ from torifan.classify import (
 from torifan.contraction import is_weakened_fano
 from torifan.fan import Fan, fan_from_rays_2d, validate
 from torifan.isomorphism import canonical_key, find_isomorphism
-from torifan.lattice import vadd
 from torifan.primitive import is_weak_fano
 
 from _oracles import (
@@ -188,7 +187,7 @@ class TestSelfIntersectionSequences:
             assert sorted(order) == list(range(n))
             for k in range(n):
                 before, ray, after = (fan.rays[order[(k + s) % n]] for s in (-1, 0, 1))
-                assert vadd(before, after) == tuple(seq[k] * x for x in ray)
+                assert tuple(x + y for x, y in zip(before, after)) == tuple(seq[k] * x for x in ray)
                 assert seq[k] == before[0] * after[1] - before[1] * after[0], (fan.to_dict(), k)
             # sum of the D_i^2 is 12 - 3n
             assert sum(seq) == 3 * n - 12

@@ -19,11 +19,12 @@ from torifan.catalog import all_named, named_fan, surfaces
 from torifan.classify import self_intersection_sequence
 from torifan.contraction import zero_two_normal_form_witness
 from torifan.isomorphism import canonical_key, find_isomorphism
-from torifan.lattice import is_primitive, vadd
+from torifan.lattice import is_primitive
 from torifan.polytope import anticanonical_degree
 from torifan.primitive import bundle_candidates, is_fano, is_weak_fano, primitive_collections
 from _oracles import (
     cofactor_det,
+    cone_columns,
     pair_is_proper,
     pairwise_validate,
     random_unimodular,
@@ -317,7 +318,9 @@ def test_cone_kernel_agrees_with_the_cofactor_references():
     bound-3 box, of the catalog fans and three rebasings of each, and of
     their damaged rebasings, whose cones include degenerate and
     non-unimodular ones; on a degenerate cone only the determinants are
-    compared."""
+    compared. Every class of |det| in dimensions 2 and 3 other than 0, and
+    det = 1 in dimension 1, comes with both signs, so that the negation of
+    each closed form is reached."""
     rng = random.Random(1307)
     named = [nf.fan for nf in all_named().values()]
     fans = [
@@ -334,11 +337,12 @@ def test_cone_kernel_agrees_with_the_cofactor_references():
     for fan in fans:
         for cone in fan.max_cones:
             det, rows = cone_det_and_normals(fan, cone)
-            assert det == cofactor_det(fan.cone_columns(cone)), (fan.to_dict(), cone)
+            assert det == cofactor_det(cone_columns(fan, cone)), (fan.to_dict(), cone)
             if det != 0:
                 assert rows == reference_inward_normals(fan, cone), (fan.to_dict(), cone)
-            dets.add((fan.dim, min(abs(det), 2)))
-    assert dets == {(d, k) for d in (2, 3) for k in (0, 1, 2)} | {(1, 1)}
+            dets.add((fan.dim, min(abs(det), 2), (det > 0) - (det < 0)))
+    signed = {(d, k, s) for d in (2, 3) for k in (1, 2) for s in (1, -1)}
+    assert dets == signed | {(2, 0, 0), (3, 0, 0), (1, 1, 1), (1, 1, -1)}
 
 
 # one fan per way of failing validation; each is 2-dimensional, so that
@@ -405,7 +409,7 @@ def test_ccw_sorted_agrees_with_the_reference_comparator():
         random.Random(seed).shuffle(points)
         assert ccw_sorted(points) == reference_ccw_sorted(points)
     blowups = [
-        list(nf.fan.rays) + [vadd(nf.fan.rays[i], nf.fan.rays[j])]
+        list(nf.fan.rays) + [tuple(x + y for x, y in zip(nf.fan.rays[i], nf.fan.rays[j]))]
         for nf in surfaces()
         for i, j in nf.fan.max_cones
     ]

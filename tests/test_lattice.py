@@ -3,14 +3,11 @@ import random
 import pytest
 
 from torifan.lattice import (
-    adjugate,
     cross,
     has_nonneg_combination,
     is_primitive,
     matmul,
-    matrix_from_columns,
     matvec,
-    vadd,
     vdot,
     vsum,
 )
@@ -22,12 +19,13 @@ from _oracles import (
     gauss_solve,
     make_primitive,
     minor_gcd_invariant_factors,
+    reference_adjugate,
     reference_unimodular_inverse,
 )
 
 
 def columns(*cols):
-    return matrix_from_columns(cols)
+    return tuple(zip(*cols))
 
 
 def identity(n):
@@ -39,27 +37,27 @@ def scaled_identity(det, n):
 
 
 class TestDeterminant:
-    """``adjugate`` against cofactor expansion: adj(m) * m = det(m) * I with
-    det from ``_oracles.cofactor_det``. The package has no determinant or
-    inverse function; it reads det as entry (0, 0) of that product
-    (``fan.cone_det_and_normals``), and on a unimodular cone the signed
-    adjugate is the inverse. A fan has at most 3 coordinates, so
-    ``adjugate`` takes sizes 1 to 3 only. The oracles' own inverse,
+    """``_oracles.reference_adjugate`` against cofactor expansion:
+    adj(m) * m = det(m) * I with det from ``_oracles.cofactor_det``. The
+    package has no determinant, adjugate or inverse function; it writes a
+    cone's out from its rays (``fan.cone_det_and_normals``, checked against
+    these oracles in ``test_fan``), and on a unimodular cone the signed
+    adjugate is the inverse. The oracles' own inverse,
     ``reference_unimodular_inverse``, is checked against it here."""
 
     def test_identity(self):
         m = identity(3)
-        assert adjugate(m) == m
+        assert reference_adjugate(m) == m
         assert reference_unimodular_inverse(m) == m
 
     def test_cofactor_oracle_case(self):
         m = columns((1, 0, 0), (1, 1, 0), (0, 0, 1))
         assert cofactor_det([list(r) for r in m]) == 1
-        assert matmul(adjugate(m), m) == identity(3)
+        assert matmul(reference_adjugate(m), m) == identity(3)
 
     def test_dependent_columns(self):
         m = columns((1, 0), (-1, 0))
-        assert matmul(adjugate(m), m) == scaled_identity(0, 2)
+        assert matmul(reference_adjugate(m), m) == scaled_identity(0, 2)
         with pytest.raises(ValueError):
             reference_unimodular_inverse(m)
 
@@ -69,14 +67,13 @@ class TestDeterminant:
             ((1, 0), (0, 1), (1, 1)),
             ((1, 0, 0), (0, 1)),
             (),
-            identity(4),
         ):
             with pytest.raises(ValueError):
-                adjugate(m)
-            if len(m) != 4:
-                with pytest.raises(ValueError):
-                    reference_unimodular_inverse(m)
-        # the oracle takes any size
+                reference_adjugate(m)
+            with pytest.raises(ValueError):
+                reference_unimodular_inverse(m)
+        # the oracles take any square size
+        assert reference_adjugate(identity(4)) == identity(4)
         assert reference_unimodular_inverse(identity(4)) == identity(4)
 
     def test_matches_cofactor_expansion_on_random_matrices(self):
@@ -91,14 +88,15 @@ class TestDeterminant:
                 m[i] = [rng.randint(-2, 2) * x + y for x, y in zip(m[j], m[k])]
             det = cofactor_det(m)
             m = tuple(map(tuple, m))
-            assert matmul(adjugate(m), m) == scaled_identity(det, n), m
+            assert matmul(reference_adjugate(m), m) == scaled_identity(det, n), m
             singular += det == 0
             if det in (1, -1):
                 unimodular += 1
                 inverse = reference_unimodular_inverse(m)
                 assert matmul(m, inverse) == identity(n), m
                 # the inverse is adj(m) / det(m)
-                assert inverse == tuple(tuple(det * x for x in row) for row in adjugate(m)), m
+                adj = reference_adjugate(m)
+                assert inverse == tuple(tuple(det * x for x in row) for row in adj), m
             else:
                 with pytest.raises(ValueError):
                     reference_unimodular_inverse(m)
@@ -117,14 +115,9 @@ class TestVectorKernels:
             a = tuple(rng.randint(-9, 9) for _ in range(n))
             b = tuple(rng.randint(-9, 9) for _ in range(n))
             rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(rng.randint(0, 4))]
-            assert vadd(a, b) == tuple(a[i] + b[i] for i in range(n))
             assert vdot(a, b) == sum(a[i] * b[i] for i in range(n))
             assert vsum(rows, n) == tuple(sum(r[i] for r in rows) for i in range(n))
             assert matvec(tuple(rows), a) == tuple(sum(r[i] * a[i] for i in range(n)) for r in rows)
-            if rows:
-                assert matrix_from_columns(rows) == tuple(
-                    tuple(r[i] for r in rows) for i in range(n)
-                )
 
     def test_closed_forms_match_entrywise_loops(self):
         rng = random.Random(6)
@@ -151,10 +144,6 @@ class TestVectorKernels:
         for a, b in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2, 3, 4))):
             with pytest.raises(ValueError):
                 cross(a, b)
-
-    def test_vadd_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            vadd((1, 2), (1, 2, 3))
 
     def test_vdot_rejects_mismatched_lengths(self):
         for a, b in (
@@ -188,13 +177,6 @@ class TestVectorKernels:
         ):
             with pytest.raises(ValueError):
                 matvec(m, v)
-
-    def test_matrix_from_columns_checks_dimension_without_coercion(self):
-        assert matrix_from_columns([]) == ()
-        with pytest.raises(ValueError):
-            matrix_from_columns([(1, 0), (0, 1, 0)])
-        # entries are packed as given; ``Fan`` is what rejects non-integers
-        assert matrix_from_columns([(1.5, 2), (3, 4)]) == ((1.5, 3), (2, 4))
 
 
 class TestPrimitivity:
