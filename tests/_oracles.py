@@ -57,10 +57,9 @@ def reference_adjugate(m) -> tuple:
         raise ValueError("not a square matrix")
     if n == 1:
         return ((1,),)
-    rows = [list(row) for row in m]
 
     def minor(r, c):
-        return cofactor_det([row[:c] + row[c + 1:] for k, row in enumerate(rows) if k != r])
+        return cofactor_det([row[:c] + row[c + 1:] for k, row in enumerate(m) if k != r])
 
     return tuple(tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n))
 
