@@ -20,9 +20,12 @@ from .lattice import vsum
 from .polytope import anticanonical_degree
 from .primitive import (
     bundle_candidates,
+    is_extremal,
     is_fano,
     is_weak_fano,
     picard_rank,
+    primitive_collections,
+    seed_is_extremal,
     seed_primitive_collections,
 )
 
@@ -254,8 +257,21 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     rest of the box as pruned by phi.
 
     Each built bundle is validated, and its relations are seeded from the
-    table instead of computed from its faces. ``stats`` counts each of
-    ``SWEEP_STAGES``.
+    table instead of computed from its faces. So is the extremality of each
+    of its degree-0 relations, the only ones the verdict asks about, read
+    off the fiber instead of decided by an LP on the bundle. Every lifted
+    class is 0 at x+ and x- (indices n and n + 1), and the section class is
+    1 there. So the section class is never a nonnegative combination of
+    the others: it is extremal. In a combination that gives a lifted class
+    the section class has coefficient 0, so a lifted class is one exactly
+    when its fiber class is one of the other fiber classes: it is extremal
+    exactly when its fiber class is, which ``is_extremal`` decides once per
+    fiber relation and keeps on the fiber. This holds against all the
+    classes and against the degree-0 ones alone, which are the lifted
+    degree-0 fiber classes and, when p + q = 2, the section class. So it
+    holds for whichever table ``is_extremal`` would read on the bundle,
+    since on the weak Fano fiber the two tables give the same answer.
+    ``stats`` counts each of ``SWEEP_STAGES``.
     """
     fibers = catalog.surfaces()
     reach = max(abs(x) for nf in fibers for ray in nf.fan.rays for x in ray)
@@ -269,10 +285,17 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     found: dict[bytes, tuple[Fan, dict]] = {}
     for nf in fibers:
         stats["box_points"] += box
+        # by relation position: the fiber's, then the section relation
+        extremal = [
+            r.degree == 0 and is_extremal(nf.fan, r) for r in primitive_collections(nf.fan)
+        ] + [True]
         for w, relations in bundle_candidates(nf.fan):
             fan = build_bundle(nf.fan, w, (0, 0))
             stats["built"] += 1
             seed_primitive_collections(fan, relations)
+            for rel, answer in zip(relations, extremal):
+                if rel.degree == 0:
+                    seed_is_extremal(fan, answer, rel)
             verdict = is_weakened_fano(fan)
             if verdict.is_fano:
                 stats["fano"] += 1

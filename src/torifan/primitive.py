@@ -19,6 +19,10 @@ of classes lies. The collections are grown from the faces of the fan
 (``primitive_collections``); those of the surface bundles over P1 that the
 3-fold sweep builds are lifted from the fiber, each beside the relation of
 its two sections, read off the fiber's cones (``bundle_candidates``).
+Their extremality is lifted too, so the sweep runs no LP on a bundle: the
+section class is 1 at both sections, where every lifted class is 0, so it
+is extremal, and a lifted class is extremal exactly when its fiber class
+is (``classify.enumerate_weakened_threefolds``).
 """
 
 from __future__ import annotations
@@ -218,6 +222,12 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     independent, so a relation's entries on them follow from its other
     entries: dropping them is injective on the relations, and the smaller
     LP is feasible exactly when the full one is.
+
+    The 3-fold sweep seeds the answer for each degree-0 relation of the
+    bundles it builds (``seed_is_extremal``), read off the fiber as it
+    argues in ``classify.enumerate_weakened_threefolds``, so the sweep
+    runs this function only on the fibers' degree-0 relations, and a
+    fiber's answers are kept for the later sweeps of the process.
     """
     table = _columns(fan, rel.degree == 0 and is_weak_fano(fan))
     others = [c for c in table if c != rel.cls]
@@ -226,3 +236,7 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     if any(tuple(map(sub, rel.cls, c)) in table for c in others):
         return False
     return not has_nonneg_combination([table[c] for c in others], table[rel.cls])
+
+
+# taken at import, as ``seed_primitive_collections`` is
+seed_is_extremal = is_extremal.seed

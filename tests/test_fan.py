@@ -43,7 +43,8 @@ DIM4_FAN = json.dumps({
     "max_cones": [[j for j in range(5) if j != i] for i in range(5)],
 })
 
-P2 = named_fan("P2").fan
+# built from its rays, so that collecting this module builds no catalog 3-fold
+P2 = fan_from_rays_2d([(1, 0), (0, 1), (-1, -1)])
 
 OVERLAPPING = Fan(
     2,
@@ -320,27 +321,42 @@ def test_cone_kernel_agrees_with_the_cofactor_references():
     non-unimodular ones; on a degenerate cone only the determinants are
     compared. Every class of |det| in dimensions 2 and 3 other than 0, and
     det = 1 in dimension 1, comes with both signs, so that the negation of
-    each closed form is reached."""
-    rng = random.Random(1307)
-    named = [nf.fan for nf in all_named().values()]
-    fans = [
-        build_bundle(nf.fan, (sx, sy), (0, 0))
+    each closed form is reached.
+
+    The box bundles are built with the ``Fan`` constructor, not validated,
+    and checked before anything builds the catalog 3-folds, so a fault in
+    the kernel fails here on a named cone."""
+
+    def unvalidated_bundle(fiber, w):
+        # the rays and cones of build_bundle(fiber, w, (0, 0))
+        n = len(fiber.rays)
+        rays = tuple(r + (0,) for r in fiber.rays) + (tuple(w) + (1,), (0, 0, -1))
+        cones = tuple(tuple(sorted(c + (k,))) for c in fiber.max_cones for k in (n, n + 1))
+        return Fan(3, rays, cones)
+
+    def check(fans):
+        for fan in fans:
+            for cone in fan.max_cones:
+                det, rows = cone_det_and_normals(fan, cone)
+                assert det == cofactor_det(cone_columns(fan, cone)), (fan.to_dict(), cone)
+                if det != 0:
+                    assert rows == reference_inward_normals(fan, cone), (fan.to_dict(), cone)
+                dets.add((fan.dim, min(abs(det), 2), (det > 0) - (det < 0)))
+
+    dets = set()
+    box = [
+        (nf.fan, (sx, sy))
         for nf in surfaces()
         for sx in range(-6, 7)
         for sy in range(-6, 7)
     ]
-    assert len(fans) == 2704
-    fans += named + [rebase_fan(fan, random_unimodular(rng, fan.dim)) for fan in named for _ in range(3)]
-    fans += [damaged for fan in named for damaged in _kinds_of_damage(fan, rng)]
-    fans.append(Fan(1, ((1,), (-1,)), ((0,), (1,))))
-    dets = set()
-    for fan in fans:
-        for cone in fan.max_cones:
-            det, rows = cone_det_and_normals(fan, cone)
-            assert det == cofactor_det(cone_columns(fan, cone)), (fan.to_dict(), cone)
-            if det != 0:
-                assert rows == reference_inward_normals(fan, cone), (fan.to_dict(), cone)
-            dets.add((fan.dim, min(abs(det), 2), (det > 0) - (det < 0)))
+    assert len(box) == 2704
+    check([unvalidated_bundle(*spec) for spec in box] + [Fan(1, ((1,), (-1,)), ((0,), (1,)))])
+    assert all(unvalidated_bundle(*spec) == build_bundle(*spec, (0, 0)) for spec in box[:169])
+    rng = random.Random(1307)
+    named = [nf.fan for nf in all_named().values()]
+    check(named + [rebase_fan(fan, random_unimodular(rng, fan.dim)) for fan in named for _ in range(3)])
+    check([damaged for fan in named for damaged in _kinds_of_damage(fan, rng)])
     signed = {(d, k, s) for d in (2, 3) for k in (1, 2) for s in (1, -1)}
     assert dets == signed | {(2, 0, 0), (3, 0, 0), (1, 1, 1), (1, 1, -1)}
 

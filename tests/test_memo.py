@@ -25,10 +25,12 @@ from _oracles import reference_zero_two_witness
 @pytest.fixture
 def calls(monkeypatch):
     """calls(fn) -> list that receives the first argument of every call to fn,
-    or with ``whole=True`` the tuple of all its positional arguments."""
+    or with ``whole=True`` the tuple of all its positional arguments; with
+    ``into``, that list instead of a new one, so one log can keep the order
+    of calls to several functions."""
 
-    def install(original, whole=False):
-        seen = []
+    def install(original, whole=False, into=None):
+        seen = [] if into is None else into
 
         def counted(*args, **kwargs):
             seen.append(args if whole else args[0])
@@ -147,15 +149,27 @@ def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls):
     catalog.surfaces(), catalog.threefolds()
     built = calls(fan_module.build_bundle)
     verdicts = calls(contraction.is_weakened_fano)
-    lps = calls(lattice.has_nonneg_combination)
+    events = []
+    calls(primitive._columns, whole=True, into=events)
+    calls(lattice.has_nonneg_combination, whole=True, into=events)
     report = enumerate_weakened_threefolds(3)
     # 304 of the 16 * 13^2 = 2704 sums in the box have phi <= 2
     assert len(built) == 304 and len(verdicts) == 304
-    # 9 of the 216 extremality questions that reach an LP column set are the
-    # sum of two of the columns, and are answered without an LP
-    assert len(lps) == 207
     assert sum(is_weakened_fano(fan).is_weakened for fan in verdicts) == 22
     assert report.count == 15
+    # a bundle's extremality is read off its fiber, so no bundle builds a
+    # table of classes. The fibers' answers are kept with the catalog, so
+    # only the first sweep of the process runs LPs, each on the table of
+    # the catalog fiber just read, on its n - 2 entries off the first cone
+    fibers = {id(nf.fan) for nf in catalog.surfaces()}
+    table = None
+    for args in events:
+        if isinstance(args[0], Fan):
+            table = args[0]
+            assert id(table) in fibers
+        else:
+            _, target = args
+            assert table is not None and len(target) == len(table.rays) - 2
 
 
 def test_sweep_lifts_bundle_relations_without_a_subset_scan(calls):

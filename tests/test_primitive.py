@@ -369,6 +369,50 @@ def _sweep_bundles_b3() -> list:
     ]
 
 
+def test_sweep_seeds_the_lp_answer_for_every_degree_zero_relation(monkeypatch):
+    """The sweep seeds each built bundle's degree-0 extremality from its
+    fiber. Every seeded answer must equal ``is_extremal`` on a fresh copy of
+    the bundle, which decides it by the LP; the section relation, of degree
+    0 exactly when p + q = 2, is extremal on every such bundle."""
+    from torifan import classify, primitive
+    from torifan.fan import build_bundle
+
+    built = []
+
+    def recorded(*args):
+        built.append(build_bundle(*args))
+        return built[-1]
+
+    monkeypatch.setattr(classify, "build_bundle", recorded)
+    assert classify.enumerate_weakened_threefolds(3).count == 15
+    assert len(built) == 304
+
+    def no_table(*args):
+        raise AssertionError("a seeded answer reached the table of classes")
+
+    with monkeypatch.context() as m:
+        m.setattr(primitive, "_columns", no_table)
+        seeded = [
+            [(rel, is_extremal(fan, rel)) for rel in primitive_collections(fan) if rel.degree == 0]
+            for fan in built
+        ]
+    relations = sections = not_extremal = 0
+    for fan, answers in zip(built, seeded):
+        fresh = Fan(3, fan.rays, fan.max_cones)
+        n = len(fan.rays) - 2
+        for rel, answer in answers:
+            assert answer == is_extremal(fresh, rel), (fan.to_dict(), rel)
+            relations += 1
+            not_extremal += not answer
+        section = primitive_collections(fresh)[-1]
+        assert section.collection == (n, n + 1)
+        if section.degree == 0:
+            assert is_extremal(fresh, section), fan.to_dict()
+            sections += 1
+    # 2n sums with p + q = 2 over each fiber with n rays, 96 rays in all
+    assert relations == 1163 and sections == 192 and not_extremal > 0
+
+
 def test_every_class_is_primitive_with_a_one_off_sigma():
     """The argument that lets ``is_extremal`` compare classes by equality: a
     primitive collection is not a face, so some ray of it lies outside sigma,
