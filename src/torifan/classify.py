@@ -261,13 +261,13 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     of its degree-0 relations, the only ones the verdict asks about, read
     off the fiber instead of decided by an LP on the bundle. Every lifted
     class is 0 at x+ and x- (indices n and n + 1), and the section class is
-    1 there. So the section class is never a nonnegative combination of
-    the others: it is extremal. In a combination that gives a lifted class
-    the section class has coefficient 0, so a lifted class is one exactly
-    when its fiber class is one of the other fiber classes: it is extremal
-    exactly when its fiber class is, which ``is_extremal`` decides once per
-    fiber relation and keeps on the fiber. This holds against all the
-    classes and against the degree-0 ones alone, which are the lifted
+    1 there. So the section class is never a nonnegative combination of the
+    others: it is extremal. In a combination that gives a lifted class the
+    section class has coefficient 0, so a lifted class is such a combination
+    exactly when its fiber class is one of the other fiber classes. So it is
+    extremal exactly when its fiber class is, which ``is_extremal`` decides
+    once per fiber relation and keeps on the fiber. This holds against all
+    the classes and against the degree-0 ones alone, which are the lifted
     degree-0 fiber classes and, when p + q = 2, the section class. So it
     holds for whichever table ``is_extremal`` would read on the bundle,
     since on the weak Fano fiber the two tables give the same answer.
