@@ -19,14 +19,15 @@ coordinates. The rows of that inverse also give the basis change U, built
 once, for the witness returned. The ``small`` shape is told from ``other``
 by cross products of the rays, so nothing here solves or inverts.
 
-The weakened verdict reads the shape of each degree-0 relation before its
-extremality, and the table of contractions is computed only when asked for.
+The weakened verdict and the table of contractions read one walk over the
+extremal degree-0 relations; the verdict stops at the first contraction
+that is not ``zero_two``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .fan import Fan, maximal_cone_normals, memoised, star
 from .lattice import Matrix, cross, matmul, matvec, vdot
@@ -129,9 +130,8 @@ def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
     """Shape of the contraction a degree-0 relation on a 3-fold would define.
 
     The shape depends only on the relation and the cones around it, not on
-    extremality, so the verdict can look at it before running any LP. Only
-    an extremal relation actually defines a contraction; see
-    ``crepant_contractions``.
+    extremality. Only an extremal relation actually defines a contraction;
+    see ``crepant_contractions``.
 
     A relation x1 + x2 = y1 + y2 is ``other`` when both y lie in the cone
     on x1 and x2, and ``small`` otherwise. With a = x1, b = x2 and n = a x b,
@@ -177,21 +177,22 @@ def _require_threefold(fan: Fan) -> None:
         raise ValueError("the weakened Fano characterization is specific to 3-folds")
 
 
+def _crepant(fan: Fan) -> Iterator[tuple[PrimitiveRelation, ContractionKind]]:
+    """Each extremal degree-0 relation with its shape, in relation order."""
+    for rel in primitive_collections(fan):
+        if rel.degree == 0 and is_extremal(fan, rel):
+            yield rel, contraction_shape(fan, rel)
+
+
 @memoised
 def crepant_contractions(fan: Fan) -> tuple[tuple[PrimitiveRelation, ContractionKind], ...]:
     """The crepant primitive contractions of a weak Fano 3-fold with their shapes.
 
     These are the extremal degree-0 relations, in relation order; a fan that
-    is not weak Fano has none listed. The verdict does not need this table.
+    is not weak Fano has none listed.
     """
     _require_threefold(fan)
-    if not is_weak_fano(fan):
-        return ()
-    return tuple(
-        (rel, contraction_shape(fan, rel))
-        for rel in primitive_collections(fan)
-        if rel.degree == 0 and is_extremal(fan, rel)
-    )
+    return tuple(_crepant(fan)) if is_weak_fano(fan) else ()
 
 
 @memoised
@@ -199,22 +200,11 @@ def is_weakened_fano(fan: Fan) -> WeakenedVerdict:
     """Weak Fano, not Fano, and every crepant primitive contraction collapses
     a Hirzebruch divisor onto a curve of image anticanonical degree 2.
 
-    Decided shape first: a degree-0 relation of shape ``zero_two`` cannot
-    falsify the verdict whether or not it is extremal, so extremality is
-    asked only of the other degree-0 relations, and the first extremal one
-    ends the search.
+    The walk of ``crepant_contractions``, stopped at the first contraction
+    of another shape.
     """
     _require_threefold(fan)
     weak = is_weak_fano(fan)
     fano = is_fano(fan)
-    weakened = (
-        weak
-        and not fano
-        and not any(
-            rel.degree == 0
-            and contraction_shape(fan, rel).kind != "zero_two"
-            and is_extremal(fan, rel)
-            for rel in primitive_collections(fan)
-        )
-    )
+    weakened = weak and not fano and all(kind.kind == "zero_two" for _, kind in _crepant(fan))
     return WeakenedVerdict(weak, fano, weakened)

@@ -772,9 +772,9 @@ def eager_weakened_verdict(fan):
     shape of every extremal degree-0 relation of a weak Fano fan, then
     require weak Fano, not Fano, and every shape ``zero_two``.
 
-    The reference for ``contraction.is_weakened_fano``, which asks
-    extremality only of the relations whose shape is not ``zero_two``, and
-    for ``contraction.crepant_contractions``, which is the table.
+    The reference for ``contraction.crepant_contractions``, which is the
+    table, and for ``contraction.is_weakened_fano``, which walks the same
+    relations and stops at the first shape that is not ``zero_two``.
     """
     from torifan.contraction import contraction_shape
     from torifan.primitive import is_extremal, is_fano, is_weak_fano, primitive_collections
@@ -889,8 +889,6 @@ def reference_zero_two_witness(fan, rel):
     witness leaves to the fan's validity: the x- test, gamma = -1, a
     missing candidate cone and the comparison with the expected star.
     """
-    from torifan.contraction import _NORMAL_FORM_BASIS
-    from torifan.fan import star
     from torifan.lattice import matmul, matvec
 
     if fan.dim != 3:
@@ -899,7 +897,7 @@ def reference_zero_two_witness(fan, rel):
         return None
     x0 = rel.coeffs[0][0]
     pair = rel.collection
-    star_cones = star(fan, x0)
+    star_cones = [c for c in fan.max_cones if x0 in c]
     # every maximal cone at x0 must use exactly one of the two collapsing rays
     for cone in star_cones:
         if len(set(cone) & set(pair)) != 1:
@@ -908,6 +906,8 @@ def reference_zero_two_witness(fan, rel):
     if len(side_rays) != 2 or len(star_cones) != 4:
         return None
     cone_set = set(fan.max_cones)
+    # the columns x0 = (1, 0, 0), x+ = (1, 1, 0) and y+ = (0, 0, 1) of the normal form
+    normal_form = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     for xp, xm in (pair, pair[::-1]):
         for yp, ym in (tuple(side_rays), tuple(side_rays[::-1])):
             if tuple(sorted((x0, xp, yp))) not in cone_set:
@@ -916,7 +916,7 @@ def reference_zero_two_witness(fan, rel):
                 tuple(fan.rays[i][r] for i in (x0, xp, yp)) for r in range(3)
             )
             try:
-                u = matmul(_NORMAL_FORM_BASIS, reference_unimodular_inverse(basis))
+                u = matmul(normal_form, reference_unimodular_inverse(basis))
             except ValueError:
                 continue
             if matvec(u, fan.rays[xm]) != (1, -1, 0):

@@ -163,8 +163,9 @@ class TestNormalFormWitness:
         for _ in range(400):
             fan = rebase_fan(rng.choice(doubled), random_unimodular(rng, 3))
             fans.append(("rebased", fan, primitive_collections(fan)))
-        # group -> [fans, degree-0 relations, x1 + x2 = y1 + y2, small, witnesses]
-        counts = {group: [0] * 5 for group in ("catalog", "box", "bundle", "rebased")}
+        # group -> [fans, degree-0 relations, x1 + x2 = y1 + y2, small,
+        # witnesses, witnesses with a > 2, whose shape is ``other``]
+        counts = {group: [0] * 6 for group in ("catalog", "box", "bundle", "rebased")}
         for group, fan, rels in fans:
             tally = counts[group]
             tally[0] += 1
@@ -179,8 +180,12 @@ class TestNormalFormWitness:
                 tally[2] += len(rel.collection) == 2 and len(rel.coeffs) == 2
                 tally[3] += shape.kind == "small"
                 tally[4] += witness is not None
+                if witness is not None and witness[2] > 2:
+                    assert shape.kind == "other", (fan.to_dict(), rel)
+                    tally[5] += 1
         assert counts["catalog"][0] == 18 and counts["catalog"][4] == 36
-        assert counts["box"] == [1296, 3513, 744, 96, 305]
+        assert counts["box"] == [1296, 3513, 744, 96, 305, 128]
+        assert counts["bundle"][4:] == [557, 380]
         assert len(fans) == 5826
         assert sum(tally[1] for tally in counts.values()) == 999 + 14765
         assert sum(tally[4] for tally in counts.values()) == 999
@@ -260,7 +265,7 @@ class TestWeakenedPredicate:
                 assert all(k.kind == "zero_two" for _, k in crepant_contractions(nf.fan))
 
 
-def test_shape_first_verdict_agrees_with_eager_verdict():
+def test_short_circuit_verdict_agrees_with_eager_verdict():
     catalog_fans = [nf.fan for nf in all_named().values() if nf.fan.dim == 3]
     sums = [
         (nf.fan, (sx, sy), reference_section_relation(nf.fan, (sx, sy), (0, 0)).degree >= 0)

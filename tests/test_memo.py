@@ -127,17 +127,18 @@ def test_extremality_lps_only_for_degree_zero_relations(calls):
     assert [r.degree for r in primitive_collections(fan)].count(0) == 1
     assert lps == []
     # P1 x W7 has 9 degree-0 relations among 28, 6 of them of the zero-two
-    # shape. The verdict tests only the other 3, and each is the sum of two
-    # other degree-0 classes, so it runs no LP. The table runs one LP for
-    # each of the remaining 6, with at most the other 8 degree-0 classes as
-    # columns, on the rho = 11 - 3 = 8 entries off the first maximal cone
+    # shape. The other 3 are each the sum of two other degree-0 classes, so
+    # they run no LP. The verdict walks all 9 and runs one LP for each of
+    # the 6, with at most the other 8 degree-0 classes as columns, on the
+    # rho = 11 - 3 = 8 entries off the first maximal cone; the table, the
+    # same walk, reuses those answers and runs none
     fan = fresh(named_fan("P1xW7").fan)
     assert is_weakened_fano(fan).is_weakened
     assert len(primitive_collections(fan)) == 28
-    assert lps == []
-    assert len(crepant_contractions(fan)) == 6
     assert len(lps) == 6 and all(len(columns) <= 8 for columns, _ in lps)
     assert all(len(target) == 8 and {len(c) for c in columns} == {8} for columns, target in lps)
+    assert len(crepant_contractions(fan)) == 6
+    assert len(lps) == 6
     # asking again reuses every stored fact
     is_weakened_fano(fan)
     crepant_contractions(fan)
@@ -195,7 +196,10 @@ def test_sweep_builds_one_basis_change_per_zero_two_witness(calls):
     assert report.count == 15
     sweep_products = len(products)
     witnesses = sum(reference_zero_two_witness(fan, rel) is not None for fan, rel in searched)
-    assert len(searched) == 314 and sweep_products == witnesses == 83
+    # the verdict asks the shape only of an extremal degree-0 relation and
+    # stops at the first one that is not zero-two; reading every shape of
+    # the table on each weak Fano bundle would take 842 searches
+    assert len(searched) == 313 and sweep_products == witnesses == 83
 
 
 def test_sweep_computes_each_cone_once_in_validate(calls):
