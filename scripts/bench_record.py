@@ -17,8 +17,11 @@ traced run swings too widely to carry a per-layer claim. It also judges the reco
 workload and end-to-end metric of BENCHMARK.json, both medians and
 quartiles, the relative change, the pairs the change won, and whether its
 median is worse than the parent's by more than the metric's bound; the
-judgement goes into the file and is printed. Standard library only;
-perfbench itself is not changed.
+judgement goes into the file and is printed. The traced runs are judged
+too (``judge_layers``): a call count that differs between the runs of one
+side is flagged, and a per-layer time is compared only when the ranges
+of the two sides do not overlap. Standard library only; perfbench itself
+is not changed.
 """
 
 from __future__ import annotations
@@ -136,6 +139,65 @@ def judge(record: dict, end_to_end: list[dict]) -> dict:
     return out
 
 
+def judge_layers(traced: dict, per_layer: list[dict]) -> dict:
+    """metric -> the traced runs of the two sides compared, for the per-layer
+    call counts and times of BENCHMARK.json that every traced run reports.
+
+    ``per_layer`` is the list of that name in BENCHMARK.json. A ``.calls``
+    count is the same in every run of a side unless something other than
+    the code changes it, so each side gets its sorted distinct values and
+    ``varies`` lists the sides with more than one. A time (unit ``s``) gets
+    each side's median, min and max. Three runs cannot tell a change that
+    is smaller than the spread of one side, so when the two [min, max]
+    ranges overlap the time is ``unresolved`` and no relative change is
+    given; otherwise ``relative`` is (change - parent) / parent of the
+    medians, None when the parent's is 0, and the time is ``lower`` or
+    ``higher`` at the change.
+    """
+    sides = ("parent", "change")
+    rows = {}
+    for metric in per_layer:
+        name = metric["name"]
+        runs = {side: [r[name] for r in traced[side]["runs"] if name in r] for side in sides}
+        if any(len(runs[side]) != len(traced[side]["runs"]) for side in sides):
+            continue
+        if name.endswith(".calls"):
+            row = {side: sorted(set(runs[side])) for side in sides}
+            row["varies"] = [side for side in sides if len(row[side]) > 1]
+        elif metric["unit"] == "s":
+            row = {side: {"median": statistics.median(v), "min": min(v), "max": max(v)}
+                   for side, v in runs.items()}
+            p, c = row["parent"], row["change"]
+            if p["min"] <= c["max"] and c["min"] <= p["max"]:
+                row["verdict"], row["relative"] = "unresolved", None
+            else:
+                row["verdict"] = "lower" if c["max"] < p["min"] else "higher"
+                row["relative"] = (c["median"] - p["median"]) / p["median"] if p["median"] else None
+        else:
+            continue
+        rows[name] = row
+    return rows
+
+
+def layer_lines(rows: dict) -> list[str]:
+    """One line per layer metric: call counts with a VARIES flag, or times
+    with their ranges and verdict."""
+    lines = []
+    for name, row in rows.items():
+        if "varies" in row:
+            flag = "".join(f"  VARIES at {side}" for side in row["varies"])
+            lines.append(f"traced     {name:48s} parent {row['parent']}  change {row['change']}{flag}")
+        else:
+            parent, change = row["parent"], row["change"]
+            relative = "" if row["relative"] is None else f"  {100 * row['relative']:+.1f}%"
+            lines.append(
+                f"traced     {name:48s} parent {parent['median']:.4g} [{parent['min']:.4g}, {parent['max']:.4g}]"
+                f"  change {change['median']:.4g} [{change['min']:.4g}, {change['max']:.4g}]"
+                f"  {row['verdict']}{relative}"
+            )
+    return lines
+
+
 def judgement_lines(judgement: dict) -> list[str]:
     """One line per workload and metric: medians [q1, q3], change, pairs won, WORSE flag."""
     lines = []
@@ -178,7 +240,8 @@ def main(argv=None) -> int:
         **alternating_runs(sides, "sweep-b3", trace_seeds, seconds, True),
     }
     out["judgement"] = judge(out, benchmark["end_to_end"])
-    print("\n".join(judgement_lines(out["judgement"])), file=sys.stderr)
+    out["traced_judgement"] = judge_layers(out["traced_sweep_b3"], benchmark["per_layer"])
+    print("\n".join(judgement_lines(out["judgement"]) + layer_lines(out["traced_judgement"])), file=sys.stderr)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}", file=sys.stderr)

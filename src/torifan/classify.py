@@ -20,13 +20,10 @@ from .lattice import vsum
 from .polytope import anticanonical_degree
 from .primitive import (
     bundle_candidates,
-    is_extremal,
     is_fano,
     is_weak_fano,
     picard_rank,
-    primitive_collections,
-    seed_is_extremal,
-    seed_primitive_collections,
+    seed_crepant_relations,
 )
 
 
@@ -242,11 +239,10 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     that is 1 on every ray. A weak Fano bundle therefore has phi(w) <= 2,
     that is w = p*v_i + q*v_j over a fiber cone with p, q >= 0 and
     p + q <= 2: 3n + 1 sums over a fiber with n rays, 304 over the 16
-    fibers. ``primitive.bundle_candidates`` lists them in increasing order,
-    each with its bundle's relations: the fiber's, lifted with the same
-    degrees, plus the section relation. So a weak Fano bundle has a weak
-    del Pezzo fiber, one of the 16, and the fiber set is complete within
-    the family.
+    fibers. ``primitive.bundle_candidates`` lists them in increasing order.
+    A bundle's relations are the fiber's, lifted with the same degrees,
+    plus the section relation. So a weak Fano bundle has a weak del Pezzo
+    fiber, one of the 16, and the fiber set is complete within the family.
 
     The box holds every candidate once b >= M, the largest |entry| of a
     fiber ray: each coordinate of w is at most (p + q) * M <= 2M in absolute
@@ -254,25 +250,16 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     already holds all 304; a bound below M is refused, since its box misses
     some, and a larger bound cannot add one. The sweep builds the
     candidates alone, so every allowed bound costs the same, and counts the
-    rest of the box as pruned by phi.
+    rest of the box as pruned by phi. A bound that is not an int (a bool
+    included) is refused.
 
-    Each built bundle is validated, and its relations are seeded from the
-    table instead of computed from its faces. So is the extremality of each
-    of its degree-0 relations, the only ones the verdict asks about, read
-    off the fiber instead of decided by an LP on the bundle. Every lifted
-    class is 0 at x+ and x- (indices n and n + 1), and the section class is
-    1 there. So the section class is never a nonnegative combination of the
-    others: it is extremal. In a combination that gives a lifted class the
-    section class has coefficient 0, so a lifted class is such a combination
-    exactly when its fiber class is one of the other fiber classes. So it is
-    extremal exactly when its fiber class is, which ``is_extremal`` decides
-    once per fiber relation and keeps on the fiber. This holds against all
-    the classes and against the degree-0 ones alone, which are the lifted
-    degree-0 fiber classes and, when p + q = 2, the section class. So it
-    holds for whichever table ``is_extremal`` would read on the bundle,
-    since on the weak Fano fiber the two tables give the same answer.
+    Each built bundle is validated, and its crepant relations, the only
+    relations the verdict reads, are seeded from the table: lifted from the
+    fiber, with no LP on the bundle, as ``bundle_candidates`` argues.
     ``stats`` counts each of ``SWEEP_STAGES``.
     """
+    if type(twist_bound) is not int:
+        raise ValueError(f"twist bound {twist_bound!r} is not an int")
     fibers = catalog.surfaces()
     reach = max(abs(x) for nf in fibers for ray in nf.fan.rays for x in ray)
     if twist_bound < reach:
@@ -285,17 +272,10 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     found: dict[bytes, tuple[Fan, dict]] = {}
     for nf in fibers:
         stats["box_points"] += box
-        # by relation position: the fiber's, then the section relation
-        extremal = [
-            r.degree == 0 and is_extremal(nf.fan, r) for r in primitive_collections(nf.fan)
-        ] + [True]
-        for w, relations in bundle_candidates(nf.fan):
+        for w, crepant in bundle_candidates(nf.fan):
             fan = build_bundle(nf.fan, w, (0, 0))
             stats["built"] += 1
-            seed_primitive_collections(fan, relations)
-            for rel, answer in zip(relations, extremal):
-                if rel.degree == 0:
-                    seed_is_extremal(fan, answer, rel)
+            seed_crepant_relations(fan, crepant)
             verdict = is_weakened_fano(fan)
             if verdict.is_fano:
                 stats["fano"] += 1

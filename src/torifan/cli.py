@@ -241,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify-3folds", parents=[common, stats], help="enumerate weakened Fano 3-folds")
     p.add_argument(
-        "--twist-bound", type=int, default=DEFAULT_TWIST_BOUND, help="section twist search bound (default %(default)s)"
+        "--twist-bound",
+        type=int,
+        default=DEFAULT_TWIST_BOUND,
+        help="section twist search bound, at least 2; every allowed bound builds the same bundles and "
+        "changes only the scope line and the box_points and pruned_by_phi counts (default %(default)s)",
     )
     p.set_defaults(func=_cmd_classify_3folds)
 

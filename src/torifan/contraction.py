@@ -19,25 +19,19 @@ coordinates. The rows of that inverse also give the basis change U, built
 once, for the witness returned. The ``small`` shape is told from ``other``
 by cross products of the rays, so nothing here solves or inverts.
 
-The weakened verdict and the table of contractions read one walk over the
-extremal degree-0 relations; the verdict stops at the first contraction
-that is not ``zero_two``.
+The weakened verdict and the table of contractions read the crepant
+relations (``primitive.crepant_relations``); the verdict stops at the
+first contraction that is not ``zero_two``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .fan import Fan, maximal_cone_normals, memoised, star
 from .lattice import Matrix, cross, matmul, matvec, vdot
-from .primitive import (
-    PrimitiveRelation,
-    is_extremal,
-    is_fano,
-    is_weak_fano,
-    primitive_collections,
-)
+from .primitive import PrimitiveRelation, crepant_relations, is_fano, is_weak_fano
 
 _NORMAL_FORM_BASIS: Matrix = ((1, 1, 0), (0, 1, 0), (0, 0, 1))  # columns x0, x+, y+
 
@@ -177,22 +171,17 @@ def _require_threefold(fan: Fan) -> None:
         raise ValueError("the weakened Fano characterization is specific to 3-folds")
 
 
-def _crepant(fan: Fan) -> Iterator[tuple[PrimitiveRelation, ContractionKind]]:
-    """Each extremal degree-0 relation with its shape, in relation order."""
-    for rel in primitive_collections(fan):
-        if rel.degree == 0 and is_extremal(fan, rel):
-            yield rel, contraction_shape(fan, rel)
-
-
 @memoised
 def crepant_contractions(fan: Fan) -> tuple[tuple[PrimitiveRelation, ContractionKind], ...]:
     """The crepant primitive contractions of a weak Fano 3-fold with their shapes.
 
-    These are the extremal degree-0 relations, in relation order; a fan that
-    is not weak Fano has none listed.
+    These are the crepant relations, in relation order; a fan that is not
+    weak Fano has none listed.
     """
     _require_threefold(fan)
-    return tuple(_crepant(fan)) if is_weak_fano(fan) else ()
+    if not is_weak_fano(fan):
+        return ()
+    return tuple((rel, contraction_shape(fan, rel)) for rel in crepant_relations(fan))
 
 
 @memoised
@@ -200,11 +189,13 @@ def is_weakened_fano(fan: Fan) -> WeakenedVerdict:
     """Weak Fano, not Fano, and every crepant primitive contraction collapses
     a Hirzebruch divisor onto a curve of image anticanonical degree 2.
 
-    The walk of ``crepant_contractions``, stopped at the first contraction
-    of another shape.
+    The crepant relations are walked in order, and the walk stops at the
+    first contraction of another shape.
     """
     _require_threefold(fan)
     weak = is_weak_fano(fan)
     fano = is_fano(fan)
-    weakened = weak and not fano and all(kind.kind == "zero_two" for _, kind in _crepant(fan))
+    weakened = weak and not fano and all(
+        contraction_shape(fan, rel).kind == "zero_two" for rel in crepant_relations(fan)
+    )
     return WeakenedVerdict(weak, fano, weakened)

@@ -16,13 +16,11 @@ maximal cone: the rays of a cone are linearly independent, so a
 relation's entries on them follow from the others, and dropping them
 loses nothing on the relations, where every class and every combination
 of classes lies. The collections are grown from the faces of the fan
-(``primitive_collections``); those of the surface bundles over P1 that the
-3-fold sweep builds are lifted from the fiber, each beside the relation of
-its two sections, read off the fiber's cones (``bundle_candidates``).
-Their extremality is lifted too, so the sweep runs no LP on a bundle: the
-section class is 1 at both sections, where every lifted class is 0, so it
-is extremal, and a lifted class is extremal exactly when its fiber class
-is (``classify.enumerate_weakened_threefolds``).
+(``primitive_collections``). The crepant relations, the extremal degree-0
+ones (``crepant_relations``), are all that the weakened verdict reads; for
+the surface bundles over P1 that the 3-fold sweep builds they are lifted
+from the fiber, beside the relation of the two sections, with no LP on
+the bundle (``bundle_candidates`` gives the argument).
 """
 
 from __future__ import annotations
@@ -119,54 +117,6 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     return tuple(relations)
 
 
-# taken at import, so it still reaches the memo when a wrapper (a tracer, a
-# call counter) is later put in place of ``primitive_collections``
-seed_primitive_collections = primitive_collections.seed
-
-
-def bundle_candidates(fiber: Fan) -> tuple[tuple[Vector, tuple[PrimitiveRelation, ...]], ...]:
-    """Each section sum w with phi(w) <= 2 over ``fiber``, in increasing
-    order, with the primitive relations of its bundle.
-
-    The bundle of w has the n fiber rays (v, 0), x+ = (w, 1) at index n and
-    x- = (0, -1) at index n + 1. Its faces are the fiber faces, alone or
-    joined to one section, so its minimal non-faces are those of the fiber
-    plus the section pair. A fiber collection sums to a point of a fiber
-    cone, a face of the bundle, so its relation keeps the cone,
-    coefficients and degree, and its class gains a zero at each section;
-    these are lifted once per fiber. The pair {x+, x-} sums to (w, 0), so
-    with w = p*v_i + q*v_j (p, q >= 0) in the fiber cone (v_i, v_j) its
-    relation is x+ + x- = p*(v_i, 0) + q*(v_j, 0), of degree 2 - (p + q) =
-    2 - phi(w), phi being the fiber's piecewise-linear function that is 1
-    on every ray. It holds the two largest indices and comes last in
-    collection order.
-
-    So the sums with phi(w) <= 2 are the p*v_i + q*v_j with p + q <= 2 over
-    the fiber's cones: 0, each v_i, each 2*v_i and the sum of each cone's
-    two rays. On a smooth complete 2-fan every point has one such form, so
-    n rays give 3n + 1 sums.
-    """
-    if fiber.dim != 2:
-        raise ValueError("bundle fiber must be 2-dimensional")
-    n = len(fiber.rays)
-    lifted = tuple(
-        PrimitiveRelation(r.collection, r.sigma, r.coeffs, r.degree, r.cls + (0, 0))
-        for r in primitive_collections(fiber)
-    )
-    sections: dict[Vector, PrimitiveRelation] = {}
-    for i, j in fiber.max_cones:
-        (xi, yi), (xj, yj) = fiber.rays[i], fiber.rays[j]
-        for p in range(3):
-            for q in range(3 - p):
-                coeffs = tuple((k, a) for k, a in ((i, p), (j, q)) if a > 0)
-                cls = [0] * n + [1, 1]
-                cls[i], cls[j] = -p, -q
-                sections[(p * xi + q * xj, p * yi + q * yj)] = PrimitiveRelation(
-                    (n, n + 1), tuple(k for k, _ in coeffs), coeffs, 2 - p - q, tuple(cls)
-                )
-    return tuple((w, lifted + (sections[w],)) for w in sorted(sections))
-
-
 def picard_rank(fan: Fan) -> int:
     return len(fan.rays) - fan.dim
 
@@ -223,11 +173,9 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     entries: dropping them is injective on the relations, and the smaller
     LP is feasible exactly when the full one is.
 
-    The 3-fold sweep seeds the answer for each degree-0 relation of the
-    bundles it builds (``seed_is_extremal``), read off the fiber as it
-    argues in ``classify.enumerate_weakened_threefolds``, so the sweep
-    runs this function only on the fibers' degree-0 relations, and a
-    fiber's answers are kept for the later sweeps of the process.
+    The 3-fold sweep asks this only of its fibers: a bundle's crepant
+    relations are read off its fiber (``bundle_candidates``), and a fiber's
+    answers are kept for the later sweeps of the process.
     """
     table = _columns(fan, rel.degree == 0 and is_weak_fano(fan))
     others = [c for c in table if c != rel.cls]
@@ -238,5 +186,70 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     return not has_nonneg_combination([table[c] for c in others], table[rel.cls])
 
 
-# taken at import, as ``seed_primitive_collections`` is
-seed_is_extremal = is_extremal.seed
+@memoised
+def crepant_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
+    """The extremal degree-0 relations, in relation order: on a weak Fano
+    3-fold, its crepant primitive contractions (Reid 1983)."""
+    return tuple(r for r in primitive_collections(fan) if r.degree == 0 and is_extremal(fan, r))
+
+
+# taken at import, so it still reaches the memo when a wrapper (a tracer, a
+# call counter) is later put in place of ``crepant_relations``
+seed_crepant_relations = crepant_relations.seed
+
+
+def bundle_candidates(fiber: Fan) -> tuple[tuple[Vector, tuple[PrimitiveRelation, ...]], ...]:
+    """Each section sum w with phi(w) <= 2 over ``fiber``, in increasing
+    order, with the crepant relations of its bundle (``crepant_relations``).
+
+    The bundle of w has the n fiber rays (v, 0), x+ = (w, 1) at index n and
+    x- = (0, -1) at index n + 1. Its faces are the fiber faces, alone or
+    joined to one section, so its minimal non-faces are those of the fiber
+    plus the section pair. A fiber collection sums to a point of a fiber
+    cone, a face of the bundle, so its relation keeps the cone,
+    coefficients and degree, and its class gains a zero at each section.
+    The pair {x+, x-} sums to (w, 0), so with w = p*v_i + q*v_j (p, q >= 0)
+    in the fiber cone (v_i, v_j) its relation is x+ + x- = p*(v_i, 0) +
+    q*(v_j, 0), of degree 2 - (p + q) = 2 - phi(w), phi being the fiber's
+    piecewise-linear function that is 1 on every ray. It holds the two
+    largest indices and comes last in relation order.
+
+    So the sums with phi(w) <= 2 are the p*v_i + q*v_j with p + q <= 2 over
+    the fiber's cones: 0, each v_i, each 2*v_i and the sum of each cone's
+    two rays. On a smooth complete 2-fan every point has one such form, so
+    n rays give 3n + 1 sums.
+
+    Extremality lifts too. Every lifted class is 0 at x+ and x-, and the
+    section class is 1 there, so the section class is never a nonnegative
+    combination of the others: it is extremal. In a combination that gives
+    a lifted class the section class has coefficient 0, so a lifted class
+    is extremal exactly when its fiber class is. This holds against all the
+    classes and against the degree-0 ones alone, and the bundle is weak
+    Fano exactly when its fiber is, the section relation having degree
+    2 - (p + q) >= 0; so ``is_extremal`` reads tables of the same kind on
+    the two. So the bundle's crepant relations are the fiber's, lifted once
+    per fiber, plus the section relation when p + q = 2, and the sweep runs
+    no LP on a bundle.
+    """
+    if fiber.dim != 2:
+        raise ValueError("bundle fiber must be 2-dimensional")
+    n = len(fiber.rays)
+    lifted = tuple(
+        PrimitiveRelation(r.collection, r.sigma, r.coeffs, r.degree, r.cls + (0, 0))
+        for r in crepant_relations(fiber)
+    )
+    candidates: dict[Vector, tuple[PrimitiveRelation, ...]] = {}
+    for i, j in fiber.max_cones:
+        (xi, yi), (xj, yj) = fiber.rays[i], fiber.rays[j]
+        for p in range(3):
+            for q in range(3 - p):
+                w = (p * xi + q * xj, p * yi + q * yj)
+                if p + q < 2:
+                    candidates[w] = lifted
+                    continue
+                coeffs = tuple((k, a) for k, a in ((i, p), (j, q)) if a > 0)
+                cls = [0] * n + [1, 1]
+                cls[i], cls[j] = -p, -q
+                section = PrimitiveRelation((n, n + 1), tuple(k for k, _ in coeffs), coeffs, 0, tuple(cls))
+                candidates[w] = lifted + (section,)
+    return tuple(sorted(candidates.items()))

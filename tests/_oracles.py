@@ -706,10 +706,10 @@ def fraction_lp_feasible(columns, target) -> bool:
     return red[ncols] == 0
 
 
-def full_lp(fan, rel):
+def full_lp(relations, rel):
     """(columns, target) of the LP deciding extremality of a relation class
-    against every other class that is not a positive multiple of it."""
-    from torifan.primitive import primitive_collections
+    against every other class of ``relations``, all the relations of a fan,
+    that is not a positive multiple of it."""
 
     def positive_multiple(u, v):
         pivot = next((i for i, x in enumerate(v) if x != 0), None)
@@ -720,7 +720,7 @@ def full_lp(fan, rel):
 
     others = [
         r.cls
-        for r in primitive_collections(fan)
+        for r in relations
         if r.collection != rel.collection and not positive_multiple(r.cls, rel.cls)
     ]
     return others, rel.cls
@@ -733,8 +733,34 @@ def full_lp_is_extremal(fan, rel) -> bool:
     tests a degree-0 class against the degree-0 classes only; the LP is
     solved by ``fraction_lp_feasible``, not by the package's solver.
     """
-    others, target = full_lp(fan, rel)
+    from torifan.primitive import primitive_collections
+
+    others, target = full_lp(primitive_collections(fan), rel)
     return not others or not fraction_lp_feasible(others, target)
+
+
+def reference_crepant_relations(relations):
+    """The extremal degree-0 relations among ``relations``, all the relations
+    of a fan in order, each tested by one LP against every other class on
+    all n entries (``full_lp``).
+
+    The reference for ``primitive.crepant_relations``, which on a weak Fano
+    fan tests against the degree-0 classes only, on the entries off one
+    cone, after a lookup of sums of two classes. The LPs are solved by
+    ``lattice.has_nonneg_combination``, which ``tests/test_lattice.py``
+    checks against ``fraction_lp_feasible`` on these same LPs over the
+    catalog and the 304 bundles of the sweep; the Fraction LP would take
+    several seconds more here.
+    """
+    from torifan.lattice import has_nonneg_combination
+
+    crepant = []
+    for rel in relations:
+        if rel.degree == 0:
+            others, target = full_lp(relations, rel)
+            if not others or not has_nonneg_combination(others, target):
+                crepant.append(rel)
+    return tuple(crepant)
 
 
 @dataclass(frozen=True)
@@ -774,19 +800,24 @@ def eager_weakened_verdict(fan):
 
     The reference for ``contraction.crepant_contractions``, which is the
     table, and for ``contraction.is_weakened_fano``, which walks the same
-    relations and stops at the first shape that is not ``zero_two``.
+    relations and stops at the first shape that is not ``zero_two``. No
+    part of it calls the package function it stands for: the relations
+    come from the subset scan of ``reference_primitive_collections``, weak
+    Fano and Fano from ``reference_wall_degrees``, extremality from
+    ``reference_crepant_relations`` and each shape from
+    ``reference_contraction_shape``.
     """
-    from torifan.contraction import contraction_shape
-    from torifan.primitive import is_extremal, is_fano, is_weak_fano, primitive_collections
-
-    weak = is_weak_fano(fan)
-    table = []
+    degrees = reference_wall_degrees(fan).values()
+    weak = all(d >= 0 for d in degrees)
+    fano = all(d > 0 for d in degrees)
+    table = ()
     if weak:
-        for rel in primitive_collections(fan):
-            if rel.degree == 0 and is_extremal(fan, rel):
-                table.append((rel, contraction_shape(fan, rel)))
-    weakened = weak and not is_fano(fan) and all(kind.kind == "zero_two" for _, kind in table)
-    return weakened, tuple(table)
+        table = tuple(
+            (rel, reference_contraction_shape(fan, rel))
+            for rel in reference_crepant_relations(reference_primitive_collections(fan))
+        )
+    weakened = weak and not fano and all(kind.kind == "zero_two" for _, kind in table)
+    return weakened, table
 
 
 def isomorphism_invariants(fan) -> tuple:

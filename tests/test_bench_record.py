@@ -131,3 +131,54 @@ def test_a_run_without_a_json_result_is_reported(tmp_path):
         with pytest.raises(SystemExit, match=r"(?s)reject-mix seed 1 printed no JSON result .*"
                                              r"\(exit code 0\).*a warning"):
             bench_record.perfbench(checkout, "reject-mix", 1, 1, False)
+
+
+def test_judge_the_traced_layers():
+    per_layer = [
+        {"name": "fan.validate.calls", "unit": "count"},
+        {"name": "primitive.is_extremal.calls", "unit": "count"},
+        {"name": "fan.validate.self_s", "unit": "s"},
+        {"name": "classify.build_bundle.self_s", "unit": "s"},
+        {"name": "primitive.is_extremal.true_ratio", "unit": "ratio"},
+        {"name": "missing.calls", "unit": "count"},
+    ]
+    parent = _runs(**{"fan.validate.calls": [317] * 3, "primitive.is_extremal.calls": [388] * 3,
+                      "fan.validate.self_s": [0.030, 0.020, 0.025], "classify.build_bundle.self_s": [0.010] * 3,
+                      "primitive.is_extremal.true_ratio": [0.9] * 3})
+    change = _runs(**{"fan.validate.calls": [317, 318, 317], "primitive.is_extremal.calls": [0] * 3,
+                      "fan.validate.self_s": [0.012, 0.015, 0.018],
+                      "classify.build_bundle.self_s": [0.009, 0.014, 0.008],
+                      "primitive.is_extremal.true_ratio": [0.0] * 3})
+    rows = bench_record.judge_layers({"parent": {"runs": parent}, "change": {"runs": change}}, per_layer)
+    # ratios and metrics that no run reports are left out
+    assert set(rows) == {"fan.validate.calls", "primitive.is_extremal.calls", "fan.validate.self_s",
+                         "classify.build_bundle.self_s"}
+    # a count that differs between runs of one side is flagged; one that
+    # differs only between the sides is not
+    assert rows["fan.validate.calls"] == {"parent": [317], "change": [317, 318], "varies": ["change"]}
+    assert rows["primitive.is_extremal.calls"]["varies"] == []
+    # [0.012, 0.018] lies below [0.020, 0.030]: compared by medians
+    validate = rows["fan.validate.self_s"]
+    assert validate["parent"] == {"median": 0.025, "min": 0.020, "max": 0.030}
+    assert validate["verdict"] == "lower" and validate["relative"] == pytest.approx(-0.4)
+    # [0.008, 0.014] holds 0.010: no median comparison
+    build = rows["classify.build_bundle.self_s"]
+    assert build["verdict"] == "unresolved" and build["relative"] is None
+    lines = bench_record.layer_lines(rows)
+    assert lines[0].endswith("VARIES at change") and "VARIES" not in lines[1]
+    assert lines[2].endswith("lower  -40.0%") and lines[3].endswith("unresolved")
+
+
+def test_judge_the_traced_layers_of_the_one_walk_record():
+    record = json.loads((ROOT / "BENCH_one_walk.json").read_text())
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    rows = bench_record.judge_layers(record["traced_sweep_b3"], per_layer)
+    # the sweep's 54.7-75.1 ms at the parent and 59.4-93.1 ms at the change
+    # overlap, so the slower median at the change is not read as a change
+    assert rows["classify.enumerate_weakened_threefolds.total_s"]["verdict"] == "unresolved"
+    assert rows["contraction.zero_two_normal_form_witness.total_s"]["verdict"] == "unresolved"
+    # the counts that change moved, and none that varies within a side
+    witness = rows["contraction.zero_two_normal_form_witness.calls"]
+    assert witness == {"parent": [314], "change": [313], "varies": []}
+    assert rows["primitive.is_extremal.calls"] == {"parent": [305], "change": [388], "varies": []}
+    assert not any(row.get("varies") for row in rows.values())

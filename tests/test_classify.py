@@ -251,6 +251,13 @@ class TestThreefoldEnumeration:
         with pytest.raises(ValueError, match="twist bound 1 is below 2, .* so its box misses candidate twists"):
             enumerate_weakened_threefolds(1)
 
+    @pytest.mark.parametrize("bound", [2.5, 3.0, True])
+    def test_bound_that_is_not_an_int_rejected(self, bound):
+        # as Fan refuses such a dim; 2.5 would otherwise sweep a box of
+        # 1936.0 points and 3.0 or True pass for 3 or 1
+        with pytest.raises(ValueError, match=f"twist bound {bound!r} is not an int"):
+            enumerate_weakened_threefolds(bound)
+
     def test_bound_two_holds_every_candidate(self, threefold_report_b3):
         # every candidate lies in [-4, 4]^2, the box of bound 2
         report, _ = threefold_report_b3

@@ -302,8 +302,9 @@ def _catalog_lps():
     from torifan.primitive import primitive_collections
 
     for nf in all_named().values():
-        for rel in primitive_collections(nf.fan):
-            yield full_lp(nf.fan, rel)
+        relations = primitive_collections(nf.fan)
+        for rel in relations:
+            yield full_lp(relations, rel)
 
 
 def _bound_3_bundle_lps():
@@ -323,8 +324,9 @@ def _bound_3_bundle_lps():
                 fan = build_bundle(nf.fan, (sx, sy), (0, 0))
                 assert is_weak_fano(fan)
                 bundles += 1
-                for rel in primitive_collections(fan):
-                    yield full_lp(fan, rel)
+                relations = primitive_collections(fan)
+                for rel in relations:
+                    yield full_lp(relations, rel)
     assert bundles == 304
 
 

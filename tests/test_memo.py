@@ -176,11 +176,15 @@ def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls):
 def test_sweep_lifts_bundle_relations_without_a_subset_scan(calls):
     catalog.surfaces(), catalog.threefolds()
     scanned = calls(primitive._face_set)
+    relations = calls(primitive.primitive_collections)
+    extremal = calls(primitive.is_extremal)
     validated = calls(fan_module.validate)
     report = enumerate_weakened_threefolds(3)
     assert report.count == 15
-    assert not any(fan.dim == 3 for fan in scanned)
-    # the relations are seeded, but every built bundle is still validated once
+    # a bundle's crepant relations are seeded from its fiber, so the sweep
+    # neither grows a bundle's relations nor decides their extremality
+    assert not any(fan.dim == 3 for fan in scanned + relations + extremal)
+    # every built bundle is still validated once
     bundles = [fan for fan in validated if fan.dim == 3]
     assert len(bundles) == 304 and len({id(fan) for fan in bundles}) == 304
 

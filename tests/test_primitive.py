@@ -7,6 +7,7 @@ from torifan.fan import Fan, fan_from_rays_2d, wall_degrees
 from torifan.lattice import has_nonneg_combination, vsum
 from torifan.primitive import (
     bundle_candidates,
+    crepant_relations,
     is_extremal,
     is_fano,
     is_weak_fano,
@@ -19,6 +20,7 @@ from _oracles import (
     random_unimodular,
     rebase_fan,
     reference_bundle_relations,
+    reference_crepant_relations,
     reference_primitive_collections,
     reference_section_relation,
     reference_wall_degrees,
@@ -369,11 +371,12 @@ def _sweep_bundles_b3() -> list:
     ]
 
 
-def test_sweep_seeds_the_lp_answer_for_every_degree_zero_relation(monkeypatch):
-    """The sweep seeds each built bundle's degree-0 extremality from its
-    fiber. Every seeded answer must equal ``is_extremal`` on a fresh copy of
-    the bundle, which decides it by the LP; the section relation, of degree
-    0 exactly when p + q = 2, is extremal on every such bundle."""
+def test_sweep_seeds_the_crepant_relations_of_every_bundle(monkeypatch):
+    """The sweep seeds each built bundle's crepant relations, lifted from its
+    fiber. Every seeded tuple must equal ``crepant_relations`` of a fresh
+    copy of the bundle, which grows its relations from its faces and
+    decides their extremality by the LP; the section relation, of degree 0
+    exactly when p + q = 2, is crepant on every such bundle."""
     from torifan import classify, primitive
     from torifan.fan import build_bundle
 
@@ -387,30 +390,25 @@ def test_sweep_seeds_the_lp_answer_for_every_degree_zero_relation(monkeypatch):
     assert classify.enumerate_weakened_threefolds(3).count == 15
     assert len(built) == 304
 
-    def no_table(*args):
-        raise AssertionError("a seeded answer reached the table of classes")
+    def not_seeded(*args):
+        raise AssertionError("a bundle's crepant relations were not seeded")
 
     with monkeypatch.context() as m:
-        m.setattr(primitive, "_columns", no_table)
-        seeded = [
-            [(rel, is_extremal(fan, rel)) for rel in primitive_collections(fan) if rel.degree == 0]
-            for fan in built
-        ]
-    relations = sections = not_extremal = 0
-    for fan, answers in zip(built, seeded):
+        m.setattr(primitive, "primitive_collections", not_seeded)
+        seeded = [crepant_relations(fan) for fan in built]
+    relations = sections = 0
+    for fan, crepant in zip(built, seeded):
         fresh = Fan(3, fan.rays, fan.max_cones)
-        n = len(fan.rays) - 2
-        for rel, answer in answers:
-            assert answer == is_extremal(fresh, rel), (fan.to_dict(), rel)
-            relations += 1
-            not_extremal += not answer
+        assert crepant == crepant_relations(fresh), fan.to_dict()
+        relations += len(crepant)
         section = primitive_collections(fresh)[-1]
+        n = len(fan.rays) - 2
         assert section.collection == (n, n + 1)
-        if section.degree == 0:
-            assert is_extremal(fresh, section), fan.to_dict()
-            sections += 1
+        assert (section in crepant) == (section.degree == 0), fan.to_dict()
+        sections += section in crepant
     # 2n sums with p + q = 2 over each fiber with n rays, 96 rays in all
-    assert relations == 1163 and sections == 192 and not_extremal > 0
+    # of the 1163 degree-0 relations of the bundles, 225 are not extremal
+    assert relations == 938 and sections == 192
 
 
 def test_every_class_is_primitive_with_a_one_off_sigma():
@@ -498,9 +496,12 @@ def _fresh_bundle_relations(fiber, twist_plus, twist_minus):
 
 class TestBundleRelations:
     """``bundle_candidates`` lists the sweep's sums with their bundles'
-    relations, and the reference lifts a bundle's relations from its fiber
-    for any twists; each case compares them with ``primitive_collections``
-    of a fresh copy of the bundle, which grows them from its faces."""
+    crepant relations, and the reference lifts a bundle's relations from
+    its fiber for any twists. The crepant relations are compared with the
+    reference's relations of the bundle, filtered to degree 0 and extremal
+    by ``reference_crepant_relations``; the lifted relations with
+    ``primitive_collections`` of a fresh copy of the bundle, which grows
+    them from its faces."""
 
     @staticmethod
     def check(fiber, twist_plus, twist_minus) -> None:
@@ -524,10 +525,13 @@ class TestBundleRelations:
     def test_the_304_bundles_of_the_sweep(self):
         from torifan.catalog import surfaces
 
+        from torifan.fan import build_bundle
+
         checked = 0
         for nf in surfaces():
-            for w, relations in bundle_candidates(nf.fan):
-                assert relations == _fresh_bundle_relations(nf.fan, w, (0, 0)), (nf.name, w)
+            for w, crepant in bundle_candidates(nf.fan):
+                relations = reference_primitive_collections(build_bundle(nf.fan, w, (0, 0)))
+                assert crepant == reference_crepant_relations(relations), (nf.name, w)
                 checked += 1
         assert checked == 304
 
@@ -535,7 +539,8 @@ class TestBundleRelations:
         """The sums of the table are the points w of [-2M, 2M]^2 whose section
         relation, located in the fiber, has degree >= 0, in increasing order
         (M the largest |entry| of a fiber ray, 2 on the 16 catalog fibers);
-        each with the reference's relations of that bundle."""
+        each with the crepant ones of the reference's relations of that
+        bundle."""
         from torifan.catalog import surfaces
 
         fibers = [nf.fan for nf in surfaces()] + non_weak_fibers
@@ -547,7 +552,8 @@ class TestBundleRelations:
                 for sy in range(-reach, reach + 1):
                     section = reference_section_relation(fiber, (sx, sy), (0, 0))
                     if section.degree >= 0:
-                        expected.append(((sx, sy), reference_bundle_relations(fiber, section)))
+                        relations = reference_bundle_relations(fiber, section)
+                        expected.append(((sx, sy), reference_crepant_relations(relations)))
             table = bundle_candidates(fiber)
             assert list(table) == expected, fiber.to_dict()
             assert len(table) == 3 * len(fiber.rays) + 1
@@ -563,6 +569,9 @@ class TestBundleRelations:
         assert section.collection == (3, 4) and section.sigma == (1, 2)
         assert section.coeffs == ((1, 1), (2, 1))
         assert section.degree == 0 and section.cls == (0, -1, -1, 1, 1)
+        # P2 has no crepant relation, and the section relation of a sum with
+        # p + q < 2 has positive degree
+        assert dict(table)[(0, 0)] == dict(table)[(0, 1)] == ()
         with pytest.raises(ValueError):
             bundle_candidates(named_fan("X3_0").fan)
 
