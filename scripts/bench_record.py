@@ -152,7 +152,8 @@ def judge_layers(traced: dict, per_layer: list[dict]) -> dict:
     ranges overlap the time is ``unresolved`` and no relative change is
     given; otherwise ``relative`` is (change - parent) / parent of the
     medians, None when the parent's is 0, and the time is ``lower`` or
-    ``higher`` at the change.
+    ``higher`` at the change. A time that reads 0 in every run of both
+    sides, a layer that neither entered, is left out.
     """
     sides = ("parent", "change")
     rows = {}
@@ -164,7 +165,7 @@ def judge_layers(traced: dict, per_layer: list[dict]) -> dict:
         if name.endswith(".calls"):
             row = {side: sorted(set(runs[side])) for side in sides}
             row["varies"] = [side for side in sides if len(row[side]) > 1]
-        elif metric["unit"] == "s":
+        elif metric["unit"] == "s" and any(runs["parent"] + runs["change"]):
             row = {side: {"median": statistics.median(v), "min": min(v), "max": max(v)}
                    for side, v in runs.items()}
             p, c = row["parent"], row["change"]

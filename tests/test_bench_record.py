@@ -139,18 +139,20 @@ def test_judge_the_traced_layers():
         {"name": "primitive.is_extremal.calls", "unit": "count"},
         {"name": "fan.validate.self_s", "unit": "s"},
         {"name": "classify.build_bundle.self_s", "unit": "s"},
+        {"name": "lattice.solve_rational.self_s", "unit": "s"},
         {"name": "primitive.is_extremal.true_ratio", "unit": "ratio"},
         {"name": "missing.calls", "unit": "count"},
     ]
     parent = _runs(**{"fan.validate.calls": [317] * 3, "primitive.is_extremal.calls": [388] * 3,
                       "fan.validate.self_s": [0.030, 0.020, 0.025], "classify.build_bundle.self_s": [0.010] * 3,
-                      "primitive.is_extremal.true_ratio": [0.9] * 3})
+                      "lattice.solve_rational.self_s": [0.0] * 3, "primitive.is_extremal.true_ratio": [0.9] * 3})
     change = _runs(**{"fan.validate.calls": [317, 318, 317], "primitive.is_extremal.calls": [0] * 3,
                       "fan.validate.self_s": [0.012, 0.015, 0.018],
                       "classify.build_bundle.self_s": [0.009, 0.014, 0.008],
-                      "primitive.is_extremal.true_ratio": [0.0] * 3})
+                      "lattice.solve_rational.self_s": [0.0] * 3, "primitive.is_extremal.true_ratio": [0.0] * 3})
     rows = bench_record.judge_layers({"parent": {"runs": parent}, "change": {"runs": change}}, per_layer)
-    # ratios and metrics that no run reports are left out
+    # ratios, metrics that no run reports and times that are 0 in every
+    # run are left out
     assert set(rows) == {"fan.validate.calls", "primitive.is_extremal.calls", "fan.validate.self_s",
                          "classify.build_bundle.self_s"}
     # a count that differs between runs of one side is flagged; one that
@@ -182,3 +184,5 @@ def test_judge_the_traced_layers_of_the_one_walk_record():
     assert witness == {"parent": [314], "change": [313], "varies": []}
     assert rows["primitive.is_extremal.calls"] == {"parent": [305], "change": [388], "varies": []}
     assert not any(row.get("varies") for row in rows.values())
+    # the dead targets' times read 0 on both sides and are left out
+    assert "lattice.solve_rational.self_s" not in rows and "lattice.solve_rational.calls" in rows
