@@ -1,0 +1,200 @@
+"""Rerun the mutants that the tests are recorded to catch.
+
+Each row of ``MUTANTS`` is one exact-text replacement in one file. A killed
+mutant is applied to a fresh copy of the repository in a temporary
+directory, and ``pytest -x -q`` on its tests must exit with code 1: a test
+failed. Exit code 0 means the mutant survived; any other code (a test id
+that no longer exists, a collection error) fails the row too. An equivalent
+mutant changes no answer, so it is not run, and its row gives the reason.
+The old text of every row must occur exactly once in its file, so a row
+whose code has moved fails instead of testing nothing. Mutants run one at a
+time.
+
+usage: python3 scripts/mutants.py
+
+Exits 1 when a mutant survives or a row no longer applies. Standard library
+only; pytest must be importable by the running interpreter.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "_work")
+
+CONTRACTION = "src/torifan/contraction.py"
+PRIMITIVE = "src/torifan/primitive.py"
+CLASSIFY_TESTS = "tests/test_contraction.py::TestClassifyContraction::"
+WITNESS_TESTS = "tests/test_contraction.py::TestNormalFormWitness::"
+BUNDLE_TESTS = "tests/test_primitive.py::TestBundleRelations::"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...] = ()  # expected to fail; empty for an equivalent mutant
+    equivalent: str = ""  # why the mutant changes no answer
+
+
+MUTANTS = (
+    # the zero-two witness
+    Mutant(
+        "witness without the wall-degree test",
+        CONTRACTION,
+        " or wall_degrees(fan)[tuple(sorted((x0, xp)))] != 2",
+        "",
+        (CLASSIFY_TESTS + "test_crepancy_offset_must_vanish",),
+    ),
+    Mutant(
+        "witness asks for wall degree 1",
+        CONTRACTION,
+        "[tuple(sorted((x0, xp)))] != 2",
+        "[tuple(sorted((x0, xp)))] != 1",
+        (CLASSIFY_TESTS + "test_x3_0_collapses_p1xp1",),
+    ),
+    Mutant(
+        "witness swaps x+- also at beta = 0",
+        CONTRACTION,
+        "if beta < 0:",
+        "if beta <= 0:",
+        (WITNESS_TESTS + "test_witness_reproduces_normal_form",),
+    ),
+    Mutant(
+        "witness returns beta for a",
+        CONTRACTION,
+        "abs(beta)",
+        "beta",
+        (WITNESS_TESTS + "test_shapes_and_witnesses_agree_with_the_references",),
+    ),
+    Mutant(
+        "witness never swaps x+-",
+        CONTRACTION,
+        "    if beta < 0:\n        xp, xm = xm, xp\n",
+        "",
+        (WITNESS_TESTS + "test_shapes_and_witnesses_agree_with_the_references",),
+    ),
+    # the weakened verdict
+    Mutant(
+        "verdict asks for any zero-two contraction",
+        CONTRACTION,
+        "weakened = weak and not fano and all(",
+        "weakened = weak and not fano and any(",
+        ("tests/test_contraction.py::test_short_circuit_verdict_agrees_with_eager_verdict",),
+    ),
+    Mutant(
+        "verdict negates the zero-two test",
+        CONTRACTION,
+        '.kind == "zero_two" for rel in crepant_relations(fan)',
+        '.kind != "zero_two" for rel in crepant_relations(fan)',
+        ("tests/test_contraction.py::TestWeakenedPredicate::test_all_fifteen_catalog_threefolds",),
+    ),
+    Mutant(
+        "crepant relations without the extremality filter",
+        PRIMITIVE,
+        "if r.degree == 0 and is_extremal(fan, r))",
+        "if r.degree == 0)",
+        (CLASSIFY_TESTS + "test_non_extremal_rejected",),
+    ),
+    # the crepant relations of each sweep bundle
+    Mutant(
+        "bundle candidates without the section relation",
+        PRIMITIVE,
+        "candidates[w] = lifted + (section,)",
+        "candidates[w] = lifted",
+        (BUNDLE_TESTS + "test_candidates_of_p2",),
+    ),
+    Mutant(
+        "bundle candidates keep the section relation at p + q < 2",
+        PRIMITIVE,
+        "if p + q < 2:",
+        "if p + q < 0:",
+        (BUNDLE_TESTS + "test_candidates_agree_with_the_reference",),
+    ),
+    Mutant(
+        "bundle candidates lift every degree-0 fiber relation",
+        PRIMITIVE,
+        "for r in crepant_relations(fiber)",
+        "for r in primitive_collections(fiber) if r.degree == 0",
+        (BUNDLE_TESTS + "test_candidates_agree_with_the_reference",),
+    ),
+    # the small shape: t in cone(a, b) for t = lambda*a + mu*b, where
+    # (a x t).n = mu*|n|^2 and (t x b).n = lambda*|n|^2
+    Mutant(
+        "small shape drops n.t = 0",
+        CONTRACTION,
+        "vdot(n, t) == 0 and ",
+        "",
+        (CLASSIFY_TESTS + "test_small_contraction_shape",),
+    ),
+    Mutant(
+        "small shape asks mu > 0",
+        CONTRACTION,
+        "vdot(cross(a, t), n) >= 0",
+        "vdot(cross(a, t), n) > 0",
+        equivalent="mu = 0 puts t on the line of a; t = a is impossible, since a target of a "
+        "relation is not in its collection, and t = -a has lambda = -1, refused either way",
+    ),
+    Mutant(
+        "small shape drops the lambda test",
+        CONTRACTION,
+        " and vdot(cross(t, b), n) >= 0",
+        "",
+        equivalent="on a smooth fan both targets in the plane span a smooth 2-cone, so writing "
+        "a = p*t1 + q*t2, a target with lambda < 0 <= mu <= 1 forces q = 0 and mu = 0, "
+        "the case of t on the line of a above",
+    ),
+)
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """(passed, what happened) for one row."""
+    text = (ROOT / mutant.path).read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        return False, f"old text occurs {count} times in {mutant.path}"
+    if bool(mutant.tests) == bool(mutant.equivalent):
+        return False, "a row names either the tests that kill it or why it is equivalent"
+    if mutant.equivalent:
+        return True, "equivalent: " + mutant.equivalent
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
+        (copy / mutant.path).write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+        elapsed = time.monotonic() - start
+    if proc.returncode == 1:
+        return True, f"killed in {elapsed:.1f} s"
+    if proc.returncode == 0:
+        return False, f"survived {len(mutant.tests)} test(s)"
+    tail = "\n".join((proc.stdout + proc.stderr).strip().splitlines()[-5:])
+    return False, f"pytest exit code {proc.returncode}:\n{tail}"
+
+
+def main() -> int:
+    failed = 0
+    for mutant in MUTANTS:
+        ok, what = run(mutant)
+        failed += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {mutant.name}: {what}", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} rows hold")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

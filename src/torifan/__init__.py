@@ -11,7 +11,6 @@ from .fan import (
     fan_from_dict,
     fan_from_json,
     fan_from_rays_2d,
-    star,
     validate,
 )
 from .lattice import is_primitive
@@ -71,7 +70,6 @@ __all__ = [
     "named_fan",
     "picard_rank",
     "primitive_collections",
-    "star",
     "surfaces",
     "threefolds",
     "validate",

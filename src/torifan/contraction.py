@@ -9,15 +9,11 @@ exactly four maximal cones pairing {x+, x-} against two further rays
 
 with 0 <= a <= 2, the contraction collapses the divisor at x0 (a Hirzebruch
 surface of degree a) onto a rational curve of anticanonical degree 2. The
-detector reconstructs the witness basis change directly: it pins the star
-of x0 to the four normal-form cones by counting its cones and rays (their
-quotient by x0 is the fan of F_a), and it pins the anticanonical degree
-of the image curve to exactly 2. Each candidate is tested on the
-coordinates of y- in the cone (x0, x+, y+), read from the cone inverse
-(``maximal_cone_normals``); x- needs no test, because the relation fixes its
-coordinates. The rows of that inverse also give the basis change U, built
-once, for the witness returned. The ``small`` shape is told from ``other``
-by cross products of the rays, so nothing here solves or inverts.
+detector decides that normal form in one step, from the star of x0, the
+degree of the wall {x0, x+} that ``validate`` keeps and the sign of one
+coordinate read from a cone inverse; the argument is in
+``zero_two_normal_form_witness``. The ``small`` shape is told from
+``other`` by cross products of the rays, so nothing here solves or inverts.
 
 The weakened verdict and the table of contractions read the crepant
 relations (``primitive.crepant_relations``); the verdict stops at the
@@ -29,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fan import Fan, maximal_cone_normals, memoised, star
-from .lattice import Matrix, cross, matmul, matvec, vdot
+from .fan import Fan, maximal_cone_normals, memoised, wall_degrees
+from .lattice import cross, vdot
 from .primitive import PrimitiveRelation, crepant_relations, is_fano, is_weak_fano
-
-_NORMAL_FORM_BASIS: Matrix = ((1, 1, 0), (0, 1, 0), (0, 0, 1))  # columns x0, x+, y+
 
 
 @dataclass(frozen=True)
@@ -68,29 +62,34 @@ class WeakenedVerdict:
 
 def zero_two_normal_form_witness(
     fan: Fan, rel: PrimitiveRelation
-) -> Optional[tuple[Matrix, tuple[int, int, int, int, int], int]]:
-    """Witness (U, (x0, x+, x-, y+, y-), a) mapping the configuration onto its normal form.
+) -> Optional[tuple[tuple[int, int, int, int, int], int]]:
+    """Witness ((x0, x+, x-, y+, y-), a) of the normal form, or None.
 
-    Returns None unless the relation is x+ + x- = 2*x0 and the fan around x0
-    matches the four-cone shape exactly, including the crepancy constraint
-    U*y- = (0, a, -1). Raises ``ValueError`` on a fan that does not validate.
+    Returns None unless the relation is x+ + x- = 2*x0 and the configuration
+    around x0 is unimodularly equivalent to the normal form. x+ and x- come
+    in the relation's order, swapped when beta below is negative, and y+
+    and y- are the side rays in increasing order. Raises ``ValueError`` on
+    a fan that does not validate.
 
     The star of x0 is the normal-form star once it has four cones, each
     holding exactly one of {x+, x-}, and two side rays: each cone is then x0
     plus one of the pair plus one side ray, and the four distinct cones take
     all 2 x 2 choices.
 
-    U = N * B^-1, with B the columns x0, x+, y+ and N the same columns in
-    normal form. The cone inverse (``maximal_cone_normals``) of the sorted
-    cone {x0, x+, y+} is B^-1 with its rows reordered (row k gives the
-    coordinate along the k-th ray), so B^-1 is its rows for x0, x+ and y+,
-    and U costs one product, for the witness returned, and no inversion.
-    U*y- = (alpha + beta, beta, gamma) for the coordinates (alpha, beta,
-    gamma) of y- along x0, x+, y+. On a valid fan gamma = -1: |gamma| = 1
-    because the cone (x0, x+, y-) is unimodular, and gamma < 0 because y-
-    lies across the wall (x0, x+) from y+. The relation fixes the
-    coordinates of x- at (2, -1, 0), which U maps to (1, -1, 0), so x- needs
-    no test either.
+    In the cone (x0, x+, y+) write y- = alpha*x0 + beta*x+ + gamma*y+. On a
+    valid fan gamma = -1: |gamma| = 1 because the cone (x0, x+, y-) is
+    unimodular, and gamma < 0 because y- lies across the wall {x0, x+} from
+    y+. So y+ + y- = alpha*x0 + beta*x+, and the degree of that wall, which
+    ``validate`` kept (``wall_degrees``), is 2 - alpha - beta. The basis
+    change U taking x0, x+, y+ to their normal form (1,0,0), (1,1,0),
+    (0,0,1) takes y- to (alpha + beta, beta, -1), which must be (0, a, -1);
+    it takes x- = 2*x0 - x+ to (1, -1, 0) whatever the fan. Swapping y+ and
+    y- leaves (alpha, beta) unchanged, and swapping x+ and x- gives
+    (alpha + 2*beta, -beta), so both walls {x0, x+-} have the same degree,
+    and beta >= 0 holds in exactly one order of x+- (in both when
+    beta = 0). So the normal form exists exactly when the star has the
+    four-cone shape and that wall has degree 2, and then a = |beta|, read
+    as row x+ of the cone inverse (``maximal_cone_normals``) applied to y-.
     """
     inverses = maximal_cone_normals(fan)
     if fan.dim != 3:
@@ -98,25 +97,20 @@ def zero_two_normal_form_witness(
     if len(rel.collection) != 2 or len(rel.coeffs) != 1 or rel.coeffs[0][1] != 2:
         return None
     x0 = rel.coeffs[0][0]
-    pair = rel.collection
-    star_cones = star(fan, x0)
+    xp, xm = rel.collection
+    star = {cone: rows for cone, rows in zip(fan.max_cones, inverses) if x0 in cone}
     # every maximal cone at x0 must use exactly one of the two collapsing rays
-    for cone in star_cones:
-        if len(set(cone) & set(pair)) != 1:
-            return None
-    side_rays = sorted({i for cone in star_cones for i in cone} - {x0} - set(pair))
-    if len(side_rays) != 2 or len(star_cones) != 4:
+    if len(star) != 4 or any((xp in cone) == (xm in cone) for cone in star):
         return None
-    for xp, xm in (pair, pair[::-1]):
-        for yp, ym in (tuple(side_rays), tuple(side_rays[::-1])):
-            cone = tuple(sorted((x0, xp, yp)))
-            rows = dict(zip(cone, inverses[fan.max_cones.index(cone)]))
-            basis_inverse = (rows[x0], rows[xp], rows[yp])
-            alpha, beta, _ = matvec(basis_inverse, fan.rays[ym])
-            if alpha + beta != 0 or beta < 0:
-                continue
-            return matmul(_NORMAL_FORM_BASIS, basis_inverse), (x0, xp, xm, yp, ym), beta
-    return None
+    side_rays = sorted({i for cone in star for i in cone} - {x0, xp, xm})
+    if len(side_rays) != 2 or wall_degrees(fan)[tuple(sorted((x0, xp)))] != 2:
+        return None
+    yp, ym = side_rays
+    cone = tuple(sorted((x0, xp, yp)))
+    beta = vdot(star[cone][cone.index(xp)], fan.rays[ym])
+    if beta < 0:
+        xp, xm = xm, xp
+    return (x0, xp, xm, yp, ym), abs(beta)
 
 
 @memoised
@@ -146,7 +140,7 @@ def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
         witness = zero_two_normal_form_witness(fan, rel)
         if witness is None:
             return ContractionKind("other")
-        _, names, a = witness
+        names, a = witness
         if a > 2:
             return ContractionKind("other")
         return ContractionKind("zero_two", a=a, exceptional_ray=names[0])

@@ -1,11 +1,12 @@
 """Fans of rational polyhedral cones in Z^d and exact validation.
 
 A fan is stored as its primitive ray generators plus the maximal cones as
-index sets; every geometric question (smoothness, completeness, membership)
-is decided in exact integer/rational arithmetic. Completeness is certified
-in linear time: facets pair up, the two cones at each wall lie on opposite
-sides of it, and one interior point is covered once, which together make
-the cones cover space exactly once (the argument is in ``validate``).
+index sets; smoothness and completeness are decided in exact integer
+arithmetic, and validation keeps each maximal cone's inverse and each wall
+curve's degree for later readers. Completeness is certified in linear time:
+facets pair up, the two cones at each wall lie on opposite sides of it, and
+one interior point is covered once, which together make the cones cover
+space exactly once (the argument is in ``validate``).
 """
 
 from __future__ import annotations
@@ -368,13 +369,6 @@ def validate(fan: Fan) -> ValidationReport:
                     offending.append(("improper_intersection", (0, cj)))
     kept = (tuple(normals), degrees) if is_smooth and is_complete else ((), {})
     return ValidationReport(is_simplicial, is_smooth, is_complete, tuple(offending), *kept)
-
-
-def star(fan: Fan, ray_index: int) -> tuple[Cone, ...]:
-    """Maximal cones containing the given ray."""
-    if not 0 <= ray_index < len(fan.rays):
-        raise ValueError(f"ray index {ray_index} out of range")
-    return tuple(c for c in fan.max_cones if ray_index in c)
 
 
 def _ccw_key(v: Sequence) -> tuple:

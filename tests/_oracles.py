@@ -910,18 +910,10 @@ def reference_canonical_key(fan) -> bytes:
     return best
 
 
-def reference_zero_two_witness(fan, rel):
-    """``contraction.zero_two_normal_form_witness`` as it was before it read the
-    cone inverses: for each candidate (x+, y+) invert the basis
-    (x0, x+, y+), build U and test U*x- and U*y- against the normal form.
-
-    The reference for the witness, which must return the same (U, names, a)
-    or None, in the same candidate order. It keeps every check that the
-    witness leaves to the fan's validity: the x- test, gamma = -1, a
-    missing candidate cone and the comparison with the expected star.
-    """
-    from torifan.lattice import matmul, matvec
-
+def reference_four_cone_star(fan, rel):
+    """(x0, (x+, x-), (y+, y-)) when rel is x+ + x- = 2*x0 on a 3-fan and the
+    star of x0 has four maximal cones, each holding exactly one of x+ and
+    x-, and two side rays y+ < y-; None otherwise."""
     if fan.dim != 3:
         return None
     if len(rel.collection) != 2 or len(rel.coeffs) != 1 or rel.coeffs[0][1] != 2:
@@ -933,14 +925,36 @@ def reference_zero_two_witness(fan, rel):
     for cone in star_cones:
         if len(set(cone) & set(pair)) != 1:
             return None
-    side_rays = sorted({i for cone in star_cones for i in cone} - {x0} - set(pair))
+    side_rays = tuple(sorted({i for cone in star_cones for i in cone} - {x0} - set(pair)))
     if len(side_rays) != 2 or len(star_cones) != 4:
         return None
+    return x0, pair, side_rays
+
+
+def reference_zero_two_witness(fan, rel):
+    """``contraction.zero_two_normal_form_witness`` as it was before it read the
+    cone inverses and the kept wall degree: for each candidate (x+, y+)
+    invert the basis (x0, x+, y+), build U and test U*x- and U*y- against
+    the normal form; (U, names, a) for the first candidate that passes.
+
+    The reference for the witness, which must return the last two entries
+    (names, a), or None. It keeps every check that the witness leaves to
+    the fan's validity or to its argument: the search over the four
+    orientations, the x- test, gamma = -1, a missing candidate cone and the
+    comparison with the expected star.
+    """
+    from torifan.lattice import matmul, matvec
+
+    star = reference_four_cone_star(fan, rel)
+    if star is None:
+        return None
+    x0, pair, side_rays = star
+    star_cones = [c for c in fan.max_cones if x0 in c]
     cone_set = set(fan.max_cones)
     # the columns x0 = (1, 0, 0), x+ = (1, 1, 0) and y+ = (0, 0, 1) of the normal form
     normal_form = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     for xp, xm in (pair, pair[::-1]):
-        for yp, ym in (tuple(side_rays), tuple(side_rays[::-1])):
+        for yp, ym in (side_rays, side_rays[::-1]):
             if tuple(sorted((x0, xp, yp))) not in cone_set:
                 continue
             basis = tuple(

@@ -10,8 +10,8 @@ from torifan.contraction import (
     is_weakened_fano,
     zero_two_normal_form_witness,
 )
-from torifan.fan import Fan, fan_from_rays_2d
-from torifan.lattice import matvec, vsum
+from torifan.fan import Fan, fan_from_rays_2d, wall_degrees
+from torifan.lattice import matmul, matvec, vsum
 from torifan.primitive import is_extremal, is_fano, is_weak_fano, primitive_collections
 
 from _oracles import (
@@ -23,9 +23,14 @@ from _oracles import (
     reference_bundle_relations,
     reference_cone_contains,
     reference_contraction_shape,
+    reference_four_cone_star,
     reference_section_relation,
+    reference_unimodular_inverse,
     reference_zero_two_witness,
 )
+
+# the columns x0 = (1, 0, 0), x+ = (1, 1, 0) and y+ = (0, 0, 1) of the normal form
+NORMAL_FORM_COLUMNS = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
 
 
 def crepant_double_relation(fan):
@@ -115,8 +120,13 @@ class TestNormalFormWitness:
             fan = named_fan(name).fan
             rel = crepant_double_relation(fan)
             witness = zero_two_normal_form_witness(fan, rel)
-            assert witness is not None
-            u, (x0, xp, xm, yp, ym), a = witness
+            # x+- in the relation's order unless beta < 0, as the reference's
+            # first candidate has them
+            assert witness == reference_zero_two_witness(fan, rel)[1:]
+            (x0, xp, xm, yp, ym), a = witness
+            # U takes the columns x0, x+, y+ to their normal form
+            basis = tuple(tuple(fan.rays[i][r] for i in (x0, xp, yp)) for r in range(3))
+            u = matmul(NORMAL_FORM_COLUMNS, reference_unimodular_inverse(basis))
             assert matvec(u, fan.rays[x0]) == (1, 0, 0)
             assert matvec(u, fan.rays[xp]) == (1, 1, 0)
             assert matvec(u, fan.rays[xm]) == (1, -1, 0)
@@ -134,10 +144,17 @@ class TestNormalFormWitness:
 
     def test_shapes_and_witnesses_agree_with_the_references(self):
         """``contraction_shape`` decides the small shape by cross products,
-        and the witness reads its candidates and its U from the cone
-        inverses. The routes that solved for cone coordinates and inverted
-        every candidate basis must give the same shape, and the same
-        (U, names, a) or None, on every degree-0 relation. The fans: the 18
+        and the witness decides the normal form from the kept wall degree
+        and one coordinate read from a cone inverse. The routes that solved
+        for cone coordinates and inverted every candidate basis must give
+        the same shape, and the same (names, a) or None, on every degree-0
+        relation. On each x+ + x- = 2*x0 whose star has the four-cone shape,
+        the witness's argument is checked with the oracle's inverse: in
+        every cone of the star the far side ray has gamma = -1 among its
+        coordinates (alpha, beta, gamma), a y+- swap keeps (alpha, beta), an
+        x+- swap gives
+        (alpha + 2*beta, -beta), and both walls {x0, x+-} have the degree
+        2 - alpha - beta. The fans: the 18
         catalog 3-folds, every bundle over the 16 fibers with w+ in
         [-6, 6]^2 and w- in {(0, 0), (1, -1)}, which holds the 1296 bundles
         of the [-4, 4]^2 box with w- = (0, 0), and 400 seeded rebasings of
@@ -166,6 +183,7 @@ class TestNormalFormWitness:
         # group -> [fans, degree-0 relations, x1 + x2 = y1 + y2, small,
         # witnesses, witnesses with a > 2, whose shape is ``other``]
         counts = {group: [0] * 6 for group in ("catalog", "box", "bundle", "rebased")}
+        stars = 0
         for group, fan, rels in fans:
             tally = counts[group]
             tally[0] += 1
@@ -175,12 +193,28 @@ class TestNormalFormWitness:
                 shape = contraction_shape(fan, rel)
                 assert shape == reference_contraction_shape(fan, rel), (fan.to_dict(), rel)
                 witness = zero_two_normal_form_witness(fan, rel)
-                assert witness == reference_zero_two_witness(fan, rel), (fan.to_dict(), rel)
+                reference = reference_zero_two_witness(fan, rel)
+                assert witness == (reference and reference[1:]), (fan.to_dict(), rel)
+                star = reference_four_cone_star(fan, rel)
+                if star is not None:
+                    x0, (xp, xm), (yp, ym) = star
+                    coords = {}
+                    for x in (xp, xm):
+                        for y, far in ((yp, ym), (ym, yp)):
+                            basis = tuple(tuple(fan.rays[i][r] for i in (x0, x, y)) for r in range(3))
+                            coords[x, y] = matvec(reference_unimodular_inverse(basis), fan.rays[far])
+                    alpha, beta, gamma = coords[xp, yp]
+                    assert gamma == -1 and coords[xp, ym] == (alpha, beta, -1)
+                    assert coords[xm, yp] == coords[xm, ym] == (alpha + 2 * beta, -beta, -1)
+                    degrees = wall_degrees(fan)
+                    assert degrees[tuple(sorted((x0, xp)))] == 2 - alpha - beta
+                    assert degrees[tuple(sorted((x0, xm)))] == 2 - alpha - beta
+                    stars += 1
                 tally[1] += 1
                 tally[2] += len(rel.collection) == 2 and len(rel.coeffs) == 2
                 tally[3] += shape.kind == "small"
                 tally[4] += witness is not None
-                if witness is not None and witness[2] > 2:
+                if witness is not None and witness[1] > 2:
                     assert shape.kind == "other", (fan.to_dict(), rel)
                     tally[5] += 1
         assert counts["catalog"][0] == 18 and counts["catalog"][4] == 36
@@ -189,6 +223,8 @@ class TestNormalFormWitness:
         assert len(fans) == 5826
         assert sum(tally[1] for tally in counts.values()) == 999 + 14765
         assert sum(tally[4] for tally in counts.values()) == 999
+        # the x+ + x- = 2*x0 relations whose star has the four-cone shape
+        assert stars == 12202
 
     def test_witness_refuses_a_fan_that_does_not_validate(self):
         fan = named_fan("X3_0").fan

@@ -11,7 +11,6 @@ from torifan.fan import (
     fan_from_json,
     fan_from_rays_2d,
     maximal_cone_normals,
-    star,
     validate,
     wall_degrees,
 )
@@ -432,20 +431,6 @@ def test_ccw_sorted_agrees_with_the_reference_comparator():
     assert len(blowups) == 96
     for rays in blowups:
         assert ccw_sorted(rays) == reference_ccw_sorted(rays)
-
-
-class TestStar:
-    def test_exceptional_ray_of_x3_0_lies_in_four_cones(self):
-        from torifan.primitive import primitive_collections
-
-        fan = named_fan("X3_0").fan
-        # the exceptional ray is the center of the unique degree-0 relation
-        rel = next(r for r in primitive_collections(fan) if r.degree == 0)
-        assert len(star(fan, rel.coeffs[0][0])) == 4
-
-    def test_unknown_ray_rejected(self):
-        with pytest.raises(ValueError):
-            star(P2, 99)
 
 
 def test_validate_invariant_under_unimodular_rebasing():
