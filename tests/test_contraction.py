@@ -233,6 +233,28 @@ class TestNormalFormWitness:
         with pytest.raises(ValueError, match="does not validate"):
             zero_two_normal_form_witness(broken, rel)
 
+    def test_witness_star_is_exactly_the_four_named_cones(self):
+        for name in ("X3_0", "X4_0", "X4_1", "X5_1", "P1xF2", "P1xW7"):
+            fan = named_fan(name).fan
+            (x0, xp, xm, yp, ym), _ = zero_two_normal_form_witness(fan, crepant_double_relation(fan))
+            star = {c for c in fan.max_cones if x0 in c}
+            assert star == {tuple(sorted((x0, x, y))) for x in (xp, xm) for y in (yp, ym)}, name
+
+    def test_witness_absent_when_the_star_misses_the_pair(self):
+        # over W6_3 with twist (-2, 0), the fiber relation x6 + x7 = 2*x0 has
+        # a four-cone star at x0 whose cones hold neither x6 nor x7, and the
+        # relations with two coefficients are not of the doubled form
+        fan = build_bundle(named_fan("W6_3").fan, (-2, 0), (0, 0))
+        rels = [r for r in primitive_collections(fan) if r.degree == 0]
+        (double,) = [r for r in rels if r.collection == (6, 7)]
+        assert double.coeffs == ((0, 2),)
+        star = [c for c in fan.max_cones if 0 in c]
+        assert len(star) == 4 and not any({6, 7} & set(c) for c in star)
+        assert zero_two_normal_form_witness(fan, double) is None
+        pairs = [r for r in rels if len(r.coeffs) == 2]
+        assert len(pairs) == 2
+        assert all(zero_two_normal_form_witness(fan, r) is None for r in pairs)
+
     def test_witness_absent_for_offset_configuration(self):
         fiber = fan_from_rays_2d([(1, 0), (0, 1), (-1, 0), (1, -1)])
         fan = build_bundle(fiber, (1, 0), (1, 0))
