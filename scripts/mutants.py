@@ -32,9 +32,14 @@ COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "_w
 
 CONTRACTION = "src/torifan/contraction.py"
 PRIMITIVE = "src/torifan/primitive.py"
+FAN = "src/torifan/fan.py"
+CLASSIFY = "src/torifan/classify.py"
+ISOMORPHISM = "src/torifan/isomorphism.py"
 CLASSIFY_TESTS = "tests/test_contraction.py::TestClassifyContraction::"
 WITNESS_TESTS = "tests/test_contraction.py::TestNormalFormWitness::"
 BUNDLE_TESTS = "tests/test_primitive.py::TestBundleRelations::"
+WALL_TEST = "tests/test_primitive.py::test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do"
+KERNEL_TEST = "tests/test_fan.py::test_cone_kernel_agrees_with_the_cofactor_references"
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,131 @@ MUTANTS = (
         equivalent="on a smooth fan both targets in the plane span a smooth 2-cone, so writing "
         "a = p*t1 + q*t2, a target with lambda < 0 <= mu <= 1 forces q = 0 and mu = 0, "
         "the case of t on the line of a above",
+    ),
+    # validate: check 2 at each wall, the kept wall degree, and the cone kernel
+    Mutant(
+        "3-D check 2 drops its flag",
+        FAN,
+        "                    is_complete = False\n"
+        '                    offending.append(("improper_intersection", (ci, cj)))\n'
+        "                degrees[facet] = 1 - coords[0]",
+        '                    offending.append(("improper_intersection", (ci, cj)))\n'
+        "                degrees[facet] = 1 - coords[0]",
+        ("tests/test_fan.py::test_linear_completeness_agrees_with_pairwise_oracle",),
+    ),
+    Mutant(
+        "3-D wall degree starts from 2",
+        FAN,
+        "degrees[facet] = 1 - coords[0] - coords[1] - coords[2]",
+        "degrees[facet] = 2 - coords[0] - coords[1] - coords[2]",
+        (WALL_TEST,),
+    ),
+    Mutant(
+        "3-D check 2 asks > 0",
+        FAN,
+        "c2 * z)\n                if coords[k] >= 0:",
+        "c2 * z)\n                if coords[k] > 0:",
+        equivalent="coords[k] = 0 puts the far ray in the span of the wall, so the second cone "
+        "is degenerate, the fan is not simplicial, and the wall checks are never reached",
+    ),
+    Mutant(
+        "check 2 asks > 0 in other dimensions",
+        FAN,
+        "rays[cones[cj][l]])\n                if coords[k] >= 0:",
+        "rays[cones[cj][l]])\n                if coords[k] > 0:",
+        equivalent="as in the 3-D branch: a zero coordinate makes the second cone degenerate",
+    ),
+    Mutant(
+        "3-cone kernel keeps the rows of a negative determinant",
+        FAN,
+        "((-x0, -x1, -x2), (-y0, -y1, -y2), (-z0, -z1, -z2))",
+        "((x0, x1, x2), (y0, y1, y2), (z0, z1, z2))",
+        (KERNEL_TEST,),
+    ),
+    Mutant(
+        "2-cone kernel keeps the rows of a negative determinant",
+        FAN,
+        "return det, ((-b1, b0), (a1, -a0))",
+        "return det, ((b1, -b0), (-a1, a0))",
+        (KERNEL_TEST,),
+    ),
+    Mutant(
+        "1-cone kernel keeps the row of a negative determinant",
+        FAN,
+        "return det, ((-1,),)",
+        "return det, ((1,),)",
+        (KERNEL_TEST,),
+    ),
+    # the predicates and the surface sequence that read the kept wall degrees
+    Mutant(
+        "weak Fano asks every wall degree > 0",
+        PRIMITIVE,
+        "return min(wall_degrees(fan).values()) >= 0",
+        "return min(wall_degrees(fan).values()) > 0",
+        (WALL_TEST,),
+    ),
+    Mutant(
+        "self-intersection sequence reads b = 3 - degree",
+        CLASSIFY,
+        "2 - degrees[(i,)]",
+        "3 - degrees[(i,)]",
+        ("tests/test_classify.py::TestSelfIntersectionSequences::test_sequence_is_read_from_the_rays",),
+    ),
+    Mutant(
+        "extremality shortcut with one other class",
+        PRIMITIVE,
+        "if not others:",
+        "if len(others) <= 1:",
+        equivalent="the positive entries of a primitive class are the 1s on its collection, so a "
+        "second distinct class is never a positive multiple of the first: with one other class "
+        "the sum-of-two lookup finds nothing, the LP is infeasible, and the answer is True",
+    ),
+    # the bundle test of verify
+    Mutant(
+        "projection onto P1 drops the straddle test",
+        CLASSIFY,
+        "        if any(c > 0 for c in coords) and any(c < 0 for c in coords):\n"
+        "            return False\n",
+        "",
+        ("tests/test_classify.py::TestThreefoldEnumeration::test_fans_that_do_not_project_to_p1",),
+    ),
+    # isomorphism: the 1-D relabelling and the perf-only early exits
+    Mutant(
+        "relabelling without the identity shortcut",
+        ISOMORPHISM,
+        "    if order == tuple(range(len(order))):\n"
+        "        # also the only order in dimension 1, where itemgetter gives no tuple\n"
+        "        return coords\n",
+        "",
+        ("tests/test_isomorphism.py::TestAgainstReference::test_witnesses_on_rebased_pairs",),
+    ),
+    Mutant(
+        "witness search without the ray-count test",
+        ISOMORPHISM,
+        "if f.dim != g.dim or len(f.rays) != len(g.rays):",
+        "if f.dim != g.dim:",
+        equivalent="a candidate map is invertible, so it sends the rays of f to distinct rays of "
+        "g and the cones of f to as many cones; a valid fan with n rays has 2, n or 2n - 4 "
+        "cones in dimension 1, 2 or 3, so with another ray count the cone sets differ",
+    ),
+    Mutant(
+        "canonical key without the first-ray cut",
+        ISOMORPHISM,
+        "            if best is not None and entry % min(transformed) > best_first:\n"
+        "                continue\n",
+        "",
+        equivalent="a least ray text above the best's first one makes the whole ray text above "
+        "the best's, since no ray text is a proper prefix of another, and the ray-text cut "
+        "drops the candidate",
+    ),
+    Mutant(
+        "canonical key without the ray-text cut",
+        ISOMORPHISM,
+        "            if best is not None and ray_text > best[0]:\n"
+        "                continue\n",
+        "",
+        equivalent="a candidate whose ray text is above the best's compares above it, since the "
+        "ray text is compared first, so it never replaces the best",
     ),
 )
 

@@ -81,15 +81,15 @@ def projects_to_p1(fan: Fan) -> bool:
     """Whether the last coordinate maps every maximal cone into a half-line.
 
     This is the fan map onto the complete 1-fan that exhibits the bundle
-    structure of the fans built by ``build_bundle``.
+    structure of the fans built by ``build_bundle``. On a complete fan with
+    no cone straddling t = 0, the cones meet that plane in faces that cover
+    it, so its rays form a complete 2-fan, which has at least three rays.
     """
     for cone in fan.max_cones:
         coords = [fan.rays[i][-1] for i in cone]
         if any(c > 0 for c in coords) and any(c < 0 for c in coords):
             return False
     fiber_rays = [r[:-1] for r in fan.rays if r[-1] == 0]
-    if len(fiber_rays) < 3:
-        return False
     return fan_from_rays_2d(fiber_rays).report.ok
 
 
@@ -243,6 +243,8 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     A bundle's relations are the fiber's, lifted with the same degrees,
     plus the section relation. So a weak Fano bundle has a weak del Pezzo
     fiber, one of the 16, and the fiber set is complete within the family.
+    Conversely every relation of a built bundle has degree >= 0, so every
+    bundle the sweep builds is weak Fano.
 
     The box holds every candidate once b >= M, the largest |entry| of a
     fiber ray: each coordinate of w is at most (p + q) * M <= 2M in absolute
@@ -279,7 +281,7 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
             verdict = is_weakened_fano(fan)
             if verdict.is_fano:
                 stats["fano"] += 1
-            elif verdict.is_weak_fano and not verdict.is_weakened:
+            elif not verdict.is_weakened:
                 stats["weak_not_weakened"] += 1
             if not verdict.is_weakened:
                 continue

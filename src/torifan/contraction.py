@@ -71,10 +71,12 @@ def zero_two_normal_form_witness(
     and y- are the side rays in increasing order. Raises ``ValueError`` on
     a fan that does not validate.
 
-    The star of x0 is the normal-form star once it has four cones, each
-    holding exactly one of {x+, x-}, and two side rays: each cone is then x0
-    plus one of the pair plus one side ray, and the four distinct cones take
-    all 2 x 2 choices.
+    The star of x0 is the normal-form star once it has four cones and two
+    side rays. On a valid 3-fan the cones at x0 form a cycle, so x+ and x-
+    lie on that 4-cycle, and not next to each other, since {x+, x-} is a
+    primitive collection: each cone is x0, one of the pair and one side
+    ray, and the four cones take all 2 x 2 choices. A valid 1- or 2-fan has
+    at most two cones at x0.
 
     In the cone (x0, x+, y+) write y- = alpha*x0 + beta*x+ + gamma*y+. On a
     valid fan gamma = -1: |gamma| = 1 because the cone (x0, x+, y-) is
@@ -92,18 +94,13 @@ def zero_two_normal_form_witness(
     as row x+ of the cone inverse (``maximal_cone_normals``) applied to y-.
     """
     inverses = maximal_cone_normals(fan)
-    if fan.dim != 3:
-        return None
     if len(rel.collection) != 2 or len(rel.coeffs) != 1 or rel.coeffs[0][1] != 2:
         return None
     x0 = rel.coeffs[0][0]
     xp, xm = rel.collection
     star = {cone: rows for cone, rows in zip(fan.max_cones, inverses) if x0 in cone}
-    # every maximal cone at x0 must use exactly one of the two collapsing rays
-    if len(star) != 4 or any((xp in cone) == (xm in cone) for cone in star):
-        return None
     side_rays = sorted({i for cone in star for i in cone} - {x0, xp, xm})
-    if len(side_rays) != 2 or wall_degrees(fan)[tuple(sorted((x0, xp)))] != 2:
+    if len(star) != 4 or len(side_rays) != 2 or wall_degrees(fan)[tuple(sorted((x0, xp)))] != 2:
         return None
     yp, ym = side_rays
     cone = tuple(sorted((x0, xp, yp)))
@@ -135,7 +132,7 @@ def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
         raise ValueError(f"relation has degree {rel.degree}; only crepant (degree 0) input is accepted")
 
     # degree = |collection| - sum of coefficients, so at degree 0 a single
-    # coefficient of a pair is 2 and two coefficients of a pair are both 1
+    # coefficient of a pair is 2, and any other pair has two coefficients, both 1
     if len(rel.collection) == 2 and len(rel.coeffs) == 1:
         witness = zero_two_normal_form_witness(fan, rel)
         if witness is None:
@@ -148,7 +145,7 @@ def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
     if len(rel.collection) == 3 and len(rel.coeffs) == 1:
         return ContractionKind("divisor_to_point")
 
-    if len(rel.collection) == 2 and len(rel.coeffs) == 2:
+    if len(rel.collection) == 2:
         a, b = (fan.rays[i] for i in rel.collection)
         n = cross(a, b)
         contained = all(

@@ -1068,6 +1068,22 @@ def reference_section_relation(fiber, twist_plus, twist_minus):
     return PrimitiveRelation((n, n + 1), sigma, coeffs, 2 - sum(a for _, a in coeffs), cls)
 
 
+def sweep_bundles_b3():
+    """The 304 bundles that the twist-bound-3 sweep builds, built afresh on
+    every call: w- = 0, and w in [-6, 6]^2 over each catalog surface with a
+    ``reference_section_relation`` of degree >= 0."""
+    from torifan.catalog import surfaces
+    from torifan.fan import build_bundle
+
+    return [
+        build_bundle(nf.fan, (sx, sy), (0, 0))
+        for nf in surfaces()
+        for sx in range(-6, 7)
+        for sy in range(-6, 7)
+        if reference_section_relation(nf.fan, (sx, sy), (0, 0)).degree >= 0
+    ]
+
+
 def reference_bundle_relations(fiber, section):
     """``primitive.bundle_relations`` as it was before the sweep listed its
     candidates: the relations of a bundle over ``fiber``, lifted from the

@@ -10,21 +10,6 @@ from torifan import catalog, classify
 
 
 @pytest.fixture(scope="session")
-def surfaces_named():
-    return catalog.surfaces()
-
-
-@pytest.fixture(scope="session")
-def threefolds_named():
-    return catalog.threefolds()
-
-
-@pytest.fixture(scope="session")
-def extras_named():
-    return catalog.extras()
-
-
-@pytest.fixture(scope="session")
 def surface_report():
     """(report, elapsed seconds) of the weak del Pezzo enumeration."""
     t0 = time.monotonic()

@@ -245,6 +245,28 @@ class TestThreefoldEnumeration:
         for entry in report.classes:
             assert projects_to_p1(entry.fan)
 
+    def test_fans_that_do_not_project_to_p1(self):
+        """P3, and a valid 3-fan whose rays at t = 0 form a valid 2-fan
+        although one of its cones straddles t = 0. The second is a rebased
+        blow-up of a catalog 3-fold with 11 rays, found by a seeded search
+        over point and edge blow-ups and random unimodular rebasings."""
+        p3 = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
+                 ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+        straddling = Fan(
+            3,
+            ((-1, 0, 1), (1, 0, -1), (4, -1, 1), (-6, 1, 1), (5, -1, 0), (6, -1, -1),
+             (1, 0, 0), (-1, 0, 0), (-4, 1, 0), (-7, 1, 1), (10, -2, 1)),
+            ((0, 2, 6), (0, 2, 7), (2, 4, 7), (4, 5, 6), (4, 5, 7), (1, 5, 6),
+             (1, 5, 7), (1, 3, 9), (1, 7, 9), (0, 3, 6), (0, 3, 9), (0, 7, 9),
+             (1, 3, 8), (1, 6, 8), (3, 6, 8), (2, 4, 10), (2, 6, 10), (4, 6, 10)),
+        )
+        assert p3.report.ok and straddling.report.ok
+        assert fan_from_rays_2d([r[:-1] for r in straddling.rays if r[-1] == 0]).report.ok
+        heights = [[straddling.rays[i][-1] for i in cone] for cone in straddling.max_cones]
+        assert any(min(h) < 0 < max(h) for h in heights)
+        assert not projects_to_p1(p3)
+        assert not projects_to_p1(straddling)
+
     def test_small_bound_rejected(self):
         # the largest fiber ray entry is 2, so the box of bound 1, [-2, 2]^2,
         # misses candidates such as 2 * (-1, -1) over P2

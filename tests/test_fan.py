@@ -30,9 +30,9 @@ from _oracles import (
     rebase_fan,
     reference_ccw_sorted,
     reference_inward_normals,
-    reference_section_relation,
     reference_validate,
     reference_wall_degrees,
+    sweep_bundles_b3,
 )
 
 # the complete smooth fan of P4
@@ -241,13 +241,7 @@ def test_validate_agrees_with_the_reference_report():
     assert len(named) == 34
     fans = list(named)
     fans += [rebase_fan(fan, random_unimodular(rng, fan.dim)) for fan in named for _ in range(3)]
-    bundles = [
-        build_bundle(nf.fan, (sx, sy), (0, 0))
-        for nf in surfaces()
-        for sx in range(-6, 7)
-        for sy in range(-6, 7)
-        if reference_section_relation(nf.fan, (sx, sy), (0, 0)).degree >= 0
-    ]
+    bundles = sweep_bundles_b3()
     # n fiber rays give n fiber cones, and the bundle has n + 2 rays and 2n cones
     assert len(bundles) == 304
     assert all(fan.report.ok and len(fan.max_cones) == 2 * (len(fan.rays) - 2) for fan in bundles)

@@ -17,7 +17,7 @@ from _oracles import (
     rebase_fan,
     reference_canonical_key,
     reference_find_isomorphism,
-    reference_section_relation,
+    sweep_bundles_b3,
 )
 
 
@@ -147,17 +147,6 @@ def _fresh(fan):
     return Fan(fan.dim, fan.rays, fan.max_cones)
 
 
-def _b3_bundles():
-    """The 304 weak Fano bundles that the sweep builds at twist bound 3."""
-    return [
-        build_bundle(nf.fan, (sx, sy), (0, 0))
-        for nf in surfaces()
-        for sx in range(-6, 7)
-        for sy in range(-6, 7)
-        if reference_section_relation(nf.fan, (sx, sy), (0, 0)).degree >= 0
-    ]
-
-
 def _rebased_to_digits(fan, digits: int, rng: random.Random):
     """A seeded rebasing of the fan whose largest |ray entry| has ``digits``
     digits, or the fan itself if its largest entry has that many or more."""
@@ -223,7 +212,7 @@ class TestAgainstReference:
                 self.check_key(_rebased_to_digits(fan, digits, rng))
 
     def test_keys_on_the_304_b3_bundles(self):
-        bundles = _b3_bundles()
+        bundles = sweep_bundles_b3()
         assert len(bundles) == 304
         for fan in bundles:
             self.check_key(fan)
@@ -235,6 +224,9 @@ class TestAgainstReference:
                 other = rebase_fan(nf.fan, random_unimodular(rng, nf.fan.dim))
                 assert self.check_witness(nf.fan, other) is not None
                 assert self.check_witness(other, nf.fan) is not None
+        # P1 and its negation: in dimension 1 the only order is the identity
+        p1 = Fan(1, ((1,), (-1,)), ((0,), (1,)))
+        assert self.check_witness(p1, rebase_fan(p1, ((-1,),))) is not None
 
     def test_no_witness_on_equal_size_pairs(self):
         fans = [nf.fan for nf in all_named().values()]
@@ -245,7 +237,7 @@ class TestAgainstReference:
         assert len(pairs) == 68
         # bundles that no invariant tells apart reach the search itself
         by_invariants = defaultdict(list)
-        for fan in _b3_bundles():
+        for fan in sweep_bundles_b3():
             by_invariants[isomorphism_invariants(fan)].append(fan)
         same_invariants = [
             (f, g) for group in by_invariants.values() for f in group for g in group

@@ -21,6 +21,7 @@ from _oracles import (
     minor_gcd_invariant_factors,
     reference_adjugate,
     reference_unimodular_inverse,
+    sweep_bundles_b3,
 )
 
 
@@ -309,25 +310,15 @@ def _catalog_lps():
 
 def _bound_3_bundle_lps():
     """Every full LP over the relations of the 304 weak Fano bundles at bound 3."""
-    from torifan.catalog import surfaces
-    from torifan.fan import build_bundle
     from torifan.primitive import is_weak_fano, primitive_collections
 
-    from _oracles import reference_section_relation
-
-    bundles = 0
-    for nf in surfaces():
-        for sx in range(-6, 7):
-            for sy in range(-6, 7):
-                if reference_section_relation(nf.fan, (sx, sy), (0, 0)).degree < 0:
-                    continue
-                fan = build_bundle(nf.fan, (sx, sy), (0, 0))
-                assert is_weak_fano(fan)
-                bundles += 1
-                relations = primitive_collections(fan)
-                for rel in relations:
-                    yield full_lp(relations, rel)
-    assert bundles == 304
+    bundles = sweep_bundles_b3()
+    assert len(bundles) == 304
+    for fan in bundles:
+        assert is_weak_fano(fan)
+        relations = primitive_collections(fan)
+        for rel in relations:
+            yield full_lp(relations, rel)
 
 
 class TestNonnegFeasibility:

@@ -17,6 +17,7 @@ from torifan.primitive import (
 from _oracles import (
     cross3,
     full_lp_is_extremal,
+    hirzebruch_fan,
     random_unimodular,
     rebase_fan,
     reference_bundle_relations,
@@ -24,12 +25,9 @@ from _oracles import (
     reference_primitive_collections,
     reference_section_relation,
     reference_wall_degrees,
+    sweep_bundles_b3,
     two_element_relation_kind,
 )
-
-
-def hirzebruch(a):
-    return fan_from_rays_2d([(1, 0), (-1, 0), (0, 1), (a, -1)])
 
 
 class TestCollections:
@@ -135,7 +133,7 @@ class TestFanoPredicates:
 
     def test_f3_not_weak_fano(self):
         # (0,1) + (3,-1) = 3*(1,0): degree 2 - 3 = -1
-        fan = hirzebruch(3)
+        fan = hirzebruch_fan(3)
         rels = primitive_collections(fan)
         assert min(r.degree for r in rels) == -1
         assert not is_weak_fano(fan)
@@ -181,7 +179,7 @@ class TestTrichotomy:
         assert two_element_relation_kind(rel).kind == "two_rays"
 
     def test_outside_trichotomy_errors(self):
-        fan = hirzebruch(3)
+        fan = hirzebruch_fan(3)
         rel = next(r for r in primitive_collections(fan) if r.degree == -1)
         with pytest.raises(ValueError):
             two_element_relation_kind(rel)
@@ -357,20 +355,6 @@ def test_extremality_shortcuts_agree_with_full_lp_off_the_degree_face(monkeypatc
     assert by_sum_of_two > 0 and by_infeasible_lp > 0
 
 
-def _sweep_bundles_b3() -> list:
-    """The 304 bundles of the twist-bound-3 sweep: w- = 0 and section degree >= 0."""
-    from torifan.catalog import surfaces
-    from torifan.fan import build_bundle
-
-    return [
-        build_bundle(nf.fan, (sx, sy), (0, 0))
-        for nf in surfaces()
-        for sx in range(-6, 7)
-        for sy in range(-6, 7)
-        if reference_section_relation(nf.fan, (sx, sy), (0, 0)).degree >= 0
-    ]
-
-
 def test_sweep_seeds_the_crepant_relations_of_every_bundle(monkeypatch):
     """The sweep seeds each built bundle's crepant relations, lifted from its
     fiber. Every seeded tuple must equal ``crepant_relations`` of a fresh
@@ -422,7 +406,7 @@ def test_every_class_is_primitive_with_a_one_off_sigma():
     from torifan.fan import build_bundle
 
     catalog = [nf.fan for nf in all_named().values()]
-    bundles = _sweep_bundles_b3()
+    bundles = sweep_bundles_b3()
     non_weak = _blown_up_hirzebruch(12, seed=7) + _non_weak_blowups((7, 8, 9), 3, seed=13)
     non_weak += [build_bundle(s, (0, 0), (0, 0)) for s in non_weak]
     assert len(catalog) == 34 and len(bundles) == 304 and len(non_weak) == 42
@@ -479,7 +463,7 @@ def test_relations_grown_from_faces_agree_with_the_subset_scan():
     catalog = [nf.fan for nf in all_named().values()]
     rebased = [rebase_fan(f, random_unimodular(rng, f.dim)) for f in catalog for _ in range(3)]
     blowups = [blow_up(nf.fan, cone) for nf in surfaces() for cone in nf.fan.max_cones]
-    bundles = _sweep_bundles_b3()
+    bundles = sweep_bundles_b3()
     assert len(catalog) == 34 and len(bundles) == 304 and len(blowups) == 96
     for fan in catalog + rebased + blowups + bundles:
         fresh = Fan(fan.dim, fan.rays, fan.max_cones)
@@ -603,7 +587,7 @@ class TestBundleRelations:
 
     def test_section_relation(self):
         # on F1 = {(1,0), (-1,0), (0,1), (1,-1)}, w = (2, 1) + (1, 0) = 3*(1,0) + (0,1)
-        rel = reference_section_relation(hirzebruch(1), (2, 1), (1, 0))
+        rel = reference_section_relation(hirzebruch_fan(1), (2, 1), (1, 0))
         assert rel.collection == (4, 5) and rel.sigma == (0, 2)
         assert rel.coeffs == ((0, 3), (2, 1))
         assert rel.degree == 2 - 4 and rel.cls == (-3, 0, -1, 0, 1, 1)
