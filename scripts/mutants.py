@@ -35,6 +35,8 @@ PRIMITIVE = "src/torifan/primitive.py"
 FAN = "src/torifan/fan.py"
 CLASSIFY = "src/torifan/classify.py"
 ISOMORPHISM = "src/torifan/isomorphism.py"
+LATTICE = "src/torifan/lattice.py"
+CLI = "src/torifan/cli.py"
 CLASSIFY_TESTS = "tests/test_contraction.py::TestClassifyContraction::"
 WITNESS_TESTS = "tests/test_contraction.py::TestNormalFormWitness::"
 BUNDLE_TESTS = "tests/test_primitive.py::TestBundleRelations::"
@@ -134,7 +136,7 @@ MUTANTS = (
         (BUNDLE_TESTS + "test_candidates_agree_with_the_reference",),
     ),
     # the small shape: t in cone(a, b) for t = lambda*a + mu*b, where
-    # (a x t).n = mu*|n|^2 and (t x b).n = lambda*|n|^2
+    # (a x t).n = mu*|n|^2; lambda >= 0 follows (contraction_shape's docstring)
     Mutant(
         "small shape drops n.t = 0",
         CONTRACTION,
@@ -148,18 +150,30 @@ MUTANTS = (
         "vdot(cross(a, t), n) >= 0",
         "vdot(cross(a, t), n) > 0",
         equivalent="mu = 0 puts t on the line of a; t = a is impossible, since a target of a "
-        "relation is not in its collection, and t = -a has lambda = -1, refused either way",
+        "relation is not in its collection, and t = -a leaves the other target at 2a + b, "
+        "so that b = (2a + b) + 2(-a) lies inside the fan's cone on the two targets",
+    ),
+    # validate: check 2 at each wall, the kept wall degree, and the cone kernel.
+    # The two 3-D branches only write the products of the generic branch out.
+    # Without both, a warm in-process sweep was the slowest copy in each of
+    # four interleaved rounds on 2 shared cores: medians 68-76 ms, against
+    # 43-65 ms with them
+    Mutant(
+        "walls of a 3-fan listed by the generic loop",
+        FAN,
+        "        if fan.dim == 3:\n            for ci, (a, b, c) in enumerate(cones):",
+        "        if False:\n            for ci, (a, b, c) in enumerate(cones):",
+        equivalent="the generic loop lists the same facets, each with the same cone and "
+        "opposite position, in the same order",
     ),
     Mutant(
-        "small shape drops the lambda test",
-        CONTRACTION,
-        " and vdot(cross(t, b), n) >= 0",
-        "",
-        equivalent="on a smooth fan both targets in the plane span a smooth 2-cone, so writing "
-        "a = p*t1 + q*t2, a target with lambda < 0 <= mu <= 1 forces q = 0 and mu = 0, "
-        "the case of t on the line of a above",
+        "checks 2 and 3 of a 3-fan by the generic branch",
+        FAN,
+        "elif fan.dim == 3:",
+        "elif False:",
+        equivalent="the generic branch computes the same coordinates by matvec and vdot, "
+        "so it reports the same flags, offending cones and wall degrees",
     ),
-    # validate: check 2 at each wall, the kept wall degree, and the cone kernel
     Mutant(
         "3-D check 2 drops its flag",
         FAN,
@@ -213,6 +227,37 @@ MUTANTS = (
         "return det, ((1,),)",
         (KERNEL_TEST,),
     ),
+    # the closed forms of the kernels, kept for speed
+    Mutant(
+        "vdot without its 3-entry closed form",
+        LATTICE,
+        "    if n == 3:\n        a0, a1, a2 = a",
+        "    if False:\n        a0, a1, a2 = a",
+        equivalent="the generic sum is the same number; a length mismatch raises ValueError "
+        "in both, with another message, and every vector that reaches vdot has the fan's "
+        "dim entries, which the constructor checks",
+    ),
+    Mutant(
+        "vdot without its 2-entry closed form",
+        LATTICE,
+        "    if n == 2:\n        a0, a1 = a",
+        "    if False:\n        a0, a1 = a",
+        equivalent="as for the 3-entry form",
+    ),
+    Mutant(
+        "matvec without its 3 x 3 closed form",
+        LATTICE,
+        "    if n == 3 and len(a) == 3:",
+        "    if False:",
+        equivalent="as for vdot: the generic rows give the same entries",
+    ),
+    Mutant(
+        "matvec without its 2 x 2 closed form",
+        LATTICE,
+        "    if n == 2 and len(a) == 2:",
+        "    if False:",
+        equivalent="as for vdot: the generic rows give the same entries",
+    ),
     # the predicates and the surface sequence that read the kept wall degrees
     Mutant(
         "weak Fano asks every wall degree > 0",
@@ -245,6 +290,58 @@ MUTANTS = (
         "            return False\n",
         "",
         ("tests/test_classify.py::TestThreefoldEnumeration::test_fans_that_do_not_project_to_p1",),
+    ),
+    # the CLI's messages
+    Mutant(
+        "invalid fan without its reasons",
+        CLI,
+        "raise ValueError(f\"fan is invalid: {', '.join(reasons)}\")",
+        "raise ValueError(\"fan is invalid: unknown reason\")",
+        ("tests/test_cli.py::test_per_fan_commands_name_the_defect_of_an_invalid_fan",),
+    ),
+    Mutant(
+        "error message read from str(exc), which quotes a KeyError",
+        CLI,
+        "message = str(exc.args[0]) if exc.args else str(exc)",
+        "message = str(exc)",
+        ("tests/test_cli.py::test_unknown_catalog_name",),
+    ),
+    Mutant(
+        "error message without the test for an exception with no args",
+        CLI,
+        " if exc.args else str(exc)",
+        "",
+        equivalent="every ValueError and KeyError that a command raises carries a message, "
+        "its first argument",
+    ),
+    Mutant(
+        "isomorphic without the ray permutation",
+        CLI,
+        '        "ray_permutation": list(iso.ray_permutation) if iso else None,\n',
+        "",
+        ("tests/test_cli.py::test_isomorphic_command",),
+    ),
+    Mutant(
+        "human mode prints every other payload as a verify summary",
+        CLI,
+        '    elif command == "verify":',
+        "    elif True:",
+        ("tests/test_cli.py::test_human_mode_prints_any_other_payload_as_indented_json",),
+    ),
+    Mutant(
+        "human mode lists the names of any payload that has them",
+        CLI,
+        'elif command == "catalog" and "names" in payload:',
+        'elif "names" in payload:',
+        equivalent="only the payload of catalog --list has a \"names\" key",
+    ),
+    Mutant(
+        "classes table without the mark of an unnamed class",
+        CLI,
+        'entry["name"] or "?"',
+        'entry["name"]',
+        equivalent="every class that either search finds has a catalog name, as verify's "
+        "bijection assertions check, so the \"?\" of an unnamed class is never printed",
     ),
     # isomorphism: the 1-D relabelling and the perf-only early exits
     Mutant(

@@ -1,0 +1,86 @@
+"""Check that this checkout's CLI prints what another checkout's prints.
+
+The inputs are the benchmark's, written by ``perfbench/workloads.py``
+(imported, never changed) to a temporary directory: the query-mix and
+reject-mix fans of seed 1 and the classes of both classifications. For
+each checkout one subprocess calls ``torifan.cli.main`` in process for
+every per-fan command on every input, every ``isomorphic`` query and the
+whole-package commands, each with and without ``--json``, and prints each
+invocation whose stdout, stderr or exit code differs.
+
+usage: python3 scripts/same_outputs.py OTHER_CHECKOUT
+
+Exits 1 when an invocation differs. Standard library only.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PER_FAN = ("validate", "analyze", "degree", "is-fano", "is-weak-fano", "is-weakened-fano")
+WHOLE = (
+    ["classify-3folds", "--stats"], ["classify-3folds", "--twist-bound", "1000000", "--stats"],
+    ["classify-surfaces"], ["classify-surfaces", "--stats"], ["verify"], ["catalog", "--list"],
+)
+CHILD = """
+import contextlib, io, json, sys
+from torifan.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([out.getvalue(), err.getvalue(), code])
+json.dump(results, sys.stdout)
+"""
+
+
+def invocations(work: Path) -> list[list[str]]:
+    sys.dont_write_bytecode = True  # nothing is written under perfbench/
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads as wl
+    from torifan import catalog, classify
+
+    plain = wl.plain_catalog(catalog.all_named())
+    reports = [classify.enumerate_weak_del_pezzo(), classify.enumerate_weakened_threefolds(3)]
+    for name in ("query-mix", "reject-mix", "sweep-b3"):
+        (work / name).mkdir()
+    queries = (wl.query_mix(1, plain, work / "query-mix") + wl.reject_mix(1, plain, work / "reject-mix")
+               + wl.result_queries(reports, work / "sweep-b3"))
+    paths = sorted({q.argv[1] for q in queries})
+    argvs = [[command, path] for path in paths for command in PER_FAN]
+    argvs += sorted(q.argv for q in queries if q.command == "isomorphic") + [list(a) for a in WHOLE]
+    return [argv + flag for argv in argvs for flag in ([], ["--json"])]
+
+
+def outputs(checkout: Path, argvs: list[list[str]]) -> list:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return json.loads(subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(argvs), env=env,
+                                     capture_output=True, text=True, check=True).stdout)
+
+
+def main() -> int:
+    if len(sys.argv) != 2 or not (Path(sys.argv[1]) / "src" / "torifan").is_dir():
+        sys.exit("usage: python3 scripts/same_outputs.py OTHER_CHECKOUT")
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = invocations(Path(tmp))
+        ours, theirs = outputs(ROOT, argvs), outputs(Path(sys.argv[1]).resolve(), argvs)
+    differ = 0
+    for argv, a, b in zip(argvs, ours, theirs):
+        if a != b:
+            differ += 1
+            parts = [part for part, x, y in zip(("stdout", "stderr", "exit code"), a, b) if x != y]
+            print(f"differs in {', '.join(parts)}: torifan {' '.join(argv)}")
+    print(f"{differ} of {len(argvs)} invocations differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import catalog
 from .contraction import crepant_contractions, is_weakened_fano
-from .fan import Fan, build_bundle, ccw_sorted, fan_from_rays_2d, wall_degrees
+from .fan import Fan, build_bundle, ccw_sorted, fan_from_rays_2d, maximal_cone_normals, wall_degrees
 from .isomorphism import canonical_key
 from .lattice import vsum
 from .polytope import anticanonical_degree
@@ -81,16 +81,16 @@ def projects_to_p1(fan: Fan) -> bool:
     """Whether the last coordinate maps every maximal cone into a half-line.
 
     This is the fan map onto the complete 1-fan that exhibits the bundle
-    structure of the fans built by ``build_bundle``. On a complete fan with
-    no cone straddling t = 0, the cones meet that plane in faces that cover
-    it, so its rays form a complete 2-fan, which has at least three rays.
+    structure of the fans built by ``build_bundle``; the rays at t = 0 then
+    form a complete 2-fan, as the cones meet that plane in faces that cover
+    it. Raises ``ValueError`` on a fan that does not validate.
     """
+    maximal_cone_normals(fan)  # refuses a fan that does not validate
     for cone in fan.max_cones:
         coords = [fan.rays[i][-1] for i in cone]
         if any(c > 0 for c in coords) and any(c < 0 for c in coords):
             return False
-    fiber_rays = [r[:-1] for r in fan.rays if r[-1] == 0]
-    return fan_from_rays_2d(fiber_rays).report.ok
+    return True
 
 
 def blow_up(fan: Fan, cone: Sequence[int]) -> Fan:

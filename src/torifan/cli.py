@@ -55,9 +55,9 @@ def _load_fan(path: str) -> Fan:
 def _load_valid_fan(path: str) -> Fan:
     fan = _load_fan(path)
     report = fan.report
-    if not report.ok:
+    if not report.ok:  # wherever validate clears a flag it names an offending cone
         reasons = sorted({reason for reason, _ in report.offending_cones})
-        raise ValueError(f"fan is invalid: {', '.join(reasons) or 'unknown reason'}")
+        raise ValueError(f"fan is invalid: {', '.join(reasons)}")
     return fan
 
 
@@ -185,7 +185,7 @@ def _human_lines(command: str, result: CommandResult) -> list[str]:
                     )
                 )
             )
-    elif command == "catalog" and "names" in (payload or {}):
+    elif command == "catalog" and "names" in payload:
         for item in payload["names"]:
             lines.append(f"{item['name']}: {item['expected']}")
     elif command == "verify":
@@ -259,7 +259,7 @@ def _dispatch(args: argparse.Namespace) -> CommandResult:
         return args.func(args)
     except (ValueError, KeyError) as exc:
         message = str(exc.args[0]) if exc.args else str(exc)
-        return CommandResult("error", {"error": message}, [message])
+        return CommandResult("error", {"error": message}, [])
 
 
 def run(argv: Optional[list[str]] = None) -> CommandResult:
@@ -271,9 +271,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     result = _dispatch(args)
     try:
-        if getattr(args, "json", False):
+        if args.json:
             print(json.dumps(result.payload, separators=(",", ":")))
-        elif result.status == "error" and isinstance(result.payload, dict) and "error" in result.payload:
+        elif "error" in result.payload:
             print(f"error: {result.payload['error']}", file=sys.stderr)
         else:
             for line in _human_lines(args.command, result):
@@ -281,7 +281,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if getattr(args, "stats", False):
                 for name, count in result.payload["stats"].items():
                     print(f"{name}: {count}", file=sys.stderr)
-            if result.status == "error" and result.diagnostics:
+            if result.diagnostics:
                 print("error: " + "; ".join(result.diagnostics), file=sys.stderr)
         sys.stdout.flush()  # a reader that has gone away raises here, not at shutdown
     except BrokenPipeError:

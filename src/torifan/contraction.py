@@ -119,10 +119,12 @@ def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
     see ``crepant_contractions``.
 
     A relation x1 + x2 = y1 + y2 is ``other`` when both y lie in the cone
-    on x1 and x2, and ``small`` otherwise. With a = x1, b = x2 and n = a x b,
-    t lies in cone(a, b) exactly when n.t = 0, (a x t).n >= 0 and
-    (t x b).n >= 0: for t = lambda*a + mu*b, a x t = mu*n and
-    t x b = lambda*n. Here n != 0, since the rays are distinct and
+    on x1 and x2, and ``small`` otherwise. With a = x1, b = x2, n = a x b
+    and t = lambda*a + mu*b, a x t = mu*n and t x b = lambda*n, so both y
+    lie in cone(a, b) exactly when each has n.t = 0 and mu >= 0: the y sum
+    to a + b, so one with lambda < 0 leaves the other at lambda > 1, their
+    segment meets the line of b at mu > 0, and the ray b would lie inside
+    the fan's cone on y1 and y2. n != 0: the rays are distinct and
     primitive, and b = -a would make the pair sum to 0, a relation with no
     coefficients.
     """
@@ -149,7 +151,7 @@ def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
         a, b = (fan.rays[i] for i in rel.collection)
         n = cross(a, b)
         contained = all(
-            vdot(n, t) == 0 and vdot(cross(a, t), n) >= 0 and vdot(cross(t, b), n) >= 0
+            vdot(n, t) == 0 and vdot(cross(a, t), n) >= 0
             for t in (fan.rays[i] for i, _ in rel.coeffs)
         )
         return ContractionKind("other") if contained else ContractionKind("small")
@@ -162,7 +164,6 @@ def _require_threefold(fan: Fan) -> None:
         raise ValueError("the weakened Fano characterization is specific to 3-folds")
 
 
-@memoised
 def crepant_contractions(fan: Fan) -> tuple[tuple[PrimitiveRelation, ContractionKind], ...]:
     """The crepant primitive contractions of a weak Fano 3-fold with their shapes.
 
@@ -175,7 +176,6 @@ def crepant_contractions(fan: Fan) -> tuple[tuple[PrimitiveRelation, Contraction
     return tuple((rel, contraction_shape(fan, rel)) for rel in crepant_relations(fan))
 
 
-@memoised
 def is_weakened_fano(fan: Fan) -> WeakenedVerdict:
     """Weak Fano, not Fano, and every crepant primitive contraction collapses
     a Hirzebruch divisor onto a curve of image anticanonical degree 2.

@@ -55,8 +55,8 @@ class Fan:
     repeated index in a cone and a ray without ``dim`` entries.
 
     Facts derived from a fan (validation report, primitive relations,
-    extremality, keys) are computed once and kept on the instance; see
-    ``report`` and ``memoised``.
+    crepant relations, contraction shapes, keys) are computed once and kept
+    on the instance; see ``report`` and ``memoised``.
     """
 
     dim: int
@@ -155,7 +155,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return self.is_simplicial and self.is_smooth and self.is_complete
+        return self.is_smooth and self.is_complete  # validate clears is_smooth when not simplicial
 
     def to_dict(self) -> dict:
         return {
@@ -398,7 +398,7 @@ def fan_from_rays_2d(rays: Sequence[Sequence[int]]) -> Fan:
     for k in range(len(ordered)):
         a = index[ordered[k]]
         b = index[ordered[(k + 1) % len(ordered)]]
-        cones.append(tuple(sorted((a, b))))
+        cones.append((a, b))
     return Fan(2, tuple(rays), tuple(cones))
 
 
@@ -425,8 +425,8 @@ def build_bundle(fiber: Fan, twist_plus: Sequence[int], twist_minus: Sequence[in
     rays.append(tuple(twist_minus) + (-1,))
     cones = []
     for cone in fiber.max_cones:
-        cones.append(tuple(sorted(cone + (n,))))
-        cones.append(tuple(sorted(cone + (n + 1,))))
+        cones.append(cone + (n,))
+        cones.append(cone + (n + 1,))
     fan = Fan(3, tuple(rays), tuple(cones))
     if not fan.report.ok:
         raise ValueError(f"bundle does not validate, so its fiber is invalid: {fan.report.offending_cones}")

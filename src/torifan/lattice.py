@@ -59,9 +59,8 @@ def vsum(vectors: Sequence[Vector], dim: int) -> Vector:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0]) if b else 0
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
         for i in range(len(a))
     )
 
@@ -115,11 +114,10 @@ def has_nonneg_combination(columns: Sequence[Sequence[int]], target: Sequence[in
     the true tableau is it divided by the last pivot, which is positive
     because the ratio test pivots only on positive entries, so every sign
     test reads the integers directly and ratios compare by cross-multiplying.
+    With no columns every reduced cost but b's is 0, so it answers b == 0.
     """
     m = len(target)
     k = len(columns)
-    if k == 0:
-        return all(b == 0 for b in target)
     ncols = k + m
     # rows with a negative target entry are negated, so that b >= 0
     tab = []

@@ -144,7 +144,6 @@ def _columns(fan: Fan, face: bool) -> dict[Vector, Vector]:
     }
 
 
-@memoised
 def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     """Whether the class spans an extremal ray of the cone of all relation classes.
 
@@ -175,7 +174,8 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
 
     The 3-fold sweep asks this only of its fibers: a bundle's crepant
     relations are read off its fiber (``bundle_candidates``), and a fiber's
-    answers are kept for the later sweeps of the process.
+    crepant relations, not these answers, are kept for the later sweeps of
+    the process.
     """
     table = _columns(fan, rel.degree == 0 and is_weak_fano(fan))
     others = [c for c in table if c != rel.cls]

@@ -1004,22 +1004,53 @@ def reference_contraction_shape(fan, rel):
     return ContractionKind("other")
 
 
+def reference_faces(fan) -> set:
+    """Every face of every maximal cone, the empty face included, as frozensets."""
+    return {
+        frozenset(face)
+        for cone in fan.max_cones
+        for k in range(len(cone) + 1)
+        for face in combinations(cone, k)
+    }
+
+
+@lru_cache(maxsize=1024)
+def _reference_cone_inverses(fan) -> tuple:
+    # (cone, inverse) for each maximal cone; the few fibers, located in over
+    # and over, stay in the cache
+    return tuple((cone, reference_unimodular_inverse(cone_columns(fan, cone))) for cone in fan.max_cones)
+
+
+def reference_locate(fan, total):
+    """``primitive.locate_sigma`` without the inverses that ``validate``
+    keeps: (sigma, coeffs) from the first maximal cone whose
+    ``reference_unimodular_inverse`` of its ``cone_columns`` gives ``total``
+    no negative coordinate, sigma being the rays of positive coordinate.
+    Takes a valid fan."""
+    for cone, inverse in _reference_cone_inverses(fan):
+        coords = [sum(x * y for x, y in zip(row, total, strict=True)) for row in inverse]
+        if all(c >= 0 for c in coords):
+            coeffs = tuple((i, c) for i, c in zip(cone, coords) if c > 0)
+            return tuple(i for i, _ in coeffs), coeffs
+    raise ValueError(f"no cone contains {total}")
+
+
 def reference_primitive_collections(fan):
     """``primitive.primitive_collections`` as it was before it grew candidates
     from faces: scan every subset of 2 to d + 1 rays, keep the minimal
-    non-faces, and locate each sum in the fan.
+    non-faces (``reference_faces``), and locate each sum in the fan
+    (``reference_locate``).
 
     The reference for the relations, which must be equal and in the same
     order.
     """
-    from torifan.lattice import vsum
-    from torifan.primitive import PrimitiveRelation, _face_set, locate_sigma
+    from torifan.primitive import PrimitiveRelation
 
     if not fan.report.ok:
         raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
     n = len(fan.rays)
     d = fan.dim
-    faces = _face_set(fan)
+    faces = reference_faces(fan)
     relations = []
     for size in range(2, d + 2):
         for combo in combinations(range(n), size):
@@ -1028,8 +1059,8 @@ def reference_primitive_collections(fan):
                 continue
             if any(s - {i} not in faces for i in combo):
                 continue
-            total = vsum([fan.rays[i] for i in combo], d)
-            sigma, coeffs = locate_sigma(fan, total)
+            total = [sum(fan.rays[i][r] for i in combo) for r in range(d)]
+            sigma, coeffs = reference_locate(fan, total)
             degree = len(combo) - sum(a for _, a in coeffs)
             coeff_map = dict(coeffs)
             cls = tuple(
@@ -1056,13 +1087,13 @@ def reference_section_relation(fiber, twist_plus, twist_minus):
     2 - phi(w), phi being the fiber's piecewise-linear function that is 1 on
     every ray.
     """
-    from torifan.primitive import PrimitiveRelation, locate_sigma
+    from torifan.primitive import PrimitiveRelation
 
     if fiber.dim != 2 or not fiber.report.ok:
         raise ValueError("bundle fiber must be a valid 2-dimensional fan")
     n = len(fiber.rays)
     w = tuple(p + m for p, m in zip(twist_plus, twist_minus, strict=True))
-    sigma, coeffs = locate_sigma(fiber, w)
+    sigma, coeffs = reference_locate(fiber, w)
     coeff_map = dict(coeffs)
     cls = tuple(-coeff_map.get(i, 0) for i in range(n)) + (1, 1)
     return PrimitiveRelation((n, n + 1), sigma, coeffs, 2 - sum(a for _, a in coeffs), cls)
@@ -1087,7 +1118,7 @@ def sweep_bundles_b3():
 def reference_bundle_relations(fiber, section):
     """``primitive.bundle_relations`` as it was before the sweep listed its
     candidates: the relations of a bundle over ``fiber``, lifted from the
-    fiber, for any twists.
+    fiber's ``reference_primitive_collections``, for any twists.
 
     ``section`` is the bundle's ``reference_section_relation``. The faces of
     the bundle are the fiber faces, alone or joined to one section, so its
@@ -1097,13 +1128,18 @@ def reference_bundle_relations(fiber, section):
     class gains a zero at each section. The section pair holds the two
     largest indices and comes last in collection order.
     """
-    from torifan.primitive import PrimitiveRelation, primitive_collections
+    return _reference_lifted(fiber) + (section,)
 
-    lifted = tuple(
+
+@lru_cache(maxsize=None)
+def _reference_lifted(fiber) -> tuple:
+    # the few fibers are each lifted for many twists
+    from torifan.primitive import PrimitiveRelation
+
+    return tuple(
         PrimitiveRelation(r.collection, r.sigma, r.coeffs, r.degree, r.cls + (0, 0))
-        for r in primitive_collections(fiber)
+        for r in reference_primitive_collections(fiber)
     )
-    return lifted + (section,)
 
 
 def surface_blowups(fan):

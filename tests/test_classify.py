@@ -38,6 +38,13 @@ class TestBuildBundle:
         assert fan.report.ok and len(fan.max_cones) == 2 * len(fiber.max_cones)
         assert find_isomorphism(fan, named_fan("P1xP1xP1").fan) is not None
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_fiber_that_is_not_a_surface_rejected(self, dim):
+        # the constructor would refuse the rays too, with another message
+        fiber = {1: Fan(1, ((1,), (-1,)), ((0,), (1,))), 3: named_fan("P1xP1xP1").fan}[dim]
+        with pytest.raises(ValueError, match="^bundle fiber must be 2-dimensional$"):
+            build_bundle(fiber, (0, 0), (0, 0))
+
     def test_x3_0_spec(self):
         fiber = fan_from_rays_2d([(1, 0), (0, 1), (0, -1), (-1, 1)])
         fan = build_bundle(fiber, (1, 0), (1, 0))
@@ -266,6 +273,12 @@ class TestThreefoldEnumeration:
         assert any(min(h) < 0 < max(h) for h in heights)
         assert not projects_to_p1(p3)
         assert not projects_to_p1(straddling)
+
+    def test_projection_onto_p1_refuses_a_fan_that_does_not_validate(self):
+        # one cone, no cone straddling t = 0, and a single ray at t = 0
+        one_cone = Fan(3, ((1, 0, 0), (0, 1, 1), (0, 0, 1)), ((0, 1, 2),))
+        with pytest.raises(ValueError, match="fan does not validate"):
+            projects_to_p1(one_cone)
 
     def test_small_bound_rejected(self):
         # the largest fiber ray entry is 2, so the box of bound 1, [-2, 2]^2,

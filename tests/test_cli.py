@@ -4,11 +4,16 @@ import sys
 
 import pytest
 
+from torifan.catalog import named_fan
 from torifan.cli import main, run
+from torifan.lattice import matvec
 
 from test_fan import DIM4_FAN
 
 FLOAT_RAY_P2 = '{"dim": 2, "rays": [[1.7,0],[0,1],[-1,-1]], "max_cones": [[0,1],[1,2],[0,2]]}'
+# every ray used and every index in range, so the one defect is ray 3 = ray 0
+DUPLICATE_RAY_P2 = '{"dim": 2, "rays": [[1,0],[0,1],[-1,-1],[1,0]], "max_cones": [[0,1],[1,2],[2,3]]}'
+PER_FAN_COMMANDS = ("analyze", "degree", "is-fano", "is-weak-fano", "is-weakened-fano")
 
 
 def invoke(capsys, *argv):
@@ -44,6 +49,11 @@ def test_validate_error_on_incomplete_fan(tmp_path, capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["is_complete"] is False
+    # human mode: the report on stdout, and only the flag that failed on stderr
+    code, out, err = invoke(capsys, "validate", str(path))
+    assert code == 1
+    assert out.splitlines()[:3] == ["is_simplicial: True", "is_smooth: True", "is_complete: False"]
+    assert err == "error: not complete\n"
 
 
 def test_validate_ok(capsys):
@@ -56,6 +66,23 @@ def test_unknown_catalog_name(capsys):
     code, out, _ = invoke(capsys, "degree", "catalog:NOPE", "--json")
     assert code == 1
     assert "unknown catalog name" in json.loads(out)["error"]
+    # the KeyError's message, not its repr in quotes
+    code, out, err = invoke(capsys, "degree", "catalog:Nope")
+    assert code == 1 and out == ""
+    assert err == "error: unknown catalog name 'Nope'\n"
+
+
+@pytest.mark.parametrize("command", PER_FAN_COMMANDS + ("isomorphic",))
+def test_per_fan_commands_name_the_defect_of_an_invalid_fan(tmp_path, capsys, command):
+    path = tmp_path / "dup.json"
+    path.write_text(DUPLICATE_RAY_P2)
+    argv = [command, str(path)] + (["catalog:P2"] if command == "isomorphic" else [])
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: fan is invalid: duplicate_ray\n"
+    code, out, err = invoke(capsys, *argv, "--json")
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": "fan is invalid: duplicate_ray"}
 
 
 def test_malformed_json_file(tmp_path, capsys):
@@ -123,17 +150,37 @@ def test_isomorphic_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["isomorphic"] is True
     assert payload["matrix"] is not None
+    # a rebased X4_1 with its rays in reverse order: the matrix takes ray i
+    # of the file to ray ray_permutation[i] of the catalog fan
+    target = named_fan("X4_1").fan
+    rebase = ((1, 2, 0), (0, 1, 0), (1, 1, 1))
+    n = len(target.rays)
+    rays = [matvec(rebase, target.rays[n - 1 - i]) for i in range(n)]
+    cones = [[n - 1 - i for i in cone] for cone in target.max_cones]
+    path = tmp_path / "x4_1.json"
+    path.write_text(json.dumps({"dim": 3, "rays": rays, "max_cones": cones}))
+    code, out, _ = invoke(capsys, "isomorphic", str(path), "catalog:X4_1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    matrix, perm = payload["matrix"], payload["ray_permutation"]
+    assert sorted(perm) == list(range(n))
+    assert [matvec(matrix, ray) for ray in rays] == [target.rays[j] for j in perm]
 
 
 def test_catalog_list(capsys):
     code, out, _ = invoke(capsys, "catalog", "--list", "--json")
     assert code == 0
-    names = {item["name"] for item in json.loads(out)["names"]}
+    items = json.loads(out)["names"]
+    names = {item["name"] for item in items}
     assert {"P2", "F2", "X3_0", "P1xW7", "PP2_O_O3"} <= names
+    # human mode: one line per name, in the same order
+    code, out, err = invoke(capsys, "catalog", "--list")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [f"{item['name']}: {item['expected']}" for item in items]
+    assert out.splitlines()[0] == "P2: {'rays': 3, 'picard': 1, 'degree': 9, 'fano': True, 'weak_fano': True}"
 
 
 def test_catalog_dump_round_trips(capsys):
-    from torifan.catalog import named_fan
     from torifan.fan import fan_from_json
 
     code, out, _ = invoke(capsys, "catalog", "X5_1", "--json")
@@ -158,6 +205,25 @@ def test_analyze_payload_shape(capsys):
     degrees = sorted(rel["degree"] for rel in payload["relations"])
     assert degrees == [0, 2]
     assert all(rel["extremal"] for rel in payload["relations"])
+    code, out, err = invoke(capsys, "analyze", "catalog:F2")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "picard rank: 2",
+        "  collection [0, 1] -> sigma [] coeffs {} degree 2 extremal True",
+        "  collection [2, 3] -> sigma [0] coeffs {'0': 2} degree 0 extremal True",
+    ]
+
+
+def test_verify_passes_through_the_cli(capsys):
+    code, out, err = invoke(capsys, "verify")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "overall: PASS"
+    assert len(lines) > 1 and all(line.startswith("PASS ") for line in lines[:-1])
+    assert "PASS threefold_count_15 found 15 classes" in lines
+    result = run(["verify", "--json"])
+    assert result.status == "ok" and result.exit_code == 0
+    assert result.payload["passed"] is True
 
 
 def test_output_byte_stable(capsys):
@@ -177,6 +243,16 @@ def test_human_output_contains_table(capsys):
     code, out, _ = invoke(capsys, "validate", "catalog:P2")
     assert code == 0
     assert "is_smooth: True" in out
+
+
+@pytest.mark.parametrize("argv", [["degree", "catalog:P2"], ["catalog", "P2"]], ids=["degree", "catalog"])
+def test_human_mode_prints_any_other_payload_as_indented_json(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    if argv[0] == "degree":
+        assert out == '{\n  "anticanonical_degree": 9\n}\n'
+    else:
+        assert out == json.dumps(named_fan("P2").fan.to_dict(), indent=2) + "\n"
 
 
 def test_twist_bound_env_override():
@@ -225,11 +301,15 @@ def test_classify_3folds_stats(capsys):
     assert code == 0
     assert err.splitlines() == [f"{name}: {count}" for name, count in SWEEP_STATS_B3.items()]
     assert "box_points" not in out
+    table = out.splitlines()[3:]
     # --json: a "stats" key, only when asked for
     code, out, err = invoke(capsys, "classify-3folds", "--stats", "--json")
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["stats"] == SWEEP_STATS_B3
+    # the human table names each class as the JSON does, in the same order
+    assert [row.split()[0] for row in table] == [entry["name"] for entry in payload["classes"]]
+    assert "X3_0" in [row.split()[0] for row in table]
     code, out, err = invoke(capsys, "classify-3folds", "--json")
     assert code == 0 and err == ""
     assert "stats" not in json.loads(out)
