@@ -37,11 +37,15 @@ CLASSIFY = "src/torifan/classify.py"
 ISOMORPHISM = "src/torifan/isomorphism.py"
 LATTICE = "src/torifan/lattice.py"
 CLI = "src/torifan/cli.py"
+POLYTOPE = "src/torifan/polytope.py"
+CATALOG = "src/torifan/catalog.py"
 CLASSIFY_TESTS = "tests/test_contraction.py::TestClassifyContraction::"
 WITNESS_TESTS = "tests/test_contraction.py::TestNormalFormWitness::"
 BUNDLE_TESTS = "tests/test_primitive.py::TestBundleRelations::"
 WALL_TEST = "tests/test_primitive.py::test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do"
 KERNEL_TEST = "tests/test_fan.py::test_cone_kernel_agrees_with_the_cofactor_references"
+INVARIANT_TESTS = "tests/test_primitive.py::TestRelationInvariants::"
+IDENTITY_TESTS = "tests/test_riemann_roch.py::"
 
 
 @dataclass(frozen=True)
@@ -113,12 +117,29 @@ MUTANTS = (
         "if r.degree == 0)",
         (CLASSIFY_TESTS + "test_non_extremal_rejected",),
     ),
+    # what a relation derives from its collection and coefficients
+    Mutant(
+        "relation degree counts the collection once more",
+        PRIMITIVE,
+        "return len(self.collection) - sum(a for _, a in self.coeffs)",
+        "return 2 * len(self.collection) - sum(a for _, a in self.coeffs)",
+        (INVARIANT_TESTS + "test_degree_equals_class_component_sum",
+         "tests/test_acceptance.py::test_criterion_6d_degree_is_class_sum"),
+    ),
+    Mutant(
+        "class entries keep the sign of sigma",
+        PRIMITIVE,
+        "- coeffs.get(i, 0) for i in indices",
+        "+ coeffs.get(i, 0) for i in indices",
+        (INVARIANT_TESTS + "test_class_vector_is_a_relation_among_rays",
+         "tests/test_primitive.py::test_relations_grown_from_faces_agree_with_the_subset_scan"),
+    ),
     # the crepant relations of each sweep bundle
     Mutant(
         "bundle candidates without the section relation",
         PRIMITIVE,
-        "candidates[w] = lifted + (section,)",
-        "candidates[w] = lifted",
+        "candidates[w] = crepant + (section,)",
+        "candidates[w] = crepant",
         (BUNDLE_TESTS + "test_candidates_of_p2",),
     ),
     Mutant(
@@ -129,11 +150,18 @@ MUTANTS = (
         (BUNDLE_TESTS + "test_candidates_agree_with_the_reference",),
     ),
     Mutant(
-        "bundle candidates lift every degree-0 fiber relation",
+        "bundle candidates seed every degree-0 fiber relation",
         PRIMITIVE,
-        "for r in crepant_relations(fiber)",
-        "for r in primitive_collections(fiber) if r.degree == 0",
+        "crepant = crepant_relations(fiber)",
+        "crepant = tuple(r for r in primitive_collections(fiber) if r.degree == 0)",
         (BUNDLE_TESTS + "test_candidates_agree_with_the_reference",),
+    ),
+    Mutant(
+        "bundle candidates copy the fiber relations",
+        PRIMITIVE,
+        "crepant = crepant_relations(fiber)",
+        "crepant = tuple(PrimitiveRelation(r.collection, r.coeffs) for r in crepant_relations(fiber))",
+        ("tests/test_primitive.py::test_bundles_reuse_their_fiber_relations",),
     ),
     # the small shape: t in cone(a, b) for t = lambda*a + mu*b, where
     # (a x t).n = mu*|n|^2; lambda >= 0 follows (contraction_shape's docstring)
@@ -189,7 +217,7 @@ MUTANTS = (
         FAN,
         "degrees[facet] = 1 - coords[0] - coords[1] - coords[2]",
         "degrees[facet] = 2 - coords[0] - coords[1] - coords[2]",
-        (WALL_TEST,),
+        (WALL_TEST, IDENTITY_TESTS + "test_wall_degrees_sum_to_c1c2_and_to_k_squared"),
     ),
     Mutant(
         "3-D check 2 asks > 0",
@@ -281,6 +309,29 @@ MUTANTS = (
         equivalent="the positive entries of a primitive class are the 1s on its collection, so a "
         "second distinct class is never a positive multiple of the first: with one other class "
         "the sum-of-two lookup finds nothing, the LP is infeasible, and the answer is True",
+    ),
+    # the printed degree, checked by Riemann-Roch
+    Mutant(
+        "anticanonical degree two too high",
+        POLYTOPE,
+        "return int(total)",
+        "return int(total) + 2",
+        (IDENTITY_TESTS + "test_lattice_points_match_riemann_roch",),
+    ),
+    # the surface search and the catalog it must reproduce
+    Mutant(
+        "weak Fano blow-up allows neighbours with b = 2",
+        CLASSIFY,
+        "if seq[k] > 1 or seq[after] > 1:",
+        "if seq[k] > 2 or seq[after] > 2:",
+        ("tests/test_classify.py::TestSurfaceEnumeration::test_sixteen_classes",),
+    ),
+    Mutant(
+        "catalog without W7",
+        CATALOG,
+        '    "W7": [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (1, -2), (-1, 1), (-2, 1)],\n',
+        "",
+        ("tests/test_catalog.py::test_counts",),
     ),
     # the bundle test of verify
     Mutant(

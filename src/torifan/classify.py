@@ -240,8 +240,8 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     that is w = p*v_i + q*v_j over a fiber cone with p, q >= 0 and
     p + q <= 2: 3n + 1 sums over a fiber with n rays, 304 over the 16
     fibers. ``primitive.bundle_candidates`` lists them in increasing order.
-    A bundle's relations are the fiber's, lifted with the same degrees,
-    plus the section relation. So a weak Fano bundle has a weak del Pezzo
+    A bundle's relations are the fiber's and the section relation
+    (``bundle_candidates``), so a weak Fano bundle has a weak del Pezzo
     fiber, one of the 16, and the fiber set is complete within the family.
     Conversely every relation of a built bundle has degree >= 0, so every
     bundle the sweep builds is weak Fano.
@@ -256,8 +256,7 @@ def enumerate_weakened_threefolds(twist_bound: int = 3) -> ClassificationReport:
     included) is refused.
 
     Each built bundle is validated, and its crepant relations, the only
-    relations the verdict reads, are seeded from the table: lifted from the
-    fiber, with no LP on the bundle, as ``bundle_candidates`` argues.
+    relations the verdict reads, are seeded from ``bundle_candidates``.
     ``stats`` counts each of ``SWEEP_STAGES``.
     """
     if type(twist_bound) is not int:

@@ -73,7 +73,7 @@ def _cmd_analyze(args) -> CommandResult:
     payload = {
         "picard_rank": picard_rank(fan),
         "relations": [
-            {**rel.to_dict(), "extremal": is_extremal(fan, rel)}
+            {**rel.to_dict(len(fan.rays)), "extremal": is_extremal(fan, rel)}
             for rel in primitive_collections(fan)
         ],
     }
@@ -97,7 +97,7 @@ def _cmd_is_weakened_fano(args) -> CommandResult:
     fan = _load_valid_fan(args.fan)
     payload = is_weakened_fano(fan).to_dict()
     payload["crepant_contractions"] = [
-        {"relation": rel.to_dict(), "contraction": kind.to_dict()}
+        {"relation": rel.to_dict(len(fan.rays)), "contraction": kind.to_dict()}
         for rel, kind in crepant_contractions(fan)
     ]
     return CommandResult("ok", payload, [])

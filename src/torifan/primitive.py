@@ -1,26 +1,17 @@
 """Primitive collections, primitive relations, degrees and Mori-cone data.
 
 A primitive collection is a minimal set of rays not spanning a cone of the
-fan. Its element sum lies in the relative interior of a unique cone, which
-yields the primitive relation, its degree (the anticanonical intersection
-number of the corresponding 1-cycle class) and its class vector, an
-integer relation among the rays and a primitive vector (see
-``is_extremal``). Extremality of a class is decided exactly, against one
-table of distinct classes per fan, by the integer-preserving simplex of
-``lattice.has_nonneg_combination``; on a weak Fano fan a degree-0 class
-needs only the other degree-0 classes. Two exact steps shrink that work.
-A class that is the sum of two of the columns is not extremal, since 1 on
-those two columns is a feasible point of the LP, and it is found by a set
-lookup. The LPs that remain keep only the n - d entries off the first
-maximal cone: the rays of a cone are linearly independent, so a
-relation's entries on them follow from the others, and dropping them
-loses nothing on the relations, where every class and every combination
-of classes lies. The collections are grown from the faces of the fan
-(``primitive_collections``). The crepant relations, the extremal degree-0
-ones (``crepant_relations``), are all that the weakened verdict reads; for
-the surface bundles over P1 that the 3-fold sweep builds they are lifted
-from the fiber, beside the relation of the two sections, with no LP on
-the bundle (``bundle_candidates`` gives the argument).
+fan. Its element sum lies in the relative interior of a unique cone, and
+its coefficients there are all that a ``PrimitiveRelation`` stores: the
+cone, the degree (the anticanonical intersection number of the
+corresponding 1-cycle class) and the class vector, an integer relation
+among the rays and a primitive vector, are read off them. The collections
+are grown from the faces of the fan (``primitive_collections``).
+Extremality of a class is decided exactly, against one table of distinct
+classes per fan, by the integer-preserving simplex of
+``lattice.has_nonneg_combination``, after two exact shortcuts that
+``is_extremal`` argues. The crepant relations, the extremal degree-0 ones
+(``crepant_relations``), are all that the weakened verdict reads.
 """
 
 from __future__ import annotations
@@ -28,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import sub
+from typing import Iterable
 
 from .fan import Fan, maximal_cone_normals, memoised, wall_degrees
 from .lattice import (
@@ -40,21 +32,38 @@ from .lattice import (
 
 @dataclass(frozen=True)
 class PrimitiveRelation:
-    """collection sum = sum of coeffs over the generators of sigma, exactly."""
+    """collection sum = sum of coeffs over the generators of sigma, exactly.
+
+    ``coeffs`` are the sum's coordinates in the cone sigma that holds it in
+    its relative interior, so sigma is their rays, and the degree, -K of
+    the class, is the size of the collection less their sum.
+    """
 
     collection: tuple[int, ...]
-    sigma: tuple[int, ...]
     coeffs: tuple[tuple[int, int], ...]  # (ray index, positive coefficient), sorted
-    degree: int
-    cls: tuple[int, ...]
 
-    def to_dict(self) -> dict:
+    @property
+    def sigma(self) -> tuple[int, ...]:
+        return tuple(i for i, _ in self.coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.collection) - sum(a for _, a in self.coeffs)
+
+    def entries(self, indices: Iterable[int]) -> Vector:
+        """The class at the given ray indices: 1 on the collection, minus the
+        coefficient on sigma, 0 elsewhere."""
+        coeffs = dict(self.coeffs)
+        return tuple((1 if i in self.collection else 0) - coeffs.get(i, 0) for i in indices)
+
+    def to_dict(self, rays: int) -> dict:
+        """The relation of a fan with ``rays`` rays, its class on all of them."""
         return {
             "collection": list(self.collection),
             "sigma": list(self.sigma),
             "coeffs": {str(i): a for i, a in self.coeffs},
             "degree": self.degree,
-            "class": list(self.cls),
+            "class": list(self.entries(range(rays))),
         }
 
 
@@ -67,8 +76,9 @@ def _face_set(fan: Fan) -> set[frozenset[int]]:
     return faces
 
 
-def locate_sigma(fan: Fan, total: Vector) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The cone with the sum in its relative interior, with coefficients.
+def locate_sigma(fan: Fan, total: Vector) -> tuple[tuple[int, int], ...]:
+    """The positive coordinates of the sum in the cone that holds it in its
+    relative interior, as (ray index, coefficient) pairs.
 
     The first maximal cone containing the sum holds it in the relative
     interior of the face spanned by its positive coordinates. On a valid fan
@@ -77,8 +87,7 @@ def locate_sigma(fan: Fan, total: Vector) -> tuple[tuple[int, ...], tuple[tuple[
     for cone, inv in zip(fan.max_cones, maximal_cone_normals(fan)):
         coords = matvec(inv, total)
         if all(c >= 0 for c in coords):
-            coeffs = tuple((i, c) for i, c in zip(cone, coords) if c > 0)
-            return tuple(i for i, _ in coeffs), coeffs
+            return tuple((i, c) for i, c in zip(cone, coords) if c > 0)
     raise ValueError(f"no cone contains {total}; fan is not complete")
 
 
@@ -103,16 +112,8 @@ def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
             if s in faces or any(s - {i} not in faces for i in face):
                 continue
             combo = tuple(sorted(s))
-            total = vsum([fan.rays[i] for i in combo], d)
-            sigma, coeffs = locate_sigma(fan, total)
-            degree = len(combo) - sum(a for _, a in coeffs)
-            coeff_map = dict(coeffs)
-            cls = tuple(
-                (1 if i in s else 0) - coeff_map.get(i, 0) for i in range(n)
-            )
-            relations.append(
-                PrimitiveRelation(combo, sigma, coeffs, degree, cls)
-            )
+            coeffs = locate_sigma(fan, vsum([fan.rays[i] for i in combo], d))
+            relations.append(PrimitiveRelation(combo, coeffs))
     relations.sort(key=lambda r: r.collection)
     return tuple(relations)
 
@@ -131,17 +132,18 @@ def is_weak_fano(fan: Fan) -> bool:
     return min(wall_degrees(fan).values()) >= 0
 
 
+def _rows(fan: Fan) -> list[int]:
+    """The n - d rays outside ``fan.max_cones[0]``."""
+    cone = fan.max_cones[0]
+    return [i for i in range(len(fan.rays)) if i not in cone]
+
+
 @memoised
-def _columns(fan: Fan, face: bool) -> dict[Vector, Vector]:
-    """The distinct classes of the fan, each mapped to its entries on the n - d
-    rays outside ``fan.max_cones[0]``; with ``face``, the degree-0 classes only."""
-    cone = set(fan.max_cones[0])
-    rows = [i for i in range(len(fan.rays)) if i not in cone]
-    return {
-        r.cls: tuple(r.cls[i] for i in rows)
-        for r in primitive_collections(fan)
-        if r.degree == 0 or not face
-    }
+def _columns(fan: Fan, face: bool) -> dict[Vector, None]:
+    """The entries on ``_rows`` of the fan's distinct classes, in relation
+    order; with ``face``, of the degree-0 classes only."""
+    rows = _rows(fan)
+    return dict.fromkeys(r.entries(rows) for r in primitive_collections(fan) if r.degree == 0 or not face)
 
 
 def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
@@ -151,7 +153,7 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     of the other classes. Every class is a primitive vector: the collection
     is not a face, so some ray of it lies outside sigma, where the class is
     1. So the only positive multiple of a class is the class itself, and the
-    others are the other keys of the per-fan table ``_columns``.
+    others are the fan's other classes.
 
     The degree of a class is the sum of its entries, -K . class, a linear
     function. On a weak Fano fan it is >= 0 on every class, hence on the
@@ -162,28 +164,26 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     extremal without an LP when there are none. Other relations are tested
     against all classes.
 
-    A class that is not extremal is most often the sum of two of the
-    classes it is tested against. That is a feasible point of the LP (1 on
-    both columns), so such a class is answered by a set lookup. The LP
-    that remains is solved on the n - d entries off the first maximal cone
-    only. Every class and every combination of classes is a relation,
+    Classes are compared and combined on their n - d entries off the first
+    maximal cone only, the keys of the per-fan table ``_columns``. Every
+    class and every combination or difference of classes is a relation,
     sum x_i v_i = 0, and the rays of a maximal cone are linearly
     independent, so a relation's entries on them follow from its other
-    entries: dropping them is injective on the relations, and the smaller
-    LP is feasible exactly when the full one is.
-
-    The 3-fold sweep asks this only of its fibers: a bundle's crepant
-    relations are read off its fiber (``bundle_candidates``), and a fiber's
-    crepant relations, not these answers, are kept for the later sweeps of
-    the process.
+    entries: dropping them is injective on the relations. So distinct
+    classes keep distinct keys, and the smaller LP is feasible exactly when
+    the full one is. A class that is not extremal is most often the sum of
+    two of the classes it is tested against, a feasible point of the LP (1
+    on both columns), so such a class is answered by a set lookup of the
+    difference, which is injective in the same way.
     """
     table = _columns(fan, rel.degree == 0 and is_weak_fano(fan))
-    others = [c for c in table if c != rel.cls]
+    target = rel.entries(_rows(fan))
+    others = [c for c in table if c != target]
     if not others:
         return True
-    if any(tuple(map(sub, rel.cls, c)) in table for c in others):
+    if any(tuple(map(sub, target, c)) in table for c in others):
         return False
-    return not has_nonneg_combination([table[c] for c in others], table[rel.cls])
+    return not has_nonneg_combination(others, target)
 
 
 @memoised
@@ -206,38 +206,37 @@ def bundle_candidates(fiber: Fan) -> tuple[tuple[Vector, tuple[PrimitiveRelation
     x- = (0, -1) at index n + 1. Its faces are the fiber faces, alone or
     joined to one section, so its minimal non-faces are those of the fiber
     plus the section pair. A fiber collection sums to a point of a fiber
-    cone, a face of the bundle, so its relation keeps the cone,
-    coefficients and degree, and its class gains a zero at each section.
-    The pair {x+, x-} sums to (w, 0), so with w = p*v_i + q*v_j (p, q >= 0)
-    in the fiber cone (v_i, v_j) its relation is x+ + x- = p*(v_i, 0) +
-    q*(v_j, 0), of degree 2 - (p + q) = 2 - phi(w), phi being the fiber's
-    piecewise-linear function that is 1 on every ray. It holds the two
-    largest indices and comes last in relation order.
+    cone, a face of the bundle, with the same coefficients. A fiber
+    relation names only fiber rays, which keep their indices in the bundle,
+    so it is a bundle relation as it stands, with the same cone and degree,
+    and its class is 0 at both sections. The pair {x+, x-} sums to (w, 0),
+    so with w = p*v_i + q*v_j (p, q >= 0) in the fiber cone (v_i, v_j) its
+    relation is x+ + x- = p*(v_i, 0) + q*(v_j, 0), of degree
+    2 - (p + q) = 2 - phi(w), phi being the fiber's piecewise-linear
+    function that is 1 on every ray. It holds the two largest indices and
+    comes last in relation order.
 
     So the sums with phi(w) <= 2 are the p*v_i + q*v_j with p + q <= 2 over
     the fiber's cones: 0, each v_i, each 2*v_i and the sum of each cone's
     two rays. On a smooth complete 2-fan every point has one such form, so
     n rays give 3n + 1 sums.
 
-    Extremality lifts too. Every lifted class is 0 at x+ and x-, and the
-    section class is 1 there, so the section class is never a nonnegative
-    combination of the others: it is extremal. In a combination that gives
-    a lifted class the section class has coefficient 0, so a lifted class
-    is extremal exactly when its fiber class is. This holds against all the
-    classes and against the degree-0 ones alone, and the bundle is weak
-    Fano exactly when its fiber is, the section relation having degree
-    2 - (p + q) >= 0; so ``is_extremal`` reads tables of the same kind on
-    the two. So the bundle's crepant relations are the fiber's, lifted once
-    per fiber, plus the section relation when p + q = 2, and the sweep runs
-    no LP on a bundle.
+    Extremality carries over too. Every fiber class is 0 at x+ and x-, and
+    the section class is 1 there, so the section class is never a
+    nonnegative combination of the others: it is extremal. In a
+    combination that gives a fiber class the section class has coefficient
+    0, so a fiber class is extremal on the bundle exactly when it is on the
+    fiber. This holds against all the classes and against the degree-0
+    ones alone, and the bundle is weak Fano exactly when its fiber is, the
+    section relation having degree 2 - (p + q) >= 0; so ``is_extremal``
+    reads tables of the same kind on the two. So the bundle's crepant
+    relations are the fiber's own, plus the section relation when
+    p + q = 2, and the sweep runs no LP on a bundle.
     """
     if fiber.dim != 2:
         raise ValueError("bundle fiber must be 2-dimensional")
     n = len(fiber.rays)
-    lifted = tuple(
-        PrimitiveRelation(r.collection, r.sigma, r.coeffs, r.degree, r.cls + (0, 0))
-        for r in crepant_relations(fiber)
-    )
+    crepant = crepant_relations(fiber)
     candidates: dict[Vector, tuple[PrimitiveRelation, ...]] = {}
     for i, j in fiber.max_cones:
         (xi, yi), (xj, yj) = fiber.rays[i], fiber.rays[j]
@@ -245,11 +244,8 @@ def bundle_candidates(fiber: Fan) -> tuple[tuple[Vector, tuple[PrimitiveRelation
             for q in range(3 - p):
                 w = (p * xi + q * xj, p * yi + q * yj)
                 if p + q < 2:
-                    candidates[w] = lifted
+                    candidates[w] = crepant
                     continue
-                coeffs = tuple((k, a) for k, a in ((i, p), (j, q)) if a > 0)
-                cls = [0] * n + [1, 1]
-                cls[i], cls[j] = -p, -q
-                section = PrimitiveRelation((n, n + 1), tuple(k for k, _ in coeffs), coeffs, 0, tuple(cls))
-                candidates[w] = lifted + (section,)
+                section = PrimitiveRelation((n, n + 1), tuple((k, a) for k, a in ((i, p), (j, q)) if a > 0))
+                candidates[w] = crepant + (section,)
     return tuple(sorted(candidates.items()))

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from typing import Optional
 
@@ -293,6 +293,41 @@ def polytope_volume(poly: AnticanPolytope) -> Fraction:
 
 def anticanonical_volume(fan) -> Fraction:
     return polytope_volume(anticanonical_polytope(fan))
+
+
+def lattice_points(fan, k: int) -> int:
+    """The number of lattice points m with <m, v> >= -k on every ray v,
+    h^0(-kK) of the toric variety (Cox, Little & Schenck 2011, ch. 9).
+
+    Counted in the box of the points k*m_sigma, where m_sigma, with
+    <m_sigma, v> = -1 on each ray of sigma, is minus the sum of the rows
+    of ``reference_unimodular_inverse`` of sigma's ``cone_columns``. The
+    box holds every such point when -K is nef, since the polytope is then
+    the convex hull of the m_sigma; on other fans the count may be short.
+    Over each point of the box's first d - 1 coordinates, each ray bounds
+    the last coordinate on one side, or, when its last entry is 0, admits
+    the whole line or none of it.
+    """
+    vertices = [
+        [-k * sum(column) for column in zip(*inverse)]
+        for _, inverse in _reference_cone_inverses(fan)
+    ]
+    box = [range(min(coords), max(coords) + 1) for coords in zip(*vertices)]
+    count = 0
+    for head in product(*box[:-1]):
+        lo, hi = box[-1].start, box[-1].stop - 1
+        for ray in fan.rays:
+            # <m, ray> >= -k reads slack + m_last * last >= 0
+            slack = k + sum(x * y for x, y in zip(head, ray))
+            last = ray[-1]
+            if last > 0:
+                lo = max(lo, -(slack // last))
+            elif last < 0:
+                hi = min(hi, slack // -last)
+            elif slack < 0:
+                hi = lo - 1
+        count += max(0, hi - lo + 1)
+    return count
 
 
 def brute_force_sigma(rays, max_cones, total):
@@ -706,10 +741,17 @@ def fraction_lp_feasible(columns, target) -> bool:
     return red[ncols] == 0
 
 
-def full_lp(relations, rel):
+def reference_class(rel, rays):
+    """The class of a relation of a fan with ``rays`` rays: 1 on the
+    collection, minus each coefficient on its ray, 0 elsewhere."""
+    coeffs = dict(rel.coeffs)
+    return tuple((1 if i in rel.collection else 0) - coeffs.get(i, 0) for i in range(rays))
+
+
+def full_lp(relations, rel, rays):
     """(columns, target) of the LP deciding extremality of a relation class
-    against every other class of ``relations``, all the relations of a fan,
-    that is not a positive multiple of it."""
+    against every other class of ``relations``, all the relations of a fan
+    with ``rays`` rays, that is not a positive multiple of it."""
 
     def positive_multiple(u, v):
         pivot = next((i for i, x in enumerate(v) if x != 0), None)
@@ -718,12 +760,13 @@ def full_lp(relations, rel):
         q = Fraction(u[pivot], v[pivot])
         return q > 0 and all(Fraction(x) == q * y for x, y in zip(u, v))
 
-    others = [
-        r.cls
-        for r in relations
-        if r.collection != rel.collection and not positive_multiple(r.cls, rel.cls)
-    ]
-    return others, rel.cls
+    target = reference_class(rel, rays)
+    others = []
+    for r in relations:
+        cls = reference_class(r, rays)
+        if r.collection != rel.collection and not positive_multiple(cls, target):
+            others.append(cls)
+    return others, target
 
 
 def full_lp_is_extremal(fan, rel) -> bool:
@@ -735,14 +778,14 @@ def full_lp_is_extremal(fan, rel) -> bool:
     """
     from torifan.primitive import primitive_collections
 
-    others, target = full_lp(primitive_collections(fan), rel)
+    others, target = full_lp(primitive_collections(fan), rel, len(fan.rays))
     return not others or not fraction_lp_feasible(others, target)
 
 
-def reference_crepant_relations(relations):
+def reference_crepant_relations(relations, rays):
     """The extremal degree-0 relations among ``relations``, all the relations
-    of a fan in order, each tested by one LP against every other class on
-    all n entries (``full_lp``).
+    of a fan with ``rays`` rays in order, each tested by one LP against
+    every other class on all its entries (``full_lp``).
 
     The reference for ``primitive.crepant_relations``, which on a weak Fano
     fan tests against the degree-0 classes only, on the entries off one
@@ -757,7 +800,7 @@ def reference_crepant_relations(relations):
     crepant = []
     for rel in relations:
         if rel.degree == 0:
-            others, target = full_lp(relations, rel)
+            others, target = full_lp(relations, rel, rays)
             if not others or not has_nonneg_combination(others, target):
                 crepant.append(rel)
     return tuple(crepant)
@@ -814,7 +857,7 @@ def eager_weakened_verdict(fan):
     if weak:
         table = tuple(
             (rel, reference_contraction_shape(fan, rel))
-            for rel in reference_crepant_relations(reference_primitive_collections(fan))
+            for rel in reference_crepant_relations(reference_primitive_collections(fan), len(fan.rays))
         )
     weakened = weak and not fano and all(kind.kind == "zero_two" for _, kind in table)
     return weakened, table
@@ -1035,23 +1078,32 @@ def reference_locate(fan, total):
     raise ValueError(f"no cone contains {total}")
 
 
-def reference_primitive_collections(fan):
-    """``primitive.primitive_collections`` as it was before it grew candidates
-    from faces: scan every subset of 2 to d + 1 rays, keep the minimal
-    non-faces (``reference_faces``), and locate each sum in the fan
-    (``reference_locate``).
-
-    The reference for the relations, which must be equal and in the same
-    order.
-    """
+def _checked_relation(collection, sigma, coeffs, degree, cls):
+    """``PrimitiveRelation(collection, coeffs)``, once the sigma, degree and
+    class that it derives, read through ``to_dict``, are the given ones."""
     from torifan.primitive import PrimitiveRelation
 
+    rel = PrimitiveRelation(collection, coeffs)
+    expected = {
+        "collection": list(collection),
+        "sigma": list(sigma),
+        "coeffs": {str(i): a for i, a in coeffs},
+        "degree": degree,
+        "class": list(cls),
+    }
+    assert rel.to_dict(len(cls)) == expected, (rel, expected)
+    return rel
+
+
+def _reference_relation_fields(fan):
+    # (collection, sigma, coeffs, degree, class) of every minimal non-face,
+    # in lexicographic order of the collections
     if not fan.report.ok:
         raise ValueError(f"fan does not validate: {fan.report.offending_cones}")
     n = len(fan.rays)
     d = fan.dim
     faces = reference_faces(fan)
-    relations = []
+    fields = []
     for size in range(2, d + 2):
         for combo in combinations(range(n), size):
             s = frozenset(combo)
@@ -1066,11 +1118,22 @@ def reference_primitive_collections(fan):
             cls = tuple(
                 (1 if i in s else 0) - coeff_map.get(i, 0) for i in range(n)
             )
-            relations.append(
-                PrimitiveRelation(tuple(combo), sigma, coeffs, degree, cls)
-            )
-    relations.sort(key=lambda r: r.collection)
-    return tuple(relations)
+            fields.append((tuple(combo), sigma, coeffs, degree, cls))
+    fields.sort()
+    return fields
+
+
+def reference_primitive_collections(fan):
+    """``primitive.primitive_collections`` as it was before it grew candidates
+    from faces: scan every subset of 2 to d + 1 rays, keep the minimal
+    non-faces (``reference_faces``), and locate each sum in the fan
+    (``reference_locate``).
+
+    The reference for the relations, which must be equal and in the same
+    order. Each relation's sigma, degree and class are computed here too,
+    and ``_checked_relation`` compares them with those the relation derives.
+    """
+    return tuple(_checked_relation(*fields) for fields in _reference_relation_fields(fan))
 
 
 def reference_section_relation(fiber, twist_plus, twist_minus):
@@ -1085,10 +1148,9 @@ def reference_section_relation(fiber, twist_plus, twist_minus):
     So the relation is x+ + x- = sum of a_i * (v_i, 0) with the fiber
     coordinates a_i of w, found once in the fiber, and its degree is
     2 - phi(w), phi being the fiber's piecewise-linear function that is 1 on
-    every ray.
+    every ray. Its sigma, degree and class are checked as in
+    ``reference_primitive_collections``.
     """
-    from torifan.primitive import PrimitiveRelation
-
     if fiber.dim != 2 or not fiber.report.ok:
         raise ValueError("bundle fiber must be a valid 2-dimensional fan")
     n = len(fiber.rays)
@@ -1096,7 +1158,7 @@ def reference_section_relation(fiber, twist_plus, twist_minus):
     sigma, coeffs = reference_locate(fiber, w)
     coeff_map = dict(coeffs)
     cls = tuple(-coeff_map.get(i, 0) for i in range(n)) + (1, 1)
-    return PrimitiveRelation((n, n + 1), sigma, coeffs, 2 - sum(a for _, a in coeffs), cls)
+    return _checked_relation((n, n + 1), sigma, coeffs, 2 - sum(a for _, a in coeffs), cls)
 
 
 def sweep_bundles_b3():
@@ -1125,8 +1187,9 @@ def reference_bundle_relations(fiber, section):
     minimal non-faces are those of the fiber plus the section pair. A fiber
     collection sums to a point of a fiber cone, which is a face of the
     bundle, so its relation keeps the cone, coefficients and degree, and its
-    class gains a zero at each section. The section pair holds the two
-    largest indices and comes last in collection order.
+    class gains a zero at each section; each lifted relation is checked so
+    on the bundle's n + 2 rays. The section pair holds the two largest
+    indices and comes last in collection order.
     """
     return _reference_lifted(fiber) + (section,)
 
@@ -1134,11 +1197,9 @@ def reference_bundle_relations(fiber, section):
 @lru_cache(maxsize=None)
 def _reference_lifted(fiber) -> tuple:
     # the few fibers are each lifted for many twists
-    from torifan.primitive import PrimitiveRelation
-
     return tuple(
-        PrimitiveRelation(r.collection, r.sigma, r.coeffs, r.degree, r.cls + (0, 0))
-        for r in reference_primitive_collections(fiber)
+        _checked_relation(combo, sigma, coeffs, degree, cls + (0, 0))
+        for combo, sigma, coeffs, degree, cls in _reference_relation_fields(fiber)
     )
 
 

@@ -167,7 +167,7 @@ def test_criterion_6d_degree_is_class_sum(threefold_report_b3):
         fans = [nf.fan for nf in all_named().values()] + [e.fan for e in report.classes]
         for fan in fans:
             for rel in primitive_collections(fan):
-                assert rel.degree == sum(rel.cls)
+                assert rel.degree == sum(rel.to_dict(len(fan.rays))["class"])
 
     _report(6, "(d) degree equals class-vector sum", body)
 

@@ -305,7 +305,7 @@ def _catalog_lps():
     for nf in all_named().values():
         relations = primitive_collections(nf.fan)
         for rel in relations:
-            yield full_lp(relations, rel)
+            yield full_lp(relations, rel, len(nf.fan.rays))
 
 
 def _bound_3_bundle_lps():
@@ -318,7 +318,7 @@ def _bound_3_bundle_lps():
         assert is_weak_fano(fan)
         relations = primitive_collections(fan)
         for rel in relations:
-            yield full_lp(relations, rel)
+            yield full_lp(relations, rel, len(fan.rays))
 
 
 class TestNonnegFeasibility:

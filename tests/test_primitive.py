@@ -97,8 +97,9 @@ class TestRelationInvariants:
         for name in ("S7", "X4_0", "P1xW5_2"):
             fan = named_fan(name).fan
             for rel in primitive_collections(fan):
+                cls = rel.to_dict(len(fan.rays))["class"]
                 assert vsum(
-                    [tuple(c * x for x in ray) for c, ray in zip(rel.cls, fan.rays)],
+                    [tuple(c * x for x in ray) for c, ray in zip(cls, fan.rays, strict=True)],
                     fan.dim,
                 ) == (0,) * fan.dim
 
@@ -106,7 +107,7 @@ class TestRelationInvariants:
         for name in ("W4_2", "X4_1", "P1xF2"):
             fan = named_fan(name).fan
             for rel in primitive_collections(fan):
-                assert rel.degree == sum(rel.cls)
+                assert rel.degree == sum(rel.to_dict(len(fan.rays))["class"])
 
     def test_sigma_is_unique_by_brute_force(self):
         from _oracles import brute_force_sigma
@@ -235,9 +236,10 @@ class TestExtremality:
             fan = named_fan(name).fan
             rels = primitive_collections(fan)
             flags = [is_extremal(fan, r) for r in rels]
-            extremal = [r.cls for r, flag in zip(rels, flags) if flag]
-            for rel, flag in zip(rels, flags):
-                assert flag or has_nonneg_combination(extremal, rel.cls)
+            classes = [r.entries(range(len(fan.rays))) for r in rels]
+            extremal = [cls for cls, flag in zip(classes, flags) if flag]
+            for cls, flag in zip(classes, flags):
+                assert flag or has_nonneg_combination(extremal, cls)
 
 
 def _weak_fano_bundles(count: int, seed: int) -> list:
@@ -356,7 +358,7 @@ def test_extremality_shortcuts_agree_with_full_lp_off_the_degree_face(monkeypatc
 
 
 def test_sweep_seeds_the_crepant_relations_of_every_bundle(monkeypatch):
-    """The sweep seeds each built bundle's crepant relations, lifted from its
+    """The sweep seeds each built bundle's crepant relations, read off its
     fiber. Every seeded tuple must equal ``crepant_relations`` of a fresh
     copy of the bundle, which grows its relations from its faces and
     decides their extremality by the LP; the section relation, of degree 0
@@ -395,6 +397,41 @@ def test_sweep_seeds_the_crepant_relations_of_every_bundle(monkeypatch):
     assert relations == 938 and sections == 192
 
 
+def test_bundles_reuse_their_fiber_relations(monkeypatch):
+    """A fiber relation is a bundle relation as it stands, so the sweep seeds
+    each bundle with its fiber's own relation objects: every seeded crepant
+    relation other than the section relation is one of the fiber's
+    ``crepant_relations``, and the section relation is the last relation of
+    a fresh copy of the bundle."""
+    from torifan import classify, primitive
+    from torifan.fan import build_bundle
+
+    built = []
+
+    def recorded(fiber, *twists):
+        built.append((fiber, build_bundle(fiber, *twists)))
+        return built[-1][1]
+
+    monkeypatch.setattr(classify, "build_bundle", recorded)
+    classify.enumerate_weakened_threefolds(3)
+    assert len(built) == 304
+    reused = sections = 0
+    for fiber, fan in built:
+        own = crepant_relations(fiber)
+        n = len(fiber.rays)
+        with monkeypatch.context() as m:
+            m.setattr(primitive, "primitive_collections", None)
+            seeded = crepant_relations(fan)
+        for rel in seeded:
+            if rel.collection == (n, n + 1):
+                assert rel == primitive_collections(Fan(3, fan.rays, fan.max_cones))[-1], fan.to_dict()
+                sections += 1
+            else:
+                assert any(rel is r for r in own), (fan.to_dict(), rel)
+                reused += 1
+    assert reused == 938 - 192 and sections == 192
+
+
 def test_every_class_is_primitive_with_a_one_off_sigma():
     """The argument that lets ``is_extremal`` compare classes by equality: a
     primitive collection is not a face, so some ray of it lies outside sigma,
@@ -413,9 +450,10 @@ def test_every_class_is_primitive_with_a_one_off_sigma():
     checked = 0
     for fan in catalog + bundles + non_weak:
         for rel in primitive_collections(fan):
+            cls = rel.to_dict(len(fan.rays))["class"]
             outside = [i for i in rel.collection if i not in rel.sigma]
-            assert outside and all(rel.cls[i] == 1 for i in outside), rel
-            assert gcd(*rel.cls) == 1, rel
+            assert outside and all(cls[i] == 1 for i in outside), rel
+            assert gcd(*cls) == 1, rel
             checked += 1
     assert checked > 5000
 
@@ -480,7 +518,7 @@ def _fresh_bundle_relations(fiber, twist_plus, twist_minus):
 
 class TestBundleRelations:
     """``bundle_candidates`` lists the sweep's sums with their bundles'
-    crepant relations, and the reference lifts a bundle's relations from
+    crepant relations, and the reference reads a bundle's relations off
     its fiber for any twists. The crepant relations are compared with the
     reference's relations of the bundle, filtered to degree 0 and extremal
     by ``reference_crepant_relations``; the lifted relations with
@@ -515,7 +553,7 @@ class TestBundleRelations:
         for nf in surfaces():
             for w, crepant in bundle_candidates(nf.fan):
                 relations = reference_primitive_collections(build_bundle(nf.fan, w, (0, 0)))
-                assert crepant == reference_crepant_relations(relations), (nf.name, w)
+                assert crepant == reference_crepant_relations(relations, len(nf.fan.rays) + 2), (nf.name, w)
                 checked += 1
         assert checked == 304
 
@@ -537,7 +575,7 @@ class TestBundleRelations:
                     section = reference_section_relation(fiber, (sx, sy), (0, 0))
                     if section.degree >= 0:
                         relations = reference_bundle_relations(fiber, section)
-                        expected.append(((sx, sy), reference_crepant_relations(relations)))
+                        expected.append(((sx, sy), reference_crepant_relations(relations, len(fiber.rays) + 2)))
             table = bundle_candidates(fiber)
             assert list(table) == expected, fiber.to_dict()
             assert len(table) == 3 * len(fiber.rays) + 1
@@ -552,7 +590,7 @@ class TestBundleRelations:
         # (-1, 0) = (0, 1) + (-1, -1), rays 1 and 2 of P2
         assert section.collection == (3, 4) and section.sigma == (1, 2)
         assert section.coeffs == ((1, 1), (2, 1))
-        assert section.degree == 0 and section.cls == (0, -1, -1, 1, 1)
+        assert section.degree == 0 and section.to_dict(5)["class"] == [0, -1, -1, 1, 1]
         # P2 has no crepant relation, and the section relation of a sum with
         # p + q < 2 has positive degree
         assert dict(table)[(0, 0)] == dict(table)[(0, 1)] == ()
@@ -590,6 +628,6 @@ class TestBundleRelations:
         rel = reference_section_relation(hirzebruch_fan(1), (2, 1), (1, 0))
         assert rel.collection == (4, 5) and rel.sigma == (0, 2)
         assert rel.coeffs == ((0, 3), (2, 1))
-        assert rel.degree == 2 - 4 and rel.cls == (-3, 0, -1, 0, 1, 1)
+        assert rel.degree == 2 - 4 and rel.to_dict(6)["class"] == [-3, 0, -1, 0, 1, 1]
         with pytest.raises(ValueError):
             reference_section_relation(named_fan("X3_0").fan, (0, 0), (0, 0))
