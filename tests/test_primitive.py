@@ -49,6 +49,20 @@ class TestCollections:
         assert crepant.degree == 0
         assert crepant.coeffs == ((0, 2),)  # (1,1) + (1,-1) = 2*(1,0)
 
+    def test_a_relation_stores_its_collection_and_coefficients(self):
+        from dataclasses import fields
+
+        from torifan.primitive import PrimitiveRelation
+
+        assert [f.name for f in fields(PrimitiveRelation)] == ["collection", "coeffs"]
+        fan = named_fan("F2").fan  # rays (1,0), (-1,0), (1,1), (1,-1)
+        crepant = primitive_collections(fan)[1]
+        assert crepant == PrimitiveRelation((2, 3), ((0, 2),))
+        assert crepant.to_dict(len(fan.rays)) == {
+            "collection": [2, 3], "sigma": [0], "coeffs": {"0": 2}, "degree": 0, "class": [-2, 0, 1, 1],
+        }
+        assert crepant.entries([3, 0]) == (1, -2)
+
     def test_x3_0_has_opposite_section_pair(self):
         fan = named_fan("X3_0").fan
         rels = primitive_collections(fan)
