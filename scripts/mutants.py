@@ -46,6 +46,7 @@ WALL_TEST = "tests/test_primitive.py::test_wall_degrees_decide_fano_and_weak_fan
 KERNEL_TEST = "tests/test_fan.py::test_cone_kernel_agrees_with_the_cofactor_references"
 INVARIANT_TESTS = "tests/test_primitive.py::TestRelationInvariants::"
 IDENTITY_TESTS = "tests/test_riemann_roch.py::"
+DEGREE_TESTS = "tests/test_polytope.py::TestDegree::"
 
 
 @dataclass(frozen=True)
@@ -302,6 +303,29 @@ MUTANTS = (
         ("tests/test_classify.py::TestSelfIntersectionSequences::test_sequence_is_read_from_the_rays",),
     ),
     Mutant(
+        "extremality face on fans that are not weak Fano",
+        PRIMITIVE,
+        "face = rel.degree == 0 and is_weak_fano(fan)",
+        "face = rel.degree == 0",
+        ("tests/test_primitive.py::test_extremality_on_degree_face_agrees_with_full_lp",),
+    ),
+    Mutant(
+        "extremality without the degree-0 face filter",
+        PRIMITIVE,
+        "c != target and (degree == 0 or not face)",
+        "c != target",
+        ("tests/test_memo.py::test_extremality_lps_only_for_degree_zero_relations",),
+    ),
+    Mutant(
+        "sum-of-two lookup restricted to the classes tested against",
+        PRIMITIVE,
+        "tuple(map(sub, target, c)) in table",
+        "tuple(map(sub, target, c)) in others",
+        equivalent="the difference is never the target, a class being nonzero, and on the "
+        "degree-0 face a difference of two degree-0 classes that is itself a class has "
+        "degree 0, the degree being linear: so a hit in the whole table is a hit in others",
+    ),
+    Mutant(
         "extremality shortcut with one other class",
         PRIMITIVE,
         "if not others:",
@@ -314,9 +338,31 @@ MUTANTS = (
     Mutant(
         "anticanonical degree two too high",
         POLYTOPE,
-        "return int(total)",
-        "return int(total) + 2",
+        "return sum(c * (2 - vdot(",
+        "return 2 + sum(c * (2 - vdot(",
         (IDENTITY_TESTS + "test_lattice_points_match_riemann_roch",),
+    ),
+    Mutant(
+        "3-fold degree counts each wall once less",
+        POLYTOPE,
+        "2 - vdot(",
+        "1 - vdot(",
+        (DEGREE_TESTS + "test_x3_0_degree_52",),
+    ),
+    Mutant(
+        "surface degree one too high",
+        POLYTOPE,
+        "return sum(degrees.values())",
+        "return sum(degrees.values()) + 1",
+        (DEGREE_TESTS + "test_surface_degree_identity",),
+    ),
+    Mutant(
+        "3-fold degree reads the last cone at each ray",
+        POLYTOPE,
+        "m.setdefault(i, row)",
+        "m[i] = row",
+        equivalent="any m with <m, v_r> = 1 gives a divisor linearly equivalent to D_r, "
+        "-sum_j <m, v_j> D_j for j != r, so the intersection numbers do not change",
     ),
     # the surface search and the catalog it must reproduce
     Mutant(

@@ -1,38 +1,36 @@
 """Exact anticanonical degree (-K)^d of a smooth complete fan.
 
-The degree is a sum over the maximal cones (Brion's formula), which needs no
-convexity, so it is right also where -K is not nef. No tolerances:
-everything is exact.
+The degree is read off the wall degrees that ``validate`` keeps, by
+adjunction (``anticanonical_degree``). That needs no convexity, so it is
+right also where -K is not nef. Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import prod
-
-from .fan import Fan, maximal_cone_normals
-from .lattice import vdot
+from .fan import Fan, maximal_cone_normals, wall_degrees
+from .lattice import Vector, vdot
 
 
 def anticanonical_degree(fan: Fan) -> int:
-    """(-K)^d of a smooth complete fan by Brion's formula.
+    """(-K)^d of a smooth complete fan, from its wall degrees.
 
-    Each maximal cone sigma contributes <m, xi>^d / prod_j (-<w_j, xi>), where
-    the w_j are its inward facet normals (the dual basis of its rays) and
-    m = -sum_j w_j is the point with <m, ray> = -1 on every ray of sigma.
-    With xi = (1, B, ..., B^(d-1)) and B above every |normal entry|, no
-    <w_j, xi> is zero. No convexity is assumed, so the sum is (-K)^d also
-    where -K is not nef; on weak Fano fans it is d! times the volume of the
-    polytope {m : <m, ray> >= -1}. A sum that is not an integer is a fault
-    of the package, and raises ``ArithmeticError`` even under ``python -O``.
+    On a curve or a surface (-K)^d = sum_r -K.D_r is the sum of the wall
+    degrees. On a 3-fold (-K)^3 = sum_r (-K|D_r)^2. Let m_r be row r of the
+    kept inverse of the first maximal cone at r, so <m_r, v_r> = 1. The
+    character m_r gives D_r ~ -sum_{j != r} <m_r, v_j> D_j, and D_j meets
+    D_r only in the curve C_j of the wall {r, j}, so
+    -K|D_r = sum_j (1 - <m_r, v_j>) C_j over those walls. Each C_j meets
+    -K in its wall degree, so the wall {a, b} adds its degree times
+    2 - <m_a, v_b> - <m_b, v_a>. No convexity is used, so the sum is
+    (-K)^3 also where -K is not nef; on weak Fano fans it is 3! times the
+    volume of the polytope {m : <m, ray> >= -1}.
     """
-    normals = maximal_cone_normals(fan)
-    base = 1 + max(abs(x) for rows in normals for row in rows for x in row)
-    xi = tuple(base**i for i in range(fan.dim))
-    total = Fraction(0)
-    for rows in normals:
-        weights = [vdot(row, xi) for row in rows]
-        total += Fraction((-sum(weights)) ** fan.dim, prod(-w for w in weights))
-    if total.denominator != 1:
-        raise ArithmeticError(f"Brion's sum over a smooth complete fan must be an integer, not {total}")
-    return int(total)
+    degrees = wall_degrees(fan)
+    if fan.dim < 3:
+        return sum(degrees.values())
+    m: dict[int, Vector] = {}
+    for cone, rows in zip(fan.max_cones, maximal_cone_normals(fan)):
+        for i, row in zip(cone, rows):
+            m.setdefault(i, row)
+    rays = fan.rays
+    return sum(c * (2 - vdot(m[a], rays[b]) - vdot(m[b], rays[a])) for (a, b), c in degrees.items())

@@ -8,7 +8,7 @@ corresponding 1-cycle class) and the class vector, an integer relation
 among the rays and a primitive vector, are read off them. The collections
 are grown from the faces of the fan (``primitive_collections``).
 Extremality of a class is decided exactly, against one table of distinct
-classes per fan, by the integer-preserving simplex of
+classes and their degrees per fan, by the integer-preserving simplex of
 ``lattice.has_nonneg_combination``, after two exact shortcuts that
 ``is_extremal`` argues. The crepant relations, the extremal degree-0 ones
 (``crepant_relations``), are all that the weakened verdict reads.
@@ -132,18 +132,13 @@ def is_weak_fano(fan: Fan) -> bool:
     return min(wall_degrees(fan).values()) >= 0
 
 
-def _rows(fan: Fan) -> list[int]:
-    """The n - d rays outside ``fan.max_cones[0]``."""
-    cone = fan.max_cones[0]
-    return [i for i in range(len(fan.rays)) if i not in cone]
-
-
 @memoised
-def _columns(fan: Fan, face: bool) -> dict[Vector, None]:
-    """The entries on ``_rows`` of the fan's distinct classes, in relation
-    order; with ``face``, of the degree-0 classes only."""
-    rows = _rows(fan)
-    return dict.fromkeys(r.entries(rows) for r in primitive_collections(fan) if r.degree == 0 or not face)
+def _columns(fan: Fan) -> tuple[list[int], dict[Vector, int]]:
+    """The n - d rays outside ``fan.max_cones[0]``, and the entries on them
+    of the fan's distinct classes, in relation order, each with its degree."""
+    cone = fan.max_cones[0]
+    rows = [i for i in range(len(fan.rays)) if i not in cone]
+    return rows, {r.entries(rows): r.degree for r in primitive_collections(fan)}
 
 
 def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
@@ -173,12 +168,16 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     classes keep distinct keys, and the smaller LP is feasible exactly when
     the full one is. A class that is not extremal is most often the sum of
     two of the classes it is tested against, a feasible point of the LP (1
-    on both columns), so such a class is answered by a set lookup of the
-    difference, which is injective in the same way.
+    on both columns), so such a class is answered by a lookup of the
+    difference in the whole table, which is injective in the same way. The
+    difference is never the class itself, a class being nonzero, and on the
+    face it has degree 0 when it is a class, since the degree is linear: so
+    a hit is always one of the classes tested against.
     """
-    table = _columns(fan, rel.degree == 0 and is_weak_fano(fan))
-    target = rel.entries(_rows(fan))
-    others = [c for c in table if c != target]
+    rows, table = _columns(fan)
+    target = rel.entries(rows)
+    face = rel.degree == 0 and is_weak_fano(fan)
+    others = [c for c, degree in table.items() if c != target and (degree == 0 or not face)]
     if not others:
         return True
     if any(tuple(map(sub, target, c)) in table for c in others):

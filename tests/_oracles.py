@@ -13,8 +13,9 @@ Some helpers are former library code that only tests use, kept here as it
 was so that the assertions built on them keep their meaning: the
 anticanonical polytope {m : <m, ray> >= -1} by exact vertex enumeration
 with its volume by a star triangulation at the origin (``degree = d! *
-volume`` checks Brion's formula in ``polytope.anticanonical_degree``), the
-kernel directions of the pairwise search, the two-element relation
+volume`` checks ``polytope.anticanonical_degree`` on weak Fano fans),
+Brion's sum for the degree, which that function computed before it read
+the wall degrees, the kernel directions of the pairwise search, the two-element relation
 trichotomy, the Hirzebruch fans, the zero-two witness that inverted each
 candidate basis, the contraction shapes that solved for cone coordinates,
 the subset scan for primitive collections, the section
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
 
@@ -293,6 +294,30 @@ def polytope_volume(poly: AnticanPolytope) -> Fraction:
 
 def anticanonical_volume(fan) -> Fraction:
     return polytope_volume(anticanonical_polytope(fan))
+
+
+def brion_degree(fan) -> int:
+    """(-K)^d of a smooth complete fan by Brion's formula, over the inverses
+    of ``reference_unimodular_inverse``.
+
+    Each maximal cone sigma contributes <m, xi>^d / prod_j (-<w_j, xi>), where
+    the w_j are its inward facet normals (the dual basis of its rays) and
+    m = -sum_j w_j is the point with <m, ray> = -1 on every ray of sigma.
+    With xi = (1, B, ..., B^(d-1)) and B above every |normal entry|, no
+    <w_j, xi> is zero. No convexity is assumed, so the sum is (-K)^d also
+    where -K is not nef. A sum that is not an integer raises
+    ``ArithmeticError``.
+    """
+    normals = [reference_unimodular_inverse(cone_columns(fan, cone)) for cone in fan.max_cones]
+    base = 1 + max(abs(x) for rows in normals for row in rows for x in row)
+    xi = tuple(base**i for i in range(fan.dim))
+    total = Fraction(0)
+    for rows in normals:
+        weights = [sum(a * b for a, b in zip(row, xi)) for row in rows]
+        total += Fraction((-sum(weights)) ** fan.dim, prod(-w for w in weights))
+    if total.denominator != 1:
+        raise ArithmeticError(f"Brion's sum over a smooth complete fan must be an integer, not {total}")
+    return int(total)
 
 
 def lattice_points(fan, k: int) -> int:

@@ -145,6 +145,17 @@ def test_extremality_lps_only_for_degree_zero_relations(calls):
     assert len(lps) == 6
 
 
+def test_extremality_keeps_one_class_table_per_fan():
+    # the degree-0 face is a filter of the one table, not a second table
+    fan = fresh(named_fan("P1xW7").fan)
+    relations = primitive_collections(fan)
+    assert len(relations) == 28 and [r.degree for r in relations].count(0) == 9
+    for rel in relations:
+        primitive.is_extremal(fan, rel)
+    tables = [key for key in fan._memo if key[0] == "torifan.primitive._columns"]
+    assert tables == [("torifan.primitive._columns",)]
+
+
 def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls):
     # the catalog is built once per process; keep its bundles out of the count
     catalog.surfaces(), catalog.threefolds()

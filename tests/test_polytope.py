@@ -5,12 +5,15 @@ from math import factorial
 import pytest
 
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
+from torifan.classify import blow_up
 from torifan.fan import Fan, build_bundle, fan_from_rays_2d
 from torifan.polytope import anticanonical_degree
+from torifan.primitive import is_weak_fano
 
 from _oracles import (
     anticanonical_polytope,
     anticanonical_volume,
+    brion_degree,
     hirzebruch_fan,
     random_unimodular,
     rebase_fan,
@@ -63,10 +66,15 @@ class TestDegree:
     def test_x5_1_degree_36(self):
         assert anticanonical_degree(named_fan("X5_1").fan) == 36
 
-    def test_surface_degree_identity(self):
-        # (-K)^2 = 12 - #rays on every smooth complete weak Fano surface
-        for nf in surfaces():
-            assert anticanonical_degree(nf.fan) == 12 - len(nf.fan.rays)
+    def test_surface_degree_identity(self, non_weak_fibers):
+        # (-K)^2 = 12 - #rays on every smooth complete surface (Noether), also
+        # on the 96 one-point blow-ups of the catalog surfaces, 56 of them
+        # not weak Fano
+        fans = [nf.fan for nf in surfaces()]
+        blowups = [blow_up(fan, cone) for fan in fans for cone in fan.max_cones]
+        assert len(blowups) == 96 and sum(not is_weak_fano(fan) for fan in blowups) == 56
+        for fan in fans + blowups + non_weak_fibers:
+            assert anticanonical_degree(fan) == 12 - len(fan.rays)
 
     def test_product_degree_factorizes(self):
         # (-K)^3 of P1 x S equals 6 * (-K_S)^2
@@ -87,16 +95,26 @@ class TestDegree:
         with pytest.raises(ValueError):
             anticanonical_degree(half)
 
-    def test_a_sum_that_is_not_an_integer_raises(self, monkeypatch):
-        # Brion's sum over one cone of P2 alone is not an integer; the check
-        # is an explicit raise, so ``python -O`` cannot strip it and let
-        # ``int`` truncate the sum to a wrong degree
-        from torifan import polytope
-
-        fan = named_fan("P2").fan
-        monkeypatch.setattr(polytope, "maximal_cone_normals", lambda f: fan.report.cone_normals[:1])
-        with pytest.raises(ArithmeticError, match="must be an integer"):
-            anticanonical_degree(fan)
+    def test_degree_agrees_with_brions_sum(self, non_weak_fibers):
+        # fans that the volume and Riemann-Roch checks cannot reach: -K is
+        # not nef on 2400 of the 2704 bundles of the box, nor on the
+        # non-weak fibers and their products, nor on F_a for a >= 3
+        box = [
+            build_bundle(nf.fan, (x, y), (0, 0))
+            for nf in surfaces()
+            for x in range(-6, 7)
+            for y in range(-6, 7)
+        ]
+        assert len(box) == 2704 and sum(not is_weak_fano(fan) for fan in box) == 2400
+        fans = (
+            box
+            + non_weak_fibers
+            + [build_bundle(fiber, (0, 0), (0, 0)) for fiber in non_weak_fibers]
+            + [hirzebruch_fan(a) for a in range(9)]
+            + [nf.fan for nf in all_named().values()]
+        )
+        for fan in fans:
+            assert anticanonical_degree(fan) == brion_degree(fan), fan.to_dict()
 
     def test_degree_is_scaled_volume_on_weak_fano_fans(self, threefold_report_b3):
         report, _ = threefold_report_b3
