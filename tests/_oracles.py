@@ -15,9 +15,10 @@ anticanonical polytope {m : <m, ray> >= -1} by exact vertex enumeration
 with its volume by a star triangulation at the origin (``degree = d! *
 volume`` checks ``polytope.anticanonical_degree`` on weak Fano fans),
 Brion's sum for the degree, which that function computed before it read
-the wall degrees, the kernel directions of the pairwise search, the two-element relation
-trichotomy, the Hirzebruch fans, the zero-two witness that inverted each
-candidate basis, the contraction shapes that solved for cone coordinates,
+the wall degrees, the kernel directions of the pairwise search, the
+two-element relation trichotomy, the Hirzebruch fans, the zero-two
+witness that inverted each candidate basis, the contraction shapes that
+solved for cone coordinates,
 the subset scan for primitive collections, the section
 relation that the 3-fold sweep located at each point of its box and the
 bundle relations it lifted from it, the counterclockwise comparator that
