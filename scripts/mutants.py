@@ -303,10 +303,39 @@ MUTANTS = (
         ("tests/test_classify.py::TestSelfIntersectionSequences::test_sequence_is_read_from_the_rays",),
     ),
     Mutant(
+        "one-ray certificate from a collection ray with two positive classes",
+        PRIMITIVE,
+        "positive[i] == 1",
+        "positive[i] <= 2",
+        (CLASSIFY_TESTS + "test_non_extremal_rejected",),
+    ),
+    Mutant(
+        "one-ray certificate from a sigma ray with two negative classes",
+        PRIMITIVE,
+        "negative[i] == 1",
+        "negative[i] <= 2",
+        (CLASSIFY_TESTS + "test_non_extremal_rejected",),
+    ),
+    Mutant(
+        "one-ray certificate counted on the degree-0 face for every class",
+        PRIMITIVE,
+        "positive, negative = signs[face]",
+        "positive, negative = signs[True]",
+        ("tests/test_primitive.py::test_extremality_on_degree_face_agrees_with_full_lp",),
+    ),
+    Mutant(
+        "extremality without the one-ray certificate",
+        PRIMITIVE,
+        "    if any(positive[i] == 1 for i in rel.collection) or any(negative[i] == 1 for i, _ in rel.coeffs):\n"
+        "        return True\n",
+        "",
+        ("tests/test_memo.py::test_extremality_lps_over_every_relation_of_the_catalog_and_the_bundles",),
+    ),
+    Mutant(
         "extremality face on fans that are not weak Fano",
         PRIMITIVE,
-        "face = rel.degree == 0 and is_weak_fano(fan)",
-        "face = rel.degree == 0",
+        "face = table[target] == 0 and is_weak_fano(fan)",
+        "face = table[target] == 0",
         ("tests/test_primitive.py::test_extremality_on_degree_face_agrees_with_full_lp",),
     ),
     Mutant(
@@ -324,15 +353,6 @@ MUTANTS = (
         equivalent="the difference is never the target, a class being nonzero, and on the "
         "degree-0 face a difference of two degree-0 classes that is itself a class has "
         "degree 0, the degree being linear: so a hit in the whole table is a hit in others",
-    ),
-    Mutant(
-        "extremality shortcut with one other class",
-        PRIMITIVE,
-        "if not others:",
-        "if len(others) <= 1:",
-        equivalent="the positive entries of a primitive class are the 1s on its collection, so a "
-        "second distinct class is never a positive multiple of the first: with one other class "
-        "the sum-of-two lookup finds nothing, the LP is infeasible, and the answer is True",
     ),
     # the printed degree, checked by Riemann-Roch
     Mutant(

@@ -9,7 +9,7 @@ among the rays and a primitive vector, are read off them. The collections
 are grown from the faces of the fan (``primitive_collections``).
 Extremality of a class is decided exactly, against one table of distinct
 classes and their degrees per fan, by the integer-preserving simplex of
-``lattice.has_nonneg_combination``, after two exact shortcuts that
+``lattice.has_nonneg_combination``, after three exact shortcuts that
 ``is_extremal`` argues. The crepant relations, the extremal degree-0 ones
 (``crepant_relations``), are all that the weakened verdict reads.
 """
@@ -133,53 +133,85 @@ def is_weak_fano(fan: Fan) -> bool:
 
 
 @memoised
-def _columns(fan: Fan) -> tuple[list[int], dict[Vector, int]]:
-    """The n - d rays outside ``fan.max_cones[0]``, and the entries on them
-    of the fan's distinct classes, in relation order, each with its degree."""
+def _columns(fan: Fan) -> tuple[list[int], dict[Vector, int], tuple]:
+    """The n - d rays outside ``fan.max_cones[0]``; the entries on them of
+    the fan's distinct classes, in relation order, each with its degree;
+    and, over all the classes and over the degree-0 ones, how many classes
+    are positive and how many negative at each ray."""
     cone = fan.max_cones[0]
-    rows = [i for i in range(len(fan.rays)) if i not in cone]
-    return rows, {r.entries(rows): r.degree for r in primitive_collections(fan)}
+    n = len(fan.rays)
+    rows = [i for i in range(n) if i not in cone]
+    table = {}
+    # signs[face] = (positive, negative) counts per ray: face False over all
+    # classes, face True over the degree-0 ones
+    signs = (([0] * n, [0] * n), ([0] * n, [0] * n))
+    for r in primitive_collections(fan):
+        degree = r.degree
+        table[r.entries(rows)] = degree
+        for positive, negative in signs if degree == 0 else signs[:1]:
+            for i in r.collection:
+                positive[i] += 1
+            for i, _ in r.coeffs:
+                negative[i] += 1
+    return rows, table, signs
 
 
 def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     """Whether the class spans an extremal ray of the cone of all relation classes.
 
-    Decided exactly: the class must not be a nonnegative rational combination
-    of the other classes. Every class is a primitive vector: the collection
-    is not a face, so some ray of it lies outside sigma, where the class is
-    1. So the only positive multiple of a class is the class itself, and the
-    others are the fan's other classes.
+    ``rel`` is one of the fan's relations. Decided exactly: the class must
+    not be a nonnegative rational combination of the other classes. Every
+    class is a primitive vector: the collection is not a face, so some ray
+    of it lies outside sigma, where the class is 1. So the only positive
+    multiple of a class is the class itself, and the others are the fan's
+    other classes.
 
     The degree of a class is the sum of its entries, -K . class, a linear
     function. On a weak Fano fan it is >= 0 on every class, hence on the
     whole cone, so {degree = 0} cuts out a face: when a degree-0 class is a
     nonnegative combination of others, every class with a positive
     coefficient has degree 0. On such a fan a degree-0 relation is
-    therefore tested against the other degree-0 classes alone, and is
-    extremal without an LP when there are none. Other relations are tested
-    against all classes.
+    therefore tested against the other degree-0 classes alone. Other
+    relations are tested against all classes.
 
-    Classes are compared and combined on their n - d entries off the first
-    maximal cone only, the keys of the per-fan table ``_columns``. Every
-    class and every combination or difference of classes is a relation,
-    sum x_i v_i = 0, and the rays of a maximal cone are linearly
-    independent, so a relation's entries on them follow from its other
-    entries: dropping them is injective on the relations. So distinct
-    classes keep distinct keys, and the smaller LP is feasible exactly when
-    the full one is. A class that is not extremal is most often the sum of
-    two of the classes it is tested against, a feasible point of the LP (1
-    on both columns), so such a class is answered by a lookup of the
-    difference in the whole table, which is injective in the same way. The
-    difference is never the class itself, a class being nonzero, and on the
-    face it has degree 0 when it is a class, since the degree is linear: so
-    a hit is always one of the classes tested against.
+    Three exact shortcuts spare or shrink the LP. The first proves most
+    classes extremal by Farkas' lemma (Schrijver 1986, ch. 7): a z with
+    z . c >= 0 on every class c tested against and z . class < 0 shows that
+    no nonnegative combination of those classes is the class. sigma and the
+    collection are disjoint (Batyrev 1991), so a class is positive exactly
+    on its collection and negative exactly on sigma. So when the class is
+    the only tested class positive at a ray x of its collection, z = -D_x,
+    which reads minus the entry at x, is such a z; and when it is the only
+    one negative at a ray x of sigma, z = D_x is. ``_columns`` counts the
+    classes positive and negative at each ray, over all classes and over
+    the degree-0 face, and a count includes the class itself, so a count
+    of 1 is the certificate. A class with no other class to be tested
+    against is the only one at every ray, so it is extremal by this test.
+
+    The second: classes are compared and combined on their n - d entries
+    off the first maximal cone only, the keys of the per-fan table
+    ``_columns``. Every class and every combination or difference of
+    classes is a relation, sum x_i v_i = 0, and the rays of a maximal cone
+    are linearly independent, so a relation's entries on them follow from
+    its other entries: dropping them is injective on the relations. So
+    distinct classes keep distinct keys, and the smaller LP is feasible
+    exactly when the full one is.
+
+    The third: a class that is not extremal is most often the sum of two of
+    the classes it is tested against, a feasible point of the LP (1 on both
+    columns), so such a class is answered by a lookup of the difference in
+    the whole table, which is injective in the same way. The difference is
+    never the class itself, a class being nonzero, and on the face it has
+    degree 0 when it is a class, since the degree is linear: so a hit is
+    always one of the classes tested against.
     """
-    rows, table = _columns(fan)
+    rows, table, signs = _columns(fan)
     target = rel.entries(rows)
-    face = rel.degree == 0 and is_weak_fano(fan)
-    others = [c for c, degree in table.items() if c != target and (degree == 0 or not face)]
-    if not others:
+    face = table[target] == 0 and is_weak_fano(fan)
+    positive, negative = signs[face]
+    if any(positive[i] == 1 for i in rel.collection) or any(negative[i] == 1 for i, _ in rel.coeffs):
         return True
+    others = [c for c, degree in table.items() if c != target and (degree == 0 or not face)]
     if any(tuple(map(sub, target, c)) in table for c in others):
         return False
     return not has_nonneg_combination(others, target)

@@ -808,6 +808,47 @@ def full_lp_is_extremal(fan, rel) -> bool:
     return not others or not fraction_lp_feasible(others, target)
 
 
+def one_ray_certificate(classes, target):
+    """(x, s) with s * target[x] < 0 and s * c[x] >= 0 for every c in
+    ``classes``, or None when no ray gives one.
+
+    z = s * e_x then has z . c >= 0 on every class and z . target < 0, so
+    by Farkas' lemma ``target`` is no nonnegative combination of
+    ``classes``. The reference for the one-ray test of
+    ``primitive.is_extremal``, which reads per-ray counts of the classes'
+    signs off the collections and sigmas; this reads each class entry by
+    entry.
+    """
+    for x, entry in enumerate(target):
+        if entry != 0:
+            s = -1 if entry > 0 else 1
+            if all(s * c[x] >= 0 for c in classes):
+                return x, s
+    return None
+
+
+def lifted_certificate(classes, target, face):
+    """A z with z . c >= 0 for every c in ``classes`` and z . target < 0,
+    from ``one_ray_certificate`` on the classes tested against, or None
+    when that finds none: on the degree-0 face when ``face``, else all.
+
+    On the face, with every class of degree >= 0 (a weak Fano fan), s * e_x
+    is lifted to s * e_x + t * (1, ..., 1). The all-ones vector reads the
+    degree, the sum of the entries: 0 on the target and on the other
+    degree-0 classes, positive on the rest, so the least t that makes z >= 0
+    on all of them keeps z . target < 0. So a certificate on the face is a
+    Farkas certificate of the full LP, which ``full_lp`` poses.
+    """
+    tested = [c for c in classes if sum(c) == 0] if face else classes
+    found = one_ray_certificate(tested, target)
+    if found is None:
+        return None
+    x, s = found
+    # -(a // d) is the ceiling of -a / d for d > 0
+    t = max((-(s * c[x] // sum(c)) for c in classes if s * c[x] < 0), default=0)
+    return tuple(t + (s if i == x else 0) for i in range(len(target)))
+
+
 def reference_crepant_relations(relations, rays):
     """The extremal degree-0 relations among ``relations``, all the relations
     of a fan with ``rays`` rays in order, each tested by one LP against

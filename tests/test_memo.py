@@ -19,7 +19,7 @@ from torifan.fan import Fan, build_bundle
 from torifan.isomorphism import canonical_key
 from torifan.primitive import is_fano, is_weak_fano, primitive_collections
 
-from _oracles import reference_zero_two_witness
+from _oracles import reference_zero_two_witness, sweep_bundles_b3
 
 
 @pytest.fixture
@@ -126,23 +126,59 @@ def test_extremality_lps_only_for_degree_zero_relations(calls):
     assert len(crepant_contractions(fan)) == 1
     assert [r.degree for r in primitive_collections(fan)].count(0) == 1
     assert lps == []
-    # P1 x W7 has 9 degree-0 relations among 28, 6 of them of the zero-two
-    # shape. The other 3 are each the sum of two other degree-0 classes, so
-    # they run no LP. The verdict walks all 9 and runs one LP for each of
-    # the 6, with at most the other 8 degree-0 classes as columns, on the
-    # rho = 11 - 3 = 8 entries off the first maximal cone; the table, the
-    # same walk, reuses those answers and runs none
-    fan = fresh(named_fan("P1xW7").fan)
+    # P1 x W6_3 has 8 degree-0 relations among 21, 5 of them crepant. The
+    # verdict walks all 8 and runs one LP for each of 3 that have neither a
+    # one-ray certificate nor a split into two other degree-0 classes, with
+    # the other 7 degree-0 classes as columns, on the rho = 10 - 3 = 7
+    # entries off the first maximal cone; the table, the same walk, reuses
+    # those answers and runs none
+    fan = fresh(named_fan("P1xW6_3").fan)
     assert is_weakened_fano(fan).is_weakened
-    assert len(primitive_collections(fan)) == 28
-    assert len(lps) == 6 and all(len(columns) <= 8 for columns, _ in lps)
-    assert all(len(target) == 8 and {len(c) for c in columns} == {8} for columns, target in lps)
-    assert len(crepant_contractions(fan)) == 6
-    assert len(lps) == 6
+    relations = primitive_collections(fan)
+    assert len(relations) == 21 and [r.degree for r in relations].count(0) == 8
+    assert len(lps) == 3 and all(len(columns) <= 7 for columns, _ in lps)
+    assert all(len(target) == 7 and {len(c) for c in columns} == {7} for columns, target in lps)
+    assert len(crepant_contractions(fan)) == 5
+    assert len(lps) == 3
     # asking again reuses every stored fact
     is_weakened_fano(fan)
     crepant_contractions(fan)
-    assert len(lps) == 6
+    assert len(lps) == 3
+    # P1 x W7 has 9 degree-0 relations among 28, 6 of them crepant: each of
+    # those has a one-ray certificate on the degree-0 face, and each of the
+    # other 3 is the sum of two other degree-0 classes, so none runs an LP
+    fan = fresh(named_fan("P1xW7").fan)
+    assert is_weakened_fano(fan).is_weakened
+    assert len(primitive_collections(fan)) == 28
+    assert len(crepant_contractions(fan)) == 6
+    assert len(lps) == 3
+
+
+def test_extremality_lps_over_every_relation_of_the_catalog_and_the_bundles(calls):
+    """The LPs that ``is_extremal`` runs when asked about every relation of
+    each catalog fan and each of the 304 bundles of the bound-3 sweep, on
+    fresh copies: most classes have a one-ray certificate or split into two
+    other classes, and only the rest reach the LP."""
+    lps = calls(lattice.has_nonneg_combination, whole=True)
+    named = catalog.all_named()
+    assert len(named) == 34
+    per_fan = {}
+    for name, nf in named.items():
+        fan = fresh(nf.fan)
+        before = len(lps)
+        for rel in primitive_collections(fan):
+            primitive.is_extremal(fan, rel)
+        if len(lps) > before:
+            per_fan[name] = len(lps) - before
+    # the other 30 catalog fans run none
+    assert per_fan == {"W6_3": 3, "P1xW6_3": 3, "X4_1": 1, "X5_1": 1}
+    bundles = sweep_bundles_b3()
+    assert len(bundles) == 304
+    before = len(lps)
+    for fan in bundles:
+        for rel in primitive_collections(fan):
+            primitive.is_extremal(fan, rel)
+    assert len(lps) - before == 249
 
 
 def test_extremality_keeps_one_class_table_per_fan():

@@ -4,7 +4,7 @@ import pytest
 
 from torifan.catalog import named_fan
 from torifan.fan import Fan, fan_from_rays_2d, wall_degrees
-from torifan.lattice import has_nonneg_combination, vsum
+from torifan.lattice import has_nonneg_combination, vdot, vsum
 from torifan.primitive import (
     bundle_candidates,
     crepant_relations,
@@ -18,9 +18,12 @@ from _oracles import (
     cross3,
     full_lp_is_extremal,
     hirzebruch_fan,
+    lifted_certificate,
+    one_ray_certificate,
     random_unimodular,
     rebase_fan,
     reference_bundle_relations,
+    reference_class,
     reference_crepant_relations,
     reference_primitive_collections,
     reference_section_relation,
@@ -369,6 +372,76 @@ def test_extremality_shortcuts_agree_with_full_lp_off_the_degree_face(monkeypatc
                 assert rows == len(fan.rays) - fan.dim and feasible != flag
                 by_infeasible_lp += not feasible
     assert by_sum_of_two > 0 and by_infeasible_lp > 0
+
+
+def test_one_ray_certificates_agree_with_the_oracle_and_the_full_lp(monkeypatch, non_weak_fibers):
+    """``is_extremal`` answers True without an LP exactly where
+    ``one_ray_certificate`` finds a certificate among the classes it is
+    tested against, each built by ``reference_class`` on all the rays: on a
+    weak Fano fan a degree-0 class against the other degree-0 classes, any
+    other class against all. Every class of a primitive relation having
+    degree >= 0 is weak Fano (``test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do``).
+
+    Each class so certified is extremal in the full LP of ``full_lp``: its
+    ``lifted_certificate`` is checked as a Farkas certificate of that LP.
+    Where the certificate holds only on the degree-0 face, the answer rests
+    on the face argument, and on the fans outside the box
+    ``full_lp_is_extremal`` also solves the LP by the Fraction simplex.
+
+    The library counts a class as positive on its collection and negative
+    on sigma, which needs the two to be disjoint (Batyrev 1991); that is
+    pinned on every relation here. The corpus: the catalog, the 2704
+    bundles of the bound-3 box, the 304 of the sweep among them, the fibers
+    that are not weak Fano and the 96 one-point blow-ups of the catalog
+    surfaces."""
+    from torifan import primitive
+    from torifan.catalog import all_named, surfaces
+    from torifan.classify import blow_up
+    from torifan.fan import build_bundle
+
+    solved = []
+
+    def recorded(columns, target):
+        solved.append(target)
+        return has_nonneg_combination(columns, target)
+
+    monkeypatch.setattr(primitive, "has_nonneg_combination", recorded)
+    catalog = [nf.fan for nf in all_named().values()]
+    box = [
+        build_bundle(nf.fan, (sx, sy), (0, 0))
+        for nf in surfaces()
+        for sx in range(-6, 7)
+        for sy in range(-6, 7)
+    ]
+    blowups = [blow_up(nf.fan, cone) for nf in surfaces() for cone in nf.fan.max_cones]
+    assert len(catalog) == 34 and len(box) == 2704 and len(blowups) == 96
+    # per group: weak Fano fans, relations, certified classes, and those
+    # whose certificate holds only on the degree-0 face
+    counts = {"box": [0, 0, 0, 0], "other": [0, 0, 0, 0]}
+    for group, fans in (("box", box), ("other", catalog + non_weak_fibers + blowups)):
+        tally = counts[group]
+        for fan in fans:
+            rels = primitive_collections(fan)
+            classes = [reference_class(rel, len(fan.rays)) for rel in rels]
+            weak = min(map(sum, classes)) >= 0
+            tally[0] += weak
+            for rel, cls in zip(rels, classes):
+                assert not set(rel.collection) & set(rel.sigma), (fan.to_dict(), rel)
+                others = [c for c in classes if c != cls]
+                z = lifted_certificate(others, cls, weak and sum(cls) == 0)
+                before = len(solved)
+                flag = is_extremal(fan, rel)
+                assert (flag and len(solved) == before) == (z is not None), (fan.to_dict(), rel)
+                tally[1] += 1
+                if z is None:
+                    continue
+                assert vdot(z, cls) < 0 and all(vdot(z, c) >= 0 for c in others), (fan.to_dict(), rel)
+                tally[2] += 1
+                if one_ray_certificate(others, cls) is None:
+                    tally[3] += 1
+                    if group == "other":
+                        assert full_lp_is_extremal(fan, rel), (fan.to_dict(), rel)
+    assert counts == {"box": [304, 31096, 9588, 640], "other": [74, 2187, 577, 128]}
 
 
 def test_sweep_seeds_the_crepant_relations_of_every_bundle(monkeypatch):
