@@ -379,8 +379,10 @@ def test_one_ray_certificates_agree_with_the_oracle_and_the_full_lp(monkeypatch,
     ``one_ray_certificate`` finds a certificate among the classes it is
     tested against, each built by ``reference_class`` on all the rays: on a
     weak Fano fan a degree-0 class against the other degree-0 classes, any
-    other class against all. Every class of a primitive relation having
-    degree >= 0 is weak Fano (``test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do``).
+    other class against all. A fan is weak Fano exactly when every class
+    has degree >= 0, as
+    ``test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do``
+    checks, so the degrees of the classes decide it here.
 
     Each class so certified is extremal in the full LP of ``full_lp``: its
     ``lifted_certificate`` is checked as a Farkas certificate of that LP.
