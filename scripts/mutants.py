@@ -76,24 +76,10 @@ MUTANTS = (
         (CLASSIFY_TESTS + "test_x3_0_collapses_p1xp1",),
     ),
     Mutant(
-        "witness swaps x+- also at beta = 0",
-        CONTRACTION,
-        "if beta < 0:",
-        "if beta <= 0:",
-        (WITNESS_TESTS + "test_witness_reproduces_normal_form",),
-    ),
-    Mutant(
         "witness returns beta for a",
         CONTRACTION,
-        "abs(beta)",
-        "beta",
-        (WITNESS_TESTS + "test_shapes_and_witnesses_agree_with_the_references",),
-    ),
-    Mutant(
-        "witness never swaps x+-",
-        CONTRACTION,
-        "    if beta < 0:\n        xp, xm = xm, xp\n",
-        "",
+        "return abs(vdot(",
+        "return (vdot(",
         (WITNESS_TESTS + "test_shapes_and_witnesses_agree_with_the_references",),
     ),
     # the weakened verdict
@@ -334,8 +320,15 @@ MUTANTS = (
     Mutant(
         "extremality face on fans that are not weak Fano",
         PRIMITIVE,
-        "face = table[target] == 0 and is_weak_fano(fan)",
-        "face = table[target] == 0",
+        "face = rel.degree == 0 and is_weak_fano(fan)",
+        "face = rel.degree == 0",
+        ("tests/test_primitive.py::test_extremality_on_degree_face_agrees_with_full_lp",),
+    ),
+    Mutant(
+        "class table keyed on the first d entries of a class",
+        PRIMITIVE,
+        "table[r.entries(range(n))] = degree",
+        "table[r.entries(range(fan.dim))] = degree",
         ("tests/test_primitive.py::test_extremality_on_degree_face_agrees_with_full_lp",),
     ),
     Mutant(

@@ -10,8 +10,8 @@ exactly four maximal cones pairing {x+, x-} against two further rays
 with 0 <= a <= 2, the contraction collapses the divisor at x0 (a Hirzebruch
 surface of degree a) onto a rational curve of anticanonical degree 2. The
 detector decides that normal form in one step, from the star of x0, the
-degree of the wall {x0, x+} that ``validate`` keeps and the sign of one
-coordinate read from a cone inverse; the argument is in
+degree of the wall {x0, x+} that ``validate`` keeps and one coordinate
+read from a cone inverse, whose absolute value is a; the argument is in
 ``zero_two_normal_form_witness``. The ``small`` shape is told from
 ``other`` by cross products of the rays, so nothing here solves or inverts.
 
@@ -60,16 +60,12 @@ class WeakenedVerdict:
         }
 
 
-def zero_two_normal_form_witness(
-    fan: Fan, rel: PrimitiveRelation
-) -> Optional[tuple[tuple[int, int, int, int, int], int]]:
-    """Witness ((x0, x+, x-, y+, y-), a) of the normal form, or None.
+def zero_two_normal_form_witness(fan: Fan, rel: PrimitiveRelation) -> Optional[int]:
+    """The a of the normal form, or None.
 
     Returns None unless the relation is x+ + x- = 2*x0 and the configuration
-    around x0 is unimodularly equivalent to the normal form. x+ and x- come
-    in the relation's order, swapped when beta below is negative, and y+
-    and y- are the side rays in increasing order. Raises ``ValueError`` on
-    a fan that does not validate.
+    around x0 is unimodularly equivalent to the normal form. Raises
+    ``ValueError`` on a fan that does not validate.
 
     The star of x0 is the normal-form star once it has four cones and two
     side rays. On a valid 3-fan the cones at x0 form a cycle, so x+ and x-
@@ -78,20 +74,21 @@ def zero_two_normal_form_witness(
     ray, and the four cones take all 2 x 2 choices. A valid 1- or 2-fan has
     at most two cones at x0.
 
-    In the cone (x0, x+, y+) write y- = alpha*x0 + beta*x+ + gamma*y+. On a
-    valid fan gamma = -1: |gamma| = 1 because the cone (x0, x+, y-) is
-    unimodular, and gamma < 0 because y- lies across the wall {x0, x+} from
-    y+. So y+ + y- = alpha*x0 + beta*x+, and the degree of that wall, which
+    Name the pair x+-, and the side rays y+-, either way, and in the cone
+    (x0, x+, y+) write y- = alpha*x0 + beta*x+ + gamma*y+. On a valid fan
+    gamma = -1: |gamma| = 1 because the cone (x0, x+, y-) is unimodular,
+    and gamma < 0 because y- lies across the wall {x0, x+} from y+. So
+    y+ + y- = alpha*x0 + beta*x+, and the degree of that wall, which
     ``validate`` kept (``wall_degrees``), is 2 - alpha - beta. The basis
     change U taking x0, x+, y+ to their normal form (1,0,0), (1,1,0),
     (0,0,1) takes y- to (alpha + beta, beta, -1), which must be (0, a, -1);
     it takes x- = 2*x0 - x+ to (1, -1, 0) whatever the fan. Swapping y+ and
     y- leaves (alpha, beta) unchanged, and swapping x+ and x- gives
     (alpha + 2*beta, -beta), so both walls {x0, x+-} have the same degree,
-    and beta >= 0 holds in exactly one order of x+- (in both when
-    beta = 0). So the normal form exists exactly when the star has the
-    four-cone shape and that wall has degree 2, and then a = |beta|, read
-    as row x+ of the cone inverse (``maximal_cone_normals``) applied to y-.
+    and beta >= 0 holds in one order of x+-. So the normal form exists
+    exactly when the star has the four-cone shape and that wall has degree
+    2, and then a = |beta|, read as row x+ of the cone inverse
+    (``maximal_cone_normals``) applied to y-.
     """
     inverses = maximal_cone_normals(fan)
     if len(rel.collection) != 2 or len(rel.coeffs) != 1 or rel.coeffs[0][1] != 2:
@@ -104,10 +101,7 @@ def zero_two_normal_form_witness(
         return None
     yp, ym = side_rays
     cone = tuple(sorted((x0, xp, yp)))
-    beta = vdot(star[cone][cone.index(xp)], fan.rays[ym])
-    if beta < 0:
-        xp, xm = xm, xp
-    return (x0, xp, xm, yp, ym), abs(beta)
+    return abs(vdot(star[cone][cone.index(xp)], fan.rays[ym]))
 
 
 @memoised
@@ -136,13 +130,10 @@ def contraction_shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
     # degree = |collection| - sum of coefficients, so at degree 0 a single
     # coefficient of a pair is 2, and any other pair has two coefficients, both 1
     if len(rel.collection) == 2 and len(rel.coeffs) == 1:
-        witness = zero_two_normal_form_witness(fan, rel)
-        if witness is None:
+        a = zero_two_normal_form_witness(fan, rel)
+        if a is None or a > 2:
             return ContractionKind("other")
-        names, a = witness
-        if a > 2:
-            return ContractionKind("other")
-        return ContractionKind("zero_two", a=a, exceptional_ray=names[0])
+        return ContractionKind("zero_two", a=a, exceptional_ray=rel.coeffs[0][0])
 
     if len(rel.collection) == 3 and len(rel.coeffs) == 1:
         return ContractionKind("divisor_to_point")

@@ -9,7 +9,7 @@ among the rays and a primitive vector, are read off them. The collections
 are grown from the faces of the fan (``primitive_collections``).
 Extremality of a class is decided exactly, against one table of distinct
 classes and their degrees per fan, by the integer-preserving simplex of
-``lattice.has_nonneg_combination``, after three exact shortcuts that
+``lattice.has_nonneg_combination``, after two exact shortcuts that
 ``is_extremal`` argues. The crepant relations, the extremal degree-0 ones
 (``crepant_relations``), are all that the weakened verdict reads.
 """
@@ -133,27 +133,24 @@ def is_weak_fano(fan: Fan) -> bool:
 
 
 @memoised
-def _columns(fan: Fan) -> tuple[list[int], dict[Vector, int], tuple]:
-    """The n - d rays outside ``fan.max_cones[0]``; the entries on them of
-    the fan's distinct classes, in relation order, each with its degree;
+def _columns(fan: Fan) -> tuple[dict[Vector, int], tuple]:
+    """The fan's distinct classes, in relation order, each with its degree;
     and, over all the classes and over the degree-0 ones, how many classes
     are positive and how many negative at each ray."""
-    cone = fan.max_cones[0]
     n = len(fan.rays)
-    rows = [i for i in range(n) if i not in cone]
     table = {}
     # signs[face] = (positive, negative) counts per ray: face False over all
     # classes, face True over the degree-0 ones
     signs = (([0] * n, [0] * n), ([0] * n, [0] * n))
     for r in primitive_collections(fan):
         degree = r.degree
-        table[r.entries(rows)] = degree
+        table[r.entries(range(n))] = degree
         for positive, negative in signs if degree == 0 else signs[:1]:
             for i in r.collection:
                 positive[i] += 1
             for i, _ in r.coeffs:
                 negative[i] += 1
-    return rows, table, signs
+    return table, signs
 
 
 def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
@@ -174,10 +171,10 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     therefore tested against the other degree-0 classes alone. Other
     relations are tested against all classes.
 
-    Three exact shortcuts spare or shrink the LP. The first proves most
-    classes extremal by Farkas' lemma (Schrijver 1986, ch. 7): a z with
-    z . c >= 0 on every class c tested against and z . class < 0 shows that
-    no nonnegative combination of those classes is the class. sigma and the
+    Two exact shortcuts spare the LP. The first proves most classes
+    extremal by Farkas' lemma (Schrijver 1986, ch. 7): a z with z . c >= 0
+    on every class c tested against and z . class < 0 shows that no
+    nonnegative combination of those classes is the class. sigma and the
     collection are disjoint (Batyrev 1991), so a class is positive exactly
     on its collection and negative exactly on sigma. So when the class is
     the only tested class positive at a ray x of its collection, z = -D_x,
@@ -188,26 +185,17 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     of 1 is the certificate. A class with no other class to be tested
     against is the only one at every ray, so it is extremal by this test.
 
-    The second: classes are compared and combined on their n - d entries
-    off the first maximal cone only, the keys of the per-fan table
-    ``_columns``. Every class and every combination or difference of
-    classes is a relation, sum x_i v_i = 0, and the rays of a maximal cone
-    are linearly independent, so a relation's entries on them follow from
-    its other entries: dropping them is injective on the relations. So
-    distinct classes keep distinct keys, and the smaller LP is feasible
-    exactly when the full one is.
-
-    The third: a class that is not extremal is most often the sum of two of
-    the classes it is tested against, a feasible point of the LP (1 on both
-    columns), so such a class is answered by a lookup of the difference in
-    the whole table, which is injective in the same way. The difference is
-    never the class itself, a class being nonzero, and on the face it has
-    degree 0 when it is a class, since the degree is linear: so a hit is
-    always one of the classes tested against.
+    The second: a class that is not extremal is most often the sum of two
+    of the classes it is tested against, a feasible point of the LP (1 on
+    both columns), so such a class is answered by a lookup of the
+    difference in the per-fan table ``_columns``. The difference is never
+    the class itself, a class being nonzero, and on the face it has degree
+    0 when it is a class, since the degree is linear: so a hit is always
+    one of the classes tested against.
     """
-    rows, table, signs = _columns(fan)
-    target = rel.entries(rows)
-    face = table[target] == 0 and is_weak_fano(fan)
+    table, signs = _columns(fan)
+    target = rel.entries(range(len(fan.rays)))
+    face = rel.degree == 0 and is_weak_fano(fan)
     positive, negative = signs[face]
     if any(positive[i] == 1 for i in rel.collection) or any(negative[i] == 1 for i, _ in rel.coeffs):
         return True

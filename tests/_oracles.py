@@ -1047,11 +1047,12 @@ def reference_zero_two_witness(fan, rel):
     invert the basis (x0, x+, y+), build U and test U*x- and U*y- against
     the normal form; (U, names, a) for the first candidate that passes.
 
-    The reference for the witness, which must return the last two entries
-    (names, a), or None. It keeps every check that the witness leaves to
-    the fan's validity or to its argument: the search over the four
-    orientations, the x- test, gamma = -1, a missing candidate cone and the
-    comparison with the expected star.
+    The reference for the witness, which must return its a, or None, and
+    for ``contraction_shape``, whose exceptional ray is its x0. It keeps
+    every check that the witness leaves to the fan's validity or to its
+    argument: the search over the four orientations, the x- test,
+    gamma = -1, a missing candidate cone and the comparison with the
+    expected star.
     """
     from torifan.lattice import matmul, matvec
 

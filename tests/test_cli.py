@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -230,6 +231,70 @@ def test_output_byte_stable(capsys):
     _, first, _ = invoke(capsys, "analyze", "catalog:X4_1", "--json")
     _, second, _ = invoke(capsys, "analyze", "catalog:X4_1", "--json")
     assert first == second
+
+
+def _relabelled(rel: dict, perm: list) -> dict:
+    """A relation of ``to_dict`` with ray i renamed perm[i]."""
+    cls = [0] * len(perm)
+    for i, x in enumerate(rel["class"]):
+        cls[perm[i]] = x
+    return {
+        **rel,
+        "collection": sorted(perm[i] for i in rel["collection"]),
+        "sigma": sorted(perm[i] for i in rel["sigma"]),
+        "coeffs": {str(perm[int(i)]): a for i, a in rel["coeffs"].items()},
+        "class": cls,
+    }
+
+
+def _collection(rel: dict) -> list:
+    return rel["collection"]
+
+
+def test_relabelling_changes_no_relation_extremality_or_verdict(tmp_path):
+    """Every catalog fan with its rays permuted and its maximal cones in
+    reverse order, so that another cone comes first, gives the relations,
+    extremal flags, verdict and contraction table of the original, mapped
+    through the permutation."""
+    from torifan.catalog import all_named
+
+    rng = random.Random(34)
+    named = all_named()
+    assert len(named) == 34
+    for name, nf in named.items():
+        fan = nf.fan
+        perm = list(range(len(fan.rays)))
+        rng.shuffle(perm)
+        rays = [None] * len(perm)
+        for i, ray in enumerate(fan.rays):
+            rays[perm[i]] = list(ray)
+        cones = [[perm[i] for i in cone] for cone in reversed(fan.max_cones)]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dim": fan.dim, "rays": rays, "max_cones": cones}))
+
+        # relation order is collection order, which the permutation changes
+        original = run(["analyze", f"catalog:{name}", "--json"]).payload
+        moved = run(["analyze", str(path), "--json"]).payload
+        assert moved["picard_rank"] == original["picard_rank"], name
+        expected = sorted((_relabelled(rel, perm) for rel in original["relations"]), key=_collection)
+        assert sorted(moved["relations"], key=_collection) == expected, name
+
+        original = run(["is-weakened-fano", f"catalog:{name}", "--json"])
+        moved = run(["is-weakened-fano", str(path), "--json"])
+        assert moved.status == original.status, name
+        if original.status == "error":  # a surface
+            assert fan.dim == 2 and moved.payload == original.payload, name
+            continue
+        table = original.payload.pop("crepant_contractions")
+        expected = []
+        for entry in table:
+            kind = dict(entry["contraction"])
+            if "exceptional_ray" in kind:
+                kind["exceptional_ray"] = perm[kind["exceptional_ray"]]
+            expected.append({"relation": _relabelled(entry["relation"], perm), "contraction": kind})
+        table = sorted(moved.payload.pop("crepant_contractions"), key=lambda e: _collection(e["relation"]))
+        assert table == sorted(expected, key=lambda e: _collection(e["relation"])), name
+        assert moved.payload == original.payload, name
 
 
 def test_run_returns_result_object():

@@ -5,6 +5,7 @@ import pytest
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
 from torifan.classify import build_bundle
 from torifan.contraction import (
+    ContractionKind,
     contraction_shape,
     crepant_contractions,
     is_weakened_fano,
@@ -119,11 +120,10 @@ class TestNormalFormWitness:
         for name in ("X3_0", "X4_0", "X4_1", "X5_1", "P1xF2", "P1xW7"):
             fan = named_fan(name).fan
             rel = crepant_double_relation(fan)
-            witness = zero_two_normal_form_witness(fan, rel)
-            # x+- in the relation's order unless beta < 0, as the reference's
-            # first candidate has them
-            assert witness == reference_zero_two_witness(fan, rel)[1:]
-            (x0, xp, xm, yp, ym), a = witness
+            # the witness returns only a; the oracle names x0, x+- and y+-
+            _, (x0, xp, xm, yp, ym), a = reference_zero_two_witness(fan, rel)
+            assert zero_two_normal_form_witness(fan, rel) == a
+            assert contraction_shape(fan, rel) == ContractionKind("zero_two", a=a, exceptional_ray=x0)
             # U takes the columns x0, x+, y+ to their normal form
             basis = tuple(tuple(fan.rays[i][r] for i in (x0, xp, yp)) for r in range(3))
             u = matmul(NORMAL_FORM_COLUMNS, reference_unimodular_inverse(basis))
@@ -147,15 +147,14 @@ class TestNormalFormWitness:
         and the witness decides the normal form from the kept wall degree
         and one coordinate read from a cone inverse. The routes that solved
         for cone coordinates and inverted every candidate basis must give
-        the same shape, and the same (names, a) or None, on every degree-0
-        relation. On each x+ + x- = 2*x0 whose star has the four-cone shape,
-        the witness's argument is checked with the oracle's inverse: in
-        every cone of the star the far side ray has gamma = -1 among its
+        the same shape, and the same a or None, on every degree-0 relation;
+        a zero-two shape has the oracle's a and its x0 as the exceptional
+        ray. On each x+ + x- = 2*x0 whose star has the four-cone shape, the
+        witness's argument is checked with the oracle's inverse: in every
+        cone of the star the far side ray has gamma = -1 among its
         coordinates (alpha, beta, gamma), a y+- swap keeps (alpha, beta), an
-        x+- swap gives
-        (alpha + 2*beta, -beta), and both walls {x0, x+-} have the degree
-        2 - alpha - beta. The fans: the 18
-        catalog 3-folds, every bundle over the 16 fibers with w+ in
+        x+- swap gives (alpha + 2*beta, -beta), and both walls {x0, x+-}
+        have the degree 2 - alpha - beta. The fans: the 18 catalog 3-folds, every bundle over the 16 fibers with w+ in
         [-6, 6]^2 and w- in {(0, 0), (1, -1)}, which holds the 1296 bundles
         of the [-4, 4]^2 box with w- = (0, 0), and 400 seeded rebasings of
         those with an x+ + x- = 2*x0 relation of degree 0, the only shape
@@ -194,7 +193,9 @@ class TestNormalFormWitness:
                 assert shape == reference_contraction_shape(fan, rel), (fan.to_dict(), rel)
                 witness = zero_two_normal_form_witness(fan, rel)
                 reference = reference_zero_two_witness(fan, rel)
-                assert witness == (reference and reference[1:]), (fan.to_dict(), rel)
+                assert witness == (reference and reference[2]), (fan.to_dict(), rel)
+                if shape.kind == "zero_two":
+                    assert (shape.a, shape.exceptional_ray) == (reference[2], reference[1][0])
                 star = reference_four_cone_star(fan, rel)
                 if star is not None:
                     x0, (xp, xm), (yp, ym) = star
@@ -214,7 +215,7 @@ class TestNormalFormWitness:
                 tally[2] += len(rel.collection) == 2 and len(rel.coeffs) == 2
                 tally[3] += shape.kind == "small"
                 tally[4] += witness is not None
-                if witness is not None and witness[1] > 2:
+                if witness is not None and witness > 2:
                     assert shape.kind == "other", (fan.to_dict(), rel)
                     tally[5] += 1
         assert counts["catalog"][0] == 18 and counts["catalog"][4] == 36
@@ -236,7 +237,9 @@ class TestNormalFormWitness:
     def test_witness_star_is_exactly_the_four_named_cones(self):
         for name in ("X3_0", "X4_0", "X4_1", "X5_1", "P1xF2", "P1xW7"):
             fan = named_fan(name).fan
-            (x0, xp, xm, yp, ym), _ = zero_two_normal_form_witness(fan, crepant_double_relation(fan))
+            rel = crepant_double_relation(fan)
+            _, (x0, xp, xm, yp, ym), a = reference_zero_two_witness(fan, rel)
+            assert zero_two_normal_form_witness(fan, rel) == a
             star = {c for c in fan.max_cones if x0 in c}
             assert star == {tuple(sorted((x0, x, y))) for x in (xp, xm) for y in (yp, ym)}, name
 

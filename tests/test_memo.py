@@ -129,15 +129,14 @@ def test_extremality_lps_only_for_degree_zero_relations(calls):
     # P1 x W6_3 has 8 degree-0 relations among 21, 5 of them crepant. The
     # verdict walks all 8 and runs one LP for each of 3 that have neither a
     # one-ray certificate nor a split into two other degree-0 classes, with
-    # the other 7 degree-0 classes as columns, on the rho = 10 - 3 = 7
-    # entries off the first maximal cone; the table, the same walk, reuses
-    # those answers and runs none
+    # the other 7 degree-0 classes as columns, on all 10 entries of a
+    # class; the table, the same walk, reuses those answers and runs none
     fan = fresh(named_fan("P1xW6_3").fan)
     assert is_weakened_fano(fan).is_weakened
     relations = primitive_collections(fan)
     assert len(relations) == 21 and [r.degree for r in relations].count(0) == 8
     assert len(lps) == 3 and all(len(columns) <= 7 for columns, _ in lps)
-    assert all(len(target) == 7 and {len(c) for c in columns} == {7} for columns, target in lps)
+    assert all(len(target) == 10 and {len(c) for c in columns} == {10} for columns, target in lps)
     assert len(crepant_contractions(fan)) == 5
     assert len(lps) == 3
     # asking again reuses every stored fact
@@ -208,7 +207,7 @@ def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls):
     # a bundle's extremality is read off its fiber, so no bundle builds a
     # table of classes. The fibers' answers are kept with the catalog, so
     # only the first sweep of the process runs LPs, each on the table of
-    # the catalog fiber just read, on its n - 2 entries off the first cone
+    # the catalog fiber just read, on all n entries of a class
     fibers = {id(nf.fan) for nf in catalog.surfaces()}
     table = None
     for args in events:
@@ -217,7 +216,7 @@ def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls):
             assert id(table) in fibers
         else:
             _, target = args
-            assert table is not None and len(target) == len(table.rays) - 2
+            assert table is not None and len(target) == len(table.rays)
 
 
 def test_sweep_lifts_bundle_relations_without_a_subset_scan(calls):
