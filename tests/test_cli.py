@@ -2,10 +2,11 @@ import json
 import random
 import subprocess
 import sys
+from operator import itemgetter
 
 import pytest
 
-from torifan.catalog import named_fan
+from torifan.catalog import all_named, named_fan
 from torifan.cli import main, run
 from torifan.lattice import matvec
 
@@ -247,17 +248,11 @@ def _relabelled(rel: dict, perm: list) -> dict:
     }
 
 
-def _collection(rel: dict) -> list:
-    return rel["collection"]
-
-
 def test_relabelling_changes_no_relation_extremality_or_verdict(tmp_path):
     """Every catalog fan with its rays permuted and its maximal cones in
     reverse order, so that another cone comes first, gives the relations,
     extremal flags, verdict and contraction table of the original, mapped
     through the permutation."""
-    from torifan.catalog import all_named
-
     rng = random.Random(34)
     named = all_named()
     assert len(named) == 34
@@ -276,8 +271,8 @@ def test_relabelling_changes_no_relation_extremality_or_verdict(tmp_path):
         original = run(["analyze", f"catalog:{name}", "--json"]).payload
         moved = run(["analyze", str(path), "--json"]).payload
         assert moved["picard_rank"] == original["picard_rank"], name
-        expected = sorted((_relabelled(rel, perm) for rel in original["relations"]), key=_collection)
-        assert sorted(moved["relations"], key=_collection) == expected, name
+        expected = sorted((_relabelled(rel, perm) for rel in original["relations"]), key=itemgetter("collection"))
+        assert sorted(moved["relations"], key=itemgetter("collection")) == expected, name
 
         original = run(["is-weakened-fano", f"catalog:{name}", "--json"])
         moved = run(["is-weakened-fano", str(path), "--json"])
@@ -292,8 +287,8 @@ def test_relabelling_changes_no_relation_extremality_or_verdict(tmp_path):
             if "exceptional_ray" in kind:
                 kind["exceptional_ray"] = perm[kind["exceptional_ray"]]
             expected.append({"relation": _relabelled(entry["relation"], perm), "contraction": kind})
-        table = sorted(moved.payload.pop("crepant_contractions"), key=lambda e: _collection(e["relation"]))
-        assert table == sorted(expected, key=lambda e: _collection(e["relation"])), name
+        table = sorted(moved.payload.pop("crepant_contractions"), key=lambda e: e["relation"]["collection"])
+        assert table == sorted(expected, key=lambda e: e["relation"]["collection"]), name
         assert moved.payload == original.payload, name
 
 
