@@ -425,6 +425,27 @@ MUTANTS = (
         "its first argument",
     ),
     Mutant(
+        "the is-fano row computes is_weak_fano",
+        CLI,
+        'lambda fan: {"is_fano": is_fano(fan)}',
+        'lambda fan: {"is_fano": is_weak_fano(fan)}',
+        ("tests/test_cli.py::test_false_predicate_still_exits_zero",),
+    ),
+    Mutant(
+        "validate's failures drop the completeness flag",
+        CLI,
+        "            if not flag:\n",
+        '            if not flag and word != "complete":\n',
+        ("tests/test_cli.py::test_validate_error_on_incomplete_fan",),
+    ),
+    Mutant(
+        "verify's failures keep a passed assertion",
+        CLI,
+        '            if not a["passed"]:\n',
+        "            if True:\n",
+        ("tests/test_cli.py::test_failed_verify_lists_only_the_failed_assertions",),
+    ),
+    Mutant(
         "isomorphic without the ray permutation",
         CLI,
         '        "ray_permutation": list(iso.ray_permutation) if iso else None,\n',

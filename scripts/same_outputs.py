@@ -4,9 +4,11 @@ The inputs are the benchmark's, written by ``perfbench/workloads.py``
 (imported, never changed) to a temporary directory: the query-mix and
 reject-mix fans of seed 1 and the classes of both classifications. For
 each checkout one subprocess calls ``torifan.cli.main`` in process for
-every per-fan command on every input, every ``isomorphic`` query and the
-whole-package commands, each with and without ``--json``, and prints each
-invocation whose stdout, stderr or exit code differs.
+every per-fan command on every input, every ``isomorphic`` query, the
+whole-package commands and ``catalog NAME`` on every catalog name, each
+with and without ``--json``, and for ``--help`` of the top level and of
+each subcommand, and prints each invocation whose stdout, stderr or exit
+code differs.
 
 usage: python3 scripts/same_outputs.py OTHER_CHECKOUT
 
@@ -22,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PER_FAN = ("validate", "analyze", "degree", "is-fano", "is-weak-fano", "is-weakened-fano")
+SUBCOMMANDS = ("isomorphic", "catalog", "classify-surfaces", "classify-3folds", "verify")
 WHOLE = (
     ["classify-3folds", "--stats"], ["classify-3folds", "--twist-bound", "1000000", "--stats"],
     ["classify-surfaces"], ["classify-surfaces", "--stats"], ["verify"], ["catalog", "--list"],
@@ -57,7 +60,9 @@ def invocations(work: Path) -> list[list[str]]:
     paths = sorted({q.argv[1] for q in queries})
     argvs = [[command, path] for path in paths for command in PER_FAN]
     argvs += sorted(q.argv for q in queries if q.command == "isomorphic") + [list(a) for a in WHOLE]
-    return [argv + flag for argv in argvs for flag in ([], ["--json"])]
+    argvs += [["catalog", name] for name in catalog.all_named()]
+    helps = [["--help"]] + [[command, "--help"] for command in PER_FAN + SUBCOMMANDS]
+    return [argv + flag for argv in argvs for flag in ([], ["--json"])] + helps
 
 
 def outputs(checkout: Path, argvs: list[list[str]]) -> list:

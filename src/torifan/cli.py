@@ -3,8 +3,9 @@
 Fans are read from files or from ``catalog:NAME`` pseudo-paths (resolved
 without touching the filesystem). All payload numbers are exact integers;
 ``--json`` switches to machine-readable output on stdout. Predicate
-commands report falsity in the payload and still exit 0; only malformed
-input, invalid fans and unknown names exit nonzero.
+commands report falsity in the payload and still exit 0; malformed input,
+invalid fans, unknown names and a failed ``validate`` or ``verify`` exit 1,
+and argparse's usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ DEFAULT_TWIST_BOUND = 3
 class CommandResult:
     status: str  # "ok" | "error"
     payload: object
-    diagnostics: list[str]
 
     @property
     def exit_code(self) -> int:
@@ -61,46 +61,43 @@ def _load_valid_fan(path: str) -> Fan:
     return fan
 
 
-def _cmd_validate(args) -> CommandResult:
-    report = _load_fan(args.fan).report
-    payload = report.to_dict()
-    diagnostics = [f"not {word}" for word in ("simplicial", "smooth", "complete") if not payload[f"is_{word}"]]
-    return CommandResult("ok" if report.ok else "error", payload, diagnostics)
-
-
-def _cmd_analyze(args) -> CommandResult:
-    fan = _load_valid_fan(args.fan)
-    payload = {
+def _analyze(fan: Fan) -> dict:
+    return {
         "picard_rank": picard_rank(fan),
         "relations": [
             {**rel.to_dict(len(fan.rays)), "extremal": is_extremal(fan, rel)}
             for rel in primitive_collections(fan)
         ],
     }
-    return CommandResult("ok", payload, [])
 
 
-def _cmd_degree(args) -> CommandResult:
-    fan = _load_valid_fan(args.fan)
-    return CommandResult("ok", {"anticanonical_degree": anticanonical_degree(fan)}, [])
-
-
-def _cmd_is_fano(args) -> CommandResult:
-    return CommandResult("ok", {"is_fano": is_fano(_load_valid_fan(args.fan))}, [])
-
-
-def _cmd_is_weak_fano(args) -> CommandResult:
-    return CommandResult("ok", {"is_weak_fano": is_weak_fano(_load_valid_fan(args.fan))}, [])
-
-
-def _cmd_is_weakened_fano(args) -> CommandResult:
-    fan = _load_valid_fan(args.fan)
+def _weakened(fan: Fan) -> dict:
     payload = is_weakened_fano(fan).to_dict()
     payload["crepant_contractions"] = [
         {"relation": rel.to_dict(len(fan.rays)), "contraction": kind.to_dict()}
         for rel, kind in crepant_contractions(fan)
     ]
-    return CommandResult("ok", payload, [])
+    return payload
+
+
+# the per-fan commands in their order after validate: help text, and the
+# payload of a fan that validates
+_PER_FAN = {
+    "analyze": ("primitive relations with degrees and extremality", _analyze),
+    "degree": ("anticanonical degree (-K)^d", lambda fan: {"anticanonical_degree": anticanonical_degree(fan)}),
+    "is-fano": ("every wall curve has positive degree", lambda fan: {"is_fano": is_fano(fan)}),
+    "is-weak-fano": ("every wall curve has nonnegative degree", lambda fan: {"is_weak_fano": is_weak_fano(fan)}),
+    "is-weakened-fano": ("weakened Fano verdict with contraction table", _weakened),
+}
+
+
+def _cmd_validate(args) -> CommandResult:
+    report = _load_fan(args.fan).report
+    return CommandResult("ok" if report.ok else "error", report.to_dict())
+
+
+def _cmd_per_fan(args) -> CommandResult:
+    return CommandResult("ok", _PER_FAN[args.command][1](_load_valid_fan(args.fan)))
 
 
 def _cmd_isomorphic(args) -> CommandResult:
@@ -112,7 +109,7 @@ def _cmd_isomorphic(args) -> CommandResult:
         "matrix": [list(row) for row in iso.matrix] if iso else None,
         "ray_permutation": list(iso.ray_permutation) if iso else None,
     }
-    return CommandResult("ok", payload, [])
+    return CommandResult("ok", payload)
 
 
 def _cmd_catalog(args) -> CommandResult:
@@ -123,16 +120,16 @@ def _cmd_catalog(args) -> CommandResult:
             {"name": nf.name, "expected": nf.expected}
             for nf in catalog.all_named().values()
         ]
-        return CommandResult("ok", {"names": names}, [])
+        return CommandResult("ok", {"names": names})
     nf = catalog.named_fan(args.name)
-    return CommandResult("ok", nf.fan.to_dict(), [])
+    return CommandResult("ok", nf.fan.to_dict())
 
 
 def _classification(report: classify.ClassificationReport, args) -> CommandResult:
     payload = report.to_dict()
     if args.stats:
         payload["stats"] = report.stats
-    return CommandResult("ok", payload, [])
+    return CommandResult("ok", payload)
 
 
 def _cmd_classify_surfaces(args) -> CommandResult:
@@ -145,17 +142,18 @@ def _cmd_classify_3folds(args) -> CommandResult:
 
 def _cmd_verify(args) -> CommandResult:
     summary = classify.verify_classification()
-    status = "ok" if summary["passed"] else "error"
-    diagnostics = [f"{a['name']}: FAIL" for a in summary["assertions"] if not a["passed"]]
-    return CommandResult(status, summary, diagnostics)
+    return CommandResult("ok" if summary["passed"] else "error", summary)
 
 
-def _human_lines(command: str, result: CommandResult) -> list[str]:
-    payload = result.payload
-    lines = []
+def _human_lines(command: str, payload: dict) -> tuple[list[str], list[str]]:
+    """The stdout lines of a payload, and the failures for its ``error:`` line."""
+    lines, failures = [], []
     if command == "validate":
-        for key in ("is_simplicial", "is_smooth", "is_complete"):
-            lines.append(f"{key}: {payload[key]}")
+        for word in ("simplicial", "smooth", "complete"):
+            flag = payload[f"is_{word}"]
+            lines.append(f"is_{word}: {flag}")
+            if not flag:
+                failures.append(f"not {word}")
         for item in payload["offending_cones"]:
             lines.append(f"  offending {item['indices']}: {item['reason']}")
     elif command == "analyze":
@@ -172,29 +170,20 @@ def _human_lines(command: str, result: CommandResult) -> list[str]:
         lines.append("  " + "  ".join(header))
         for entry in payload["classes"]:
             inv = entry["invariants"]
-            lines.append(
-                "  "
-                + "  ".join(
-                    str(x)
-                    for x in (
-                        entry["name"] or "?",
-                        inv["rays"],
-                        inv["picard"],
-                        inv["degree"],
-                        inv.get("fiber", "-"),
-                    )
-                )
-            )
+            row = (entry["name"] or "?", inv["rays"], inv["picard"], inv["degree"], inv.get("fiber", "-"))
+            lines.append("  " + "  ".join(str(x) for x in row))
     elif command == "catalog" and "names" in payload:
         for item in payload["names"]:
             lines.append(f"{item['name']}: {item['expected']}")
     elif command == "verify":
         for a in payload["assertions"]:
             lines.append(f"{'PASS' if a['passed'] else 'FAIL'} {a['name']} {a['detail']}".rstrip())
+            if not a["passed"]:
+                failures.append(f"{a['name']}: FAIL")
         lines.append(f"overall: {'PASS' if payload['passed'] else 'FAIL'}")
     else:
         lines.append(json.dumps(payload, indent=2))
-    return lines
+    return lines, failures
 
 
 @cache
@@ -209,13 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, help_text in (
-        ("validate", _cmd_validate, "validate a fan (smooth, complete)"),
-        ("analyze", _cmd_analyze, "primitive relations with degrees and extremality"),
-        ("degree", _cmd_degree, "anticanonical degree (-K)^d"),
-        ("is-fano", _cmd_is_fano, "every wall curve has positive degree"),
-        ("is-weak-fano", _cmd_is_weak_fano, "every wall curve has nonnegative degree"),
-        ("is-weakened-fano", _cmd_is_weakened_fano, "weakened Fano verdict with contraction table"),
+    for name, help_text, func in (
+        ("validate", "validate a fan (smooth, complete)", _cmd_validate),
+        *((name, help_text, _cmd_per_fan) for name, (help_text, _) in _PER_FAN.items()),
     ):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("fan", help="fan JSON file or catalog:NAME")
@@ -259,7 +244,7 @@ def _dispatch(args: argparse.Namespace) -> CommandResult:
         return args.func(args)
     except (ValueError, KeyError) as exc:
         message = str(exc.args[0]) if exc.args else str(exc)
-        return CommandResult("error", {"error": message}, [])
+        return CommandResult("error", {"error": message})
 
 
 def run(argv: Optional[list[str]] = None) -> CommandResult:
@@ -276,13 +261,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif "error" in result.payload:
             print(f"error: {result.payload['error']}", file=sys.stderr)
         else:
-            for line in _human_lines(args.command, result):
+            lines, failures = _human_lines(args.command, result.payload)
+            for line in lines:
                 print(line)
             if getattr(args, "stats", False):
                 for name, count in result.payload["stats"].items():
                     print(f"{name}: {count}", file=sys.stderr)
-            if result.diagnostics:
-                print("error: " + "; ".join(result.diagnostics), file=sys.stderr)
+            if failures:
+                print("error: " + "; ".join(failures), file=sys.stderr)
         sys.stdout.flush()  # a reader that has gone away raises here, not at shutdown
     except BrokenPipeError:
         # stdout to devnull, so that the flush at shutdown stays quiet (Python's signal docs)

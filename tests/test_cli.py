@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import subprocess
 import sys
 from operator import itemgetter
@@ -297,6 +298,35 @@ def test_run_returns_result_object():
     assert result.status == "ok"
     assert result.payload == {"anticanonical_degree": 9}
     assert result.exit_code == 0
+
+
+SUBCOMMAND_HELP = [
+    ("validate", "validate a fan (smooth, complete)"),
+    ("analyze", "primitive relations with degrees and extremality"),
+    ("degree", "anticanonical degree (-K)^d"),
+    ("is-fano", "every wall curve has positive degree"),
+    ("is-weak-fano", "every wall curve has nonnegative degree"),
+    ("is-weakened-fano", "weakened Fano verdict with contraction table"),
+    ("isomorphic", "decide unimodular fan isomorphism"),
+    ("catalog", "dump named fans"),
+    ("classify-surfaces", "enumerate weak del Pezzo surfaces"),
+    ("classify-3folds", "enumerate weakened Fano 3-folds"),
+    ("verify", "full classification cross-check"),
+]
+
+
+def test_top_level_help_lists_every_subcommand_in_order_with_its_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # wide enough that no help line wraps
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    names = [name for name, _ in SUBCOMMAND_HELP]
+    assert "{" + ",".join(names) + "}" in out.splitlines()[0]
+    # argparse indents each subcommand by four spaces and its help past it
+    listed = [tuple(re.split(r"\s{2,}", line.strip(), maxsplit=1))
+              for line in out.splitlines() if re.match(r"    \S", line)]
+    assert listed == SUBCOMMAND_HELP
 
 
 def test_human_output_contains_table(capsys):

@@ -191,9 +191,13 @@ def test_extremality_keeps_one_class_table_per_fan():
     assert tables == [("torifan.primitive._columns",)]
 
 
-def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls):
-    # the catalog is built once per process; keep its bundles out of the count
+def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls, monkeypatch):
+    # the catalog is built once per process; keep its bundles out of the
+    # count. The catalog fibers keep their extremality answers for the rest
+    # of the process, so the sweep runs over fresh copies, which have none
     catalog.surfaces(), catalog.threefolds()
+    fibers = tuple(catalog.NamedFan(nf.name, fresh(nf.fan), nf.expected) for nf in catalog.surfaces())
+    monkeypatch.setattr(catalog, "surfaces", lambda: fibers)
     built = calls(fan_module.build_bundle)
     verdicts = calls(contraction.is_weakened_fano)
     events = []
@@ -205,18 +209,19 @@ def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls):
     assert sum(is_weakened_fano(fan).is_weakened for fan in verdicts) == 22
     assert report.count == 15
     # a bundle's extremality is read off its fiber, so no bundle builds a
-    # table of classes. The fibers' answers are kept with the catalog, so
-    # only the first sweep of the process runs LPs, each on the table of
-    # the catalog fiber just read, on all n entries of a class
-    fibers = {id(nf.fan) for nf in catalog.surfaces()}
-    table = None
+    # table of classes. The sweep runs 3 LPs, each on the table of the
+    # fiber just read, on all n entries of a class
+    ids = {id(nf.fan) for nf in fibers}
+    table, lps = None, 0
     for args in events:
         if isinstance(args[0], Fan):
             table = args[0]
-            assert id(table) in fibers
+            assert id(table) in ids
         else:
             _, target = args
-            assert table is not None and len(target) == len(table.rays)
+            assert table is not None and len(target) == len(table.rays) == 8
+            lps += 1
+    assert lps == 3
 
 
 def test_sweep_lifts_bundle_relations_without_a_subset_scan(calls):
