@@ -116,10 +116,32 @@ MUTANTS = (
     Mutant(
         "class entries keep the sign of sigma",
         PRIMITIVE,
-        "- coeffs.get(i, 0) for i in indices",
-        "+ coeffs.get(i, 0) for i in indices",
+        "cls[i] = -a",
+        "cls[i] = a",
         (INVARIANT_TESTS + "test_class_vector_is_a_relation_among_rays",
          "tests/test_primitive.py::test_relations_grown_from_faces_agree_with_the_subset_scan"),
+    ),
+    # how primitive_collections grows the relations from the faces
+    Mutant(
+        "relations skip the face lookups on candidates of four rays",
+        PRIMITIVE,
+        "if s in faces or len(members) > 2 and any(s ^ 1 << i not in faces for i in members):",
+        "if s in faces:",
+        ("tests/test_primitive.py::test_relations_grown_from_faces_agree_with_the_subset_scan",),
+    ),
+    Mutant(
+        "faces extended by common neighbours below their largest index too",
+        PRIMITIVE,
+        "common = (1 << n) - (2 << members[-1])",
+        "common = (1 << n) - 1",
+        ("tests/test_primitive.py::test_relations_grown_from_faces_agree_with_the_subset_scan",),
+    ),
+    Mutant(
+        "pairs read off a non-neighbour mask that holds the ray's own bit",
+        PRIMITIVE,
+        "_members(~near[i] & (1 << n) - (2 << i))",
+        "_members((~near[i] | 1 << i) & (1 << n) - (2 << i))",
+        equivalent="the pairs of ray i are read only above it, and (1 << n) - (2 << i) clears bit i",
     ),
     # the crepant relations of each sweep bundle
     Mutant(
@@ -327,8 +349,8 @@ MUTANTS = (
     Mutant(
         "class table keyed on the first d entries of a class",
         PRIMITIVE,
-        "table[r.entries(range(n))] = degree",
-        "table[r.entries(range(fan.dim))] = degree",
+        "table[r.entries(n)] = degree",
+        "table[r.entries(n)[:fan.dim]] = degree",
         ("tests/test_primitive.py::test_extremality_on_degree_face_agrees_with_full_lp",),
     ),
     Mutant(

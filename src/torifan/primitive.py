@@ -6,7 +6,11 @@ its coefficients there are all that a ``PrimitiveRelation`` stores: the
 cone, the degree (the anticanonical intersection number of the
 corresponding 1-cycle class) and the class vector, an integer relation
 among the rays and a primitive vector, are read off them. The collections
-are grown from the faces of the fan (``primitive_collections``).
+are grown from the faces of the fan, held as bit masks over the ray
+indices, and from each ray's neighbours (``primitive_collections``): a
+pair is a minimal non-face exactly when it is not an edge, a larger one
+extends a face by a common neighbour of its members, and only a set of
+four or more rays needs its other proper subsets looked up.
 Extremality of a class is decided exactly, against one table of distinct
 classes and their degrees per fan, by the integer-preserving simplex of
 ``lattice.has_nonneg_combination``, after two exact shortcuts that
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import sub
-from typing import Iterable
 
 from .fan import Fan, maximal_cone_normals, memoised, wall_degrees
 from .lattice import (
@@ -50,11 +53,16 @@ class PrimitiveRelation:
     def degree(self) -> int:
         return len(self.collection) - sum(a for _, a in self.coeffs)
 
-    def entries(self, indices: Iterable[int]) -> Vector:
-        """The class at the given ray indices: 1 on the collection, minus the
-        coefficient on sigma, 0 elsewhere."""
-        coeffs = dict(self.coeffs)
-        return tuple((1 if i in self.collection else 0) - coeffs.get(i, 0) for i in indices)
+    def entries(self, rays: int) -> Vector:
+        """The class on a fan of ``rays`` rays: 1 on the collection, minus the
+        coefficient on sigma, 0 elsewhere. The two are disjoint (Batyrev
+        1991), so neither assignment overwrites the other."""
+        cls = [0] * rays
+        for i in self.collection:
+            cls[i] = 1
+        for i, a in self.coeffs:
+            cls[i] = -a
+        return tuple(cls)
 
     def to_dict(self, rays: int) -> dict:
         """The relation of a fan with ``rays`` rays, its class on all of them."""
@@ -63,17 +71,32 @@ class PrimitiveRelation:
             "sigma": list(self.sigma),
             "coeffs": {str(i): a for i, a in self.coeffs},
             "degree": self.degree,
-            "class": list(self.entries(range(rays))),
+            "class": list(self.entries(rays)),
         }
 
 
-def _face_set(fan: Fan) -> set[frozenset[int]]:
-    faces: set[frozenset[int]] = set()
+def _face_set(fan: Fan) -> tuple[set[int], list[int]]:
+    """The faces of two or more rays, as bit masks over the ray indices, and
+    each ray's neighbour mask: the union of the cones that hold it."""
+    faces: set[int] = set()
+    near = [0] * len(fan.rays)
     for cone in fan.max_cones:
-        for k in range(len(cone) + 1):
-            for face in combinations(cone, k):
-                faces.add(frozenset(face))
-    return faces
+        bits = [1 << i for i in cone]
+        for i in cone:
+            near[i] |= sum(bits)
+        for k in range(2, len(cone) + 1):
+            faces.update(map(sum, combinations(bits, k)))
+    return faces, near
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def locate_sigma(fan: Fan, total: Vector) -> tuple[tuple[int, int], ...]:
@@ -86,7 +109,7 @@ def locate_sigma(fan: Fan, total: Vector) -> tuple[tuple[int, int], ...]:
     """
     for cone, inv in zip(fan.max_cones, maximal_cone_normals(fan)):
         coords = matvec(inv, total)
-        if all(c >= 0 for c in coords):
+        if min(coords) >= 0:
             return tuple((i, c) for i, c in zip(cone, coords) if c > 0)
     raise ValueError(f"no cone contains {total}; fan is not complete")
 
@@ -95,27 +118,34 @@ def locate_sigma(fan: Fan, total: Vector) -> tuple[tuple[int, int], ...]:
 def primitive_collections(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     """All primitive relations, in lexicographic order of the collections.
 
-    Every proper subset of a minimal non-face is a face, so dropping its
-    largest index leaves a face: the candidates of size k are the faces of
-    size k - 1 extended by a larger index, each met once. Faces have at most
-    d elements, so minimal non-faces have at most d + 1.
+    Every proper subset of a minimal non-face is a face. Every ray lies in a
+    cone, so a pair is a minimal non-face exactly when it is not an edge:
+    the pairs are read off the bits above each ray that are not its
+    neighbours. A larger one, less its largest index, is a face, and each
+    of its pairs is an edge, so it is that face extended by a common
+    neighbour of its members above the face's largest index, each met once;
+    it must not be a face itself. A set of three is then minimal, its pairs
+    being edges. Faces have at most d elements, so minimal non-faces have at
+    most d + 1, and only a set of four or more, one of d + 1 on a 3-fan,
+    needs its other proper subsets looked up among the faces.
     """
     maximal_cone_normals(fan)  # refuses a fan that does not validate
     n = len(fan.rays)
-    d = fan.dim
-    faces = _face_set(fan)
-    relations = []
+    faces, near = _face_set(fan)
+    collections = [(i, j) for i in range(n) for j in _members(~near[i] & (1 << n) - (2 << i))]
     for face in faces:
-        # the empty face gets an empty range: its extensions, single rays, are faces
-        for j in range(max(face, default=n) + 1, n):
-            s = face | {j}
-            if s in faces or any(s - {i} not in faces for i in face):
+        members = _members(face)
+        common = (1 << n) - (2 << members[-1])
+        for i in members:
+            common &= near[i]
+        for j in _members(common):
+            s = face | 1 << j
+            if s in faces or len(members) > 2 and any(s ^ 1 << i not in faces for i in members):
                 continue
-            combo = tuple(sorted(s))
-            coeffs = locate_sigma(fan, vsum([fan.rays[i] for i in combo], d))
-            relations.append(PrimitiveRelation(combo, coeffs))
-    relations.sort(key=lambda r: r.collection)
-    return tuple(relations)
+            collections.append(members + (j,))
+    collections.sort()
+    sums = (vsum([fan.rays[i] for i in c], fan.dim) for c in collections)
+    return tuple(PrimitiveRelation(c, locate_sigma(fan, total)) for c, total in zip(collections, sums))
 
 
 def picard_rank(fan: Fan) -> int:
@@ -144,7 +174,7 @@ def _columns(fan: Fan) -> tuple[dict[Vector, int], tuple]:
     signs = (([0] * n, [0] * n), ([0] * n, [0] * n))
     for r in primitive_collections(fan):
         degree = r.degree
-        table[r.entries(range(n))] = degree
+        table[r.entries(n)] = degree
         for positive, negative in signs if degree == 0 else signs[:1]:
             for i in r.collection:
                 positive[i] += 1
@@ -194,7 +224,7 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     one of the classes tested against.
     """
     table, signs = _columns(fan)
-    target = rel.entries(range(len(fan.rays)))
+    target = rel.entries(len(fan.rays))
     face = rel.degree == 0 and is_weak_fano(fan)
     positive, negative = signs[face]
     if any(positive[i] == 1 for i in rel.collection) or any(negative[i] == 1 for i, _ in rel.coeffs):

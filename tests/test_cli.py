@@ -217,6 +217,18 @@ def test_analyze_payload_shape(capsys):
     ]
 
 
+def test_analyze_pins_the_one_relation_of_p3(tmp_path, capsys):
+    # the only smooth complete 3-fan with a collection of four rays
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps({"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                                "max_cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}))
+    code, out, _ = invoke(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    [relation] = json.loads(out)["relations"]
+    assert relation["collection"] == [0, 1, 2, 3] and relation["sigma"] == [] and relation["degree"] == 4
+    assert relation["class"] == [1, 1, 1, 1] and relation["extremal"] is True
+
+
 def test_verify_passes_through_the_cli(capsys):
     code, out, err = invoke(capsys, "verify")
     assert code == 0 and err == ""

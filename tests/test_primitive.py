@@ -64,7 +64,8 @@ class TestCollections:
         assert crepant.to_dict(len(fan.rays)) == {
             "collection": [2, 3], "sigma": [0], "coeffs": {"0": 2}, "degree": 0, "class": [-2, 0, 1, 1],
         }
-        assert crepant.entries([3, 0]) == (1, -2)
+        cls = crepant.entries(len(fan.rays))
+        assert (cls[3], cls[0]) == (1, -2)
 
     def test_x3_0_has_opposite_section_pair(self):
         fan = named_fan("X3_0").fan
@@ -253,7 +254,7 @@ class TestExtremality:
             fan = named_fan(name).fan
             rels = primitive_collections(fan)
             flags = [is_extremal(fan, r) for r in rels]
-            classes = [r.entries(range(len(fan.rays))) for r in rels]
+            classes = [r.entries(len(fan.rays)) for r in rels]
             extremal = [cls for cls, flag in zip(classes, flags) if flag]
             for cls, flag in zip(classes, flags):
                 assert flag or has_nonneg_combination(extremal, cls)
@@ -577,14 +578,38 @@ def test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do():
     assert not any(weak for weak, _ in flags[35 + 1296:])
 
 
-def test_relations_grown_from_faces_agree_with_the_subset_scan():
-    """``primitive_collections`` extends each face by a larger index; the scan
-    of every subset of 2 to d + 1 rays that it replaced must give the same
-    relations in the same order. Each fan is a fresh copy, so nothing is
-    seeded or memoised."""
+P3 = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+# P3 blown up in the cone of rays 1, 2 and 3, by ray 4 = -e1, their sum:
+# every pair of rays 0-3 is an edge and 0, 1, 2 span a cone, so 0-3 is a
+# candidate of four rays, refused by the lookups as 1, 2, 3 span no cone
+P3_BLOWN_UP = Fan(
+    3,
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (-1, 0, 0)),
+    ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)),
+)
+# every wall degree is >= 0, but four wall classes sum to 0: the fan is not
+# projective (from P1 x P1 x P1 by two point blow-ups and four flops)
+NON_PROJECTIVE = Fan(
+    3,
+    ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (-1, 1, -1), (1, -1, 1)),
+    ((0, 2, 5), (1, 3, 4), (1, 3, 5), (0, 3, 5), (1, 5, 6), (2, 5, 6), (0, 3, 7), (3, 4, 7),
+     (0, 2, 7), (2, 4, 7), (1, 4, 6), (2, 4, 6)),
+)
+
+
+def test_relations_grown_from_faces_agree_with_the_subset_scan(non_weak_fibers):
+    """``primitive_collections`` reads the pairs off the neighbour masks and
+    extends each face by a common neighbour above its largest index; the
+    scan of every subset of 2 to d + 1 rays that it replaced must give the
+    same relations in the same order. Each fan is a fresh copy, so nothing
+    is seeded or memoised. Besides the catalog, its rebasings, the surface
+    blow-ups and the sweep's bundles, the corpus holds P3, whose one
+    collection has four rays, a blow-up of P3 whose candidate of four rays
+    the face lookups refuse, the 1-D fan P1, the surfaces that are not weak
+    Fano, their bundles of zero twist, and the non-projective 8-ray fan."""
     from torifan.catalog import all_named, surfaces
     from torifan.classify import blow_up
-    from torifan.fan import Fan
+    from torifan.fan import build_bundle
 
     rng = random.Random(37)
     catalog = [nf.fan for nf in all_named().values()]
@@ -592,9 +617,16 @@ def test_relations_grown_from_faces_agree_with_the_subset_scan():
     blowups = [blow_up(nf.fan, cone) for nf in surfaces() for cone in nf.fan.max_cones]
     bundles = sweep_bundles_b3()
     assert len(catalog) == 34 and len(bundles) == 304 and len(blowups) == 96
-    for fan in catalog + rebased + blowups + bundles:
+    p1 = Fan(1, ((1,), (-1,)), ((0,), (1,)))
+    flat = [build_bundle(fiber, (0, 0), (0, 0)) for fiber in non_weak_fibers]
+    assert len(non_weak_fibers) == len(flat) == 8
+    assert all(f.report.ok for f in (P3, P3_BLOWN_UP, NON_PROJECTIVE))
+    kinds = [P3, P3_BLOWN_UP, p1, NON_PROJECTIVE] + non_weak_fibers + flat
+    for fan in kinds + catalog + rebased + blowups + bundles:
         fresh = Fan(fan.dim, fan.rays, fan.max_cones)
         assert primitive_collections(fresh) == reference_primitive_collections(fan), fan.to_dict()
+    assert [r.collection for r in primitive_collections(P3)] == [(0, 1, 2, 3)]
+    assert [r.collection for r in primitive_collections(P3_BLOWN_UP)] == [(0, 4), (1, 2, 3)]
 
 
 def _fresh_bundle_relations(fiber, twist_plus, twist_minus):
