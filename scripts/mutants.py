@@ -496,7 +496,7 @@ MUTANTS = (
         equivalent="every class that either search finds has a catalog name, as verify's "
         "bijection assertions check, so the \"?\" of an unnamed class is never printed",
     ),
-    # isomorphism: the 1-D relabelling and the perf-only early exits
+    # isomorphism: the 1-D relabelling, the wall-degree cuts and the perf-only early exits
     Mutant(
         "relabelling without the identity shortcut",
         ISOMORPHISM,
@@ -514,6 +514,38 @@ MUTANTS = (
         equivalent="a candidate map is invertible, so it sends the rays of f to distinct rays of "
         "g and the cones of f to as many cones; a valid fan with n rays has 2, n or 2n - 4 "
         "cones in dimension 1, 2 or 3, so with another ray count the cone sets differ",
+    ),
+    Mutant(
+        "witness order test reads the target's wall degrees unpermuted",
+        ISOMORPHISM,
+        "if any(want[k] != have[order[k]] for k in identity):",
+        "if any(want[k] != have[k] for k in identity):",
+        ("tests/test_isomorphism.py::test_coordinate_flip_symmetry",),
+    ),
+    Mutant(
+        "witness anchor signature read in index order",
+        ISOMORPHISM,
+        "wall_degrees(f), anchor, anchor_sorted)",
+        "wall_degrees(f), anchor, anchor)",
+        ("tests/test_isomorphism.py::test_coordinate_flip_symmetry",),
+    ),
+    Mutant(
+        "witness search without the sorted wall-degree test on a target cone",
+        ISOMORPHISM,
+        "        if sorted(have) != want_sorted:\n"
+        "            continue\n",
+        "",
+        equivalent="a target cone whose sorted wall degrees differ from the anchor's has no "
+        "order with want[k] == have[order[k]] for every k, so the order test skips each of its "
+        "candidates instead",
+    ),
+    Mutant(
+        "anchor cone taken over all cones",
+        ISOMORPHISM,
+        "min(cones, key=",
+        "min(fan.max_cones, key=",
+        equivalent="a cone's key starts with its least ray, so the cones that hold the least ray "
+        "of the fan have the least keys; the min over them, in the same order, is the same cone",
     ),
     Mutant(
         "canonical key without the first-ray cut",

@@ -16,6 +16,16 @@ the d! orders of the cone only relabel them: the candidate set is exactly
 the one that inverting every ordered basis gives. A valid fan with n rays
 has 2, n or 2n - 4 maximal cones in dimension 1, 2 or 3 (Euler), so the
 witness search checks ray counts only.
+
+The witness search also reads the wall degrees that ``validate`` keeps
+(``wall_degrees``). An isomorphism sends each wall of f to a wall of g, and
+the relation c + d = sum alpha_t a_t across the wall to the same relation
+across its image, so the wall curve's degree -K.C = 2 - sum alpha_t is kept.
+A target cone whose wall degrees differ from the anchor cone's, as a
+multiset or in the order a candidate matches the rays in, can therefore
+hold no image of the anchor. Such candidates are skipped unread and the
+others keep the search order, so the witness is the one the full search
+finds.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .fan import Fan, maximal_cone_normals, memoised
+from .fan import Fan, maximal_cone_normals, memoised, wall_degrees
 from .lattice import Matrix, Vector, matmul, matvec
 
 
@@ -46,7 +56,15 @@ def _relabelled(coords: Sequence[Vector], order: tuple[int, ...]) -> Sequence[Ve
 
 
 def _anchor_cone(fan: Fan) -> tuple[int, ...]:
-    return min(fan.max_cones, key=lambda c: tuple(sorted(fan.rays[i] for i in c)))
+    """The maximal cone whose sorted rays are least; it holds the least ray."""
+    least = fan.rays.index(min(fan.rays))
+    cones = [c for c in fan.max_cones if least in c]
+    return min(cones, key=lambda c: tuple(sorted(fan.rays[i] for i in c)))
+
+
+def _wall_signature(degrees: dict, cone: tuple[int, ...], rays: Sequence[int]) -> tuple[int, ...]:
+    """The kept degree of the wall of ``cone`` opposite each of ``rays``, in that order."""
+    return tuple(degrees[tuple(j for j in cone if j != i)] for i in rays)
 
 
 def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:
@@ -56,6 +74,15 @@ def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:
     of a target cone of g in one order. A ray of f with anchor coordinates a
     then lands on the point whose target coordinates are a relabelled, and
     that point is a ray of g exactly when those coordinates are a ray's.
+
+    An isomorphism sends walls to walls of the same -K degree, so one that
+    sends anchor ray k to target ray order[k] sends the wall opposite the
+    one to the wall opposite the other, and their kept degrees agree. A
+    target cone whose sorted wall degrees differ from the anchor's is
+    skipped before its ray coordinates are computed, and within a kept cone
+    so is every order under which some pair differs. Only candidates that
+    must fail are skipped, and the rest keep their order, so the witness
+    (matrix and ray permutation) is the one the full search finds.
     """
     f_inv, g_inv = maximal_cone_normals(f), maximal_cone_normals(g)
     if f.dim != g.dim or len(f.rays) != len(g.rays):
@@ -64,12 +91,20 @@ def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:
     anchor_inv = f_inv[f.max_cones.index(anchor)]
     anchor_sorted = sorted(anchor, key=lambda i: f.rays[i])
     basis_inv = tuple(anchor_inv[anchor.index(i)] for i in anchor_sorted)
+    want = _wall_signature(wall_degrees(f), anchor, anchor_sorted)
+    want_sorted = sorted(want)
+    g_degrees = wall_degrees(g)
     f_coords = [matvec(basis_inv, r) for r in f.rays]
     identity = tuple(range(g.dim))
     g_cone_set = set(g.max_cones)
     for target, target_inv in sorted(zip(g.max_cones, g_inv), key=itemgetter(0)):
+        have = _wall_signature(g_degrees, target, target)
+        if sorted(have) != want_sorted:
+            continue
         g_ray_index = {matvec(target_inv, r): j for j, r in enumerate(g.rays)}
         for order in permutations(identity):
+            if any(want[k] != have[order[k]] for k in identity):
+                continue
             # anchor ray k goes to target ray order[k]: target coordinate
             # order[k] of an image is anchor coordinate k
             mapped = _relabelled(f_coords, tuple(sorted(identity, key=order.__getitem__)))

@@ -4,7 +4,7 @@ from collections import defaultdict
 import pytest
 
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
-from torifan.fan import Fan, build_bundle, fan_from_json
+from torifan.fan import Fan, build_bundle, fan_from_json, wall_degrees
 from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import matmul, matvec
 from torifan.polytope import anticanonical_degree
@@ -227,6 +227,25 @@ class TestAgainstReference:
         # P1 and its negation: in dimension 1 the only order is the identity
         p1 = Fan(1, ((1,), (-1,)), ((0,), (1,)))
         assert self.check_witness(p1, rebase_fan(p1, ((-1,),))) is not None
+
+    def test_witnesses_on_isomorphic_bundle_pairs(self):
+        """Every ordered pair of distinct b3 bundles with one key.
+
+        Besides matching the reference, each witness must send every wall of
+        f to a wall of g of the same kept degree: the wall-degree cuts of the
+        search skip exactly the candidates that would not.
+        """
+        by_key = defaultdict(list)
+        for fan in sweep_bundles_b3():
+            by_key[canonical_key(fan)].append(fan)
+        pairs = [(f, g) for group in by_key.values() for f in group for g in group if f is not g]
+        assert (len(by_key), len(pairs)) == (179, 478)
+        for f, g in pairs:
+            iso = self.check_witness(f, g)
+            assert iso is not None
+            g_degrees = wall_degrees(g)
+            for wall, degree in wall_degrees(f).items():
+                assert g_degrees.get(tuple(sorted(iso.ray_permutation[i] for i in wall))) == degree
 
     def test_no_witness_on_equal_size_pairs(self):
         fans = [nf.fan for nf in all_named().values()]
