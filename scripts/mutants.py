@@ -47,6 +47,7 @@ KERNEL_TEST = "tests/test_fan.py::test_cone_kernel_agrees_with_the_cofactor_refe
 INVARIANT_TESTS = "tests/test_primitive.py::TestRelationInvariants::"
 IDENTITY_TESTS = "tests/test_riemann_roch.py::"
 DEGREE_TESTS = "tests/test_polytope.py::TestDegree::"
+PARSE_TEST = "tests/test_cli.py::test_a_command_parsed_once_parses_as_the_top_level_parser_does"
 
 
 @dataclass(frozen=True)
@@ -495,6 +496,44 @@ MUTANTS = (
         'entry["name"]',
         equivalent="every class that either search finds has a catalog name, as verify's "
         "bijection assertions check, so the \"?\" of an unnamed class is never printed",
+    ),
+    # the CLI's router: a known command parsed once, by its own parser
+    Mutant(
+        "router without the leftover-arguments check",
+        CLI,
+        "    if extras:\n"
+        "        build_parser().error(f\"unrecognized arguments: {' '.join(extras)}\")\n",
+        "",
+        (PARSE_TEST,),
+    ),
+    Mutant(
+        "routed namespace without its command",
+        CLI,
+        "    args.command = argv[0]\n",
+        "",
+        (PARSE_TEST,),
+    ),
+    Mutant(
+        "router sends -h and an unknown name to a command's parser",
+        CLI,
+        "if not argv or argv[0] not in commands:",
+        "if not argv:",
+        (PARSE_TEST,),
+    ),
+    Mutant(
+        "router sends an empty argv to a command's parser",
+        CLI,
+        "if not argv or argv[0]",
+        "if argv[0]",
+        (PARSE_TEST,),
+    ),
+    Mutant(
+        "router leaves a missing argv to the top-level parser",
+        CLI,
+        "    argv = sys.argv[1:] if argv is None else argv\n",
+        "",
+        equivalent="a missing argv then takes the top-level branch, and parse_args(None) reads "
+        "sys.argv[1:] itself, so only the speed of a main() that reads sys.argv changes",
     ),
     # isomorphism: the 1-D relabelling, the wall-degree cuts and the perf-only early exits
     Mutant(

@@ -6,8 +6,10 @@ reject-mix fans of seed 1 and the classes of both classifications. For
 each checkout one subprocess calls ``torifan.cli.main`` in process for
 every per-fan command on every input, every ``isomorphic`` query, the
 whole-package commands and ``catalog NAME`` on every catalog name, each
-with and without ``--json``, and for ``--help`` of the top level and of
-each subcommand, and prints each invocation whose stdout, stderr or exit
+with and without ``--json``, for ``--help`` of the top level and of each
+subcommand, and for usage errors (no command, an unknown one, a missing
+FAN, an extra argument, an unknown option, a bad ``--twist-bound``) and a
+``--`` before FAN, and prints each invocation whose stdout, stderr or exit
 code differs.
 
 usage: python3 scripts/same_outputs.py OTHER_CHECKOUT
@@ -62,7 +64,9 @@ def invocations(work: Path) -> list[list[str]]:
     argvs += sorted(q.argv for q in queries if q.command == "isomorphic") + [list(a) for a in WHOLE]
     argvs += [["catalog", name] for name in catalog.all_named()]
     helps = [["--help"]] + [[command, "--help"] for command in PER_FAN + SUBCOMMANDS]
-    return [argv + flag for argv in argvs for flag in ([], ["--json"])] + helps
+    usage = [[], ["nosuch"], ["validate"], ["validate", "--", paths[0]], ["classify-3folds", "--twist-bound", "2.5"]]
+    usage += [[command, paths[0], extra] for command in PER_FAN for extra in ("extra", "--bogus")]
+    return [argv + flag for argv in argvs for flag in ([], ["--json"])] + helps + usage
 
 
 def outputs(checkout: Path, argvs: list[list[str]]) -> list:

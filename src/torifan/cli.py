@@ -6,6 +6,11 @@ without touching the filesystem). All payload numbers are exact integers;
 commands report falsity in the payload and still exit 0; malformed input,
 invalid fans, unknown names and a failed ``validate`` or ``verify`` exit 1,
 and argparse's usage errors exit 2.
+
+A known command's arguments are parsed once, by that command's own parser,
+as argparse's subparsers action would hand them over; the top-level parser
+handles only help, a missing command and an unknown command, and reports
+any arguments that the command's parser leaves over.
 """
 
 from __future__ import annotations
@@ -187,8 +192,8 @@ def _human_lines(command: str, payload: dict) -> tuple[list[str], list[str]]:
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    # built once per process: parsing reads the parser and never changes it
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # built once per process: parsing reads the parsers and never changes them
     parser = argparse.ArgumentParser(
         prog="torifan",
         description="Exact toric fan analysis: primitive relations, Fano predicates, "
@@ -236,7 +241,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="full classification cross-check")
     p.set_defaults(func=_cmd_verify)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: Optional[list[str]]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with a known command's arguments parsed once."""
+    argv = sys.argv[1:] if argv is None else argv
+    commands = _parsers()[1]
+    if not argv or argv[0] not in commands:  # help, no command, an unknown one
+        return build_parser().parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def _dispatch(args: argparse.Namespace) -> CommandResult:
@@ -248,12 +270,16 @@ def _dispatch(args: argparse.Namespace) -> CommandResult:
 
 
 def run(argv: Optional[list[str]] = None) -> CommandResult:
-    """Programmatic entry point: parse, dispatch, return the result object."""
-    return _dispatch(build_parser().parse_args(argv))
+    """Programmatic entry point: parse, dispatch, return the result object.
+
+    A known command's arguments are parsed once, by its own parser; usage
+    errors raise ``SystemExit(2)`` as under ``main``.
+    """
+    return _dispatch(_parse(argv))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     result = _dispatch(args)
     try:
         if args.json:

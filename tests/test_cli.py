@@ -8,7 +8,7 @@ from operator import itemgetter
 import pytest
 
 from torifan.catalog import all_named, named_fan
-from torifan.cli import main, run
+from torifan.cli import _parse, build_parser, main, run
 from torifan.lattice import matvec
 
 from test_fan import DIM4_FAN
@@ -310,6 +310,48 @@ def test_run_returns_result_object():
     assert result.status == "ok"
     assert result.payload == {"anticanonical_degree": 9}
     assert result.exit_code == 0
+
+
+F, G = "fan.json", "catalog:P2"  # parsing never opens a fan
+PARSE_CASES = [
+    *([command, *argv] for command in ("validate",) + PER_FAN_COMMANDS
+      for argv in ([F], [F, "--json"], ["--json", F])),
+    ["isomorphic", F, G], ["isomorphic", F, G, "--json"], ["isomorphic", "--json", F, G], ["isomorphic", F],
+    ["catalog"], ["catalog", "P2", "--json"], ["catalog", "--json", "--list"], ["catalog", "P2", "extra"],
+    ["classify-surfaces"], ["classify-surfaces", "--stats", "--json"], ["classify-surfaces", "--stats=1"],
+    ["classify-3folds", "--json"], ["classify-3folds", "--stats", "--twist-bound", "4"],
+    ["classify-3folds", "--twist-bound", "2.5"], ["classify-3folds", "--twist", "4"],
+    ["classify-3folds", "--twist-bound=4", "--json"], ["classify-3folds", "--twist-bound"],
+    ["verify"], ["verify", "--json"], ["verify", "extra"],
+    ["validate", "--js", F], ["validate", "--", F], ["validate", F, "--", "--json"], ["validate", "-1"],
+    ["validate", F, "extra"], ["validate", F, "extra", "--bogus"], ["validate", F, "--bogus"],
+    ["validate", "--bogus", F], ["validate", "--json=1", F], ["validate"], ["validate", "--json"],
+    ["validate", "-h"], ["validate", F, "--he"], ["catalog", "--help"],
+    ["-h"], ["--help"], [], ["nosuch"], ["nosuch", F], ["validat", F], ["--json", "validate", F], ["-h", "validate"],
+]
+
+
+def _outcome(parse, argv, capsys):
+    """The namespace or the exit code, and the stdout and stderr, of one parse."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=[" ".join(argv) or "(empty)" for argv in PARSE_CASES])
+def test_a_command_parsed_once_parses_as_the_top_level_parser_does(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert _outcome(_parse, argv, capsys) == _outcome(build_parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [["degree", F, "--json"], ["degree", F, "extra"], []], ids=["ok", "extra", "empty"])
+def test_a_missing_argv_is_read_from_sys_argv(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["torifan", *argv])
+    assert _outcome(lambda _: _parse(None), argv, capsys) == _outcome(
+        lambda _: build_parser().parse_args(None), argv, capsys)
 
 
 SUBCOMMAND_HELP = [
