@@ -334,7 +334,7 @@ PARSE_CASES = [
 def _outcome(parse, argv, capsys):
     """The namespace or the exit code, and the stdout and stderr, of one parse."""
     try:
-        result = parse(list(argv))
+        result = parse(argv)
     except SystemExit as exc:
         result = ("exit", exc.code)
     captured = capsys.readouterr()
@@ -350,8 +350,7 @@ def test_a_command_parsed_once_parses_as_the_top_level_parser_does(capsys, monke
 @pytest.mark.parametrize("argv", [["degree", F, "--json"], ["degree", F, "extra"], []], ids=["ok", "extra", "empty"])
 def test_a_missing_argv_is_read_from_sys_argv(capsys, monkeypatch, argv):
     monkeypatch.setattr(sys, "argv", ["torifan", *argv])
-    assert _outcome(lambda _: _parse(None), argv, capsys) == _outcome(
-        lambda _: build_parser().parse_args(None), argv, capsys)
+    assert _outcome(_parse, None, capsys) == _outcome(build_parser().parse_args, None, capsys)
 
 
 SUBCOMMAND_HELP = [
