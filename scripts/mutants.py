@@ -63,25 +63,40 @@ class Mutant:
 MUTANTS = (
     # the zero-two witness
     Mutant(
-        "witness without the wall-degree test",
+        "witness without the wall-degree test (drops alpha + beta == 0)",
         CONTRACTION,
-        " or wall_degrees(fan)[tuple(sorted((x0, xp)))] != 2",
-        "",
+        "return abs(alpha) if alpha + beta == 0 else None",
+        "return abs(alpha)",
         (CLASSIFY_TESTS + "test_crepancy_offset_must_vanish",),
     ),
     Mutant(
         "witness asks for wall degree 1",
         CONTRACTION,
-        "[tuple(sorted((x0, xp)))] != 2",
-        "[tuple(sorted((x0, xp)))] != 1",
+        "if alpha + beta == 0 else None",
+        "if alpha + beta == 1 else None",
         (CLASSIFY_TESTS + "test_x3_0_collapses_p1xp1",),
     ),
     Mutant(
         "witness returns beta for a",
         CONTRACTION,
-        "return abs(vdot(",
-        "return (vdot(",
+        "return abs(alpha) if",
+        "return -alpha if",
         (WITNESS_TESTS + "test_shapes_and_witnesses_agree_with_the_references",),
+    ),
+    Mutant(
+        "witness returns |beta| for a",
+        CONTRACTION,
+        "return abs(alpha) if",
+        "return abs(beta) if",
+        equivalent="the value is returned only when alpha + beta == 0, and then |beta| = |alpha|",
+    ),
+    Mutant(
+        "witness reads the wall {x0, x-}",
+        CONTRACTION,
+        "walls[tuple(sorted((x0, xp)))]",
+        "walls[tuple(sorted((x0, xm)))]",
+        equivalent="on the four-cone star that wall's relation has the coefficients "
+        "alpha + 2*beta and -beta, whose sum is alpha + beta, and |-beta| = |alpha| when it is 0",
     ),
     # the weakened verdict
     Mutant(
@@ -191,9 +206,9 @@ MUTANTS = (
         "relation is not in its collection, and t = -a leaves the other target at 2a + b, "
         "so that b = (2a + b) + 2(-a) lies inside the fan's cone on the two targets",
     ),
-    # validate: check 2 at each wall, the kept wall degree, and the cone kernel.
-    # The two 3-D branches only write the products of the generic branch out.
-    # Without both, a warm in-process sweep was the slowest copy in each of
+    # validate: check 2 at each wall, the kept wall relation, and the cone kernel.
+    # The 3-D forms of the wall listing and of checks 2 and 3 only write out
+    # what the generic code computes. Without them, a warm in-process sweep was the slowest copy in each of
     # four interleaved rounds on 2 shared cores: medians 68-76 ms, against
     # 43-65 ms with them
     Mutant(
@@ -205,44 +220,48 @@ MUTANTS = (
         "opposite position, in the same order",
     ),
     Mutant(
-        "checks 2 and 3 of a 3-fan by the generic branch",
+        "check 2 of a 3-fan by matvec",
         FAN,
-        "elif fan.dim == 3:",
-        "elif False:",
-        equivalent="the generic branch computes the same coordinates by matvec and vdot, "
-        "so it reports the same flags, offending cones and wall degrees",
+        "                if fan.dim == 3:\n                    x, y, z = rays[cones[cj][l]]",
+        "                if False:\n                    x, y, z = rays[cones[cj][l]]",
+        equivalent="matvec computes the same coordinates, so the same flags, offending cones "
+        "and wall relations follow",
     ),
     Mutant(
-        "3-D check 2 drops its flag",
+        "check 3 of a 3-fan by the generic loop",
         FAN,
-        "                    is_complete = False\n"
-        '                    offending.append(("improper_intersection", (ci, cj)))\n'
-        "                degrees[facet] = 1 - coords[0]",
-        '                    offending.append(("improper_intersection", (ci, cj)))\n'
-        "                degrees[facet] = 1 - coords[0]",
+        "            if fan.dim == 3:\n                x, y, z = vsum",
+        "            if False:\n                x, y, z = vsum",
+        equivalent="vdot gives the same products, so the same cones are found to hold p",
+    ),
+    Mutant(
+        "check 2 drops its flag",
+        FAN,
+        "                if coords[k] >= 0:\n                    is_complete = False\n",
+        "                if coords[k] >= 0:\n",
         ("tests/test_fan.py::test_linear_completeness_agrees_with_pairwise_oracle",),
     ),
     Mutant(
-        "3-D wall degree starts from 2",
+        "wall relation keeps the coordinates after the first, not all but the k-th",
         FAN,
-        "degrees[facet] = 1 - coords[0] - coords[1] - coords[2]",
-        "degrees[facet] = 2 - coords[0] - coords[1] - coords[2]",
+        "relations[facet] = coords[:k] + coords[k + 1:]",
+        "relations[facet] = coords[1:]",
+        (WALL_TEST,),
+    ),
+    Mutant(
+        "wall degree starts from 1",
+        FAN,
+        "{facet: 2 - sum(alphas)",
+        "{facet: 1 - sum(alphas)",
         (WALL_TEST, IDENTITY_TESTS + "test_wall_degrees_sum_to_c1c2_and_to_k_squared"),
     ),
     Mutant(
-        "3-D check 2 asks > 0",
+        "check 2 asks > 0",
         FAN,
-        "c2 * z)\n                if coords[k] >= 0:",
-        "c2 * z)\n                if coords[k] > 0:",
+        "if coords[k] >= 0:",
+        "if coords[k] > 0:",
         equivalent="coords[k] = 0 puts the far ray in the span of the wall, so the second cone "
         "is degenerate, the fan is not simplicial, and the wall checks are never reached",
-    ),
-    Mutant(
-        "check 2 asks > 0 in other dimensions",
-        FAN,
-        "rays[cones[cj][l]])\n                if coords[k] >= 0:",
-        "rays[cones[cj][l]])\n                if coords[k] > 0:",
-        equivalent="as in the 3-D branch: a zero coordinate makes the second cone degenerate",
     ),
     Mutant(
         "3-cone kernel keeps the rows of a negative determinant",
@@ -305,10 +324,10 @@ MUTANTS = (
         (WALL_TEST,),
     ),
     Mutant(
-        "self-intersection sequence reads b = 3 - degree",
+        "self-intersection sequence reads b + 1",
         CLASSIFY,
-        "2 - degrees[(i,)]",
-        "3 - degrees[(i,)]",
+        "walls[(i,)][0] for i in order",
+        "walls[(i,)][0] + 1 for i in order",
         ("tests/test_classify.py::TestSelfIntersectionSequences::test_sequence_is_read_from_the_rays",),
     ),
     Mutant(
@@ -423,6 +442,14 @@ MUTANTS = (
         "            return False\n",
         "",
         ("tests/test_classify.py::TestThreefoldEnumeration::test_fans_that_do_not_project_to_p1",),
+    ),
+    # fan JSON
+    Mutant(
+        "fan JSON keeps the last value of a repeated key",
+        FAN,
+        "if key in out:",
+        "if False:",
+        ("tests/test_cli.py::test_a_repeated_key_is_refused_in_either_order",),
     ),
     # the CLI's messages
     Mutant(

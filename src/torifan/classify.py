@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import catalog
 from .contraction import crepant_contractions, is_weakened_fano
-from .fan import Fan, build_bundle, ccw_sorted, fan_from_rays_2d, maximal_cone_normals, wall_degrees
+from .fan import Fan, build_bundle, ccw_sorted, fan_from_rays_2d, maximal_cone_normals, wall_relations
 from .isomorphism import canonical_key
 from .lattice import vsum
 from .polytope import anticanonical_degree
@@ -104,14 +104,15 @@ def self_intersection_sequence(fan: Fan) -> tuple[tuple[int, ...], tuple[int, ..
     """Ray indices of a smooth complete 2-fan in counterclockwise order, and
     the b_i with v_{i-1} + v_{i+1} = b_i v_i, one for each ray in that order.
 
-    The wall (v_i) has degree -K.D_i = 2 - b_i (``wall_degrees``), and
-    D_i^2 = -b_i (Oda 1988; Fulton 1993, 2.5). Raises ``ValueError`` on a
-    fan that does not validate.
+    That is the relation of the wall (v_i), which ``validate`` keeps
+    (``wall_relations``); D_i^2 = -b_i and -K.D_i = 2 - b_i (Oda 1988;
+    Fulton 1993, 2.5). Raises ``ValueError`` on a fan that does not
+    validate.
     """
-    degrees = wall_degrees(fan)
+    walls = wall_relations(fan)
     index = {ray: i for i, ray in enumerate(fan.rays)}
     order = tuple(index[ray] for ray in ccw_sorted(fan.rays))
-    return order, tuple(2 - degrees[(i,)] for i in order)
+    return order, tuple(walls[(i,)][0] for i in order)
 
 
 def _sequence_key(seq: Sequence[int]) -> tuple[int, ...]:

@@ -9,9 +9,9 @@ exactly four maximal cones pairing {x+, x-} against two further rays
 
 with 0 <= a <= 2, the contraction collapses the divisor at x0 (a Hirzebruch
 surface of degree a) onto a rational curve of anticanonical degree 2. The
-detector decides that normal form in one step, from the star of x0, the
-degree of the wall {x0, x+} that ``validate`` keeps and one coordinate
-read from a cone inverse, whose absolute value is a; the argument is in
+detector decides that normal form in one step, from the star of x0 and
+the relation of the wall {x0, x+} that ``validate`` keeps, whose two
+coefficients are a and -a; the argument is in
 ``zero_two_normal_form_witness``. The ``small`` shape is told from
 ``other`` by cross products of the rays, so nothing here solves or inverts.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fan import Fan, maximal_cone_normals, memoised, wall_degrees
+from .fan import Fan, memoised, wall_relations
 from .lattice import cross, vdot
 from .primitive import PrimitiveRelation, crepant_relations, is_fano, is_weak_fano
 
@@ -78,30 +78,30 @@ def zero_two_normal_form_witness(fan: Fan, rel: PrimitiveRelation) -> Optional[i
     (x0, x+, y+) write y- = alpha*x0 + beta*x+ + gamma*y+. On a valid fan
     gamma = -1: |gamma| = 1 because the cone (x0, x+, y-) is unimodular,
     and gamma < 0 because y- lies across the wall {x0, x+} from y+. So
-    y+ + y- = alpha*x0 + beta*x+, and the degree of that wall, which
-    ``validate`` kept (``wall_degrees``), is 2 - alpha - beta. The basis
-    change U taking x0, x+, y+ to their normal form (1,0,0), (1,1,0),
-    (0,0,1) takes y- to (alpha + beta, beta, -1), which must be (0, a, -1);
-    it takes x- = 2*x0 - x+ to (1, -1, 0) whatever the fan. Swapping y+ and
-    y- leaves (alpha, beta) unchanged, and swapping x+ and x- gives
-    (alpha + 2*beta, -beta), so both walls {x0, x+-} have the same degree,
-    and beta >= 0 holds in one order of x+-. So the normal form exists
-    exactly when the star has the four-cone shape and that wall has degree
-    2, and then a = |beta|, read as row x+ of the cone inverse
-    (``maximal_cone_normals``) applied to y-.
+    y+ + y- = alpha*x0 + beta*x+ is the relation of that wall, which
+    ``validate`` kept (``wall_relations``), and its degree is
+    2 - alpha - beta. The basis change U taking x0, x+, y+ to their normal
+    form (1,0,0), (1,1,0), (0,0,1) takes y- to (alpha + beta, beta, -1),
+    which must be (0, a, -1); it takes x- = 2*x0 - x+ to (1, -1, 0)
+    whatever the fan. Swapping y+ and y- leaves (alpha, beta) unchanged,
+    and swapping x+ and x- gives (alpha + 2*beta, -beta), so both walls
+    {x0, x+-} have the same degree, and beta >= 0 holds in one order of
+    x+-. So the normal form exists exactly when the star has the four-cone
+    shape and alpha + beta = 0, that is when the wall has degree 2, and
+    then a = |beta| = |alpha|: the witness need not know which of the two
+    coefficients the wall lists first belongs to x+.
     """
-    inverses = maximal_cone_normals(fan)
+    walls = wall_relations(fan)
     if len(rel.collection) != 2 or len(rel.coeffs) != 1 or rel.coeffs[0][1] != 2:
         return None
     x0 = rel.coeffs[0][0]
     xp, xm = rel.collection
-    star = {cone: rows for cone, rows in zip(fan.max_cones, inverses) if x0 in cone}
-    side_rays = sorted({i for cone in star for i in cone} - {x0, xp, xm})
-    if len(star) != 4 or len(side_rays) != 2 or wall_degrees(fan)[tuple(sorted((x0, xp)))] != 2:
+    star = [cone for cone in fan.max_cones if x0 in cone]
+    side_rays = {i for cone in star for i in cone} - {x0, xp, xm}
+    if len(star) != 4 or len(side_rays) != 2:
         return None
-    yp, ym = side_rays
-    cone = tuple(sorted((x0, xp, yp)))
-    return abs(vdot(star[cone][cone.index(xp)], fan.rays[ym]))
+    alpha, beta = walls[tuple(sorted((x0, xp)))]
+    return abs(alpha) if alpha + beta == 0 else None
 
 
 @memoised

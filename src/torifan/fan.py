@@ -2,11 +2,12 @@
 
 A fan is stored as its primitive ray generators plus the maximal cones as
 index sets; smoothness and completeness are decided in exact integer
-arithmetic, and validation keeps each maximal cone's inverse and each wall
-curve's degree for later readers. Completeness is certified in linear time:
-facets pair up, the two cones at each wall lie on opposite sides of it, and
-one interior point is covered once, which together make the cones cover
-space exactly once (the argument is in ``validate``).
+arithmetic, and validation keeps each maximal cone's inverse and each
+wall's relation c + d = sum alpha_t a_t for later readers. Completeness is
+certified in linear time: facets pair up, the two cones at each wall lie
+on opposite sides of it, and one interior point is covered once, which
+together make the cones cover space exactly once (the argument is in
+``validate``).
 """
 
 from __future__ import annotations
@@ -136,9 +137,26 @@ def fan_from_dict(data: dict) -> Fan:
         raise ValueError(f"malformed fan data: {exc}") from exc
 
 
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads alone keeps the last value of a repeated key and drops the others
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"fan JSON repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
+# built once: json.loads builds a new decoder on every call that passes a hook
+_DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeats)
+
+
 def fan_from_json(text: str) -> Fan:
+    """Fan from JSON text; an object that repeats a key is a ``ValueError``, not its last value."""
+    if text.startswith("\ufeff"):  # refused as json.loads refuses it; the decoder alone does not check
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return fan_from_dict(json.loads(text))
+        return fan_from_dict(_DECODER.decode(text))
     except RecursionError as exc:
         raise ValueError("fan JSON is nested too deeply") from exc
 
@@ -149,9 +167,9 @@ class ValidationReport:
     is_smooth: bool
     is_complete: bool
     offending_cones: tuple[tuple[str, tuple[int, ...]], ...] = field(default_factory=tuple)
-    # read through ``maximal_cone_normals`` and ``wall_degrees``; empty unless the report is ok
+    # read through ``maximal_cone_normals`` and ``wall_relations``; empty unless the report is ok
     cone_normals: tuple[Matrix, ...] = field(default=(), compare=False, repr=False)
-    wall_degrees: dict[Cone, int] = field(default_factory=dict, compare=False, repr=False)
+    walls: dict[Cone, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -220,15 +238,26 @@ def maximal_cone_normals(fan: Fan) -> tuple[Matrix, ...]:
     return report.cone_normals
 
 
-def wall_degrees(fan: Fan) -> dict[Cone, int]:
-    """-K.C for the curve C of every wall (facet -> degree), as ``validate`` keeps it.
+def wall_relations(fan: Fan) -> dict[Cone, tuple[int, ...]]:
+    """The relation of every wall (facet -> alphas), as ``validate`` keeps it.
 
-    With c + d = sum alpha_t a_t across the wall, -K.C = 2 - sum alpha_t.
-    The wall curves span NE(X) (Reid 1983), so -K is nef (ample) exactly
-    when every degree is >= 0 (> 0). Refuses an invalid fan as above.
+    The two cones at a wall have rays c and d off it, and c + d =
+    sum alpha_t a_t over the facet's rays a_t; the alpha_t are listed in
+    facet order. Refuses an invalid fan as above.
     """
     maximal_cone_normals(fan)  # refuses a fan that does not validate
-    return fan.report.wall_degrees
+    return fan.report.walls
+
+
+@memoised
+def wall_degrees(fan: Fan) -> dict[Cone, int]:
+    """-K.C = 2 - sum alpha_t for the curve C of every wall (facet -> degree).
+
+    The alpha_t are those of the wall's relation (``wall_relations``). The
+    wall curves span NE(X) (Reid 1983), so -K is nef (ample) exactly when
+    every degree is >= 0 (> 0). Refuses an invalid fan as above.
+    """
+    return {facet: 2 - sum(alphas) for facet, alphas in wall_relations(fan).items()}
 
 
 def _equal_pairs(items: Sequence) -> list[tuple[int, int]]:
@@ -265,8 +294,9 @@ def validate(fan: Fan) -> ValidationReport:
     size (``cone_det_and_normals``); it gives the determinant and the
     inward normals, which a report that is ok keeps for
     ``maximal_cone_normals``. On such a report the far ray d of check 2 is
-    -c + sum alpha_t a_t in the first cone's basis, so 1 - the sum of its
-    coordinates is the wall curve's degree (``wall_degrees``).
+    -c + sum alpha_t a_t in the first cone's basis: its coordinate along c
+    is -1, and the others are the alpha_t of the wall relation
+    c + d = sum alpha_t a_t, which the report keeps (``wall_relations``).
     For a 3-fan, as every bundle of the sweep is, checks 2 and 3 write these
     products out in closed form; the report is the same in every dimension.
     """
@@ -313,7 +343,7 @@ def validate(fan: Fan) -> ValidationReport:
     is_smooth = is_smooth and is_simplicial
 
     is_complete = False
-    degrees: dict[Cone, int] = {}
+    relations: dict[Cone, tuple[int, ...]] = {}
     if not fan.max_cones:
         # no rays and no cones: nothing covers space
         offending.append(("no_cones", ()))
@@ -337,37 +367,35 @@ def validate(fan: Fan) -> ValidationReport:
                 for facet in combinations(cone, fan.dim - 1):
                     if len(walls[facet]) != 2:
                         offending.append(("facet_unmatched", (ci,)))
-        elif fan.dim == 3:
-            # checks 2 and 3 as below, with the products written out
-            for facet, ((ci, k), (cj, l)) in walls.items():
-                x, y, z = rays[cones[cj][l]]
-                (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = normals[ci]
-                coords = (a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z)
-                if coords[k] >= 0:
-                    is_complete = False
-                    offending.append(("improper_intersection", (ci, cj)))
-                degrees[facet] = 1 - coords[0] - coords[1] - coords[2]
-            x, y, z = vsum([rays[i] for i in cones[0]], 3)
-            for cj in range(1, len(cones)):
-                (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = normals[cj]
-                if a0 * x + a1 * y + a2 * z >= 0 and b0 * x + b1 * y + b2 * z >= 0 and c0 * x + c1 * y + c2 * z >= 0:
-                    is_complete = False
-                    offending.append(("improper_intersection", (0, cj)))
         else:
-            # the second cone at a wall must lie across it from the first
+            # the second cone at a wall must lie across it from the first; for
+            # a 3-fan the products are written out, here and in check 3
             for facet, ((ci, k), (cj, l)) in walls.items():
-                coords = matvec(normals[ci], rays[cones[cj][l]])
+                if fan.dim == 3:
+                    x, y, z = rays[cones[cj][l]]
+                    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = normals[ci]
+                    coords = (a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z)
+                else:
+                    coords = matvec(normals[ci], rays[cones[cj][l]])
                 if coords[k] >= 0:
                     is_complete = False
                     offending.append(("improper_intersection", (ci, cj)))
-                degrees[facet] = 1 - sum(coords)
+                relations[facet] = coords[:k] + coords[k + 1:]
             # p is interior to cone 0; no other cone may contain it
-            p = vsum([rays[i] for i in cones[0]], fan.dim)
-            for cj in range(1, len(cones)):
-                if all(vdot(row, p) >= 0 for row in normals[cj]):
-                    is_complete = False
-                    offending.append(("improper_intersection", (0, cj)))
-    kept = (tuple(normals), degrees) if is_smooth and is_complete else ((), {})
+            if fan.dim == 3:
+                x, y, z = vsum([rays[i] for i in cones[0]], 3)
+                for cj in range(1, len(cones)):
+                    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = normals[cj]
+                    if a0 * x + a1 * y + a2 * z >= 0 and b0 * x + b1 * y + b2 * z >= 0 and c0 * x + c1 * y + c2 * z >= 0:
+                        is_complete = False
+                        offending.append(("improper_intersection", (0, cj)))
+            else:
+                p = vsum([rays[i] for i in cones[0]], fan.dim)
+                for cj in range(1, len(cones)):
+                    if all(vdot(row, p) >= 0 for row in normals[cj]):
+                        is_complete = False
+                        offending.append(("improper_intersection", (0, cj)))
+    kept = (tuple(normals), relations) if is_smooth and is_complete else ((), {})
     return ValidationReport(is_simplicial, is_smooth, is_complete, tuple(offending), *kept)
 
 

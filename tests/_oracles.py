@@ -664,14 +664,14 @@ def pairwise_validate(fan) -> tuple[bool, bool, bool]:
     return is_simplicial, is_smooth, is_complete
 
 
-def reference_wall_degrees(fan) -> dict:
-    """-K.C of the curve of every wall of a smooth complete fan, facet -> degree.
+def reference_wall_relations(fan) -> dict:
+    """The relation of every wall of a smooth complete fan, facet -> alphas.
 
     The facet's rays a_t and the rays c, d of its two cones off it satisfy
     c + d = sum alpha_t a_t. The alpha_t solve the normal equations
     G alpha = (a_t . (c + d)) of the Gram matrix G of the a_t, by Cramer's
-    rule with ``cofactor_det``, and the degree of the wall relation
-    c + d - sum alpha_t a_t = 0 is 2 - sum alpha_t.
+    rule with ``cofactor_det``; they are listed in facet order, and each is
+    an integer on a smooth fan.
     """
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
@@ -693,10 +693,16 @@ def reference_wall_degrees(fan) -> dict:
         ]
         combination = [dot(numerators, column) for column in zip(*a)] if a else [0] * fan.dim
         assert combination == [det * x for x in total], (fan.to_dict(), wall)
-        degree = 2 - Fraction(sum(numerators), det)
-        assert degree.denominator == 1, (fan.to_dict(), wall)
-        out[wall] = int(degree)
+        alphas = [Fraction(numerator, det) for numerator in numerators]
+        assert all(alpha.denominator == 1 for alpha in alphas), (fan.to_dict(), wall)
+        out[wall] = tuple(int(alpha) for alpha in alphas)
     return out
+
+
+def reference_wall_degrees(fan) -> dict:
+    """-K.C of the curve of every wall of a smooth complete fan, facet -> degree:
+    the degree 2 - sum alpha_t of the wall relation c + d - sum alpha_t a_t = 0."""
+    return {wall: 2 - sum(alphas) for wall, alphas in reference_wall_relations(fan).items()}
 
 
 DANTZIG_PIVOTS = 50
@@ -1042,10 +1048,11 @@ def reference_four_cone_star(fan, rel):
 
 
 def reference_zero_two_witness(fan, rel):
-    """``contraction.zero_two_normal_form_witness`` as it was before it read the
-    cone inverses and the kept wall degree: for each candidate (x+, y+)
-    invert the basis (x0, x+, y+), build U and test U*x- and U*y- against
-    the normal form; (U, names, a) for the first candidate that passes.
+    """``contraction.zero_two_normal_form_witness`` as it was before it read
+    what ``validate`` keeps (now the relation of the wall {x0, x+}): for
+    each candidate (x+, y+) invert the basis (x0, x+, y+), build U and test
+    U*x- and U*y- against the normal form; (U, names, a) for the first
+    candidate that passes.
 
     The reference for the witness, which must return its a, or None, and
     for ``contraction_shape``, whose exceptional ray is its x0. It keeps

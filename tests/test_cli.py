@@ -95,6 +95,35 @@ def test_malformed_json_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("first", ["short", "full"])
+def test_a_repeated_key_is_refused_in_either_order(tmp_path, capsys, first):
+    # json.loads alone keeps the last value: with the full cone list last
+    # the file would read as P2, of degree 9, and the first list would be
+    # dropped without a word
+    cones = {"short": "[[0,1]]", "full": "[[0,1],[1,2],[0,2]]"}
+    second = "full" if first == "short" else "short"
+    path = tmp_path / "repeated.json"
+    path.write_text(
+        f'{{"dim": 2, "max_cones": {cones[first]}, "rays": [[1,0],[0,1],[-1,-1]], '
+        f'"max_cones": {cones[second]}}}'
+    )
+    message = "fan JSON repeats the key 'max_cones'"
+    code, out, err = invoke(capsys, "degree", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, err = invoke(capsys, "degree", str(path), "--json")
+    assert code == 1 and err == "" and json.loads(out) == {"error": message}
+
+
+def test_a_byte_order_mark_is_refused_with_the_message_of_json_loads(tmp_path, capsys):
+    text = "\ufeff" + json.dumps(named_fan("P2").fan.to_dict())
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    path = tmp_path / "bom.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = invoke(capsys, "validate", str(path), "--json")
+    assert code == 1 and json.loads(out) == {"error": expected.value.args[0]}
+
+
 def _unreadable(tmp_path, kind):
     if kind == "missing":
         return tmp_path / "missing.json", "cannot read {}: No such file or directory"

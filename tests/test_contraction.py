@@ -11,7 +11,7 @@ from torifan.contraction import (
     is_weakened_fano,
     zero_two_normal_form_witness,
 )
-from torifan.fan import Fan, fan_from_rays_2d, wall_degrees
+from torifan.fan import Fan, fan_from_rays_2d, wall_degrees, wall_relations
 from torifan.lattice import matmul, matvec, vsum
 from torifan.primitive import is_extremal, is_fano, is_weak_fano, primitive_collections
 
@@ -144,18 +144,19 @@ class TestNormalFormWitness:
 
     def test_shapes_and_witnesses_agree_with_the_references(self):
         """``contraction_shape`` decides the small shape by cross products,
-        and the witness decides the normal form from the kept wall degree
-        and one coordinate read from a cone inverse. The routes that solved
-        for cone coordinates and inverted every candidate basis must give
-        the same shape, and the same a or None, on every degree-0 relation;
-        a zero-two shape has the oracle's a and its x0 as the exceptional
-        ray. On each x+ + x- = 2*x0 whose star has the four-cone shape, the
-        witness's argument is checked with the oracle's inverse: in every
-        cone of the star the far side ray has gamma = -1 among its
-        coordinates (alpha, beta, gamma), a y+- swap keeps (alpha, beta), an
-        x+- swap gives (alpha + 2*beta, -beta), and both walls {x0, x+-}
-        have the degree 2 - alpha - beta. The fans: the 18 catalog 3-folds, every bundle over the 16 fibers with w+ in
-        [-6, 6]^2 and w- in {(0, 0), (1, -1)}, which holds the 1296 bundles
+        and the witness decides the normal form from the kept relation of
+        the wall {x0, x+}. The routes that solved for cone coordinates and
+        inverted every candidate basis must give the same shape, and the
+        same a or None, on every degree-0 relation; a zero-two shape has the
+        oracle's a and its x0 as the exceptional ray. On each
+        x+ + x- = 2*x0 whose star has the four-cone shape, the witness's
+        argument is checked with the oracle's inverse: in every cone of the
+        star the far side ray has gamma = -1 among its coordinates
+        (alpha, beta, gamma), a y+- swap keeps (alpha, beta), an x+- swap
+        gives (alpha + 2*beta, -beta), the kept relation of the wall
+        {x0, x+} is y+ + y- = alpha*x0 + beta*x+, and both walls {x0, x+-}
+        have the degree 2 - alpha - beta. The fans: the 18 catalog 3-folds,
+        every bundle over the 16 fibers with w+ in [-6, 6]^2 and w- in {(0, 0), (1, -1)}, which holds the 1296 bundles
         of the [-4, 4]^2 box with w- = (0, 0), and 400 seeded rebasings of
         those with an x+ + x- = 2*x0 relation of degree 0, the only shape
         the witness searches."""
@@ -207,6 +208,8 @@ class TestNormalFormWitness:
                     alpha, beta, gamma = coords[xp, yp]
                     assert gamma == -1 and coords[xp, ym] == (alpha, beta, -1)
                     assert coords[xm, yp] == coords[xm, ym] == (alpha + 2 * beta, -beta, -1)
+                    wall = tuple(sorted((x0, xp)))
+                    assert dict(zip(wall, wall_relations(fan)[wall])) == {x0: alpha, xp: beta}
                     degrees = wall_degrees(fan)
                     assert degrees[tuple(sorted((x0, xp)))] == 2 - alpha - beta
                     assert degrees[tuple(sorted((x0, xm)))] == 2 - alpha - beta

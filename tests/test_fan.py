@@ -13,6 +13,7 @@ from torifan.fan import (
     maximal_cone_normals,
     validate,
     wall_degrees,
+    wall_relations,
 )
 from torifan.catalog import all_named, named_fan, surfaces
 from torifan.classify import self_intersection_sequence
@@ -31,7 +32,7 @@ from _oracles import (
     reference_ccw_sorted,
     reference_inward_normals,
     reference_validate,
-    reference_wall_degrees,
+    reference_wall_relations,
     sweep_bundles_b3,
 )
 
@@ -272,7 +273,7 @@ def test_validate_agrees_with_the_reference_report():
             assert len(report.cone_normals) == len(fan.max_cones)
             for rows, cone in zip(report.cone_normals, fan.max_cones):
                 assert rows == reference_inward_normals(fan, cone), (fan.to_dict(), cone)
-            assert report.wall_degrees == reference_wall_degrees(fan), fan.to_dict()
+            assert report.walls == reference_wall_relations(fan), fan.to_dict()
     assert walls_not_separated[3] >= 557 and walls_not_separated[2] >= 52
     # the catalog fans and their rebasings, the bundles, and 113 of the corrupted set
     assert valid == 4 * 34 + 304 + 113
@@ -367,6 +368,7 @@ INVALID_FANS = {
 # relation of X3_0, which it never reaches on an invalid fan
 TABLE_READERS = {
     "maximal_cone_normals": maximal_cone_normals,
+    "wall_relations": wall_relations,
     "wall_degrees": wall_degrees,
     "self_intersection_sequence": self_intersection_sequence,
     "primitive_collections": primitive_collections,
@@ -388,8 +390,8 @@ TABLE_READERS = {
 def test_every_reader_of_the_cone_inverses_refuses_an_invalid_fan(reader, fan):
     """The cone rows are an inverse only on a fan that validates, and an
     invalid fan's report keeps no table, not even a misaligned one: the
-    complete fan that is not smooth has walls, but no wall degrees."""
-    assert not fan.report.ok and fan.report.cone_normals == () and fan.report.wall_degrees == {}
+    complete fan that is not smooth has walls, but no wall relations."""
+    assert not fan.report.ok and fan.report.cone_normals == () and fan.report.walls == {}
     with pytest.raises(ValueError, match="does not validate"):
         reader(fan)
 
@@ -400,10 +402,16 @@ def test_a_valid_report_keeps_one_inverse_per_maximal_cone():
         assert maximal_cone_normals(nf.fan) is table and len(table) == len(nf.fan.max_cones)
         for cone, rows in zip(nf.fan.max_cones, table):
             assert rows == cone_det_and_normals(nf.fan, cone)[1]
-        # and one degree per wall: each maximal cone has d facets, each shared by two cones
+        # and one relation per wall: each maximal cone has d facets, each
+        # shared by two cones; a relation has one coefficient per facet ray
+        walls = wall_relations(nf.fan)
+        assert walls is nf.fan.report.walls
+        assert len(walls) == len(nf.fan.max_cones) * nf.fan.dim // 2
+        assert all(len(alphas) == len(facet) == nf.fan.dim - 1 for facet, alphas in walls.items())
+        # the degrees are computed from the relations once, and kept with the fan
         degrees = wall_degrees(nf.fan)
-        assert degrees is nf.fan.report.wall_degrees
-        assert len(degrees) == len(nf.fan.max_cones) * nf.fan.dim // 2
+        assert degrees is wall_degrees(nf.fan)
+        assert degrees == {facet: 2 - sum(alphas) for facet, alphas in walls.items()}
 
 
 def test_ccw_sorted_agrees_with_the_reference_comparator():

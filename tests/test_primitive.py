@@ -3,7 +3,7 @@ import random
 import pytest
 
 from torifan.catalog import named_fan
-from torifan.fan import Fan, fan_from_rays_2d, wall_degrees
+from torifan.fan import Fan, fan_from_rays_2d, wall_degrees, wall_relations
 from torifan.lattice import has_nonneg_combination, vdot, vsum
 from torifan.primitive import (
     bundle_candidates,
@@ -28,6 +28,7 @@ from _oracles import (
     reference_primitive_collections,
     reference_section_relation,
     reference_wall_degrees,
+    reference_wall_relations,
     sweep_bundles_b3,
     two_element_relation_kind,
 )
@@ -549,11 +550,16 @@ def test_every_class_is_primitive_with_a_one_off_sigma():
 
 
 def test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do():
-    """``is_fano`` and ``is_weak_fano`` read the wall table. Each wall degree
-    is the reference's, and both predicates agree with the degrees of the
-    primitive relations: on P1, the 34 catalog fans, all 1296 bundles of the
-    [-4, 4]^2 box (304 of them weak Fano) and 42 fans that are not weak Fano."""
+    """``is_fano`` and ``is_weak_fano`` read the wall table. Each kept wall
+    relation and each wall degree is the reference's, and both predicates
+    agree with the degrees of the primitive relations: on P1, the 34
+    catalog fans, all 1296 bundles of the [-4, 4]^2 box (304 of them weak
+    Fano) and 42 fans that are not weak Fano. The relations of the 96
+    one-point blow-ups of the catalog surfaces, and of P3, its blow-up and
+    the non-projective 8-ray fan, which are not bundles, are checked
+    against the reference too."""
     from torifan.catalog import all_named, surfaces
+    from torifan.classify import blow_up
     from torifan.fan import build_bundle
 
     catalog = [nf.fan for nf in all_named().values()]
@@ -568,6 +574,7 @@ def test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do():
     assert len(catalog) == 34 and len(box) == 1296 and len(non_weak) == 42
     flags = []
     for fan in [Fan(1, ((1,), (-1,)), ((0,), (1,)))] + catalog + box + non_weak:
+        assert wall_relations(fan) == reference_wall_relations(fan), fan.to_dict()
         assert wall_degrees(fan) == reference_wall_degrees(fan), fan.to_dict()
         degrees = [r.degree for r in primitive_collections(fan)]
         assert is_weak_fano(fan) == all(d >= 0 for d in degrees), fan.to_dict()
@@ -576,6 +583,10 @@ def test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do():
     box_flags = flags[35:35 + 1296]
     assert sum(weak for weak, _ in box_flags) == 304 and sum(fano for _, fano in box_flags) == 27
     assert not any(weak for weak, _ in flags[35 + 1296:])
+    blowups = [blow_up(nf.fan, cone) for nf in surfaces() for cone in nf.fan.max_cones]
+    assert len(blowups) == 96
+    for fan in blowups + [P3, P3_BLOWN_UP, NON_PROJECTIVE]:
+        assert wall_relations(fan) == reference_wall_relations(fan), fan.to_dict()
 
 
 P3 = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
