@@ -156,10 +156,11 @@ class TestNormalFormWitness:
         gives (alpha + 2*beta, -beta), the kept relation of the wall
         {x0, x+} is y+ + y- = alpha*x0 + beta*x+, and both walls {x0, x+-}
         have the degree 2 - alpha - beta. The fans: the 18 catalog 3-folds,
-        every bundle over the 16 fibers with w+ in [-6, 6]^2 and w- in {(0, 0), (1, -1)}, which holds the 1296 bundles
-        of the [-4, 4]^2 box with w- = (0, 0), and 400 seeded rebasings of
-        those with an x+ + x- = 2*x0 relation of degree 0, the only shape
-        the witness searches."""
+        every bundle over the 16 fibers with w+ in [-6, 6]^2 and w- in
+        {(0, 0), (1, -1)}, which holds the 1296 bundles of the [-4, 4]^2 box
+        with w- = (0, 0), and 400 seeded rebasings of those with an
+        x+ + x- = 2*x0 relation of degree 0, the only shape the witness
+        searches."""
         fans = [
             ("catalog", nf.fan, primitive_collections(nf.fan))
             for nf in all_named().values() if nf.fan.dim == 3
