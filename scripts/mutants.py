@@ -249,13 +249,6 @@ MUTANTS = (
         (WALL_TEST,),
     ),
     Mutant(
-        "wall degree starts from 1",
-        FAN,
-        "{facet: 2 - sum(alphas)",
-        "{facet: 1 - sum(alphas)",
-        (WALL_TEST, IDENTITY_TESTS + "test_wall_degrees_sum_to_c1c2_and_to_k_squared"),
-    ),
-    Mutant(
         "check 2 asks > 0",
         FAN,
         "if coords[k] >= 0:",
@@ -315,12 +308,19 @@ MUTANTS = (
         "    if False:",
         equivalent="as for vdot: the generic rows give the same entries",
     ),
-    # the predicates and the surface sequence that read the kept wall degrees
+    # the predicates and the surface sequence that read the kept wall relations
     Mutant(
         "weak Fano asks every wall degree > 0",
         PRIMITIVE,
-        "return min(wall_degrees(fan).values()) >= 0",
-        "return min(wall_degrees(fan).values()) > 0",
+        "return max(map(sum, wall_relations(fan).values())) <= 2",
+        "return max(map(sum, wall_relations(fan).values())) < 2",
+        (WALL_TEST,),
+    ),
+    Mutant(
+        "Fano asks every wall degree >= 0",
+        PRIMITIVE,
+        "return max(map(sum, wall_relations(fan).values())) < 2",
+        "return max(map(sum, wall_relations(fan).values())) <= 2",
         (WALL_TEST,),
     ),
     Mutant(
@@ -391,6 +391,13 @@ MUTANTS = (
     ),
     # the printed degree, checked by Riemann-Roch
     Mutant(
+        "wall degree starts from 1",
+        POLYTOPE,
+        "degrees = (2 - sum(alphas)",
+        "degrees = (1 - sum(alphas)",
+        (DEGREE_TESTS + "test_p2_degree_9", DEGREE_TESTS + "test_x3_0_degree_52"),
+    ),
+    Mutant(
         "anticanonical degree two too high",
         POLYTOPE,
         "return sum(c * (2 - vdot(",
@@ -407,8 +414,8 @@ MUTANTS = (
     Mutant(
         "surface degree one too high",
         POLYTOPE,
-        "return sum(degrees.values())",
-        "return sum(degrees.values()) + 1",
+        "return sum(degrees)\n",
+        "return sum(degrees) + 1\n",
         (DEGREE_TESTS + "test_surface_degree_identity",),
     ),
     Mutant(
@@ -591,8 +598,8 @@ MUTANTS = (
     Mutant(
         "witness anchor signature read in index order",
         ISOMORPHISM,
-        "wall_degrees(f), anchor, anchor_sorted)",
-        "wall_degrees(f), anchor, anchor)",
+        "wall_relations(f), anchor, anchor_sorted)",
+        "wall_relations(f), anchor, anchor)",
         ("tests/test_isomorphism.py::test_coordinate_flip_symmetry",),
     ),
     Mutant(
@@ -601,7 +608,7 @@ MUTANTS = (
         "        if sorted(have) != want_sorted:\n"
         "            continue\n",
         "",
-        equivalent="a target cone whose sorted wall degrees differ from the anchor's has no "
+        equivalent="a target cone whose sorted wall sums differ from the anchor's has no "
         "order with want[k] == have[order[k]] for every k, so the order test skips each of its "
         "candidates instead",
     ),

@@ -8,7 +8,6 @@ from .fan import (
     Fan,
     ValidationReport,
     build_bundle,
-    fan_from_dict,
     fan_from_json,
     fan_from_rays_2d,
     validate,
@@ -58,7 +57,6 @@ __all__ = [
     "crepant_contractions",
     "enumerate_weak_del_pezzo",
     "enumerate_weakened_threefolds",
-    "fan_from_dict",
     "fan_from_json",
     "fan_from_rays_2d",
     "find_isomorphism",

@@ -129,14 +129,6 @@ def memoised(compute: Callable[..., T]) -> Callable[..., T]:
     return cached
 
 
-def fan_from_dict(data: dict) -> Fan:
-    """Fan from JSON data; a missing key or a value of the wrong type is a ``ValueError`` too."""
-    try:
-        return Fan(data["dim"], data["rays"], data["max_cones"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed fan data: {exc}") from exc
-
-
 def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
     # json.loads alone keeps the last value of a repeated key and drops the others
     out = {}
@@ -152,11 +144,15 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_object_without_repeats)
 
 
 def fan_from_json(text: str) -> Fan:
-    """Fan from JSON text; an object that repeats a key is a ``ValueError``, not its last value."""
+    """Fan from JSON text; an object that repeats a key is a ``ValueError``, not its last value,
+    and so are a missing key and a value of the wrong type."""
     if text.startswith("\ufeff"):  # refused as json.loads refuses it; the decoder alone does not check
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return fan_from_dict(_DECODER.decode(text))
+        data = _DECODER.decode(text)
+        return Fan(data["dim"], data["rays"], data["max_cones"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed fan data: {exc}") from exc
     except RecursionError as exc:
         raise ValueError("fan JSON is nested too deeply") from exc
 
@@ -243,21 +239,12 @@ def wall_relations(fan: Fan) -> dict[Cone, tuple[int, ...]]:
 
     The two cones at a wall have rays c and d off it, and c + d =
     sum alpha_t a_t over the facet's rays a_t; the alpha_t are listed in
-    facet order. Refuses an invalid fan as above.
+    facet order. The curve C of the wall has degree -K.C = 2 - sum alpha_t,
+    and the wall curves span NE(X) (Reid 1983), so the Fano predicates and
+    the degree read only these sums. Refuses an invalid fan as above.
     """
     maximal_cone_normals(fan)  # refuses a fan that does not validate
     return fan.report.walls
-
-
-@memoised
-def wall_degrees(fan: Fan) -> dict[Cone, int]:
-    """-K.C = 2 - sum alpha_t for the curve C of every wall (facet -> degree).
-
-    The alpha_t are those of the wall's relation (``wall_relations``). The
-    wall curves span NE(X) (Reid 1983), so -K is nef (ample) exactly when
-    every degree is >= 0 (> 0). Refuses an invalid fan as above.
-    """
-    return {facet: 2 - sum(alphas) for facet, alphas in wall_relations(fan).items()}
 
 
 def _equal_pairs(items: Sequence) -> list[tuple[int, int]]:

@@ -17,15 +17,15 @@ the one that inverting every ordered basis gives. A valid fan with n rays
 has 2, n or 2n - 4 maximal cones in dimension 1, 2 or 3 (Euler), so the
 witness search checks ray counts only.
 
-The witness search also reads the wall degrees that ``validate`` keeps
-(``wall_degrees``). An isomorphism sends each wall of f to a wall of g, and
+The witness search also reads the wall relations that ``validate`` keeps
+(``wall_relations``). An isomorphism sends each wall of f to a wall of g, and
 the relation c + d = sum alpha_t a_t across the wall to the same relation
-across its image, so the wall curve's degree -K.C = 2 - sum alpha_t is kept.
-A target cone whose wall degrees differ from the anchor cone's, as a
-multiset or in the order a candidate matches the rays in, can therefore
-hold no image of the anchor. Such candidates are skipped unread and the
-others keep the search order, so the witness is the one the full search
-finds.
+across its image, so the sum of the wall's alpha_t is kept, and with it the
+wall curve's degree -K.C = 2 - sum alpha_t. A target cone whose wall sums
+differ from the anchor cone's, as a multiset or in the order a candidate
+matches the rays in, can therefore hold no image of the anchor. Such
+candidates are skipped unread and the others keep the search order, so the
+witness is the one the full search finds.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .fan import Fan, maximal_cone_normals, memoised, wall_degrees
+from .fan import Fan, maximal_cone_normals, memoised, wall_relations
 from .lattice import Matrix, Vector, matmul, matvec
 
 
@@ -62,9 +62,9 @@ def _anchor_cone(fan: Fan) -> tuple[int, ...]:
     return min(cones, key=lambda c: tuple(sorted(fan.rays[i] for i in c)))
 
 
-def _wall_signature(degrees: dict, cone: tuple[int, ...], rays: Sequence[int]) -> tuple[int, ...]:
-    """The kept degree of the wall of ``cone`` opposite each of ``rays``, in that order."""
-    return tuple(degrees[tuple(j for j in cone if j != i)] for i in rays)
+def _wall_signature(walls: dict, cone: tuple[int, ...], rays: Sequence[int]) -> tuple[int, ...]:
+    """The sum of the kept alphas of the wall of ``cone`` opposite each of ``rays``, in that order."""
+    return tuple(sum(walls[tuple(j for j in cone if j != i)]) for i in rays)
 
 
 def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:
@@ -75,12 +75,13 @@ def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:
     then lands on the point whose target coordinates are a relabelled, and
     that point is a ray of g exactly when those coordinates are a ray's.
 
-    An isomorphism sends walls to walls of the same -K degree, so one that
-    sends anchor ray k to target ray order[k] sends the wall opposite the
-    one to the wall opposite the other, and their kept degrees agree. A
-    target cone whose sorted wall degrees differ from the anchor's is
-    skipped before its ray coordinates are computed, and within a kept cone
-    so is every order under which some pair differs. Only candidates that
+    An isomorphism sends each wall relation to the relation across the
+    image wall, so one that sends anchor ray k to target ray order[k] sends
+    the wall opposite the one to the wall opposite the other, and the sums
+    of their kept alphas agree (as do their -K degrees, 2 minus the sums). A
+    target cone whose sorted wall sums differ from the anchor's is skipped
+    before its ray coordinates are computed, and within a kept cone so is
+    every order under which some pair differs. Only candidates that
     must fail are skipped, and the rest keep their order, so the witness
     (matrix and ray permutation) is the one the full search finds.
     """
@@ -91,14 +92,14 @@ def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:
     anchor_inv = f_inv[f.max_cones.index(anchor)]
     anchor_sorted = sorted(anchor, key=lambda i: f.rays[i])
     basis_inv = tuple(anchor_inv[anchor.index(i)] for i in anchor_sorted)
-    want = _wall_signature(wall_degrees(f), anchor, anchor_sorted)
+    want = _wall_signature(wall_relations(f), anchor, anchor_sorted)
     want_sorted = sorted(want)
-    g_degrees = wall_degrees(g)
+    g_walls = wall_relations(g)
     f_coords = [matvec(basis_inv, r) for r in f.rays]
     identity = tuple(range(g.dim))
     g_cone_set = set(g.max_cones)
     for target, target_inv in sorted(zip(g.max_cones, g_inv), key=itemgetter(0)):
-        have = _wall_signature(g_degrees, target, target)
+        have = _wall_signature(g_walls, target, target)
         if sorted(have) != want_sorted:
             continue
         g_ray_index = {matvec(target_inv, r): j for j, r in enumerate(g.rays)}

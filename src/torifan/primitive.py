@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import sub
 
-from .fan import Fan, maximal_cone_normals, memoised, wall_degrees
+from .fan import Fan, maximal_cone_normals, memoised, wall_relations
 from .lattice import (
     Vector,
     has_nonneg_combination,
@@ -153,13 +153,15 @@ def picard_rank(fan: Fan) -> int:
 
 
 def is_fano(fan: Fan) -> bool:
-    """True iff every wall curve has positive degree (``wall_degrees``): -K is ample."""
-    return min(wall_degrees(fan).values()) > 0
+    """True iff every wall curve C has -K.C = 2 - sum alpha_t > 0, over the
+    kept wall relations (``wall_relations``): -K is ample."""
+    return max(map(sum, wall_relations(fan).values())) < 2
 
 
 def is_weak_fano(fan: Fan) -> bool:
-    """True iff every wall curve has nonnegative degree (``wall_degrees``): -K is nef."""
-    return min(wall_degrees(fan).values()) >= 0
+    """True iff every wall curve C has -K.C = 2 - sum alpha_t >= 0, over the
+    kept wall relations (``wall_relations``): -K is nef."""
+    return max(map(sum, wall_relations(fan).values())) <= 2
 
 
 @memoised

@@ -11,7 +11,7 @@ from torifan.contraction import (
     is_weakened_fano,
     zero_two_normal_form_witness,
 )
-from torifan.fan import Fan, fan_from_rays_2d, wall_degrees, wall_relations
+from torifan.fan import Fan, fan_from_rays_2d, wall_relations
 from torifan.lattice import matmul, matvec, vsum
 from torifan.primitive import is_extremal, is_fano, is_weak_fano, primitive_collections
 
@@ -209,11 +209,12 @@ class TestNormalFormWitness:
                     alpha, beta, gamma = coords[xp, yp]
                     assert gamma == -1 and coords[xp, ym] == (alpha, beta, -1)
                     assert coords[xm, yp] == coords[xm, ym] == (alpha + 2 * beta, -beta, -1)
+                    # so both walls at x0 have degree 2 - alpha - beta
+                    walls = wall_relations(fan)
                     wall = tuple(sorted((x0, xp)))
-                    assert dict(zip(wall, wall_relations(fan)[wall])) == {x0: alpha, xp: beta}
-                    degrees = wall_degrees(fan)
-                    assert degrees[tuple(sorted((x0, xp)))] == 2 - alpha - beta
-                    assert degrees[tuple(sorted((x0, xm)))] == 2 - alpha - beta
+                    assert dict(zip(wall, walls[wall])) == {x0: alpha, xp: beta}
+                    wall = tuple(sorted((x0, xm)))
+                    assert dict(zip(wall, walls[wall])) == {x0: alpha + 2 * beta, xm: -beta}
                     stars += 1
                 tally[1] += 1
                 tally[2] += len(rel.collection) == 2 and len(rel.coeffs) == 2

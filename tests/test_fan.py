@@ -12,7 +12,6 @@ from torifan.fan import (
     fan_from_rays_2d,
     maximal_cone_normals,
     validate,
-    wall_degrees,
     wall_relations,
 )
 from torifan.catalog import all_named, named_fan, surfaces
@@ -369,7 +368,6 @@ INVALID_FANS = {
 TABLE_READERS = {
     "maximal_cone_normals": maximal_cone_normals,
     "wall_relations": wall_relations,
-    "wall_degrees": wall_degrees,
     "self_intersection_sequence": self_intersection_sequence,
     "primitive_collections": primitive_collections,
     "is_fano": is_fano,
@@ -408,10 +406,6 @@ def test_a_valid_report_keeps_one_inverse_per_maximal_cone():
         assert walls is nf.fan.report.walls
         assert len(walls) == len(nf.fan.max_cones) * nf.fan.dim // 2
         assert all(len(alphas) == len(facet) == nf.fan.dim - 1 for facet, alphas in walls.items())
-        # the degrees are computed from the relations once, and kept with the fan
-        degrees = wall_degrees(nf.fan)
-        assert degrees is wall_degrees(nf.fan)
-        assert degrees == {facet: 2 - sum(alphas) for facet, alphas in walls.items()}
 
 
 def test_ccw_sorted_agrees_with_the_reference_comparator():
@@ -558,3 +552,19 @@ class TestConstructorGate:
             fan_from_json('{"dim": 2, "rays": [[1.5,0,0]], "max_cones": []}')
         with pytest.raises(ValueError, match=r"^malformed fan data: 'rays'$"):
             fan_from_json('{"dim": 2, "max_cones": []}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[[1, 0], [0, 1]]', r"^malformed fan data: list indices must be integers"),
+            ('"P2"', r"^malformed fan data: string indices must be integers"),
+            ('{"dim": 2, "rays": 5, "max_cones": []}', r"^malformed fan data: 'int' object is not iterable$"),
+            ('{"dim": 2, "rays": [], "max_cones": [7]}', r"^malformed fan data: 'int' object is not iterable$"),
+            ("[" * 100000, r"^fan JSON is nested too deeply$"),
+        ],
+        ids=["list", "string", "rays_not_a_list", "cone_not_a_list", "deep"],
+    )
+    def test_json_that_holds_no_fan_is_a_value_error(self, text, message):
+        # a KeyError, TypeError or RecursionError never reaches the caller
+        with pytest.raises(ValueError, match=message):
+            fan_from_json(text)

@@ -4,7 +4,7 @@ from collections import defaultdict
 import pytest
 
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
-from torifan.fan import Fan, build_bundle, fan_from_json, wall_degrees
+from torifan.fan import Fan, build_bundle, fan_from_json, wall_relations
 from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import matmul, matvec
 from torifan.polytope import anticanonical_degree
@@ -243,9 +243,11 @@ class TestAgainstReference:
         for f, g in pairs:
             iso = self.check_witness(f, g)
             assert iso is not None
-            g_degrees = wall_degrees(g)
-            for wall, degree in wall_degrees(f).items():
-                assert g_degrees.get(tuple(sorted(iso.ray_permutation[i] for i in wall))) == degree
+            g_walls = wall_relations(g)
+            for wall, alphas in wall_relations(f).items():
+                image = tuple(sorted(iso.ray_permutation[i] for i in wall))
+                relation = {iso.ray_permutation[i]: alpha for i, alpha in zip(wall, alphas)}
+                assert dict(zip(image, g_walls[image])) == relation
 
     def test_no_witness_on_equal_size_pairs(self):
         fans = [nf.fan for nf in all_named().values()]

@@ -16,7 +16,8 @@ from torifan.classify import enumerate_weak_del_pezzo, enumerate_weakened_threef
 from torifan.cli import run
 from torifan.contraction import WeakenedVerdict, crepant_contractions, is_weakened_fano
 from torifan.fan import Fan, build_bundle
-from torifan.isomorphism import canonical_key
+from torifan.isomorphism import canonical_key, find_isomorphism
+from torifan.polytope import anticanonical_degree
 from torifan.primitive import is_fano, is_weak_fano, primitive_collections
 
 from _oracles import reference_zero_two_witness, sweep_bundles_b3
@@ -107,7 +108,7 @@ def test_predicates_compute_no_relations_on_a_fan_that_is_not_weak_fano(tmp_path
     # verdict and the contraction table stop there
     relations = calls(primitive.primitive_collections)
     fan = build_bundle(named_fan("P2").fan, (2, 1), (0, 0))
-    assert min(fan_module.wall_degrees(fan).values()) == -1
+    assert min(2 - sum(alphas) for alphas in fan_module.wall_relations(fan).values()) == -1
     assert not is_weak_fano(fan) and not is_fano(fan)
     assert is_weakened_fano(fan) == WeakenedVerdict(False, False, False)
     assert crepant_contractions(fan) == ()
@@ -116,6 +117,25 @@ def test_predicates_compute_no_relations_on_a_fan_that_is_not_weak_fano(tmp_path
     for command in ("is-fano", "is-weak-fano", "is-weakened-fano"):
         assert run([command, str(path), "--json"]).status == "ok"
     assert relations == []
+
+
+WALL_READERS = {
+    "is_fano": is_fano,
+    "is_weak_fano": is_weak_fano,
+    "anticanonical_degree": anticanonical_degree,
+    "find_isomorphism(f, f)": lambda fan: find_isomorphism(fan, fan),
+}
+
+
+@pytest.mark.parametrize("reader", WALL_READERS.values(), ids=WALL_READERS.keys())
+def test_wall_readers_keep_nothing_on_a_fan(reader):
+    # they read the wall relations and cone inverses that the report keeps,
+    # and build no table of their own from them
+    fans = [fresh(nf.fan) for nf in catalog.all_named().values()] + sweep_bundles_b3()[::50]
+    assert len(fans) == 34 + 7
+    for fan in fans:
+        reader(fan)
+        assert fan._memo == {}, fan.to_dict()
 
 
 def test_extremality_lps_only_for_degree_zero_relations(calls):
