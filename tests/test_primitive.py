@@ -575,8 +575,8 @@ def test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do():
     flags = []
     for fan in [Fan(1, ((1,), (-1,)), ((0,), (1,)))] + catalog + box + non_weak:
         assert wall_relations(fan) == reference_wall_relations(fan), fan.to_dict()
-        degrees = {facet: 2 - sum(alphas) for facet, alphas in wall_relations(fan).items()}
-        assert degrees == reference_wall_degrees(fan), fan.to_dict()
+        wall_degree = {facet: 2 - sum(alphas) for facet, alphas in wall_relations(fan).items()}
+        assert wall_degree == reference_wall_degrees(fan), fan.to_dict()
         degrees = [r.degree for r in primitive_collections(fan)]
         assert is_weak_fano(fan) == all(d >= 0 for d in degrees), fan.to_dict()
         assert is_fano(fan) == all(d > 0 for d in degrees), fan.to_dict()
