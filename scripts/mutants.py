@@ -93,10 +93,26 @@ MUTANTS = (
     Mutant(
         "witness reads the wall {x0, x-}",
         CONTRACTION,
-        "walls[tuple(sorted((x0, xp)))]",
-        "walls[tuple(sorted((x0, xm)))]",
-        equivalent="on the four-cone star that wall's relation has the coefficients "
-        "alpha + 2*beta and -beta, whose sum is alpha + beta, and |-beta| = |alpha| when it is 0",
+        "rel.collection[0]",
+        "rel.collection[1]",
+        equivalent="{x0, x-} is a wall too (Reid, in the witness's docstring), and its relation "
+        "has the coefficients alpha + 2*beta and -beta, whose sum is alpha + beta, and "
+        "|-beta| = |alpha| when it is 0",
+    ),
+    # the shape of a crepant relation
+    Mutant(
+        "a 2 + 2 relation called other",
+        CONTRACTION,
+        'return ContractionKind("small")',
+        'return ContractionKind("other")',
+        (CLASSIFY_TESTS + "test_small_contraction_shape",),
+    ),
+    Mutant(
+        "a 3-ray collection called small",
+        CONTRACTION,
+        'return ContractionKind("divisor_to_point")',
+        'return ContractionKind("small")',
+        (CLASSIFY_TESTS + "test_divisor_to_point_on_p1_bundle_over_p2",),
     ),
     # the weakened verdict
     Mutant(
@@ -187,24 +203,6 @@ MUTANTS = (
         "crepant = crepant_relations(fiber)",
         "crepant = tuple(PrimitiveRelation(r.collection, r.coeffs) for r in crepant_relations(fiber))",
         ("tests/test_primitive.py::test_bundles_reuse_their_fiber_relations",),
-    ),
-    # the small shape: t in cone(a, b) for t = lambda*a + mu*b, where
-    # (a x t).n = mu*|n|^2; lambda >= 0 follows (contraction_shape's docstring)
-    Mutant(
-        "small shape drops n.t = 0",
-        CONTRACTION,
-        "vdot(n, t) == 0 and ",
-        "",
-        (CLASSIFY_TESTS + "test_small_contraction_shape",),
-    ),
-    Mutant(
-        "small shape asks mu > 0",
-        CONTRACTION,
-        "vdot(cross(a, t), n) >= 0",
-        "vdot(cross(a, t), n) > 0",
-        equivalent="mu = 0 puts t on the line of a; t = a is impossible, since a target of a "
-        "relation is not in its collection, and t = -a leaves the other target at 2a + b, "
-        "so that b = (2a + b) + 2(-a) lies inside the fan's cone on the two targets",
     ),
     # validate: check 2 at each wall, the kept wall relation, and the cone kernel.
     # The 3-D forms of the wall listing and of checks 2 and 3 only write out

@@ -2,7 +2,10 @@
 
 The inputs are the benchmark's, written by ``perfbench/workloads.py``
 (imported, never changed) to a temporary directory: the query-mix and
-reject-mix fans of seed 1 and the classes of both classifications. For
+reject-mix fans of seed 1 and the classes of both classifications; and
+the 8-ray fan that is not projective (``tests/_oracles.py``), which no
+benchmark input is, so that the comparison reaches a fan outside the
+domain of the arguments that the package's shortcuts rest on. For
 each checkout one subprocess calls ``torifan.cli.main`` in process for
 every per-fan command on every input, every ``isomorphic`` query, the
 whole-package commands and ``catalog NAME`` on every catalog name, each
@@ -49,8 +52,9 @@ json.dump(results, sys.stdout)
 
 def invocations(work: Path) -> list[list[str]]:
     sys.dont_write_bytecode = True  # nothing is written under perfbench/
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     import workloads as wl
+    from _oracles import non_projective_fan
     from torifan import catalog, classify
 
     plain = wl.plain_catalog(catalog.all_named())
@@ -59,7 +63,9 @@ def invocations(work: Path) -> list[list[str]]:
         (work / name).mkdir()
     queries = (wl.query_mix(1, plain, work / "query-mix") + wl.reject_mix(1, plain, work / "reject-mix")
                + wl.result_queries(reports, work / "sweep-b3"))
-    paths = sorted({q.argv[1] for q in queries})
+    extra = work / "non-projective.json"
+    extra.write_text(json.dumps(non_projective_fan().to_dict()))
+    paths = sorted({q.argv[1] for q in queries} | {str(extra)})
     argvs = [[command, path] for path in paths for command in PER_FAN]
     argvs += sorted(q.argv for q in queries if q.command == "isomorphic") + [list(a) for a in WHOLE]
     argvs += [["catalog", name] for name in catalog.all_named()]

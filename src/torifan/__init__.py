@@ -24,7 +24,6 @@ from .primitive import (
 from .contraction import (
     ContractionKind,
     WeakenedVerdict,
-    contraction_shape,
     crepant_contractions,
     is_weakened_fano,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "anticanonical_degree",
     "build_bundle",
     "canonical_key",
-    "contraction_shape",
     "crepant_contractions",
     "enumerate_weak_del_pezzo",
     "enumerate_weakened_threefolds",

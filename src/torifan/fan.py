@@ -56,8 +56,8 @@ class Fan:
     repeated index in a cone and a ray without ``dim`` entries.
 
     Facts derived from a fan (validation report, primitive relations,
-    crepant relations, contraction shapes, keys) are computed once and kept
-    on the instance; see ``report`` and ``memoised``.
+    crepant relations, keys) are computed once and kept on the instance;
+    see ``report`` and ``memoised``.
     """
 
     dim: int

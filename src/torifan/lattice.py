@@ -3,8 +3,8 @@
 Everything here works with plain Python ints (arbitrary precision); there is
 no floating point anywhere in the package. Matrices are stored as tuples of
 rows. A ``Fan`` has 1 to 3 coordinates, so ``vdot`` of 2- and 3-entry
-vectors, ``cross`` and ``matvec`` of 2 x 2 and 3 x 3 matrices are written
-out in closed form (tuple unpacking and one arithmetic expression per entry,
+vectors and ``matvec`` of 2 x 2 and 3 x 3 matrices are written out in
+closed form (tuple unpacking and one arithmetic expression per entry,
 no generator or per-row loop). Nothing here takes a determinant, inverts
 or solves a square system: a cone's determinant and adjugate, whose rows on
 a unimodular cone are its inverse, are written out from its rays for each
@@ -39,13 +39,6 @@ def vdot(a: Sequence, b: Sequence):
     if n != len(b):
         raise ValueError(f"vectors of lengths {n} and {len(b)} do not match")
     return sum(map(mul, a, b))
-
-
-def cross(a: Sequence[int], b: Sequence[int]) -> Vector:
-    """Cross product of two 3-vectors."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 def vsum(vectors: Sequence[Vector], dim: int) -> Vector:

@@ -18,7 +18,7 @@ Brion's sum for the degree, which that function computed before it read
 the wall degrees, the kernel directions of the pairwise search, the
 two-element relation trichotomy, the Hirzebruch fans, the zero-two
 witness that inverted each candidate basis, the contraction shapes that
-solved for cone coordinates,
+solved for cone coordinates on every degree-0 relation,
 the subset scan for primitive collections, the section
 relation that the 3-fold sweep located at each point of its box and the
 bundle relations it lifted from it, the counterclockwise comparator that
@@ -26,6 +26,10 @@ bundle relations it lifted from it, the counterclockwise comparator that
 keyed every blow-up, and the
 isomorphism invariants (ray and cone counts, relation degrees, the
 anticanonical degree) that pruned the witness search.
+
+Projectivity is decided by one Fraction LP over the wall classes, and a
+corpus of fans beyond the bundle family is grown by random blow-ups and
+flops (``blow_up_flop_corpus``).
 """
 
 from __future__ import annotations
@@ -676,12 +680,8 @@ def reference_wall_relations(fan) -> dict:
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
 
-    off: dict = {}
-    for cone in fan.max_cones:
-        for ray in cone:
-            off.setdefault(tuple(i for i in cone if i != ray), []).append(ray)
     out = {}
-    for wall, (c, d) in off.items():
+    for wall, (c, d) in far_rays(fan).items():
         total = [x + y for x, y in zip(fan.rays[c], fan.rays[d])]
         a = [fan.rays[i] for i in wall]
         gram = [[dot(u, v) for v in a] for u in a]
@@ -1055,11 +1055,12 @@ def reference_zero_two_witness(fan, rel):
     candidate that passes.
 
     The reference for the witness, which must return its a, or None, and
-    for ``contraction_shape``, whose exceptional ray is its x0. It keeps
+    for ``contraction._shape``, whose exceptional ray is its x0. It keeps
     every check that the witness leaves to the fan's validity or to its
-    argument: the search over the four orientations, the x- test,
-    gamma = -1, a missing candidate cone and the comparison with the
-    expected star.
+    argument: the star search, the search over the four orientations, the
+    x- test, gamma = -1, a missing candidate cone and the comparison with
+    the expected star. So it also answers on a relation that is not
+    crepant, where the witness's wall {x0, x+} need not be a cone.
     """
     from torifan.lattice import matmul, matvec
 
@@ -1101,11 +1102,16 @@ def reference_zero_two_witness(fan, rel):
 
 
 def reference_contraction_shape(fan, rel):
-    """``contraction.contraction_shape`` as it was before it read the cone
-    inverses and cross products: the zero-two shape from
-    ``reference_zero_two_witness``, and for x1 + x2 = y1 + y2 the
-    coordinates of each y in the cone on x1 and x2 from
-    ``reference_cone_contains``. Takes a degree-0 relation on a 3-fold."""
+    """The shape of a degree-0 relation on a 3-fold as ``contraction`` read
+    it before it read the cone inverses, and before Reid's theorem cut it
+    down to the crepant relations: the zero-two shape from
+    ``reference_zero_two_witness``, ``other`` when its a is above 2, for
+    x1 + x2 = y1 + y2 the coordinates of each y in the cone on x1 and x2
+    from ``reference_cone_contains``, and ``other`` for any shape left.
+
+    The reference for ``contraction._shape`` on the crepant relations, and
+    on any degree-0 relation the count of every branch that ``_shape`` no
+    longer has."""
     from torifan.contraction import ContractionKind
 
     if len(rel.collection) == 2 and len(rel.coeffs) == 1:
@@ -1341,3 +1347,123 @@ def reference_weak_del_pezzo():
         scope="smooth toric weak del Pezzo surfaces (blow-up closure over minimal models)",
         stats=stats,
     )
+
+
+def non_projective_fan():
+    """A smooth complete 3-fan with 8 rays, from P1 x P1 x P1 by two point
+    blow-ups and four flops, built afresh on every call. Every wall degree
+    is >= 0, but the classes of four walls sum to 0, so no divisor is
+    positive on every wall curve: it is not projective, hence not weak Fano
+    either, although its walls say so."""
+    from torifan.fan import Fan
+
+    return Fan(
+        3,
+        ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (-1, 1, -1), (1, -1, 1)),
+        ((0, 2, 5), (1, 3, 4), (1, 3, 5), (0, 3, 5), (1, 5, 6), (2, 5, 6), (0, 3, 7), (3, 4, 7),
+         (0, 2, 7), (2, 4, 7), (1, 4, 6), (2, 4, 6)),
+    )
+
+
+def far_rays(fan) -> dict:
+    """Each wall of a complete fan, facet -> [c, d]: the rays of its two
+    maximal cones off it, read by scanning the cones, in cone order."""
+    off: dict = {}
+    for cone in fan.max_cones:
+        for ray in cone:
+            off.setdefault(tuple(i for i in cone if i != ray), []).append(ray)
+    return off
+
+
+def reference_is_projective(fan) -> bool:
+    """Whether some divisor is positive on every wall curve, which on a
+    complete fan is projectivity (the toric Kleiman criterion; Cox, Little
+    & Schenck 2011, ch. 6).
+
+    By Gordan's theorem it holds exactly when no nonnegative combination of
+    the wall classes, with weights summing to 1, is 0: one LP over the
+    columns (class, 1) with the target (0, ..., 0, 1), solved by
+    ``fraction_lp_feasible``. A wall class is 1 at the two rays off the
+    wall, found by ``far_rays``, and -alpha_t at its facet rays, with the
+    alpha_t of ``reference_wall_relations``. The sum of a class's entries is
+    its degree, a linear function, so when no wall has a negative degree
+    only classes of degree 0 can have a positive weight in such a
+    combination, and the LP takes only those.
+    """
+    n = len(fan.rays)
+    alphas = reference_wall_relations(fan)
+    columns = set()
+    for facet, (c, d) in far_rays(fan).items():
+        cls = [0] * n + [1]
+        cls[c] = cls[d] = 1
+        for t, alpha in zip(facet, alphas[facet]):
+            cls[t] = -alpha
+        columns.add(tuple(cls))
+    if all(sum(cls) >= 1 for cls in columns):
+        columns = {cls for cls in columns if sum(cls) == 1}
+    return not fraction_lp_feasible(sorted(columns), (0,) * n + (1,))
+
+
+def blow_up_flop_moves(fan, max_rays) -> tuple[list, list]:
+    """(blow-ups, flops): the moves from a smooth complete 3-fan, each as
+    (new ray or None, cones taken, cones added), in sorted order.
+
+    The blow-up of a point adds the ray a + b + c in the cone (a, b, c),
+    and that of a curve adds a + b on the wall {a, b}, each while the fan
+    has fewer than ``max_rays`` rays. The flop across a wall {a, b} whose
+    far rays satisfy c + d = a + b replaces (a, b, c) and (a, b, d) by
+    (a, c, d) and (b, c, d). Each keeps the fan smooth, since
+    det(a, b, a + b + c), det(a, a + b, c) and det(a, c, a + b - c) are
+    det(a, b, c) up to sign, and complete, since the cones added cover what
+    the cones taken covered (Oda 1988; Reid 1983).
+    """
+    n = len(fan.rays)
+    grow = n < max_rays
+    blowups, flops = [], []
+    for a, b, c in sorted(fan.max_cones) if grow else ():
+        ray = tuple(map(sum, zip(fan.rays[a], fan.rays[b], fan.rays[c])))
+        blowups.append((ray, [(a, b, c)], [(a, b, n), (a, c, n), (b, c, n)]))
+    for (a, b), (c, d) in sorted(far_rays(fan).items()):
+        taken = [tuple(sorted((a, b, c))), tuple(sorted((a, b, d)))]
+        if grow:
+            ray = tuple(x + y for x, y in zip(fan.rays[a], fan.rays[b]))
+            blowups.append((ray, taken, [(a, c, n), (b, c, n), (a, d, n), (b, d, n)]))
+        if all(w + x == y + z for w, x, y, z in zip(fan.rays[c], fan.rays[d], fan.rays[a], fan.rays[b])):
+            flops.append((None, taken, [(a, c, d), (b, c, d)]))
+    return blowups, flops
+
+
+def blow_up_flop_corpus(seed, walks, steps, max_rays) -> list:
+    """One fan per isomorphism class met by ``walks`` random walks of up to
+    ``steps`` moves of ``blow_up_flop_moves``, in the order met.
+
+    Each walk starts from a catalog 3-fold or ``non_projective_fan``, and
+    takes a flop, when there is one, with probability 1/2, and otherwise a
+    blow-up. The walks go over all smooth complete fans, weak Fano or not,
+    projective or not, so they leave the bundle family. The moves and the
+    starts are listed in sorted order, so a seed gives the same corpus in
+    every process. Classes are told apart by ``canonical_key``.
+    """
+    from torifan.catalog import all_named
+    from torifan.fan import Fan
+    from torifan.isomorphism import canonical_key
+
+    rng = random.Random(seed)
+    starts = [nf.fan for _, nf in sorted(all_named().items()) if nf.fan.dim == 3]
+    starts.append(non_projective_fan())
+    classes = {}
+    for fan in starts:
+        classes.setdefault(canonical_key(fan), fan)
+    for _ in range(walks):
+        fan = rng.choice(starts)
+        for _ in range(steps):
+            blowups, flops = blow_up_flop_moves(fan, max_rays)
+            moves = flops if flops and (not blowups or rng.random() < 0.5) else blowups
+            if not moves:
+                break
+            ray, taken, added = rng.choice(moves)
+            cones = set(fan.max_cones).difference(taken).union(tuple(sorted(c)) for c in added)
+            fan = Fan(3, fan.rays + (ray,) if ray else fan.rays, tuple(sorted(cones)))
+            assert fan.report.ok, fan.to_dict()
+            classes.setdefault(canonical_key(fan), fan)
+    return list(classes.values())

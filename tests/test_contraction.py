@@ -6,16 +6,23 @@ from torifan.catalog import all_named, named_fan, surfaces, threefolds
 from torifan.classify import build_bundle
 from torifan.contraction import (
     ContractionKind,
-    contraction_shape,
+    _shape,
     crepant_contractions,
     is_weakened_fano,
     zero_two_normal_form_witness,
 )
 from torifan.fan import Fan, fan_from_rays_2d, wall_relations
 from torifan.lattice import matmul, matvec, vsum
-from torifan.primitive import is_extremal, is_fano, is_weak_fano, primitive_collections
+from torifan.primitive import (
+    crepant_relations,
+    is_extremal,
+    is_fano,
+    is_weak_fano,
+    primitive_collections,
+)
 
 from _oracles import (
+    blow_up_flop_corpus,
     eager_weakened_verdict,
     gauss_solve,
     in_relative_interior,
@@ -25,6 +32,7 @@ from _oracles import (
     reference_cone_contains,
     reference_contraction_shape,
     reference_four_cone_star,
+    reference_is_projective,
     reference_section_relation,
     reference_unimodular_inverse,
     reference_zero_two_witness,
@@ -35,29 +43,26 @@ NORMAL_FORM_COLUMNS = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
 
 
 def crepant_double_relation(fan):
-    """The relation x+ + x- = 2*x0, which every weakened catalog 3-fold has."""
-    return next(
-        r
-        for r in primitive_collections(fan)
-        if r.degree == 0 and len(r.coeffs) == 1 and r.coeffs[0][1] == 2
-    )
+    """The first crepant relation x+ + x- = 2*x0, which every weakened
+    catalog 3-fold has."""
+    return next(r for r in crepant_relations(fan) if len(r.collection) == 2 and len(r.coeffs) == 1)
 
 
 class TestClassifyContraction:
     def test_x3_0_collapses_p1xp1(self):
         fan = named_fan("X3_0").fan
-        kind = contraction_shape(fan, crepant_double_relation(fan))
+        kind = _shape(fan, crepant_double_relation(fan))
         assert kind.kind == "zero_two" and kind.a == 0
 
     def test_x5_1_collapses_f1(self):
         fan = named_fan("X5_1").fan
-        kind = contraction_shape(fan, crepant_double_relation(fan))
+        kind = _shape(fan, crepant_double_relation(fan))
         assert kind.kind == "zero_two" and kind.a == 1
 
     def test_exceptional_ray_is_the_relation_center(self):
         fan = named_fan("P1xF2").fan
         rel = crepant_double_relation(fan)
-        kind = contraction_shape(fan, rel)
+        kind = _shape(fan, rel)
         assert kind.exceptional_ray == rel.coeffs[0][0]
 
     def test_divisor_to_point_on_p1_bundle_over_p2(self):
@@ -68,7 +73,8 @@ class TestClassifyContraction:
         total = vsum([fan.rays[i] for i in rel.collection], 3)
         assert total == (0, 0, 3)
         assert rel.coeffs == ((3, 3),) and fan.rays[3] == (0, 0, 1)
-        assert contraction_shape(fan, rel).kind == "divisor_to_point"
+        assert rel in crepant_relations(fan)
+        assert _shape(fan, rel).kind == "divisor_to_point"
 
     def test_small_contraction_shape(self):
         fan = build_bundle(named_fan("P1xP1").fan, (1, 1), (0, 0))
@@ -78,7 +84,8 @@ class TestClassifyContraction:
         # the section cone does not contain the target cone here
         targets = [i for i, _ in rel.coeffs]
         assert not all(reference_cone_contains(fan, rel.collection, fan.rays[t]) for t in targets)
-        assert contraction_shape(fan, rel).kind == "small"
+        assert rel in crepant_relations(fan)
+        assert _shape(fan, rel).kind == "small"
 
     def test_crepancy_offset_must_vanish(self):
         # same F1 fiber rays in a different presentation: the double relation
@@ -91,12 +98,6 @@ class TestClassifyContraction:
         assert kinds == ["other"]
         assert not verdict.is_weakened
 
-    def test_nonzero_degree_rejected(self):
-        fan = named_fan("X3_0").fan
-        rel = next(r for r in primitive_collections(fan) if r.degree > 0)
-        with pytest.raises(ValueError):
-            contraction_shape(fan, rel)
-
     def test_non_extremal_rejected(self):
         # this W4_3 bundle is weak Fano with a crepant class that decomposes
         # into two extremal crepant classes, hence is not extremal itself
@@ -108,12 +109,6 @@ class TestClassifyContraction:
         # it has a shape but defines no contraction: the table leaves it out
         assert rel not in [r for r, _ in crepant_contractions(fan)]
 
-    def test_dimension_two_rejected(self):
-        fan = named_fan("F2").fan
-        rel = next(r for r in primitive_collections(fan) if r.degree == 0)
-        with pytest.raises(ValueError):
-            contraction_shape(fan, rel)
-
 
 class TestNormalFormWitness:
     def test_witness_reproduces_normal_form(self):
@@ -123,7 +118,7 @@ class TestNormalFormWitness:
             # the witness returns only a; the oracle names x0, x+- and y+-
             _, (x0, xp, xm, yp, ym), a = reference_zero_two_witness(fan, rel)
             assert zero_two_normal_form_witness(fan, rel) == a
-            assert contraction_shape(fan, rel) == ContractionKind("zero_two", a=a, exceptional_ray=x0)
+            assert _shape(fan, rel) == ContractionKind("zero_two", a=a, exceptional_ray=x0)
             # U takes the columns x0, x+, y+ to their normal form
             basis = tuple(tuple(fan.rays[i][r] for i in (x0, xp, yp)) for r in range(3))
             u = matmul(NORMAL_FORM_COLUMNS, reference_unimodular_inverse(basis))
@@ -143,12 +138,16 @@ class TestNormalFormWitness:
                     assert key in transformed
 
     def test_shapes_and_witnesses_agree_with_the_references(self):
-        """``contraction_shape`` decides the small shape by cross products,
+        """``_shape`` reads the shape of a crepant relation off its own shape,
         and the witness decides the normal form from the kept relation of
-        the wall {x0, x+}. The routes that solved for cone coordinates and
+        the wall {x0, x+}. On the crepant relations of the weak Fano fans,
+        their domain, the routes that solved for cone coordinates and
         inverted every candidate basis must give the same shape, and the
-        same a or None, on every degree-0 relation; a zero-two shape has the
-        oracle's a and its x0 as the exceptional ray. On each
+        same a or None; a zero-two shape has the oracle's a and its x0 as
+        the exceptional ray. Every degree-0 relation is counted through
+        those references, which keep every branch, so the counts outside
+        the domain stay pinned: the small shapes, the witnesses, and those
+        with a > 2, of which none is crepant. On each
         x+ + x- = 2*x0 whose star has the four-cone shape, the witness's
         argument is checked with the oracle's inverse: in every cone of the
         star the far side ray has gamma = -1 among its coordinates
@@ -184,20 +183,24 @@ class TestNormalFormWitness:
         # group -> [fans, degree-0 relations, x1 + x2 = y1 + y2, small,
         # witnesses, witnesses with a > 2, whose shape is ``other``]
         counts = {group: [0] * 6 for group in ("catalog", "box", "bundle", "rebased")}
-        stars = 0
+        stars = compared = 0
         for group, fan, rels in fans:
             tally = counts[group]
             tally[0] += 1
+            crepant = set(crepant_relations(fan)) if is_weak_fano(fan) else set()
             for rel in rels:
                 if rel.degree != 0:
                     continue
-                shape = contraction_shape(fan, rel)
-                assert shape == reference_contraction_shape(fan, rel), (fan.to_dict(), rel)
-                witness = zero_two_normal_form_witness(fan, rel)
+                shape = reference_contraction_shape(fan, rel)
                 reference = reference_zero_two_witness(fan, rel)
-                assert witness == (reference and reference[2]), (fan.to_dict(), rel)
-                if shape.kind == "zero_two":
-                    assert (shape.a, shape.exceptional_ray) == (reference[2], reference[1][0])
+                witness = reference and reference[2]
+                if rel in crepant:
+                    assert _shape(fan, rel) == shape, (fan.to_dict(), rel)
+                    if len(rel.collection) == 2 and len(rel.coeffs) == 1:
+                        assert zero_two_normal_form_witness(fan, rel) == witness, (fan.to_dict(), rel)
+                    if shape.kind == "zero_two":
+                        assert (shape.a, shape.exceptional_ray) == (reference[2], reference[1][0])
+                    compared += 1
                 star = reference_four_cone_star(fan, rel)
                 if star is not None:
                     x0, (xp, xm), (yp, ym) = star
@@ -221,7 +224,7 @@ class TestNormalFormWitness:
                 tally[3] += shape.kind == "small"
                 tally[4] += witness is not None
                 if witness is not None and witness > 2:
-                    assert shape.kind == "other", (fan.to_dict(), rel)
+                    assert shape.kind == "other" and rel not in crepant, (fan.to_dict(), rel)
                     tally[5] += 1
         assert counts["catalog"][0] == 18 and counts["catalog"][4] == 36
         assert counts["box"] == [1296, 3513, 744, 96, 305, 128]
@@ -231,6 +234,7 @@ class TestNormalFormWitness:
         assert sum(tally[4] for tally in counts.values()) == 999
         # the x+ + x- = 2*x0 relations whose star has the four-cone shape
         assert stars == 12202
+        assert compared == 2112
 
     def test_witness_refuses_a_fan_that_does_not_validate(self):
         fan = named_fan("X3_0").fan
@@ -251,17 +255,21 @@ class TestNormalFormWitness:
     def test_witness_absent_when_the_star_misses_the_pair(self):
         # over W6_3 with twist (-2, 0), the fiber relation x6 + x7 = 2*x0 has
         # a four-cone star at x0 whose cones hold neither x6 nor x7, and the
-        # relations with two coefficients are not of the doubled form
+        # relations with two coefficients are not of the doubled form. None
+        # of these is crepant, so only the reference, which searches the
+        # star, is asked: the witness reads the wall {x0, x+}, which here is
+        # not a cone
         fan = build_bundle(named_fan("W6_3").fan, (-2, 0), (0, 0))
         rels = [r for r in primitive_collections(fan) if r.degree == 0]
         (double,) = [r for r in rels if r.collection == (6, 7)]
         assert double.coeffs == ((0, 2),)
         star = [c for c in fan.max_cones if 0 in c]
         assert len(star) == 4 and not any({6, 7} & set(c) for c in star)
-        assert zero_two_normal_form_witness(fan, double) is None
+        assert reference_zero_two_witness(fan, double) is None
         pairs = [r for r in rels if len(r.coeffs) == 2]
         assert len(pairs) == 2
-        assert all(zero_two_normal_form_witness(fan, r) is None for r in pairs)
+        assert all(reference_zero_two_witness(fan, r) is None for r in pairs)
+        assert is_weak_fano(fan) and not set(crepant_relations(fan)) & {double, *pairs}
 
     def test_witness_absent_for_offset_configuration(self):
         fiber = fan_from_rays_2d([(1, 0), (0, 1), (-1, 0), (1, -1)])
@@ -271,8 +279,8 @@ class TestNormalFormWitness:
 
 
 class TestReferenceConeContains:
-    """``reference_cone_contains``, the route that ``contraction_shape`` took
-    for the small shape before it used cross products."""
+    """``reference_cone_contains``, the route by which
+    ``reference_contraction_shape`` tells ``small`` from ``other``."""
 
     def test_interior_point(self):
         fan = fan_from_rays_2d([(1, 0), (0, 1), (-1, -1)])
@@ -355,6 +363,35 @@ def test_short_circuit_verdict_agrees_with_eager_verdict():
             blocked += 1
     # enough fans where an extremal relation of another shape decides the verdict
     assert blocked >= 100
+
+
+def test_shapes_on_a_blow_up_and_flop_corpus():
+    """Off the bundle family, on the classes that blow-ups and flops reach
+    from the catalog 3-folds and the 8-ray fan that is not projective,
+    every crepant relation of a weak Fano class has the shape that the
+    reference gives, which keeps every branch that Reid's theorem rules out
+    of ``_shape``; and what the theorem and the a <= 2 argument say holds
+    there too: each x+ + x- = 2*x0 has the four-cone star at x0, its
+    witness has a <= 2, and each x1 + x2 = y1 + y2 has a y outside
+    cone(x1, x2). The non-projective weak Fano classes, where extremality
+    means nothing, are counted, and the shapes agree on them as well."""
+    corpus = blow_up_flop_corpus(seed=4, walks=250, steps=6, max_rays=10)
+    weak = [fan for fan in corpus if is_weak_fano(fan)]
+    non_projective = [fan for fan in weak if not reference_is_projective(fan)]
+    shapes = dict.fromkeys(("zero_two", "divisor_to_point", "small", "other"), 0)
+    for fan in weak:
+        for rel in crepant_relations(fan):
+            shape = _shape(fan, rel)
+            assert shape == reference_contraction_shape(fan, rel), (fan.to_dict(), rel)
+            if len(rel.collection) == 2 and len(rel.coeffs) == 1:
+                assert reference_four_cone_star(fan, rel) is not None, (fan.to_dict(), rel)
+                assert zero_two_normal_form_witness(fan, rel) in (None, 0, 1, 2), (fan.to_dict(), rel)
+            if len(rel.coeffs) == 2:
+                inside = [reference_cone_contains(fan, rel.collection, fan.rays[t]) for t, _ in rel.coeffs]
+                assert not all(inside), (fan.to_dict(), rel)
+            shapes[shape.kind] += 1
+    assert (len(corpus), len(weak), len(non_projective)) == (687, 120, 3)
+    assert shapes == {"zero_two": 90, "divisor_to_point": 9, "small": 219, "other": 37}
 
 
 class TestStructuralCorollaries:

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from torifan.lattice import (
-    cross,
     has_nonneg_combination,
     is_primitive,
     matmul,
@@ -106,8 +105,8 @@ class TestDeterminant:
 
 class TestVectorKernels:
     """The kernels against entrywise loops, and their length checks. ``vdot``
-    of 2 and 3 entries, ``cross`` and ``matvec`` of 2 x 2 and 3 x 3 matrices
-    have closed forms; other shapes take the generic map/zip path."""
+    of 2 and 3 entries and ``matvec`` of 2 x 2 and 3 x 3 matrices have
+    closed forms; other shapes take the generic map/zip path."""
 
     def test_match_entrywise_loops_on_random_vectors(self):
         rng = random.Random(5)
@@ -133,18 +132,6 @@ class TestVectorKernels:
             assert vdot(a, b) == sum(a[i] * b[i] for i in range(n))
             assert vdot(list(a), b) == vdot(a, b)
             assert matvec(rows, a) == tuple(sum(r[i] * a[i] for i in range(n)) for r in rows)
-
-    def test_cross_against_cofactor_expansion(self):
-        # (a x b) . c = det(a, b, c) for every c determines a x b
-        rng = random.Random(11)
-        basis = identity(3)
-        for _ in range(200):
-            a = tuple(rng.randint(-10**6, 10**6) for _ in range(3))
-            b = tuple(rng.randint(-9, 9) for _ in range(3))
-            assert cross(a, b) == tuple(cofactor_det([list(a), list(b), list(e)]) for e in basis)
-        for a, b in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2, 3, 4))):
-            with pytest.raises(ValueError):
-                cross(a, b)
 
     def test_vdot_rejects_mismatched_lengths(self):
         for a, b in (

@@ -19,6 +19,7 @@ from _oracles import (
     full_lp_is_extremal,
     hirzebruch_fan,
     lifted_certificate,
+    non_projective_fan,
     one_ray_certificate,
     random_unimodular,
     rebase_fan,
@@ -601,12 +602,7 @@ P3_BLOWN_UP = Fan(
 )
 # every wall degree is >= 0, but four wall classes sum to 0: the fan is not
 # projective (from P1 x P1 x P1 by two point blow-ups and four flops)
-NON_PROJECTIVE = Fan(
-    3,
-    ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (-1, 1, -1), (1, -1, 1)),
-    ((0, 2, 5), (1, 3, 4), (1, 3, 5), (0, 3, 5), (1, 5, 6), (2, 5, 6), (0, 3, 7), (3, 4, 7),
-     (0, 2, 7), (2, 4, 7), (1, 4, 6), (2, 4, 6)),
-)
+NON_PROJECTIVE = non_projective_fan()
 
 
 def test_relations_grown_from_faces_agree_with_the_subset_scan(non_weak_fibers):
