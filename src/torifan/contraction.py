@@ -118,9 +118,10 @@ def _shape(fan: Fan, rel: PrimitiveRelation) -> ContractionKind:
     The witness's a is at most 2, because both callers ask a shape only of
     a weak Fano fan. Let phi be linear on each maximal cone and 1 on its
     rays, so that phi(u) is the sum of u's coordinates in a cone that holds
-    it: an integer >= 1 at every lattice point u != 0. Across a wall with c + d = sum alpha_t a_t, the
-    linear function of c's cone takes the value sum alpha_t - 1 at d, which
-    is at most phi(d) = 1 as the wall's degree is >= 0. So phi is convex
+    it: an integer >= 1 at every lattice point u != 0. Across a wall with
+    c + d = sum alpha_t a_t, the linear function of c's cone takes the value
+    sum alpha_t - 1 at d, which is at most phi(d) = 1 as the wall's degree
+    is >= 0. So phi is convex
     across every wall, hence along every line that crosses the cones
     through walls, hence everywhere by continuity; being homogeneous, it is
     subadditive. When alpha + beta = 0 the wall {x0, x+} has
