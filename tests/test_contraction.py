@@ -98,6 +98,16 @@ class TestClassifyContraction:
         assert kinds == ["other"]
         assert not verdict.is_weakened
 
+    def test_nonzero_degree_rejected(self):
+        # ``_shape`` has no degree check: a relation of positive degree never
+        # reaches it, because ``crepant_relations`` passes only degree 0
+        fan = named_fan("X3_0").fan
+        rel = next(r for r in primitive_collections(fan) if r.degree > 0)
+        assert rel not in crepant_relations(fan)
+        table = crepant_contractions(fan)
+        assert table and rel not in [r for r, _ in table]
+        assert all(r.degree == 0 for r, _ in table)
+
     def test_non_extremal_rejected(self):
         # this W4_3 bundle is weak Fano with a crepant class that decomposes
         # into two extremal crepant classes, hence is not extremal itself
@@ -108,6 +118,16 @@ class TestClassifyContraction:
         assert not is_extremal(fan, rel)
         # it has a shape but defines no contraction: the table leaves it out
         assert rel not in [r for r, _ in crepant_contractions(fan)]
+
+    def test_dimension_two_rejected(self):
+        # ``_shape`` has no dimension check: a surface with a degree-0
+        # relation is refused by both of its callers
+        fan = named_fan("F2").fan
+        assert any(r.degree == 0 for r in primitive_collections(fan))
+        with pytest.raises(ValueError, match="specific to 3-folds"):
+            crepant_contractions(fan)
+        with pytest.raises(ValueError, match="specific to 3-folds"):
+            is_weakened_fano(fan)
 
 
 class TestNormalFormWitness:
