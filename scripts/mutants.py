@@ -48,6 +48,8 @@ INVARIANT_TESTS = "tests/test_primitive.py::TestRelationInvariants::"
 IDENTITY_TESTS = "tests/test_riemann_roch.py::"
 DEGREE_TESTS = "tests/test_polytope.py::TestDegree::"
 PARSE_TEST = "tests/test_cli.py::test_a_command_parsed_once_parses_as_the_top_level_parser_does"
+ROUTE_TEST = "tests/test_primitive.py::test_crepant_relations_off_the_walls_agree_with_the_relation_route"
+FAR_RAY_TEST = "tests/test_fan.py::test_each_wall_keeps_its_far_rays"
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,36 @@ MUTANTS = (
         '.kind != "zero_two" for rel in crepant_relations(fan)',
         ("tests/test_contraction.py::TestWeakenedPredicate::test_all_fifteen_catalog_threefolds",),
     ),
+    # the crepant relations, read off the degree-0 wall classes
     Mutant(
         "crepant relations without the extremality filter",
         PRIMITIVE,
-        "if r.degree == 0 and is_extremal(fan, r))",
-        "if r.degree == 0)",
-        (CLASSIFY_TESTS + "test_non_extremal_rejected",),
+        "crepant = [rel for cls, rel in read if _extremal(table, signs, True, cls, rel)]",
+        "crepant = [rel for cls, rel in read]",
+        (ROUTE_TEST,),
+    ),
+    Mutant(
+        "wall class with the sign of -alpha_t flipped",
+        PRIMITIVE,
+        "cls[t] = -alpha",
+        "cls[t] = alpha",
+        (ROUTE_TEST,),
+    ),
+    Mutant(
+        "degree-0 face dropped from the wall route's extremality test",
+        PRIMITIVE,
+        "_extremal(table, signs, True, cls, rel)",
+        "_extremal(table, signs, False, cls, rel)",
+        equivalent="the wall route's table holds only degree-0 classes, so the counts over all "
+        "classes are the counts over the face and the face filter keeps every class; and on a "
+        "weak Fano fan a face's extremal rays are the cone's",
+    ),
+    Mutant(
+        "wall classes of every degree read as crepant",
+        PRIMITIVE,
+        "if sum(alphas) == 2:",
+        "if sum(alphas) <= 2:",
+        (ROUTE_TEST,),
     ),
     # what a relation derives from its collection and coefficients
     Mutant(
@@ -220,8 +246,8 @@ MUTANTS = (
     Mutant(
         "check 2 of a 3-fan by matvec",
         FAN,
-        "                if fan.dim == 3:\n                    x, y, z = rays[cones[cj][l]]",
-        "                if False:\n                    x, y, z = rays[cones[cj][l]]",
+        "                if fan.dim == 3:\n                    x, y, z = rays[d]",
+        "                if False:\n                    x, y, z = rays[d]",
         equivalent="matvec computes the same coordinates, so the same flags, offending cones "
         "and wall relations follow",
     ),
@@ -242,9 +268,23 @@ MUTANTS = (
     Mutant(
         "wall relation keeps the coordinates after the first, not all but the k-th",
         FAN,
-        "relations[facet] = coords[:k] + coords[k + 1:]",
-        "relations[facet] = coords[1:]",
+        "relations[facet] = (coords[:k] + coords[k + 1:], cones[ci][k], d)",
+        "relations[facet] = (coords[1:], cones[ci][k], d)",
         (WALL_TEST,),
+    ),
+    Mutant(
+        "wall keeps the far ray of its first cone twice",
+        FAN,
+        "cones[ci][k], d)",
+        "cones[ci][k], cones[ci][k])",
+        (FAR_RAY_TEST,),
+    ),
+    Mutant(
+        "wall keeps its far rays in the order of its second cone",
+        FAN,
+        "cones[ci][k], d)",
+        "d, cones[ci][k])",
+        (FAR_RAY_TEST,),
     ),
     Mutant(
         "check 2 asks > 0",
@@ -310,22 +350,22 @@ MUTANTS = (
     Mutant(
         "weak Fano asks every wall degree > 0",
         PRIMITIVE,
-        "return max(map(sum, wall_relations(fan).values())) <= 2",
-        "return max(map(sum, wall_relations(fan).values())) < 2",
+        "return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) <= 2",
+        "return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) < 2",
         (WALL_TEST,),
     ),
     Mutant(
         "Fano asks every wall degree >= 0",
         PRIMITIVE,
-        "return max(map(sum, wall_relations(fan).values())) < 2",
-        "return max(map(sum, wall_relations(fan).values())) <= 2",
+        "return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) < 2",
+        "return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) <= 2",
         (WALL_TEST,),
     ),
     Mutant(
         "self-intersection sequence reads b + 1",
         CLASSIFY,
-        "walls[(i,)][0] for i in order",
-        "walls[(i,)][0] + 1 for i in order",
+        "walls[(i,)][0][0] for i in order",
+        "walls[(i,)][0][0] + 1 for i in order",
         ("tests/test_classify.py::TestSelfIntersectionSequences::test_sequence_is_read_from_the_rays",),
     ),
     Mutant(
@@ -367,8 +407,8 @@ MUTANTS = (
     Mutant(
         "class table keyed on the first d entries of a class",
         PRIMITIVE,
-        "table[r.entries(n)] = degree",
-        "table[r.entries(n)[:fan.dim]] = degree",
+        "_class_table(((r.entries(n), r) for r in",
+        "_class_table(((r.entries(n)[:fan.dim], r) for r in",
         ("tests/test_primitive.py::test_extremality_on_degree_face_agrees_with_full_lp",),
     ),
     Mutant(

@@ -3,9 +3,13 @@
 The inputs are the benchmark's, written by ``perfbench/workloads.py``
 (imported, never changed) to a temporary directory: the query-mix and
 reject-mix fans of seed 1 and the classes of both classifications; and
-the 8-ray fan that is not projective (``tests/_oracles.py``), which no
-benchmark input is, so that the comparison reaches a fan outside the
-domain of the arguments that the package's shortcuts rest on. For
+the fans that are not projective, which no benchmark input is: the 3
+weak Fano classes of the blow-up-and-flop corpus of seed 4 that are not
+projective, the first of them the 8-ray fan (``tests/_oracles.py``). So
+the comparison reaches fans outside the
+domain of the arguments that the package's shortcuts rest on, where the
+crepant relations read off the walls are only observed, not proven, to
+be those that the primitive relations give. For
 each checkout one subprocess calls ``torifan.cli.main`` in process for
 every per-fan command on every input, every ``isomorphic`` query, the
 whole-package commands and ``catalog NAME`` on every catalog name, each
@@ -54,8 +58,9 @@ def invocations(work: Path) -> list[list[str]]:
     sys.dont_write_bytecode = True  # nothing is written under perfbench/
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     import workloads as wl
-    from _oracles import non_projective_fan
+    from _oracles import blow_up_flop_corpus, non_projective_fan, reference_is_projective
     from torifan import catalog, classify
+    from torifan.primitive import is_weak_fano
 
     plain = wl.plain_catalog(catalog.all_named())
     reports = [classify.enumerate_weak_del_pezzo(), classify.enumerate_weakened_threefolds(3)]
@@ -63,9 +68,14 @@ def invocations(work: Path) -> list[list[str]]:
         (work / name).mkdir()
     queries = (wl.query_mix(1, plain, work / "query-mix") + wl.reject_mix(1, plain, work / "reject-mix")
                + wl.result_queries(reports, work / "sweep-b3"))
-    extra = work / "non-projective.json"
-    extra.write_text(json.dumps(non_projective_fan().to_dict()))
-    paths = sorted({q.argv[1] for q in queries} | {str(extra)})
+    corpus = blow_up_flop_corpus(seed=4, walks=250, steps=6, max_rays=10)
+    outside = [fan for fan in corpus if is_weak_fano(fan) and not reference_is_projective(fan)]
+    assert len(outside) == 3 and outside[0] == non_projective_fan(), outside
+    extras = []
+    for k, fan in enumerate(outside):
+        extras.append(work / f"non-projective-{k}.json")
+        extras[-1].write_text(json.dumps(fan.to_dict()))
+    paths = sorted({q.argv[1] for q in queries} | set(map(str, extras)))
     argvs = [[command, path] for path in paths for command in PER_FAN]
     argvs += sorted(q.argv for q in queries if q.command == "isomorphic") + [list(a) for a in WHOLE]
     argvs += [["catalog", name] for name in catalog.all_named()]

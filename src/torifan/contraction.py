@@ -1,10 +1,13 @@
 """Classification of crepant extremal contractions on smooth toric 3-folds.
 
-A crepant relation, an extremal degree-0 relation of a weak Fano 3-fold
-(``primitive.crepant_relations``), determines a crepant contraction, and
-Reid (1983) reads the contraction off the relation: its exceptional locus
-is the intersection of the divisors of the relation's cone, fibred in
-projective spaces of one dimension less than the collection has rays. So
+A crepant relation, an extremal degree-0 relation of a weak Fano 3-fold,
+determines a crepant contraction. ``primitive.crepant_relations`` reads
+them off the degree-0 wall classes that ``validate`` keeps, and grows no
+primitive relation, so the verdict and the table here read the wall
+table only. Reid (1983) reads the contraction off the relation: its
+exceptional locus is the intersection of the divisors of the relation's
+cone, fibred in projective spaces of one dimension less than the
+collection has rays. So
 the shape is a read of the relation's shape (``_shape``). The interesting
 one is x+ + x- = 2*x0: when the configuration around x0 is unimodularly
 equivalent to
@@ -97,7 +100,7 @@ def zero_two_normal_form_witness(fan: Fan, rel: PrimitiveRelation) -> Optional[i
     belongs to x+.
     """
     x0 = rel.coeffs[0][0]
-    alpha, beta = wall_relations(fan)[tuple(sorted((x0, rel.collection[0])))]
+    (alpha, beta), _, _ = wall_relations(fan)[tuple(sorted((x0, rel.collection[0])))]
     return abs(alpha) if alpha + beta == 0 else None
 
 

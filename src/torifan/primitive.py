@@ -12,17 +12,22 @@ pair is a minimal non-face exactly when it is not an edge, a larger one
 extends a face by a common neighbour of its members, and only a set of
 four or more rays needs its other proper subsets looked up.
 Extremality of a class is decided exactly, against one table of distinct
-classes and their degrees per fan, by the integer-preserving simplex of
+classes and their degrees, by the integer-preserving simplex of
 ``lattice.has_nonneg_combination``, after two exact shortcuts that
-``is_extremal`` argues. The crepant relations, the extremal degree-0 ones
-(``crepant_relations``), are all that the weakened verdict reads.
+``_extremal`` argues. ``is_extremal``, which ``analyze`` prints, asks it of
+each relation against the fan's table of relation classes. The crepant
+relations, the extremal degree-0 ones (``crepant_relations``), are all
+that the weakened verdict reads, and they are read off the degree-0 wall
+classes that ``validate`` keeps, through the same test, without growing
+the primitive relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import sub
+from operator import attrgetter, sub
+from typing import Iterable
 
 from .fan import Fan, maximal_cone_normals, memoised, wall_relations
 from .lattice import (
@@ -155,79 +160,72 @@ def picard_rank(fan: Fan) -> int:
 def is_fano(fan: Fan) -> bool:
     """True iff every wall curve C has -K.C = 2 - sum alpha_t > 0, over the
     kept wall relations (``wall_relations``): -K is ample."""
-    return max(map(sum, wall_relations(fan).values())) < 2
+    return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) < 2
 
 
 def is_weak_fano(fan: Fan) -> bool:
     """True iff every wall curve C has -K.C = 2 - sum alpha_t >= 0, over the
     kept wall relations (``wall_relations``): -K is nef."""
-    return max(map(sum, wall_relations(fan).values())) <= 2
+    return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) <= 2
 
 
-@memoised
-def _columns(fan: Fan) -> tuple[dict[Vector, int], tuple]:
-    """The fan's distinct classes, in relation order, each with its degree;
-    and, over all the classes and over the degree-0 ones, how many classes
-    are positive and how many negative at each ray."""
-    n = len(fan.rays)
-    table = {}
+def _class_table(classes: Iterable[tuple[Vector, PrimitiveRelation]], rays: int) -> tuple[dict, tuple]:
+    """Distinct classes, in order, each with its degree; and, over all of
+    them and over the degree-0 ones, how many are positive and how many
+    negative at each of the ``rays`` rays. Each class comes with a relation
+    that is positive on its collection and negative on sigma, as the class
+    is."""
+    table: dict[Vector, int] = {}
     # signs[face] = (positive, negative) counts per ray: face False over all
     # classes, face True over the degree-0 ones
-    signs = (([0] * n, [0] * n), ([0] * n, [0] * n))
-    for r in primitive_collections(fan):
-        degree = r.degree
-        table[r.entries(n)] = degree
+    signs = (([0] * rays, [0] * rays), ([0] * rays, [0] * rays))
+    for cls, rel in classes:
+        degree = table[cls] = sum(cls)
         for positive, negative in signs if degree == 0 else signs[:1]:
-            for i in r.collection:
+            for i in rel.collection:
                 positive[i] += 1
-            for i, _ in r.coeffs:
+            for i, _ in rel.coeffs:
                 negative[i] += 1
     return table, signs
 
 
-def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
-    """Whether the class spans an extremal ray of the cone of all relation classes.
+@memoised
+def _columns(fan: Fan) -> tuple[dict[Vector, int], tuple]:
+    """The table of the fan's relation classes (``_class_table``), in relation order."""
+    n = len(fan.rays)
+    return _class_table(((r.entries(n), r) for r in primitive_collections(fan)), n)
 
-    ``rel`` is one of the fan's relations. Decided exactly: the class must
-    not be a nonnegative rational combination of the other classes. Every
-    class is a primitive vector: the collection is not a face, so some ray
-    of it lies outside sigma, where the class is 1. So the only positive
-    multiple of a class is the class itself, and the others are the fan's
-    other classes.
 
-    The degree of a class is the sum of its entries, -K . class, a linear
-    function. On a weak Fano fan it is >= 0 on every class, hence on the
-    whole cone, so {degree = 0} cuts out a face: when a degree-0 class is a
-    nonnegative combination of others, every class with a positive
-    coefficient has degree 0. On such a fan a degree-0 relation is
-    therefore tested against the other degree-0 classes alone. Other
-    relations are tested against all classes.
+def _extremal(table: dict[Vector, int], signs: tuple, face: bool, target: Vector, rel: PrimitiveRelation) -> bool:
+    """Whether ``target``, a class of the ``_class_table`` (``table``,
+    ``signs``) that is positive on the collection of ``rel`` and negative on
+    its sigma, is no nonnegative rational combination of the other classes
+    tested against: those of degree 0 when ``face``, else all.
 
-    Two exact shortcuts spare the LP. The first proves most classes
-    extremal by Farkas' lemma (Schrijver 1986, ch. 7): a z with z . c >= 0
-    on every class c tested against and z . class < 0 shows that no
-    nonnegative combination of those classes is the class. sigma and the
-    collection are disjoint (Batyrev 1991), so a class is positive exactly
-    on its collection and negative exactly on sigma. So when the class is
-    the only tested class positive at a ray x of its collection, z = -D_x,
-    which reads minus the entry at x, is such a z; and when it is the only
-    one negative at a ray x of sigma, z = D_x is. ``_columns`` counts the
-    classes positive and negative at each ray, over all classes and over
-    the degree-0 face, and a count includes the class itself, so a count
-    of 1 is the certificate. A class with no other class to be tested
-    against is the only one at every ray, so it is extremal by this test.
+    Every class of a table is a primitive vector, so the only positive
+    multiple of a class is the class itself, and the others are the other
+    classes. Decided exactly, after two exact shortcuts that spare the LP.
+
+    The first proves most classes extremal by Farkas' lemma (Schrijver
+    1986, ch. 7): a z with z . c >= 0 on every class c tested against and
+    z . target < 0 shows that no nonnegative combination of those classes is
+    the target. When the target is the only tested class positive at a ray
+    x, z = -D_x, which reads minus the entry at x, is such a z; and when it
+    is the only one negative at x, z = D_x is. ``signs`` counts the classes
+    positive and negative at each ray, over all classes and over the
+    degree-0 ones, and a count includes the target itself, so a count of 1
+    is the certificate. A class with no other class to be tested against is
+    the only one at every ray, so it is extremal by this test.
 
     The second: a class that is not extremal is most often the sum of two
     of the classes it is tested against, a feasible point of the LP (1 on
     both columns), so such a class is answered by a lookup of the
-    difference in the per-fan table ``_columns``. The difference is never
-    the class itself, a class being nonzero, and on the face it has degree
-    0 when it is a class, since the degree is linear: so a hit is always
-    one of the classes tested against.
+    difference in the table. The difference is never the target itself, a
+    class being nonzero, and on the face it has degree 0 when it is a
+    class, since the degree is linear: so a hit is always one of the
+    classes tested against. The LP, the integer-preserving simplex of
+    ``lattice.has_nonneg_combination``, decides the rest.
     """
-    table, signs = _columns(fan)
-    target = rel.entries(len(fan.rays))
-    face = rel.degree == 0 and is_weak_fano(fan)
     positive, negative = signs[face]
     if any(positive[i] == 1 for i in rel.collection) or any(negative[i] == 1 for i, _ in rel.coeffs):
         return True
@@ -237,11 +235,78 @@ def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
     return not has_nonneg_combination(others, target)
 
 
+def is_extremal(fan: Fan, rel: PrimitiveRelation) -> bool:
+    """Whether the class spans an extremal ray of the cone of all relation classes.
+
+    ``rel`` is one of the fan's relations, and it is tested against the
+    fan's other relation classes by ``_extremal``. Every class is a
+    primitive vector: the collection is not a face, so some ray of it lies
+    outside sigma, where the class is 1. sigma and the collection are
+    disjoint (Batyrev 1991), so a class is positive exactly on its
+    collection and negative exactly on sigma.
+
+    The degree of a class is the sum of its entries, -K . class, a linear
+    function. On a weak Fano fan it is >= 0 on every class, hence on the
+    whole cone, so {degree = 0} cuts out a face: when a degree-0 class is a
+    nonnegative combination of others, every class with a positive
+    coefficient has degree 0. On such a fan a degree-0 relation is
+    therefore tested against the other degree-0 classes alone. Other
+    relations are tested against all classes.
+    """
+    table, signs = _columns(fan)
+    face = rel.degree == 0 and is_weak_fano(fan)
+    return _extremal(table, signs, face, rel.entries(len(fan.rays)), rel)
+
+
 @memoised
 def crepant_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
-    """The extremal degree-0 relations, in relation order: on a weak Fano
-    3-fold, its crepant primitive contractions (Reid 1983)."""
-    return tuple(r for r in primitive_collections(fan) if r.degree == 0 and is_extremal(fan, r))
+    """The extremal degree-0 relations of a weak Fano fan, in relation order:
+    on a weak Fano 3-fold, its crepant primitive contractions (Reid 1983).
+
+    They are read off the wall relations that ``validate`` keeps
+    (``wall_relations``), and no primitive relation is grown. The class of
+    the wall with facet rays a_t and far rays c, d is 1 at c and at d and
+    -alpha_t at a_t, a primitive vector, since its entry at c is 1; its
+    degree is the sum of its entries, 2 - sum alpha_t. On a complete fan the
+    wall classes span the cone of curves NE(X) (Reid 1983; Cox, Little &
+    Schenck 2011, Thm 6.3.20), so each extremal ray of it is spanned by a
+    wall class; on a projective X that class is the ray's primitive
+    relation (Reid 1983; Casagrande 2003). On a weak Fano fan every wall has
+    degree >= 0, so the degree-0 classes span a face of NE(X), and a class
+    of the face is extremal in the face exactly when it is extremal in the
+    cone. So the crepant relations are the distinct degree-0 wall classes
+    that no nonnegative combination of the others gives, decided by
+    ``_extremal`` on the table of those classes. Each is read back as a
+    relation: the collection is where it is positive, 1 on a relation's
+    class, and sigma where it is negative, with minus its entries as the
+    coefficients. They are listed in lexicographic order of their
+    collections, as ``primitive_collections`` lists the relations.
+
+    The identity with the relation route, the degree-0 relations that
+    ``is_extremal`` keeps, is thus proven only for projective X, as every
+    complete 2-fan is. On a fan that is not projective the cone of curves
+    holds a line and "extremal" means nothing; there the identity is only
+    checked, on the fans of the tests and of ``scripts/same_outputs.py``.
+    On a fan that is not weak Fano the degree-0 classes need not span a
+    face, and the verdict and the table of contractions do not ask there.
+    """
+    n = len(fan.rays)
+    classes = {}
+    for facet, (alphas, c, d) in wall_relations(fan).items():
+        if sum(alphas) == 2:
+            cls = [0] * n
+            cls[c] = cls[d] = 1
+            for t, alpha in zip(facet, alphas):
+                cls[t] = -alpha
+            classes[tuple(cls)] = None
+    read = [
+        (cls, PrimitiveRelation(tuple(i for i, x in enumerate(cls) if x > 0),
+                                tuple((i, -x) for i, x in enumerate(cls) if x < 0)))
+        for cls in classes
+    ]
+    table, signs = _class_table(read, n)
+    crepant = [rel for cls, rel in read if _extremal(table, signs, True, cls, rel)]
+    return tuple(sorted(crepant, key=attrgetter("collection")))
 
 
 # taken at import, so it still reaches the memo when a wrapper (a tracer, a
@@ -279,10 +344,25 @@ def bundle_candidates(fiber: Fan) -> tuple[tuple[Vector, tuple[PrimitiveRelation
     0, so a fiber class is extremal on the bundle exactly when it is on the
     fiber. This holds against all the classes and against the degree-0
     ones alone, and the bundle is weak Fano exactly when its fiber is, the
-    section relation having degree 2 - (p + q) >= 0; so ``is_extremal``
-    reads tables of the same kind on the two. So the bundle's crepant
-    relations are the fiber's own, plus the section relation when
-    p + q = 2, and the sweep runs no LP on a bundle.
+    section relation having degree 2 - (p + q) >= 0.
+
+    Read through the walls, as ``crepant_relations`` reads them, the same
+    holds. The bundle's walls are the fiber's walls lifted to both
+    sections: the wall {v_i, x+-} has the far rays v_(i-1), v_(i+1) and the
+    relation of the fiber wall (v_i), so its class is the fiber's, 0 at
+    both sections. Each fiber cone (v_i, v_j) adds one section wall
+    {v_i, v_j}, with far rays x+ and x-, whose class is 1 at both sections
+    and minus the coordinates of w in that cone at v_i and v_j. The cone
+    that holds w gives the section relation's class. Any other differs
+    from it by a fiber class on which every nef divisor of the fiber is
+    >= 0, its support function being at most the linear function of
+    (v_i, v_j) at w (Cox, Little & Schenck 2011, ch. 6); the fiber is
+    projective, so that class lies in its cone of curves, and the other
+    section class is not extremal. A lifted fiber class is extremal on the
+    bundle exactly when it is on the fiber, as above. So the bundle's
+    crepant relations are the fiber's own, plus the section relation when
+    p + q = 2, and the sweep reads the wall table of each fiber once and
+    runs no LP on a bundle.
     """
     if fiber.dim != 2:
         raise ValueError("bundle fiber must be 2-dimensional")

@@ -50,3 +50,13 @@ def non_weak_fibers():
                 blown.setdefault(canonical_key(fan), fan)
     sample = random.Random(11).sample(sorted(blown), 4)
     return [hirzebruch_fan(a) for a in range(3, 7)] + [blown[key] for key in sample]
+
+
+@pytest.fixture(scope="session")
+def flop_corpus():
+    """``_oracles.blow_up_flop_corpus(4, 250, 6, 10)``, built once: 687
+    classes off the bundle family, 120 of them weak Fano and 3 of those not
+    projective. A test that must compute a fact afresh takes a fresh copy."""
+    from _oracles import blow_up_flop_corpus
+
+    return tuple(blow_up_flop_corpus(seed=4, walks=250, steps=6, max_rays=10))

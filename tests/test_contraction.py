@@ -22,7 +22,6 @@ from torifan.primitive import (
 )
 
 from _oracles import (
-    blow_up_flop_corpus,
     eager_weakened_verdict,
     gauss_solve,
     in_relative_interior,
@@ -235,9 +234,9 @@ class TestNormalFormWitness:
                     # so both walls at x0 have degree 2 - alpha - beta
                     walls = wall_relations(fan)
                     wall = tuple(sorted((x0, xp)))
-                    assert dict(zip(wall, walls[wall])) == {x0: alpha, xp: beta}
+                    assert dict(zip(wall, walls[wall][0])) == {x0: alpha, xp: beta}
                     wall = tuple(sorted((x0, xm)))
-                    assert dict(zip(wall, walls[wall])) == {x0: alpha + 2 * beta, xm: -beta}
+                    assert dict(zip(wall, walls[wall][0])) == {x0: alpha + 2 * beta, xm: -beta}
                     stars += 1
                 tally[1] += 1
                 tally[2] += len(rel.collection) == 2 and len(rel.coeffs) == 2
@@ -385,7 +384,7 @@ def test_short_circuit_verdict_agrees_with_eager_verdict():
     assert blocked >= 100
 
 
-def test_shapes_on_a_blow_up_and_flop_corpus():
+def test_shapes_on_a_blow_up_and_flop_corpus(flop_corpus):
     """Off the bundle family, on the classes that blow-ups and flops reach
     from the catalog 3-folds and the 8-ray fan that is not projective,
     every crepant relation of a weak Fano class has the shape that the
@@ -395,7 +394,7 @@ def test_shapes_on_a_blow_up_and_flop_corpus():
     witness has a <= 2, and each x1 + x2 = y1 + y2 has a y outside
     cone(x1, x2). The non-projective weak Fano classes, where extremality
     means nothing, are counted, and the shapes agree on them as well."""
-    corpus = blow_up_flop_corpus(seed=4, walks=250, steps=6, max_rays=10)
+    corpus = flop_corpus
     weak = [fan for fan in corpus if is_weak_fano(fan)]
     non_projective = [fan for fan in weak if not reference_is_projective(fan)]
     shapes = dict.fromkeys(("zero_two", "divisor_to_point", "small", "other"), 0)

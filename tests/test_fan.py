@@ -18,12 +18,14 @@ from torifan.catalog import all_named, named_fan, surfaces
 from torifan.classify import self_intersection_sequence
 from torifan.contraction import zero_two_normal_form_witness
 from torifan.isomorphism import canonical_key, find_isomorphism
-from torifan.lattice import is_primitive
+from torifan.lattice import is_primitive, vsum
 from torifan.polytope import anticanonical_degree
-from torifan.primitive import bundle_candidates, is_fano, is_weak_fano, primitive_collections
+from torifan.primitive import bundle_candidates, crepant_relations, is_fano, is_weak_fano, primitive_collections
 from _oracles import (
     cofactor_det,
     cone_columns,
+    far_rays,
+    non_projective_fan,
     pair_is_proper,
     pairwise_validate,
     random_unimodular,
@@ -272,7 +274,9 @@ def test_validate_agrees_with_the_reference_report():
             assert len(report.cone_normals) == len(fan.max_cones)
             for rows, cone in zip(report.cone_normals, fan.max_cones):
                 assert rows == reference_inward_normals(fan, cone), (fan.to_dict(), cone)
-            assert report.walls == reference_wall_relations(fan), fan.to_dict()
+            assert {facet: alphas for facet, (alphas, _, _) in report.walls.items()} == reference_wall_relations(fan), (
+                fan.to_dict()
+            )
     assert walls_not_separated[3] >= 557 and walls_not_separated[2] >= 52
     # the catalog fans and their rebasings, the bundles, and 113 of the corrupted set
     assert valid == 4 * 34 + 304 + 113
@@ -380,6 +384,7 @@ TABLE_READERS = {
     "canonical_key": canonical_key,
     "anticanonical_degree": anticanonical_degree,
     "bundle_candidates": bundle_candidates,
+    "crepant_relations": crepant_relations,
 }
 
 
@@ -394,6 +399,26 @@ def test_every_reader_of_the_cone_inverses_refuses_an_invalid_fan(reader, fan):
         reader(fan)
 
 
+def test_each_wall_keeps_its_far_rays(flop_corpus):
+    """Each kept wall relation c + d = sum alpha_t a_t holds c and d, the rays
+    of its two cones off the wall, c in the first of them in ``max_cones``
+    order, as ``_oracles.far_rays`` finds them by scanning the cones: on the
+    catalog fans, fresh copies of the 304 bundles of the sweep, a corpus of
+    blow-ups and flops off the bundle family and the 8-ray fan that is not
+    projective. A report that is not ok keeps no wall at all (see
+    ``test_every_reader_of_the_cone_inverses_refuses_an_invalid_fan``)."""
+    bundles = [Fan(3, fan.rays, fan.max_cones) for fan in sweep_bundles_b3()]
+    fans = [nf.fan for nf in all_named().values()] + bundles + list(flop_corpus) + [non_projective_fan()]
+    assert len(fans) == 34 + 304 + 687 + 1
+    for fan in fans:
+        kept = {facet: (c, d) for facet, (_, c, d) in wall_relations(fan).items()}
+        assert kept == {facet: tuple(rays) for facet, rays in far_rays(fan).items()}, fan.to_dict()
+        # the class of each wall is a relation among the rays
+        for facet, (alphas, c, d) in wall_relations(fan).items():
+            total = vsum([fan.rays[c], fan.rays[d]], fan.dim)
+            assert total == vsum([tuple(alpha * x for x in fan.rays[t]) for t, alpha in zip(facet, alphas)], fan.dim)
+
+
 def test_a_valid_report_keeps_one_inverse_per_maximal_cone():
     for nf in all_named().values():
         table = nf.fan.report.cone_normals
@@ -405,7 +430,7 @@ def test_a_valid_report_keeps_one_inverse_per_maximal_cone():
         walls = wall_relations(nf.fan)
         assert walls is nf.fan.report.walls
         assert len(walls) == len(nf.fan.max_cones) * nf.fan.dim // 2
-        assert all(len(alphas) == len(facet) == nf.fan.dim - 1 for facet, alphas in walls.items())
+        assert all(len(alphas) == len(facet) == nf.fan.dim - 1 for facet, (alphas, _, _) in walls.items())
 
 
 def test_ccw_sorted_agrees_with_the_reference_comparator():

@@ -244,10 +244,12 @@ class TestAgainstReference:
             iso = self.check_witness(f, g)
             assert iso is not None
             g_walls = wall_relations(g)
-            for wall, alphas in wall_relations(f).items():
+            for wall, (alphas, c, d) in wall_relations(f).items():
                 image = tuple(sorted(iso.ray_permutation[i] for i in wall))
                 relation = {iso.ray_permutation[i]: alpha for i, alpha in zip(wall, alphas)}
-                assert dict(zip(image, g_walls[image])) == relation
+                image_alphas, *image_far = g_walls[image]
+                assert dict(zip(image, image_alphas)) == relation
+                assert sorted(image_far) == sorted((iso.ray_permutation[c], iso.ray_permutation[d]))
 
     def test_no_witness_on_equal_size_pairs(self):
         fans = [nf.fan for nf in all_named().values()]

@@ -108,7 +108,7 @@ def test_predicates_compute_no_relations_on_a_fan_that_is_not_weak_fano(tmp_path
     # verdict and the contraction table stop there
     relations = calls(primitive.primitive_collections)
     fan = build_bundle(named_fan("P2").fan, (2, 1), (0, 0))
-    assert min(2 - sum(alphas) for alphas in fan_module.wall_relations(fan).values()) == -1
+    assert min(2 - sum(alphas) for alphas, _, _ in fan_module.wall_relations(fan).values()) == -1
     assert not is_weak_fano(fan) and not is_fano(fan)
     assert is_weakened_fano(fan) == WeakenedVerdict(False, False, False)
     assert crepant_contractions(fan) == ()
@@ -140,37 +140,43 @@ def test_wall_readers_keep_nothing_on_a_fan(reader):
 
 def test_extremality_lps_only_for_degree_zero_relations(calls):
     lps = calls(lattice.has_nonneg_combination, whole=True)
-    # X4_0 has one degree-0 relation and no other degree-0 class to test it against
+    relations = calls(primitive.primitive_collections)
+    # the verdict and the table read the crepant relations off the degree-0
+    # wall classes: X4_0 has 2 degree-0 walls of one class, so that class
+    # has no other to be tested against
     fan = fresh(named_fan("X4_0").fan)
     assert is_weakened_fano(fan).is_weakened
     assert len(crepant_contractions(fan)) == 1
-    assert [r.degree for r in primitive_collections(fan)].count(0) == 1
-    assert lps == []
-    # P1 x W6_3 has 8 degree-0 relations among 21, 5 of them crepant. The
-    # verdict walks all 8 and runs one LP for each of 3 that have neither a
-    # one-ray certificate nor a split into two other degree-0 classes, with
-    # the other 7 degree-0 classes as columns, on all 10 entries of a
-    # class; the table, the same walk, reuses those answers and runs none
+    assert [sum(alphas) for alphas, _, _ in fan_module.wall_relations(fan).values()].count(2) == 2
+    assert lps == [] and relations == []
+    # P1 x W6_3 has 10 degree-0 walls among 24, of 5 classes, each a fiber
+    # class lifted to both sections: each of the 5 has a one-ray
+    # certificate among them, so the verdict runs no LP, and the table, the
+    # same walk, reuses its answers
     fan = fresh(named_fan("P1xW6_3").fan)
     assert is_weakened_fano(fan).is_weakened
-    relations = primitive_collections(fan)
-    assert len(relations) == 21 and [r.degree for r in relations].count(0) == 8
-    assert len(lps) == 3 and all(len(columns) <= 7 for columns, _ in lps)
-    assert all(len(target) == 10 and {len(c) for c in columns} == {10} for columns, target in lps)
+    walls = fan_module.wall_relations(fan)
+    assert len(walls) == 24 and [sum(alphas) for alphas, _, _ in walls.values()].count(2) == 10
     assert len(crepant_contractions(fan)) == 5
-    assert len(lps) == 3
-    # asking again reuses every stored fact
     is_weakened_fano(fan)
     crepant_contractions(fan)
-    assert len(lps) == 3
-    # P1 x W7 has 9 degree-0 relations among 28, 6 of them crepant: each of
-    # those has a one-ray certificate on the degree-0 face, and each of the
-    # other 3 is the sum of two other degree-0 classes, so none runs an LP
+    assert lps == [] and relations == []
+    # the relation route, which analyze prints, tests 8 degree-0 relations
+    # among 21 on the degree-0 face, and runs one LP for each of 3 that have
+    # neither a one-ray certificate nor a split into two other degree-0
+    # classes, with the other 7 degree-0 classes as columns, on all 10
+    # entries of a class
+    all_relations = primitive_collections(fan)
+    assert len(all_relations) == 21 and [r.degree for r in all_relations].count(0) == 8
+    assert sum(primitive.is_extremal(fan, r) for r in all_relations if r.degree == 0) == 5
+    assert len(lps) == 3 and all(len(columns) <= 7 for columns, _ in lps)
+    assert all(len(target) == 10 and {len(c) for c in columns} == {10} for columns, target in lps)
+    # P1 x W7 has 12 degree-0 walls among 27, of 6 classes, all crepant,
+    # each with a one-ray certificate
     fan = fresh(named_fan("P1xW7").fan)
     assert is_weakened_fano(fan).is_weakened
-    assert len(primitive_collections(fan)) == 28
     assert len(crepant_contractions(fan)) == 6
-    assert len(lps) == 3
+    assert len(lps) == 3 and len(relations) == 1
 
 
 def test_extremality_lps_over_every_relation_of_the_catalog_and_the_bundles(calls):
@@ -220,28 +226,21 @@ def test_sweep_builds_only_bundles_that_can_be_weak_fano(calls, monkeypatch):
     monkeypatch.setattr(catalog, "surfaces", lambda: fibers)
     built = calls(fan_module.build_bundle)
     verdicts = calls(contraction.is_weakened_fano)
-    events = []
-    calls(primitive._columns, whole=True, into=events)
-    calls(lattice.has_nonneg_combination, whole=True, into=events)
+    tables = calls(primitive._class_table, whole=True)
+    lps = calls(lattice.has_nonneg_combination, whole=True)
     report = enumerate_weakened_threefolds(3)
     # 304 of the 16 * 13^2 = 2704 sums in the box have phi <= 2
     assert len(built) == 304 and len(verdicts) == 304
     assert sum(is_weakened_fano(fan).is_weakened for fan in verdicts) == 22
     assert report.count == 15
     # a bundle's extremality is read off its fiber, so no bundle builds a
-    # table of classes. The sweep runs 3 LPs, each on the table of the
-    # fiber just read, on all n entries of a class
-    ids = {id(nf.fan) for nf in fibers}
-    table, lps = None, 0
-    for args in events:
-        if isinstance(args[0], Fan):
-            table = args[0]
-            assert id(table) in ids
-        else:
-            _, target = args
-            assert table is not None and len(target) == len(table.rays) == 8
-            lps += 1
-    assert lps == 3
+    # table of classes: the sweep builds one per fiber, of the fiber's
+    # degree-0 wall classes on its n rays. Those are its (-2)-curves, each
+    # the only class negative at its own ray, 32 in all, so the sweep runs
+    # no LP
+    assert sorted(rays for _, rays in tables) == sorted(len(nf.fan.rays) for nf in fibers)
+    assert sum(len(classes) for classes, _ in tables) == 32
+    assert lps == []
 
 
 def test_sweep_lifts_bundle_relations_without_a_subset_scan(calls):
