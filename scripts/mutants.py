@@ -246,8 +246,8 @@ MUTANTS = (
     Mutant(
         "check 2 of a 3-fan by matvec",
         FAN,
-        "                if fan.dim == 3:\n                    x, y, z = rays[d]",
-        "                if False:\n                    x, y, z = rays[d]",
+        "                if fan.dim == 3:\n                    x, y, z = rays[cones[cj][l]]",
+        "                if False:\n                    x, y, z = rays[cones[cj][l]]",
         equivalent="matvec computes the same coordinates, so the same flags, offending cones "
         "and wall relations follow",
     ),
@@ -268,22 +268,22 @@ MUTANTS = (
     Mutant(
         "wall relation keeps the coordinates after the first, not all but the k-th",
         FAN,
-        "relations[facet] = (coords[:k] + coords[k + 1:], cones[ci][k], d)",
-        "relations[facet] = (coords[1:], cones[ci][k], d)",
+        "relations[facet] = coords[:k] + coords[k + 1:]",
+        "relations[facet] = coords[1:]",
         (WALL_TEST,),
     ),
     Mutant(
-        "wall keeps the far ray of its first cone twice",
+        "far rays read the ray of the first cone twice",
         FAN,
-        "cones[ci][k], d)",
-        "cones[ci][k], cones[ci][k])",
+        "(cones[ci][k], cones[cj][l])",
+        "(cones[ci][k], cones[ci][k])",
         (FAR_RAY_TEST,),
     ),
     Mutant(
-        "wall keeps its far rays in the order of its second cone",
+        "far rays read in the order of the second cone",
         FAN,
-        "cones[ci][k], d)",
-        "d, cones[ci][k])",
+        "(cones[ci][k], cones[cj][l])",
+        "(cones[cj][l], cones[ci][k])",
         (FAR_RAY_TEST,),
     ),
     Mutant(
@@ -350,22 +350,22 @@ MUTANTS = (
     Mutant(
         "weak Fano asks every wall degree > 0",
         PRIMITIVE,
-        "return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) <= 2",
-        "return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) < 2",
+        "return max(map(sum, wall_relations(fan).values())) <= 2",
+        "return max(map(sum, wall_relations(fan).values())) < 2",
         (WALL_TEST,),
     ),
     Mutant(
         "Fano asks every wall degree >= 0",
         PRIMITIVE,
-        "return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) < 2",
-        "return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) <= 2",
+        "return max(map(sum, wall_relations(fan).values())) < 2",
+        "return max(map(sum, wall_relations(fan).values())) <= 2",
         (WALL_TEST,),
     ),
     Mutant(
         "self-intersection sequence reads b + 1",
         CLASSIFY,
-        "walls[(i,)][0][0] for i in order",
-        "walls[(i,)][0][0] + 1 for i in order",
+        "walls[(i,)][0] for i in order",
+        "walls[(i,)][0] + 1 for i in order",
         ("tests/test_classify.py::TestSelfIntersectionSequences::test_sequence_is_read_from_the_rays",),
     ),
     Mutant(

@@ -112,7 +112,7 @@ def self_intersection_sequence(fan: Fan) -> tuple[tuple[int, ...], tuple[int, ..
     walls = wall_relations(fan)
     index = {ray: i for i, ray in enumerate(fan.rays)}
     order = tuple(index[ray] for ray in ccw_sorted(fan.rays))
-    return order, tuple(walls[(i,)][0][0] for i in order)
+    return order, tuple(walls[(i,)][0] for i in order)
 
 
 def _sequence_key(seq: Sequence[int]) -> tuple[int, ...]:

@@ -100,7 +100,7 @@ def zero_two_normal_form_witness(fan: Fan, rel: PrimitiveRelation) -> Optional[i
     belongs to x+.
     """
     x0 = rel.coeffs[0][0]
-    (alpha, beta), _, _ = wall_relations(fan)[tuple(sorted((x0, rel.collection[0])))]
+    alpha, beta = wall_relations(fan)[tuple(sorted((x0, rel.collection[0])))]
     return abs(alpha) if alpha + beta == 0 else None
 
 

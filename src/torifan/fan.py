@@ -2,12 +2,13 @@
 
 A fan is stored as its primitive ray generators plus the maximal cones as
 index sets; smoothness and completeness are decided in exact integer
-arithmetic, and validation keeps each maximal cone's inverse and each
-wall's relation c + d = sum alpha_t a_t, with its far rays c and d, for
-later readers. Completeness is certified in linear time: facets pair up,
-the two cones at each wall lie on opposite sides of it, and one interior
-point is covered once, which together make the cones cover space exactly
-once (the argument is in ``validate``).
+arithmetic, and validation keeps each maximal cone's inverse, each
+wall's relation c + d = sum alpha_t a_t and each wall's two cones, which
+hold its far rays c and d, for later readers. Completeness is certified
+in linear time: facets pair up, the two cones at each wall lie on
+opposite sides of it, and one interior point is covered once, which
+together make the cones cover space exactly once (the argument is in
+``validate``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from .lattice import Matrix, Vector, is_primitive, matvec, vdot, vsum
 
 Cone = tuple[int, ...]
-# a wall's relation c + d = sum alpha_t a_t: the alpha_t in facet order, then c and d
-Wall = tuple[tuple[int, ...], int, int]
 T = TypeVar("T")
 
 
@@ -165,9 +164,11 @@ class ValidationReport:
     is_smooth: bool
     is_complete: bool
     offending_cones: tuple[tuple[str, tuple[int, ...]], ...] = field(default_factory=tuple)
-    # read through ``maximal_cone_normals`` and ``wall_relations``; empty unless the report is ok
+    # read through ``maximal_cone_normals``, ``wall_relations`` and ``wall_far_rays``; empty unless the report is ok
     cone_normals: tuple[Matrix, ...] = field(default=(), compare=False, repr=False)
-    walls: dict[Cone, Wall] = field(default_factory=dict, compare=False, repr=False)
+    walls: dict[Cone, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
+    # facet -> its two maximal cones, each as (cone index, position of the ray off the facet)
+    wall_cones: dict[Cone, list[tuple[int, int]]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -236,20 +237,34 @@ def maximal_cone_normals(fan: Fan) -> tuple[Matrix, ...]:
     return report.cone_normals
 
 
-def wall_relations(fan: Fan) -> dict[Cone, Wall]:
-    """The relation of every wall, facet -> (alphas, c, d), as ``validate`` keeps it.
+def wall_relations(fan: Fan) -> dict[Cone, tuple[int, ...]]:
+    """The relation of every wall (facet -> alphas), as ``validate`` keeps it.
 
-    The two cones at a wall have rays c and d off it, c in the first of
-    them in ``max_cones`` order, and c + d = sum alpha_t a_t over the
-    facet's rays a_t; the alpha_t are listed in facet order. The curve C of
-    the wall has the class that is 1 at c and d and -alpha_t at a_t, and
-    degree -K.C = 2 - sum alpha_t, and the wall curves span NE(X) (Reid
-    1983), so the Fano predicates and the degree read only these sums and
-    the crepant relations only these classes. Refuses an invalid fan as
-    above.
+    The two cones at a wall have rays c and d off it, and c + d =
+    sum alpha_t a_t over the facet's rays a_t; the alpha_t are listed in
+    facet order. The curve C of the wall has degree -K.C = 2 - sum alpha_t,
+    and the wall curves span NE(X) (Reid 1983), so the Fano predicates and
+    the degree read only these sums; the crepant relations read the wall
+    classes, with the far rays of ``wall_far_rays``. Refuses an invalid
+    fan as above.
     """
     maximal_cone_normals(fan)  # refuses a fan that does not validate
     return fan.report.walls
+
+
+def wall_far_rays(fan: Fan) -> dict[Cone, tuple[int, int]]:
+    """The far rays of every wall, facet -> (c, d), as ``validate`` keeps them.
+
+    c and d are the rays off the facet of its two maximal cones, c in the
+    first of them in ``max_cones`` order, so c + d = sum alpha_t a_t is the
+    wall's relation (``wall_relations``), and the wall curve's class is 1 at
+    c and at d and -alpha_t at a_t. ``validate`` keeps each wall's two
+    cones with the positions of those rays, which check 2 reads. Refuses
+    an invalid fan as above.
+    """
+    cones = fan.max_cones
+    maximal_cone_normals(fan)  # refuses a fan that does not validate
+    return {facet: (cones[ci][k], cones[cj][l]) for facet, ((ci, k), (cj, l)) in fan.report.wall_cones.items()}
 
 
 def _equal_pairs(items: Sequence) -> list[tuple[int, int]]:
@@ -288,8 +303,9 @@ def validate(fan: Fan) -> ValidationReport:
     ``maximal_cone_normals``. On such a report the far ray d of check 2 is
     -c + sum alpha_t a_t in the first cone's basis: its coordinate along c
     is -1, and the others are the alpha_t of the wall relation
-    c + d = sum alpha_t a_t, which the report keeps with c and d
-    (``wall_relations``).
+    c + d = sum alpha_t a_t, which the report keeps (``wall_relations``).
+    It also keeps the two cones of each wall, with the positions of c and
+    d in them, that check 2 reads (``wall_far_rays``).
     For a 3-fan, as every bundle of the sweep is, checks 2 and 3 write these
     products out in closed form; the report is the same in every dimension.
     """
@@ -336,15 +352,15 @@ def validate(fan: Fan) -> ValidationReport:
     is_smooth = is_smooth and is_simplicial
 
     is_complete = False
-    relations: dict[Cone, Wall] = {}
+    relations: dict[Cone, tuple[int, ...]] = {}
+    # facet -> [(cone index, position of the ray opposite the facet)]
+    walls: dict[Cone, list[tuple[int, int]]] = defaultdict(list)
     if not fan.max_cones:
         # no rays and no cones: nothing covers space
         offending.append(("no_cones", ()))
     elif is_simplicial:
         is_complete = True
         rays, cones = fan.rays, fan.max_cones
-        # facet -> [(cone index, position of the ray opposite the facet)]
-        walls: dict[Cone, list[tuple[int, int]]] = defaultdict(list)
         if fan.dim == 3:
             for ci, (a, b, c) in enumerate(cones):
                 walls[b, c].append((ci, 0))
@@ -364,17 +380,16 @@ def validate(fan: Fan) -> ValidationReport:
             # the second cone at a wall must lie across it from the first; for
             # a 3-fan the products are written out, here and in check 3
             for facet, ((ci, k), (cj, l)) in walls.items():
-                d = cones[cj][l]
                 if fan.dim == 3:
-                    x, y, z = rays[d]
+                    x, y, z = rays[cones[cj][l]]
                     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = normals[ci]
                     coords = (a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z)
                 else:
-                    coords = matvec(normals[ci], rays[d])
+                    coords = matvec(normals[ci], rays[cones[cj][l]])
                 if coords[k] >= 0:
                     is_complete = False
                     offending.append(("improper_intersection", (ci, cj)))
-                relations[facet] = (coords[:k] + coords[k + 1:], cones[ci][k], d)
+                relations[facet] = coords[:k] + coords[k + 1:]
             # p is interior to cone 0; no other cone may contain it
             if fan.dim == 3:
                 x, y, z = vsum([rays[i] for i in cones[0]], 3)
@@ -389,7 +404,7 @@ def validate(fan: Fan) -> ValidationReport:
                     if all(vdot(row, p) >= 0 for row in normals[cj]):
                         is_complete = False
                         offending.append(("improper_intersection", (0, cj)))
-    kept = (tuple(normals), relations) if is_smooth and is_complete else ((), {})
+    kept = (tuple(normals), relations, walls) if is_smooth and is_complete else ((), {}, {})
     return ValidationReport(is_simplicial, is_smooth, is_complete, tuple(offending), *kept)
 
 

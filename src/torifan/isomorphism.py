@@ -64,7 +64,7 @@ def _anchor_cone(fan: Fan) -> tuple[int, ...]:
 
 def _wall_signature(walls: dict, cone: tuple[int, ...], rays: Sequence[int]) -> tuple[int, ...]:
     """The sum of the kept alphas of the wall of ``cone`` opposite each of ``rays``, in that order."""
-    return tuple(sum(walls[tuple(j for j in cone if j != i)][0]) for i in rays)
+    return tuple(sum(walls[tuple(j for j in cone if j != i)]) for i in rays)
 
 
 def find_isomorphism(f: Fan, g: Fan) -> Optional[FanIso]:

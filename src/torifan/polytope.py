@@ -30,7 +30,7 @@ def anticanonical_degree(fan: Fan) -> int:
     the polytope {m : <m, ray> >= -1}.
     """
     walls = wall_relations(fan)
-    degrees = (2 - sum(alphas) for alphas, _, _ in walls.values())
+    degrees = (2 - sum(alphas) for alphas in walls.values())
     if fan.dim < 3:
         return sum(degrees)
     m: dict[int, Vector] = {}

@@ -29,7 +29,7 @@ from itertools import combinations
 from operator import attrgetter, sub
 from typing import Iterable
 
-from .fan import Fan, maximal_cone_normals, memoised, wall_relations
+from .fan import Fan, maximal_cone_normals, memoised, wall_far_rays, wall_relations
 from .lattice import (
     Vector,
     has_nonneg_combination,
@@ -160,13 +160,13 @@ def picard_rank(fan: Fan) -> int:
 def is_fano(fan: Fan) -> bool:
     """True iff every wall curve C has -K.C = 2 - sum alpha_t > 0, over the
     kept wall relations (``wall_relations``): -K is ample."""
-    return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) < 2
+    return max(map(sum, wall_relations(fan).values())) < 2
 
 
 def is_weak_fano(fan: Fan) -> bool:
     """True iff every wall curve C has -K.C = 2 - sum alpha_t >= 0, over the
     kept wall relations (``wall_relations``): -K is nef."""
-    return max(sum(alphas) for alphas, _, _ in wall_relations(fan).values()) <= 2
+    return max(map(sum, wall_relations(fan).values())) <= 2
 
 
 def _class_table(classes: Iterable[tuple[Vector, PrimitiveRelation]], rays: int) -> tuple[dict, tuple]:
@@ -263,8 +263,9 @@ def crepant_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     """The extremal degree-0 relations of a weak Fano fan, in relation order:
     on a weak Fano 3-fold, its crepant primitive contractions (Reid 1983).
 
-    They are read off the wall relations that ``validate`` keeps
-    (``wall_relations``), and no primitive relation is grown. The class of
+    They are read off the wall relations and far rays that ``validate``
+    keeps (``wall_relations``, ``wall_far_rays``), and no primitive
+    relation is grown. The class of
     the wall with facet rays a_t and far rays c, d is 1 at c and at d and
     -alpha_t at a_t, a primitive vector, since its entry at c is 1; its
     degree is the sum of its entries, 2 - sum alpha_t. On a complete fan the
@@ -291,9 +292,11 @@ def crepant_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
     face, and the verdict and the table of contractions do not ask there.
     """
     n = len(fan.rays)
+    far = wall_far_rays(fan)
     classes = {}
-    for facet, (alphas, c, d) in wall_relations(fan).items():
+    for facet, alphas in wall_relations(fan).items():
         if sum(alphas) == 2:
+            c, d = far[facet]
             cls = [0] * n
             cls[c] = cls[d] = 1
             for t, alpha in zip(facet, alphas):

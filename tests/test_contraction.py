@@ -234,9 +234,9 @@ class TestNormalFormWitness:
                     # so both walls at x0 have degree 2 - alpha - beta
                     walls = wall_relations(fan)
                     wall = tuple(sorted((x0, xp)))
-                    assert dict(zip(wall, walls[wall][0])) == {x0: alpha, xp: beta}
+                    assert dict(zip(wall, walls[wall])) == {x0: alpha, xp: beta}
                     wall = tuple(sorted((x0, xm)))
-                    assert dict(zip(wall, walls[wall][0])) == {x0: alpha + 2 * beta, xm: -beta}
+                    assert dict(zip(wall, walls[wall])) == {x0: alpha + 2 * beta, xm: -beta}
                     stars += 1
                 tally[1] += 1
                 tally[2] += len(rel.collection) == 2 and len(rel.coeffs) == 2

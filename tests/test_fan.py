@@ -12,6 +12,7 @@ from torifan.fan import (
     fan_from_rays_2d,
     maximal_cone_normals,
     validate,
+    wall_far_rays,
     wall_relations,
 )
 from torifan.catalog import all_named, named_fan, surfaces
@@ -274,9 +275,7 @@ def test_validate_agrees_with_the_reference_report():
             assert len(report.cone_normals) == len(fan.max_cones)
             for rows, cone in zip(report.cone_normals, fan.max_cones):
                 assert rows == reference_inward_normals(fan, cone), (fan.to_dict(), cone)
-            assert {facet: alphas for facet, (alphas, _, _) in report.walls.items()} == reference_wall_relations(fan), (
-                fan.to_dict()
-            )
+            assert report.walls == reference_wall_relations(fan), fan.to_dict()
     assert walls_not_separated[3] >= 557 and walls_not_separated[2] >= 52
     # the catalog fans and their rebasings, the bundles, and 113 of the corrupted set
     assert valid == 4 * 34 + 304 + 113
@@ -372,6 +371,7 @@ INVALID_FANS = {
 TABLE_READERS = {
     "maximal_cone_normals": maximal_cone_normals,
     "wall_relations": wall_relations,
+    "wall_far_rays": wall_far_rays,
     "self_intersection_sequence": self_intersection_sequence,
     "primitive_collections": primitive_collections,
     "is_fano": is_fano,
@@ -411,10 +411,11 @@ def test_each_wall_keeps_its_far_rays(flop_corpus):
     fans = [nf.fan for nf in all_named().values()] + bundles + list(flop_corpus) + [non_projective_fan()]
     assert len(fans) == 34 + 304 + 687 + 1
     for fan in fans:
-        kept = {facet: (c, d) for facet, (_, c, d) in wall_relations(fan).items()}
+        kept = wall_far_rays(fan)
         assert kept == {facet: tuple(rays) for facet, rays in far_rays(fan).items()}, fan.to_dict()
         # the class of each wall is a relation among the rays
-        for facet, (alphas, c, d) in wall_relations(fan).items():
+        for facet, alphas in wall_relations(fan).items():
+            c, d = kept[facet]
             total = vsum([fan.rays[c], fan.rays[d]], fan.dim)
             assert total == vsum([tuple(alpha * x for x in fan.rays[t]) for t, alpha in zip(facet, alphas)], fan.dim)
 
@@ -430,7 +431,7 @@ def test_a_valid_report_keeps_one_inverse_per_maximal_cone():
         walls = wall_relations(nf.fan)
         assert walls is nf.fan.report.walls
         assert len(walls) == len(nf.fan.max_cones) * nf.fan.dim // 2
-        assert all(len(alphas) == len(facet) == nf.fan.dim - 1 for facet, (alphas, _, _) in walls.items())
+        assert all(len(alphas) == len(facet) == nf.fan.dim - 1 for facet, alphas in walls.items())
 
 
 def test_ccw_sorted_agrees_with_the_reference_comparator():

@@ -4,7 +4,7 @@ from collections import defaultdict
 import pytest
 
 from torifan.catalog import all_named, named_fan, surfaces, threefolds
-from torifan.fan import Fan, build_bundle, fan_from_json, wall_relations
+from torifan.fan import Fan, build_bundle, fan_from_json, wall_far_rays, wall_relations
 from torifan.isomorphism import canonical_key, find_isomorphism
 from torifan.lattice import matmul, matvec
 from torifan.polytope import anticanonical_degree
@@ -233,7 +233,8 @@ class TestAgainstReference:
 
         Besides matching the reference, each witness must send every wall of
         f to a wall of g of the same kept degree: the wall-degree cuts of the
-        search skip exactly the candidates that would not.
+        search skip exactly the candidates that would not. It sends the kept
+        far rays of the wall to those of its image too.
         """
         by_key = defaultdict(list)
         for fan in sweep_bundles_b3():
@@ -243,13 +244,12 @@ class TestAgainstReference:
         for f, g in pairs:
             iso = self.check_witness(f, g)
             assert iso is not None
-            g_walls = wall_relations(g)
-            for wall, (alphas, c, d) in wall_relations(f).items():
+            g_walls, f_far, g_far = wall_relations(g), wall_far_rays(f), wall_far_rays(g)
+            for wall, alphas in wall_relations(f).items():
                 image = tuple(sorted(iso.ray_permutation[i] for i in wall))
                 relation = {iso.ray_permutation[i]: alpha for i, alpha in zip(wall, alphas)}
-                image_alphas, *image_far = g_walls[image]
-                assert dict(zip(image, image_alphas)) == relation
-                assert sorted(image_far) == sorted((iso.ray_permutation[c], iso.ray_permutation[d]))
+                assert dict(zip(image, g_walls[image])) == relation
+                assert sorted(g_far[image]) == sorted(iso.ray_permutation[i] for i in f_far[wall])
 
     def test_no_witness_on_equal_size_pairs(self):
         fans = [nf.fan for nf in all_named().values()]

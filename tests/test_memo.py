@@ -108,7 +108,7 @@ def test_predicates_compute_no_relations_on_a_fan_that_is_not_weak_fano(tmp_path
     # verdict and the contraction table stop there
     relations = calls(primitive.primitive_collections)
     fan = build_bundle(named_fan("P2").fan, (2, 1), (0, 0))
-    assert min(2 - sum(alphas) for alphas, _, _ in fan_module.wall_relations(fan).values()) == -1
+    assert min(2 - sum(alphas) for alphas in fan_module.wall_relations(fan).values()) == -1
     assert not is_weak_fano(fan) and not is_fano(fan)
     assert is_weakened_fano(fan) == WeakenedVerdict(False, False, False)
     assert crepant_contractions(fan) == ()
@@ -147,7 +147,7 @@ def test_extremality_lps_only_for_degree_zero_relations(calls):
     fan = fresh(named_fan("X4_0").fan)
     assert is_weakened_fano(fan).is_weakened
     assert len(crepant_contractions(fan)) == 1
-    assert [sum(alphas) for alphas, _, _ in fan_module.wall_relations(fan).values()].count(2) == 2
+    assert [sum(alphas) for alphas in fan_module.wall_relations(fan).values()].count(2) == 2
     assert lps == [] and relations == []
     # P1 x W6_3 has 10 degree-0 walls among 24, of 5 classes, each a fiber
     # class lifted to both sections: each of the 5 has a one-ray
@@ -156,7 +156,7 @@ def test_extremality_lps_only_for_degree_zero_relations(calls):
     fan = fresh(named_fan("P1xW6_3").fan)
     assert is_weakened_fano(fan).is_weakened
     walls = fan_module.wall_relations(fan)
-    assert len(walls) == 24 and [sum(alphas) for alphas, _, _ in walls.values()].count(2) == 10
+    assert len(walls) == 24 and [sum(alphas) for alphas in walls.values()].count(2) == 10
     assert len(crepant_contractions(fan)) == 5
     is_weakened_fano(fan)
     crepant_contractions(fan)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from torifan.catalog import named_fan
-from torifan.fan import Fan, fan_from_rays_2d, wall_relations
+from torifan.fan import Fan, fan_from_rays_2d, wall_far_rays, wall_relations
 from torifan.lattice import has_nonneg_combination, vdot, vsum
 from torifan.primitive import (
     bundle_candidates,
@@ -462,8 +462,9 @@ def _degree_zero_wall_classes(fan) -> set:
     """The distinct classes of the walls of degree 0: 1 at the far rays c and
     d, -alpha_t at the facet rays a_t."""
     classes = set()
-    for facet, (alphas, c, d) in wall_relations(fan).items():
+    for facet, alphas in wall_relations(fan).items():
         if sum(alphas) == 2:
+            c, d = wall_far_rays(fan)[facet]
             cls = [0] * len(fan.rays)
             cls[c] = cls[d] = 1
             for t, alpha in zip(facet, alphas):
@@ -620,11 +621,6 @@ def test_every_class_is_primitive_with_a_one_off_sigma():
     assert checked > 5000
 
 
-def _alphas(fan) -> dict:
-    """The kept wall relations without their far rays, facet -> alphas."""
-    return {facet: alphas for facet, (alphas, _, _) in wall_relations(fan).items()}
-
-
 def test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do():
     """``is_fano`` and ``is_weak_fano`` read the wall table. Each kept wall
     relation and each wall degree is the reference's, and both predicates
@@ -650,8 +646,8 @@ def test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do():
     assert len(catalog) == 34 and len(box) == 1296 and len(non_weak) == 42
     flags = []
     for fan in [Fan(1, ((1,), (-1,)), ((0,), (1,)))] + catalog + box + non_weak:
-        assert _alphas(fan) == reference_wall_relations(fan), fan.to_dict()
-        wall_degree = {facet: 2 - sum(alphas) for facet, alphas in _alphas(fan).items()}
+        assert wall_relations(fan) == reference_wall_relations(fan), fan.to_dict()
+        wall_degree = {facet: 2 - sum(alphas) for facet, alphas in wall_relations(fan).items()}
         assert wall_degree == reference_wall_degrees(fan), fan.to_dict()
         degrees = [r.degree for r in primitive_collections(fan)]
         assert is_weak_fano(fan) == all(d >= 0 for d in degrees), fan.to_dict()
@@ -663,7 +659,7 @@ def test_wall_degrees_decide_fano_and_weak_fano_as_the_relations_do():
     blowups = [blow_up(nf.fan, cone) for nf in surfaces() for cone in nf.fan.max_cones]
     assert len(blowups) == 96
     for fan in blowups + [P3, P3_BLOWN_UP, NON_PROJECTIVE]:
-        assert _alphas(fan) == reference_wall_relations(fan), fan.to_dict()
+        assert wall_relations(fan) == reference_wall_relations(fan), fan.to_dict()
 
 
 P3 = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))

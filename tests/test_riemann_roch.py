@@ -22,7 +22,7 @@ from _oracles import lattice_points, sweep_bundles_b3
 
 def _wall_degrees(fan):
     """-K.C = 2 - sum alpha_t for the curve C of each kept wall relation."""
-    return [2 - sum(alphas) for alphas, _, _ in wall_relations(fan).values()]
+    return [2 - sum(alphas) for alphas in wall_relations(fan).values()]
 
 
 def test_wall_degrees_sum_to_c1c2_and_to_k_squared(surface_report):
